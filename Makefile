@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-paper-scale bench-16k-fast bench-100k-smoke lifecycle-smoke verify-smoke sweep-smoke malleable-smoke serve-smoke snapshot-smoke lint-imports
+.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-paper-scale bench-16k-fast bench-100k-smoke bench-e2e-check lifecycle-smoke verify-smoke sweep-smoke malleable-smoke serve-smoke snapshot-smoke lint-imports
 
 ## Full tier-1 suite (the CI gate).
 test:
@@ -61,6 +61,13 @@ bench-paper-scale:
 ## anchors must match exactly; wall may not regress beyond +25%.
 bench-16k-fast:
 	$(PYTHON) -m repro.cli bench compare benchmarks/BENCH_paper_scale.json --names paper-16384
+
+## The repo benchmark's own checks: BENCHMARK.json must be a valid
+## spec, and the benchmarks/e2e harness tests (on a tiny scenario) must
+## pass.  The timed four-workload run is `python3 benchmarks/e2e/run.py`.
+bench-e2e-check:
+	$(PYTHON) -m benchmarks.e2e check
+	$(PYTHON) -m pytest -q benchmarks/e2e
 
 ## Lifecycle-kernel smoke: the FSM fast path must be observably
 ## indistinguishable from the generator reference — unit tests for the

@@ -7,11 +7,9 @@ This module is the supported entry point for scripting the library::
     result = run_simulation(SimulationConfig(rm="eslurm", n_nodes=4096, seed=7))
     print(result.report.summary())
 
-It subsumes the helpers that historically lived in
-``repro.experiments.harness`` (``quick_cluster`` / ``build_rm`` /
-``run_rm_day`` — those import paths still resolve but emit a
-``DeprecationWarning``) and adds keyword-only dataclass configs so every
-knob is named at the call site.
+It holds the cluster/RM helpers (``quick_cluster`` / ``build_rm`` /
+``run_rm_day``) and keyword-only dataclass configs so every knob is
+named at the call site.
 
 :mod:`repro.api.requests` adds the typed request/response envelopes —
 ``SimulateRequest`` / ``ChaosRequest`` / ``VerifyRequest`` /
@@ -23,6 +21,7 @@ knob is named at the call site.
 from __future__ import annotations
 
 import contextlib
+import math
 import typing as t
 from dataclasses import dataclass, field, replace
 
@@ -113,7 +112,9 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"unknown lifecycle {self.lifecycle!r}; choose from {LIFECYCLE_MODES}"
             )
-        if self.n_nodes < 1 or self.n_jobs < 0 or self.horizon_s <= 0:
+        if self.n_nodes < 1 or self.n_jobs < 0 or not (
+            math.isfinite(self.horizon_s) and self.horizon_s > 0
+        ):
             raise ConfigurationError("n_nodes/n_jobs/horizon_s out of range")
         from repro.sched.placement import PLACEMENT_NAMES
 

@@ -15,7 +15,9 @@ from repro.chaos.campaign import (
     run_scenario,
     shrink_schedule,
 )
-from repro.chaos.invariants import (
+from repro.chaos.report import ChaosReport
+from repro.chaos.scenarios import SCENARIOS, ChaosScenario, ScheduledFault, get_scenario
+from repro.oracle.invariants import (
     ChaosContext,
     Eq1Correctness,
     FPTreeSoundness,
@@ -27,8 +29,6 @@ from repro.chaos.invariants import (
     Violation,
     default_invariants,
 )
-from repro.chaos.report import ChaosReport
-from repro.chaos.scenarios import SCENARIOS, ChaosScenario, ScheduledFault, get_scenario
 
 __all__ = [
     "SCENARIOS",

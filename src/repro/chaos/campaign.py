@@ -19,16 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.chaos.invariants import (
+from repro.chaos.report import ChaosReport
+from repro.chaos.scenarios import DAY, ChaosScenario, ScheduledFault, get_scenario
+from repro.cluster.failures import FailureModel
+from repro.cluster.spec import ClusterSpec
+from repro.oracle.invariants import (
     ChaosContext,
     Invariant,
     InvariantRegistry,
     default_invariants,
 )
-from repro.chaos.report import ChaosReport
-from repro.chaos.scenarios import DAY, ChaosScenario, ScheduledFault, get_scenario
-from repro.cluster.failures import FailureModel
-from repro.cluster.spec import ClusterSpec
 from repro.rm.eslurm import EslurmRM
 from repro.sched.job import JobState
 from repro.simkit.core import Simulator
@@ -73,7 +73,7 @@ def run_scenario(
         schedule: explicit fault schedule (the shrinker passes subsets);
             defaults to the scenario's seeded schedule.
         invariant_factory: produces the invariants to enforce; defaults
-            to :func:`~repro.chaos.invariants.default_invariants`.
+            to :func:`~repro.oracle.invariants.default_invariants`.
     """
     spec = _resolve(scenario)
     sim = Simulator(seed=seed)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.chaos.invariants import Violation
 from repro.chaos.scenarios import ScheduledFault
+from repro.oracle.invariants import Violation
 
 #: how many individual violations the text rendering spells out
 _MAX_RENDERED = 20

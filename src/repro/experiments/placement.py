@@ -13,7 +13,6 @@ checked against the tree's leaf set.
 
 from __future__ import annotations
 
-import typing as t
 from dataclasses import dataclass
 
 from repro.cluster.failures import FailureModel
@@ -97,24 +96,19 @@ def run_placement(
         targets = cluster.compute_ids()
         ordered = constructor.construct(cluster.master.node_id, targets)
         down = cluster.down_ids()
-        if not down:
-            trees += 1
-            return
-        leaves = set(leaf_positions(len(ordered) + 1, width))
-        # position p in the full nodelist corresponds to ordered[p-1]
-        for pos, nid in enumerate(ordered, start=1):
-            if nid in down:
-                encounters += 1
-                if pos in leaves:
-                    on_leaves += 1
+        if down:
+            leaves = set(leaf_positions(len(ordered) + 1, width))
+            # position p in the full nodelist corresponds to ordered[p-1]
+            for pos, nid in enumerate(ordered, start=1):
+                if nid in down:
+                    encounters += 1
+                    if pos in leaves:
+                        on_leaves += 1
         trees += 1
+        builder.arm(interval)
 
-    def loop() -> t.Generator:
-        while True:
-            yield sim.timeout(interval)
-            build_one()
-
-    sim.process(loop(), name="placement.builder")
+    builder = sim.timer(build_one, label="placement.builder")
+    builder.arm(interval)
     sim.run(until=days * DAY)
     return PlacementResult(
         trees_built=trees,

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.cluster.topology import HopLevel
 from repro.errors import ConfigurationError
-from repro.network.message import Message
 from repro.telemetry import facade as telemetry
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -234,13 +233,3 @@ class NetworkFabric:
             dtype=bool,
             count=len(node_ids),
         )
-
-    # -- DES-level helper --------------------------------------------------
-    def deliver(self, message: Message) -> "t.Any":
-        """Event that fires when ``message`` arrives (or fails) at ``dst``.
-
-        Success value is the message; unreachable destinations make the
-        event fire after the dead-node penalty with value ``None``.
-        """
-        delay, ok = self.attempt_delay(message.src, message.dst, message.size_bytes)
-        return self.sim.timeout(delay, value=message if ok else None)

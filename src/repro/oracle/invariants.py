@@ -3,8 +3,6 @@
 This module is the **shared registry**: both the chaos campaigns
 (:mod:`repro.chaos`) and the oracle suites (:mod:`repro.oracle`)
 consume these definitions, so a predicate is stated exactly once.
-``repro.chaos.invariants`` re-exports everything here for backward
-compatibility.
 
 Each :class:`Invariant` encodes one predicate the paper's claims rest
 on: the satellite state machine only ever takes Table II transitions,

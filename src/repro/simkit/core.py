@@ -8,6 +8,7 @@ ties deterministically in scheduling order.
 from __future__ import annotations
 
 import heapq
+import sys
 import time
 import typing as t
 
@@ -18,6 +19,9 @@ from repro.simkit.rng import RngRegistry
 from repro.telemetry import facade as telemetry
 
 _INFINITY = float("inf")
+#: the latest time an event can run at: one scheduled at ``inf`` never
+#: fires, so a run with no deadline ends when only such events remain
+_LATEST = sys.float_info.max
 
 
 class _StopSimulation(Exception):
@@ -83,7 +87,7 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
     def schedule(self, event: Event, priority: int = PRIORITY_NORMAL, delay: float = 0.0) -> None:
         """Queue a triggered event to fire ``delay`` units from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         seq = self._seq
         self._seq = seq + 1
@@ -107,32 +111,8 @@ class Simulator:
         they do not advance the clock, run callbacks, count toward
         ``events_processed``, or reach trace hooks/probes.
         """
-        while True:
-            try:
-                when, _prio, _seq, event = heapq.heappop(self._heap)
-            except IndexError:
-                raise SimulationError("step() on an empty event heap") from None
-            if not event.cancelled:
-                break
-        if when < self._now:  # pragma: no cover - defensive, unreachable
-            raise SimulationError("event heap went backwards in time")
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        assert callbacks is not None, "event processed twice"
-        for callback in callbacks:
-            if callback is not None:  # skip dead slots left by detached waiters
-                callback(event)
-        # The event *was* processed — its callbacks ran — so the count,
-        # the golden trace, and the probes must all agree on that before
-        # an undefused failure propagates; raising between the count and
-        # the hooks left them disagreeing about history.
-        self.events_processed += 1
-        for hook in self._trace_hooks:
-            hook(when, _prio, _seq)
-        for probe in self._probes:
-            probe()
-        if not event.ok and not event.defused:
-            raise t.cast(BaseException, event.value)
+        if not self._dispatch(_INFINITY, 1):
+            raise SimulationError("step() on an empty event heap")
 
     # -- run loop ------------------------------------------------------------
     def run(self, until: float | Event | None = None) -> t.Any:
@@ -154,14 +134,14 @@ class Simulator:
             until.callbacks.append(self._stop_on)
         else:
             deadline = float(until)
-            if deadline < self._now:
+            if not deadline >= self._now:
                 raise SimulationError(
                     f"run(until={deadline}) is in the past (now={self._now})"
                 )
         tel = telemetry.active()
         try:
             if tel is None:
-                self._run_cohorts(deadline)
+                self._dispatch(deadline, _INFINITY)
             else:
                 self._run_instrumented(deadline, tel)
         except _StopSimulation as stop:
@@ -177,137 +157,85 @@ class Simulator:
             raise SimulationError("run(until=event): event heap drained before event fired")
         return None
 
-    def _run_cohorts(self, deadline: float) -> None:
-        """The :meth:`run` hot loop: same-timestamp cohort dispatch.
+    def _dispatch(
+        self,
+        deadline: float,
+        limit: float,
+        depth: t.Callable[[int], None] | None = None,
+    ) -> int:
+        """The event loop: every processed event goes through here.
 
-        Equivalent to ``while peek() <= deadline: step()``, but the
-        whole run of heap entries sharing the next timestamp is popped
-        as one batch and dispatched in ``(priority, seq)`` order without
-        re-consulting the heap per event.  Three hazards keep the cohort
-        honest (each is pinned by a test in ``tests/simkit``):
-
-        * a callback may schedule a *same-time, higher-priority* event
-          that serial execution would process before the rest of the
-          cohort — every entry re-checks the heap top and the
-          unprocessed remainder is pushed back when it would lose;
-        * a callback may cancel an event later in the cohort — each
-          entry re-checks ``cancelled`` at dispatch time, mirroring the
-          heap's lazy deletion;
-        * a callback may raise (an undefused failure, or
-          ``run(until=event)`` stopping the run) — the unprocessed
-          remainder is pushed back so the heap is exactly what serial
-          ``step()`` would have left behind.
+        Processes live events in ``(time, priority, seq)`` order until
+        ``limit`` events have run, the heap drains, or the next live
+        event lies past ``deadline`` (an event at ``inf`` never runs).
+        Cancelled entries are discarded as they surface (lazy deletion).
+        Per event: clock, callbacks, count, trace hooks, probes — then
+        an undefused failure raises, with history already agreeing that
+        the event was processed.  ``depth``, when given, observes the
+        heap depth before each event exactly as :meth:`peek` leaves it:
+        cancelled entries on top pruned, the event about to run counted.
+        Returns the number of events processed.
         """
+        if deadline > _LATEST:
+            deadline = _LATEST
         heap = self._heap
         hooks = self._trace_hooks
         probes = self._probes
-        while True:
-            # peek() prunes cancelled entries; inf means the heap is
-            # drained (or holds only cancelled events).
-            when = self.peek()
-            if when == _INFINITY or when > deadline:
-                return
-            batch = [heapq.heappop(heap)]
-            while heap and heap[0][0] == when:
-                batch.append(heapq.heappop(heap))
-            i = 0
-            n = len(batch)
-            try:
-                while i < n:
-                    entry = batch[i]
-                    event = entry[3]
-                    if event.cancelled:
-                        i += 1
-                        continue
-                    if heap and heap[0][0] == when:
-                        top = heap[0]
-                        if top[1] < entry[1] or (top[1] == entry[1] and top[2] < entry[2]):
-                            break  # preempted: remainder goes back
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    assert callbacks is not None, "event processed twice"
-                    i += 1
-                    for callback in callbacks:
-                        if callback is not None:  # dead slot (detached waiter)
-                            callback(event)
-                    self.events_processed += 1
-                    for hook in hooks:
-                        hook(when, entry[1], entry[2])
-                    for probe in probes:
-                        probe()
-                    if not event.ok and not event.defused:
-                        raise t.cast(BaseException, event.value)
-            finally:
-                for j in range(i, n):
-                    heapq.heappush(heap, batch[j])
+        done = 0
+        while done < limit and heap:
+            entry = heapq.heappop(heap)
+            when, prio, seq, event = entry
+            if event.cancelled:
+                continue
+            if when > deadline:
+                heapq.heappush(heap, entry)
+                break
+            if depth is not None:
+                depth(len(heap) + 1)
+            if when < self._now:  # pragma: no cover - defensive, unreachable
+                raise SimulationError("event heap went backwards in time")
+            self._now = when
+            callbacks, event.callbacks = event.callbacks, None
+            assert callbacks is not None, "event processed twice"
+            for callback in callbacks:
+                if callback is not None:  # skip dead slots left by detached waiters
+                    callback(event)
+            self.events_processed += 1
+            done += 1
+            for hook in hooks:
+                hook(when, prio, seq)
+            for probe in probes:
+                probe()
+            if not event.ok and not event.defused:
+                raise t.cast(BaseException, event.value)
+        return done
 
     def _run_instrumented(self, deadline: float, tel: "telemetry.Telemetry") -> None:
-        """The :meth:`run` loop with event-loop telemetry attached.
+        """:meth:`run` with event-loop telemetry measured around the loop.
 
-        Kept out of the default path entirely: with no telemetry session
-        installed, :meth:`run` executes the same tight loop it always
-        did.  Here every processed event updates the ``sim.events``
-        counter and the heap-depth distribution, and the surrounding
-        wall-clock is reported as host time per simulated second.
+        Only the heap-depth observer rides inside :meth:`_dispatch`;
+        with no telemetry session installed, :meth:`run` passes none.
+        The ``sim.events`` count, the per-run heap peak, the simulated
+        advance and the host wall-clock per simulated second are taken
+        around the call.
         """
         start_wall = time.perf_counter()
         start_sim = self._now
+        start_events = self.events_processed
         events = tel.registry.counter("sim.events")
         depth_hist = tel.registry.histogram("sim.heap.depth")
-        heap = self._heap
-        hooks = self._trace_hooks
-        probes = self._probes
         peak = 0
+
+        def observe_depth(depth: int) -> None:
+            nonlocal peak
+            if depth > peak:
+                peak = depth
+            depth_hist.observe(depth)
+
         try:
-            while True:
-                # Cohort dispatch, mirroring _run_cohorts — see there
-                # for the three hazards the inner checks guard against.
-                when = self.peek()
-                if when == _INFINITY or when > deadline:
-                    break
-                batch = [heapq.heappop(heap)]
-                while heap and heap[0][0] == when:
-                    batch.append(heapq.heappop(heap))
-                i = 0
-                n = len(batch)
-                try:
-                    while i < n:
-                        entry = batch[i]
-                        event = entry[3]
-                        if event.cancelled:
-                            i += 1
-                            continue
-                        if heap and heap[0][0] == when:
-                            top = heap[0]
-                            if top[1] < entry[1] or (top[1] == entry[1] and top[2] < entry[2]):
-                                break  # preempted: remainder goes back
-                        # Depth exactly as the serial loop observes it:
-                        # the live entry plus everything behind it, with
-                        # cancelled entries *ahead* of it already pruned
-                        # (serial peek() pops those before measuring).
-                        depth = len(heap) + n - i
-                        if depth > peak:
-                            peak = depth
-                        depth_hist.observe(depth)
-                        self._now = when
-                        callbacks, event.callbacks = event.callbacks, None
-                        assert callbacks is not None, "event processed twice"
-                        i += 1
-                        for callback in callbacks:
-                            if callback is not None:  # dead slot (detached waiter)
-                                callback(event)
-                        self.events_processed += 1
-                        for hook in hooks:
-                            hook(when, entry[1], entry[2])
-                        for probe in probes:
-                            probe()
-                        events.inc()
-                        if not event.ok and not event.defused:
-                            raise t.cast(BaseException, event.value)
-                finally:
-                    for j in range(i, n):
-                        heapq.heappush(heap, batch[j])
+            self._dispatch(deadline, _INFINITY, observe_depth)
         finally:
+            events.inc(self.events_processed - start_events)
             tel.gauge("sim.heap.peak", peak)
             sim_advance = self._now - start_sim
             tel.count("sim.time_s", sim_advance)
@@ -323,8 +251,7 @@ class Simulator:
         The replay half of cold snapshot restore
         (:mod:`repro.snapshot`): a rebuilt world replays exactly the
         events the captured world had processed, pausing at the same
-        event boundary.  Kept separate from :meth:`run` so the hot loop
-        stays branch-free.  Stops early if the heap drains or the next
+        event boundary.  Stops early if the heap drains or the next
         live event lies beyond ``deadline``; never advances the clock to
         the deadline (event-boundary semantics).  Returns the number of
         events processed by this call.
@@ -334,13 +261,7 @@ class Simulator:
                 f"run_until_count({count}) is in the past "
                 f"(events_processed={self.events_processed})"
             )
-        before = self.events_processed
-        while self.events_processed < count:
-            when = self.peek()
-            if when == _INFINITY or when > deadline:
-                break
-            self.step()
-        return self.events_processed - before
+        return self._dispatch(deadline, count - self.events_processed)
 
     def restore_clock(self, when: float) -> None:
         """Advance the clock to ``when`` without processing events.
@@ -351,7 +272,7 @@ class Simulator:
         final clock value exactly.  Moving backwards is an error.
         """
         when = float(when)
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(
                 f"restore_clock({when}) would move time backwards (now={self._now})"
             )
@@ -412,7 +333,7 @@ class Simulator:
     # -- convenience ---------------------------------------------------------
     def call_at(self, when: float, func: t.Callable[[], None]) -> Event:
         """Invoke ``func()`` at absolute simulated time ``when``."""
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(f"call_at({when}) is in the past (now={self._now})")
         ev = self.event()
         ev._ok = True  # noqa: SLF001 - kernel-internal fast path

@@ -117,13 +117,6 @@ class Event:
         self.sim.schedule(self, priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy another event's outcome onto this one (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(t.cast(BaseException, event._value))
-
     # -- snapshot identity ---------------------------------------------
     def describe(self) -> dict[str, t.Any]:
         """Structural identity for snapshot capture (:mod:`repro.snapshot`).
@@ -160,8 +153,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: t.Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN timeout delay: {delay!r}")
         super().__init__(sim)
         self.delay = delay
         self._ok = True
@@ -221,8 +214,8 @@ class Timer(Event):
             raise SimulationError(
                 f"timer {self.label!r} cannot be re-armed while pending/cancelled"
             )
-        if delay < 0:
-            raise SimulationError(f"negative timer delay: {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN timer delay: {delay!r}")
         self._pending = True
         self.callbacks = self._cbs
         self.sim.schedule(self, priority, delay)
@@ -242,65 +235,3 @@ class Timer(Event):
         state = super().describe()
         state["label"] = self.label
         return state
-
-
-class Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` combinators."""
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, sim: "Simulator", events: t.Sequence[Event]) -> None:
-        super().__init__(sim)
-        self.events = tuple(events)
-        self._count = 0
-        for ev in self.events:
-            if ev.sim is not sim:
-                raise SimulationError("cannot mix events from different simulators")
-            if ev.processed:
-                self._check(ev)
-            else:
-                assert ev.callbacks is not None
-                ev.callbacks.append(self._check)
-        if not self.events and not self.triggered:
-            self.succeed({})
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, t.Any]:
-        # Note `processed`, not `triggered`: a Timeout carries its value from
-        # construction (so it *looks* triggered), but has only actually fired
-        # once its callbacks have run.
-        return {ev: ev.value for ev in self.events if ev.processed and ev.ok}
-
-
-class AllOf(Condition):
-    """Fires once every child event has fired; value maps event -> value."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defused = True
-            self.fail(t.cast(BaseException, event.value))
-            return
-        self._count += 1
-        if self._count == len(self.events):
-            self.succeed(self._collect())
-
-
-class AnyOf(Condition):
-    """Fires as soon as one child fires; value maps fired events -> values."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defused = True
-            self.fail(t.cast(BaseException, event.value))
-            return
-        self.succeed(self._collect())

@@ -19,9 +19,9 @@ from repro.chaos import (
     SchedulerConservation,
     default_invariants,
 )
-from repro.chaos.invariants import MAX_RECORDED_PER_INVARIANT
 from repro.cluster import ClusterSpec
 from repro.cluster.failures import FailureModel
+from repro.oracle.invariants import MAX_RECORDED_PER_INVARIANT
 from repro.rm.eslurm import EslurmRM
 from repro.rm.satellite import FAULT_TIMEOUT_S, SatelliteEvent, SatelliteState
 from repro.sched.job import Job

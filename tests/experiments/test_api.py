@@ -1,6 +1,4 @@
-"""The repro.api facade: configs, run_simulation, and the harness shim."""
-
-import warnings
+"""The repro.api facade: configs, run_simulation, quick_cluster."""
 
 import pytest
 
@@ -22,6 +20,11 @@ class TestSimulationConfig:
         assert SimulationConfig(failures=False).monitoring_effective is False
         assert SimulationConfig(failures=True, monitoring=False).monitoring_effective is False
         assert SimulationConfig(failures=False, monitoring=True).monitoring_effective is True
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        with pytest.raises(ConfigurationError, match="horizon_s"):
+            SimulationConfig(horizon_s=horizon)
 
     def test_frozen(self):
         cfg = SimulationConfig()
@@ -77,30 +80,3 @@ class TestRunSimulation:
             rm="slurm", n_nodes=32, n_jobs=10, telemetry=TelemetryConfig(enabled=True)
         )
         assert telemetry.active() is None
-
-
-class TestHarnessShim:
-    def test_old_imports_resolve_with_deprecation_warning(self):
-        import repro.api
-        import repro.experiments.harness as harness
-
-        for name in ("DAY", "quick_cluster", "build_rm", "run_rm_day"):
-            with pytest.warns(DeprecationWarning, match="repro.api"):
-                assert getattr(harness, name) is getattr(repro.api, name)
-
-    def test_from_import_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.experiments.harness import quick_cluster as shimmed
-        cluster = shimmed(n_nodes=16)
-        assert cluster.n_nodes == 16
-
-    def test_unknown_attribute_still_errors(self):
-        import repro.experiments.harness as harness
-
-        with pytest.raises(AttributeError):
-            harness.no_such_thing
-
-    def test_experiments_package_import_warns_nothing(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.experiments import build_rm  # noqa: F401

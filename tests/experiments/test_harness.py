@@ -57,31 +57,6 @@ class TestRunRmDay:
         assert reps[0].schedule.avg_wait_s == reps[1].schedule.avg_wait_s
 
 
-class TestHarnessShim:
-    """The deprecated repro.experiments.harness location must warn with
-    the exact repro.api replacement symbol and delegate, not duplicate."""
-
-    def test_every_moved_name_warns_and_delegates(self):
-        import repro.api
-        import repro.experiments.harness as shim
-
-        for name in shim._MOVED:
-            with pytest.warns(
-                DeprecationWarning,
-                match=rf"repro\.experiments\.harness\.{name} is deprecated; "
-                rf"use repro\.api\.{name} instead",
-            ):
-                value = getattr(shim, name)
-            # delegation: the very object repro.api serves, not a copy
-            assert value is getattr(repro.api, name)
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.experiments.harness as shim
-
-        with pytest.raises(AttributeError):
-            shim.does_not_exist
-
-
 class TestReporting:
     def test_render_table_alignment(self):
         text = render_table(["a", "bb"], [[1, 2.5], ["xyz", 3.0]], title="T")

@@ -6,7 +6,6 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.network import FabricConfig, NetworkFabric
-from repro.network.message import Message, MessageKind
 from repro.simkit import Simulator
 
 
@@ -96,32 +95,3 @@ class TestAttemptAndDeliver:
         delay, ok = fabric.attempt_delay(0, 1, 100)
         assert not ok
         assert delay == fabric.config.dead_node_penalty_s
-
-    def test_deliver_event(self):
-        sim, _, fabric = build()
-        msg = Message(MessageKind.HEARTBEAT, src=0, dst=1)
-
-        def proc():
-            got = yield fabric.deliver(msg)
-            return (sim.now, got)
-
-        p = sim.process(proc())
-        sim.run()
-        at, got = p.value
-        assert got is msg
-        assert at > 0
-
-    def test_deliver_to_dead_returns_none_after_penalty(self):
-        sim, cluster, fabric = build()
-        cluster.fail_nodes([1])
-        msg = Message(MessageKind.HEARTBEAT, src=0, dst=1)
-
-        def proc():
-            got = yield fabric.deliver(msg)
-            return (sim.now, got)
-
-        p = sim.process(proc())
-        sim.run()
-        at, got = p.value
-        assert got is None
-        assert at == pytest.approx(fabric.config.dead_node_penalty_s)

@@ -45,13 +45,6 @@ class TestFramework:
 
 
 class TestSharedInvariantRegistry:
-    def test_chaos_module_reexports_oracle_definitions(self):
-        import repro.chaos.invariants as chaos_inv
-        import repro.oracle.invariants as oracle_inv
-
-        for name in chaos_inv.__all__:
-            assert getattr(chaos_inv, name) is getattr(oracle_inv, name)
-
     def test_chaos_package_surface_unchanged(self):
         from repro.chaos import ChaosContext, InvariantRegistry, default_invariants
         from repro.oracle import invariants as oracle_inv

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simkit import Simulator
+from repro.telemetry import facade as telemetry
 
 
 def test_clock_starts_at_zero():
@@ -54,8 +55,9 @@ def test_run_until_event_returns_value():
 
 def test_run_until_past_raises():
     sim = Simulator(start_time=10.0)
-    with pytest.raises(SimulationError):
-        sim.run(until=5.0)
+    for until in (5.0, float("nan")):
+        with pytest.raises(SimulationError):
+            sim.run(until=until)
 
 
 def test_run_until_event_never_fires_raises():
@@ -67,8 +69,17 @@ def test_run_until_event_never_fires_raises():
 
 def test_negative_timeout_rejected():
     sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.timeout(-1.0)
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(SimulationError):
+            sim.timeout(delay)
+
+
+def test_schedule_into_the_past_rejected():
+    sim = Simulator()
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(SimulationError, match="into the past"):
+            sim.schedule(sim.event(), delay=delay)
+    assert sim.peek() == float("inf")  # nothing reached the heap
 
 
 def test_events_fire_in_fifo_order_at_same_time():
@@ -106,8 +117,9 @@ def test_call_at_runs_function_at_time():
 
 def test_call_at_past_raises():
     sim = Simulator(start_time=5.0)
-    with pytest.raises(SimulationError):
-        sim.call_at(1.0, lambda: None)
+    for when in (1.0, float("nan")):
+        with pytest.raises(SimulationError):
+            sim.call_at(when, lambda: None)
 
 
 def test_events_processed_counter_increases():
@@ -188,9 +200,12 @@ class TestFailedEventAccounting:
         assert probed == [1]
 
 
-class TestCohortDispatch:
-    """Same-timestamp cohort dispatch must be invisible next to serial
-    ``step()`` — these pin the three hazards ``_run_cohorts`` guards."""
+class TestSameTimestampOrdering:
+    """Events sharing a timestamp (a *cohort*) run in strict
+    ``(priority, seq)`` order, exactly as repeated ``step()`` would:
+    same-time urgent events scheduled mid-cohort cut in, cancellation
+    of a later member holds, and a stop or failure leaves the rest of
+    the cohort on the heap."""
 
     def test_same_time_urgent_preempts_rest_of_cohort(self):
         sim = Simulator()
@@ -269,3 +284,27 @@ class TestCohortDispatch:
 
         assert trace_serial == trace_cohort
         assert serial.events_processed == cohort.events_processed
+
+
+class TestHeapDepth:
+    """The depth the telemetry histogram records: the heap as ``peek()``
+    leaves it — cancelled entries on top pruned, the event about to run
+    counted, cancelled entries deeper down still counted."""
+
+    def test_depth_seen_by_each_event(self):
+        sim = Simulator()
+        first = sim.timeout(1.0)
+        dead_top = sim.timeout(2.0)
+        sim.timeout(3.0)
+        dead_deep = sim.timeout(4.0)
+        sim.timeout(5.0)
+        dead_deep.cancel()
+        first.callbacks.append(lambda _ev: dead_top.cancel())
+        with telemetry.session() as tel:
+            sim.run()
+        hist = tel.snapshot()["histograms"]["sim.heap.depth"]
+        # t=1: all five entries.  t=3: the cancelled t=2 entry on top is
+        # pruned, the dead t=4 one below still counts -> 3.  t=5: 1.
+        assert (hist["count"], hist["sum"], hist["max"]) == (3, 9.0, 5.0)
+        assert tel.snapshot()["gauges"]["sim.heap.peak"]["last"] == 5
+        assert sim.events_processed == 3

@@ -1,9 +1,9 @@
-"""Tests for primitive events and combinators."""
+"""Tests for primitive events and cancellation."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simkit import AllOf, AnyOf, Simulator
+from repro.simkit import Simulator
 
 
 def test_event_value_before_trigger_raises():
@@ -38,64 +38,6 @@ def test_fail_requires_exception():
     sim = Simulator()
     with pytest.raises(TypeError):
         sim.event().fail("not an exception")  # type: ignore[arg-type]
-
-
-def test_allof_waits_for_all():
-    sim = Simulator()
-    t1, t2 = sim.timeout(1.0, "a"), sim.timeout(3.0, "b")
-    cond = AllOf(sim, [t1, t2])
-
-    def proc():
-        result = yield cond
-        return (sim.now, sorted(result.values()))
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == (3.0, ["a", "b"])
-
-
-def test_anyof_fires_on_first():
-    sim = Simulator()
-    t1, t2 = sim.timeout(1.0, "fast"), sim.timeout(3.0, "slow")
-    cond = AnyOf(sim, [t1, t2])
-
-    def proc():
-        result = yield cond
-        return (sim.now, list(result.values()))
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == (1.0, ["fast"])
-
-
-def test_empty_allof_fires_immediately():
-    sim = Simulator()
-    cond = AllOf(sim, [])
-    assert cond.triggered
-    assert cond.value == {}
-
-
-def test_allof_propagates_failure():
-    sim = Simulator()
-    ok = sim.timeout(1.0)
-    bad = sim.event()
-    bad.fail(ValueError("child failed"))
-    cond = AllOf(sim, [ok, bad])
-
-    def proc():
-        with pytest.raises(ValueError, match="child failed"):
-            yield cond
-        return "handled"
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == "handled"
-
-
-def test_condition_rejects_foreign_events():
-    sim1, sim2 = Simulator(), Simulator()
-    with pytest.raises(SimulationError):
-        AllOf(sim1, [sim2.timeout(1.0)])
 
 
 def test_timeout_value_passthrough():

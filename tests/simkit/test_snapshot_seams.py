@@ -61,8 +61,9 @@ class TestRestoreClock:
     def test_backwards_raises(self):
         sim = Simulator()
         sim.restore_clock(5.0)
-        with pytest.raises(SimulationError, match="backwards"):
-            sim.restore_clock(4.0)
+        for when in (4.0, float("nan")):
+            with pytest.raises(SimulationError, match="backwards"):
+                sim.restore_clock(when)
 
 
 class TestSnapshotState:

@@ -92,8 +92,9 @@ def test_cancel_idle_timer_is_rejected():
 def test_negative_delay_is_rejected():
     sim = Simulator()
     timer = sim.timer(lambda: None)
-    with pytest.raises(SimulationError, match="negative"):
-        timer.arm(-1.0)
+    for delay in (-1.0, float("nan")):
+        with pytest.raises(SimulationError, match="negative"):
+            timer.arm(delay)
 
 
 def test_timer_interleaves_deterministically_with_timeouts():

@@ -215,7 +215,16 @@ class TestNullSinkPosture:
 
 class TestInstrumentedSimulation:
     def test_simulation_identical_with_and_without_telemetry(self):
-        from repro.api import SimulationConfig, TelemetryConfig, run_simulation
+        import contextlib
+
+        from repro.api import (
+            SimulationConfig,
+            TelemetryConfig,
+            quick_cluster,
+            run_rm_day,
+            run_simulation,
+        )
+        from repro.oracle.golden import TraceDigest
 
         base = SimulationConfig(rm="slurm", n_nodes=64, seed=5, n_jobs=40, horizon_s=6 * 3600.0)
         plain = run_simulation(base)
@@ -228,3 +237,21 @@ class TestInstrumentedSimulation:
         # the measurement must not perturb the simulation
         assert plain.report.master == measured.report.master
         assert plain.report.schedule == measured.report.schedule
+
+        # ...nor the event stream: the same world driven by hand exposes
+        # the kernel, whose count and golden trace digest must agree
+        def kernel_run(enabled):
+            scope = telemetry.session() if enabled else contextlib.nullcontext()
+            with scope as tel:
+                cluster = quick_cluster(n_nodes=64, seed=5)
+                digest = TraceDigest()
+                cluster.sim.add_trace_hook(digest.hook)
+                run_rm_day("slurm", cluster, n_jobs=40, seed=5, horizon_s=6 * 3600.0)
+                counters = tel.snapshot()["counters"] if tel is not None else None
+            return cluster.sim.events_processed, digest.hexdigest(), counters
+
+        off_events, off_digest, _ = kernel_run(False)
+        on_events, on_digest, counters = kernel_run(True)
+        assert off_events == on_events > 0
+        assert counters["sim.events"] == on_events
+        assert off_digest == on_digest
