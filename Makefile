@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-paper-scale bench-16k-fast bench-100k-smoke bench-e2e-check lifecycle-smoke verify-smoke sweep-smoke malleable-smoke serve-smoke snapshot-smoke lint-imports
+.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-paper-scale bench-16k-fast bench-100k-smoke bench-e2e-check bench-e2e-smoke lifecycle-smoke verify-smoke sweep-smoke malleable-smoke serve-smoke snapshot-smoke lint-imports
 
 ## Full tier-1 suite (the CI gate).
 test:
@@ -68,6 +68,12 @@ bench-16k-fast:
 bench-e2e-check:
 	$(PYTHON) -m benchmarks.e2e check
 	$(PYTHON) -m pytest -q benchmarks/e2e
+
+## One short traced run of the broadcast-heavy 131K workload: exits
+## nonzero when any repetition's RmReport digest leaves expected.json,
+## and drives the ledger's wrappers over the broadcast memo.
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-131k-2h --seed 0 --seconds 1 --trace 1
 
 ## Lifecycle-kernel smoke: the FSM fast path must be observably
 ## indistinguishable from the generator reference — unit tests for the

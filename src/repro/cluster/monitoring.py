@@ -165,7 +165,7 @@ class HealthMonitor:
             del self._alerted[nid]
         if among is None:
             return set(self._alerted)
-        return {nid for nid in among if nid in self._alerted}
+        return self._alerted.keys() & among
 
     # -- statistics ----------------------------------------------------------
     def alert_count(self) -> int:

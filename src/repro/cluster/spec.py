@@ -143,10 +143,13 @@ class Cluster:
             for k in range(spec.n_satellites)
         ]
         self._by_id: dict[int, Node] = {n.node_id: n for n in self.all_nodes()}
+        # Compute nodes are fixed after build; heartbeat rounds ask for
+        # their ids every rebuild.
+        self._compute_ids = [n.node_id for n in self.nodes]
         self.monitor = HealthMonitor(sim, self, spec.monitoring)
         self.failures = FailureInjector(sim, self, spec.failure_model)
-        #: bumped on every liveness change; consumers cache broadcast
-        #: evaluations against it (heartbeat rounds at 20K+ nodes).
+        #: bumped on every liveness change; consumers cache liveness
+        #: views against it (the fabric's down set, heartbeat rounds).
         self.version = 0
         # Incrementally-maintained ids of unresponsive nodes.  Every node
         # starts UP, so the set starts empty and valid; liveness changes
@@ -158,7 +161,7 @@ class Cluster:
         self._unresponsive_stale = False
 
     def bump_version(self, changed: t.Iterable[int] | None = None) -> None:
-        """Record that node liveness changed (invalidates broadcast caches).
+        """Record that node liveness changed (invalidates liveness caches).
 
         Pass the ids whose state flipped to keep the unresponsive-id set
         incremental; without them the next liveness query pays one O(n)
@@ -203,7 +206,8 @@ class Cluster:
         return len(self.nodes)
 
     def compute_ids(self) -> list[int]:
-        return [n.node_id for n in self.nodes]
+        """Ids of the compute nodes (a fresh list the caller may keep)."""
+        return list(self._compute_ids)
 
     # -- state queries -----------------------------------------------------
     def up_nodes(self) -> list[Node]:

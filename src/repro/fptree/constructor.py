@@ -89,10 +89,10 @@ class FPTreeConstructor:
     """Builds FP-ordered nodelists for a given tree width.
 
     Construction is memoized on ``(targets, predicted-set)`` — the
-    issue-mandated (nodelist, width, alert-set) key, with width fixed
-    per instance.  Steady-state broadcasts over recurring node sets
-    (heartbeat shares between alert changes) skip the leaf-location and
-    rearrangement passes entirely; hits still replay the construction
+    (nodelist, width, alert-set) key, with width fixed per instance.
+    Steady-state broadcasts over recurring node sets (heartbeat shares
+    between alert changes) skip the leaf-location and rearrangement
+    passes entirely; hits still replay the construction
     statistics and audit observers so the Section VII-A bookkeeping is
     indistinguishable from a cache-free run.
     """
@@ -186,15 +186,15 @@ class FPTreeBroadcast(BroadcastStructure):
         predictor: FailurePredictor,
         width: int = 32,
         per_target_root_s: float = 0.0,
-        memoize: bool = False,
     ) -> None:
-        """``memoize=True`` wraps the inner tree engine in a
+        """The inner tree engine is wrapped in a per-tree
         :class:`~repro.network.broadcast.MemoizedBroadcast` keyed on the
-        *rearranged* nodelist — evaluation over a recurring FP ordering
-        is then cached against the cluster's liveness version."""
+        *rearranged* nodelist: a recurring FP ordering whose own down
+        nodes are unchanged is not walked again."""
         self.constructor = FPTreeConstructor(predictor, width)
-        engine: BroadcastStructure = TreeBroadcast(width, per_target_root_s=per_target_root_s)
-        self._engine = MemoizedBroadcast(engine) if memoize else engine
+        self._engine = MemoizedBroadcast(
+            TreeBroadcast(width, per_target_root_s=per_target_root_s)
+        )
 
     @property
     def width(self) -> int:

@@ -48,8 +48,7 @@ class OraclePredictor:
         self.cluster = cluster
 
     def predict(self, candidates: t.Sequence[int]) -> set[int]:
-        down = self.cluster.down_ids()
-        return {nid for nid in candidates if nid in down}
+        return self.cluster.down_ids().intersection(candidates)
 
 
 class StaticSetPredictor:
@@ -59,7 +58,7 @@ class StaticSetPredictor:
         self.predicted = set(predicted)
 
     def predict(self, candidates: t.Sequence[int]) -> set[int]:
-        return {nid for nid in candidates if nid in self.predicted}
+        return self.predicted.intersection(candidates)
 
 
 class NullPredictor:

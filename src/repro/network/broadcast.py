@@ -11,7 +11,6 @@ rounds, and the Fig. 8 experiments invoke them directly.
 from __future__ import annotations
 
 import typing as t
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
@@ -19,7 +18,6 @@ from repro.telemetry import facade as telemetry
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.fabric import NetworkFabric
-    from repro.telemetry.metrics import MetricsRegistry
 
 
 @dataclass
@@ -93,34 +91,36 @@ class BroadcastStructure:
 
 
 class MemoizedBroadcast(BroadcastStructure):
-    """LRU cache around a deterministic broadcast engine.
+    """Per-tree cache around a deterministic broadcast engine.
 
-    Engines are pure functions of ``(root, targets, size, liveness)``
-    when jitter is off, and ``cluster.version`` is the documented proxy
-    for liveness (bumped on every change).  Steady-state traffic — the
-    heartbeat sweep re-evaluated every round, repeated launch/terminate
-    node sets — therefore hits the cache until the next failure event.
+    A jitter-free broadcast is a pure function of its root, its ordered
+    targets, its payload size and which of *those targets* are down —
+    liveness anywhere else in the machine cannot reach it.  The cache
+    therefore keeps one slot per ``(root, size_bytes)`` holding the
+    last target tuple, its node set, the down nodes among it and the
+    result, and a tree hits when its targets are equal and its own down
+    set is unchanged.  A failure in one satellite's share re-walks only
+    that share's tree; the recurring heartbeat sweep of every other
+    share is served from its slot.
 
-    Telemetry stays exact: the metrics a computation records are
-    captured as a delta registry at miss time and re-merged into the
-    active session on every hit, so counters and histograms match a
-    cache-free run same-seed-deterministically.
-
-    Bypasses (delegates straight to the inner engine): jitter enabled,
-    or a hit whose delta was captured with telemetry off while it is
-    now on.
+    A hit skips input validation: an equal target tuple passed it when
+    the slot was stored.  Jitter (per-transfer RNG draws),
+    ``record_arrivals`` and an active telemetry session (whose metrics
+    must be recorded) go straight to the inner engine and are neither
+    looked up nor counted.
     """
 
-    def __init__(self, inner: BroadcastStructure, maxsize: int = 64) -> None:
+    def __init__(self, inner: BroadcastStructure) -> None:
         self.inner = inner
         self.name = inner.name
-        self.maxsize = maxsize
+        #: per-tree lookups served from / missing the cache
         self.hits = 0
         self.misses = 0
         self._fabric: "NetworkFabric | None" = None
-        self._cache: "OrderedDict[tuple, tuple[BroadcastResult, MetricsRegistry | None]]" = (
-            OrderedDict()
-        )
+        #: (root, size) -> (targets, frozenset(targets), down among them, result)
+        self._slots: dict[
+            tuple[int, int], tuple[tuple[int, ...], frozenset[int], frozenset[int], BroadcastResult]
+        ] = {}
 
     def simulate(
         self,
@@ -130,28 +130,9 @@ class MemoizedBroadcast(BroadcastStructure):
         fabric: "NetworkFabric",
         record_arrivals: bool = False,
     ) -> BroadcastResult:
-        if fabric.config.jitter_frac:
+        if record_arrivals:
             return self.inner.simulate(root, targets, size_bytes, fabric, record_arrivals)
-        if fabric is not self._fabric:
-            self._cache.clear()
-            self._fabric = fabric
-        tel = telemetry.active()
-        key = (root, tuple(targets), size_bytes, fabric.cluster.version, record_arrivals)
-        entry = self._cache.get(key)
-        if entry is not None and not (tel is not None and entry[1] is None):
-            self._cache.move_to_end(key)
-            self.hits += 1
-            result, delta = entry
-            if tel is not None and delta is not None:
-                tel.registry.merge(delta)
-            return self._copy(result)
-        self.misses += 1
-        with telemetry.capture_delta() as delta:
-            result = self.inner.simulate(root, targets, size_bytes, fabric, record_arrivals)
-        self._cache[key] = (result, delta)
-        while len(self._cache) > self.maxsize:
-            self._cache.popitem(last=False)
-        return self._copy(result)
+        return self.simulate_forest([(root, targets)], size_bytes, fabric)[0]
 
     def simulate_forest(
         self,
@@ -159,40 +140,34 @@ class MemoizedBroadcast(BroadcastStructure):
         size_bytes: int,
         fabric: "NetworkFabric",
     ) -> list[BroadcastResult]:
-        """Forest evaluation memoized as one unit.
-
-        A forest entry is keyed on every tree's (root, targets) plus
-        size and liveness version, with a single telemetry delta for the
-        whole batch — the relay/heartbeat call sites re-evaluate all
-        their parts together, so per-tree granularity would buy nothing.
-        """
-        if fabric.config.jitter_frac:
+        """Serve each tree from its slot; the missed trees share one
+        inner forest call."""
+        if fabric.config.jitter_frac or telemetry.active() is not None:
             return self.inner.simulate_forest(tasks, size_bytes, fabric)
         if fabric is not self._fabric:
-            self._cache.clear()
+            self._slots.clear()
             self._fabric = fabric
-        tel = telemetry.active()
-        key = (
-            "forest",
-            tuple((root, tuple(targets)) for root, targets in tasks),
-            size_bytes,
-            fabric.cluster.version,
-        )
-        entry = self._cache.get(key)
-        if entry is not None and not (tel is not None and entry[1] is None):
-            self._cache.move_to_end(key)
-            self.hits += 1
-            results, delta = entry
-            if tel is not None and delta is not None:
-                tel.registry.merge(delta)
-            return [self._copy(r) for r in results]
-        self.misses += 1
-        with telemetry.capture_delta() as delta:
-            results = self.inner.simulate_forest(tasks, size_bytes, fabric)
-        self._cache[key] = (results, delta)
-        while len(self._cache) > self.maxsize:
-            self._cache.popitem(last=False)
-        return [self._copy(r) for r in results]
+        down = fabric.unreachable_ids()
+        slots = self._slots
+        keys = [tuple(targets) for _, targets in tasks]
+        results: list[BroadcastResult | None] = []
+        missed: list[int] = []
+        for (root, _), key in zip(tasks, keys):
+            slot = slots.get((root, size_bytes))
+            if slot is not None and slot[0] == key and slot[1].intersection(down) == slot[2]:
+                results.append(slot[3])
+            else:
+                missed.append(len(results))
+                results.append(None)
+        if missed:
+            fresh = self.inner.simulate_forest([tasks[i] for i in missed], size_bytes, fabric)
+            for i, result in zip(missed, fresh):
+                nodes = frozenset(keys[i])
+                slots[(tasks[i][0], size_bytes)] = (keys[i], nodes, nodes.intersection(down), result)
+                results[i] = result
+        self.hits += len(tasks) - len(missed)
+        self.misses += len(missed)
+        return [self._copy(r) for r in results]  # type: ignore[arg-type]
 
     @staticmethod
     def _copy(result: BroadcastResult) -> BroadcastResult:

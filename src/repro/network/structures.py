@@ -142,11 +142,10 @@ class _TreeWalk:
     """Shared mutable state for one tree-broadcast evaluation.
 
     Holds the recursive (scalar) walk the engine always used; the
-    vectorised fast path of :class:`TreeBroadcast` delegates the rare
-    dead subtrees back to these exact methods so both paths produce
-    bit-identical results.  Forest evaluation
-    (:meth:`TreeBroadcast.simulate_forest`) runs one combined level
-    sweep over many walks and hands each walk its per-tree totals.
+    vectorised level sweep (:func:`_run_forest`, over one tree or many)
+    delegates the rare dead subtrees back to these exact methods so
+    both paths produce bit-identical results, and hands each walk its
+    per-tree totals.
     """
 
     __slots__ = (
@@ -237,95 +236,21 @@ class _TreeWalk:
                 now = self.takeover(g_lo, g_hi, parent_id, now, level + 1)
         return now
 
-    def run_vectorized(self, per_target_root_s: float) -> None:
-        """Level-order evaluation of the all-alive portion of the tree.
-
-        Processes each level as numpy arrays (child-range arithmetic,
-        pairwise delays, histogram observation) and collects dead
-        children as *patches*: their subtrees are excluded from the
-        sweep and replayed afterwards through the scalar takeover path,
-        in ascending-position order — which on this tree (contiguous
-        nested ranges, ordered siblings) is exactly the recursion's
-        DFS preorder, so ``failed`` ordering matches too.
-        """
-        nodelist = self.nodelist
-        arr = np.asarray(nodelist, dtype=np.int64)
-        fabric = self.fabric
-        overhead = self.overhead
-        width = self.width
-        tel = self.tel
-        down = fabric.unreachable_ids()
-        down_arr = np.fromiter(down, dtype=np.int64, count=len(down)) if down else None
-        patches: list[tuple[int, int, int, float, int]] = []
-        plo = np.zeros(1, dtype=np.int64)
-        phi = np.full(1, len(nodelist), dtype=np.int64)
-        pid = arr[:1]
-        pready = np.array([per_target_root_s * (len(nodelist) - 1)], dtype=np.float64)
-        level = 1
-        while plo.size:
-            m = phi - plo - 1  # descendant count per live parent
-            has = m > 0
-            if not has.all():
-                plo, phi, pid, pready, m = plo[has], phi[has], pid[has], pready[has], m[has]
-            if not plo.size:
-                break
-            # Child ranges of every parent at this level, flattened; the
-            # index arithmetic mirrors fptree._chunk_bounds.
-            k = np.minimum(width, m)
-            base = m // k
-            extra = m - base * k
-            total = int(k.sum())
-            pidx = np.repeat(np.arange(k.size), k)
-            offs = np.cumsum(k) - k
-            j = np.arange(total, dtype=np.int64) - offs[pidx]
-            c_lo = plo[pidx] + 1 + j * base[pidx] + np.minimum(j, extra[pidx])
-            c_hi = c_lo + base[pidx] + (j < extra[pidx])
-            child = arr[c_lo]
-            initiated = pready[pidx] + (j + 1) * overhead
-            parent_ids = pid[pidx]
-            if down_arr is not None:
-                dead = np.isin(child, down_arr)
-                if dead.any():
-                    for i in np.nonzero(dead)[0]:
-                        patches.append(
-                            (int(c_lo[i]), int(c_hi[i]), int(parent_ids[i]), float(initiated[i]), level)
-                        )
-                    live = ~dead
-                    c_lo = c_lo[live]
-                    c_hi = c_hi[live]
-                    child = child[live]
-                    initiated = initiated[live]
-                    parent_ids = parent_ids[live]
-            if child.size:
-                delays = fabric.transfer_delays_pairwise(parent_ids, child, self.size_bytes)
-                arrival = initiated + delays
-                peak = float(arrival.max())
-                if peak > self.makespan:
-                    self.makespan = peak
-                if tel is not None:
-                    tel.observe_many(f"net.tree.level{level}.arrival_s", arrival)
-                if self.arrivals is not None:
-                    self.arrivals.update(zip(child.tolist(), arrival.tolist()))
-            else:
-                arrival = initiated
-            plo, phi, pid, pready = c_lo, c_hi, child, arrival
-            level += 1
-        for p_lo, p_hi, parent_id, initiated_s, p_level in sorted(patches):
-            self.timeouts += 1
-            self.failed.append(nodelist[p_lo])
-            self.takeover(p_lo, p_hi, parent_id, initiated_s + self.penalty, p_level)
-
 
 def _run_forest(walks: list[_TreeWalk], per_target_root_s: float) -> None:
-    """One level-order sweep over many independent trees at once.
+    """Level-order evaluation of the all-alive portion of many trees.
 
-    The arithmetic per tree is exactly :meth:`_TreeWalk.run_vectorized`
-    — the trees merely share each level's numpy dispatches.  Children
-    are generated parent-major and parents stay tree-major, so every
-    level's arrays are contiguous per tree; per-tree makespans fall out
-    of slice maxima and dead children become per-tree scalar patches,
-    replayed in ascending position order (= DFS preorder) like the
-    single-tree fast path does.
+    Every level is processed as numpy arrays (child-range arithmetic,
+    pairwise delays, histogram observation) shared by all trees; a
+    single tree is simply a forest of one.  Children are generated
+    parent-major and parents stay tree-major, so every level's arrays
+    are contiguous per tree and per-tree makespans (and arrivals, for
+    walks that record them) fall out of slices.  Dead children become
+    per-tree *patches*: their subtrees are excluded from the sweep and
+    replayed afterwards through the scalar takeover path, in ascending
+    position order — which on these trees (contiguous nested ranges,
+    ordered siblings) is exactly the recursion's DFS preorder, so
+    ``failed`` ordering matches too.
     """
     fabric = walks[0].fabric
     overhead = walks[0].overhead
@@ -352,7 +277,7 @@ def _run_forest(walks: list[_TreeWalk], per_target_root_s: float) -> None:
     makespans = np.zeros(n_trees, dtype=np.float64)
     level = 1
     while plo.size:
-        m = phi - plo - 1
+        m = phi - plo - 1  # descendant count per live parent
         has = m > 0
         if not has.all():
             plo, phi, pid, pready, tid, m = (
@@ -360,6 +285,8 @@ def _run_forest(walks: list[_TreeWalk], per_target_root_s: float) -> None:
             )
         if not plo.size:
             break
+        # Child ranges of every parent at this level, flattened; the
+        # index arithmetic mirrors fptree._chunk_bounds.
         k = np.minimum(width, m)
         base = m // k
         extra = m - base * k
@@ -395,12 +322,14 @@ def _run_forest(walks: list[_TreeWalk], per_target_root_s: float) -> None:
             arrival = initiated + delays
             # t_child is sorted (tree-major level arrays): slice maxima.
             bounds = np.searchsorted(t_child, np.arange(n_trees + 1))
-            for i in range(n_trees):
+            for i, walk in enumerate(walks):
                 s, e = int(bounds[i]), int(bounds[i + 1])
                 if e > s:
                     peak = float(arrival[s:e].max())
                     if peak > makespans[i]:
                         makespans[i] = peak
+                    if walk.arrivals is not None:
+                        walk.arrivals.update(zip(child[s:e].tolist(), arrival[s:e].tolist()))
             if tel is not None:
                 tel.observe_many(f"net.tree.level{level}.arrival_s", arrival)
         else:
@@ -449,6 +378,10 @@ class TreeBroadcast(BroadcastStructure):
         self.per_target_root_s = per_target_root_s
 
     def simulate(self, root, targets, size_bytes, fabric, record_arrivals=False):
+        # Jitter draws RNG per scalar transfer, so only the jitter-free
+        # configuration is safe to batch.
+        if len(targets) >= self.FAST_PATH_MIN_TARGETS and fabric.config.jitter_frac == 0.0:
+            return self._sweep([(root, targets)], size_bytes, fabric, record_arrivals)[0]
         self._validate(targets, size_bytes)
         result = BroadcastResult(self.name, 0.0, len(targets))
         if not targets:
@@ -457,14 +390,7 @@ class TreeBroadcast(BroadcastStructure):
         walk = _TreeWalk(
             self.width, nodelist, size_bytes, fabric, result.arrivals if record_arrivals else None
         )
-        # Jitter draws RNG per scalar transfer, so only the jitter-free
-        # configuration is safe to batch.
-        if len(targets) >= self.FAST_PATH_MIN_TARGETS and fabric.config.jitter_frac == 0.0:
-            walk.run_vectorized(self.per_target_root_s)
-        else:
-            walk.dispatch_children(
-                0, len(nodelist), root, self.per_target_root_s * len(targets), 1
-            )
+        walk.dispatch_children(0, len(nodelist), root, self.per_target_root_s * len(targets), 1)
         result.makespan_s = walk.makespan
         result.failed = tuple(walk.failed)
         result.n_timeouts = walk.timeouts
@@ -483,22 +409,23 @@ class TreeBroadcast(BroadcastStructure):
         total = sum(len(targets) for _, targets in tasks)
         if fabric.config.jitter_frac != 0.0 or total < self.FAST_PATH_MIN_TARGETS:
             return [self.simulate(root, targets, size_bytes, fabric) for root, targets in tasks]
+        return self._sweep(tasks, size_bytes, fabric)
+
+    def _sweep(self, tasks, size_bytes, fabric, record_arrivals=False):
+        """One :func:`_run_forest` level sweep over every non-empty tree."""
         results: list[BroadcastResult] = []
-        walks: list[_TreeWalk] = []
+        walked: list[tuple[BroadcastResult, _TreeWalk]] = []
         for root, targets in tasks:
             self._validate(targets, size_bytes)
             result = BroadcastResult(self.name, 0.0, len(targets))
             results.append(result)
             if targets:
-                walks.append(_TreeWalk(self.width, [root, *targets], size_bytes, fabric, None))
-            else:
-                walks.append(None)  # type: ignore[arg-type]
-        live = [w for w in walks if w is not None]
-        if live:
-            _run_forest(live, self.per_target_root_s)
-        for result, walk in zip(results, walks):
-            if walk is None:
-                continue
+                arrivals = result.arrivals if record_arrivals else None
+                walk = _TreeWalk(self.width, [root, *targets], size_bytes, fabric, arrivals)
+                walked.append((result, walk))
+        if walked:
+            _run_forest([walk for _, walk in walked], self.per_target_root_s)
+        for result, walk in walked:
             result.makespan_s = walk.makespan
             result.failed = tuple(walk.failed)
             result.n_timeouts = walk.timeouts

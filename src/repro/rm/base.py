@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.cluster.spec import Cluster
 from repro.errors import ConfigurationError, ProcessInterrupt, SchedulingError
 from repro.estimate.metrics import RuntimeEstimator
-from repro.network.broadcast import BroadcastResult, MemoizedBroadcast
+from repro.network.broadcast import BroadcastResult
 from repro.network.fabric import FabricConfig, NetworkFabric
 from repro.network.message import DEFAULT_SIZES, MessageKind
 from repro.network.structures import StarBroadcast, TreeBroadcast
@@ -177,16 +177,16 @@ class ResourceManager:
         self.submit_fail_prob = min(
             profile.submit_fail_per_10k_nodes * cluster.n_nodes / 10_000.0, 0.6
         )
-        #: persistent launch/terminate engine (built once, memoized —
-        #: repeated node sets between liveness changes skip evaluation);
-        #: profiles whose structure needs a subclass override leave it None
+        #: persistent launch/terminate engine, built once and not
+        #: memoized (launch node sets almost never recur); profiles whose
+        #: structure needs a subclass override leave it None
         p = profile
         if p.launch_structure is LaunchStructure.SERIAL:
-            self._launch_engine: t.Any = MemoizedBroadcast(StarBroadcast(concurrency=1))
+            self._launch_engine: t.Any = StarBroadcast(concurrency=1)
         elif p.launch_structure is LaunchStructure.STAR:
-            self._launch_engine = MemoizedBroadcast(StarBroadcast(concurrency=p.star_concurrency))
+            self._launch_engine = StarBroadcast(concurrency=p.star_concurrency)
         elif p.launch_structure is LaunchStructure.TREE:
-            self._launch_engine = MemoizedBroadcast(TreeBroadcast(width=p.tree_width))
+            self._launch_engine = TreeBroadcast(width=p.tree_width)
         else:
             self._launch_engine = None
 

@@ -9,9 +9,10 @@ Differences from the centralized engine, all per Section III–V:
 * **satellite failover**: a satellite dying mid-task moves the task to
   the next satellite (at most twice), then the master takes over with
   a plain fan-out tree;
-* **heartbeats** follow the same satellite path; their FP-Tree
-  evaluation is cached against the cluster's liveness/alert versions
-  (failures are rare, heartbeats are not);
+* **heartbeats** follow the same satellite path; the sweep is rebuilt
+  only when liveness, alerts or the satellite count changed, and a
+  rebuild re-walks only the shares whose own trees changed (failures
+  are rare and local, heartbeats are not);
 * **job wall limits** come from the runtime-estimation framework when
   one is attached (``estimator="auto"`` builds the paper's default).
 """
@@ -26,7 +27,7 @@ from repro.cluster.spec import Cluster
 from repro.estimate.framework import EslurmEstimator, EstimatorConfig
 from repro.fptree.constructor import FPTreeBroadcast
 from repro.fptree.predictor import FailurePredictor, MonitorAlertPredictor, NullPredictor
-from repro.network.broadcast import BroadcastResult, MemoizedBroadcast
+from repro.network.broadcast import BroadcastResult
 from repro.network.message import DEFAULT_SIZES, MessageKind
 from repro.network.structures import TreeBroadcast
 from repro.rm.base import ResourceManager
@@ -95,11 +96,9 @@ class EslurmRM(ResourceManager):
             self.predictor = NullPredictor()
         #: one shared engine so FP-Tree construction statistics (the
         #: leaf-placement experiment of Section VII-A) accumulate; the
-        #: inner tree evaluation is memoized against liveness versions.
-        self._fp_engine = FPTreeBroadcast(
-            self.predictor, width=self.profile.tree_width, memoize=True
-        )
-        self._takeover_engine = MemoizedBroadcast(TreeBroadcast(width=self.profile.tree_width))
+        #: inner tree evaluation is memoized per satellite tree.
+        self._fp_engine = FPTreeBroadcast(self.predictor, width=self.profile.tree_width)
+        self._takeover_engine = TreeBroadcast(width=self.profile.tree_width)
         self._hb_cache_key: tuple[int, int, int] | None = None
         self._hb_cache_makespan = 0.0
 
@@ -241,7 +240,9 @@ class EslurmRM(ResourceManager):
         for d in running:
             d.acct.charge_cpu(p.rpc_cpu_us / 1e6 * share)
             d.acct.sockets.pulse(min(p.tree_width, int(share) or 1), 1.0)
-        # FP-Tree makespan for the sweep: cached against liveness/alerts.
+        # FP-Tree makespan for the sweep: kept until liveness, alerts or
+        # the satellite count change; a rebuild re-walks only the shares
+        # whose trees changed (the per-tree broadcast memo).
         key = (self.cluster.version, self.cluster.monitor.alert_count(), n_sats)
         if key != self._hb_cache_key:
             telemetry.count("rm.heartbeat.fptree_rebuilds")

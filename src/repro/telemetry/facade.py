@@ -87,32 +87,6 @@ def uninstall() -> None:
 
 
 @contextlib.contextmanager
-def capture_delta() -> t.Iterator[MetricsRegistry | None]:
-    """Scope metric writes into a scratch registry, then fold them back.
-
-    Yields the scratch :class:`MetricsRegistry` (or ``None`` when
-    telemetry is off).  On exit the scratch is merged into the session
-    that was active on entry, so instrumented code behaves exactly as
-    if it had recorded directly — but the caller keeps the delta and
-    can re-merge it later to *replay* the metrics of a memoized
-    computation without re-running it (broadcast caches).  Spans still
-    reach the original sink; only metrics are rerouted.
-    """
-    global _active
-    parent = _active
-    if parent is None:
-        yield None
-        return
-    scratch = Telemetry(sink=parent.sink)
-    _active = scratch
-    try:
-        yield scratch.registry
-    finally:
-        _active = parent
-        parent.registry.merge(scratch.registry)
-
-
-@contextlib.contextmanager
 def session(sink: TelemetrySink | None = None) -> t.Iterator[Telemetry]:
     """A scoped session; restores the previously-active one on exit."""
     global _active

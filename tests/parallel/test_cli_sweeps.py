@@ -50,9 +50,9 @@ class TestBenchCrashContainment:
         with pytest.raises(SweepError, match="eslurm-1024.*poisoned bench cell"):
             run_matrix(["slurm-1024", "eslurm-1024"], jobs=1)
 
-    def test_cli_exit_code_and_stderr(self, monkeypatch, capsys):
+    def test_cli_exit_code_and_stderr(self, monkeypatch, capsys, tmp_path):
         poison_bench(monkeypatch)
-        rc = main(["bench", "run", "slurm-1024", "eslurm-1024"])
+        rc = main(["bench", "run", "slurm-1024", "eslurm-1024", "--out", str(tmp_path)])
         assert rc == 1
         captured = capsys.readouterr()
         assert "slurm-1024" in captured.out  # the healthy cell still ran
