@@ -69,11 +69,13 @@ bench-e2e-check:
 	$(PYTHON) -m benchmarks.e2e check
 	$(PYTHON) -m pytest -q benchmarks/e2e
 
-## One short traced run of the broadcast-heavy 131K workload: exits
-## nonzero when any repetition's RmReport digest leaves expected.json,
-## and drives the ledger's wrappers over the broadcast memo.
+## One short traced run each of the broadcast-heavy 131K workload and
+## the centralized 65K Slurm day: exits nonzero when any repetition's
+## RmReport digest leaves expected.json.  The first drives the ledger's
+## wrappers over the broadcast memo, the second the allocator path.
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-131k-2h --seed 0 --seconds 1 --trace 1
+	$(PYTHON) benchmarks/e2e/run.py --workload slurm-65k-day --seed 0 --seconds 1 --trace 1
 
 ## Lifecycle-kernel smoke: the FSM fast path must be observably
 ## indistinguishable from the generator reference — unit tests for the

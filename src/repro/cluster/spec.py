@@ -200,6 +200,42 @@ class Cluster:
         except KeyError:
             raise ClusterError(f"unknown node id {node_id}") from None
 
+    # -- job binding -------------------------------------------------------
+    def bind(self, node_ids: t.Iterable[int], job_id: int) -> None:
+        """Bind ``job_id`` to every node in ``node_ids`` (a launch or grow).
+
+        Raises :class:`ClusterError` for an unknown id or a node that is
+        not allocatable (not UP, or already running a job).
+        """
+        by_id = self._by_id
+        up, alloc = NodeState.UP, NodeState.ALLOC
+        for nid in node_ids:
+            node = by_id.get(nid)
+            if node is None:
+                raise ClusterError(f"unknown node id {nid}")
+            if node.state is not up or node.running_job is not None:
+                raise ClusterError(
+                    f"node {node.name} not allocatable "
+                    f"(state={node.state.value}, job={node.running_job})"
+                )
+            node.state = alloc
+            node.running_job = job_id
+
+    def unbind(self, node_ids: t.Iterable[int], job_id: int) -> None:
+        """Release the nodes in ``node_ids`` still bound to ``job_id``.
+
+        Nodes rebound to another job are skipped; DOWN nodes lose the
+        binding but stay DOWN (recovery brings them back UP).
+        """
+        by_id = self._by_id
+        up, alloc = NodeState.UP, NodeState.ALLOC
+        for nid in node_ids:
+            node = by_id[nid]
+            if node.running_job == job_id:
+                if node.state is alloc:
+                    node.state = up
+                node.running_job = None
+
     @property
     def n_nodes(self) -> int:
         """Number of compute nodes."""

@@ -397,8 +397,7 @@ class ResourceManager:
     def _launch_decisions(self, decisions: list[tuple[Job, tuple[int, ...]]]) -> None:
         if self.lifecycle_mode == "fsm":
             for job, nodes in decisions:
-                for nid in nodes:
-                    self.cluster.node(nid).allocate(job.job_id)
+                self.cluster.bind(nodes, job.job_id)
                 lc = JobLifecycle(self, job, nodes)
                 self._job_procs[job.job_id] = lc
                 # Synchronous begin: the generator path defers the same
@@ -408,8 +407,7 @@ class ResourceManager:
                 lc.begin()
             return
         for job, nodes in decisions:
-            for nid in nodes:
-                self.cluster.node(nid).allocate(job.job_id)
+            self.cluster.bind(nodes, job.job_id)
             proc = self.sim.process(self._run_job(job, nodes), name=f"job{job.job_id}")
             self._job_procs[job.job_id] = proc
 
@@ -459,16 +457,12 @@ class ResourceManager:
             p.launch_cpu_per_node_us / 1e6 * (len(dec.added) + len(dec.removed))
         )
         if dec.added:
-            for nid in dec.added:
-                self.cluster.node(nid).allocate(job.job_id)
+            self.cluster.bind(dec.added, job.job_id)
             job.grow(now, dec.added)
             self.resize_grows += 1
         if dec.removed:
             job.shrink(now, dec.removed)
-            for nid in dec.removed:
-                node = self.cluster.node(nid)
-                if node.running_job == job.job_id:
-                    node.release()
+            self.cluster.unbind(dec.removed, job.job_id)
             self.resize_shrinks += 1
         self._retime(job)
 
@@ -567,11 +561,7 @@ class ResourceManager:
         self._job_procs.pop(job.job_id, None)
         # The pool record, not the launch-time tuple, is the allocation
         # of record — resizes may have changed it since the job started.
-        released = self.pool.release(job.job_id)
-        for nid in released:
-            node = self.cluster.node(nid)
-            if node.running_job == job.job_id:
-                node.release()
+        self.cluster.unbind(self.pool.release(job.job_id), job.job_id)
         self._occupation.record(self.sim.now - job.submit_time)
         self.master_acct.set_tracked(jobs=len(self.pool.running) + len(self.queue))
         if self.estimator is not None and job.end_time is not None:
@@ -694,9 +684,7 @@ class ResourceManager:
                 # dead node instead of killing the whole job.
                 self.pool.shrink_allocation(victim, (nid,))
                 job.shrink(self.sim.now, (nid,))
-                node = self.cluster.node(nid)
-                if node.running_job == job.job_id:
-                    node.release()
+                self.cluster.unbind((nid,), job.job_id)
                 self.resize_shrinks += 1
                 telemetry.count("sched.shrink.on_failure")
                 self._retime(job)

@@ -5,34 +5,32 @@ free, which job holds which nodes, and — crucially for backfill — when
 each running job is *believed* to end (its start time plus wall limit).
 
 Internally the pool is struct-of-arrays: per-node state lives in
-parallel columns indexed by a dense column number (``_col`` maps node id
-to column), not in per-node sets.
+parallel numpy columns indexed by a dense column number, not in per-node
+sets.  Columns follow ascending node id; ``_col`` maps id to column, and
+when the universe is ``range(n)`` (the RM's case) the column *is* the id.
 
-* ``_state`` — one byte per node: FREE / BUSY / DOWN.  DOWN wins over
-  BUSY for counting purposes (``n_down`` includes down nodes a job still
-  holds), matching the historical set semantics where ``_down``
+* ``_state`` — one ``uint8`` per node: FREE / BUSY / DOWN.  DOWN wins
+  over BUSY for counting purposes (``n_down`` includes down nodes a job
+  still holds), matching the historical set semantics where ``_down``
   membership and allocation-record membership were independent.
-* ``_owner`` — the job id bound to the node, or -1.  The binding
-  survives ``mark_down`` (the job still holds the node until it is
-  released or shrunk away), which is what makes ``mark_down``/``mark_up``
-  O(1) instead of a scan over every running job's allocation.
-* ``_free_heap`` — the lazy min-heap lane over free ids (may hold stale
-  entries; pops skip ids whose state column is no longer FREE, and the
-  heap is rebuilt from the state column if stale entries dominate).
+* ``_owner`` — the ``int64`` job id bound to the node, or -1.  The
+  binding survives ``mark_down`` (the job still holds the node until it
+  is released or shrunk away), which is what makes ``mark_down`` /
+  ``mark_up`` O(1) instead of a scan over every running job's allocation.
 
+Allocation is *first-fit-by-id*: a k-node job receives the first k
+columns of ``flatnonzero(state == FREE)``, i.e. the k smallest free ids.
+Binding or releasing a job's nodes is one fancy-indexed column update.
 Aggregate counters (``_n_free``, ``_n_down``) are maintained
-incrementally so capacity checks are O(1); whole-pool views
-(``free_ids``, ``down_ids``, heap rebuilds) are single zip-scans over
-the columns.  Allocation order is unchanged: *first-fit-by-id*, a
-k-node job always receives the k smallest free node ids.
+incrementally so capacity checks are O(1).
 """
 
 from __future__ import annotations
 
-import heapq
 import typing as t
-from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import SchedulingError
 from repro.sched.job import Job
@@ -54,37 +52,41 @@ class RunningJob:
 
 
 class NodePool:
-    """Struct-of-arrays free/running bookkeeping over a fixed universe.
+    """Columnar free/running bookkeeping over a fixed universe.
 
     Allocation order is *first-fit-by-id*: a k-node job always receives
-    the k smallest free node ids.  The free state is mirrored into a
-    lazy min-heap so each allocation costs O(k log n) pops instead of
-    the O(n log n) full sort the naive ``sorted(free)[:k]`` pays; stale
-    heap entries (ids no longer free) are skipped on pop and the heap is
-    rebuilt outright if stale entries ever dominate.
+    the k smallest free node ids, found by one vectorised scan of the
+    state column.  Handed-out ids are the pool's own ``int`` objects
+    (``_ids`` entries), so finished jobs' allocation tuples share them
+    rather than keeping fresh copies alive.
     """
 
     def __init__(self, node_ids: t.Iterable[int], placement: t.Any = None) -> None:
         ids = sorted(node_ids)
         if len(set(ids)) != len(ids):
             raise SchedulingError("duplicate node ids in pool")
-        #: column -> node id (ascending, so a fresh heap is pre-sorted)
+        n = len(ids)
+        #: column -> node id (ascending)
         self._ids: list[int] = ids
         #: node id -> column
         self._col: dict[int, int] = {nid: col for col, nid in enumerate(ids)}
+        #: column -> node id as an array; ``None`` when the column is the id
+        #: (sorted distinct ints from 0 to n-1 are exactly ``range(n)``)
+        self._id_arr: np.ndarray | None = (
+            None if not ids or (ids[0] == 0 and ids[-1] == n - 1)
+            else np.array(ids, dtype=np.int64)
+        )
         #: per-node state column (FREE / BUSY / DOWN)
-        self._state = bytearray(len(ids))
+        self._state = np.zeros(n, dtype=np.uint8)
         #: per-node owning job id (-1 when unbound)
-        self._owner = array("q", [_NO_OWNER]) * len(ids)
-        self._n_free = len(ids)
+        self._owner = np.full(n, _NO_OWNER, dtype=np.int64)
+        self._n_free = n
         self._n_down = 0
-        #: lazy min-heap lane over the free ids (may hold stale entries)
-        self._free_heap: list[int] = list(ids)
         self.running: dict[int, RunningJob] = {}
         #: memo for :meth:`believed_ends`, dropped whenever ``running`` changes
         self._ends_cache: list[tuple[float, int]] | None = None
         #: optional :class:`~repro.sched.placement.PlacementPolicy`;
-        #: ``None`` keeps the native first-fit-by-id heap path
+        #: ``None`` keeps the native first-fit-by-id scan
         self.placement = placement
 
     # -- capacity ----------------------------------------------------------
@@ -110,13 +112,21 @@ class NodePool:
 
     def free_ids(self) -> frozenset[int]:
         """Snapshot of the free set (invariant checking / debugging)."""
-        state = self._state
-        return frozenset(nid for col, nid in enumerate(self._ids) if state[col] == _FREE)
+        return self._ids_in_state(_FREE)
 
     def down_ids(self) -> frozenset[int]:
         """Snapshot of the out-of-service set."""
-        state = self._state
-        return frozenset(nid for col, nid in enumerate(self._ids) if state[col] == _DOWN)
+        return self._ids_in_state(_DOWN)
+
+    def _ids_in_state(self, state: int) -> frozenset[int]:
+        cols = np.flatnonzero(self._state == state).tolist()
+        return frozenset(map(self._ids.__getitem__, cols))
+
+    def _cols(self, node_ids: t.Sequence[int]) -> np.ndarray:
+        """Columns of ``node_ids``, which must all belong to the pool."""
+        if self._id_arr is None:
+            return np.array(node_ids, dtype=np.int64)
+        return np.searchsorted(self._id_arr, node_ids)
 
     def fits(self, job: Job) -> bool:
         return job.n_nodes <= self._n_free
@@ -136,8 +146,7 @@ class NodePool:
             raise SchedulingError(
                 f"job {job.job_id}: wants {k} nodes, {self._n_free} free"
             )
-        chosen = self._select_free(k)
-        self._bind(chosen, job.job_id)
+        chosen = self._claim(k, job.job_id)
         # Reservations must rest on the *kill limit* — the only bound the
         # system enforces.  Planning estimates (job.planned_s) steer
         # backfill eligibility, never reservation safety.
@@ -145,56 +154,43 @@ class NodePool:
         self._ends_cache = None
         return chosen
 
-    def _bind(self, node_ids: tuple[int, ...], job_id: int) -> None:
-        owner, col = self._owner, self._col
-        for nid in node_ids:
-            owner[col[nid]] = job_id
-
-    def _select_free(self, k: int) -> tuple[int, ...]:
-        """``k`` free ids via the placement policy or the first-fit heap."""
+    def _claim(self, k: int, job_id: int) -> tuple[int, ...]:
+        """Bind ``k`` free nodes to ``job_id``: first-fit or placement."""
         if self.placement is None:
-            return self._pop_smallest_free(k)
-        chosen = self.placement.select(self.free_ids(), k)
-        if chosen is None or len(chosen) != k:
-            raise SchedulingError(f"placement returned {chosen!r} for k={k}")
-        # Heap entries go stale; pops skip ids whose column left FREE.
-        state, col = self._state, self._col
-        for nid in chosen:
-            c = col[nid]
-            if state[c] == _FREE:
-                state[c] = _BUSY
-                self._n_free -= 1
+            cols = self._pop_smallest_free(k)
+            chosen = tuple(map(self._ids.__getitem__, cols.tolist()))
+        else:
+            free = self.free_ids()
+            chosen = self.placement.select(free, k)
+            if (
+                chosen is None
+                or len(chosen) != k
+                or len(set(chosen)) != k
+                or not free.issuperset(chosen)
+            ):
+                raise SchedulingError(f"placement returned {chosen!r} for k={k}")
+            cols = self._cols(chosen)
+        self._state[cols] = _BUSY
+        self._owner[cols] = job_id
+        self._n_free -= k
         return chosen
 
-    def _pop_smallest_free(self, k: int) -> tuple[int, ...]:
-        """The k smallest free ids, claimed off the state column."""
-        heap = self._free_heap
-        state, col = self._state, self._col
-        chosen: list[int] = []
-        while len(chosen) < k:
-            nid = heapq.heappop(heap)
-            c = col[nid]
-            if state[c] == _FREE:
-                state[c] = _BUSY
-                chosen.append(nid)
-        self._n_free -= k
-        if len(heap) > 4 * self.n_total:
-            self._rebuild_heap()
-        return tuple(chosen)
+    def _pop_smallest_free(self, k: int) -> np.ndarray:
+        """Columns of the k smallest free ids (ascending)."""
+        cols = np.flatnonzero(self._state == _FREE)[:k]
+        if len(cols) < k:
+            raise SchedulingError(
+                f"free count drifted: wanted {k} nodes, {len(cols)} free in the state column"
+            )
+        return cols
 
-    def _rebuild_heap(self) -> None:
-        # ``_ids`` ascends, so the filtered list is sorted — a valid heap.
+    def _unbind(self, cols: np.ndarray) -> None:
+        """Unbind distinct columns; those not out of service become free."""
+        self._owner[cols] = _NO_OWNER
         state = self._state
-        self._free_heap = [nid for col, nid in enumerate(self._ids) if state[col] == _FREE]
-
-    def _release_node(self, nid: int) -> None:
-        """Unbind one node and free it unless it is out of service."""
-        c = self._col[nid]
-        self._owner[c] = _NO_OWNER
-        if self._state[c] != _DOWN:
-            self._state[c] = _FREE
-            self._n_free += 1
-            heapq.heappush(self._free_heap, nid)
+        up = cols[state[cols] != _DOWN]
+        state[up] = _FREE
+        self._n_free += len(up)
 
     # -- malleability -----------------------------------------------------
     def grow_allocation(self, job_id: int, k: int) -> tuple[int, ...]:
@@ -205,8 +201,7 @@ class NodePool:
             raise SchedulingError(f"job {job_id}: not running") from None
         if not self.fits_width(k):
             raise SchedulingError(f"job {job_id}: grow wants {k} nodes, {self._n_free} free")
-        chosen = self._select_free(k)
-        self._bind(chosen, job_id)
+        chosen = self._claim(k, job_id)
         rec.node_ids += chosen
         self._ends_cache = None
         return chosen
@@ -224,12 +219,13 @@ class NodePool:
             raise SchedulingError(f"job {job_id}: not running") from None
         removed = tuple(node_ids)
         removed_set = set(removed)
+        if len(removed_set) != len(removed):
+            raise SchedulingError(f"job {job_id}: duplicate shrink nodes {removed!r}")
         if not removed_set <= set(rec.node_ids):
             raise SchedulingError(f"job {job_id}: shrink nodes not held")
         rec.node_ids = tuple(n for n in rec.node_ids if n not in removed_set)
         self._ends_cache = None
-        for nid in removed:
-            self._release_node(nid)
+        self._unbind(self._cols(removed))
         return removed
 
     def retime(self, job_id: int, believed_end: float) -> None:
@@ -248,8 +244,7 @@ class NodePool:
         except KeyError:
             raise SchedulingError(f"job {job_id}: not running") from None
         self._ends_cache = None
-        for nid in rec.node_ids:
-            self._release_node(nid)
+        self._unbind(self._cols(rec.node_ids))
         return rec.node_ids
 
     # -- failures ---------------------------------------------------------------
@@ -264,13 +259,13 @@ class NodePool:
         except KeyError:
             raise SchedulingError(f"node {node_id} not in pool") from None
         state = self._state
-        if state[c] != _DOWN:
-            if state[c] == _FREE:
-                # A stale heap entry may linger; pops skip non-FREE columns.
+        prev = state[c]
+        if prev != _DOWN:
+            if prev == _FREE:
                 self._n_free -= 1
             self._n_down += 1
             state[c] = _DOWN
-        owner = self._owner[c]
+        owner = int(self._owner[c])
         return owner if owner != _NO_OWNER else None
 
     def mark_up(self, node_id: int) -> None:
@@ -284,7 +279,6 @@ class NodePool:
             if self._owner[c] == _NO_OWNER:
                 self._state[c] = _FREE
                 self._n_free += 1
-                heapq.heappush(self._free_heap, node_id)
             else:
                 # The job kept running on its surviving nodes; this one
                 # rejoins the allocation it never formally left.

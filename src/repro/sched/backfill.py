@@ -110,14 +110,17 @@ class BackfillScheduler:
             return decisions
         # Phase 2: reservation for the blocked head.
         shadow_time, extra_nodes = self._reservation(head, pool, now)
-        # Phase 3: backfill behind the reservation.
+        # Phase 3: backfill behind the reservation.  ``free`` mirrors
+        # ``pool.n_free``, refreshed after each start.
+        free = pool.n_free
         for job in candidates:
-            if not pool.fits(job):
+            if job.n_nodes > free:
                 continue
             finishes_before_shadow = now + job.planned_s <= shadow_time
             uses_spare_nodes = job.n_nodes <= extra_nodes
             if finishes_before_shadow or uses_spare_nodes:
                 nodes = pool.allocate(job, now)
+                free = pool.n_free
                 queue.remove(job)
                 decisions.append((job, nodes))
                 if tel is not None:

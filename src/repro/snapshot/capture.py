@@ -16,8 +16,7 @@ representation choices that differ between a live and a replayed world):
 * the event heap is reported sorted with cancelled entries dropped —
   lazy deletion means their physical position is timing-dependent;
 * the pool's free set is reported sorted, derived from its per-node
-  state columns — the lazy min-heap lane over them may hold stale
-  entries;
+  state column;
 * derived memo caches (backfill reservation walk, heartbeat makespan,
   broadcast memos) are excluded: they are recomputed, not state.
 

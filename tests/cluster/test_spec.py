@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSpec, NodeRole
+from repro.cluster import Cluster, ClusterSpec, NodeRole, NodeState
 from repro.errors import ClusterError, ConfigurationError
 from repro.simkit import Simulator
 
@@ -87,3 +87,48 @@ class TestCluster:
         _, cluster = small_cluster(n=5, sats=2)
         ids = [n.node_id for n in cluster.all_nodes()]
         assert ids == [0, 1, 2, 3, 4, 5, 6, 7]
+
+
+class TestBind:
+    def test_bind_and_unbind(self):
+        _, cluster = small_cluster(n=8)
+        cluster.bind((1, 2, 3), job_id=7)
+        assert [cluster.node(i).running_job for i in (1, 2, 3)] == [7, 7, 7]
+        assert all(cluster.node(i).state is NodeState.ALLOC for i in (1, 2, 3))
+        cluster.unbind((1, 2, 3), job_id=7)
+        assert all(cluster.node(i).allocatable for i in (1, 2, 3))
+
+    def test_bind_down_node_raises(self):
+        _, cluster = small_cluster(n=8)
+        cluster.fail_nodes([4])
+        with pytest.raises(ClusterError, match="not allocatable"):
+            cluster.bind((3, 4), job_id=1)
+
+    def test_bind_already_bound_node_raises(self):
+        _, cluster = small_cluster(n=8)
+        cluster.bind((0, 1), job_id=1)
+        with pytest.raises(ClusterError, match="not allocatable"):
+            cluster.bind((1, 2), job_id=2)
+
+    def test_bind_unknown_id_raises(self):
+        _, cluster = small_cluster(n=8)
+        with pytest.raises(ClusterError, match="unknown node id"):
+            cluster.bind((9999,), job_id=1)
+
+    def test_unbind_skips_nodes_rebound_to_another_job(self):
+        _, cluster = small_cluster(n=8)
+        cluster.bind((0, 1), job_id=1)
+        cluster.unbind((1,), job_id=1)
+        cluster.bind((1,), job_id=2)
+        cluster.unbind((0, 1), job_id=1)
+        assert cluster.node(0).allocatable
+        assert cluster.node(1).running_job == 2
+        assert cluster.node(1).state is NodeState.ALLOC
+
+    def test_unbind_down_node_keeps_it_down(self):
+        _, cluster = small_cluster(n=8)
+        cluster.bind((5,), job_id=1)
+        cluster.fail_nodes([5])
+        cluster.unbind((5,), job_id=1)
+        assert cluster.node(5).running_job is None
+        assert cluster.node(5).state is NodeState.DOWN

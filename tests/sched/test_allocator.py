@@ -1,6 +1,9 @@
 """Tests for the node pool."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.errors import SchedulingError
 from repro.sched import Job, NodePool
@@ -114,8 +117,8 @@ class TestUtilization:
         assert pool.utilization_now() == pytest.approx(4 / 9)
 
 
-class TestLazyHeap:
-    """The lazy min-heap must be observationally identical to sorted(free)[:k]."""
+class TestFirstFit:
+    """The state-column scan must be observationally identical to sorted(free)[:k]."""
 
     def test_random_ops_match_sorted_reference(self):
         import random
@@ -168,22 +171,62 @@ class TestLazyHeap:
         c = make_job(job_id=3, n_nodes=3)
         assert pool.allocate(c, 0.0) == (0, 1, 2)
 
-    def test_stale_heap_entry_after_mark_down_is_skipped(self):
+    def test_down_node_is_skipped(self):
         pool = NodePool(range(4))
-        pool.mark_down(0)  # heap still holds id 0; set does not
+        pool.mark_down(0)
         job = make_job(job_id=1, n_nodes=2)
         assert pool.allocate(job, 0.0) == (1, 2)
 
-    def test_heap_stays_bounded_under_churn(self):
+    def test_first_fit_and_counters_exact_under_churn(self):
         pool = NodePool(range(16))
+        pool.mark_down(2)
+        pool.allocate(make_job(job_id=1000, n_nodes=4), 0.0)  # holds 0, 1, 3, 4
         for i in range(200):
-            job = make_job(job_id=i + 1, n_nodes=8)
-            pool.allocate(job, 0.0)
+            width = 1 + i % 11
+            job = make_job(job_id=i + 1, n_nodes=width)
+            assert pool.allocate(job, 0.0) == tuple(range(5, 5 + width))
+            assert (pool.n_free, pool.n_busy, pool.n_down) == (11 - width, 4 + width, 1)
             pool.release(job.job_id)
-        # Lazy pushes accumulate; the rebuild keeps the heap O(n_total).
-        assert len(pool._free_heap) <= 4 * pool.n_total
-        job = make_job(job_id=999, n_nodes=3)
-        assert pool.allocate(job, 0.0) == (0, 1, 2)
+            assert (pool.n_free, pool.n_busy, pool.n_down) == (11, 4, 1)
+        assert pool.free_ids() == frozenset(range(5, 16))
+        assert pool.down_ids() == frozenset({2})
+        assert pool.allocate(make_job(job_id=999, n_nodes=3), 0.0) == (5, 6, 7)
+
+    def test_ids_are_the_pools_own_objects(self):
+        # Fresh ints per allocation would keep one object per node alive
+        # in every finished job's allocation tuple.
+        universe = list(range(1000))
+        pool = NodePool(universe)
+        pool.allocate(make_job(job_id=1, n_nodes=500), 0.0)
+        got = pool.allocate(make_job(job_id=2, n_nodes=300), 0.0)
+        assert got == tuple(range(500, 800))
+        assert all(nid is universe[nid] for nid in got)
+
+    def test_counter_drift_raises_scheduling_error(self):
+        pool = NodePool(range(4))
+        pool._n_free += 1  # corrupt the counter behind the columns' back
+        with pytest.raises(SchedulingError, match="drifted"):
+            pool.allocate(make_job(job_id=1, n_nodes=5), 0.0)
+
+
+class TestShrink:
+    def test_duplicate_ids_rejected_without_mutation(self):
+        pool = NodePool(range(8))
+        pool.allocate(make_job(job_id=1, n_nodes=4), 0.0)
+        with pytest.raises(SchedulingError, match="duplicate"):
+            pool.shrink_allocation(1, (2, 2))
+        assert pool.n_free == 4 == len(pool.free_ids())
+        assert pool.running[1].node_ids == (0, 1, 2, 3)
+        assert pool.allocate(make_job(job_id=2, n_nodes=4), 0.0) == (4, 5, 6, 7)
+
+    def test_shrink_frees_up_nodes_but_not_down_ones(self):
+        pool = NodePool(range(8))
+        pool.allocate(make_job(job_id=1, n_nodes=4), 0.0)
+        pool.mark_down(3)
+        assert pool.shrink_allocation(1, (1, 3)) == (1, 3)
+        assert pool.running[1].node_ids == (0, 2)
+        assert pool.free_ids() == frozenset({1, 4, 5, 6, 7})
+        assert pool.down_ids() == frozenset({3})
 
 
 class TestBelievedEndsCache:
@@ -203,3 +246,124 @@ class TestBelievedEndsCache:
         pool.allocate(make_job(job_id=1, n_nodes=1, estimate=10.0), now=0.0)
         first = pool.believed_ends()
         assert pool.believed_ends() is first  # memoized between mutations
+
+
+class PoolMachine(RuleBasedStateMachine):
+    """Random pool operations against a naive set-based reference."""
+
+    universe: list[int] = []
+
+    def __init__(self):
+        super().__init__()
+        self.pool = NodePool(self.universe)
+        self.own = {nid: nid for nid in self.universe}
+        self.free = set(self.universe)
+        self.down: set[int] = set()
+        self.running: dict[int, tuple[int, ...]] = {}
+        self.next_id = 1
+
+    def _held(self):
+        return {nid for nodes in self.running.values() for nid in nodes}
+
+    def _first_fit(self, k):
+        return tuple(sorted(self.free)[:k])
+
+    def _assert_own(self, ids):
+        assert all(nid is self.own[nid] for nid in ids)
+
+    @rule(k=st.integers(1, 10))
+    def allocate(self, k):
+        job = make_job(job_id=self.next_id, n_nodes=k)
+        self.next_id += 1
+        if k > len(self.free):
+            with pytest.raises(SchedulingError):
+                self.pool.allocate(job, 0.0)
+            return
+        got = self.pool.allocate(job, 0.0)
+        assert got == self._first_fit(k)
+        self._assert_own(got)
+        self.free -= set(got)
+        self.running[job.job_id] = got
+
+    @precondition(lambda self: self.running)
+    @rule(data=st.data())
+    def release(self, data):
+        job_id = data.draw(st.sampled_from(sorted(self.running)))
+        nodes = self.running.pop(job_id)
+        assert self.pool.release(job_id) == nodes
+        self.free |= set(nodes) - self.down
+
+    @precondition(lambda self: self.running)
+    @rule(data=st.data(), k=st.integers(1, 6))
+    def grow(self, data, k):
+        job_id = data.draw(st.sampled_from(sorted(self.running)))
+        if k > len(self.free):
+            with pytest.raises(SchedulingError):
+                self.pool.grow_allocation(job_id, k)
+            return
+        got = self.pool.grow_allocation(job_id, k)
+        assert got == self._first_fit(k)
+        self._assert_own(got)
+        self.free -= set(got)
+        self.running[job_id] += got
+
+    @precondition(lambda self: self.running)
+    @rule(data=st.data())
+    def shrink(self, data):
+        job_id = data.draw(st.sampled_from(sorted(self.running)))
+        nodes = self.running[job_id]
+        removed = tuple(data.draw(st.lists(st.sampled_from(nodes), unique=True))) if nodes else ()
+        assert self.pool.shrink_allocation(job_id, removed) == removed
+        self.running[job_id] = tuple(n for n in nodes if n not in removed)
+        self.free |= set(removed) - self.down
+
+    @precondition(lambda self: any(self.running.values()))
+    @rule(data=st.data())
+    def shrink_duplicate(self, data):
+        job_id = data.draw(st.sampled_from(sorted(j for j, ns in self.running.items() if ns)))
+        nid = data.draw(st.sampled_from(self.running[job_id]))
+        with pytest.raises(SchedulingError):
+            self.pool.shrink_allocation(job_id, (nid, nid))
+
+    @rule(data=st.data())
+    def mark_down(self, data):
+        nid = data.draw(st.sampled_from(self.universe))
+        owner = next((j for j, ns in self.running.items() if nid in ns), None)
+        assert self.pool.mark_down(nid) == owner
+        self.free.discard(nid)
+        self.down.add(nid)
+
+    @rule(data=st.data())
+    def mark_up(self, data):
+        nid = data.draw(st.sampled_from(self.universe))
+        self.pool.mark_up(nid)
+        if nid in self.down:
+            self.down.remove(nid)
+            if nid not in self._held():
+                self.free.add(nid)
+
+    @invariant()
+    def matches_reference(self):
+        pool = self.pool
+        assert pool.n_free == len(self.free)
+        assert pool.n_down == len(self.down)
+        assert pool.n_busy == len(self._held() - self.down)
+        assert pool.free_ids() == self.free
+        assert pool.down_ids() == self.down
+        assert {j: rec.node_ids for j, rec in pool.running.items()} == self.running
+
+
+class DensePoolMachine(PoolMachine):
+    universe = list(range(24))
+
+
+class SparsePoolMachine(PoolMachine):
+    # Ids above the small-int cache, so the identity check means something.
+    universe = list(range(1003, 1100, 4))
+
+
+_machine_settings = settings(max_examples=40, stateful_step_count=40, deadline=None)
+TestDensePoolModel = DensePoolMachine.TestCase
+TestDensePoolModel.settings = _machine_settings
+TestSparsePoolModel = SparsePoolMachine.TestCase
+TestSparsePoolModel.settings = _machine_settings
