@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-paper-scale bench-16k-fast bench-100k-smoke bench-e2e-check bench-e2e-smoke lifecycle-smoke verify-smoke sweep-smoke malleable-smoke serve-smoke snapshot-smoke lint-imports
+.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-e2e-check bench-e2e-smoke bench-e2e-gate lifecycle-smoke verify-smoke sweep-smoke malleable-smoke serve-smoke snapshot-smoke lint-imports
 
 ## Full tier-1 suite (the CI gate).
 test:
@@ -47,21 +47,6 @@ bench-smoke:
 	print('deterministic-seed check: OK')"
 	rm -rf .bench-smoke
 
-## Paper-scale perf smoke: re-run the 1K-node tier (10K jobs, failures
-## on) and judge it against the checked-in baseline — deterministic
-## anchors must match exactly, wall time may not regress beyond +25%.
-## The remaining tiers (up to the minutes-long 131K one) run via
-## ``repro bench compare`` with no --names.
-bench-paper-scale:
-	$(PYTHON) -m repro.cli bench compare benchmarks/BENCH_paper_scale.json --names paper-1024
-
-## 16K-node perf fence: re-run the paper's full machine size (16,384
-## nodes, 10K jobs, failures on) against the checked-in baseline —
-## the tier the flattened-lifecycle kernel is judged on.  Deterministic
-## anchors must match exactly; wall may not regress beyond +25%.
-bench-16k-fast:
-	$(PYTHON) -m repro.cli bench compare benchmarks/BENCH_paper_scale.json --names paper-16384
-
 ## The repo benchmark's own checks: BENCHMARK.json must be a valid
 ## spec, and the benchmarks/e2e harness tests (on a tiny scenario) must
 ## pass.  The timed four-workload run is `python3 benchmarks/e2e/run.py`.
@@ -77,6 +62,18 @@ bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-131k-2h --seed 0 --seconds 1 --trace 1
 	$(PYTHON) benchmarks/e2e/run.py --workload slurm-65k-day --seed 0 --seconds 1 --trace 1
 
+## The perf gate: one traced short run of all four workloads, judged
+## by BENCHMARK.json's end-to-end bounds against recording 0 of
+## benchmarks/e2e/baseline.json (recorded traced, so like for like).
+## Exits nonzero when a repetition's digest leaves expected.json or
+## any end-to-end metric is worse than its bound.
+bench-e2e-gate:
+	$(PYTHON) -m benchmarks.e2e --seed 0 --seconds 1 --trace 1 --out .e2e-gate.json
+	$(PYTHON) -c "import json; b = json.load(open('benchmarks/e2e/baseline.json')); \
+	open('.e2e-gate-baseline.json', 'w').write(json.dumps(b['recordings'][0]))"
+	$(PYTHON) -m benchmarks.e2e compare .e2e-gate-baseline.json .e2e-gate.json
+	rm -f .e2e-gate.json .e2e-gate-baseline.json
+
 ## Lifecycle-kernel smoke: the FSM fast path must be observably
 ## indistinguishable from the generator reference — unit tests for the
 ## timer lane and the FSM walk, the full equivalence scenario matrix,
@@ -84,14 +81,6 @@ bench-e2e-smoke:
 lifecycle-smoke:
 	$(PYTHON) -m pytest -q tests/simkit/test_timer.py tests/rm/test_lifecycle.py tests/rm/test_lifecycle_equivalence.py
 	$(PYTHON) -m repro.cli verify --relation lifecycle-equivalence --seeds 2 -j 2
-
-## 100K-node perf smoke: re-run the 65,536-node small-step tier (the
-## full machine over the 4 h matrix horizon) against the checked-in
-## baseline — exercises the array-backed node state and the batched
-## event kernel at scale while staying seconds-long for CI.  The full
-## paper-65536 / paper-131072 tiers are --slow territory.
-bench-100k-smoke:
-	$(PYTHON) -m repro.cli bench compare benchmarks/BENCH_paper_scale.json --names paper-65536-smoke
 
 ## Smoke: every oracle layer must hold on the current tree, and the
 ## golden digests must be reproducible byte-for-byte.

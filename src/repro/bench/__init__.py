@@ -8,11 +8,7 @@
 
 from repro.bench.paper_scale import (
     BASELINE_PATH,
-    DEFAULT_BEST_OF,
-    DEFAULT_TOLERANCE,
-    TierComparison,
     build_baseline,
-    compare_baseline,
     dump_baseline,
     load_baseline,
 )
@@ -21,7 +17,6 @@ from repro.bench.runner import (
     BenchResult,
     MatrixSweep,
     load_bench_file,
-    profile_bench,
     run_bench,
     run_matrix,
     run_matrix_sweep,
@@ -45,9 +40,7 @@ from repro.bench.whatif import (
     run_whatif_bench,
 )
 from repro.bench.scenarios import (
-    PAPER_FULL_SCENARIO,
     PAPER_SCALE,
-    PAPER_SMOKE_SCENARIO,
     SCENARIOS,
     SMOKE_SCENARIO,
     BenchScenario,
@@ -57,11 +50,7 @@ from repro.bench.schema import SCHEMA, is_deterministic_metric, validate_payload
 
 __all__ = [
     "BASELINE_PATH",
-    "DEFAULT_BEST_OF",
-    "DEFAULT_TOLERANCE",
-    "PAPER_FULL_SCENARIO",
     "PAPER_SCALE",
-    "PAPER_SMOKE_SCENARIO",
     "SCENARIOS",
     "SMOKE_SCENARIO",
     "SCHEMA",
@@ -72,9 +61,7 @@ __all__ = [
     "BenchResult",
     "BenchScenario",
     "MatrixSweep",
-    "TierComparison",
     "build_baseline",
-    "compare_baseline",
     "dump_baseline",
     "dump_sweep",
     "dump_whatif",
@@ -84,7 +71,6 @@ __all__ = [
     "load_bench_file",
     "load_sweep",
     "load_whatif",
-    "profile_bench",
     "render_markdown",
     "render_sweep",
     "render_text",

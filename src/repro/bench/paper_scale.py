@@ -1,52 +1,32 @@
-"""The paper-scale wall-time baseline (``benchmarks/BENCH_paper_scale.json``).
+"""The paper-scale anchor file (``benchmarks/BENCH_paper_scale.json``).
 
-The matrix bench files freeze *simulation-deterministic* payloads; wall
-time is deliberately excluded there because it breaks byte-identity.
-This module owns the complementary artifact: one checked-in file
-recording, per paper-scale tier (1K / 4K / 16K nodes, 10K jobs), both
-the deterministic anchors (event counts at the recording seed) and the
-recorded host wall time.  ``repro bench compare`` re-runs tiers fresh
-and judges them against it:
-
-* deterministic anchors must match **exactly** at the same seed — a
-  mismatch means behaviour changed, not performance;
-* wall time may not regress beyond the tolerance (default +25 %);
-  being *faster* than baseline always passes.
-
-A tier record may carry its own ``"tolerance"`` overriding the default:
-the minutes-long 65K/131K tiers wander more with host load than the
-seconds-long trio, so they ship with a wider fence instead of forcing
-the whole file to the loosest setting.
+One checked-in file recording, per paper-scale tier (1K to 131K nodes,
+10K jobs), the deterministic anchors at the recording seed: the event
+count and the peak event-heap depth.  A mismatch means behaviour
+changed, not performance; the tier-1 tests re-run the seconds-long
+tiers against it.  Speed is judged by ``benchmarks/e2e`` alone, so no
+wall time is recorded here.  ``repro bench baseline`` re-records the
+file deliberately.
 """
 
 from __future__ import annotations
 
 import json
 import typing as t
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.bench.runner import BenchResult, run_bench
+from repro.bench.runner import BenchResult
 from repro.bench.scenarios import PAPER_SCALE
 from repro.errors import ConfigurationError
 
 BASELINE_SCHEMA = "repro-bench-paper-scale/1"
 
-#: repo-relative location of the checked-in baseline
+#: repo-relative location of the checked-in anchor file
 BASELINE_PATH = "benchmarks/BENCH_paper_scale.json"
-
-#: wall-time regression tolerance the CI smoke uses
-DEFAULT_TOLERANCE = 0.25
-
-#: wall-fence attempts: a tier whose *first* wall is over the fence is
-#: re-run and judged on the best of this many runs, so a transiently
-#: loaded host cannot trip the fence spuriously (deterministic anchors
-#: are still compared on the first run only — they cannot flake)
-DEFAULT_BEST_OF = 3
 
 
 def build_baseline(results: t.Sequence[BenchResult]) -> dict[str, t.Any]:
-    """Baseline payload from freshly-run tier results."""
+    """Anchor payload from freshly-run tier results."""
     tiers: dict[str, t.Any] = {}
     for result in results:
         spec = result.scenario
@@ -58,7 +38,6 @@ def build_baseline(results: t.Sequence[BenchResult]) -> dict[str, t.Any]:
             "events": result.payload["events"],
             "events_per_sim_s": result.payload["events_per_sim_s"],
             "peak_heap_depth": result.payload["peak_heap_depth"],
-            "host_wall_s": round(result.host_wall_s, 3),
         }
     return {"schema": BASELINE_SCHEMA, "tiers": tiers}
 
@@ -68,7 +47,7 @@ def dump_baseline(baseline: dict[str, t.Any]) -> str:
 
 
 def load_baseline(path: str | Path) -> dict[str, t.Any]:
-    """Read + sanity-check a baseline file."""
+    """Read + sanity-check an anchor file."""
     payload = json.loads(Path(path).read_text())
     if payload.get("schema") != BASELINE_SCHEMA:
         raise ConfigurationError(
@@ -78,152 +57,9 @@ def load_baseline(path: str | Path) -> dict[str, t.Any]:
     if not isinstance(tiers, dict) or not tiers:
         raise ConfigurationError(f"{path}: baseline has no tiers")
     for name, tier in tiers.items():
-        for key in ("seed", "events", "host_wall_s"):
+        if name not in PAPER_SCALE:
+            raise ConfigurationError(f"{path}: tier {name!r} is not a paper-scale scenario")
+        for key in ("seed", "events", "peak_heap_depth"):
             if key not in tier:
                 raise ConfigurationError(f"{path}: tier {name!r} missing {key!r}")
     return payload
-
-
-@dataclass
-class TierComparison:
-    """Verdict for one tier of a baseline comparison."""
-
-    name: str
-    ok: bool
-    baseline_wall_s: float
-    fresh_wall_s: float
-    notes: list[str] = field(default_factory=list)
-
-    def line(self) -> str:
-        status = "ok  " if self.ok else "FAIL"
-        ratio = (
-            self.fresh_wall_s / self.baseline_wall_s if self.baseline_wall_s else float("inf")
-        )
-        detail = "; ".join(self.notes) if self.notes else "within tolerance"
-        return (
-            f"[{status}] {self.name:<14} wall {self.fresh_wall_s:7.2f}s "
-            f"vs baseline {self.baseline_wall_s:7.2f}s ({ratio:5.2f}x) — {detail}"
-        )
-
-
-def _check_anchors(tier: dict[str, t.Any], result: BenchResult) -> tuple[bool, list[str]]:
-    """Deterministic-anchor verdict (first run only; cannot flake)."""
-    notes: list[str] = []
-    ok = True
-    if result.seed == tier["seed"]:
-        # Same seed: the deterministic anchors must match bit-for-bit.
-        for key in ("events", "peak_heap_depth"):
-            if key in tier and result.payload[key] != tier[key]:
-                ok = False
-                notes.append(
-                    f"{key} changed: baseline {tier[key]}, fresh {result.payload[key]} "
-                    "(behaviour drift, re-record the baseline deliberately)"
-                )
-    else:
-        notes.append(f"seed differs (baseline {tier['seed']}, fresh {result.seed}): "
-                     "determinism anchors skipped")
-    return ok, notes
-
-
-def _judge_walls(
-    tier: dict[str, t.Any], walls: t.Sequence[float], tolerance: float
-) -> tuple[bool, float, list[str]]:
-    """Wall-fence verdict on the best (minimum) of the recorded walls."""
-    notes: list[str] = []
-    baseline_wall = float(tier["host_wall_s"])
-    tolerance = float(tier.get("tolerance", tolerance))
-    limit = baseline_wall * (1.0 + tolerance)
-    best_wall = min(walls)
-    ok = best_wall <= limit
-    if not ok:
-        best_of = f"best of {len(walls)} runs " if len(walls) > 1 else ""
-        notes.append(
-            f"wall regression: {best_of}{best_wall:.2f}s > {limit:.2f}s "
-            f"(baseline {baseline_wall:.2f}s +{tolerance:.0%})"
-        )
-    elif len(walls) > 1:
-        notes.append(
-            f"wall within fence on best of {len(walls)} runs "
-            f"(first run {walls[0]:.2f}s was over — host load, not a regression)"
-        )
-    elif best_wall < baseline_wall * (1.0 - tolerance):
-        notes.append("faster than baseline beyond tolerance — consider re-recording")
-    return ok, best_wall, notes
-
-
-def compare_tier(
-    tier: dict[str, t.Any],
-    result: BenchResult,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> TierComparison:
-    """Judge one fresh result against its baseline tier (single run)."""
-    anchors_ok, notes = _check_anchors(tier, result)
-    wall_ok, best_wall, wall_notes = _judge_walls(tier, [result.host_wall_s], tolerance)
-    return TierComparison(
-        name=result.scenario.name,
-        ok=anchors_ok and wall_ok,
-        baseline_wall_s=float(tier["host_wall_s"]),
-        fresh_wall_s=best_wall,
-        notes=notes + wall_notes,
-    )
-
-
-def compare_baseline(
-    baseline: dict[str, t.Any],
-    names: t.Sequence[str] | None = None,
-    seed: int | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    progress: t.Callable[[str], None] | None = None,
-    best_of: int = DEFAULT_BEST_OF,
-) -> list[TierComparison]:
-    """Re-run tiers fresh and compare each against the baseline.
-
-    The wall fence is judged on the best of up to ``best_of`` runs:
-    extra runs happen only when the first one lands over the fence, so
-    the happy path stays one run per tier while a loaded host gets two
-    more chances before the verdict is a regression.  Deterministic
-    anchors are compared on the first run only.
-
-    Args:
-        baseline: payload from :func:`load_baseline`.
-        names: tier subset (default: every tier in the file).
-        seed: override the per-tier recording seed (skips exact anchors).
-        tolerance: wall-time regression allowance.
-        progress: per-tier status callback.
-        best_of: maximum wall-fence attempts per tier (min 1).
-    """
-    tiers = baseline["tiers"]
-    chosen = list(tiers) if names is None else list(names)
-    comparisons = []
-    for name in chosen:
-        tier = tiers.get(name)
-        if tier is None:
-            raise ConfigurationError(
-                f"tier {name!r} not in baseline; choose from {sorted(tiers)}"
-            )
-        if name not in PAPER_SCALE:
-            raise ConfigurationError(f"tier {name!r} is not a paper-scale scenario")
-        run_seed = tier["seed"] if seed is None else seed
-        result = run_bench(name, seed=run_seed)
-        anchors_ok, anchor_notes = _check_anchors(tier, result)
-        walls = [result.host_wall_s]
-        limit = float(tier["host_wall_s"]) * (1.0 + float(tier.get("tolerance", tolerance)))
-        while min(walls) > limit and len(walls) < max(1, best_of):
-            if progress is not None:
-                progress(
-                    f"[....] {name:<14} wall {walls[-1]:7.2f}s over fence — "
-                    f"re-running ({len(walls) + 1}/{max(1, best_of)})"
-                )
-            walls.append(run_bench(name, seed=run_seed).host_wall_s)
-        wall_ok, best_wall, wall_notes = _judge_walls(tier, walls, tolerance)
-        comparison = TierComparison(
-            name=name,
-            ok=anchors_ok and wall_ok,
-            baseline_wall_s=float(tier["host_wall_s"]),
-            fresh_wall_s=best_wall,
-            notes=anchor_notes + wall_notes,
-        )
-        if progress is not None:
-            progress(comparison.line())
-        comparisons.append(comparison)
-    return comparisons

@@ -110,33 +110,6 @@ def run_bench(scenario: str | BenchScenario, seed: int = 0) -> BenchResult:
     )
 
 
-def profile_bench(
-    scenario: str | BenchScenario, seed: int = 0, top: int = 25
-) -> tuple[BenchResult, str]:
-    """:func:`run_bench` under ``cProfile``; returns ``(result, report)``.
-
-    The report is the top-``top`` functions by cumulative time.  Note
-    the profiler itself inflates wall time severalfold, so the
-    ``host_wall_s`` of a profiled run is *not* comparable with baseline
-    files recorded by plain runs — use it to find hot spots, not to
-    judge regressions.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = run_bench(scenario, seed=seed)
-    finally:
-        profiler.disable()
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(top)
-    return result, buffer.getvalue()
-
-
 def write_bench_file(result: BenchResult, out_dir: str | Path = ".") -> Path:
     """Write ``BENCH_<name>.json``; returns the path."""
     out = Path(out_dir)

@@ -126,7 +126,7 @@ def _paper_scale() -> dict[str, BenchScenario]:
             n_jobs=10_000,
             horizon_s=DAY,
         )
-    # Small-step variant of the 65K tier for CI (``make bench-100k-smoke``):
+    # Small-step variant of the 65K tier, anchor-checked in tier-1:
     # the full machine is built — so the array-backed node state and the
     # event kernel are exercised at scale — but over the 4 h matrix
     # horizon with a matching slice of the workload, keeping the smoke
@@ -169,16 +169,9 @@ def _paper_scale() -> dict[str, BenchScenario]:
 
 #: The paper-scale tiers: ESLURM with failure injection driving 10K jobs
 #: over one simulated day at the Section VII machine sizes.  Unlike the
-#: matrix above these are sized like the paper's own workload, so they
-#: anchor *wall-time* regressions (``repro bench compare``), not just
-#: event-count determinism.
+#: matrix above these are sized like the paper's own workload; their
+#: deterministic anchors live in ``benchmarks/BENCH_paper_scale.json``.
 PAPER_SCALE: dict[str, BenchScenario] = _paper_scale()
-
-#: the tier CI's paper-scale smoke compares against the checked-in baseline
-PAPER_SMOKE_SCENARIO = "paper-1024"
-
-#: the tier ``repro bench run --profile`` defaults to (full machine)
-PAPER_FULL_SCENARIO = "paper-16384"
 
 
 def get_scenario(name: str) -> BenchScenario:

@@ -11,11 +11,9 @@ Installed as ``repro-eslurm`` (alias ``repro``)::
     repro bench run --all --seed 0
     repro bench run --all -j 4      # parallel sweep, byte-identical files
     repro bench sweep               # record benchmarks/BENCH_sweep.json scaling
-    repro bench --profile           # cProfile the 16K-node paper scenario
     repro bench report BENCH_*.json --markdown
     repro bench validate BENCH_*.json
-    repro bench baseline            # record benchmarks/BENCH_paper_scale.json
-    repro bench compare             # fresh tiers vs the checked-in baseline
+    repro bench baseline            # record benchmarks/BENCH_paper_scale.json anchors
 
     repro chaos list                # invariant-checked failure campaigns
     repro chaos run failure-storm --seed 7 --json
@@ -161,33 +159,9 @@ def _bench_list(args: argparse.Namespace) -> int:
 def _bench_run_configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("names", nargs="*", help="scenario names (see 'repro bench list')")
     parser.add_argument("--all", action="store_true", help="run the whole matrix")
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile and print the hottest functions "
-        "(defaults to the 16K-node paper-scale scenario; skips file output)",
-    )
 
 
 def _bench_run(args: argparse.Namespace) -> int:
-    from repro.bench import PAPER_FULL_SCENARIO, profile_bench
-
-    if args.profile:
-        if args.all:
-            args._parser.error("--profile runs named scenarios, not the whole matrix")
-        names = args.names or [PAPER_FULL_SCENARIO]
-        for name in names:
-            try:
-                result, report = profile_bench(name, seed=args.seed)
-            except Exception as exc:
-                args._parser.error(str(exc))
-            print(
-                f"{name}: {result.payload['events']} events, "
-                f"host {result.host_wall_s:.2f}s under the profiler "
-                "(several times slower than a plain run)"
-            )
-            print(report)
-        return 0
     if args.all == bool(args.names):
         args._parser.error("pass scenario names or --all (not both)")
     from repro.bench import run_matrix_sweep
@@ -219,7 +193,8 @@ def _bench_baseline_configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "names",
         nargs="*",
-        help="paper-scale tiers to record (default: all three)",
+        help="paper-scale tiers to record (default: all eight, including the "
+        "minutes-long 65K/131K tiers)",
     )
 
 
@@ -235,10 +210,11 @@ def _bench_baseline(args: argparse.Namespace) -> int:
     )
 
     names = args.names or list(PAPER_SCALE)
-    results = []
     for name in names:
         if name not in PAPER_SCALE:
             args._parser.error(f"{name!r} is not a paper-scale tier ({sorted(PAPER_SCALE)})")
+    results = []
+    for name in names:
         result = run_bench(name, seed=args.seed)
         print(
             f"{name:<14} {result.payload['events']:>9} events  "
@@ -254,79 +230,6 @@ def _bench_baseline(args: argparse.Namespace) -> int:
     path.write_text(text)
     print(f"baseline written -> {path}")
     return 0
-
-
-def _bench_compare_configure(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "baseline",
-        nargs="?",
-        default=None,
-        help="baseline file (default: benchmarks/BENCH_paper_scale.json)",
-    )
-    parser.add_argument(
-        "--names",
-        action="append",
-        default=None,
-        help="tier to compare (repeatable; default: every tier in the file)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="wall-time regression allowance as a fraction (default 0.25)",
-    )
-    parser.add_argument(
-        "--best-of",
-        type=int,
-        default=None,
-        help="wall-fence attempts per tier — a first run over the fence is "
-        "re-run and judged on the best wall (default 3; 1 = single run)",
-    )
-
-
-def _bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        BASELINE_PATH,
-        DEFAULT_BEST_OF,
-        DEFAULT_TOLERANCE,
-        compare_baseline,
-        load_baseline,
-    )
-
-    path = args.baseline if args.baseline is not None else BASELINE_PATH
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    best_of = args.best_of if args.best_of is not None else DEFAULT_BEST_OF
-    try:
-        baseline = load_baseline(path)
-        comparisons = compare_baseline(
-            baseline,
-            names=args.names,
-            tolerance=tolerance,
-            progress=None if args.json else print,
-            best_of=best_of,
-        )
-    except Exception as exc:
-        args._parser.error(str(exc))
-    failed = sum(1 for c in comparisons if not c.ok)
-    if args.json:
-        payload = [
-            {
-                "name": c.name,
-                "ok": c.ok,
-                "baseline_wall_s": c.baseline_wall_s,
-                "fresh_wall_s": c.fresh_wall_s,
-                "notes": c.notes,
-            }
-            for c in comparisons
-        ]
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
-    else:
-        print(
-            f"bench compare: {'FAIL' if failed else 'OK'} — "
-            f"{len(comparisons) - failed}/{len(comparisons)} tiers within "
-            f"±{tolerance:.0%} of {path}"
-        )
-    return 1 if failed else 0
 
 
 def _bench_sweep_configure(parser: argparse.ArgumentParser) -> None:
@@ -537,13 +440,9 @@ BENCH_COMMANDS = (
         _bench_files_configure, _bench_check,
     ),
     Subcommand(
-        "baseline", "record the paper-scale wall-time baseline file",
+        "baseline", "record the paper-scale anchor file (event counts, heap depth)",
         _bench_baseline_configure, _bench_baseline, common=True,
-        out_help="baseline file path (default: benchmarks/BENCH_paper_scale.json)",
-    ),
-    Subcommand(
-        "compare", "re-run paper-scale tiers against the checked-in baseline",
-        _bench_compare_configure, _bench_compare, common=True,
+        out_help="anchor file path (default: benchmarks/BENCH_paper_scale.json)",
     ),
     Subcommand(
         "sweep", "record the matrix sweep-scaling file (jobs=1/2/4 walls + digests)",
@@ -1099,8 +998,6 @@ FAMILIES: dict[str, tuple[str, tuple[Subcommand, ...]]] = {
 }
 
 #: families where a bare ``repro <family> [flags]`` implies this verb
-#: (``repro bench --profile`` is the profiling entry point the perf
-#: workflow documents)
 DEFAULT_VERBS: dict[str, str] = {
     "verify": "run",
     "bench": "run",

@@ -103,22 +103,6 @@ class Node:
         if self.state is NodeState.DRAINED:
             self.state = NodeState.UP
 
-    def allocate(self, job_id: int) -> None:
-        """Bind a job to this node."""
-        if not self.allocatable:
-            raise ClusterError(
-                f"node {self.name} not allocatable "
-                f"(state={self.state.value}, job={self.running_job})"
-            )
-        self.state = NodeState.ALLOC
-        self.running_job = job_id
-
-    def release(self) -> None:
-        """Unbind the current job.  No-op on DOWN nodes (handled at recover)."""
-        if self.state is NodeState.ALLOC:
-            self.state = NodeState.UP
-        self.running_job = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.name} {self.role.value} {self.state.value}>"
 

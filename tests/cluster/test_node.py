@@ -2,14 +2,22 @@
 
 import pytest
 
+from repro.cluster import ClusterSpec
 from repro.cluster.node import HardwareSpec, Node, NodeRole, NodeState
 from repro.errors import ClusterError
+from repro.simkit import Simulator
 
 
 def make_node(**kw):
     defaults = dict(node_id=0, name="cn00000")
     defaults.update(kw)
     return Node(**defaults)
+
+
+def make_bound_cluster():
+    """A small live cluster; ``Cluster.bind``/``unbind`` are the only way a
+    node enters or leaves ALLOC."""
+    return ClusterSpec(n_nodes=4, n_satellites=1).build(Simulator(seed=0))
 
 
 class TestNodeValidation:
@@ -62,35 +70,28 @@ class TestNodeTransitions:
         assert n.state is NodeState.UP
 
     def test_allocate_release_cycle(self):
-        n = make_node()
-        n.allocate(job_id=42)
+        cluster = make_bound_cluster()
+        n = cluster.node(0)
+        cluster.bind((0,), job_id=42)
         assert n.state is NodeState.ALLOC
         assert n.running_job == 42
         assert n.responsive  # allocated nodes still answer messages
         assert not n.allocatable
-        n.release()
+        cluster.unbind((0,), job_id=42)
         assert n.state is NodeState.UP
         assert n.running_job is None
 
     def test_double_allocate_rejected(self):
-        n = make_node()
-        n.allocate(1)
+        cluster = make_bound_cluster()
+        cluster.bind((0,), job_id=1)
         with pytest.raises(ClusterError):
-            n.allocate(2)
+            cluster.bind((0,), job_id=2)
 
     def test_allocate_down_node_rejected(self):
-        n = make_node()
-        n.fail()
+        cluster = make_bound_cluster()
+        cluster.node(0).fail()
         with pytest.raises(ClusterError):
-            n.allocate(1)
-
-    def test_fail_while_allocated_then_recover_clears_job(self):
-        n = make_node()
-        n.allocate(7)
-        n.fail()
-        assert n.running_job == 7  # job binding survives until recovery
-        n.recover()
-        assert n.running_job is None
+            cluster.bind((0,), job_id=1)
 
 
 class TestHardwareSpec:

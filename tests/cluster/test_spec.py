@@ -95,6 +95,8 @@ class TestBind:
         cluster.bind((1, 2, 3), job_id=7)
         assert [cluster.node(i).running_job for i in (1, 2, 3)] == [7, 7, 7]
         assert all(cluster.node(i).state is NodeState.ALLOC for i in (1, 2, 3))
+        # bound nodes still answer messages
+        assert all(cluster.node(i).responsive for i in (1, 2, 3))
         cluster.unbind((1, 2, 3), job_id=7)
         assert all(cluster.node(i).allocatable for i in (1, 2, 3))
 
@@ -124,6 +126,15 @@ class TestBind:
         assert cluster.node(0).allocatable
         assert cluster.node(1).running_job == 2
         assert cluster.node(1).state is NodeState.ALLOC
+
+    def test_fail_while_bound_then_recover_clears_job(self):
+        _, cluster = small_cluster(n=8)
+        cluster.bind((5,), job_id=7)
+        cluster.fail_nodes([5])
+        assert cluster.node(5).running_job == 7  # binding survives until recovery
+        cluster.recover_nodes([5])
+        assert cluster.node(5).running_job is None
+        assert cluster.node(5).allocatable
 
     def test_unbind_down_node_keeps_it_down(self):
         _, cluster = small_cluster(n=8)
