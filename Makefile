@@ -56,8 +56,8 @@ bench-e2e-check:
 
 ## One short traced run each of the broadcast-heavy 131K workload and
 ## the centralized 65K Slurm day: exits nonzero when any repetition's
-## RmReport digest leaves expected.json.  The first drives the ledger's
-## wrappers over the broadcast memo, the second the allocator path.
+## RmReport digest leaves expected.json.  The first drives the ESLURM
+## heartbeat share record, the second the allocator path.
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-131k-2h --seed 0 --seconds 1 --trace 1
 	$(PYTHON) benchmarks/e2e/run.py --workload slurm-65k-day --seed 0 --seconds 1 --trace 1

@@ -157,7 +157,9 @@ class HealthMonitor:
     def predicted_failed(self, among: t.Iterable[int] | None = None) -> set[int]:
         """Currently-alerted node ids (optionally restricted to ``among``).
 
-        Expired alerts are pruned lazily on read.
+        Expired alerts are pruned lazily on read.  A set or a ``range``
+        (such as the dense compute ids) restricts in O(alerted); any
+        other iterable is walked whole.
         """
         now = self.sim.now
         expired = [nid for nid, exp in self._alerted.items() if exp <= now]
@@ -165,6 +167,8 @@ class HealthMonitor:
             del self._alerted[nid]
         if among is None:
             return set(self._alerted)
+        if isinstance(among, range):
+            return {nid for nid in self._alerted if nid in among}
         return self._alerted.keys() & among
 
     # -- statistics ----------------------------------------------------------

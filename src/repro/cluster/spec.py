@@ -241,9 +241,10 @@ class Cluster:
         """Number of compute nodes."""
         return len(self.nodes)
 
-    def compute_ids(self) -> list[int]:
-        """Ids of the compute nodes (a fresh list the caller may keep)."""
-        return list(self._compute_ids)
+    def compute_ids(self, lo: int = 0, hi: int | None = None) -> list[int]:
+        """Ids of the compute nodes, or of positions ``[lo, hi)`` of
+        them (a fresh list the caller may keep)."""
+        return self._compute_ids[lo:hi]
 
     # -- state queries -----------------------------------------------------
     def up_nodes(self) -> list[Node]:

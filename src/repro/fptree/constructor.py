@@ -90,11 +90,11 @@ class FPTreeConstructor:
 
     Construction is memoized on ``(targets, predicted-set)`` — the
     (nodelist, width, alert-set) key, with width fixed per instance.
-    Steady-state broadcasts over recurring node sets (heartbeat shares
-    between alert changes) skip the leaf-location and rearrangement
-    passes entirely; hits still replay the construction
-    statistics and audit observers so the Section VII-A bookkeeping is
-    indistinguishable from a cache-free run.
+    A recurring node set under an unchanged alert set (a heartbeat
+    share re-derived because one of its nodes went down) skips the
+    leaf-location and rearrangement passes entirely; hits still replay
+    the construction statistics and audit observers so the Section
+    VII-A bookkeeping is indistinguishable from a cache-free run.
     """
 
     _MEMO_MAX = 64
@@ -163,7 +163,9 @@ class FPTreeConstructor:
         leaves = set(leaf_idx)
         return sum(1 for pos, nid in enumerate(ordered) if nid in predicted and pos in leaves)
 
-    def _record(self, ordered: list[int], predicted: set[int], on_leaves: int) -> None:
+    def _record(
+        self, ordered: t.Sequence[int], predicted: t.AbstractSet[int], on_leaves: int
+    ) -> None:
         st = self.stats
         st.trees_built += 1
         st.nodes_placed += len(ordered)
@@ -192,7 +194,8 @@ class FPTreeBroadcast(BroadcastStructure):
         *rearranged* nodelist: a recurring FP ordering whose own down
         nodes are unchanged is not walked again."""
         self.constructor = FPTreeConstructor(predictor, width)
-        self._engine = MemoizedBroadcast(
+        #: the memoized tree engine that walks the constructed orderings
+        self.engine = MemoizedBroadcast(
             TreeBroadcast(width, per_target_root_s=per_target_root_s)
         )
 
@@ -213,7 +216,7 @@ class FPTreeBroadcast(BroadcastStructure):
         record_arrivals: bool = False,
     ) -> BroadcastResult:
         ordered = self.constructor.construct(root, targets)
-        result = self._engine.simulate(root, ordered, size_bytes, fabric, record_arrivals)
+        result = self.engine.simulate(root, ordered, size_bytes, fabric, record_arrivals)
         return BroadcastResult(
             structure=self.name,
             makespan_s=result.makespan_s,
@@ -237,7 +240,7 @@ class FPTreeBroadcast(BroadcastStructure):
         ordered_tasks = [
             (root, self.constructor.construct(root, targets)) for root, targets in tasks
         ]
-        results = self._engine.simulate_forest(ordered_tasks, size_bytes, fabric)
+        results = self.engine.simulate_forest(ordered_tasks, size_bytes, fabric)
         return [
             BroadcastResult(
                 structure=self.name,

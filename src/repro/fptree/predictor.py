@@ -27,7 +27,13 @@ class FailurePredictor(t.Protocol):
     """Protocol every predictor plugin implements."""
 
     def predict(self, candidates: t.Sequence[int]) -> set[int]:
-        """Subset of ``candidates`` expected to fail soon."""
+        """Subset of ``candidates`` expected to fail soon.
+
+        The verdict is per node: predicting over a union of candidate
+        lists gives the union of the per-list predictions (the ESLURM
+        heartbeat asks once for the whole machine and splits the answer
+        across its satellite shares).
+        """
         ...  # pragma: no cover - protocol body
 
 

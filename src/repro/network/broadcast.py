@@ -99,9 +99,7 @@ class MemoizedBroadcast(BroadcastStructure):
     therefore keeps one slot per ``(root, size_bytes)`` holding the
     last target tuple, its node set, the down nodes among it and the
     result, and a tree hits when its targets are equal and its own down
-    set is unchanged.  A failure in one satellite's share re-walks only
-    that share's tree; the recurring heartbeat sweep of every other
-    share is served from its slot.
+    set is unchanged.
 
     A hit skips input validation: an equal target tuple passed it when
     the slot was stored.  Jitter (per-transfer RNG draws),

@@ -6,7 +6,8 @@ Satellite semantics from Section III:
   slaves; they relay broadcasts and aggregate responses;
 * the master tracks each satellite through the state machine of Fig. 2
   / Table II (UNKNOWN, RUNNING, BUSY, FAULT, DOWN driven by BT-*/HB-*
-  events, SHUTDOWN, and a 20-minute FAULT timeout);
+  events, SHUTDOWN, and a 20-minute FAULT timeout), plus an
+  administrator REVIVE that returns a DOWN satellite to UNKNOWN;
 * only RUNNING satellites receive broadcast tasks;
 * Eq. 1 picks how many satellites relay a broadcast to ``s`` slaves::
 
@@ -53,6 +54,7 @@ class SatelliteEvent(enum.Enum):
     HB_FAILURE = "hb-failure"
     SHUTDOWN = "shutdown"
     TIMEOUT = "timeout"
+    REVIVE = "revive"  # administrator brings a DOWN satellite back
 
 
 #: Observer of one state-machine step: ``(daemon, old, event, new)``.
@@ -72,6 +74,7 @@ _TRANSITIONS: dict[tuple[SatelliteState, SatelliteEvent], SatelliteState] = {
     (SatelliteState.BUSY, SatelliteEvent.HB_FAILURE): SatelliteState.FAULT,
     (SatelliteState.FAULT, SatelliteEvent.HB_SUCCESS): SatelliteState.RUNNING,
     (SatelliteState.FAULT, SatelliteEvent.TIMEOUT): SatelliteState.DOWN,
+    (SatelliteState.DOWN, SatelliteEvent.REVIVE): SatelliteState.UNKNOWN,
 }
 
 
@@ -91,8 +94,9 @@ class SatelliteStats:
 class SatelliteDaemon:
     """One satellite: node handle + state machine + accounting."""
 
-    def __init__(self, sim: Simulator, node: Node, profile: RMProfile) -> None:
+    def __init__(self, sim: Simulator, cluster: Cluster, node: Node, profile: RMProfile) -> None:
         self.sim = sim
+        self.cluster = cluster
         self.node = node
         self.state = SatelliteState.UNKNOWN
         self.acct = DaemonAccounting(sim, profile, f"satellite.{node.name}")
@@ -140,10 +144,15 @@ class SatelliteDaemon:
             self.handle(SatelliteEvent.TIMEOUT)
 
     def revive(self) -> None:
-        """Administrator intervention for a DOWN satellite."""
-        self.node.recover()
-        self.state = SatelliteState.UNKNOWN
-        self._fault_since = None
+        """Administrator intervention for a DOWN satellite.
+
+        The node recovers through the cluster, so liveness caches (the
+        fabric's down set, the heartbeat gate) see it, and the DOWN ->
+        UNKNOWN step reaches the transition observers like any other;
+        the next heartbeat rediscovers the satellite.
+        """
+        self.cluster.recover_nodes([self.node.node_id])
+        self.handle(SatelliteEvent.REVIVE)
 
 
 class SatellitePool:
@@ -163,7 +172,9 @@ class SatellitePool:
         self.cluster = cluster
         self.width = width or profile.tree_width
         self.max_reallocations = max_reallocations
-        self.daemons = [SatelliteDaemon(sim, node, profile) for node in cluster.satellites]
+        self.daemons = [
+            SatelliteDaemon(sim, cluster, node, profile) for node in cluster.satellites
+        ]
         # Satellites keep full cluster state for relaying (Table VI's
         # large satellite vmem): declare it for the memory model.
         for d in self.daemons:
@@ -198,18 +209,26 @@ class SatellitePool:
         return n
 
     @staticmethod
-    def split(targets: t.Sequence[int], n: int) -> list[list[int]]:
-        """Equal contiguous partition of the target list into ``n`` parts."""
+    def split_bounds(total: int, n: int) -> list[tuple[int, int]]:
+        """``[lo, hi)`` index bounds of :meth:`split`'s non-empty parts."""
         if n <= 0:
             return []
-        base, extra = divmod(len(targets), n)
-        parts = []
-        start = 0
+        base, extra = divmod(total, n)
+        bounds = []
+        lo = 0
         for i in range(n):
-            size = base + (1 if i < extra else 0)
-            parts.append(list(targets[start : start + size]))
-            start += size
-        return [p for p in parts if p]
+            hi = lo + base + (1 if i < extra else 0)
+            if hi > lo:
+                bounds.append((lo, hi))
+            lo = hi
+        return bounds
+
+    @staticmethod
+    def split(targets: t.Sequence[int], n: int) -> list[list[int]]:
+        """Equal contiguous partition of the target list into ``n`` parts."""
+        return [
+            list(targets[lo:hi]) for lo, hi in SatellitePool.split_bounds(len(targets), n)
+        ]
 
     # -- selection & failover ------------------------------------------------
     def heartbeat_all(self) -> None:

@@ -39,6 +39,8 @@ class TestAlerts:
         cluster.monitor.raise_alert(5)
         assert cluster.monitor.predicted_failed() == {5}
         assert cluster.monitor.predicted_failed(among=[1, 5, 9]) == {5}
+        assert cluster.monitor.predicted_failed(among=range(4, 6)) == {5}
+        assert cluster.monitor.predicted_failed(among=range(5)) == set()
 
     def test_alert_expires_after_ttl(self):
         sim, cluster = build(monitoring=MonitoringConfig(alert_ttl_hours=1.0))

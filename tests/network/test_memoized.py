@@ -238,9 +238,11 @@ class TestPerTree:
 
 class TestEslurmDay:
     def test_small_day_with_failures_pins_lookups(self):
-        # The FP-Tree engine is the only memoized one: 8 satellite
-        # shares per heartbeat rebuild (the hits) plus the launch and
-        # terminate relays, whose node sets do not recur (the misses).
+        # The FP-Tree engine is the only memoized one.  Its lookups are
+        # the launch and terminate relays, whose node sets do not recur,
+        # plus the heartbeat shares a rebuild re-derives, whose inputs
+        # just changed: all misses.  The unchanged heartbeat shares
+        # never reach the memo; the RM's share record replays them.
         sim = Simulator(seed=3)
         spec = ClusterSpec(n_nodes=512, n_satellites=8, failure_model=FailureModel())
         cluster = spec.build(sim)
@@ -251,9 +253,10 @@ class TestEslurmDay:
             for i in range(1, 11)
         ]
         rm.run_trace(jobs, until=24 * 3600.0)
-        memo = rm._fp_engine._engine
+        memo = rm._fp_engine.engine
         assert isinstance(memo, MemoizedBroadcast)
         assert not isinstance(rm._launch_engine, MemoizedBroadcast)
         assert not isinstance(rm._takeover_engine, MemoizedBroadcast)
         assert cluster.version == 3  # liveness changed mid-day
-        assert (memo.hits, memo.misses) == (34, 42)
+        assert (memo.hits, memo.misses) == (0, 42)
+        assert (rm.heartbeat_shares_reused, rm.heartbeat_shares_derived) == (34, 14)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.errors import ConfigurationError
-from repro.rm.eslurm import SATELLITE_PROFILE
+from repro.rm.eslurm import SATELLITE_PROFILE, EslurmRM
 from repro.rm.satellite import (
     FAULT_TIMEOUT_S,
     SatelliteDaemon,
@@ -24,7 +24,7 @@ def pool(n_sats=4, n_nodes=64, seed=0):
 class TestStateMachine:
     def daemon(self):
         sim, cluster, _ = pool(1)
-        return sim, SatelliteDaemon(sim, cluster.satellites[0], SATELLITE_PROFILE)
+        return sim, SatelliteDaemon(sim, cluster, cluster.satellites[0], SATELLITE_PROFILE)
 
     def test_initial_state_unknown(self):
         _, d = self.daemon()
@@ -83,6 +83,33 @@ class TestStateMachine:
         d.handle(SatelliteEvent.BT_START)
         d.handle(SatelliteEvent.SHUTDOWN)
         assert d.state is SatelliteState.DOWN
+
+
+class TestRevive:
+    def test_revive_goes_through_the_cluster(self):
+        # A revived satellite's node must leave every liveness cache
+        # (the fabric's down set, the heartbeat gate's version), and
+        # the DOWN -> UNKNOWN step must reach the transition audit.
+        sim = Simulator(seed=0)
+        cluster = ClusterSpec(n_nodes=64, n_satellites=2).build(sim)
+        rm = EslurmRM(sim, cluster)
+        d = rm.sat_pool.daemons[0]
+        seen = []
+        d.transition_observers.append(lambda _, old, event, new: seen.append((old, event, new)))
+        sat_id = d.node.node_id
+        cluster.fail_nodes([sat_id])
+        assert sat_id in rm.fabric.unreachable_ids()
+        d.handle(SatelliteEvent.SHUTDOWN)
+        version = cluster.version
+        d.revive()
+        assert d.node.responsive
+        assert d.state is SatelliteState.UNKNOWN
+        assert cluster.version > version
+        assert sat_id not in cluster.unresponsive_ids()
+        assert sat_id not in rm.fabric.unreachable_ids()
+        assert seen[-1] == (SatelliteState.DOWN, SatelliteEvent.REVIVE, SatelliteState.UNKNOWN)
+        d.heartbeat()
+        assert d.state is SatelliteState.RUNNING
 
 
 class TestEq1:

@@ -42,7 +42,7 @@ def run_ops(ops):
     """Execute a scripted op sequence; returns (sim, daemon, trace)."""
     sim = Simulator(seed=0)
     cluster = ClusterSpec(n_nodes=8, n_satellites=1).build(sim)
-    daemon = SatelliteDaemon(sim, cluster.satellites[0], SATELLITE_PROFILE)
+    daemon = SatelliteDaemon(sim, cluster, cluster.satellites[0], SATELLITE_PROFILE)
     trace = []
     daemon.transition_observers.append(
         lambda d, old, event, new: trace.append((old, event, new))
