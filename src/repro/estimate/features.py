@@ -85,6 +85,10 @@ class FeatureEncoder:
     def __init__(self) -> None:
         self._mean: np.ndarray | None = None
         self._std: np.ndarray | None = None
+        #: ``transform_one`` results of this fit, keyed by the job fields
+        #: ``raw`` reads: most submits repeat a recent (name, user, size,
+        #: hour).  Read-only, like the signature cache.
+        self._one_cache: dict[tuple[str, str, int, int, int], np.ndarray] = {}
 
     @staticmethod
     def raw(job: Job) -> np.ndarray:
@@ -122,6 +126,7 @@ class FeatureEncoder:
         std = X.std(axis=0)
         std[std < 1e-12] = 1.0  # constant dimensions pass through
         self._std = std
+        self._one_cache = {}
         return self
 
     @property
@@ -134,9 +139,16 @@ class FeatureEncoder:
         return (self.raw_matrix(jobs) - self._mean) / self._std * _WEIGHTS
 
     def transform_one(self, job: Job) -> np.ndarray:
+        """One job's encoded vector (read-only; shared by repeat jobs)."""
         if self._mean is None or self._std is None:
             raise EstimationError("encoder not fitted")
-        return (self.raw(job) - self._mean) / self._std * _WEIGHTS
+        key = (job.name, job.user, job.n_nodes, job.cores_per_node, submission_hour(job))
+        x = self._one_cache.get(key)
+        if x is None:
+            x = (self.raw(job) - self._mean) / self._std * _WEIGHTS
+            x.setflags(write=False)
+            self._one_cache[key] = x
+        return x
 
     def fit_transform(self, jobs: t.Sequence[Job]) -> np.ndarray:
         return self.fit(jobs).transform(jobs)

@@ -78,6 +78,14 @@ class EstimatorConfig:
             raise ConfigurationError("refresh interval must be positive")
         if self.k_clusters is not None and self.k_clusters < 1:
             raise ConfigurationError("k_clusters must be >= 1")
+        if self.k_max < 1:
+            raise ConfigurationError("k_max must be >= 1")
+        if self.min_cluster_size < 1:
+            raise ConfigurationError("min_cluster_size must be >= 1")
+        if self.refresh_jobs < 1:
+            raise ConfigurationError("refresh_jobs must be >= 1")
+        if self.q_sigma < 0 or self.resid_floor < 0:
+            raise ConfigurationError("q_sigma and resid_floor must be non-negative")
         if self.slack < 1.0:
             raise ConfigurationError("slack must be >= 1 (it penalises underestimates)")
         if not 0.0 <= self.aea_gate <= 1.0:
@@ -224,7 +232,7 @@ class EslurmEstimator:
         uplift = self.config.q_sigma * max(model.resid_std, self.config.resid_floor)
         if model.svr is not None:
             log_pred = model.svr.predict_one(x)
-            log_pred = float(np.clip(log_pred, model.y_lo - 0.5, model.y_hi + 0.5))
+            log_pred = min(max(log_pred, model.y_lo - 0.5), model.y_hi + 0.5)
             raw = float(np.expm1(log_pred + uplift))
         else:
             raw = model.fallback_s * float(np.exp(uplift))

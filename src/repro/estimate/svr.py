@@ -6,10 +6,18 @@ and leaves a smooth box-constrained QP over (α, α*)::
 
     min_{α,α* ∈ [0,C]}  ½ (α-α*)ᵀ K̃ (α-α*) - yᵀ(α-α*) + ε·1ᵀ(α+α*)
 
-solved with scipy's L-BFGS-B.  Predictions are
-``f(x) = Σ (αᵢ-α*ᵢ) K̃(xᵢ, x)``.  RBF and linear kernels; per-cluster
-training sets in the paper's framework are a few hundred samples, well
-within dense-kernel territory.
+solved with L-BFGS-B.  ``fit`` drives scipy's reverse-communication
+kernel (``scipy.optimize._lbfgsb.setulb``) itself, with the settings and
+the stopping rule of ``scipy.optimize.minimize(method="L-BFGS-B")``, so
+its dual coefficients are bit-for-bit the ones ``minimize`` returns.
+What it saves is ``minimize``'s per-call set-up and per-evaluation
+wrapping, which on the estimator's problems (2n ≤ 140 variables) cost
+more than the objective itself.  ``tests/estimate/test_svr_driver.py``
+holds the two equal.
+
+Predictions are ``f(x) = Σ (αᵢ-α*ᵢ) K̃(xᵢ, x)``.  RBF and linear
+kernels; per-cluster training sets in the paper's framework are a few
+hundred samples, well within dense-kernel territory.
 """
 
 from __future__ import annotations
@@ -17,9 +25,22 @@ from __future__ import annotations
 import typing as t
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from repro.errors import EstimationError
+
+# ``minimize(method="L-BFGS-B")``'s defaults: correction pairs kept,
+# ``ftol`` over machine epsilon, ``gtol``, line-search steps and the
+# evaluation cap.
+_M = 10
+_FACTR = 2.220446049250313e-09 / np.finfo(float).eps
+_PGTOL = 1e-5
+_MAXLS = 20
+_MAXFUN = 15_000
+# setulb's task codes: evaluate f and g at x / a new iterate is ready /
+# stop (the reason in task[1])
+_FG, _NEW_X, _STOP = 3, 1, 5
+_STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 
 def _rbf(
@@ -29,6 +50,55 @@ def _rbf(
         y_sq = (Y * Y).sum(axis=1)[None, :]
     d = (X * X).sum(axis=1)[:, None] - 2.0 * X @ Y.T + y_sq
     return np.exp(-gamma * np.maximum(d, 0.0))
+
+
+def _solve_dual(
+    K: np.ndarray, y: np.ndarray, eps: float, C: float, max_iter: int
+) -> np.ndarray:
+    """β = α - α* of the dual's minimiser over [0, C]²ⁿ, found by L-BFGS-B
+    exactly as ``minimize(method="L-BFGS-B", options={"maxiter": max_iter})``
+    finds it: same kernel, settings, evaluations and stopping rule."""
+    n = len(y)
+    m = 2 * n
+    theta = np.zeros(m)  # (α, α*), updated in place by setulb
+    g = np.zeros(m)
+    a, a_star = theta[:n], theta[n:]
+    g_a, g_star = g[:n], g[n:]
+    lower = np.zeros(m)
+    upper = np.full(m, C)
+    nbd = np.full(m, 2, dtype=np.int32)  # 2: both bounds
+    wa = np.zeros(2 * _M * m + 5 * m + 11 * _M * _M + 8 * _M)
+    iwa = np.zeros(3 * m, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    f = 0.0
+    # minimize evaluates x0 once before the loop and answers setulb's
+    # first request from that; its cap counts it once
+    nfev = 0
+    iters = 0
+    while True:
+        setulb(_M, theta, lower, upper, nbd, f, g, _FACTR, _PGTOL, wa, iwa,
+               task, lsave, isave, dsave, _MAXLS, ln_task)
+        if task[0] == _FG:
+            nfev += 1
+            beta = a - a_star
+            Kb = K @ beta
+            f = 0.5 * beta @ Kb - y @ beta + eps * (a.sum() + a_star.sum())
+            r = Kb - y
+            np.add(r, eps, out=g_a)
+            np.subtract(eps, r, out=g_star)
+        elif task[0] == _NEW_X:
+            iters += 1
+            if iters >= max_iter:
+                task[0], task[1] = _STOP, _STOP_MAXITER
+            elif nfev > _MAXFUN:
+                task[0], task[1] = _STOP, _STOP_MAXFUN
+        else:
+            break
+    return theta[:n] - theta[n:]
 
 
 class SVR:
@@ -56,6 +126,8 @@ class SVR:
             raise EstimationError("C must be positive and epsilon non-negative")
         if kernel not in ("rbf", "linear", "rbf+linear"):
             raise EstimationError(f"unknown kernel {kernel!r}")
+        if max_iter < 1:
+            raise EstimationError("max_iter must be >= 1")
         self.C = C
         self.epsilon = epsilon
         self.kernel = kernel
@@ -86,7 +158,6 @@ class SVR:
         y = np.asarray(y, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
             raise EstimationError("fit needs matching non-empty X, y")
-        n = X.shape[0]
         if self.gamma is None:
             var = X.var()
             self._gamma_eff = 1.0 / (X.shape[1] * var) if var > 1e-12 else 1.0
@@ -98,29 +169,9 @@ class SVR:
         # far from the data revert to the training mean instead.
         self._y_mean = float(y.mean())
         y = y - self._y_mean
-        K = self._kernel(X, X)
-        eps = self.epsilon
-        C = self.C
-
-        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            a, a_star = theta[:n], theta[n:]
-            beta = a - a_star
-            Kb = K @ beta
-            val = 0.5 * beta @ Kb - y @ beta + eps * (a.sum() + a_star.sum())
-            grad = np.concatenate([Kb - y + eps, -Kb + y + eps])
-            return val, grad
-
-        theta0 = np.zeros(2 * n)
-        res = minimize(
-            objective,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, C)] * (2 * n),
-            options={"maxiter": self.max_iter},
+        self._beta = _solve_dual(
+            self._kernel(X, X), y, self.epsilon, float(self.C), self.max_iter
         )
-        theta = res.x
-        self._beta = theta[:n] - theta[n:]
         self._X = X
         # Support-vector row norms, reused by every prediction — the
         # submit-path predict_one is the estimator's hot loop.
@@ -146,4 +197,9 @@ class SVR:
         return self._kernel(X, self._X, self._X_sq) @ self._beta + self._y_mean
 
     def predict_one(self, x: np.ndarray) -> float:
-        return float(self.predict(x[None, :])[0])
+        """``predict`` of one float feature vector (the estimator's submit
+        path), without ``predict``'s input coercion."""
+        if self._beta is None:
+            raise EstimationError("SVR not fitted")
+        K = self._kernel(x[None, :], self._X, self._X_sq)
+        return float((K @ self._beta)[0] + self._y_mean)

@@ -278,7 +278,6 @@ class EslurmRM(ResourceManager):
             telemetry.count("rm.heartbeat.fptree_rebuilds")
             self._hb_cache_makespan = self._sweep(running)
             self._hb_cache_key = key
-        self.last_heartbeat_makespan_s = self._hb_cache_makespan
 
     def _sweep(self, running: list[SatelliteDaemon]) -> float:
         """FP-Tree makespan of the sweep, from the share record.

@@ -68,6 +68,20 @@ class TestEncoder:
         # transform_one matches row-wise transform
         np.testing.assert_allclose(enc.transform_one(jobs[3]), X[3])
 
+    def test_transform_one_shared_per_fit(self):
+        jobs = [job(name=f"a{i}.sh", nodes=2 ** (i % 8 + 1), submit=i * 3600.0) for i in range(50)]
+        enc = FeatureEncoder().fit(jobs)
+        x = enc.transform_one(jobs[3])
+        # a resubmission (new id, same fields) gets the same read-only vector
+        j = jobs[3]
+        again = Job(99, j.name, j.user, j.n_nodes, 5.0, None, j.submit_time + 86_400.0, cores_per_node=4)
+        assert enc.transform_one(again) is x
+        assert not x.flags.writeable
+        # a refit drops the vectors of the old standardisation
+        enc.fit(jobs[:10])
+        np.testing.assert_array_equal(enc.transform_one(jobs[3]), enc.transform([jobs[3]])[0])
+        assert not np.array_equal(enc.transform_one(jobs[3]), x)
+
     def test_constant_dims_pass_through(self):
         jobs = [job() for _ in range(5)]  # all identical
         X = FeatureEncoder().fit_transform(jobs)

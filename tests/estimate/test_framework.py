@@ -54,6 +54,26 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             EstimatorConfig(k_clusters=0)
 
+    # each of these crashed mid-run (or silently misbehaved) when accepted
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"refresh_jobs": 0},
+            {"k_max": 0},
+            {"min_cluster_size": 0},
+            {"q_sigma": -0.5},
+            {"resid_floor": -0.1},
+        ],
+        ids=lambda f: next(iter(f)),
+    )
+    def test_invalid_field_rejected(self, field):
+        with pytest.raises(ConfigurationError):
+            EstimatorConfig(**field)
+
+    def test_zero_uplift_accepted(self):
+        cfg = EstimatorConfig(q_sigma=0.0, resid_floor=0.0, min_cluster_size=1, k_max=1)
+        assert cfg.q_sigma == 0.0 and cfg.k_max == 1
+
 
 class TestFrameworkLifecycle:
     def test_no_model_passes_user_estimate_through(self):

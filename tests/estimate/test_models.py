@@ -60,6 +60,11 @@ class TestSVR:
         with pytest.raises(EstimationError):
             SVR().fit(np.ones((0, 3)), np.ones(0))
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(EstimationError):
+            SVR(max_iter=max_iter)
+
     def test_n_support(self):
         X, y = linear_data(n=60)
         m = SVR().fit(X, y)

@@ -52,7 +52,7 @@ def build(rm_cls, jitter=0.0):
 def observables(rm):
     stats = rm.fptree_stats
     return (
-        rm.last_heartbeat_makespan_s,
+        rm._hb_cache_makespan,
         stats.trees_built,
         stats.nodes_placed,
         stats.predicted_total,
