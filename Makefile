@@ -138,4 +138,4 @@ snapshot-smoke:
 	$(PYTHON) -m repro.cli whatif run --rm eslurm --n-nodes 32 --n-jobs 20 --seed 7 --at-s 43200 --perturb submit-job --job-nodes 4
 
 lint-imports:
-	$(PYTHON) -c "import repro, repro.api, repro.bench, repro.chaos, repro.oracle, repro.parallel, repro.serve, repro.telemetry, repro.cli, repro.snapshot"
+	$(PYTHON) -c "import repro, repro.api, repro.bench, repro.chaos, repro.cluster, repro.oracle, repro.parallel, repro.serve, repro.telemetry, repro.cli, repro.snapshot"

@@ -41,10 +41,10 @@ def test_width_ablation(once):
             fabric = NetworkFabric(cluster.sim, cluster)
             targets = cluster.compute_ids()
             plain = TreeBroadcast(width=width).simulate(
-                cluster.master.node_id, targets, 8192, fabric
+                cluster.master_id, targets, 8192, fabric
             )
             fp = FPTreeBroadcast(MonitorAlertPredictor(cluster), width=width).simulate(
-                cluster.master.node_id, targets, 8192, fabric
+                cluster.master_id, targets, 8192, fabric
             )
             rows[width] = (plain.makespan_s, fp.makespan_s)
         return rows
@@ -82,7 +82,7 @@ def test_predictor_quality_ablation(once):
             fabric = NetworkFabric(cluster.sim, cluster)
             engine = FPTreeBroadcast(factory(cluster), width=16)
             res = engine.simulate(
-                cluster.master.node_id, cluster.compute_ids(), 8192, fabric
+                cluster.master_id, cluster.compute_ids(), 8192, fabric
             )
             out[label] = res.makespan_s
         return out

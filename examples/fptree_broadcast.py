@@ -52,7 +52,7 @@ def main() -> None:
         }
         for name, engine in engines.items():
             res = engine.simulate(
-                cluster.master.node_id, cluster.compute_ids(), PAYLOAD, fabric
+                cluster.master_id, cluster.compute_ids(), PAYLOAD, fabric
             )
             curves.setdefault(name, []).append(res.makespan_s)
     print(

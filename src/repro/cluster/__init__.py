@@ -2,11 +2,12 @@
 
 This package models the physical machine the resource manager runs on:
 
-* :mod:`repro.cluster.node` — compute/master/satellite nodes and their
-  lifecycle states;
+* :mod:`repro.cluster.node` — node roles, lifecycle states and their
+  column codes, and per-node hardware;
 * :mod:`repro.cluster.spec` — declarative cluster descriptions (with
   presets for the paper's Tianhe-2A and NG-Tianhe systems) and the
-  instantiated :class:`~repro.cluster.spec.Cluster`;
+  instantiated :class:`~repro.cluster.spec.Cluster`, where a node is a
+  dense id and its state and job binding are two columns over all ids;
 * :mod:`repro.cluster.topology` — the rack/chassis/board hierarchy and
   hop distances used by the latency model and topology-aware trees;
 * :mod:`repro.cluster.failures` — failure injection (point failures,
@@ -18,12 +19,11 @@ This package models the physical machine the resource manager runs on:
 
 from repro.cluster.failures import FailureEvent, FailureInjector, FailureModel
 from repro.cluster.monitoring import HealthMonitor
-from repro.cluster.node import Node, NodeRole, NodeState
+from repro.cluster.node import NodeRole, NodeState
 from repro.cluster.spec import Cluster, ClusterSpec
 from repro.cluster.topology import Topology
 
 __all__ = [
-    "Node",
     "NodeRole",
     "NodeState",
     "Cluster",

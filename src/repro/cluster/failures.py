@@ -137,11 +137,11 @@ class FailureInjector:
         rate_per_s = n / (self.model.mtbf_node_hours * HOUR)
 
         def fire() -> None:
-            node = self.cluster.nodes[int(rng.integers(n))]
-            if node.responsive:  # already down: skip this draw
+            nid = int(rng.integers(n))
+            if self.cluster.is_responsive(nid):  # already down: skip this draw
                 lead = rng.exponential(self.model.lead_time_s)
                 repair = rng.exponential(self.model.repair_hours * HOUR)
-                self._schedule_failure("point", [node.node_id], lead, repair)
+                self._schedule_failure("point", [nid], lead, repair)
             timer.arm(rng.exponential(1.0 / rate_per_s))
 
         timer = self.sim.timer(fire, label="failures.point")
@@ -175,15 +175,12 @@ class FailureInjector:
         self.sim.call_at(fail_at, lambda: self._apply(kind, node_ids, recover_at))
 
     def _apply(self, kind: str, node_ids: list[int], recover_at: float) -> None:
-        actually_failed = []
-        for nid in node_ids:
-            node = self.cluster.node(nid)
-            if node.responsive:
-                node.fail()
-                actually_failed.append(nid)
+        cluster = self.cluster
+        # an id listed twice fails once
+        actually_failed = [nid for nid in dict.fromkeys(node_ids) if cluster.is_responsive(nid)]
         if not actually_failed:
             return
-        self.cluster.bump_version(actually_failed)
+        cluster.fail_nodes(actually_failed)
         self.events.append(
             FailureEvent(self.sim.now, kind, tuple(actually_failed), recover_at)
         )
@@ -204,14 +201,12 @@ class FailureInjector:
                 continue
             if until:
                 del self._maint_until[nid]
-            node = self.cluster.node(nid)
-            if node.state is NodeState.DOWN:
-                node.recover()
+            if self.cluster.state_of(nid) is NodeState.DOWN:
                 recovered.append(nid)
         for until, ids in sorted(deferred.items()):
             self.sim.call_at(until, lambda ids=ids: self._recover(ids))
         if recovered:
-            self.cluster.bump_version(recovered)
+            self.cluster.recover_nodes(recovered)
             self._notify("recover", recovered)
 
     # -- deterministic scenarios ------------------------------------------

@@ -78,7 +78,7 @@ def run_fig11a(
             for daemon, part in zip(pool.daemons, parts):
                 engine = FPTreeBroadcast(predictor, width=32)
                 makespans.append(
-                    engine.simulate(daemon.node.node_id, part, size, fabric).makespan_s
+                    engine.simulate(daemon.node_id, part, size, fabric).makespan_s
                 )
             # Master dispatches satellite tasks serially; each task also
             # carries its sub-list (the dominant serial term at high N).

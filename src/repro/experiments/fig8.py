@@ -78,7 +78,7 @@ def _satellite_broadcast(
     makespans = []
     for daemon, part in zip(pool.daemons * ((n // len(pool.daemons)) + 1), parts):
         engine = engine_factory()
-        res = engine.simulate(daemon.node.node_id, part, size, fabric)
+        res = engine.simulate(daemon.node_id, part, size, fabric)
         makespans.append(res.makespan_s)
     return 0.001 * len(parts) + max(makespans)
 
@@ -109,7 +109,7 @@ def run_fig8a(
                     fabric = NetworkFabric(cluster.sim, cluster)
                     res = TreeBroadcast(
                         width=32, per_target_root_s=PER_TARGET_ROOT_S
-                    ).simulate(cluster.master.node_id, cluster.compute_ids(), size, fabric)
+                    ).simulate(cluster.master_id, cluster.compute_ids(), size, fabric)
                     took = res.makespan_s
                 elif scheme == "eslurm-nofp":
                     took = _satellite_broadcast(
@@ -155,7 +155,7 @@ def run_fig8b(
     for frac in ratios:
         cluster = _cluster_with_alerts(n_nodes, 2, frac, seed)
         fabric = NetworkFabric(cluster.sim, cluster)
-        root = cluster.master.node_id
+        root = cluster.master_id
         targets = cluster.compute_ids()
         engines = {
             "ring": RingBroadcast(),

@@ -94,7 +94,7 @@ def run_placement(
     def build_one() -> None:
         nonlocal encounters, on_leaves, trees
         targets = cluster.compute_ids()
-        ordered = constructor.construct(cluster.master.node_id, targets)
+        ordered = constructor.construct(cluster.master_id, targets)
         down = cluster.down_ids()
         if down:
             leaves = set(leaf_positions(len(ordered) + 1, width))

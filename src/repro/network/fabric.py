@@ -122,13 +122,12 @@ class NetworkFabric:
     def unreachable_ids(self) -> frozenset[int]:
         """Ids of currently-unresponsive nodes (compute, master, satellites).
 
-        Cached against ``cluster.version`` — the documented contract is
-        that every liveness change bumps it.  The cluster maintains the
-        unresponsive-id set incrementally (O(changed) per failure or
-        recovery event), so refreshing the cache never sweeps the node
-        table at machine scale.  Code flipping :class:`Node` state
-        directly (bypassing the cluster/injector helpers) must call
-        ``cluster.bump_version()`` itself.
+        Cached against ``cluster.version``, which every liveness change
+        bumps: node state changes only through the cluster's own
+        writers (``fail_nodes``, ``recover_nodes`` and the like), and
+        each one also updates the unresponsive-id set in O(changed), so
+        refreshing the cache never sweeps the node columns at machine
+        scale.
         """
         ver = self.cluster.version
         cached = self._unreachable_cache

@@ -151,7 +151,7 @@ class FPTreeFailureBoundRelation(Relation):
         # naive layout (position 1 of [root]+targets is always inner for
         # width >= 2 and n > width) so the strict ordering is decidable.
         dead.add(targets[0])
-        root = cluster.master.node_id
+        root = cluster.master_id
         healthy = TreeBroadcast(width=self.width).simulate(root, targets, self.size_bytes, fabric)
         cluster.fail_nodes(sorted(dead))
         plain = TreeBroadcast(width=self.width).simulate(root, targets, self.size_bytes, fabric)

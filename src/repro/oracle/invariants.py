@@ -30,6 +30,9 @@ from __future__ import annotations
 import typing as t
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.cluster.node import ALLOC_CODE, UP_CODE
 from repro.fptree.tree import build_tree, leaf_positions
 from repro.rm.satellite import (
     FAULT_TIMEOUT_S,
@@ -110,7 +113,7 @@ class SatelliteLegality(Invariant):
         ) -> None:
             if event is SatelliteEvent.BT_START and old is not SatelliteState.RUNNING:
                 report(
-                    f"{daemon.node.name}: broadcast task assigned in state {old.value}"
+                    f"{daemon.name}: broadcast task assigned in state {old.value}"
                 )
             if event is SatelliteEvent.SHUTDOWN:
                 expected = SatelliteState.DOWN
@@ -118,7 +121,7 @@ class SatelliteLegality(Invariant):
                 expected = _TRANSITIONS.get((old, event), old)
             if new is not expected:
                 report(
-                    f"{daemon.node.name}: {old.value} --{event.value}--> {new.value}, "
+                    f"{daemon.name}: {old.value} --{event.value}--> {new.value}, "
                     f"Table II says {expected.value}"
                 )
 
@@ -138,7 +141,7 @@ class SatelliteLegality(Invariant):
                 and ctx.sim.now - since > FAULT_TIMEOUT_S + slack
             ):
                 yield (
-                    f"{daemon.node.name}: FAULT for {ctx.sim.now - since:.0f}s "
+                    f"{daemon.name}: FAULT for {ctx.sim.now - since:.0f}s "
                     f"without the {FAULT_TIMEOUT_S:.0f}s timeout firing"
                 )
 
@@ -168,16 +171,17 @@ class NodeConservation(Invariant):
                 owner[nid] = job_id
                 if nid in free:
                     yield f"node {nid} free while allocated to job {job_id}"
-        for nid in free:
-            node = ctx.cluster.node(nid)
-            if not node.allocatable:
-                yield (
-                    f"free-pool node {nid} not allocatable "
-                    f"(state={node.state.value}, job={node.running_job})"
-                )
-        for node in ctx.cluster.nodes:
-            if not node.responsive and node.node_id in free:
-                yield f"unresponsive node {node.node_id} still in the free pool"
+        cluster = ctx.cluster
+        cols = np.fromiter(free, dtype=np.int64, count=len(free))
+        cols.sort()
+        state = cluster.state[cols]
+        for nid in cols[(state != UP_CODE) | (cluster.owner[cols] != -1)].tolist():
+            yield (
+                f"free-pool node {nid} not allocatable "
+                f"(state={cluster.state_of(nid).value}, job={cluster.owner_of(nid)})"
+            )
+        for nid in cols[state > ALLOC_CODE].tolist():
+            yield f"unresponsive node {nid} still in the free pool"
 
 
 class FPTreeSoundness(Invariant):

@@ -573,7 +573,7 @@ class ResourceManager:
         """Deliver ``kind`` to ``targets``; subclasses override routing."""
         p = self.profile
         size = DEFAULT_SIZES[kind]
-        root = self.cluster.master.node_id
+        root = self.cluster.master_id
         n = len(targets)
         # Synchronous slave ack/prolog wait: serial pays per node, a star
         # amortises over its worker pool, a tree only per level.

@@ -186,7 +186,7 @@ class EslurmRM(ResourceManager):
             if sat is None:
                 # No healthy satellite left: master takes the task over.
                 res = self._takeover_engine.simulate(
-                    self.cluster.master.node_id, part, size, self.fabric
+                    self.cluster.master_id, part, size, self.fabric
                 )
                 self.master_acct.charge_cpu(p.rpc_cpu_us / 1e6 * len(part))
                 telemetry.count("rm.master.msgs", min(p.tree_width, len(part)))
@@ -203,7 +203,7 @@ class EslurmRM(ResourceManager):
                 relays.append((i, sat, part))
         if relays:
             forest = self._fp_engine.simulate_forest(
-                [(sat.node.node_id, part) for _, sat, part in relays], size, self.fabric
+                [(sat.node_id, part) for _, sat, part in relays], size, self.fabric
             )
             for (i, sat, part), res in zip(relays, forest):
                 sat.acct.charge_cpu(p.rpc_cpu_us / 1e6 * len(part))
@@ -246,7 +246,7 @@ class EslurmRM(ResourceManager):
         Kept as the single-task form of the forest path in
         :meth:`_broadcast` (chaos/failover tests drive it directly).
         """
-        res = self._fp_engine.simulate(sat.node.node_id, part, size, self.fabric)
+        res = self._fp_engine.simulate(sat.node_id, part, size, self.fabric)
         sat.acct.charge_cpu(self.profile.rpc_cpu_us / 1e6 * len(part))
         sat.acct.sockets.pulse(
             min(self.profile.tree_width, len(part)), max(res.makespan_s, 1e-3)
@@ -295,7 +295,7 @@ class EslurmRM(ResourceManager):
         O(alerted + down).
         """
         n = self.cluster.n_nodes
-        roots = [d.node.node_id for d in running]
+        roots = [d.node_id for d in running]
         if roots != self._hb_roots:
             self._hb_roots = roots
             self._hb_shares = [

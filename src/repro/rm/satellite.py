@@ -26,7 +26,6 @@ import enum
 import typing as t
 from dataclasses import dataclass
 
-from repro.cluster.node import Node
 from repro.cluster.spec import Cluster
 from repro.errors import ConfigurationError
 from repro.rm.accounting import DaemonAccounting
@@ -92,14 +91,15 @@ class SatelliteStats:
 
 
 class SatelliteDaemon:
-    """One satellite: node handle + state machine + accounting."""
+    """One satellite: node id + state machine + accounting."""
 
-    def __init__(self, sim: Simulator, cluster: Cluster, node: Node, profile: RMProfile) -> None:
+    def __init__(self, sim: Simulator, cluster: Cluster, node_id: int, profile: RMProfile) -> None:
         self.sim = sim
         self.cluster = cluster
-        self.node = node
+        self.node_id = node_id
+        self.name = cluster.name_of(node_id)
         self.state = SatelliteState.UNKNOWN
-        self.acct = DaemonAccounting(sim, profile, f"satellite.{node.name}")
+        self.acct = DaemonAccounting(sim, profile, f"satellite.{self.name}")
         self.stats = SatelliteStats()
         self._fault_since: float | None = None
         #: transition audit hooks (empty outside chaos/invariant runs)
@@ -132,7 +132,7 @@ class SatelliteDaemon:
         escalates a long FAULT to DOWN (Table II's TIMEOUT)."""
         if self.state is SatelliteState.DOWN:
             return
-        if self.node.responsive:
+        if self.cluster.is_responsive(self.node_id):
             self.handle(SatelliteEvent.HB_SUCCESS)
         else:
             self.handle(SatelliteEvent.HB_FAILURE)
@@ -151,7 +151,7 @@ class SatelliteDaemon:
         UNKNOWN step reaches the transition observers like any other;
         the next heartbeat rediscovers the satellite.
         """
-        self.cluster.recover_nodes([self.node.node_id])
+        self.cluster.recover_nodes([self.node_id])
         self.handle(SatelliteEvent.REVIVE)
 
 
@@ -166,14 +166,14 @@ class SatellitePool:
         width: int | None = None,
         max_reallocations: int = 2,
     ) -> None:
-        if not cluster.satellites:
+        if not cluster.satellite_ids:
             raise ConfigurationError("ESLURM needs at least one satellite node")
         self.sim = sim
         self.cluster = cluster
         self.width = width or profile.tree_width
         self.max_reallocations = max_reallocations
         self.daemons = [
-            SatelliteDaemon(sim, cluster, node, profile) for node in cluster.satellites
+            SatelliteDaemon(sim, cluster, nid, profile) for nid in cluster.satellite_ids
         ]
         # Satellites keep full cluster state for relaying (Table VI's
         # large satellite vmem): declare it for the memory model.
@@ -262,7 +262,7 @@ class SatellitePool:
             if d is None:
                 break
             d.handle(SatelliteEvent.BT_START)
-            if d.node.responsive:
+            if self.cluster.is_responsive(d.node_id):
                 d.stats.tasks_received += 1
                 d.stats.nodes_in_tasks += n_target_nodes
                 if attempts:

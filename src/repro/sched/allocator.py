@@ -6,8 +6,9 @@ each running job is *believed* to end (its start time plus wall limit).
 
 Internally the pool is struct-of-arrays: per-node state lives in
 parallel numpy columns indexed by a dense column number, not in per-node
-sets.  Columns follow ascending node id; ``_col`` maps id to column, and
-when the universe is ``range(n)`` (the RM's case) the column *is* the id.
+sets.  Columns follow ascending node id: when the universe is
+``range(n)`` (the RM's case) the column *is* the id, otherwise a binary
+search of the sorted ids finds it.
 
 * ``_state`` — one ``uint8`` per node: FREE / BUSY / DOWN.  DOWN wins
   over BUSY for counting purposes (``n_down`` includes down nodes a job
@@ -28,6 +29,7 @@ incrementally so capacity checks are O(1).
 from __future__ import annotations
 
 import typing as t
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,18 +65,16 @@ class NodePool:
 
     def __init__(self, node_ids: t.Iterable[int], placement: t.Any = None) -> None:
         ids = sorted(node_ids)
-        if len(set(ids)) != len(ids):
-            raise SchedulingError("duplicate node ids in pool")
         n = len(ids)
+        id_arr = np.fromiter(ids, dtype=np.int64, count=n)
+        if (id_arr[1:] == id_arr[:-1]).any():
+            raise SchedulingError("duplicate node ids in pool")
         #: column -> node id (ascending)
         self._ids: list[int] = ids
-        #: node id -> column
-        self._col: dict[int, int] = {nid: col for col, nid in enumerate(ids)}
         #: column -> node id as an array; ``None`` when the column is the id
         #: (sorted distinct ints from 0 to n-1 are exactly ``range(n)``)
         self._id_arr: np.ndarray | None = (
-            None if not ids or (ids[0] == 0 and ids[-1] == n - 1)
-            else np.array(ids, dtype=np.int64)
+            None if not ids or (ids[0] == 0 and ids[-1] == n - 1) else id_arr
         )
         #: per-node state column (FREE / BUSY / DOWN)
         self._state = np.zeros(n, dtype=np.uint8)
@@ -108,7 +108,13 @@ class NodePool:
 
     def has_node(self, node_id: int) -> bool:
         """Whether the node belongs to this pool's universe."""
-        return node_id in self._col
+        return self._col_of(node_id) is not None
+
+    def _col_of(self, node_id: int) -> int | None:
+        """Column of ``node_id``, or ``None`` outside the universe."""
+        ids = self._ids
+        col = node_id if self._id_arr is None else bisect_left(ids, node_id)
+        return col if 0 <= col < len(ids) and ids[col] == node_id else None
 
     def free_ids(self) -> frozenset[int]:
         """Snapshot of the free set (invariant checking / debugging)."""
@@ -254,10 +260,9 @@ class NodePool:
         O(1) via the owner column — the job binding survives the state
         flip, so no scan over running allocations is needed.
         """
-        try:
-            c = self._col[node_id]
-        except KeyError:
-            raise SchedulingError(f"node {node_id} not in pool") from None
+        c = self._col_of(node_id)
+        if c is None:
+            raise SchedulingError(f"node {node_id} not in pool")
         state = self._state
         prev = state[c]
         if prev != _DOWN:
@@ -270,10 +275,9 @@ class NodePool:
 
     def mark_up(self, node_id: int) -> None:
         """Return a repaired node to service (and to the free pool if unbound)."""
-        try:
-            c = self._col[node_id]
-        except KeyError:
-            raise SchedulingError(f"node {node_id} not in pool") from None
+        c = self._col_of(node_id)
+        if c is None:
+            raise SchedulingError(f"node {node_id} not in pool")
         if self._state[c] == _DOWN:
             self._n_down -= 1
             if self._owner[c] == _NO_OWNER:

@@ -31,6 +31,10 @@ import hashlib
 import json
 import typing as t
 
+import numpy as np
+
+from repro.cluster.node import UP_CODE
+
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.snapshot.world import SimWorld
 
@@ -209,13 +213,12 @@ def _rm_state(rm: t.Any) -> dict[str, t.Any]:
 
 
 def _cluster_state(cluster: t.Any) -> dict[str, t.Any]:
-    # Sparse node map: only nodes away from the idle-UP default.
+    # Sparse node map: only nodes away from the idle-UP default (an UP
+    # node is never bound).
     nodes = [
-        [node.node_id, node.state.name, node.running_job]
-        for node in cluster.all_nodes()
-        if node.state.name != "UP" or node.running_job is not None
+        [nid, cluster.state_of(nid).name, cluster.owner_of(nid)]
+        for nid in np.flatnonzero(cluster.state != UP_CODE).tolist()
     ]
-    nodes.sort(key=lambda row: row[0])
     injector = cluster.failures
     monitor = cluster.monitor
     return {

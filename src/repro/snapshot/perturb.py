@@ -154,7 +154,6 @@ class FailNode(Perturbation):
         )
 
     def observe(self, world: "SimWorld") -> dict[str, t.Any]:
-        node = world.cluster.node(self.node_id)
         at_risk = getattr(self, "_jobs_at_risk", ())
         by_id = {job.job_id: job for job in world.rm.jobs}
         killed = [
@@ -164,7 +163,7 @@ class FailNode(Perturbation):
         ]
         return {
             "node_id": self.node_id,
-            "final_state": node.state.name,
+            "final_state": world.cluster.state_of(self.node_id).name,
             "jobs_at_risk": list(at_risk),
             "jobs_failed_on_node": killed,
         }

@@ -76,7 +76,7 @@ class TestSatelliteLegality:
         registry = attach_one(ctx, inv)
         d = ctx.rm.sat_pool.daemons[0]
         d.heartbeat()
-        d.node.fail()
+        ctx.cluster.fail_nodes([d.node_id])
         d.handle(SatelliteEvent.HB_FAILURE)  # FAULT with fault_since = now
         # Advance the clock well past the timeout without any heartbeat
         # running (the thing a broken heartbeat loop would cause).
@@ -106,7 +106,7 @@ class TestNodeConservation:
         ctx = make_ctx()
         # Fail the node behind the scheduler's back: the cluster knows,
         # the pool does not — exactly the desync the invariant hunts.
-        ctx.cluster.node(5).fail()
+        ctx.cluster.fail_nodes([5])
         details = list(NodeConservation().check(ctx))
         assert any("unresponsive node 5" in d for d in details)
 
@@ -118,7 +118,7 @@ class TestNodeConservation:
         nodes = pool.allocate(job, now=0.0)
         # Corrupt the bookkeeping on purpose: flip the state column back
         # to FREE while the owner column still binds the node to the job.
-        pool._state[pool._col[nodes[0]]] = 0
+        pool._state[pool._col_of(nodes[0])] = 0
         details = list(NodeConservation().check(ctx))
         assert any("free while allocated" in d for d in details)
 
@@ -137,6 +137,25 @@ class TestNodeConservation:
                                     rec.believed_end)
         details = list(NodeConservation().check(ctx))
         assert any(f"node {nodes_a[0]} allocated to jobs 1 and 2" in d for d in details)
+
+    def test_bound_node_in_free_pool_fires(self):
+        # The cluster binds node 3 behind the pool's back: its state
+        # column says ALLOC while the pool still counts it free.
+        ctx = make_ctx()
+        ctx.cluster.bind((3,), job_id=77)
+        details = list(NodeConservation().check(ctx))
+        assert details == ["free-pool node 3 not allocatable (state=alloc, job=77)"]
+
+    def test_down_node_in_free_pool_fires(self):
+        ctx = make_ctx()
+        ctx.cluster.fail_nodes([4, 30])
+        details = list(NodeConservation().check(ctx))
+        assert details == [
+            "free-pool node 4 not allocatable (state=down, job=None)",
+            "free-pool node 30 not allocatable (state=down, job=None)",
+            "unresponsive node 4 still in the free pool",
+            "unresponsive node 30 still in the free pool",
+        ]
 
 
 class TestFPTreeSoundness:
@@ -261,7 +280,7 @@ class TestRegistry:
         ctx = make_ctx()
         registry = InvariantRegistry(default_invariants())
         registry.attach(ctx)
-        ctx.cluster.node(2).fail()  # desync: pool still believes it free
+        ctx.cluster.fail_nodes([2])  # desync: pool still believes it free
         ctx.sim.call_at(50.0, lambda: None)
         ctx.sim.run(until=50.0)
         registry.probe(ctx)

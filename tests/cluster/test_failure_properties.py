@@ -114,7 +114,6 @@ class TestMaintenanceWindowIntegrity:
         for kind, at, ids, duration in extra:
             cluster.failures.schedule_fault(kind, at, ids, duration)
 
-        target = cluster.node(node)
         observed_end = cluster.failures.maintenance_until(node)
         assert observed_end >= window_end
 
@@ -122,7 +121,7 @@ class TestMaintenanceWindowIntegrity:
             # Only the original window is guaranteed dark: extra plans may
             # extend maintenance_until with disjoint later windows.
             if window_at < sim.now < window_end:
-                assert not target.responsive, (
+                assert not cluster.is_responsive(node), (
                     f"node {node} resurrected at {sim.now} inside "
                     f"maintenance window ({window_at}, {window_end})"
                 )
@@ -133,7 +132,7 @@ class TestMaintenanceWindowIntegrity:
         )
         sim.run(until=horizon + 10.0)
         # After every window and repair has elapsed the node is back.
-        assert target.responsive
+        assert cluster.is_responsive(node)
 
     @given(
         window_at=st.floats(100.0, 500.0),
@@ -147,4 +146,4 @@ class TestMaintenanceWindowIntegrity:
         sim, cluster = build()
         cluster.failures.schedule_fault("maintenance", window_at, (node,), window_dur)
         sim.run(until=window_at + window_dur + 1.0)
-        assert cluster.node(node).responsive
+        assert cluster.is_responsive(node)

@@ -1,95 +1,101 @@
-"""Tests for the node model."""
+"""Tests for the per-node rules, read through the cluster's columns.
+
+A node is a dense id of a :class:`~repro.cluster.spec.Cluster`; its
+state and job binding live in the cluster's ``state``/``owner`` columns.
+"""
 
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.cluster.node import HardwareSpec, Node, NodeRole, NodeState
+from repro.cluster.node import HardwareSpec, NodeRole, NodeState
 from repro.errors import ClusterError
 from repro.simkit import Simulator
 
 
-def make_node(**kw):
-    defaults = dict(node_id=0, name="cn00000")
-    defaults.update(kw)
-    return Node(**defaults)
-
-
-def make_bound_cluster():
+def make_cluster():
     """A small live cluster; ``Cluster.bind``/``unbind`` are the only way a
     node enters or leaves ALLOC."""
     return ClusterSpec(n_nodes=4, n_satellites=1).build(Simulator(seed=0))
 
 
+def allocatable(cluster, node_id):
+    return cluster.state_of(node_id) is NodeState.UP and cluster.owner_of(node_id) is None
+
+
 class TestNodeValidation:
     def test_negative_id_rejected(self):
-        with pytest.raises(ClusterError):
-            make_node(node_id=-1)
+        cluster = make_cluster()
+        for read in (
+            cluster.state_of, cluster.owner_of, cluster.is_responsive,
+            cluster.name_of, cluster.role_of,
+        ):
+            with pytest.raises(ClusterError):
+                read(-1)
 
     def test_zero_cores_rejected(self):
         with pytest.raises(ClusterError):
-            make_node(cores=0)
+            ClusterSpec(compute_hw=HardwareSpec(cores=0))
 
     def test_defaults(self):
-        n = make_node()
-        assert n.role is NodeRole.COMPUTE
-        assert n.state is NodeState.UP
-        assert n.responsive
-        assert n.allocatable
+        cluster = make_cluster()
+        assert cluster.role_of(0) is NodeRole.COMPUTE
+        assert cluster.state_of(0) is NodeState.UP
+        assert cluster.is_responsive(0)
+        assert allocatable(cluster, 0)
 
 
 class TestNodeTransitions:
     def test_fail_and_recover(self):
-        n = make_node()
-        n.fail()
-        assert n.state is NodeState.DOWN
-        assert not n.responsive
-        assert not n.allocatable
-        n.recover()
-        assert n.state is NodeState.UP
+        cluster = make_cluster()
+        cluster.fail_nodes([0])
+        assert cluster.state_of(0) is NodeState.DOWN
+        assert not cluster.is_responsive(0)
+        assert not allocatable(cluster, 0)
+        cluster.recover_nodes([0])
+        assert cluster.state_of(0) is NodeState.UP
 
     def test_fail_idempotent(self):
-        n = make_node()
-        n.fail()
-        n.fail()
-        assert n.state is NodeState.DOWN
+        cluster = make_cluster()
+        cluster.fail_nodes([0])
+        cluster.fail_nodes([0])
+        assert cluster.state_of(0) is NodeState.DOWN
 
     def test_recover_only_from_down(self):
-        n = make_node()
-        n.recover()  # UP stays UP
-        assert n.state is NodeState.UP
-        n.drain()
-        n.recover()  # DRAINED is not auto-recovered
-        assert n.state is NodeState.DRAINED
+        cluster = make_cluster()
+        cluster.recover_nodes([0])  # UP stays UP
+        assert cluster.state_of(0) is NodeState.UP
+        cluster.drain_nodes([0])
+        cluster.recover_nodes([0])  # DRAINED is not auto-recovered
+        assert cluster.state_of(0) is NodeState.DRAINED
 
     def test_drain_blocks_fail(self):
-        n = make_node()
-        n.drain()
-        n.fail()
-        assert n.state is NodeState.DRAINED
-        n.undrain()
-        assert n.state is NodeState.UP
+        cluster = make_cluster()
+        cluster.drain_nodes([0])
+        cluster.fail_nodes([0])
+        assert cluster.state_of(0) is NodeState.DRAINED
+        cluster.undrain_nodes([0])
+        assert cluster.state_of(0) is NodeState.UP
 
     def test_allocate_release_cycle(self):
-        cluster = make_bound_cluster()
-        n = cluster.node(0)
+        cluster = make_cluster()
         cluster.bind((0,), job_id=42)
-        assert n.state is NodeState.ALLOC
-        assert n.running_job == 42
-        assert n.responsive  # allocated nodes still answer messages
-        assert not n.allocatable
+        assert cluster.state_of(0) is NodeState.ALLOC
+        assert cluster.owner_of(0) == 42
+        assert cluster.is_responsive(0)  # allocated nodes still answer messages
+        assert not allocatable(cluster, 0)
         cluster.unbind((0,), job_id=42)
-        assert n.state is NodeState.UP
-        assert n.running_job is None
+        assert cluster.state_of(0) is NodeState.UP
+        assert cluster.owner_of(0) is None
 
     def test_double_allocate_rejected(self):
-        cluster = make_bound_cluster()
+        cluster = make_cluster()
         cluster.bind((0,), job_id=1)
         with pytest.raises(ClusterError):
             cluster.bind((0,), job_id=2)
 
     def test_allocate_down_node_rejected(self):
-        cluster = make_bound_cluster()
-        cluster.node(0).fail()
+        cluster = make_cluster()
+        cluster.fail_nodes([0])
         with pytest.raises(ClusterError):
             cluster.bind((0,), job_id=1)
 

@@ -53,7 +53,7 @@ class TestTransferDelay:
 
     def test_master_id_mapped_safely(self):
         _, cluster, fabric = build(n=16)
-        d = fabric.transfer_delay(cluster.master.node_id, 3, 100)
+        d = fabric.transfer_delay(cluster.master_id, 3, 100)
         assert d > 0
 
     def test_jitter_is_bounded_and_deterministic(self):

@@ -29,7 +29,7 @@ class FullSweepRM(EslurmRM):
     def _sweep(self, running):
         parts = SatellitePool.split(self.cluster.compute_ids(), max(len(running), 1))
         sweep = self._fp_engine.simulate_forest(
-            [(d.node.node_id, part) for d, part in zip(running, parts)],
+            [(d.node_id, part) for d, part in zip(running, parts)],
             DEFAULT_SIZES[MessageKind.HEARTBEAT],
             self.fabric,
         )
@@ -72,7 +72,7 @@ def apply(step, sim, cluster, rm):
         # arg quarter-hours: enough of them expire the alerts
         sim.run(until=sim.now + arg * 900.0)
     elif op == "sat_fault":
-        cluster.fail_nodes([rm.sat_pool.daemons[arg].node.node_id])
+        cluster.fail_nodes([rm.sat_pool.daemons[arg].node_id])
     elif op == "sat_shutdown":
         rm.sat_pool.daemons[arg].handle(SatelliteEvent.SHUTDOWN)
     else:

@@ -53,9 +53,9 @@ class TestGrowth:
         sim.run(until=120.0)  # mid-flight, after the first elastic pass
         assert j.state is JobState.RUNNING
         assert len(j.allocated_nodes) == 8
-        assert sum(n.running_job == 1 for n in cluster.nodes) == 8
+        assert (cluster.owner == 1).sum() == 8
         sim.run(until=HOUR)
-        assert all(n.running_job is None for n in cluster.nodes)
+        assert (cluster.owner == -1).all()
         assert rm.pool.n_free == 8
 
     def test_rigid_job_never_resized(self):

@@ -52,9 +52,9 @@ class TestLifecycle:
         rm.start()
         sim.call_at(1.0, lambda: rm.submit(j))
         sim.run(until=30.0)  # mid-flight
-        assert sum(n.running_job == 1 for n in cluster.nodes) == 8
+        assert (cluster.owner == 1).sum() == 8
         sim.run(until=HOUR)
-        assert all(n.running_job is None for n in cluster.nodes)
+        assert (cluster.owner == -1).all()
 
     def test_too_large_job_rejected(self):
         sim, _, rm = build(n=16)
@@ -156,7 +156,7 @@ class TestEslurm:
     def test_satellite_death_failover_keeps_jobs_running(self):
         sim, cluster, rm = build("eslurm", n=64, sats=2)
         rm.start()
-        cluster.satellites[0].fail()
+        cluster.fail_nodes(cluster.satellite_ids[:1])
         j = job(1, n_nodes=32, runtime=50.0)
         sim.call_at(1.0, lambda: rm.submit(j))
         sim.run(until=HOUR)
@@ -165,8 +165,7 @@ class TestEslurm:
     def test_all_satellites_dead_master_takes_over(self):
         sim, cluster, rm = build("eslurm", n=64, sats=2)
         rm.start()
-        for s in cluster.satellites:
-            s.fail()
+        cluster.fail_nodes(cluster.satellite_ids)
         j = job(1, n_nodes=32, runtime=50.0)
         sim.call_at(1.0, lambda: rm.submit(j))
         sim.run(until=HOUR)

@@ -24,7 +24,7 @@ def pool(n_sats=4, n_nodes=64, seed=0):
 class TestStateMachine:
     def daemon(self):
         sim, cluster, _ = pool(1)
-        return sim, SatelliteDaemon(sim, cluster, cluster.satellites[0], SATELLITE_PROFILE)
+        return sim, SatelliteDaemon(sim, cluster, cluster.satellite_ids[0], SATELLITE_PROFILE)
 
     def test_initial_state_unknown(self):
         _, d = self.daemon()
@@ -61,7 +61,7 @@ class TestStateMachine:
     def test_fault_times_out_to_down(self):
         sim, d = self.daemon()
         d.heartbeat()
-        d.node.fail()
+        d.cluster.fail_nodes([d.node_id])
         d.heartbeat()
         assert d.state is SatelliteState.FAULT
         sim.run(until=FAULT_TIMEOUT_S + 1)
@@ -96,13 +96,13 @@ class TestRevive:
         d = rm.sat_pool.daemons[0]
         seen = []
         d.transition_observers.append(lambda _, old, event, new: seen.append((old, event, new)))
-        sat_id = d.node.node_id
+        sat_id = d.node_id
         cluster.fail_nodes([sat_id])
         assert sat_id in rm.fabric.unreachable_ids()
         d.handle(SatelliteEvent.SHUTDOWN)
         version = cluster.version
         d.revive()
-        assert d.node.responsive
+        assert cluster.is_responsive(sat_id)
         assert d.state is SatelliteState.UNKNOWN
         assert cluster.version > version
         assert sat_id not in cluster.unresponsive_ids()
@@ -160,7 +160,7 @@ class TestFailover:
     def test_round_robin_rotation(self):
         _, _, p = pool(n_sats=3)
         p.heartbeat_all()
-        picks = [self.complete(p).node.name for _ in range(6)]
+        picks = [self.complete(p).name for _ in range(6)]
         assert picks[:3] == picks[3:6]
         assert len(set(picks[:3])) == 3
 
@@ -174,17 +174,16 @@ class TestFailover:
     def test_dead_satellite_skipped_via_failover(self):
         _, cluster, p = pool(n_sats=3)
         p.heartbeat_all()
-        cluster.satellites[0].fail()  # dies *after* being marked RUNNING
-        chosen = {self.complete(p).node.name for _ in range(4)}
-        assert cluster.satellites[0].name not in chosen
+        cluster.fail_nodes(cluster.satellite_ids[:1])  # dies *after* being marked RUNNING
+        chosen = {self.complete(p).name for _ in range(4)}
+        assert cluster.name_of(cluster.satellite_ids[0]) not in chosen
         # the dead one transitioned to FAULT on its BT failure
         assert p.daemons[0].state is SatelliteState.FAULT
 
     def test_master_takeover_when_all_dead(self):
         _, cluster, p = pool(n_sats=2)
         p.heartbeat_all()
-        for s in cluster.satellites:
-            s.fail()
+        cluster.fail_nodes(cluster.satellite_ids)
         assert p.assign_task(4) is None
         assert p.master_takeovers == 1
 
@@ -209,8 +208,8 @@ class TestFailover:
         the master takes over — even if a fourth satellite is healthy."""
         _, cluster, p = pool(n_sats=4)
         p.heartbeat_all()
-        for s in cluster.satellites[:3]:
-            s.fail()  # dead but still marked RUNNING until tried
+        # dead but still marked RUNNING until tried
+        cluster.fail_nodes(cluster.satellite_ids[:3])
         assert p.assign_task(4) is None
         assert p.master_takeovers == 1
         assert sum(d.stats.tasks_failed for d in p.daemons) == 1 + p.max_reallocations
@@ -224,8 +223,8 @@ class TestFailover:
         _, cluster, p = pool(n_sats=3)
         p.heartbeat_all()
         p.daemons[0].handle(SatelliteEvent.SHUTDOWN)
-        picks = [self.complete(p).node.name for _ in range(6)]
-        assert cluster.satellites[0].name not in picks
+        picks = [self.complete(p).name for _ in range(6)]
+        assert cluster.name_of(cluster.satellite_ids[0]) not in picks
         assert len(set(picks)) == 2  # the two live ones alternate
         assert p.master_takeovers == 0
         assert sum(d.stats.tasks_failed for d in p.daemons) == 0

@@ -42,7 +42,7 @@ def run_ops(ops):
     """Execute a scripted op sequence; returns (sim, daemon, trace)."""
     sim = Simulator(seed=0)
     cluster = ClusterSpec(n_nodes=8, n_satellites=1).build(sim)
-    daemon = SatelliteDaemon(sim, cluster, cluster.satellites[0], SATELLITE_PROFILE)
+    daemon = SatelliteDaemon(sim, cluster, cluster.satellite_ids[0], SATELLITE_PROFILE)
     trace = []
     daemon.transition_observers.append(
         lambda d, old, event, new: trace.append((old, event, new))
@@ -53,9 +53,9 @@ def run_ops(ops):
             now += arg
             sim.run(until=now)
         elif op == "fail":
-            daemon.node.fail()
+            daemon.cluster.fail_nodes([daemon.node_id])
         elif op == "recover":
-            daemon.node.recover()
+            daemon.cluster.recover_nodes([daemon.node_id])
         elif op == "heartbeat":
             daemon.heartbeat()
         else:
@@ -101,7 +101,7 @@ class TestStateMachineProperties:
         sim, daemon, _ = run_ops(ops)
         if daemon.state is not SatelliteState.FAULT:
             return
-        daemon.node.fail()
+        daemon.cluster.fail_nodes([daemon.node_id])
         sim.run(until=sim.now + FAULT_TIMEOUT_S + extra)
         daemon.heartbeat()
         assert daemon.state is SatelliteState.DOWN
@@ -117,7 +117,7 @@ class TestStateMachineProperties:
         start = daemon.fault_since
         if sim.now >= start + FAULT_TIMEOUT_S - 1.0:
             return  # ops already aged the fault past the window
-        daemon.node.fail()
+        daemon.cluster.fail_nodes([daemon.node_id])
         sim.run(until=start + FAULT_TIMEOUT_S - 1.0)
         daemon.heartbeat()
         assert daemon.state is SatelliteState.FAULT
