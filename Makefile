@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-e2e-check bench-e2e-smoke bench-e2e-gate lifecycle-smoke verify-smoke sweep-smoke malleable-smoke serve-smoke snapshot-smoke lint-imports
+.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-e2e-check bench-e2e-smoke bench-e2e-gate lifecycle-smoke verify-smoke sweep-smoke malleable-smoke snapshot-smoke lint-imports
 
 ## Full tier-1 suite (the CI gate).
 test:
@@ -113,29 +113,14 @@ malleable-smoke:
 	$(PYTHON) -m repro.cli chaos run malleable-shrink-storm topology-storm --seed 7 -j 2
 	$(PYTHON) -m repro.cli verify --relation malleable-throughput --relation topology-fragmentation --seeds 2 -j 2
 
-## Smoke: the gateway end to end — the typed-API and serve suites must
-## pass, the load test must replay entirely from cache with
-## byte-identical bodies, and two runs at the same seed must agree on
-## every non-wall-clock byte of BENCH_serve.json.
-serve-smoke:
-	$(PYTHON) -m pytest -q tests/serve tests/api
-	$(PYTHON) -m repro.cli bench serve-load --requests 4 --concurrency 2 --workers 0 --out .serve-smoke-a.json
-	$(PYTHON) -m repro.cli bench serve-load --requests 4 --concurrency 2 --workers 0 --out .serve-smoke-b.json
-	$(PYTHON) -c "from repro.serve import load_serve, deterministic_view, dump_serve; \
-	a = dump_serve(deterministic_view(load_serve('.serve-smoke-a.json'))); \
-	b = dump_serve(deterministic_view(load_serve('.serve-smoke-b.json'))); \
-	assert a == b, 'serve load-test is not seed-deterministic'; \
-	print('serve determinism check: OK')"
-	rm -f .serve-smoke-a.json .serve-smoke-b.json
-
 ## Smoke: the incremental-simulation layer end to end — the snapshot
 ## suite must pass, resume-from-snapshot must stay byte-identical to
 ## the straight run across a parallel seed sweep, and a what-if query
 ## must answer through the CLI.
 snapshot-smoke:
-	$(PYTHON) -m pytest -q tests/snapshot tests/serve/test_whatif.py -m "not slow"
+	$(PYTHON) -m pytest -q tests/snapshot -m "not slow"
 	$(PYTHON) -m repro.cli verify --relation snapshot-equivalence --seeds 2 -j 2
 	$(PYTHON) -m repro.cli whatif run --rm eslurm --n-nodes 32 --n-jobs 20 --seed 7 --at-s 43200 --perturb submit-job --job-nodes 4
 
 lint-imports:
-	$(PYTHON) -c "import repro, repro.api, repro.bench, repro.chaos, repro.cluster, repro.oracle, repro.parallel, repro.serve, repro.telemetry, repro.cli, repro.snapshot"
+	$(PYTHON) -c "import repro, repro.api, repro.bench, repro.chaos, repro.cluster, repro.oracle, repro.parallel, repro.telemetry, repro.cli, repro.snapshot"

@@ -13,9 +13,9 @@ named at the call site.
 
 :mod:`repro.api.requests` adds the typed request/response envelopes —
 ``SimulateRequest`` / ``ChaosRequest`` / ``VerifyRequest`` /
-``EstimateRequest`` with canonical cache-key digests, and the single
-:func:`dispatch` entry point the CLI subcommands and the
-:mod:`repro.serve` gateway both adapt.  All of it is re-exported here.
+``EstimateRequest`` / ``WhatIfRequest`` with canonical digests, and
+the single :func:`dispatch` entry point the CLI subcommands adapt.  All
+of it is re-exported here.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class SimulationConfig:
     malleable: bool = False
     #: job-lifecycle engine: "fsm" (flat timer-lane fast path, default)
     #: or "generator" (the reference Process implementation).  Not part
-    #: of the wire envelopes — the gateway always serves the default.
+    #: of the wire envelopes — a dispatched request always runs the default.
     lifecycle: str = "fsm"
 
     def __post_init__(self) -> None:
@@ -338,6 +338,5 @@ from repro.api.requests import (  # noqa: E402
     WhatIfResponse,
     canonical_json,
     dispatch,
-    dispatch_wire,
     request_from_wire,
 )

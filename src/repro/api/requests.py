@@ -1,30 +1,24 @@
-"""Typed request/response envelopes — the one API the CLI and the
-gateway share.
+"""Typed request/response envelopes — the API the CLI subcommands adapt.
 
-Every operation the library serves — a simulation day, a chaos
-campaign, an oracle verification, a runtime estimate — is spelled as a
-frozen request dataclass whose fields are plain JSON scalars.  A
-request travels three ways without translation:
+Every operation the library runs — a simulation day, a chaos campaign,
+an oracle verification, a runtime estimate, a what-if delta-replay — is
+spelled as a frozen request dataclass whose fields are plain JSON
+scalars.  A request is handed to :func:`dispatch` in process; its
+``to_wire()`` dict is plain JSON that :func:`request_from_wire` rebuilds
+strictly (unknown kinds, unknown fields and rejected values all raise
+:class:`~repro.errors.ConfigurationError`).
 
-* in process, handed to :func:`dispatch` (what the CLI subcommands do);
-* across the process boundary, as the ``to_wire()`` dict inside a
-  ``repro.parallel`` task cell (what the gateway's warm pool does);
-* over HTTP, as the JSON body of ``POST /v1/<kind>`` (what
-  :mod:`repro.serve` accepts), rebuilt with :func:`request_from_wire`.
-
-``digest()`` is the canonical cache key: the SHA-256 of the request's
+``digest()`` is the request's canonical identity: the SHA-256 of its
 kind plus its sorted, canonically-serialised parameters.  Two requests
 with equal digests describe byte-identical work — every simulation in
-this repository is a pure function of ``(config, seed)`` — so the
-gateway serves repeated digests straight from cache.  The digest is
-stable across processes and interpreters because it never hashes
+this repository is a pure function of ``(config, seed)``.  The digest
+is stable across processes and interpreters because it never hashes
 runtime objects, only the JSON scalar fields.
 
 Responses mirror the requests: each carries the rich in-process result
 object (``report`` / ``simulation``) for callers that want it (the CLI
 renders from it, byte-identical to the pre-envelope output) plus a
-``result()`` dict of simulation-deterministic JSON — the only part
-that is cached and served.
+``result()`` dict of simulation-deterministic JSON.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ DAY = 86_400.0
 
 
 def canonical_json(obj: t.Any) -> str:
-    """The byte-stable rendering digests and caches are keyed on."""
+    """The byte-stable rendering digests are computed over."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -75,7 +69,7 @@ class Request:
         return out
 
     def digest(self) -> str:
-        """SHA-256 cache key over ``(kind, params)`` — equal digests mean
+        """SHA-256 over ``(kind, params)`` — equal digests mean
         byte-identical results, because every run is a pure function of
         its seeded parameters."""
         blob = canonical_json({"kind": self.kind, "params": self.params()})
@@ -176,8 +170,8 @@ class EstimateRequest(Request):
 
     This is the estimator-as-a-service surface the End-to-End
     Predictions framework motivates: the query costs one model lookup
-    on a deterministically trained framework, so repeated queries are
-    cache hits like any other request.
+    on a deterministically trained framework, so repeated queries
+    return identical answers like any other request.
     """
 
     kind: t.ClassVar[str] = "estimate"
@@ -215,8 +209,7 @@ class WhatIfRequest(Request):
     the perturbation's wire dict (see
     :mod:`repro.snapshot.perturb`), normalised at construction to its
     full explicit form so two requests that mean the same work always
-    share one digest — and therefore one cache slot and one coalesced
-    execution in the gateway.
+    share one digest.
     """
 
     kind: t.ClassVar[str] = "what-if"
@@ -291,8 +284,8 @@ def request_from_wire(wire: t.Mapping[str, t.Any]) -> Request:
 
     Raises:
         ConfigurationError: unknown ``kind``, unknown field, or field
-            values the request class rejects — the errors the gateway
-            maps to HTTP 400 and the CLI to exit code 3.
+            values the request class rejects — the errors the CLI maps
+            to exit code 3.
     """
     kind = wire.get("kind")
     cls = REQUEST_TYPES.get(t.cast(str, kind))
@@ -333,15 +326,15 @@ class Response:
     """Base envelope a :func:`dispatch` call hands back.
 
     ``ok`` is the *check* outcome (violations found, relations broken),
-    not transport success — a run that completed but found violations
-    is still a served, cacheable response.
+    not execution success — a run that completed but found violations
+    still returns a full response.
     """
 
     request: Request
     ok: bool
 
     def result(self) -> dict[str, t.Any]:
-        """Simulation-deterministic JSON body (the cached part)."""
+        """Simulation-deterministic JSON body."""
         raise NotImplementedError
 
     def to_wire(self) -> dict[str, t.Any]:
@@ -393,7 +386,7 @@ class VerifyResponse(Response):
 
 @dataclass(frozen=True)
 class EstimateResponse(Response):
-    #: the served wall-time estimate (slack applied; ``None`` when the
+    #: the returned wall-time estimate (slack applied; ``None`` when the
     #: framework had no model *and* the user gave no estimate)
     estimate_s: float | None = None
     #: the model's pre-slack value (``None`` when no model answered)
@@ -423,7 +416,7 @@ class WhatIfResponse(Response):
     def result(self) -> dict[str, t.Any]:
         payload = self.outcome.to_payload()
         # `warm` is a host-side execution detail (did the live world get
-        # reused), not a simulation fact — keep the cached body purely
+        # reused), not a simulation fact — keep the result body purely
         # simulation-deterministic, like every other response.
         payload.pop("warm", None)
         payload["rm"] = self.request.rm
@@ -434,7 +427,7 @@ class WhatIfResponse(Response):
 
 
 # ---------------------------------------------------------------------------
-# dispatch — the single entry point the CLI and the gateway adapt
+# dispatch — the single entry point the CLI adapts
 # ---------------------------------------------------------------------------
 def _run_simulate(request: SimulateRequest, progress: Progress) -> SimulateResponse:
     from repro.api import run_simulation
@@ -585,10 +578,8 @@ def dispatch(request: Request, progress: Progress = None) -> Response:
     """Execute one typed request and return its typed response.
 
     The single entry point everything adapts: ``repro simulate`` /
-    ``chaos run`` / ``verify run`` / ``estimate`` render the returned
-    response, the gateway's workers run it inside task cells, and the
-    cache stores ``response.to_wire()["result"]`` keyed by
-    ``request.digest()``.
+    ``chaos run`` / ``verify run`` / ``estimate`` / ``whatif run``
+    render the returned response.
 
     Args:
         request: any of the four envelope types.
@@ -602,9 +593,3 @@ def dispatch(request: Request, progress: Progress = None) -> Response:
             f"dispatch() takes a typed request envelope, got {type(request).__name__}"
         )
     return handler(request, progress)
-
-
-def dispatch_wire(wire: t.Mapping[str, t.Any]) -> dict[str, t.Any]:
-    """Wire-in, wire-out dispatch (what a pool worker runs for the
-    gateway): rebuild the typed request, execute, return the envelope."""
-    return dispatch(request_from_wire(wire)).to_wire()

@@ -1,11 +1,10 @@
-"""The sweep-scaling artifact (``benchmarks/BENCH_sweep.json``).
+"""The sweep-determinism artifact (``benchmarks/BENCH_sweep.json``).
 
-The matrix bench files freeze per-scenario simulation payloads; the
-paper-scale baseline freezes single-run wall times.  This module owns
-the third artifact: one file recording the wall time of the *whole*
-scenario matrix at several ``--jobs`` levels, with the serial run as
-the baseline — the scaling curve of the sweep engine itself — plus a
-digest proving the merged payloads were byte-identical at every level.
+The matrix bench files freeze per-scenario simulation payloads.  This
+module owns one file recording the *whole* scenario matrix at several
+``--jobs`` levels: a digest per level proving the merged payloads were
+byte-identical to the serial run, and the merged event total.  It holds
+no wall times; host speed is measured by ``benchmarks/e2e`` alone.
 ``repro bench sweep`` records it.
 """
 
@@ -13,8 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import time
 import typing as t
 from pathlib import Path
 
@@ -24,10 +21,10 @@ from repro.errors import ConfigurationError
 
 SWEEP_SCHEMA = "repro-bench-sweep/1"
 
-#: repo-relative location of the checked-in sweep-scaling file
+#: repo-relative location of the checked-in sweep file
 SWEEP_PATH = "benchmarks/BENCH_sweep.json"
 
-#: jobs levels the scaling table records (serial baseline first)
+#: jobs levels the sweep file records (serial baseline first)
 DEFAULT_JOBS_LEVELS = (1, 2, 4)
 
 
@@ -46,12 +43,11 @@ def run_sweep_baseline(
     seed: int = 0,
     progress: t.Callable[[str], None] | None = None,
 ) -> dict[str, t.Any]:
-    """Run the matrix at each jobs level; return the scaling payload.
+    """Run the matrix at each jobs level; return the sweep payload.
 
-    The serial level (``jobs=1``) must be present — it is the baseline
-    every speedup is computed against.  Each level's merged output is
-    digest-checked against the serial run; a mismatch is a determinism
-    bug and raises.
+    The serial level (``jobs=1``) is always run first: each other
+    level's merged output is digest-checked against it, and a mismatch
+    is a determinism bug and raises.
     """
     levels = list(dict.fromkeys(int(j) for j in jobs_levels))
     if 1 not in levels:
@@ -60,30 +56,23 @@ def run_sweep_baseline(
     chosen = list(SCENARIOS) if names is None else list(names)
     runs: dict[str, t.Any] = {}
     serial_digest: str | None = None
-    serial_wall: float | None = None
     for jobs in levels:
         if progress is not None:
             progress(f"-- sweep at jobs={jobs} ({len(chosen)} scenarios)")
-        start = time.perf_counter()
         sweep = run_matrix_sweep(names=chosen, seed=seed, jobs=jobs, progress=progress)
-        wall_s = time.perf_counter() - start
         if not sweep.ok:
             failed = [f.task_id for f in sweep.failures]
             raise ConfigurationError(f"sweep at jobs={jobs} had failed cells: {failed}")
         digest = sweep_digest(sweep)
         counters = sweep.merged_telemetry()["counters"]
         if jobs == 1:
-            serial_digest, serial_wall = digest, wall_s
+            serial_digest = digest
         elif digest != serial_digest:
             raise ConfigurationError(
                 f"sweep at jobs={jobs} is not byte-identical to the serial run "
                 f"({digest[:12]} != {(serial_digest or '')[:12]})"
             )
         runs[str(jobs)] = {
-            "wall_s": round(wall_s, 3),
-            "speedup_vs_serial": round((serial_wall or wall_s) / wall_s, 3)
-            if wall_s
-            else 0.0,
             "digest": digest,
             "events_total": int(counters.get("sim.events", 0)),
         }
@@ -91,7 +80,6 @@ def run_sweep_baseline(
         "schema": SWEEP_SCHEMA,
         "seed": seed,
         "scenarios": chosen,
-        "host_cpus": os.cpu_count(),
         "runs": runs,
     }
 
@@ -101,7 +89,7 @@ def dump_sweep(payload: dict[str, t.Any]) -> str:
 
 
 def load_sweep(path: str | Path) -> dict[str, t.Any]:
-    """Read + sanity-check a sweep-scaling file."""
+    """Read + sanity-check a sweep file."""
     payload = json.loads(Path(path).read_text())
     if payload.get("schema") != SWEEP_SCHEMA:
         raise ConfigurationError(
@@ -114,17 +102,14 @@ def load_sweep(path: str | Path) -> dict[str, t.Any]:
 
 
 def render_sweep(payload: dict[str, t.Any]) -> str:
-    """The jobs/wall/speedup scaling table (also the README table)."""
+    """The per-jobs-level determinism table."""
     lines = [
-        f"sweep scaling — {len(payload['scenarios'])} scenarios, "
-        f"seed {payload['seed']}, {payload['host_cpus']} host cpu(s)",
-        f"{'jobs':>6}  {'wall_s':>9}  {'speedup':>8}  byte-identical",
+        f"sweep — {len(payload['scenarios'])} scenarios, seed {payload['seed']}",
+        f"{'jobs':>6}  {'events':>9}  byte-identical",
     ]
     serial = payload["runs"]["1"]
     for jobs in sorted(payload["runs"], key=int):
         run = payload["runs"][jobs]
         identical = "yes" if run["digest"] == serial["digest"] else "NO"
-        lines.append(
-            f"{jobs:>6}  {run['wall_s']:>9.2f}  {run['speedup_vs_serial']:>7.2f}x  {identical}"
-        )
+        lines.append(f"{jobs:>6}  {run['events_total']:>9}  {identical}")
     return "\n".join(lines)

@@ -4,7 +4,7 @@ The snapshot layer's pitch is economic: answering *"what if X happened
 at time t?"* by delta-replay from a snapshot must be measurably cheaper
 than rerunning the whole day.  This module records that claim as a
 checked-in file on the paper-scale 1024-node tier: one full-day run
-(the baseline every gateway ``what-if`` would otherwise pay), then one
+(the baseline every ``what-if`` would otherwise pay), then one
 warm delta-replay per snapshot cut.
 
 The payload splits into two sections, as the other bench artifacts do:
@@ -34,7 +34,7 @@ WHATIF_SCHEMA = "repro-bench-whatif/1"
 #: repo-relative location of the checked-in what-if cost file
 WHATIF_PATH = "benchmarks/BENCH_whatif.json"
 
-#: snapshot cuts as fractions of the day (the gateway's typical spread)
+#: snapshot cuts as fractions of the day
 DEFAULT_CUTS = (0.25, 0.5, 0.75)
 
 DAY = 86_400.0
@@ -58,9 +58,9 @@ def run_whatif_bench(
     """Measure full-rerun vs warm delta-replay on one config.
 
     For each cut ``f`` the base run is advanced to ``f * horizon_s``
-    (the cost a gateway amortises across every what-if against that
-    base), snapshotted warm, and one ``submit-job`` probe is
-    delta-replayed to the horizon under the wall clock.
+    (the cost shared by every what-if against that base), snapshotted
+    warm, and one ``submit-job`` probe is delta-replayed to the horizon
+    under the wall clock.
     """
     from repro.api import SimulationConfig
     from repro.snapshot import SimWorld, SubmitJob, capture, what_if

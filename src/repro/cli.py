@@ -10,7 +10,7 @@ Installed as ``repro-eslurm`` (alias ``repro``)::
     repro bench list                # perf-benchmark matrix + paper tiers
     repro bench run --all --seed 0
     repro bench run --all -j 4      # parallel sweep, byte-identical files
-    repro bench sweep               # record benchmarks/BENCH_sweep.json scaling
+    repro bench sweep               # record benchmarks/BENCH_sweep.json digests
     repro bench report BENCH_*.json --markdown
     repro bench validate BENCH_*.json
     repro bench baseline            # record benchmarks/BENCH_paper_scale.json anchors
@@ -27,8 +27,6 @@ Installed as ``repro-eslurm`` (alias ``repro``)::
 
     repro simulate --rm slurm --n-nodes 4096 --json
     repro estimate --n-history 300 --job-nodes 8
-    repro serve --port 8421 --workers 4   # the HTTP/JSON gateway
-    repro bench serve-load          # record benchmarks/BENCH_serve.json
 
 Every tool family is registered through the same :class:`Subcommand`
 pattern and shares the ``--seed`` / ``--json`` / ``--out`` flags plus
@@ -40,10 +38,8 @@ families plug in by adding a table entry.
 
 The subcommands are thin adapters over :func:`repro.api.dispatch`: each
 builds a typed request envelope, dispatches it, and renders the typed
-response — the same call path the :mod:`repro.serve` gateway queues.
-Exit codes are documented on :func:`main` and shared with the
-gateway's HTTP statuses; every checking verb exits 1 when a check
-fails.
+response.  Exit codes are documented on :func:`main`; every checking
+verb exits 1 when a check fails.
 """
 
 from __future__ import annotations
@@ -241,7 +237,7 @@ def _bench_sweep_configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs-levels",
         default="1,2,4",
-        help="comma-separated jobs levels for the scaling table (default 1,2,4; "
+        help="comma-separated jobs levels to digest-check (default 1,2,4; "
         "the serial level 1 is always included as the baseline)",
     )
 
@@ -269,7 +265,7 @@ def _bench_sweep(args: argparse.Namespace) -> int:
     path = Path(args.out if args.out is not None else SWEEP_PATH)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-    print(f"sweep scaling written -> {path}")
+    print(f"sweep file written -> {path}")
     return 0
 
 
@@ -375,54 +371,6 @@ def _bench_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _bench_serve_load_configure(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--requests",
-        type=int,
-        default=8,
-        help="unique requests in the mix (each is sent twice: miss then "
-        "replay; default 8)",
-    )
-    parser.add_argument(
-        "--concurrency", type=int, default=4,
-        help="simultaneous HTTP clients (default 4)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2,
-        help="gateway pool workers (default 2; 0 = inline)",
-    )
-    parser.add_argument(
-        "--queue-size", type=int, default=64,
-        help="gateway admission-queue bound (default 64)",
-    )
-
-
-def _bench_serve_load(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.serve import SERVE_PATH, dump_serve, render_serve, run_serve_load
-
-    try:
-        payload = run_serve_load(
-            seed=args.seed,
-            n_unique=args.requests,
-            concurrency=args.concurrency,
-            workers=args.workers,
-            queue_size=args.queue_size,
-            progress=None if args.json else print,
-        )
-    except Exception as exc:
-        args._parser.error(str(exc))
-    text = dump_serve(payload)
-    if args.json:
-        print(text, end="")
-    path = Path(args.out if args.out is not None else SERVE_PATH)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    print(f"serve load-test written -> {path}")
-    return 0 if payload["replay_byte_identical"] and not payload["failed"] else 1
-
-
 BENCH_COMMANDS = (
     Subcommand("list", "enumerate the scenario matrix", lambda p: None, _bench_list),
     Subcommand(
@@ -445,7 +393,7 @@ BENCH_COMMANDS = (
         out_help="anchor file path (default: benchmarks/BENCH_paper_scale.json)",
     ),
     Subcommand(
-        "sweep", "record the matrix sweep-scaling file (jobs=1/2/4 walls + digests)",
+        "sweep", "record the matrix sweep file (jobs=1/2/4 digests + event totals)",
         _bench_sweep_configure, _bench_sweep, common=True,
         out_help="sweep file path (default: benchmarks/BENCH_sweep.json)",
     ),
@@ -453,11 +401,6 @@ BENCH_COMMANDS = (
         "whatif", "record the what-if delta-replay cost file (full run vs snapshot resume)",
         _bench_whatif_configure, _bench_whatif, common=True,
         out_help="what-if cost file path (default: benchmarks/BENCH_whatif.json)",
-    ),
-    Subcommand(
-        "serve-load", "load-test the gateway and record benchmarks/BENCH_serve.json",
-        _bench_serve_load_configure, _bench_serve_load, common=True,
-        out_help="serve file path (default: benchmarks/BENCH_serve.json)",
     ),
 )
 
@@ -937,55 +880,6 @@ WHATIF_COMMANDS = (
 )
 
 
-# ---------------------------------------------------------------------------
-# repro serve
-# ---------------------------------------------------------------------------
-def _serve_run_configure(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    parser.add_argument(
-        "--port", type=int, default=8421, help="bind port (default 8421; 0 = pick free)"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="pool workers (default 0 = inline, streams progress; "
-        ">=1 = persistent warm pool)",
-    )
-    parser.add_argument(
-        "--queue-size", type=int, default=32,
-        help="admission queue bound; full queue sheds with HTTP 429 (default 32)",
-    )
-    parser.add_argument(
-        "--cache-size", type=int, default=256,
-        help="result-cache capacity in entries (default 256)",
-    )
-
-
-def _serve_run(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.serve import GatewayConfig, run_gateway
-
-    config = GatewayConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_size=args.queue_size,
-        cache_size=args.cache_size,
-    )
-    try:
-        asyncio.run(run_gateway(config))
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-SERVE_COMMANDS = (
-    Subcommand(
-        "run", "start the simulation gateway (HTTP/JSON, POST /v1/<kind>)",
-        _serve_run_configure, _serve_run,
-    ),
-)
-
 #: tool families reachable as ``repro <family> ...``
 FAMILIES: dict[str, tuple[str, tuple[Subcommand, ...]]] = {
     "bench": ("Run the fixed perf-benchmark scenario matrix.", BENCH_COMMANDS),
@@ -994,7 +888,6 @@ FAMILIES: dict[str, tuple[str, tuple[Subcommand, ...]]] = {
     "simulate": ("Run one simulated RM day from a typed request envelope.", SIMULATE_COMMANDS),
     "estimate": ("Query the runtime estimator as a service.", ESTIMATE_COMMANDS),
     "whatif": ("Snapshot a simulated day and delta-replay perturbations.", WHATIF_COMMANDS),
-    "serve": ("Run the HTTP/JSON simulation gateway.", SERVE_COMMANDS),
 }
 
 #: families where a bare ``repro <family> [flags]`` implies this verb
@@ -1004,7 +897,6 @@ DEFAULT_VERBS: dict[str, str] = {
     "simulate": "run",
     "estimate": "run",
     "whatif": "run",
-    "serve": "run",
 }
 
 
@@ -1111,15 +1003,13 @@ EXPERIMENTS: dict[str, t.Callable[[bool], str]] = {
 def main(argv: t.Sequence[str] | None = None) -> int:
     """The ``repro`` entry point; returns a documented exit code.
 
-    Exit codes (the gateway returns the paired HTTP status — see
-    :mod:`repro.errors`):
+    Exit codes (see :mod:`repro.errors`):
 
-    * ``0`` — success (HTTP 200)
-    * ``1`` — a check ran and failed (HTTP 200 with ``"ok": false``)
+    * ``0`` — success
+    * ``1`` — a check ran and failed
     * ``2`` — malformed command line (argparse usage error)
-    * ``3`` — invalid configuration / parameters (HTTP 400)
-    * ``4`` — internal error (HTTP 500)
-    * ``5`` — reserved for gateway load shedding (HTTP 429)
+    * ``3`` — invalid configuration / parameters
+    * ``4`` — internal error
     """
     import traceback
 

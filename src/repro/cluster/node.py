@@ -22,18 +22,16 @@ class NodeState(enum.Enum):
     ``UP``      healthy and idle/allocatable
     ``ALLOC``   healthy and running a job
     ``DOWN``    failed (times out instead of answering)
-    ``DRAINED`` administratively removed (maintenance)
     """
 
     UP = "up"
     ALLOC = "alloc"
     DOWN = "down"
-    DRAINED = "drained"
 
 
 #: ``Cluster`` state-column codes, one per :class:`NodeState` in
 #: declaration order; codes up to ``ALLOC_CODE`` answer messages.
-UP_CODE, ALLOC_CODE, DOWN_CODE, DRAINED_CODE = range(4)
+UP_CODE, ALLOC_CODE, DOWN_CODE = range(3)
 #: state-column code -> state
 STATE_OF_CODE: tuple[NodeState, ...] = tuple(NodeState)
 

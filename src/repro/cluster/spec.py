@@ -25,7 +25,6 @@ from repro.cluster.monitoring import HealthMonitor, MonitoringConfig
 from repro.cluster.node import (
     ALLOC_CODE,
     DOWN_CODE,
-    DRAINED_CODE,
     MASTER_NODE,
     NGTIANHE_NODE,
     STATE_OF_CODE,
@@ -133,10 +132,10 @@ class Cluster:
     * ``owner`` — ``int64`` id of the job bound to the node, -1 if none.
 
     Both are read-only outside this class: :meth:`bind`, :meth:`unbind`,
-    :meth:`fail_nodes`, :meth:`recover_nodes`, :meth:`drain_nodes` and
-    :meth:`undrain_nodes` are the only writers, which keeps ``version``
-    and the unresponsive-id set in step with them.  Every method taking
-    ids raises :class:`ClusterError` for an id outside the layout.
+    :meth:`fail_nodes` and :meth:`recover_nodes` are the only writers,
+    which keeps ``version`` and the unresponsive-id set in step with
+    them.  Every method taking ids raises :class:`ClusterError` for an
+    id outside the layout.
     """
 
     def __init__(self, sim: "Simulator", spec: ClusterSpec) -> None:
@@ -191,7 +190,7 @@ class Cluster:
         return ids
 
     def is_responsive(self, node_id: int) -> bool:
-        """Whether the node answers messages (not DOWN or DRAINED)."""
+        """Whether the node answers messages (not DOWN)."""
         # the id check is inlined: this read is on the fabric's per-transfer path
         if not 0 <= node_id < len(self._state):
             raise ClusterError(f"unknown node id {node_id}")
@@ -296,7 +295,7 @@ class Cluster:
 
     # -- state queries -----------------------------------------------------
     def down_ids(self) -> set[int]:
-        """Ids of compute nodes currently DOWN or DRAINED."""
+        """Ids of compute nodes currently DOWN."""
         n = self.n_nodes
         return {nid for nid in self._unresponsive if nid < n}
 
@@ -306,12 +305,10 @@ class Cluster:
 
     # -- liveness control (delegates used heavily by experiments) ----------
     def fail_nodes(self, node_ids: t.Iterable[int]) -> None:
-        """Force the given nodes DOWN; DRAINED nodes stay drained and a
-        bound job keeps its binding until recovery."""
+        """Force the given nodes DOWN; a bound job keeps its binding
+        until recovery."""
         ids = list(node_ids)
-        cols = self._id_array(ids)
-        state = self.state
-        state[cols[state[cols] != DRAINED_CODE]] = DOWN_CODE
+        self.state[self._id_array(ids)] = DOWN_CODE
         self._bump_version(ids)
 
     def recover_nodes(self, node_ids: t.Iterable[int]) -> None:
@@ -321,22 +318,6 @@ class Cluster:
         down = cols[self.state[cols] == DOWN_CODE]
         self.state[down] = UP_CODE
         self.owner[down] = _NO_JOB
-        self._bump_version(ids)
-
-    def drain_nodes(self, node_ids: t.Iterable[int]) -> None:
-        """Administratively remove the given nodes from service."""
-        ids = list(node_ids)
-        cols = self._id_array(ids)
-        self.state[cols] = DRAINED_CODE
-        self.owner[cols] = _NO_JOB
-        self._bump_version(ids)
-
-    def undrain_nodes(self, node_ids: t.Iterable[int]) -> None:
-        """Return the given DRAINED nodes to service."""
-        ids = list(node_ids)
-        cols = self._id_array(ids)
-        state = self.state
-        state[cols[state[cols] == DRAINED_CODE]] = UP_CODE
         self._bump_version(ids)
 
     def fail_fraction(self, fraction: float, rng: t.Any = None) -> list[int]:

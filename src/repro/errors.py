@@ -65,27 +65,13 @@ class TraceFormatError(ReproError):
 
 
 # ---------------------------------------------------------------------------
-# Outcome codes shared by the CLI and the serve gateway
+# CLI exit codes
 # ---------------------------------------------------------------------------
-# One table, two transports.  The ``repro`` CLI exits with the code; the
-# gateway returns the paired HTTP status.  A check that *ran* but found
-# violations is EXIT_FAILURE (the request itself succeeded — HTTP 200
-# with ``"ok": false``); EXIT_USAGE is argparse's own exit code for
-# malformed command lines and has no HTTP twin (malformed request bodies
-# are configuration errors, HTTP 400).
+# A check that *ran* but found violations is EXIT_FAILURE; EXIT_USAGE is
+# argparse's own exit code for malformed command lines.
 
-EXIT_OK = 0          #: success (HTTP 200)
-EXIT_FAILURE = 1     #: ran, but the check/verification failed (HTTP 200, ok=false)
-EXIT_USAGE = 2       #: malformed command line (argparse; CLI only)
-EXIT_CONFIG = 3      #: :class:`ConfigurationError` — bad parameters (HTTP 400)
-EXIT_INTERNAL = 4    #: unexpected internal error (HTTP 500)
-EXIT_BUSY = 5        #: gateway queue full, load shed (HTTP 429)
-
-#: exit code → HTTP status, for codes that cross the wire
-HTTP_STATUS = {
-    EXIT_OK: 200,
-    EXIT_FAILURE: 200,
-    EXIT_CONFIG: 400,
-    EXIT_INTERNAL: 500,
-    EXIT_BUSY: 429,
-}
+EXIT_OK = 0          #: success
+EXIT_FAILURE = 1     #: ran, but the check/verification failed
+EXIT_USAGE = 2       #: malformed command line (argparse)
+EXIT_CONFIG = 3      #: :class:`ConfigurationError` — bad parameters
+EXIT_INTERNAL = 4    #: unexpected internal error

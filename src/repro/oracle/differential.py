@@ -409,8 +409,8 @@ class SnapshotEquivalenceRelation(Relation):
     ``add_trace_hook`` seam — every event's exact ``(time, priority,
     seq)``) and the identical canonical final payload.  Checked for both
     backends at sampled split points including the k=0 and k=last
-    degenerate cuts — the guarantee ``repro whatif`` and the gateway's
-    ``what-if`` kind rest on.
+    degenerate cuts — the guarantee ``repro whatif`` and the ``what-if``
+    request kind rest on.
     """
 
     name = "snapshot-equivalence"

@@ -31,7 +31,6 @@ from repro.parallel.pool import (
     Task,
     TaskResult,
     SweepError,
-    WorkerPool,
     resolve_jobs,
     run_tasks,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "SweepError",
     "Task",
     "TaskResult",
-    "WorkerPool",
     "merge_counter_maps",
     "merge_gauge_sections",
     "merge_histogram_sections",

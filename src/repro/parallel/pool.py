@@ -5,7 +5,9 @@ one :class:`TaskResult` per cell **in input order**, however the cells
 were scheduled.  ``jobs=1`` (the default) executes inline in the
 calling process — that *is* the serial path, byte for byte, because
 the same kind handlers run either way.  ``jobs>1`` scatters cells onto
-warm worker processes created with the ``spawn`` start method.
+``min(jobs, len(tasks))`` warm worker processes created with the
+``spawn`` start method; they live for that one call, driven by a
+single-threaded loop in the calling process.
 
 Spawn, not fork, deliberately: a forked child inherits whatever the
 parent accumulated — an active telemetry session, numpy RNG state,
@@ -32,8 +34,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import socket
-import threading
 import time
 import traceback
 import typing as t
@@ -195,211 +195,93 @@ def run_tasks(
     return _run_pool(tasks, jobs, retries, progress)
 
 
-class WorkerPool:
-    """A persistent warm pool: submit cells at any time, poll completions.
-
-    This is the long-lived form of the sweep engine.  :func:`run_tasks`
-    drives one for the duration of a batch sweep; the :mod:`repro.serve`
-    gateway keeps one alive for its whole lifetime, which is what
-    amortizes the spawn cost that makes ``-j`` lose on small runs
-    (``benchmarks/BENCH_sweep.json``) — workers are spawned once and
-    reused across every request.
-
-    Threading contract: :meth:`submit` may be called from any thread
-    (the gateway submits from its event loop); :meth:`poll` and
-    :meth:`close` must be called from a single consumer thread.  A
-    submission wakes a blocked :meth:`poll` through an internal socket
-    pair, so the consumer never spins.
-
-    Workers are spawned lazily up to ``jobs``, only as demand requires
-    (a pool created for 8 workers that only ever holds one cell at a
-    time spawns one).  Crash containment, retry-once, and dead-worker
-    respawn behave exactly as documented in the module docstring.
-    """
-
-    def __init__(self, jobs: int = 1, retries: int = 1) -> None:
-        self.jobs = max(1, resolve_jobs(jobs))
-        self.retries = retries
-        self._ctx = multiprocessing.get_context("spawn")
-        self._lock = threading.Lock()
-        self._pending: deque[Task] = deque()
-        self._live: dict[str, Task] = {}  #: submitted, not yet finalised
-        self._attempts: dict[str, int] = {}
-        self._workers: list[_WorkerHandle] = []
-        self._next_index = 0
-        self._closed = False
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-
-    # -- producer side (any thread) ----------------------------------------
-    def submit(self, task: Task) -> None:
-        """Enqueue one cell; wakes the consumer if it is blocked in poll."""
-        resolve_kind(task.kind)  # fail fast on unknown kinds, pre-spawn
-        with self._lock:
-            if self._closed:
-                raise SweepError("pool is closed")
-            if task.id in self._live:
-                raise SweepError(f"task id {task.id!r} already in flight")
-            self._live[task.id] = task
-            self._attempts[task.id] = 0
-            self._pending.append(task)
-        try:
-            self._wake_w.send(b"x")
-        except OSError:  # pragma: no cover - defensive (closing race)
-            pass
-
-    def outstanding(self) -> int:
-        """Cells submitted but not yet returned by :meth:`poll`."""
-        with self._lock:
-            return len(self._live)
-
-    # -- consumer side (one thread) ----------------------------------------
-    def _feed(self) -> None:
-        """Hand pending cells to idle workers, spawning up to demand."""
-        with self._lock:
-            busy = sum(1 for w in self._workers if w.current is not None)
-            demand = min(self.jobs, busy + len(self._pending))
-            while len(self._workers) < demand:
-                self._workers.append(_spawn_worker(self._ctx, self._next_index))
-                self._next_index += 1
-            for worker in self._workers:
-                if worker.current is None and self._pending:
-                    task = self._pending.popleft()
-                    worker.current = task
-                    self._attempts[task.id] += 1
-                    worker.conn.send(("task", task.id, task.kind, dict(task.spec)))
-
-    def _drain_wake(self) -> None:
-        while True:
-            try:
-                if not self._wake_r.recv(4096):
-                    return
-            except BlockingIOError:
-                return
-
-    def _settle(
-        self,
-        results: list[TaskResult],
-        worker: _WorkerHandle,
-        task: Task,
-        ok: bool,
-        value: t.Any,
-        error: str | None,
-        wall_s: float,
-    ) -> None:
-        """Record one attempt's outcome: finalise or requeue for retry."""
-        with self._lock:
-            if ok or self._attempts[task.id] > self.retries:
-                attempts = self._attempts.pop(task.id)
-                del self._live[task.id]
-                results.append(TaskResult(
-                    task_id=task.id, ok=ok, value=value, error=error,
-                    attempts=attempts, worker=worker.index, wall_s=wall_s,
-                ))
-            else:
-                self._pending.appendleft(task)
-
-    def poll(self, timeout: float | None = None) -> list[TaskResult]:
-        """Wait for completions; returns every cell finalised by this call.
-
-        Returns ``[]`` on timeout, or immediately when nothing is in
-        flight.  A new :meth:`submit` from another thread wakes the wait.
-        """
-        self._feed()
-        busy = [w for w in self._workers if w.current is not None]
-        if not busy:
-            self._drain_wake()
-            return []
-        ready = wait(
-            [w.conn for w in busy]
-            + [w.process.sentinel for w in busy]
-            + [self._wake_r],
-            timeout,
-        )
-        self._drain_wake()
-        ready_set = set(ready)
-        results: list[TaskResult] = []
-        dead: list[_WorkerHandle] = []
-        for worker in busy:
-            message = None
-            if worker.conn in ready_set or worker.process.sentinel in ready_set:
-                try:
-                    if worker.conn.poll():
-                        message = worker.conn.recv()
-                except (EOFError, OSError):
-                    message = None
-            if message is not None:
-                status, task_id, payload, wall_s = message
-                task = worker.current
-                assert task is not None and task.id == task_id
-                worker.current = None
-                if status == "ok":
-                    self._settle(results, worker, task, True, payload, None, wall_s)
-                else:
-                    self._settle(results, worker, task, False, None, payload, wall_s)
-            elif worker.process.sentinel in ready_set and not worker.process.is_alive():
-                # hard death mid-cell: charge only the held task
-                task = worker.current
-                worker.current = None
-                dead.append(worker)
-                if task is not None:
-                    exit_code = worker.process.exitcode
-                    self._settle(
-                        results, worker, task, False, None,
-                        f"worker {worker.index} died (exit code {exit_code}) "
-                        f"while running task {task.id!r}", 0.0,
-                    )
-        for worker in dead:
-            self._workers.remove(worker)
-            worker.conn.close()
-            worker.process.join()
-        self._feed()  # restart retries / fill the gap a dead worker left
-        return results
-
-    def close(self) -> None:
-        """Stop and join every worker (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        for worker in self._workers:
-            try:
-                worker.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for worker in self._workers:
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():  # pragma: no cover - defensive
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
-            worker.conn.close()
-        self._workers.clear()
-        self._wake_r.close()
-        self._wake_w.close()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc: t.Any) -> None:
-        self.close()
-
-
 def _run_pool(
     tasks: list[Task],
     jobs: int,
     retries: int,
     progress: t.Callable[[TaskResult], None] | None,
 ) -> list[TaskResult]:
-    """Batch driver over :class:`WorkerPool`: submit all, drain, order."""
+    """The ``jobs>1`` path: feed cells to warm spawned workers, then order."""
+    ctx = multiprocessing.get_context("spawn")
+    pending: deque[Task] = deque(tasks)
+    attempts = {task.id: 0 for task in tasks}
     finished: dict[str, TaskResult] = {}
-    with WorkerPool(jobs=min(jobs, len(tasks)), retries=retries) as pool:
-        for task in tasks:
-            pool.submit(task)
-        while pool.outstanding():
-            for result in pool.poll():
-                finished[result.task_id] = result
-                if progress is not None:
-                    progress(result)
+    workers = [_spawn_worker(ctx, i) for i in range(min(jobs, len(tasks)))]
+    next_index = len(workers)
+
+    def settle(worker: _WorkerHandle, task: Task, ok: bool, value: t.Any,
+               error: str | None, wall_s: float) -> None:
+        """Record one attempt's outcome: finalise or requeue for retry."""
+        if ok or attempts[task.id] > retries:
+            result = TaskResult(
+                task_id=task.id, ok=ok, value=value, error=error,
+                attempts=attempts[task.id], worker=worker.index, wall_s=wall_s,
+            )
+            finished[task.id] = result
+            if progress is not None:
+                progress(result)
+        else:
+            pending.appendleft(task)
+
+    try:
+        while len(finished) < len(tasks):
+            for worker in workers:
+                if worker.current is None and pending:
+                    task = pending.popleft()
+                    worker.current = task
+                    attempts[task.id] += 1
+                    worker.conn.send(("task", task.id, task.kind, dict(task.spec)))
+            busy = [w for w in workers if w.current is not None]
+            if not busy:  # pragma: no cover - defensive
+                break
+            ready = set(wait([w.conn for w in busy] + [w.process.sentinel for w in busy]))
+            dead: list[_WorkerHandle] = []
+            for worker in busy:
+                message = None
+                if worker.conn in ready or worker.process.sentinel in ready:
+                    try:
+                        if worker.conn.poll():
+                            message = worker.conn.recv()
+                    except (EOFError, OSError):
+                        message = None
+                task = worker.current
+                assert task is not None
+                if message is not None:
+                    status, task_id, payload, wall_s = message
+                    assert task_id == task.id
+                    worker.current = None
+                    if status == "ok":
+                        settle(worker, task, True, payload, None, wall_s)
+                    else:
+                        settle(worker, task, False, None, payload, wall_s)
+                elif worker.process.sentinel in ready and not worker.process.is_alive():
+                    # hard death mid-cell: charge only the held task
+                    worker.current = None
+                    dead.append(worker)
+                    settle(
+                        worker, task, False, None,
+                        f"worker {worker.index} died (exit code {worker.process.exitcode}) "
+                        f"while running task {task.id!r}", 0.0,
+                    )
+            for worker in dead:
+                workers.remove(worker)
+                worker.conn.close()
+                worker.process.join()
+                if len(tasks) - len(finished) > len(workers):
+                    workers.append(_spawn_worker(ctx, next_index))
+                    next_index += 1
+    finally:
+        for worker in workers:
+            try:
+                worker.conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+        for worker in workers:
+            worker.process.join(timeout=5.0)
+            if worker.process.is_alive():  # pragma: no cover - defensive
+                worker.process.terminate()
+                worker.process.join(timeout=5.0)
+            worker.conn.close()
 
     missing = [task.id for task in tasks if task.id not in finished]
     if missing:  # pragma: no cover - defensive

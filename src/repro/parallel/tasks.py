@@ -145,22 +145,8 @@ def _selftest_cell(spec: dict[str, t.Any]) -> dict[str, t.Any]:
     raise ConfigurationError(f"unknown selftest mode {mode!r}")
 
 
-def _serve_cell(spec: dict[str, t.Any]) -> dict[str, t.Any]:
-    """One gateway request: ``{"request": wire-dict}``.
-
-    The serve gateway's warm pool executes every queued request through
-    this cell, so a worker computes exactly what the inline
-    :func:`repro.api.dispatch` path computes — which is what lets the
-    cache treat worker- and parent-produced payloads interchangeably.
-    """
-    from repro.api import dispatch_wire
-
-    return {"response": dispatch_wire(spec["request"])}
-
-
 register_kind("bench", _bench_cell)
 register_kind("chaos", _chaos_cell)
 register_kind("verify", _verify_cell)
 register_kind("experiment", _experiment_cell)
 register_kind("selftest", _selftest_cell)
-register_kind("serve", _serve_cell)

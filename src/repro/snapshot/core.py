@@ -4,8 +4,8 @@ Two restore paths share one :class:`Snapshot`:
 
 * **warm** — the snapshot keeps a reference to the live paused world.
   :func:`what_if` consumes it (once) and replays only the remainder of
-  the day: this is the cheap path a gateway uses to answer many
-  what-ifs against one base run.
+  the day: this is the cheap path for answering a what-if against a
+  base run already paused at the cut.
 * **cold** — :func:`restore` rebuilds the world from the config (a pure
   function of ``(config, seed)``), replays exactly ``event_index``
   events, restores the paused clock, and verifies the recomputed state
@@ -158,7 +158,7 @@ class WhatIfOutcome:
     warm: bool
 
     def to_payload(self) -> dict[str, t.Any]:
-        """One flat deterministic dict (bench / gateway responses)."""
+        """One flat deterministic dict (bench files / what-if responses)."""
         return {
             "perturbation": dict(self.perturbation),
             "probe": dict(self.probe),

@@ -9,9 +9,9 @@ Each perturbation is a frozen dataclass with three faces:
 * ``observe(world)`` — after the day finishes, report the probe's
   outcome (did the job start, when, what happened to the node...);
 * ``to_wire()`` / :func:`perturbation_from_wire` — strict JSON-scalar
-  round-trip for the gateway's ``what-if`` request kind.  Unknown kinds
-  or fields raise :class:`~repro.errors.ConfigurationError`, which the
-  CLI maps to exit 3 and the gateway to HTTP 400.
+  round-trip for the ``what-if`` request kind.  Unknown kinds or fields
+  raise :class:`~repro.errors.ConfigurationError`, which the CLI maps
+  to exit 3.
 """
 
 from __future__ import annotations

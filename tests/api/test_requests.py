@@ -1,16 +1,22 @@
 """Tests for the typed request/response envelopes and their digests.
 
-The digest is the gateway's cache key, so its contract is load-bearing:
-equal (config, seed) must collide, any single field change must not,
-and the value must be identical whether computed in this process or in
-a spawned pool worker (the gateway mixes both freely).
+The digest is the request's canonical identity (the CLI prints it), so
+its contract is load-bearing: equal (config, seed) must collide, any
+single field change must not, and the value must be identical whether
+computed in this process or in a fresh interpreter with a different
+hash seed.
 """
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import (
     ChaosRequest,
     EstimateRequest,
@@ -21,8 +27,8 @@ from repro.api import (
     dispatch,
     request_from_wire,
 )
+from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.parallel import Task, run_tasks
 
 
 class TestDigest:
@@ -72,24 +78,24 @@ class TestDigest:
         assert sparse.digest() == explicit.digest()
 
     def test_digest_stable_across_processes(self):
-        # Two cells on a real spawned pool (two tasks + jobs=2 forces
-        # the pool path, not the inline shortcut): the digest a worker
-        # stamps on its response envelope must equal the digest the
-        # parent computes for the same request.
-        requests = [
-            VerifyRequest(seed=11, layers=("metamorphic",),
-                          relations=("relabel-invariance",)),
-            VerifyRequest(seed=12, layers=("metamorphic",),
-                          relations=("relabel-invariance",)),
-        ]
-        tasks = [
-            Task(id=f"t{i}", kind="serve", spec={"request": r.to_wire()})
-            for i, r in enumerate(requests)
-        ]
-        results = run_tasks(tasks, jobs=2)
-        for request, result in zip(requests, results):
-            assert result.ok, result.error
-            assert result.value["response"]["digest"] == request.digest()
+        # Two fresh interpreters with different string-hash seeds must
+        # print the digest this process computes for the same request.
+        request = VerifyRequest(seed=11, layers=("metamorphic",),
+                                relations=("relabel-invariance",))
+        code = (
+            "from repro.api import VerifyRequest\n"
+            "print(VerifyRequest(seed=11, layers=('metamorphic',),"
+            " relations=('relabel-invariance',)).digest())"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+            out = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            assert out.stdout.strip() == request.digest()
 
 
 class TestWire:
@@ -128,6 +134,25 @@ class TestWire:
             EstimateRequest(n_history=3)
         with pytest.raises(ConfigurationError):
             ChaosRequest(scenario="nope")
+
+    @pytest.mark.parametrize("wire, match", [
+        ({"perturb": {"kind": "teleport"}}, "unknown perturbation kind"),
+        ({"perturb": {"kind": "submit-job", "nodes": 4}}, r"unknown field\(s\) \['nodes'\]"),
+        ({"perturb": {"kind": "fail-node", "duration_s": -1.0}}, "duration_s must be positive"),
+        ({"at_s": 999_999.0}, "must lie in"),
+        ({"at_z": 1.0}, "unknown what-if request field"),
+    ], ids=["teleport", "nodes-typo", "negative-duration", "at-s-beyond-horizon", "unknown-field"])
+    def test_malformed_whatif_rejected(self, wire, match):
+        small = {"kind": "what-if", "rm": "eslurm", "n_nodes": 8,
+                 "n_satellites": 2, "n_jobs": 5}
+        with pytest.raises(ConfigurationError, match=match):
+            request_from_wire({**small, **wire})
+
+    def test_whatif_cli_rejects_at_s_beyond_horizon(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["whatif", "run", "--n-nodes", "8", "--at-s", "999999"])
+        assert exc.value.code == 2
+        assert "at_s=999999.0 must lie in [0, horizon_s=86400.0)" in capsys.readouterr().err
 
 
 class TestDispatch:

@@ -23,7 +23,7 @@ from repro.snapshot.capture import _cluster_state
 
 N_NODES, N_SATS = 150, 3
 N_IDS = N_NODES + 1 + N_SATS
-UP, ALLOC, DOWN, DRAINED = NodeState.UP, NodeState.ALLOC, NodeState.DOWN, NodeState.DRAINED
+UP, ALLOC, DOWN = NodeState.UP, NodeState.ALLOC, NodeState.DOWN
 
 
 class Model:
@@ -60,14 +60,10 @@ class Model:
             return False
         for nid in ids:
             state, owner = self.nodes[nid]
-            if op == "fail" and state is not DRAINED:
+            if op == "fail":
                 self.nodes[nid] = (DOWN, owner)
             elif op == "recover" and state is DOWN:
                 self.nodes[nid] = (UP, None)
-            elif op == "drain":
-                self.nodes[nid] = (DRAINED, None)
-            elif op == "undrain" and state is DRAINED:
-                self.nodes[nid] = (UP, owner)
         self.version += 1
         return True
 
@@ -92,8 +88,6 @@ def apply(step, cluster, model):
         "unbind": lambda: cluster.unbind(ids, job),
         "fail": lambda: cluster.fail_nodes(ids),
         "recover": lambda: cluster.recover_nodes(ids),
-        "drain": lambda: cluster.drain_nodes(ids),
-        "undrain": lambda: cluster.undrain_nodes(ids),
     }[op]
     if ok:
         write()
@@ -108,7 +102,7 @@ def check(cluster, model):
         assert cluster.state_of(nid) is state
         assert cluster.owner_of(nid) == owner
         assert cluster.is_responsive(nid) == (state in (UP, ALLOC))
-    dark = {nid for nid, (state, _) in nodes.items() if state in (DOWN, DRAINED)}
+    dark = {nid for nid, (state, _) in nodes.items() if state is DOWN}
     assert cluster.unresponsive_ids() == dark
     assert cluster.down_ids() == {nid for nid in dark if nid < N_NODES}
     assert cluster.version == model.version
@@ -146,7 +140,7 @@ ids = st.one_of(
 )
 step = st.one_of(
     st.tuples(st.sampled_from(["bind", "unbind"]), ids, st.integers(0, 4)),
-    st.tuples(st.sampled_from(["fail", "recover", "drain", "undrain"]), ids, st.just(0)),
+    st.tuples(st.sampled_from(["fail", "recover"]), ids, st.just(0)),
     st.tuples(st.just("fail_fraction"), st.just(()), st.integers(0, 3)),
 )
 

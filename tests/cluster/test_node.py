@@ -64,17 +64,6 @@ class TestNodeTransitions:
         cluster = make_cluster()
         cluster.recover_nodes([0])  # UP stays UP
         assert cluster.state_of(0) is NodeState.UP
-        cluster.drain_nodes([0])
-        cluster.recover_nodes([0])  # DRAINED is not auto-recovered
-        assert cluster.state_of(0) is NodeState.DRAINED
-
-    def test_drain_blocks_fail(self):
-        cluster = make_cluster()
-        cluster.drain_nodes([0])
-        cluster.fail_nodes([0])
-        assert cluster.state_of(0) is NodeState.DRAINED
-        cluster.undrain_nodes([0])
-        assert cluster.state_of(0) is NodeState.UP
 
     def test_allocate_release_cycle(self):
         cluster = make_cluster()

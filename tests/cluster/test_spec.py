@@ -190,10 +190,7 @@ class TestIdValidation:
         ):
             with pytest.raises(ClusterError, match="unknown node id"):
                 read(bad)
-        for write in (
-            cluster.fail_nodes, cluster.recover_nodes,
-            cluster.drain_nodes, cluster.undrain_nodes,
-        ):
+        for write in (cluster.fail_nodes, cluster.recover_nodes):
             with pytest.raises(ClusterError, match="unknown node id"):
                 write([bad])
         for ids in (SMALL + (bad,), LARGE + (bad,)):

@@ -152,7 +152,9 @@ class TestSweepFile:
         payload = load_sweep(path)
         assert payload["schema"] == SWEEP_SCHEMA
         assert payload["scenarios"] == ["slurm-1024", "eslurm-1024"]
-        assert payload["runs"]["1"]["speedup_vs_serial"] == 1.0
+        # deterministic fields only: no host wall time in the file
+        assert set(payload["runs"]["1"]) == {"digest", "events_total"}
+        assert payload["runs"]["1"]["events_total"] > 0
         assert "byte-identical" in render_sweep(payload)
 
     def test_bad_schema_rejected(self, tmp_path):

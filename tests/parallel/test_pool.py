@@ -119,6 +119,19 @@ class TestPool:
         assert "died (exit code 13)" in (by_id["dead"].error or "")
         assert all(by_id[f"cell-{i}"].ok for i in range(5))
 
+    def test_every_worker_dying_at_once_is_respawned(self):
+        dead = [
+            Task(id=f"dead-{i}", kind="selftest", spec={"mode": "exit", "code": 13})
+            for i in range(2)
+        ]
+        results = run_tasks(dead + [ok_cell(i) for i in range(4)], jobs=2)
+        by_id = {r.task_id: r for r in results}
+        for i in range(2):
+            assert not by_id[f"dead-{i}"].ok
+            assert by_id[f"dead-{i}"].attempts == 2
+            assert "died (exit code 13)" in (by_id[f"dead-{i}"].error or "")
+        assert all(by_id[f"cell-{i}"].ok for i in range(4))
+
     def test_flaky_cell_recovers_on_retry(self, tmp_path):
         marker = str(tmp_path / "flaky-pool.marker")
         tasks = [ok_cell(0), Task(id="f", kind="selftest", spec={"mode": "flaky", "marker": marker})]
