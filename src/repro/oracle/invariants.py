@@ -333,17 +333,21 @@ class MalleableWidth(Invariant):
     decisions (including chaos-driven contraction on node failure) may
     never push a job outside the range it declared at submit.  While a
     malleable job is RUNNING its own view of the allocation must agree
-    with the scheduler pool's record.
+    with the scheduler pool's record, and the pool's incremental
+    ``elastic_slack`` must equal the slack recomputed from its records.
     """
 
     name = "malleable-width"
 
     def check(self, ctx: ChaosContext) -> t.Iterable[str]:
-        for job_id, rec in ctx.rm.pool.running.items():
+        pool = ctx.rm.pool
+        slack = 0
+        for job_id, rec in pool.running.items():
             job = rec.job
             if not getattr(job, "malleable", False):
                 continue
             width = len(rec.node_ids)
+            slack += max(width - job.min_nodes, 0)
             if not job.min_nodes <= width <= job.max_nodes:
                 yield (
                     f"job {job_id} runs at width {width}, outside "
@@ -354,6 +358,8 @@ class MalleableWidth(Invariant):
                     f"job {job_id} allocation view {sorted(job.allocated_nodes)[:8]} "
                     f"disagrees with the pool record {sorted(rec.node_ids)[:8]}"
                 )
+        if pool.elastic_slack != slack:
+            yield f"pool elastic slack {pool.elastic_slack} != {slack} recomputed from its records"
 
 
 def default_invariants() -> list[Invariant]:

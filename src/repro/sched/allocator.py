@@ -22,8 +22,8 @@ search of the sorted ids finds it.
 Allocation is *first-fit-by-id*: a k-node job receives the first k
 columns of ``flatnonzero(state == FREE)``, i.e. the k smallest free ids.
 Binding or releasing a job's nodes is one fancy-indexed column update.
-Aggregate counters (``_n_free``, ``_n_down``) are maintained
-incrementally so capacity checks are O(1).
+Aggregate counters (``_n_free``, ``_n_down``, ``elastic_slack``) are
+maintained incrementally so capacity checks are O(1).
 """
 
 from __future__ import annotations
@@ -46,11 +46,21 @@ _NO_OWNER = -1
 
 @dataclass
 class RunningJob:
-    """Bookkeeping for one running job."""
+    """Bookkeeping for one running job.
+
+    Only :class:`NodePool` mutates a record: its aggregate counters
+    (``elastic_slack`` among them) are kept in step with ``node_ids``
+    and would drift under an outside write.
+    """
 
     job: Job
     node_ids: tuple[int, ...]
     believed_end: float
+
+
+def _slack(job: Job, width: int) -> int:
+    """A record's share of ``elastic_slack``: nodes above a malleable floor."""
+    return width - job.min_nodes if job.malleable and width > job.min_nodes else 0
 
 
 class NodePool:
@@ -83,6 +93,9 @@ class NodePool:
         self._n_free = n
         self._n_down = 0
         self.running: dict[int, RunningJob] = {}
+        #: Σ nodes held above ``min_nodes`` over malleable records, whatever
+        #: the job's state: an upper bound on what contraction can free
+        self.elastic_slack = 0
         #: memo for :meth:`believed_ends`, dropped whenever ``running`` changes
         self._ends_cache: list[tuple[float, int]] | None = None
         #: optional :class:`~repro.sched.placement.PlacementPolicy`;
@@ -157,6 +170,7 @@ class NodePool:
         # system enforces.  Planning estimates (job.planned_s) steer
         # backfill eligibility, never reservation safety.
         self.running[job.job_id] = RunningJob(job, chosen, now + job.limit_s)
+        self.elastic_slack += _slack(job, k)
         self._ends_cache = None
         return chosen
 
@@ -208,7 +222,9 @@ class NodePool:
         if not self.fits_width(k):
             raise SchedulingError(f"job {job_id}: grow wants {k} nodes, {self._n_free} free")
         chosen = self._claim(k, job_id)
+        before = len(rec.node_ids)
         rec.node_ids += chosen
+        self.elastic_slack += _slack(rec.job, before + k) - _slack(rec.job, before)
         self._ends_cache = None
         return chosen
 
@@ -229,7 +245,9 @@ class NodePool:
             raise SchedulingError(f"job {job_id}: duplicate shrink nodes {removed!r}")
         if not removed_set <= set(rec.node_ids):
             raise SchedulingError(f"job {job_id}: shrink nodes not held")
+        before = len(rec.node_ids)
         rec.node_ids = tuple(n for n in rec.node_ids if n not in removed_set)
+        self.elastic_slack += _slack(rec.job, len(rec.node_ids)) - _slack(rec.job, before)
         self._ends_cache = None
         self._unbind(self._cols(removed))
         return removed
@@ -249,6 +267,7 @@ class NodePool:
             rec = self.running.pop(job_id)
         except KeyError:
             raise SchedulingError(f"job {job_id}: not running") from None
+        self.elastic_slack -= _slack(rec.job, len(rec.node_ids))
         self._ends_cache = None
         self._unbind(self._cols(rec.node_ids))
         return rec.node_ids

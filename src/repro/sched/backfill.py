@@ -85,8 +85,7 @@ class BackfillScheduler:
                 nodes = pool.allocate(head, now, width)
                 # Work conservation stretches a shrunk job's wall clock;
                 # the reservation belief must stretch with it.
-                rec = pool.running[head.job_id]
-                rec.believed_end = now + head.limit_s * (head.n_nodes / width)
+                pool.retime(head.job_id, now + head.limit_s * (head.n_nodes / width))
                 shrunk_starts += 1
             else:
                 break
@@ -203,6 +202,10 @@ class BackfillScheduler:
             need = head.min_nodes if head.malleable else head.n_nodes
             deficit = need - pool.n_free
             if deficit > 0:
+                if deficit > pool.elastic_slack:
+                    # The slack bounds the donors' capacity from above, so
+                    # the full pass below would also return nothing.
+                    return decisions
                 donors = [
                     rec
                     for _, rec in sorted(pool.running.items())

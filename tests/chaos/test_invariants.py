@@ -21,7 +21,7 @@ from repro.chaos import (
 )
 from repro.cluster import ClusterSpec
 from repro.cluster.failures import FailureModel
-from repro.oracle.invariants import MAX_RECORDED_PER_INVARIANT
+from repro.oracle.invariants import MAX_RECORDED_PER_INVARIANT, MalleableWidth
 from repro.rm.eslurm import EslurmRM
 from repro.rm.satellite import FAULT_TIMEOUT_S, SatelliteEvent, SatelliteState
 from repro.sched.job import Job
@@ -265,6 +265,29 @@ class TestSchedulerConservation:
         details = list(inv.check(ctx))
         assert any("has waited" in d for d in details)
         assert list(inv.check(ctx)) == []  # flagged heads are not re-reported
+
+
+class TestMalleableWidth:
+    def _elastic(self, ctx):
+        job = Job(job_id=3, name="m", user="u", n_nodes=6, runtime_s=10.0,
+                  user_estimate_s=20.0, submit_time=0.0, min_nodes=2, max_nodes=8)
+        job.start(0.0, ctx.rm.pool.allocate(job, now=0.0))
+        return job
+
+    def test_healthy_elastic_job_is_silent(self):
+        ctx = make_ctx()
+        self._elastic(ctx)
+        assert ctx.rm.pool.elastic_slack == 4
+        assert list(MalleableWidth().check(ctx)) == []
+
+    def test_slack_drift_fires(self):
+        ctx = make_ctx()
+        self._elastic(ctx)
+        # Corrupt the counter on purpose: the records still hold 4 nodes
+        # above their floors.
+        ctx.rm.pool.elastic_slack += 1
+        details = list(MalleableWidth().check(ctx))
+        assert details == ["pool elastic slack 5 != 4 recomputed from its records"]
 
 
 class TestRegistry:

@@ -9,7 +9,7 @@ from repro.errors import SchedulingError
 from repro.sched import Job, NodePool
 
 
-def make_job(job_id=1, n_nodes=2, runtime=100.0, estimate=150.0):
+def make_job(job_id=1, n_nodes=2, runtime=100.0, estimate=150.0, **kw):
     return Job(
         job_id=job_id,
         name="x",
@@ -18,6 +18,7 @@ def make_job(job_id=1, n_nodes=2, runtime=100.0, estimate=150.0):
         runtime_s=runtime,
         user_estimate_s=estimate,
         submit_time=0.0,
+        **kw,
     )
 
 
@@ -260,6 +261,8 @@ class PoolMachine(RuleBasedStateMachine):
         self.free = set(self.universe)
         self.down: set[int] = set()
         self.running: dict[int, tuple[int, ...]] = {}
+        #: ``min_nodes`` of each running malleable job (rigid jobs absent)
+        self.floors: dict[int, int] = {}
         self.next_id = 1
 
     def _held(self):
@@ -271,9 +274,11 @@ class PoolMachine(RuleBasedStateMachine):
     def _assert_own(self, ids):
         assert all(nid is self.own[nid] for nid in ids)
 
-    @rule(k=st.integers(1, 10))
-    def allocate(self, k):
-        job = make_job(job_id=self.next_id, n_nodes=k)
+    @rule(k=st.integers(1, 10), below=st.integers(0, 4), above=st.integers(0, 4))
+    def allocate(self, k, below, above):
+        # below == above == 0 is a rigid job; anything else a malleable one
+        floor = max(k - below, 1)
+        job = make_job(job_id=self.next_id, n_nodes=k, min_nodes=floor, max_nodes=k + above)
         self.next_id += 1
         if k > len(self.free):
             with pytest.raises(SchedulingError):
@@ -284,12 +289,15 @@ class PoolMachine(RuleBasedStateMachine):
         self._assert_own(got)
         self.free -= set(got)
         self.running[job.job_id] = got
+        if job.malleable:
+            self.floors[job.job_id] = floor
 
     @precondition(lambda self: self.running)
     @rule(data=st.data())
     def release(self, data):
         job_id = data.draw(st.sampled_from(sorted(self.running)))
         nodes = self.running.pop(job_id)
+        self.floors.pop(job_id, None)
         assert self.pool.release(job_id) == nodes
         self.free |= set(nodes) - self.down
 
@@ -351,6 +359,11 @@ class PoolMachine(RuleBasedStateMachine):
         assert pool.free_ids() == self.free
         assert pool.down_ids() == self.down
         assert {j: rec.node_ids for j, rec in pool.running.items()} == self.running
+        # shrinks and grows here ignore the width range, so a record may
+        # sit below its floor: it adds nothing to the slack then
+        assert pool.elastic_slack == sum(
+            max(len(self.running[j]) - floor, 0) for j, floor in self.floors.items()
+        )
 
 
 class DensePoolMachine(PoolMachine):
