@@ -117,12 +117,13 @@ malleable-smoke:
 
 ## Smoke: the incremental-simulation layer end to end — the snapshot
 ## suite must pass, resume-from-snapshot must stay byte-identical to
-## the straight run across a parallel seed sweep, and a what-if query
-## must answer through the CLI.
+## the straight run across a parallel seed sweep, and what-if queries
+## (a probe job, then a node failure) must answer through the CLI.
 snapshot-smoke:
 	$(PYTHON) -m pytest -q tests/snapshot -m "not slow"
 	$(PYTHON) -m repro.cli verify --relation snapshot-equivalence --seeds 2 -j 2
 	$(PYTHON) -m repro.cli whatif run --rm eslurm --n-nodes 32 --n-jobs 20 --seed 7 --at-s 43200 --perturb submit-job --job-nodes 4
+	$(PYTHON) -m repro.cli whatif run --rm eslurm --n-nodes 32 --n-jobs 20 --seed 7 --at-s 43200 --perturb fail-node --node-id 0 --duration-s 3600
 
 lint-imports:
 	$(PYTHON) -c "import repro, repro.api, repro.bench, repro.chaos, repro.cluster, repro.oracle, repro.parallel, repro.telemetry, repro.cli, repro.snapshot"

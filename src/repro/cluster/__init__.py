@@ -2,12 +2,13 @@
 
 This package models the physical machine the resource manager runs on:
 
-* :mod:`repro.cluster.node` — node roles, lifecycle states and their
-  column codes, and per-node hardware;
+* :mod:`repro.cluster.node` — node roles, liveness states (UP/DOWN)
+  and their column codes, and per-node hardware;
 * :mod:`repro.cluster.spec` — declarative cluster descriptions (with
   presets for the paper's Tianhe-2A and NG-Tianhe systems) and the
   instantiated :class:`~repro.cluster.spec.Cluster`, where a node is a
-  dense id and its state and job binding are two columns over all ids;
+  dense id and its liveness is one column over all ids (which job holds
+  it is the scheduler pool's record, not the cluster's);
 * :mod:`repro.cluster.topology` — the rack/chassis/board hierarchy and
   hop distances used by the latency model and topology-aware trees;
 * :mod:`repro.cluster.failures` — failure injection (point failures,

@@ -1,4 +1,4 @@
-"""Node vocabulary: roles, lifecycle states and their column codes, hardware."""
+"""Node vocabulary: roles, liveness states and their column codes, hardware."""
 
 from __future__ import annotations
 
@@ -17,21 +17,22 @@ class NodeRole(enum.Enum):
 
 
 class NodeState(enum.Enum):
-    """Operational state of a node.
+    """Liveness of a node.
 
-    ``UP``      healthy and idle/allocatable
-    ``ALLOC``   healthy and running a job
+    ``UP``      healthy (answers messages)
     ``DOWN``    failed (times out instead of answering)
+
+    Which job holds a node is not a node state: the scheduler's
+    :class:`~repro.sched.allocator.NodePool` keeps that record.
     """
 
     UP = "up"
-    ALLOC = "alloc"
     DOWN = "down"
 
 
 #: ``Cluster`` state-column codes, one per :class:`NodeState` in
-#: declaration order; codes up to ``ALLOC_CODE`` answer messages.
-UP_CODE, ALLOC_CODE, DOWN_CODE = range(3)
+#: declaration order.
+UP_CODE, DOWN_CODE = range(2)
 #: state-column code -> state
 STATE_OF_CODE: tuple[NodeState, ...] = tuple(NodeState)
 

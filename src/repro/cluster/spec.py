@@ -2,8 +2,8 @@
 
 A :class:`ClusterSpec` is pure configuration — sizes, hardware, topology,
 failure parameters.  Calling :meth:`ClusterSpec.build` on a simulator
-produces a :class:`Cluster`: the live object holding the node state and
-job-binding columns, the failure injector, and the health monitor.
+produces a :class:`Cluster`: the live object holding the node liveness
+column, the failure injector, and the health monitor.
 
 Presets mirror the paper's two testbeds::
 
@@ -15,7 +15,6 @@ Presets mirror the paper's two testbeds::
 from __future__ import annotations
 
 import typing as t
-from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +22,6 @@ import numpy as np
 from repro.cluster.failures import FailureInjector, FailureModel
 from repro.cluster.monitoring import HealthMonitor, MonitoringConfig
 from repro.cluster.node import (
-    ALLOC_CODE,
     DOWN_CODE,
     MASTER_NODE,
     NGTIANHE_NODE,
@@ -105,37 +103,23 @@ class ClusterSpec:
         return self.n_nodes * self.compute_hw.cores
 
 
-#: owner-column value for "no job bound to this node"
-_NO_JOB = -1
-
-#: ``bind``/``unbind`` calls with fewer ids walk the columns in Python,
-#: larger ones write one numpy mask.  On a 2-CPU Xeon under CPython
-#: 3.11 a bind+unbind pair costs the mask a fixed ~20 us and the walk
-#: ~0.3 us per id, so the two cross at about 56-72 ids.  The 1K
-#: malleable day (median job 5 nodes) needs the walk, the 65K Slurm day
-#: the mask.
-_VECTOR_MIN = 64
-
-
 class Cluster:
-    """A live cluster: node columns + failure injection + health monitoring.
+    """A live cluster: node liveness + failure injection + health monitoring.
 
     Node ids are dense: compute nodes are ``0 .. n_nodes-1``; the master
     is ``n_nodes``; satellites are ``n_nodes+1 .. n_nodes+n_satellites``.
     A node is its id.  Its role follows from that layout, its name and
     rack/chassis/board are derived on demand (:meth:`name_of`,
-    :meth:`role_of`, ``topology.coordinates``), and its liveness and job
-    binding are two columns over every id:
+    :meth:`role_of`, ``topology.coordinates``), and its liveness is one
+    column over every id: ``state``, ``uint8`` ``UP_CODE``/``DOWN_CODE``
+    codes, a numpy view of a ``bytearray`` so scalar reads are Python
+    ints.  Which job holds a node is not recorded here: the RM's
+    :class:`~repro.sched.allocator.NodePool` is that record.
 
-    * ``state`` — ``uint8`` :class:`NodeState` codes (``UP_CODE`` ...), a
-      numpy view of a ``bytearray`` so scalar reads are Python ints;
-    * ``owner`` — ``int64`` id of the job bound to the node, -1 if none.
-
-    Both are read-only outside this class: :meth:`bind`, :meth:`unbind`,
-    :meth:`fail_nodes` and :meth:`recover_nodes` are the only writers,
-    which keeps ``version`` and the unresponsive-id set in step with
-    them.  Every method taking ids raises :class:`ClusterError` for an
-    id outside the layout.
+    The column is read-only outside this class: :meth:`fail_nodes` and
+    :meth:`recover_nodes` are its only writers, which keeps ``version``
+    and the unresponsive-id set in step with it.  Every method taking
+    ids raises :class:`ClusterError` for an id outside the layout.
     """
 
     def __init__(self, sim: "Simulator", spec: ClusterSpec) -> None:
@@ -149,9 +133,7 @@ class Cluster:
         self.satellite_ids = list(range(n + 1, n + 1 + spec.n_satellites))
         n_ids = n + 1 + spec.n_satellites
         self._state = bytearray(n_ids)  # all UP_CODE
-        self._owner = array("q", [_NO_JOB]) * n_ids
         self.state = np.frombuffer(self._state, dtype=np.uint8)
-        self.owner = np.frombuffer(self._owner, dtype=np.int64)
         # Heartbeat rounds ask for the compute ids every rebuild.
         self._compute_ids = list(range(n))
         self.monitor = HealthMonitor(sim, self, spec.monitoring)
@@ -167,7 +149,7 @@ class Cluster:
         self.version += 1
         state, unresponsive = self._state, self._unresponsive
         for nid in changed:
-            if state[nid] <= ALLOC_CODE:
+            if state[nid] == UP_CODE:
                 unresponsive.discard(nid)
             else:
                 unresponsive.add(nid)
@@ -194,17 +176,11 @@ class Cluster:
         # the id check is inlined: this read is on the fabric's per-transfer path
         if not 0 <= node_id < len(self._state):
             raise ClusterError(f"unknown node id {node_id}")
-        return self._state[node_id] <= ALLOC_CODE
+        return self._state[node_id] == UP_CODE
 
     def state_of(self, node_id: int) -> NodeState:
         self._check_id(node_id)
         return STATE_OF_CODE[self._state[node_id]]
-
-    def owner_of(self, node_id: int) -> int | None:
-        """Id of the job bound to the node, or ``None``."""
-        self._check_id(node_id)
-        owner = self._owner[node_id]
-        return None if owner == _NO_JOB else owner
 
     def role_of(self, node_id: int) -> NodeRole:
         self._check_id(node_id)
@@ -220,73 +196,6 @@ class Cluster:
         if node_id < n:
             return f"cn{node_id:05d}"
         return "master" if node_id == n else f"sat{node_id - n - 1:02d}"
-
-    # -- job binding -------------------------------------------------------
-    def _not_allocatable(self, node_id: int) -> ClusterError:
-        return ClusterError(
-            f"node {self.name_of(node_id)} not allocatable "
-            f"(state={self.state_of(node_id).value}, job={self.owner_of(node_id)})"
-        )
-
-    def bind(self, node_ids: t.Iterable[int], job_id: int) -> None:
-        """Bind ``job_id`` to every node in ``node_ids`` (a launch or grow).
-
-        All or nothing: raises :class:`ClusterError`, and writes nothing,
-        for an unknown id, a repeated id or a node that is not
-        allocatable (not UP; an UP node is never bound).
-        """
-        ids = node_ids if isinstance(node_ids, tuple) else tuple(node_ids)
-        if len(ids) >= _VECTOR_MIN:
-            cols = self._id_array(ids)
-            busy = self.state[cols]
-            if busy.any():  # UP_CODE is 0
-                raise self._not_allocatable(int(cols[np.flatnonzero(busy)[0]]))
-            # Allocations arrive ascending; only other orders pay a sort.
-            if not (cols[1:] > cols[:-1]).all():
-                ordered = np.sort(cols)
-                if (ordered[1:] == ordered[:-1]).any():
-                    raise ClusterError(f"job {job_id}: repeated node id in bind")
-            self.state[cols] = ALLOC_CODE
-            self.owner[cols] = job_id
-            return
-        state = self._state
-        n_ids = len(state)
-        for nid in ids:
-            if not 0 <= nid < n_ids:
-                raise ClusterError(f"unknown node id {nid}")
-            if state[nid]:  # UP_CODE is 0
-                raise self._not_allocatable(nid)
-        if len(ids) > 1 and len(set(ids)) != len(ids):
-            raise ClusterError(f"job {job_id}: repeated node id in bind")
-        owner = self._owner
-        for nid in ids:
-            state[nid] = ALLOC_CODE
-            owner[nid] = job_id
-
-    def unbind(self, node_ids: t.Iterable[int], job_id: int) -> None:
-        """Release the nodes in ``node_ids`` still bound to ``job_id``.
-
-        Nodes rebound to another job are skipped; DOWN nodes lose the
-        binding but stay DOWN (recovery brings them back UP).
-        """
-        ids = node_ids if isinstance(node_ids, tuple) else tuple(node_ids)
-        if len(ids) >= _VECTOR_MIN:
-            cols = self._id_array(ids)
-            mine = cols[self.owner[cols] == job_id]
-            self.owner[mine] = _NO_JOB
-            state = self.state
-            state[mine[state[mine] == ALLOC_CODE]] = UP_CODE
-            return
-        state, owner = self._state, self._owner
-        n_ids = len(state)
-        for nid in ids:
-            if not 0 <= nid < n_ids:
-                raise ClusterError(f"unknown node id {nid}")
-        for nid in ids:
-            if owner[nid] == job_id:
-                if state[nid] == ALLOC_CODE:
-                    state[nid] = UP_CODE
-                owner[nid] = _NO_JOB
 
     def compute_ids(self, lo: int = 0, hi: int | None = None) -> list[int]:
         """Ids of the compute nodes, or of positions ``[lo, hi)`` of
@@ -305,19 +214,15 @@ class Cluster:
 
     # -- liveness control (delegates used heavily by experiments) ----------
     def fail_nodes(self, node_ids: t.Iterable[int]) -> None:
-        """Force the given nodes DOWN; a bound job keeps its binding
-        until recovery."""
+        """Force the given nodes DOWN."""
         ids = list(node_ids)
         self.state[self._id_array(ids)] = DOWN_CODE
         self._bump_version(ids)
 
     def recover_nodes(self, node_ids: t.Iterable[int]) -> None:
-        """Bring the given DOWN nodes back UP, dropping any stale binding."""
+        """Bring the given DOWN nodes back UP."""
         ids = list(node_ids)
-        cols = self._id_array(ids)
-        down = cols[self.state[cols] == DOWN_CODE]
-        self.state[down] = UP_CODE
-        self.owner[down] = _NO_JOB
+        self.state[self._id_array(ids)] = UP_CODE
         self._bump_version(ids)
 
     def fail_fraction(self, fraction: float, rng: t.Any = None) -> list[int]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.node import ALLOC_CODE, UP_CODE
+from repro.cluster.node import UP_CODE
 from repro.fptree.tree import build_tree, leaf_positions
 from repro.rm.satellite import (
     FAULT_TIMEOUT_S,
@@ -150,7 +150,7 @@ class NodeConservation(Invariant):
     """No node is lost or double-counted across failure and recovery.
 
     The scheduler pool's free/down/allocated sets must stay mutually
-    exclusive, agree with the cluster's node states, and never hand the
+    exclusive, agree with the cluster's liveness, and never hand the
     same node to two jobs.
     """
 
@@ -171,16 +171,9 @@ class NodeConservation(Invariant):
                 owner[nid] = job_id
                 if nid in free:
                     yield f"node {nid} free while allocated to job {job_id}"
-        cluster = ctx.cluster
         cols = np.fromiter(free, dtype=np.int64, count=len(free))
         cols.sort()
-        state = cluster.state[cols]
-        for nid in cols[(state != UP_CODE) | (cluster.owner[cols] != -1)].tolist():
-            yield (
-                f"free-pool node {nid} not allocatable "
-                f"(state={cluster.state_of(nid).value}, job={cluster.owner_of(nid)})"
-            )
-        for nid in cols[state > ALLOC_CODE].tolist():
+        for nid in cols[ctx.cluster.state[cols] != UP_CODE].tolist():
             yield f"unresponsive node {nid} still in the free pool"
 
 

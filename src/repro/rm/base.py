@@ -397,7 +397,6 @@ class ResourceManager:
     def _launch_decisions(self, decisions: list[tuple[Job, tuple[int, ...]]]) -> None:
         if self.lifecycle_mode == "fsm":
             for job, nodes in decisions:
-                self.cluster.bind(nodes, job.job_id)
                 lc = JobLifecycle(self, job, nodes)
                 self._job_procs[job.job_id] = lc
                 # Synchronous begin: the generator path defers the same
@@ -407,7 +406,6 @@ class ResourceManager:
                 lc.begin()
             return
         for job, nodes in decisions:
-            self.cluster.bind(nodes, job.job_id)
             proc = self.sim.process(self._run_job(job, nodes), name=f"job{job.job_id}")
             self._job_procs[job.job_id] = proc
 
@@ -430,7 +428,7 @@ class ResourceManager:
         """Apply scheduler resize decisions; returns whether any shrank.
 
         The pool side is already mutated (the scheduler allocates, same
-        as ``plan``); this applies the job, cluster-node, accounting and
+        as ``plan``); this applies the job, accounting and
         process-retiming side, with one telemetry span per decision.
         """
         tel = telemetry.active()
@@ -457,12 +455,10 @@ class ResourceManager:
             p.launch_cpu_per_node_us / 1e6 * (len(dec.added) + len(dec.removed))
         )
         if dec.added:
-            self.cluster.bind(dec.added, job.job_id)
             job.grow(now, dec.added)
             self.resize_grows += 1
         if dec.removed:
             job.shrink(now, dec.removed)
-            self.cluster.unbind(dec.removed, job.job_id)
             self.resize_shrinks += 1
         self._retime(job)
 
@@ -511,7 +507,6 @@ class ResourceManager:
     # readable reference the lifecycle-equivalence relation checks the
     # FSM against, phase for phase.
     def _run_job(self, job: Job, nodes: tuple[int, ...]) -> t.Generator:
-        submit_like = self.sim.now  # resources held from this instant
         teardown = False
         try:
             p = self.profile
@@ -555,13 +550,13 @@ class ResourceManager:
             raise
         finally:
             if not teardown:
-                self._release(job, nodes, submit_like)
+                self._release(job)
 
-    def _release(self, job: Job, nodes: tuple[int, ...], held_since: float) -> None:
+    def _release(self, job: Job) -> None:
         self._job_procs.pop(job.job_id, None)
         # The pool record, not the launch-time tuple, is the allocation
         # of record — resizes may have changed it since the job started.
-        self.cluster.unbind(self.pool.release(job.job_id), job.job_id)
+        self.pool.release(job.job_id)
         self._occupation.record(self.sim.now - job.submit_time)
         self.master_acct.set_tracked(jobs=len(self.pool.running) + len(self.queue))
         if self.estimator is not None and job.end_time is not None:
@@ -684,7 +679,6 @@ class ResourceManager:
                 # dead node instead of killing the whole job.
                 self.pool.shrink_allocation(victim, (nid,))
                 job.shrink(self.sim.now, (nid,))
-                self.cluster.unbind((nid,), job.job_id)
                 self.resize_shrinks += 1
                 telemetry.count("sched.shrink.on_failure")
                 self._retime(job)

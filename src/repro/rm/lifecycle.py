@@ -85,7 +85,6 @@ class JobLifecycle:
         "nodes",
         "phase",
         "timer",
-        "submit_like",
         "work",
         "seg_start",
         "seg_width",
@@ -98,7 +97,6 @@ class JobLifecycle:
         self.nodes = nodes
         self.phase = LAUNCH
         self.timer: Timer | None = None
-        self.submit_like = rm.sim.now  # resources held from this instant
         # Malleable work-segment state (work-conservation bookkeeping).
         self.work = 0.0
         self.seg_start = 0.0
@@ -227,7 +225,7 @@ class JobLifecycle:
         rm, job = self.rm, self.job
         job.finish(rm.sim.now, t.cast(JobState, self.end_state))
         self.phase = DONE
-        rm._release(job, self.nodes, self.submit_like)
+        rm._release(job)
 
     def _on_done(self) -> None:  # pragma: no cover - table completeness
         raise SimulationError(f"timer fired on finished lifecycle {self.name!r}")
@@ -247,7 +245,7 @@ class JobLifecycle:
         elif job.state is JobState.PENDING:
             job.state = JobState.FAILED
             job.end_time = rm.sim.now
-        rm._release(job, self.nodes, self.submit_like)
+        rm._release(job)
 
     # -- snapshot identity ---------------------------------------------
     def snapshot_state(self) -> dict[str, t.Any]:

@@ -31,10 +31,6 @@ import hashlib
 import json
 import typing as t
 
-import numpy as np
-
-from repro.cluster.node import UP_CODE
-
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.snapshot.world import SimWorld
 
@@ -213,17 +209,12 @@ def _rm_state(rm: t.Any) -> dict[str, t.Any]:
 
 
 def _cluster_state(cluster: t.Any) -> dict[str, t.Any]:
-    # Sparse node map: only nodes away from the idle-UP default (an UP
-    # node is never bound).
-    nodes = [
-        [nid, cluster.state_of(nid).name, cluster.owner_of(nid)]
-        for nid in np.flatnonzero(cluster.state != UP_CODE).tolist()
-    ]
+    # Liveness only: which job holds a node is in the pool's records.
     injector = cluster.failures
     monitor = cluster.monitor
     return {
         "version": cluster.version,
-        "nodes": nodes,
+        "down": sorted(cluster.unresponsive_ids()),
         "failure_events": [
             [ev.time, ev.kind, list(ev.node_ids), ev.recover_at]
             for ev in injector.events

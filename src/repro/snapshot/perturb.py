@@ -161,9 +161,15 @@ class FailNode(Perturbation):
             for job_id in at_risk
             if job_id in by_id and by_id[job_id].state is JobState.FAILED
         ]
+        if not world.cluster.is_responsive(self.node_id):
+            final_state = "DOWN"
+        elif any(self.node_id in rec.node_ids for rec in world.rm.pool.running.values()):
+            final_state = "ALLOC"
+        else:
+            final_state = "UP"
         return {
             "node_id": self.node_id,
-            "final_state": world.cluster.state_of(self.node_id).name,
+            "final_state": final_state,
             "jobs_at_risk": list(at_risk),
             "jobs_failed_on_node": killed,
         }

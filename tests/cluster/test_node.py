@@ -1,32 +1,43 @@
-"""Tests for the per-node rules, read through the cluster's columns.
+"""Tests for the per-node rules.
 
-A node is a dense id of a :class:`~repro.cluster.spec.Cluster`; its
-state and job binding live in the cluster's ``state``/``owner`` columns.
+A node is a dense id of a :class:`~repro.cluster.spec.Cluster`, whose
+``state`` column holds its liveness.  Which job holds it is recorded by
+the scheduler's :class:`~repro.sched.allocator.NodePool` alone.
 """
 
 import pytest
 
 from repro.cluster import ClusterSpec
 from repro.cluster.node import HardwareSpec, NodeRole, NodeState
-from repro.errors import ClusterError
+from repro.errors import ClusterError, SchedulingError
+from repro.sched import Job, NodePool
 from repro.simkit import Simulator
 
 
 def make_cluster():
-    """A small live cluster; ``Cluster.bind``/``unbind`` are the only way a
-    node enters or leaves ALLOC."""
+    """A small live cluster."""
     return ClusterSpec(n_nodes=4, n_satellites=1).build(Simulator(seed=0))
 
 
-def allocatable(cluster, node_id):
-    return cluster.state_of(node_id) is NodeState.UP and cluster.owner_of(node_id) is None
+class Pick:
+    """A placement policy that always picks the same nodes."""
+
+    def __init__(self, *node_ids):
+        self.node_ids = node_ids
+
+    def select(self, free, k):
+        return self.node_ids
+
+
+def one_node_job(job_id):
+    return Job(job_id, f"j{job_id}", "u", 1, 10.0, 20.0, 0.0)
 
 
 class TestNodeValidation:
     def test_negative_id_rejected(self):
         cluster = make_cluster()
         for read in (
-            cluster.state_of, cluster.owner_of, cluster.is_responsive,
+            cluster.state_of, cluster.is_responsive,
             cluster.name_of, cluster.role_of,
         ):
             with pytest.raises(ClusterError):
@@ -41,7 +52,6 @@ class TestNodeValidation:
         assert cluster.role_of(0) is NodeRole.COMPUTE
         assert cluster.state_of(0) is NodeState.UP
         assert cluster.is_responsive(0)
-        assert allocatable(cluster, 0)
 
 
 class TestNodeTransitions:
@@ -50,7 +60,6 @@ class TestNodeTransitions:
         cluster.fail_nodes([0])
         assert cluster.state_of(0) is NodeState.DOWN
         assert not cluster.is_responsive(0)
-        assert not allocatable(cluster, 0)
         cluster.recover_nodes([0])
         assert cluster.state_of(0) is NodeState.UP
 
@@ -65,28 +74,20 @@ class TestNodeTransitions:
         cluster.recover_nodes([0])  # UP stays UP
         assert cluster.state_of(0) is NodeState.UP
 
-    def test_allocate_release_cycle(self):
-        cluster = make_cluster()
-        cluster.bind((0,), job_id=42)
-        assert cluster.state_of(0) is NodeState.ALLOC
-        assert cluster.owner_of(0) == 42
-        assert cluster.is_responsive(0)  # allocated nodes still answer messages
-        assert not allocatable(cluster, 0)
-        cluster.unbind((0,), job_id=42)
-        assert cluster.state_of(0) is NodeState.UP
-        assert cluster.owner_of(0) is None
-
     def test_double_allocate_rejected(self):
-        cluster = make_cluster()
-        cluster.bind((0,), job_id=1)
-        with pytest.raises(ClusterError):
-            cluster.bind((0,), job_id=2)
+        # A node held by one job is never handed to another.
+        pool = NodePool(make_cluster().compute_ids(), placement=Pick(0))
+        pool.allocate(one_node_job(1), now=0.0)
+        with pytest.raises(SchedulingError, match="placement returned"):
+            pool.allocate(one_node_job(2), now=0.0)
+        assert pool.running[1].node_ids == (0,)
 
     def test_allocate_down_node_rejected(self):
-        cluster = make_cluster()
-        cluster.fail_nodes([0])
-        with pytest.raises(ClusterError):
-            cluster.bind((0,), job_id=1)
+        pool = NodePool(make_cluster().compute_ids(), placement=Pick(0))
+        pool.mark_down(0)
+        with pytest.raises(SchedulingError, match="placement returned"):
+            pool.allocate(one_node_job(1), now=0.0)
+        assert not pool.running
 
 
 class TestHardwareSpec:

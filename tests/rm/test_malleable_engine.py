@@ -46,16 +46,16 @@ class TestGrowth:
         assert j.node_seconds == pytest.approx(400.0, rel=0.1)
 
     def test_grown_nodes_visible_in_cluster(self):
-        sim, cluster, rm = build(n=8)
+        sim, _, rm = build(n=8)
         j = elastic(1, 4, 2, 8, runtime=500.0, est=600.0)
         rm.start()
         sim.call_at(1.0, lambda: rm.submit(j))
         sim.run(until=120.0)  # mid-flight, after the first elastic pass
         assert j.state is JobState.RUNNING
         assert len(j.allocated_nodes) == 8
-        assert (cluster.owner == 1).sum() == 8
+        assert len(rm.pool.running[1].node_ids) == 8 and rm.pool.n_busy == 8
         sim.run(until=HOUR)
-        assert (cluster.owner == -1).all()
+        assert not rm.pool.running and rm.pool.n_busy == 0
         assert rm.pool.n_free == 8
 
     def test_rigid_job_never_resized(self):

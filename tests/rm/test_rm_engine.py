@@ -47,14 +47,14 @@ class TestLifecycle:
         assert j.end_time - j.start_time < 500.0
 
     def test_nodes_allocated_and_released_in_cluster(self):
-        sim, cluster, rm = build()
+        sim, _, rm = build()
         j = job(1, n_nodes=8)
         rm.start()
         sim.call_at(1.0, lambda: rm.submit(j))
         sim.run(until=30.0)  # mid-flight
-        assert (cluster.owner == 1).sum() == 8
+        assert len(rm.pool.running[1].node_ids) == 8 and rm.pool.n_busy == 8
         sim.run(until=HOUR)
-        assert (cluster.owner == -1).all()
+        assert not rm.pool.running and rm.pool.n_busy == 0
 
     def test_too_large_job_rejected(self):
         sim, _, rm = build(n=16)

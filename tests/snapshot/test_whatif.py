@@ -88,6 +88,18 @@ class TestPerturbations:
         assert outcome.probe["node_id"] == node_id
         assert outcome.probe["jobs_failed_on_node"]
 
+    def test_fail_node_final_state(self):
+        # A busy day: after a short outage node 0 goes to a later job
+        # that still holds it at the horizon; a long outage outlasts it.
+        config = SimulationConfig(
+            rm="eslurm", n_nodes=32, n_satellites=2, seed=7, n_jobs=200, horizon_s=86_400.0
+        )
+        back = what_if(snapshot_at(3000, config), FailNode(node_id=0, duration_s=600.0))
+        dark = what_if(snapshot_at(3000, config), FailNode(node_id=0, duration_s=1e6))
+        assert back.probe["jobs_failed_on_node"] == dark.probe["jobs_failed_on_node"] == [2]
+        assert back.probe["final_state"] == "ALLOC"
+        assert dark.probe["final_state"] == "DOWN"
+
     def test_fail_unknown_node_rejected(self):
         with pytest.raises(ConfigurationError, match="not a compute node"):
             what_if(snapshot_at(), FailNode(node_id=10_000))
