@@ -125,5 +125,12 @@ snapshot-smoke:
 	$(PYTHON) -m repro.cli whatif run --rm eslurm --n-nodes 32 --n-jobs 20 --seed 7 --at-s 43200 --perturb submit-job --job-nodes 4
 	$(PYTHON) -m repro.cli whatif run --rm eslurm --n-nodes 32 --n-jobs 20 --seed 7 --at-s 43200 --perturb fail-node --node-id 0 --duration-s 3600
 
+## Import every top-level package (and the CLI) first, each in a fresh
+## interpreter: an import cycle only fails when its package loads first.
+REPRO_MODULES := $(sort $(notdir $(patsubst %/__init__.py,%,$(wildcard src/repro/*/__init__.py)))) cli
+
 lint-imports:
-	$(PYTHON) -c "import repro, repro.api, repro.bench, repro.chaos, repro.cluster, repro.oracle, repro.parallel, repro.telemetry, repro.cli, repro.snapshot"
+	@for mod in $(REPRO_MODULES); do \
+		$(PYTHON) -c "import repro.$$mod" || { echo "import repro.$$mod failed"; exit 1; }; \
+		echo "import repro.$$mod: OK"; \
+	done

@@ -178,6 +178,10 @@ class Cluster:
             raise ClusterError(f"unknown node id {node_id}")
         return self._state[node_id] == UP_CODE
 
+    def responsive(self, node_ids: t.Sequence[int]) -> np.ndarray:
+        """:meth:`is_responsive` of every id, as a boolean mask."""
+        return self.state[self._id_array(node_ids)] == UP_CODE
+
     def state_of(self, node_id: int) -> NodeState:
         self._check_id(node_id)
         return STATE_OF_CODE[self._state[node_id]]

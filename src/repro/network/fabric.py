@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.topology import HopLevel
 from repro.errors import ConfigurationError
 from repro.telemetry import facade as telemetry
 
@@ -92,8 +91,6 @@ class NetworkFabric:
         self.cluster = cluster
         self.config = config or FabricConfig()
         self._rng = sim.rng.stream("fabric")
-        #: hop-latency table as an array, for the vectorised fancy-index
-        self._hop_lat = np.asarray(self.config.hop_latency_s)
         #: (cluster.version, frozenset of unresponsive ids) — see
         #: :meth:`unreachable_ids`
         self._unreachable_cache: tuple[int, frozenset[int]] | None = None
@@ -151,32 +148,9 @@ class NetworkFabric:
         Hop levels are computed from topology coordinates without Python
         loops; used by the star/tree engines at full machine scale.
         """
-        cfg = self.config
-        topo = self.cluster.topology
-        dsts = np.asarray(dsts, dtype=np.int64)
-        tel = telemetry.active()
-        if tel is not None:
-            tel.count("net.messages", len(dsts))
-            tel.count("net.bytes", size_bytes * len(dsts))
         n = self.cluster.n_nodes
         src_c = min(src, n - 1) if src < n else 0
-        dst_c = np.where(dsts < n, np.minimum(dsts, n - 1), 0)
-        src_board = src_c // topo.nodes_per_board
-        src_chassis = src_c // topo.nodes_per_chassis
-        src_rack = src_c // topo.nodes_per_rack
-        dst_board = dst_c // topo.nodes_per_board
-        dst_chassis = dst_c // topo.nodes_per_chassis
-        dst_rack = dst_c // topo.nodes_per_rack
-        hop = np.full(dsts.shape, int(HopLevel.CROSS_RACK), dtype=np.int64)
-        hop[dst_rack == src_rack] = int(HopLevel.SAME_RACK)
-        hop[dst_chassis == src_chassis] = int(HopLevel.SAME_CHASSIS)
-        hop[dst_board == src_board] = int(HopLevel.SAME_BOARD)
-        hop[dst_c == src_c] = int(HopLevel.SAME_NODE)
-        lat = self._hop_lat[hop]
-        delays = cfg.send_overhead_s + lat + size_bytes / cfg.bytes_per_second
-        if cfg.jitter_frac:
-            delays = delays * (1.0 + cfg.jitter_frac * (2.0 * self._rng.random(delays.shape) - 1.0))
-        return delays
+        return self._link_delays(src_c, self._clamped(np.asarray(dsts, dtype=np.int64)), size_bytes)
 
     def transfer_delays_pairwise(
         self, srcs: np.ndarray, dsts: np.ndarray, size_bytes: int
@@ -191,44 +165,45 @@ class NetworkFabric:
         With jitter enabled the draw order differs from per-pair scalar
         calls; callers needing scalar-identical jitter must stay scalar.
         """
+        srcs = self._clamped(np.asarray(srcs, dtype=np.int64))
+        return self._link_delays(srcs, self._clamped(np.asarray(dsts, dtype=np.int64)), size_bytes)
+
+    def _clamped(self, ids: np.ndarray) -> np.ndarray:
+        """``ids`` with every id past the compute nodes read as node 0,
+        as :meth:`transfer_delay` maps the master and satellites."""
+        n = self.cluster.n_nodes
+        return ids if not ids.size or ids.max() < n else np.where(ids < n, ids, 0)
+
+    def _link_delays(
+        self, src_c: int | np.ndarray, dst_c: np.ndarray, size_bytes: int
+    ) -> np.ndarray:
+        """Delays of the links ``src_c -> dst_c`` (clamped compute ids)."""
         cfg = self.config
         topo = self.cluster.topology
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
         tel = telemetry.active()
         if tel is not None:
-            tel.count("net.messages", len(dsts))
-            tel.count("net.bytes", size_bytes * len(dsts))
-        n = self.cluster.n_nodes
-        src_c = np.where(srcs < n, np.minimum(srcs, n - 1), 0)
-        dst_c = np.where(dsts < n, np.minimum(dsts, n - 1), 0)
-        hop = np.full(dsts.shape, int(HopLevel.CROSS_RACK), dtype=np.int64)
-        hop[dst_c // topo.nodes_per_rack == src_c // topo.nodes_per_rack] = int(HopLevel.SAME_RACK)
-        hop[dst_c // topo.nodes_per_chassis == src_c // topo.nodes_per_chassis] = int(
-            HopLevel.SAME_CHASSIS
-        )
-        hop[dst_c // topo.nodes_per_board == src_c // topo.nodes_per_board] = int(
-            HopLevel.SAME_BOARD
-        )
-        hop[dst_c == src_c] = int(HopLevel.SAME_NODE)
-        lat = self._hop_lat[hop]
-        delays = cfg.send_overhead_s + lat + size_bytes / cfg.bytes_per_second
+            tel.count("net.messages", len(dst_c))
+            tel.count("net.bytes", size_bytes * len(dst_c))
+        # The layout nests (a board lies in one chassis, a chassis in one
+        # rack), so the HopLevel value (SAME_NODE = 0 up to CROSS_RACK =
+        # 4) is the number of levels whose index differs.
+        hop = (dst_c != src_c).astype(np.intp)
+        src_i, dst_i = src_c // topo.nodes_per_board, dst_c // topo.nodes_per_board
+        hop += src_i != dst_i
+        src_i, dst_i = src_i // topo.boards_per_chassis, dst_i // topo.boards_per_chassis
+        hop += src_i != dst_i
+        hop += src_i // topo.chassis_per_rack != dst_i // topo.chassis_per_rack
+        # one delay per hop level, summed left to right like the scalar path
+        wire_s = size_bytes / cfg.bytes_per_second
+        per_hop = np.array([cfg.send_overhead_s + lat + wire_s for lat in cfg.hop_latency_s])
+        delays = per_hop.take(hop)
         if cfg.jitter_frac:
             delays = delays * (1.0 + cfg.jitter_frac * (2.0 * self._rng.random(delays.shape) - 1.0))
         return delays
 
     def reachability(self, node_ids: t.Sequence[int]) -> np.ndarray:
-        """Boolean liveness mask over ``node_ids``."""
-        if len(node_ids) >= 64:
-            # machine-scale sweeps: one set lookup per *down* node
-            # instead of one attribute walk per target
-            down = self.unreachable_ids()
-            if not down:
-                return np.ones(len(node_ids), dtype=bool)
-            ids = np.asarray(node_ids, dtype=np.int64)
-            return ~np.isin(ids, np.fromiter(down, dtype=np.int64, count=len(down)))
-        return np.fromiter(
-            (self.cluster.is_responsive(nid) for nid in node_ids),
-            dtype=bool,
-            count=len(node_ids),
-        )
+        """Boolean liveness mask over ``node_ids``: one read of the
+        cluster's ``state`` column.  An id outside the cluster raises
+        :class:`~repro.errors.ClusterError`, as
+        :meth:`Cluster.is_responsive` does."""
+        return self.cluster.responsive(node_ids)

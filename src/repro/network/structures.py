@@ -20,11 +20,14 @@ engine on a rearranged nodelist.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import typing as t
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.cluster.node import UP_CODE
+from repro.errors import ClusterError, ConfigurationError
 from repro.fptree.tree import children_bounds
 from repro.network.broadcast import BroadcastResult, BroadcastStructure
 from repro.telemetry import facade as telemetry
@@ -237,113 +240,186 @@ class _TreeWalk:
         return now
 
 
+#: (size, width) shapes kept by :func:`_tree_shape`; a simulated day
+#: broadcasts over a few dozen distinct tree sizes
+_SHAPE_CACHE_SIZE = 64
+
+#: per depth, the ``(lo, rank)`` arrays of :func:`_tree_shape`
+_Shape = tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _tree_shape(n: int, width: int) -> _Shape:
+    """Level-order index shape of the k-ary tree over ``n`` list entries.
+
+    One ``(lo, rank)`` pair per depth 1, 2, ...: for every child at that
+    depth, its nodelist position and its 1-based rank among its
+    siblings (the ``j + 1`` of its dispatch time).  Entries run
+    parent-major with parents in position order (so ``lo`` ascends),
+    which is the order the sweep observes arrivals in; a child's parent
+    sits just before its first sibling, at ``lo[e + 1 - rank[e]] - 1``,
+    and :func:`_range_end` recovers where its range ends.
+    The shape depends only on ``(n, width)``, so the sweep reads it from
+    this cache instead of redoing the range arithmetic per call.  It
+    costs five bytes per entry (``int32`` positions, ranks in the
+    smallest unsigned type holding ``width``), and the arrays are
+    read-only.
+    """
+    rank_t = np.min_scalar_type(width)
+    levels = []
+    plo = np.zeros(1, dtype=np.int64)
+    phi = np.array([n], dtype=np.int64)
+    while True:
+        m = phi - plo - 1  # descendant count per parent
+        has = m > 0
+        plo, phi, m = plo[has], phi[has], m[has]
+        if not plo.size:
+            return tuple(levels)
+        # Child ranges of every parent at this level, flattened; the
+        # index arithmetic mirrors fptree._chunk_bounds.
+        k = np.minimum(width, m)
+        base = m // k
+        extra = m - base * k
+        pidx = np.repeat(np.arange(k.size), k)
+        j = np.arange(int(k.sum()), dtype=np.int64) - (np.cumsum(k) - k)[pidx]
+        c_lo = plo[pidx] + 1 + j * base[pidx] + np.minimum(j, extra[pidx])
+        level = (c_lo.astype(np.int32), (j + 1).astype(rank_t))
+        for a in level:
+            a.flags.writeable = False
+        levels.append(level)
+        plo, phi = c_lo, c_lo + base[pidx] + (j < extra[pidx])
+
+
+
+def _range_end(shape: _Shape, depth: int, pos: int, n: int) -> int:
+    """End of the range ``[pos, end)`` of the depth-``depth`` child at
+    ``pos`` in ``shape`` (over ``n`` entries): its next sibling's
+    position, else its parent's end."""
+    while depth:
+        lo, rank = shape[depth - 1]
+        e = int(np.searchsorted(lo, pos))
+        if e + 1 < lo.size and rank[e + 1] != 1:
+            return int(lo[e + 1])
+        pos = int(lo[e + 1 - int(rank[e])]) - 1
+        depth -= 1
+    return n
+
+
+def _forest_levels(
+    shapes: list[_Shape], offsets: np.ndarray
+) -> t.Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each depth's ``(lo, rank)`` over the whole forest: the trees'
+    cached levels concatenated tree-major, ``lo`` shifted to positions
+    in the concatenated nodelist."""
+    if len(shapes) == 1:
+        yield from shapes[0]
+        return
+    for depth in range(max(map(len, shapes))):
+        parts = [(off, shape[depth]) for off, shape in zip(offsets, shapes) if len(shape) > depth]
+        shift = np.repeat([off for off, _ in parts], [lv[0].size for _, lv in parts])
+        yield (
+            np.concatenate([lv[0] for _, lv in parts]) + shift,
+            np.concatenate([lv[1] for _, lv in parts]),
+        )
+
+
 def _run_forest(walks: list[_TreeWalk], per_target_root_s: float) -> None:
     """Level-order evaluation of the all-alive portion of many trees.
 
-    Every level is processed as numpy arrays (child-range arithmetic,
-    pairwise delays, histogram observation) shared by all trees; a
-    single tree is simply a forest of one.  Children are generated
-    parent-major and parents stay tree-major, so every level's arrays
-    are contiguous per tree and per-tree makespans (and arrivals, for
-    walks that record them) fall out of slices.  Dead children become
-    per-tree *patches*: their subtrees are excluded from the sweep and
-    replayed afterwards through the scalar takeover path, in ascending
-    position order — which on these trees (contiguous nested ranges,
-    ordered siblings) is exactly the recursion's DFS preorder, so
-    ``failed`` ordering matches too.
+    Every level is processed as numpy arrays over the cached tree
+    shapes (:func:`_tree_shape`) of all trees at once; a single tree is
+    simply a forest of one.  Times live in one array over the trees'
+    concatenated nodelists, so per-tree makespans fall out of one
+    ``np.maximum.reduceat``.  Liveness is one read of the cluster's
+    ``state`` column per forest, carried down the fixed shape as a
+    path-alive mask.  A dead child of a live parent becomes a per-tree
+    *patch*: its subtree is left out of the sweep and replayed
+    afterwards through the scalar takeover path, in ascending position
+    order — which on these trees (contiguous nested ranges, ordered
+    siblings) is exactly the recursion's DFS preorder, so ``failed``
+    ordering matches too.  Before any delay is computed, an unknown
+    target raises :class:`ClusterError` and a repeated one
+    :class:`ConfigurationError`, as on the scalar path.
     """
     fabric = walks[0].fabric
     overhead = walks[0].overhead
     width = walks[0].width
     size_bytes = walks[0].size_bytes
     tel = walks[0].tel
-    n_trees = len(walks)
-    offsets = np.zeros(n_trees, dtype=np.int64)
-    all_nodes: list[int] = []
-    for i, walk in enumerate(walks):
-        offsets[i] = len(all_nodes)
-        all_nodes.extend(walk.nodelist)
-    arr = np.asarray(all_nodes, dtype=np.int64)
-    down = fabric.unreachable_ids()
-    down_arr = np.fromiter(down, dtype=np.int64, count=len(down)) if down else None
-    patches: list[tuple[int, int, int, int, float, int]] = []
-    plo = offsets.copy()
-    phi = offsets + np.array([len(w.nodelist) for w in walks], dtype=np.int64)
-    pid = arr[plo]
-    pready = np.array(
-        [per_target_root_s * (len(w.nodelist) - 1) for w in walks], dtype=np.float64
+    sizes = [len(w.nodelist) for w in walks]
+    offsets = np.fromiter(itertools.accumulate(sizes[:-1], initial=0), np.int64, len(sizes))
+    arr = np.fromiter(
+        itertools.chain.from_iterable(w.nodelist for w in walks), dtype=np.int64, count=sum(sizes)
     )
-    tid = np.arange(n_trees, dtype=np.int64)
-    makespans = np.zeros(n_trees, dtype=np.float64)
-    level = 1
-    while plo.size:
-        m = phi - plo - 1  # descendant count per live parent
-        has = m > 0
-        if not has.all():
-            plo, phi, pid, pready, tid, m = (
-                plo[has], phi[has], pid[has], pready[has], tid[has], m[has]
-            )
-        if not plo.size:
-            break
-        # Child ranges of every parent at this level, flattened; the
-        # index arithmetic mirrors fptree._chunk_bounds.
-        k = np.minimum(width, m)
-        base = m // k
-        extra = m - base * k
-        total = int(k.sum())
-        pidx = np.repeat(np.arange(k.size), k)
-        offs = np.cumsum(k) - k
-        j = np.arange(total, dtype=np.int64) - offs[pidx]
-        c_lo = plo[pidx] + 1 + j * base[pidx] + np.minimum(j, extra[pidx])
-        c_hi = c_lo + base[pidx] + (j < extra[pidx])
-        child = arr[c_lo]
-        initiated = pready[pidx] + (j + 1) * overhead
-        parent_ids = pid[pidx]
-        t_child = tid[pidx]
-        if down_arr is not None:
-            dead = np.isin(child, down_arr)
-            if dead.any():
-                for i in np.nonzero(dead)[0]:
-                    patches.append(
-                        (
-                            int(t_child[i]), int(c_lo[i]), int(c_hi[i]),
-                            int(parent_ids[i]), float(initiated[i]), level,
-                        )
-                    )
-                live = ~dead
-                c_lo = c_lo[live]
-                c_hi = c_hi[live]
-                child = child[live]
-                initiated = initiated[live]
-                parent_ids = parent_ids[live]
-                t_child = t_child[live]
-        if child.size:
-            delays = fabric.transfer_delays_pairwise(parent_ids, child, size_bytes)
-            arrival = initiated + delays
-            # t_child is sorted (tree-major level arrays): slice maxima.
-            bounds = np.searchsorted(t_child, np.arange(n_trees + 1))
-            for i, walk in enumerate(walks):
-                s, e = int(bounds[i]), int(bounds[i + 1])
-                if e > s:
-                    peak = float(arrival[s:e].max())
-                    if peak > makespans[i]:
-                        makespans[i] = peak
-                    if walk.arrivals is not None:
-                        walk.arrivals.update(zip(child[s:e].tolist(), arrival[s:e].tolist()))
-            if tel is not None:
-                tel.observe_many(f"net.tree.level{level}.arrival_s", arrival)
-        else:
-            arrival = initiated
-        plo, phi, pid, pready, tid = c_lo, c_hi, child, arrival, t_child
-        level += 1
-    for i, walk in enumerate(walks):
-        walk.makespan = float(makespans[i])
-    for t_i, p_lo, p_hi, parent_id, initiated_s, p_level in sorted(patches):
+    state = fabric.cluster.state
+    if arr.min() < 0 or arr.max() >= state.size:
+        # the scalar walk's is_reachable rejects unknown targets; roots
+        # are never asked
+        targets = np.delete(arr, offsets)
+        bad = targets[(targets < 0) | (targets >= state.size)]
+        if bad.size:
+            raise ClusterError(f"unknown node id {bad[0]}")
+    # BroadcastStructure._validate's duplicate check, without a set of
+    # Python ints per tree: a tree's targets must mark n - 1 ids
+    seen = np.zeros(state.size, dtype=bool)
+    for off, n in zip(offsets.tolist(), sizes):
+        ids = arr[off + 1 : off + n]
+        seen[ids] = True
+        if np.count_nonzero(seen) != n - 1:
+            raise ConfigurationError("broadcast target list contains duplicates")
+        seen[ids] = False
+    ready = np.full(arr.size, -np.inf)
+    ready[offsets] = [per_target_root_s * (n - 1) for n in sizes]
+    # Liveness: one read of the state column, skipped while nothing is
+    # down; when every target answers the sweep never looks again.
+    reached = None
+    if fabric.unreachable_ids():
+        # clip: only a root can be unknown here, and its read is dropped
+        up = state.take(arr, mode="clip") == UP_CODE
+        up[offsets] = True  # a root's own liveness is never asked
+        if not up.all():
+            # per position: every node on the path from the root answers
+            reached = np.ones(arr.size, dtype=bool)
+    shapes = [_tree_shape(n, width) for n in sizes]
+    patches: list[tuple[int, int, float, int]] = []
+    for level, (lo, rank) in enumerate(_forest_levels(shapes, offsets), 1):
+        parent = lo[np.arange(1, lo.size + 1) - rank] - 1
+        child = arr[lo]
+        parent_ids = arr[parent]
+        initiated = ready[parent] + rank * overhead
+        if reached is not None:
+            answers = up[lo]
+            on_path = reached[parent]
+            live = on_path & answers
+            reached[lo] = live
+            lost = np.flatnonzero(on_path & ~answers)
+            for i in lost.tolist():
+                patches.append((int(lo[i]), int(parent_ids[i]), float(initiated[i]), level))
+            if not live.all():
+                if not live.any():
+                    break
+                lo, child = lo[live], child[live]
+                parent_ids, initiated = parent_ids[live], initiated[live]
+        arrival = initiated + fabric.transfer_delays_pairwise(parent_ids, child, size_bytes)
+        ready[lo] = arrival
+        if tel is not None:
+            tel.observe_many(f"net.tree.level{level}.arrival_s", arrival)
+    ready[offsets] = -np.inf  # a root's ready time is not a delivery
+    peaks = np.maximum.reduceat(ready, offsets).tolist()
+    for walk, off, peak in zip(walks, offsets.tolist(), peaks):
+        walk.makespan = peak if peak > 0.0 else 0.0
+        if walk.arrivals is not None:
+            times = ready[off + 1 : off + len(walk.nodelist)]
+            got = np.flatnonzero(times > -np.inf)
+            walk.arrivals.update(zip(arr[off + 1 + got].tolist(), times[got].tolist()))
+    for p_lo, parent_id, initiated_s, p_level in sorted(patches):
+        t_i = int(np.searchsorted(offsets, p_lo, side="right")) - 1
         walk = walks[t_i]
-        off = int(offsets[t_i])
+        p_lo -= int(offsets[t_i])
+        p_hi = _range_end(shapes[t_i], p_level, p_lo, sizes[t_i])
         walk.timeouts += 1
-        walk.failed.append(walk.nodelist[p_lo - off])
-        walk.takeover(p_lo - off, p_hi - off, parent_id, initiated_s + walk.penalty, p_level)
+        walk.failed.append(walk.nodelist[p_lo])
+        walk.takeover(p_lo, p_hi, parent_id, initiated_s + walk.penalty, p_level)
 
 
 class TreeBroadcast(BroadcastStructure):
@@ -413,10 +489,11 @@ class TreeBroadcast(BroadcastStructure):
 
     def _sweep(self, tasks, size_bytes, fabric, record_arrivals=False):
         """One :func:`_run_forest` level sweep over every non-empty tree."""
+        # the payload size only: _run_forest rejects duplicate targets
+        self._validate((), size_bytes)
         results: list[BroadcastResult] = []
         walked: list[tuple[BroadcastResult, _TreeWalk]] = []
         for root, targets in tasks:
-            self._validate(targets, size_bytes)
             result = BroadcastResult(self.name, 0.0, len(targets))
             results.append(result)
             if targets:

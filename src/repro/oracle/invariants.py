@@ -151,7 +151,7 @@ class NodeConservation(Invariant):
 
     The scheduler pool's free/down/allocated sets must stay mutually
     exclusive, agree with the cluster's liveness, and never hand the
-    same node to two jobs.
+    same node to two jobs; every BUSY node must be held by a record.
     """
 
     name = "node-conservation"
@@ -171,6 +171,9 @@ class NodeConservation(Invariant):
                 owner[nid] = job_id
                 if nid in free:
                     yield f"node {nid} free while allocated to job {job_id}"
+        held_up = sum(1 for nid in owner if nid not in down)
+        if pool.n_busy != held_up:
+            yield f"pool counts {pool.n_busy} busy nodes, its records hold {held_up} in service"
         cols = np.fromiter(free, dtype=np.int64, count=len(free))
         cols.sort()
         for nid in cols[ctx.cluster.state[cols] != UP_CODE].tolist():

@@ -138,6 +138,32 @@ class TestNodeConservation:
         details = list(NodeConservation().check(ctx))
         assert any(f"node {nodes_a[0]} allocated to jobs 1 and 2" in d for d in details)
 
+    def test_release_leaking_a_busy_node_fires(self):
+        # The mutant: a release that drops the record but leaves its
+        # first node BUSY.  Free/down/owner checks all pass it by.
+        ctx = make_ctx()
+        pool = ctx.rm.pool
+        job = Job(job_id=9, name="c", user="u", n_nodes=3, runtime_s=10.0,
+                  user_estimate_s=20.0, submit_time=0.0)
+        pool.allocate(job, now=0.0)
+        rec = pool.running.pop(9)
+        pool._unbind(pool._cols(rec.node_ids[1:]))
+        details = list(NodeConservation().check(ctx))
+        assert details == ["pool counts 1 busy nodes, its records hold 0 in service"]
+
+    def test_busy_count_ignores_down_held_nodes(self):
+        # A held node that fails counts as down, not busy: still silent.
+        ctx = make_ctx()
+        pool = ctx.rm.pool
+        job = Job(job_id=9, name="c", user="u", n_nodes=3, runtime_s=10.0,
+                  user_estimate_s=20.0, submit_time=0.0)
+        nodes = pool.allocate(job, now=0.0)
+        ctx.cluster.fail_nodes([nodes[0]])
+        pool.mark_down(nodes[0])
+        assert list(NodeConservation().check(ctx)) == []
+        pool.release(9)
+        assert list(NodeConservation().check(ctx)) == []
+
     def test_down_node_in_free_pool_fires(self):
         # One message per defect: a DOWN node in the free pool is one.
         ctx = make_ctx()

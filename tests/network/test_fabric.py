@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.errors import ConfigurationError
+from repro.errors import ClusterError, ConfigurationError
 from repro.network import FabricConfig, NetworkFabric
 from repro.simkit import Simulator
 
@@ -81,6 +81,17 @@ class TestVectorizedDelays:
         cluster.fail_nodes([2, 4])
         mask = fabric.reachability(list(range(10)))
         assert list(np.nonzero(~mask)[0]) == [2, 4]
+
+    @pytest.mark.parametrize("n_ids", [10, 100])
+    @pytest.mark.parametrize("unknown", [10_000, -1])
+    def test_reachability_rejects_unknown_ids(self, n_ids, unknown):
+        # Short and long lists take the same path: an id outside the
+        # cluster raises instead of reading as reachable.
+        _, cluster, fabric = build(n=128)
+        cluster.fail_nodes([2])
+        ids = list(range(n_ids - 1)) + [unknown]
+        with pytest.raises(ClusterError, match=f"unknown node id {unknown}"):
+            fabric.reachability(ids)
 
 
 class TestAttemptAndDeliver:
