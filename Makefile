@@ -54,12 +54,15 @@ bench-e2e-check:
 	$(PYTHON) -m benchmarks.e2e check
 	$(PYTHON) -m pytest -q benchmarks/e2e
 
-## One short traced run each of the broadcast-heavy 131K workload, the
-## centralized 65K Slurm day and the 1K malleable day: exits nonzero
-## when any repetition's RmReport digest leaves expected.json.  The
-## first drives the ESLURM heartbeat share record, the second the
-## allocator path, the third the malleable resize pass.
+## One short traced run each of the paper's 16K ESLURM day, the
+## broadcast-heavy 131K workload, the centralized 65K Slurm day and the
+## 1K malleable day: exits nonzero when any repetition's RmReport
+## digest leaves expected.json.  The first mixes every layer (the
+## estimator learns from the synthetic trace's repeats), the second
+## drives the ESLURM heartbeat share record, the third the allocator
+## path, the fourth the malleable resize pass.
 bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-16k-day --seed 0 --seconds 1 --trace 1
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-131k-2h --seed 0 --seconds 1 --trace 1
 	$(PYTHON) benchmarks/e2e/run.py --workload slurm-65k-day --seed 0 --seconds 1 --trace 1
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-1k-malleable --seed 0 --seconds 1 --trace 1

@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 import typing as t
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sched.job import Job
+from repro.workload.draws import uniform
 from repro.workload.users import AppPool, UserModel, make_users
 
 HOUR = 3600.0
@@ -75,19 +77,24 @@ class WorkloadConfig:
     name: str = "generic"
 
     def __post_init__(self) -> None:
+        # Comparisons are written so that NaN fails them too.
         for p in (
             self.repeat_prob,
             self.overestimate_prob,
+            self.long_job_fraction,
             self.evening_bias,
             self.no_estimate_prob,
             self.malleable_fraction,
         ):
             if not 0.0 <= p <= 1.0:
                 raise ConfigurationError("probabilities must be in [0, 1]")
-        if self.n_users < 1 or self.jobs_per_day <= 0 or self.max_nodes < 1:
+        if self.n_users < 1 or not 0 < self.jobs_per_day < math.inf or self.max_nodes < 1:
             raise ConfigurationError("invalid population/rate/size parameters")
         if self.n_apps < 1 or self.apps_per_user < 1 or self.user_drift_per_day < 0:
             raise ConfigurationError("invalid app-pool/drift parameters")
+        for name in ("overestimate_sigma", "session_hours", "session_gap_hours"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @classmethod
     def tianhe2a(cls, **overrides: t.Any) -> "WorkloadConfig":
@@ -121,8 +128,8 @@ class WorkloadConfig:
 def _submission_hour(long_running: bool, cfg: WorkloadConfig, rng: np.random.Generator) -> float:
     """Hour-of-day respecting the evening bias for long jobs."""
     if long_running and rng.random() < cfg.evening_bias:
-        return float(rng.uniform(18.0, 24.0))
-    return float(rng.uniform(0.0, 24.0))
+        return uniform(rng, 18.0, 24.0)
+    return uniform(rng, 0.0, 24.0)
 
 
 def _user_estimate(runtime_s: float, cfg: WorkloadConfig, rng: np.random.Generator) -> float | None:
@@ -132,7 +139,7 @@ def _user_estimate(runtime_s: float, cfg: WorkloadConfig, rng: np.random.Generat
     if rng.random() < cfg.overestimate_prob:
         factor = 1.0 + float(rng.lognormal(0.0, cfg.overestimate_sigma))
     else:
-        factor = float(rng.uniform(0.55, 1.0))
+        factor = uniform(rng, 0.55, 1.0)
     # Users round up to "nice" wall times (multiples of 10 minutes).
     est = runtime_s * factor
     return max(600.0 * math.ceil(est / 600.0), 600.0)
@@ -158,6 +165,10 @@ def generate_trace(
     now = start_time
     mean_gap = DAY / config.jobs_per_day
     next_drift = now + DAY
+    session_s = config.session_hours * HOUR
+    gap_s = config.session_gap_hours * HOUR
+    # Every draw below is made in the order the trace's contract fixes:
+    # reordering, batching or skipping one changes every later job.
     while len(jobs) < n_jobs:
         now += float(rng.exponential(mean_gap))
         # Daily repertoire drift (young-machine user behaviour).
@@ -170,8 +181,6 @@ def generate_trace(
             next_drift += DAY
         # Pick an *active* user (retrying a bounded number of times so the
         # arrival rate holds even when many users are idle).
-        session_s = config.session_hours * HOUR
-        gap_s = config.session_gap_hours * HOUR
         user = users[int(rng.integers(len(users)))]
         for _ in range(20):
             if user.ensure_session(now, session_s, gap_s, rng):
@@ -204,12 +213,12 @@ def generate_trace(
                     n_nodes=nodes,
                     runtime_s=runtime,
                     user_estimate_s=_user_estimate(runtime, config, rng),
-                    submit_time=submit + b * float(rng.uniform(1.0, 30.0)),
+                    submit_time=submit + b * uniform(rng, 1.0, 30.0),
                     min_nodes=min_nodes,
                     max_nodes=max_nodes,
                 )
             )
-    jobs.sort(key=lambda j: j.submit_time)
+    jobs.sort(key=attrgetter("submit_time"))
     # Job ids must follow submission order (Fig. 5c is keyed on ID gap).
     for i, job in enumerate(jobs):
         job.job_id = job_id_base + i

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.workload.draws import choice_cdf, rank_cdf, weighted_index
 
 #: Application families the paper lists for its production systems.
 APP_FAMILIES = (
@@ -31,6 +32,11 @@ APP_FAMILIES = (
 )
 
 SIX_HOURS = 6 * 3600.0
+DAY = 24 * 3600.0
+
+#: ``sample_nodes``' size factors, drawn uniformly: usually the standard
+#: size, occasionally a scale-down or scale-up run
+_SIZE_FACTORS = (1.0,) * 8 + (0.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -70,9 +76,10 @@ class AppSpec:
         return base * float((self.n_nodes / max(n_nodes, 1)) ** self.SCALING_ALPHA)
 
     def sample_nodes(self, rng: np.random.Generator, max_nodes: int) -> int:
-        # Usually the standard size; occasional scale-up/down runs.
-        factor = rng.choice([1.0] * 8 + [0.5, 2.0])
-        return int(np.clip(round(self.n_nodes * factor), 1, max_nodes))
+        # One ``rng.integers(10)`` is the draw ``rng.choice`` over the
+        # ten factors makes, so the trace keeps its stream.
+        factor = _SIZE_FACTORS[rng.integers(10)]
+        return min(max(round(self.n_nodes * factor), 1), max_nodes)
 
 
 class AppPool:
@@ -109,10 +116,11 @@ class AppPool:
         ranks = np.arange(1, n_apps + 1, dtype=float)
         weights = ranks**-zipf_s
         self._weights = weights / weights.sum()
+        self._cdf = choice_cdf(self._weights)
 
     def sample(self, rng: np.random.Generator) -> AppSpec:
         """Popularity-weighted draw."""
-        return self.apps[int(rng.choice(len(self.apps), p=self._weights))]
+        return self.apps[weighted_index(self._cdf, rng)]
 
     def popularity_concentration(self) -> float:
         """Σ share² — the chance two random draws hit the same app."""
@@ -160,21 +168,25 @@ class UserModel:
 
         Fresh picks are Zipf-weighted within the repertoire: most users
         have one workhorse code and a tail of occasional ones.
+
+        ``now`` must not decrease from one call to the next: ``recent``
+        is then in submit order, so the window needs a rebuild only
+        once its oldest entry has left it.
         """
-        day_ago = now - 24 * 3600.0
-        self.recent = [(ts, app) for ts, app in self.recent if ts >= day_ago]
-        if self.recent and rng.random() < repeat_prob:
+        day_ago = now - DAY
+        recent = self.recent
+        if recent and recent[0][0] < day_ago:
+            recent = self.recent = [(ts, app) for ts, app in recent if ts >= day_ago]
+        if recent and rng.random() < repeat_prob:
             # Mostly rerun the *latest* thing (iterating on one problem),
             # occasionally something else from the day.
             if rng.random() < 0.7:
-                _, app = self.recent[-1]
+                _, app = recent[-1]
             else:
-                _, app = self.recent[int(rng.integers(len(self.recent)))]
+                _, app = recent[int(rng.integers(len(recent)))]
         else:
-            weights = 1.0 / np.arange(1, len(self.apps) + 1)
-            weights /= weights.sum()
-            app = self.apps[int(rng.choice(len(self.apps), p=weights))]
-        self.recent.append((now, app))
+            app = self.apps[weighted_index(rank_cdf(len(self.apps)), rng)]
+        recent.append((now, app))
         return app
 
     def drift(self, pool: AppPool, rng: np.random.Generator) -> None:

@@ -57,6 +57,28 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             WorkloadConfig(n_users=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("overestimate_sigma", -1.0),
+            ("overestimate_sigma", float("nan")),
+            ("session_hours", -1.0),
+            ("session_gap_hours", -1.0),
+            ("jobs_per_day", float("nan")),
+            ("jobs_per_day", float("inf")),
+            ("long_job_fraction", 1.5),
+            ("long_job_fraction", -0.1),
+        ],
+    )
+    def test_invalid_field_rejected_at_construction(self, field, value):
+        # each of these used to fail deep in numpy, or not at all
+        with pytest.raises(ConfigurationError):
+            WorkloadConfig(**{field: value})
+
+    def test_zero_scales_accepted(self):
+        cfg = WorkloadConfig(overestimate_sigma=0.0, session_hours=0.0, session_gap_hours=0.0)
+        assert len(generate_trace(cfg, 50)) == 50
+
     def test_sizes_bounded(self):
         cfg = WorkloadConfig(max_nodes=64)
         assert all(1 <= j.n_nodes <= 64 for j in trace(cfg, n=1000))
