@@ -21,6 +21,10 @@ search of the sorted ids finds it.
 
 Allocation is *first-fit-by-id*: a k-node job receives the first k
 columns of ``flatnonzero(state == FREE)``, i.e. the k smallest free ids.
+The ids are handed out as slices of ``_ids``, one per run of
+consecutive columns, so a job's tuple holds the pool's own ``int``
+objects: fresh ints from ``.tolist()`` kept one object per allocated
+node alive in finished jobs' tuples (+20 % peak RSS on the 65K day).
 Binding or releasing a job's nodes is one fancy-indexed column update.
 Aggregate counters (``_n_free``, ``_n_down``, ``elastic_slack``) are
 maintained incrementally so capacity checks are O(1).
@@ -68,9 +72,7 @@ class NodePool:
 
     Allocation order is *first-fit-by-id*: a k-node job always receives
     the k smallest free node ids, found by one vectorised scan of the
-    state column.  Handed-out ids are the pool's own ``int`` objects
-    (``_ids`` entries), so finished jobs' allocation tuples share them
-    rather than keeping fresh copies alive.
+    state column and handed out run by run as slices of ``_ids``.
     """
 
     def __init__(self, node_ids: t.Iterable[int], placement: t.Any = None) -> None:
@@ -143,9 +145,8 @@ class NodePool:
 
     def _cols(self, node_ids: t.Sequence[int]) -> np.ndarray:
         """Columns of ``node_ids``, which must all belong to the pool."""
-        if self._id_arr is None:
-            return np.array(node_ids, dtype=np.int64)
-        return np.searchsorted(self._id_arr, node_ids)
+        arr = np.fromiter(node_ids, dtype=np.int64, count=len(node_ids))
+        return arr if self._id_arr is None else np.searchsorted(self._id_arr, arr)
 
     def fits(self, job: Job) -> bool:
         return job.n_nodes <= self._n_free
@@ -178,7 +179,7 @@ class NodePool:
         """Bind ``k`` free nodes to ``job_id``: first-fit or placement."""
         if self.placement is None:
             cols = self._pop_smallest_free(k)
-            chosen = tuple(map(self._ids.__getitem__, cols.tolist()))
+            chosen = self._handout(cols)
         else:
             free = self.free_ids()
             chosen = self.placement.select(free, k)
@@ -203,6 +204,29 @@ class NodePool:
                 f"free count drifted: wanted {k} nodes, {len(cols)} free in the state column"
             )
         return cols
+
+    def _handout(self, cols: np.ndarray) -> tuple[int, ...]:
+        """The pool's own ids at ascending ``cols``, one slice per run.
+
+        First-fit allocations are nearly always one run of consecutive
+        columns or a few, so slicing ``_ids`` run by run beats a lookup
+        per id; a single run is recognised from its end columns alone.
+        """
+        ids = self._ids
+        k = len(cols)
+        if k == 0:
+            return ()
+        lo = int(cols[0])
+        if int(cols[-1]) - lo == k - 1:
+            return tuple(ids[lo : lo + k])
+        gaps = np.flatnonzero(np.diff(cols) != 1)
+        starts = cols[gaps + 1].tolist()
+        ends = (cols[gaps] + 1).tolist()
+        ends.append(int(cols[-1]) + 1)
+        out = ids[lo : ends[0]]
+        for a, b in zip(starts, ends[1:]):
+            out += ids[a:b]
+        return tuple(out)
 
     def _unbind(self, cols: np.ndarray) -> None:
         """Unbind distinct columns; those not out of service become free."""
@@ -322,8 +346,3 @@ class NodePool:
                 (rec.believed_end, len(rec.node_ids)) for rec in self.running.values()
             )
         return self._ends_cache
-
-    def utilization_now(self) -> float:
-        """Fraction of non-down nodes currently busy."""
-        denom = self.n_total - self._n_down
-        return self.n_busy / denom if denom else 0.0

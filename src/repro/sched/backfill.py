@@ -107,14 +107,18 @@ class BackfillScheduler:
             # node), so the reservation walk would decide nothing; the
             # outcome is identical to walking phases 2-3 to no effect.
             return decisions
-        # Phase 2: reservation for the blocked head.
-        shadow_time, extra_nodes = self._reservation(head, pool, now)
-        # Phase 3: backfill behind the reservation.  ``free`` mirrors
-        # ``pool.n_free``, refreshed after each start.
+        # Phases 2-3: backfill behind the head's reservation, walked at
+        # the first candidate that fits.  Nothing has been allocated
+        # since phase 1, so it is the reservation an eager walk would
+        # find, and a pass where no candidate fits never walks it.
+        # ``free`` mirrors ``pool.n_free``, refreshed after each start.
         free = pool.n_free
+        shadow_time: float | None = None
         for job in candidates:
             if job.n_nodes > free:
                 continue
+            if shadow_time is None:
+                shadow_time, extra_nodes = self._reservation(head, pool, now)
             finishes_before_shadow = now + job.planned_s <= shadow_time
             uses_spare_nodes = job.n_nodes <= extra_nodes
             if finishes_before_shadow or uses_spare_nodes:

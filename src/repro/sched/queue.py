@@ -47,12 +47,22 @@ class JobQueue:
         return self._jobs[0] if self._jobs else None
 
     def remove(self, job: Job) -> None:
-        """Remove a job (started or cancelled)."""
-        if job.job_id not in self._ids:
-            raise SchedulingError(f"job {job.job_id}: not in queue")
-        self._jobs.remove(job)
-        self._ids.discard(job.job_id)
-        self._demand -= job.n_nodes
+        """Remove a job (started or cancelled), found by its id.
+
+        The scheduler removes the head or a job inside the backfill
+        window, so the walk is short; matching ids avoids the dataclass
+        ``__eq__`` that ``list.remove`` runs on every job ahead.
+        """
+        job_id = job.job_id
+        if job_id not in self._ids:
+            raise SchedulingError(f"job {job_id}: not in queue")
+        jobs = self._jobs
+        for i, queued in enumerate(jobs):
+            if queued.job_id == job_id:
+                del jobs[i]
+                break
+        self._ids.discard(job_id)
+        self._demand -= queued.n_nodes
 
     @property
     def demand_nodes(self) -> int:
@@ -64,16 +74,12 @@ class JobQueue:
         """
         return self._demand
 
-    def pending_after_head(self) -> list[Job]:
-        """Jobs behind the head, in order (backfill candidates)."""
-        return self._jobs[1:]
-
     def backfill_candidates(self, depth: int) -> list[Job]:
         """The first ``depth`` jobs behind the head, in order.
 
         A bounded snapshot (the scheduler mutates the queue while
-        iterating) that copies O(depth) instead of the O(queue) of
-        ``pending_after_head`` — the difference matters when thousands
-        of jobs are queued behind a 100-deep backfill window.
+        iterating) that copies O(depth), not the whole queue — the
+        difference matters when thousands of jobs are queued behind a
+        100-deep backfill window.
         """
         return self._jobs[1 : depth + 1]

@@ -109,15 +109,6 @@ class TestFailures:
             pool.mark_up(7)
 
 
-class TestUtilization:
-    def test_utilization_now(self):
-        pool = NodePool(range(10))
-        pool.allocate(make_job(n_nodes=4), now=0.0)
-        assert pool.utilization_now() == pytest.approx(0.4)
-        pool.mark_down(9)
-        assert pool.utilization_now() == pytest.approx(4 / 9)
-
-
 class TestFirstFit:
     """The state-column scan must be observationally identical to sorted(free)[:k]."""
 

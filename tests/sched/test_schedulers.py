@@ -52,10 +52,34 @@ class TestJobQueue:
         with pytest.raises(SchedulingError):
             JobQueue().submit(j)
 
-    def test_pending_after_head(self):
-        a, b, c = make_job(1, 1), make_job(2, 1), make_job(3, 1)
+    def test_remove_deep_keeps_order_and_bookkeeping(self):
+        jobs = [make_job(i, i) for i in range(1, 11)]
+        q = queued(*jobs)
+        q.remove(jobs[6])
+        assert list(q) == jobs[:6] + jobs[7:]
+        assert len(q) == 9
+        assert jobs[6] not in q and all(j in q for j in jobs if j is not jobs[6])
+        assert q.demand_nodes == sum(range(1, 11)) - 7
+
+    def test_remove_equal_copy_removes_queued_job(self):
+        a, b, c = make_job(1, 2), make_job(2, 3), make_job(3, 4)
         q = queued(a, b, c)
-        assert q.pending_after_head() == [b, c]
+        copy = make_job(2, 3)
+        assert copy == b and copy is not b
+        q.remove(copy)
+        assert list(q) == [a, c]
+        assert q._ids == {j.job_id for j in q._jobs} == {1, 3}
+        assert q.demand_nodes == 6
+
+    def test_remove_missing_id_among_queued_rejected(self):
+        a, b = make_job(1, 1), make_job(2, 1)
+        q = queued(a, b)
+        q.remove(b)
+        with pytest.raises(SchedulingError):
+            q.remove(b)
+        with pytest.raises(SchedulingError):
+            q.remove(make_job(3, 1))
+        assert list(q) == [a] and q.demand_nodes == 1
 
 
 class TestFcfs:
@@ -76,6 +100,15 @@ class TestFcfs:
 
     def test_empty_queue(self):
         assert FcfsScheduler().plan(JobQueue(), NodePool(range(4)), 0.0) == []
+
+    def test_started_jobs_leave_queue_bookkeeping(self):
+        jobs = [make_job(1, 3), make_job(2, 3), make_job(3, 5), make_job(4, 1)]
+        q = queued(*jobs)
+        started = FcfsScheduler().plan(q, NodePool(range(8)), now=0.0)
+        assert [j for j, _ in started] == jobs[:2]
+        assert list(q) == jobs[2:] and len(q) == 2
+        assert jobs[0] not in q and jobs[1] not in q
+        assert q.demand_nodes == 6
 
 
 class TestBackfill:
