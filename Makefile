@@ -60,7 +60,10 @@ bench-e2e-check:
 ## digest leaves expected.json.  The first mixes every layer (the
 ## estimator learns from the synthetic trace's repeats), the second
 ## drives the ESLURM heartbeat share record, the third the allocator
-## path, the fourth the malleable resize pass.
+## path, the fourth the malleable resize pass.  At seed 0 the 16K run
+## must report estimate.calls 9202 and estimate.trainings 7, the 1K
+## malleable run 9349 and 9: an estimator speed change that moves
+## either count changed a decision.
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-16k-day --seed 0 --seconds 1 --trace 1
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-131k-2h --seed 0 --seconds 1 --trace 1

@@ -38,18 +38,6 @@ class NetworkError(ReproError):
     """A network-layer failure that is *not* a simulated link fault."""
 
 
-class BroadcastFailed(ReproError):
-    """A broadcast could not be delivered to one or more targets.
-
-    Attributes:
-        failed: node ids the payload never reached.
-    """
-
-    def __init__(self, failed: tuple[int, ...], message: str = "") -> None:
-        super().__init__(message or f"broadcast failed for {len(failed)} node(s)")
-        self.failed = failed
-
-
 class SchedulingError(ReproError):
     """The scheduler was asked to do something impossible (e.g. a job
     larger than the whole machine)."""

@@ -74,6 +74,16 @@ def submission_hour(job: Job) -> int:
     return int(job.submit_time // 3600) % 24
 
 
+#: (name, user, n_nodes, cores_per_node, submission hour)
+FeatureKey = tuple[str, str, int, int, int]
+
+
+def feature_key(job: Job) -> FeatureKey:
+    """The job fields ``FeatureEncoder.raw`` reads: jobs with equal keys
+    encode to the same vector under any one fit."""
+    return (job.name, job.user, job.n_nodes, job.cores_per_node, submission_hour(job))
+
+
 class FeatureEncoder:
     """Encodes jobs into fixed-length numeric vectors and standardises.
 
@@ -85,10 +95,10 @@ class FeatureEncoder:
     def __init__(self) -> None:
         self._mean: np.ndarray | None = None
         self._std: np.ndarray | None = None
-        #: ``transform_one`` results of this fit, keyed by the job fields
-        #: ``raw`` reads: most submits repeat a recent (name, user, size,
-        #: hour).  Read-only, like the signature cache.
-        self._one_cache: dict[tuple[str, str, int, int, int], np.ndarray] = {}
+        #: ``transform_one`` results of this fit, keyed by ``feature_key``:
+        #: most submits repeat a recent (name, user, size, hour).
+        #: Read-only, like the signature cache.
+        self._one_cache: dict[FeatureKey, np.ndarray] = {}
 
     @staticmethod
     def raw(job: Job) -> np.ndarray:
@@ -142,13 +152,10 @@ class FeatureEncoder:
         """One job's encoded vector (read-only; shared by repeat jobs)."""
         if self._mean is None or self._std is None:
             raise EstimationError("encoder not fitted")
-        key = (job.name, job.user, job.n_nodes, job.cores_per_node, submission_hour(job))
+        key = feature_key(job)
         x = self._one_cache.get(key)
         if x is None:
             x = (self.raw(job) - self._mean) / self._std * _WEIGHTS
             x.setflags(write=False)
             self._one_cache[key] = x
         return x
-
-    def fit_transform(self, jobs: t.Sequence[Job]) -> np.ndarray:
-        return self.fit(jobs).transform(jobs)

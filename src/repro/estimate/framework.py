@@ -21,6 +21,7 @@ Three cooperating modules, exactly as in the paper:
 
 from __future__ import annotations
 
+import math
 import typing as t
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, EstimationError
-from repro.estimate.features import FeatureEncoder
+from repro.estimate.features import FeatureEncoder, FeatureKey, feature_key
 from repro.estimate.kmeans import KMeans, elbow_k
 from repro.estimate.metrics import estimation_accuracy
 from repro.estimate.svr import SVR
@@ -74,7 +75,10 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.window < self.min_history or self.min_history < 2:
             raise ConfigurationError("window must hold at least min_history >= 2 jobs")
-        if self.refresh_interval_s <= 0:
+        # NaN fails every comparison, so these checks are written to
+        # pass only in range; an infinite interval means "never retrain
+        # on time".
+        if not self.refresh_interval_s > 0:
             raise ConfigurationError("refresh interval must be positive")
         if self.k_clusters is not None and self.k_clusters < 1:
             raise ConfigurationError("k_clusters must be >= 1")
@@ -84,10 +88,10 @@ class EstimatorConfig:
             raise ConfigurationError("min_cluster_size must be >= 1")
         if self.refresh_jobs < 1:
             raise ConfigurationError("refresh_jobs must be >= 1")
-        if self.q_sigma < 0 or self.resid_floor < 0:
-            raise ConfigurationError("q_sigma and resid_floor must be non-negative")
-        if self.slack < 1.0:
-            raise ConfigurationError("slack must be >= 1 (it penalises underestimates)")
+        if not (0 <= self.q_sigma < math.inf and 0 <= self.resid_floor < math.inf):
+            raise ConfigurationError("q_sigma and resid_floor must be finite and non-negative")
+        if not 1.0 <= self.slack < math.inf:
+            raise ConfigurationError("slack must be finite and >= 1 (it penalises underestimates)")
         if not 0.0 <= self.aea_gate <= 1.0:
             raise ConfigurationError("aea_gate must be a probability")
 
@@ -118,6 +122,10 @@ class EslurmEstimator:
         self._kmeans: KMeans | None = None
         self._models: list[_ClusterModel] = []
         self._name_route: dict[str, int] = {}
+        #: this generation's model answer per ``feature_key`` of a routed
+        #: job, as (cluster, pre-slack estimate): the key fixes the
+        #: encoded vector, the route, and so the cluster and its model.
+        self._answers: dict[FeatureKey, tuple[int, float]] = {}
         #: record-module side memory: per-name runtime EWMA, updated on
         #: every completion.  Bridges the gap between a new application's
         #: first completions and the next model generation — the
@@ -189,6 +197,7 @@ class EslurmEstimator:
         self._kmeans = kmeans
         self._models = models
         self._name_route = name_route
+        self._answers = {}
         # Fresh clusters start with optimistic-but-unproven accuracy: the
         # paper seeds AEA from the previous generation's cluster scores;
         # we carry the global mean forward as each new cluster's prior.
@@ -212,7 +221,6 @@ class EslurmEstimator:
                 self._retrain(now)
         if self._kmeans is None or self._encoder is None:
             return job.user_estimate_s
-        x = self._encoder.transform_one(job)
         routed = self._name_route.get(job.name)
         if routed is None:
             # A name absent from the last model generation.  Prefer the
@@ -227,6 +235,24 @@ class EslurmEstimator:
             if job.user_estimate_s is not None:
                 return job.user_estimate_s
             return float(np.mean([j.runtime_s for j in self._history])) * self.config.slack
+        # The EWMA path above reads memory that every completion moves;
+        # a routed job's answer is fixed until the next generation.
+        key = feature_key(job)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = self._answers[key] = self._model_answer(job, routed)
+        self._pending[job.job_id] = answer
+        cluster, raw = answer
+        job.model_estimate_s = raw
+        slacked = raw * self.config.slack  # Eq. 3
+        if job.user_estimate_s is None:
+            return slacked
+        return slacked if self.cluster_aea(cluster) > self.config.aea_gate else job.user_estimate_s
+
+    def _model_answer(self, job: Job, routed: int) -> tuple[int, float]:
+        """(cluster, pre-slack estimate) of a routed job under the current
+        generation; a pure function of the job's ``feature_key``."""
+        x = self._encoder.transform_one(job)
         cluster = routed if routed < len(self._models) else self._kmeans.predict_one(x)
         model = self._models[cluster]
         uplift = self.config.q_sigma * max(model.resid_std, self.config.resid_floor)
@@ -236,13 +262,7 @@ class EslurmEstimator:
             raw = float(np.expm1(log_pred + uplift))
         else:
             raw = model.fallback_s * float(np.exp(uplift))
-        raw = max(raw, 1.0)
-        self._pending[job.job_id] = (cluster, raw)
-        job.model_estimate_s = raw
-        slacked = raw * self.config.slack  # Eq. 3
-        if job.user_estimate_s is None:
-            return slacked
-        return slacked if self.cluster_aea(cluster) > self.config.aea_gate else job.user_estimate_s
+        return cluster, max(raw, 1.0)
 
     # -- record module -----------------------------------------------------
     def observe(self, job: Job, now: float) -> None:

@@ -182,13 +182,6 @@ class SVR:
     def fitted(self) -> bool:
         return self._beta is not None
 
-    @property
-    def n_support(self) -> int:
-        """Number of support vectors (non-negligible dual coefficients)."""
-        if self._beta is None:
-            raise EstimationError("SVR not fitted")
-        return int((np.abs(self._beta) > 1e-8).sum())
-
     # -- predict ------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._beta is None or self._X is None:

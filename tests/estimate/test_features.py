@@ -62,7 +62,7 @@ class TestEncoder:
     def test_standardisation(self):
         jobs = [job(name=f"a{i}.sh", nodes=2**(i % 8 + 1), submit=i * 3600.0) for i in range(50)]
         enc = FeatureEncoder()
-        X = enc.fit_transform(jobs)
+        X = enc.fit(jobs).transform(jobs)
         assert X.shape == (50, N_FEATURES)
         assert enc.fitted
         # transform_one matches row-wise transform
@@ -84,7 +84,7 @@ class TestEncoder:
 
     def test_constant_dims_pass_through(self):
         jobs = [job() for _ in range(5)]  # all identical
-        X = FeatureEncoder().fit_transform(jobs)
+        X = FeatureEncoder().fit(jobs).transform(jobs)
         assert np.isfinite(X).all()
 
     def test_raw_matrix_empty(self):

@@ -63,12 +63,25 @@ class TestConfig:
             {"min_cluster_size": 0},
             {"q_sigma": -0.5},
             {"resid_floor": -0.1},
+            # NaN fails every comparison, so `< bound` checks let it
+            # through: a NaN uplift or slack reached job.planned_s and a
+            # NaN interval stopped timed retrains
+            pytest.param({"slack": float("nan")}, id="slack-nan"),
+            pytest.param({"slack": float("inf")}, id="slack-inf"),
+            pytest.param({"q_sigma": float("nan")}, id="q_sigma-nan"),
+            pytest.param({"q_sigma": float("inf")}, id="q_sigma-inf"),
+            pytest.param({"resid_floor": float("nan")}, id="resid_floor-nan"),
+            pytest.param({"resid_floor": float("inf")}, id="resid_floor-inf"),
+            pytest.param({"refresh_interval_s": float("nan")}, id="refresh_interval_s-nan"),
         ],
         ids=lambda f: next(iter(f)),
     )
     def test_invalid_field_rejected(self, field):
         with pytest.raises(ConfigurationError):
             EstimatorConfig(**field)
+
+    def test_infinite_refresh_interval_accepted(self):
+        assert EstimatorConfig(refresh_interval_s=float("inf")).refresh_interval_s == float("inf")
 
     def test_zero_uplift_accepted(self):
         cfg = EstimatorConfig(q_sigma=0.0, resid_floor=0.0, min_cluster_size=1, k_max=1)

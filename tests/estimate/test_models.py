@@ -65,11 +65,6 @@ class TestSVR:
         with pytest.raises(EstimationError):
             SVR(max_iter=max_iter)
 
-    def test_n_support(self):
-        X, y = linear_data(n=60)
-        m = SVR().fit(X, y)
-        assert 0 < m.n_support <= 60
-
 
 class TestRegressionTree:
     def test_step_function(self):
