@@ -9,18 +9,14 @@ This module is the supported entry point for scripting the library::
 
 It holds the cluster/RM helpers (``quick_cluster`` / ``build_rm`` /
 ``run_rm_day``) and keyword-only dataclass configs so every knob is
-named at the call site.
-
-:mod:`repro.api.requests` adds the typed request/response envelopes —
-``SimulateRequest`` / ``ChaosRequest`` / ``VerifyRequest`` /
-``EstimateRequest`` / ``WhatIfRequest`` with canonical digests, and
-the single :func:`dispatch` entry point the CLI subcommands adapt.  All
-of it is re-exported here.
+named at the call site.  :func:`canonical_json` is the byte-stable
+rendering the oracles and the CLI's run digests hash.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import typing as t
 from dataclasses import dataclass, field, replace
@@ -38,6 +34,11 @@ from repro.telemetry.sinks import TelemetrySink
 from repro.workload.synthetic import WorkloadConfig, generate_trace
 
 DAY = 86_400.0
+
+
+def canonical_json(obj: t.Any) -> str:
+    """The byte-stable rendering digests are computed over."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -97,8 +98,8 @@ class SimulationConfig:
     placement: str = "first-fit"
     malleable: bool = False
     #: job-lifecycle engine: "fsm" (flat timer-lane fast path, default)
-    #: or "generator" (the reference Process implementation).  Not part
-    #: of the wire envelopes — a dispatched request always runs the default.
+    #: or "generator" (the reference Process implementation).  The CLI
+    #: has no flag for it: its runs always use the default.
     lifecycle: str = "fsm"
 
     def __post_init__(self) -> None:
@@ -318,25 +319,3 @@ def run_simulation(
         snapshot = tel.snapshot() if tel is not None else None
     return SimulationResult(config=config, report=report, telemetry=snapshot)
 
-
-# The envelope layer builds on the facade above; imported last so the
-# names it needs (SimulationConfig, run_simulation...) already exist.
-from repro.api.requests import (  # noqa: E402
-    REQUEST_KINDS,
-    REQUEST_TYPES,
-    ChaosRequest,
-    ChaosResponse,
-    EstimateRequest,
-    EstimateResponse,
-    Request,
-    Response,
-    SimulateRequest,
-    SimulateResponse,
-    VerifyRequest,
-    VerifyResponse,
-    WhatIfRequest,
-    WhatIfResponse,
-    canonical_json,
-    dispatch,
-    request_from_wire,
-)

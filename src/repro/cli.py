@@ -36,21 +36,26 @@ over spawn-based workers via :mod:`repro.parallel` and merge results
 keyed by task id, so output is byte-identical at any ``-j``).  New tool
 families plug in by adding a table entry.
 
-The subcommands are thin adapters over :func:`repro.api.dispatch`: each
-builds a typed request envelope, dispatches it, and renders the typed
-response.  Exit codes are documented on :func:`main`; every checking
+Each verb calls the library directly (``run_simulation``,
+``run_scenario``, ``run_verify``, ``snapshot.what_if``) and renders
+its result.  Exit codes are documented on :func:`main`; every checking
 verb exits 1 when a check fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import math
 import sys
 import typing as t
 from dataclasses import asdict, dataclass
 
 from repro._version import __version__
+
+if t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api import SimulationConfig
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +68,7 @@ class Subcommand:
     The shared flag sets every family spells identically — ``--seed`` /
     ``--json`` / ``--out`` and the sweep flag ``-j/--jobs`` — are not
     wired per subcommand; declaring ``common=True`` / ``jobs=True``
-    attaches the corresponding parent parser in :func:`dispatch`, so
+    attaches the corresponding parent parser in :func:`run_family`, so
     the flags exist exactly once and cannot drift between families.
     """
 
@@ -105,7 +110,7 @@ def jobs_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def dispatch(
+def run_family(
     prog: str,
     description: str,
     commands: t.Sequence[Subcommand],
@@ -438,7 +443,7 @@ def _chaos_run_configure(parser: argparse.ArgumentParser) -> None:
 
 
 def _chaos_run(args: argparse.Namespace) -> int:
-    from repro.chaos import get_scenario, run_campaign, shrink_schedule
+    from repro.chaos import get_scenario, run_campaign, run_scenario, shrink_schedule
 
     try:
         for name in args.scenarios:
@@ -462,14 +467,7 @@ def _chaos_run(args: argparse.Namespace) -> int:
         else:
             _emit(outcome.to_text(), args.out)
         return 0 if outcome.ok else 1
-    # single run: a thin adapter over the typed envelope — the report
-    # object is the same one run_scenario returns, so output is
-    # byte-identical to the pre-envelope CLI
-    from repro.api import ChaosRequest
-    from repro.api import dispatch as api_dispatch
-
-    response = api_dispatch(ChaosRequest(scenario=args.scenarios[0], seed=args.seed))
-    report = response.report
+    report = run_scenario(args.scenarios[0], seed=args.seed)
     if args.json:
         _emit(json.dumps(asdict(report), sort_keys=True, indent=2), args.out)
     else:
@@ -591,32 +589,15 @@ def _verify_run(args: argparse.Namespace) -> int:
         return 0 if sweep.ok else 1
     from repro.errors import ConfigurationError
 
-    progress = None if args.json or args.out else print
     try:
-        if golden_dir is None and not args.update_golden:
-            # the typed-envelope path: same run_verify underneath, same
-            # report object, byte-identical output
-            from repro.api import VerifyRequest
-            from repro.api import dispatch as api_dispatch
-
-            request = VerifyRequest(
-                seed=args.seed,
-                layers=layers,
-                relations=tuple(args.relation) if args.relation else None,
-            )
-            report = api_dispatch(request, progress=progress).report
-        else:
-            # golden-dir overrides and --update-golden are operator
-            # knobs, not servable request fields — they stay on the
-            # direct library call
-            report = run_verify(
-                seed=args.seed,
-                layers=layers,
-                golden_dir=golden_dir,
-                update_golden=args.update_golden,
-                progress=progress,
-                relations=args.relation,
-            )
+        report = run_verify(
+            seed=args.seed,
+            layers=layers,
+            golden_dir=golden_dir,
+            update_golden=args.update_golden,
+            progress=None if args.json or args.out else print,
+            relations=args.relation,
+        )
     except (ValueError, ConfigurationError) as exc:
         args._parser.error(str(exc))
     if args.json:
@@ -660,13 +641,21 @@ def _simulate_run_configure(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _simulate_run(args: argparse.Namespace) -> int:
-    from repro.api import SimulateRequest
-    from repro.api import dispatch as api_dispatch
+#: the base-day fields a simulate/whatif digest covers
+_DAY_PARAMS = (
+    "seed", "rm", "n_nodes", "n_satellites", "failures", "monitoring",
+    "n_jobs", "horizon_s", "placement", "malleable",
+)
+
+
+def _day_config(args: argparse.Namespace, **extra: t.Any) -> "SimulationConfig":
+    """The :class:`~repro.api.SimulationConfig` the base-day flags spell;
+    a config it rejects is a usage error."""
+    from repro.api import SimulationConfig
     from repro.errors import ConfigurationError
 
     try:
-        request = SimulateRequest(
+        return SimulationConfig(
             rm=args.rm,
             n_nodes=args.n_nodes,
             n_satellites=args.n_satellites,
@@ -676,18 +665,79 @@ def _simulate_run(args: argparse.Namespace) -> int:
             horizon_s=args.horizon_s,
             placement=args.placement,
             malleable=args.malleable,
+            **extra,
         )
     except ConfigurationError as exc:
         args._parser.error(str(exc))
-    response = api_dispatch(request, progress=None if args.json or args.out else print)
+
+
+def _digest(kind: str, params: dict[str, t.Any]) -> str:
+    """A run's identity: SHA-256 over its kind and JSON-scalar params.
+
+    Equal digests mean byte-identical results, because every run is a
+    pure function of its seeded parameters; no runtime object is hashed,
+    so the value is the same in every process.
+    """
+    from repro.api import canonical_json
+
+    blob = canonical_json({"kind": kind, "params": params})
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _run_json(kind: str, digest: str, result: dict[str, t.Any]) -> str:
+    """The ``--json`` object of ``simulate`` / ``estimate`` / ``whatif``."""
+    return json.dumps(
+        {"kind": kind, "digest": digest, "ok": True, "result": result},
+        sort_keys=True,
+        indent=2,
+    )
+
+
+def _simulate_run(args: argparse.Namespace) -> int:
+    from repro.api import TelemetryConfig, run_simulation
+    from repro.telemetry.sinks import CallbackSink
+
+    verbose = not (args.json or args.out)
+    sink = None
+    if verbose:
+        # stream the telemetry span seam: every instrumented region
+        # >= 10 ms becomes one progress line
+        sink = CallbackSink(
+            lambda rec: print(f"[span] {rec.name} {rec.elapsed_s * 1e3:.0f}ms"),
+            min_elapsed_s=0.010,
+        )
+    # telemetry stays on: the events= count comes from its counters
+    config = _day_config(args, telemetry=TelemetryConfig(enabled=True, sink=sink))
+    if verbose:
+        print(
+            f"simulate: rm={config.rm} nodes={config.n_nodes} "
+            f"jobs={config.n_jobs} seed={config.seed}"
+        )
+    simulation = run_simulation(config)
+    report = simulation.report
+    counters = (simulation.telemetry or {}).get("counters", {})
+    events = int(counters.get("sim.events", 0))
+    if verbose:
+        print(f"simulate: done, {events} events")
+    sim_time_s = float(counters.get("sim.time_s", 0.0))
+    digest = _digest("simulate", {name: getattr(config, name) for name in _DAY_PARAMS})
     if args.json:
-        _emit(json.dumps(response.to_wire(), sort_keys=True, indent=2), args.out)
+        result = {
+            "rm": report.rm_name,
+            "n_nodes": report.n_nodes,
+            "seed": config.seed,
+            "events": events,
+            "sim_time_s": sim_time_s,
+            "schedule": asdict(report.schedule) if report.schedule is not None else {},
+            "master": dict(report.master),
+            "n_satellites": len(report.satellites),
+        }
+        _emit(_run_json("simulate", digest, result), args.out)
     else:
-        result = response.result()
         _emit(
-            response.simulation.report.summary()
-            + f"\n  events={result['events']} sim_time={result['sim_time_s']:.0f}s"
-            + f"\n  digest={request.digest()}",
+            report.summary()
+            + f"\n  events={events} sim_time={sim_time_s:.0f}s"
+            + f"\n  digest={digest}",
             args.out,
         )
     return 0
@@ -695,7 +745,7 @@ def _simulate_run(args: argparse.Namespace) -> int:
 
 SIMULATE_COMMANDS = (
     Subcommand(
-        "run", "run one simulated RM day from a typed request",
+        "run", "run one simulated RM day",
         _simulate_run_configure, _simulate_run, common=True,
     ),
 )
@@ -729,39 +779,90 @@ def _estimate_run_configure(parser: argparse.ArgumentParser) -> None:
 
 
 def _estimate_run(args: argparse.Namespace) -> int:
-    from repro.api import EstimateRequest
-    from repro.api import dispatch as api_dispatch
-    from repro.errors import ConfigurationError
+    """Train the paper's estimator on a seeded synthetic history, then
+    query it for one described job."""
+    import numpy as np
 
-    try:
-        request = EstimateRequest(
-            seed=args.seed,
-            n_history=args.n_history,
-            max_nodes=args.max_nodes,
-            job_nodes=args.job_nodes,
-            user_estimate_s=args.user_estimate_s,
-            app=args.app,
-            k_clusters=args.k_clusters,
+    from repro.estimate.framework import EslurmEstimator, EstimatorConfig
+    from repro.sched.job import Job
+    from repro.workload.synthetic import WorkloadConfig, generate_trace
+
+    user_s = args.user_estimate_s
+    if args.n_history < 50 or args.n_history > 5000:
+        args._parser.error("n_history must be in [50, 5000]")
+    if args.max_nodes < 1 or args.job_nodes < 1:
+        args._parser.error("max_nodes/job_nodes must be >= 1")
+    if args.k_clusters < 1:
+        args._parser.error("k_clusters must be >= 1")
+    if user_s is not None and user_s <= 0:
+        args._parser.error("user_estimate_s must be positive")
+    if user_s is not None and not math.isfinite(user_s):
+        args._parser.error("user_estimate_s must be finite")
+    jobs = generate_trace(
+        WorkloadConfig(n_users=16, n_apps=12, jobs_per_day=2000.0, max_nodes=args.max_nodes),
+        args.n_history,
+        seed=args.seed,
+    )
+    estimator = EslurmEstimator(
+        EstimatorConfig(k_clusters=args.k_clusters),
+        rng=np.random.default_rng(args.seed),
+    )
+    for job in jobs:
+        estimator.estimate(job, job.submit_time)
+        estimator.observe(job, job.submit_time)
+    if not (args.json or args.out):
+        print(
+            f"estimate: trained on {len(jobs)} jobs "
+            f"({estimator.trainings} model generation(s))"
         )
-    except ConfigurationError as exc:
-        args._parser.error(str(exc))
-    response = api_dispatch(request, progress=None if args.json or args.out else print)
-    if args.json:
-        _emit(json.dumps(response.to_wire(), sort_keys=True, indent=2), args.out)
+    last = jobs[-1]
+    app = args.app if args.app is not None else last.name
+    query = Job(
+        job_id=last.job_id + 1,
+        name=app,
+        user=last.user,
+        n_nodes=args.job_nodes,
+        # the true runtime is what the estimator predicts — any positive
+        # placeholder works, the encoder never sees it
+        runtime_s=1.0,
+        user_estimate_s=user_s,
+        submit_time=last.submit_time + 1.0,
+    )
+    value = estimator.estimate(query, query.submit_time)
+    if value is None:
+        source = "none"
+    elif user_s is not None and value == user_s:
+        source = "user"
     else:
-        value = (
-            f"{response.estimate_s:.0f}s" if response.estimate_s is not None else "none"
-        )
-        model = (
-            f"{response.model_estimate_s:.0f}s"
-            if response.model_estimate_s is not None
-            else "none"
-        )
+        source = "model"
+    result = {
+        # slack applied; None when neither the model nor the user answered
+        "estimate_s": value,
+        # the model's pre-slack value; None when no model answered
+        "model_estimate_s": query.model_estimate_s,
+        # which source won the AEA gate
+        "source": source,
+        "trainings": estimator.trainings,
+        "aea": round(estimator.average_estimation_accuracy(), 6),
+        "app": app,
+        "seed": args.seed,
+    }
+    if args.json:
+        params = {
+            name: getattr(args, name)
+            for name in (
+                "seed", "n_history", "max_nodes", "job_nodes",
+                "user_estimate_s", "app", "k_clusters",
+            )
+        }
+        _emit(_run_json("estimate", _digest("estimate", params), result), args.out)
+    else:
+        model_s = result["model_estimate_s"]
         _emit(
-            f"estimate: {value} (source {response.source}) for "
-            f"{response.app!r} x {request.job_nodes} nodes\n"
-            f"  model {model}, aea {response.aea:.3f}, "
-            f"{response.trainings} training generation(s)",
+            f"estimate: {f'{value:.0f}s' if value is not None else 'none'} "
+            f"(source {source}) for {app!r} x {args.job_nodes} nodes\n"
+            f"  model {f'{model_s:.0f}s' if model_s is not None else 'none'}, "
+            f"aea {result['aea']:.3f}, {result['trainings']} training generation(s)",
             args.out,
         )
     return 0
@@ -779,7 +880,7 @@ ESTIMATE_COMMANDS = (
 # repro whatif
 # ---------------------------------------------------------------------------
 def _whatif_run_configure(parser: argparse.ArgumentParser) -> None:
-    _simulate_run_configure(parser)  # the base day is a simulate request
+    _simulate_run_configure(parser)  # the base day takes simulate's flags
     parser.add_argument(
         "--at-s", type=float, default=43_200.0,
         help="simulated seconds into the day to snapshot at (default 43200)",
@@ -814,7 +915,7 @@ def _whatif_run_configure(parser: argparse.ArgumentParser) -> None:
 
 def _whatif_perturb_wire(args: argparse.Namespace) -> dict:
     """Only the flags that belong to the chosen kind enter the wire dict,
-    so unrelated defaults never pollute the request digest."""
+    so unrelated defaults never pollute the run digest."""
     if args.perturb == "submit-job":
         return {
             "kind": "submit-job",
@@ -832,41 +933,59 @@ def _whatif_perturb_wire(args: argparse.Namespace) -> dict:
 
 
 def _whatif_run(args: argparse.Namespace) -> int:
-    from repro.api import WhatIfRequest
-    from repro.api import dispatch as api_dispatch
     from repro.errors import ConfigurationError
+    from repro.snapshot import SimWorld, capture, perturbation_from_wire, what_if
 
+    config = _day_config(args)
+    at_s = args.at_s
+    if not 0.0 <= at_s < config.horizon_s:
+        args._parser.error(f"at_s={at_s} must lie in [0, horizon_s={config.horizon_s})")
     try:
-        request = WhatIfRequest(
-            rm=args.rm,
-            n_nodes=args.n_nodes,
-            n_satellites=args.n_satellites,
-            seed=args.seed,
-            failures=args.failures,
-            n_jobs=args.n_jobs,
-            horizon_s=args.horizon_s,
-            placement=args.placement,
-            malleable=args.malleable,
-            at_s=args.at_s,
-            perturb=_whatif_perturb_wire(args),
-        )
+        perturbation = perturbation_from_wire(_whatif_perturb_wire(args))
     except ConfigurationError as exc:
         args._parser.error(str(exc))
-    response = api_dispatch(request, progress=None if args.json or args.out else print)
+    verbose = not (args.json or args.out)
+    if verbose:
+        print(
+            f"what-if: rm={config.rm} nodes={config.n_nodes} "
+            f"at_s={at_s:g} perturb={perturbation.kind} seed={config.seed}"
+        )
+    world = SimWorld(config)
+    world.run_until(world.sim.now + at_s)
+    snapshot = capture(world)
+    if verbose:
+        print(
+            f"what-if: snapshot at event {snapshot.event_index} "
+            f"(t={snapshot.sim_now:g}s), replaying delta"
+        )
+    outcome = what_if(snapshot, perturbation)
+    if verbose:
+        print(
+            f"what-if: done, resumed {outcome.events_resumed} of "
+            f"{outcome.events_total} events "
+            f"({outcome.events_at_snapshot} reused from the base run)"
+        )
+    result = outcome.to_payload()
+    # `warm` (was the live world reused) is a host-side detail, not a
+    # simulation fact: the result stays simulation-deterministic
+    result.pop("warm", None)
+    result.update(rm=config.rm, n_nodes=config.n_nodes, seed=config.seed, at_s=at_s)
+    params = {name: getattr(config, name) for name in _DAY_PARAMS}
+    params.update(at_s=at_s, perturb=perturbation.to_wire())
+    digest = _digest("what-if", params)
     if args.json:
-        _emit(json.dumps(response.to_wire(), sort_keys=True, indent=2), args.out)
+        _emit(_run_json("what-if", digest, result), args.out)
     else:
-        result = response.result()
         probe = json.dumps(result["probe"], sort_keys=True)
         saved = result["events_at_snapshot"]
         total = result["events_total"]
         _emit(
-            f"what-if {args.perturb} at t={request.at_s:g}s "
+            f"what-if {args.perturb} at t={at_s:g}s "
             f"({args.rm}, {args.n_nodes} nodes, seed {args.seed})\n"
             f"  probe: {probe}\n"
             f"  delta-replay: {result['events_resumed']} of {total} events "
             f"({saved} reused, {saved / total:.0%} of the day skipped)\n"
-            f"  digest={request.digest()}",
+            f"  digest={digest}",
             args.out,
         )
     return 0
@@ -885,7 +1004,7 @@ FAMILIES: dict[str, tuple[str, tuple[Subcommand, ...]]] = {
     "bench": ("Run the fixed perf-benchmark scenario matrix.", BENCH_COMMANDS),
     "chaos": ("Run a chaos campaign with simulation-wide invariant checking.", CHAOS_COMMANDS),
     "verify": ("Run the correctness oracles against the current tree.", VERIFY_COMMANDS),
-    "simulate": ("Run one simulated RM day from a typed request envelope.", SIMULATE_COMMANDS),
+    "simulate": ("Run one simulated RM day.", SIMULATE_COMMANDS),
     "estimate": ("Query the runtime estimator as a service.", ESTIMATE_COMMANDS),
     "whatif": ("Snapshot a simulated day and delta-replay perturbations.", WHATIF_COMMANDS),
 }
@@ -1044,7 +1163,7 @@ def _main(argv: t.Sequence[str] | None = None) -> int:
         )
         if default_verb is not None and implies_default:
             rest = [default_verb, *rest]
-        return dispatch(f"repro {argv[0]}", description, commands, rest)
+        return run_family(f"repro {argv[0]}", description, commands, rest)
     parser = argparse.ArgumentParser(
         prog="repro-eslurm",
         description="Regenerate the tables and figures of the ESLURM paper (SC'22).",

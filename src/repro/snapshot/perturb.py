@@ -9,13 +9,15 @@ Each perturbation is a frozen dataclass with three faces:
 * ``observe(world)`` — after the day finishes, report the probe's
   outcome (did the job start, when, what happened to the node...);
 * ``to_wire()`` / :func:`perturbation_from_wire` — strict JSON-scalar
-  round-trip for the ``what-if`` request kind.  Unknown kinds or fields
-  raise :class:`~repro.errors.ConfigurationError`, which the CLI maps
-  to exit 3.
+  round-trip; ``repro whatif`` parses its flags through it and hashes
+  ``to_wire()`` into the run digest.  Unknown kinds or fields and
+  out-of-range values raise :class:`~repro.errors.ConfigurationError`,
+  which ``repro whatif`` reports as a usage error (exit 2).
 """
 
 from __future__ import annotations
 
+import math
 import typing as t
 from dataclasses import dataclass
 
@@ -64,8 +66,12 @@ class SubmitJob(Perturbation):
             raise ConfigurationError("submit-job: job_nodes must be >= 1")
         if self.job_runtime_s <= 0:
             raise ConfigurationError("submit-job: job_runtime_s must be positive")
+        if not math.isfinite(self.job_runtime_s):
+            raise ConfigurationError("submit-job: job_runtime_s must be finite")
         if self.job_limit_s is not None and self.job_limit_s <= 0:
             raise ConfigurationError("submit-job: job_limit_s must be positive")
+        if self.job_limit_s is not None and not math.isfinite(self.job_limit_s):
+            raise ConfigurationError("submit-job: job_limit_s must be finite")
 
     def params(self) -> dict[str, t.Any]:
         return {
@@ -128,6 +134,9 @@ class FailNode(Perturbation):
             raise ConfigurationError("fail-node: node_id must be >= 0")
         if self.duration_s <= 0:
             raise ConfigurationError("fail-node: duration_s must be positive")
+        # inf stays legal: a node that never comes back
+        if math.isnan(self.duration_s):
+            raise ConfigurationError("fail-node: duration_s must not be NaN")
 
     def params(self) -> dict[str, t.Any]:
         return {"node_id": self.node_id, "duration_s": self.duration_s}
@@ -222,7 +231,7 @@ PERTURBATION_TYPES: dict[str, type[Perturbation]] = {
 
 
 def perturbation_from_wire(wire: t.Mapping[str, t.Any]) -> Perturbation:
-    """Parse and validate a wire perturbation (strict, like the envelopes)."""
+    """Parse and validate a wire perturbation; strict on every key."""
     if not isinstance(wire, t.Mapping):
         raise ConfigurationError(f"perturbation must be an object, got {wire!r}")
     data = dict(wire)

@@ -37,9 +37,9 @@ class NullSink(TelemetrySink):
 class CallbackSink(TelemetrySink):
     """Forwards each finished span to a callback as it completes.
 
-    The seam streaming progress lines is built on:
-    ``dispatch(..., progress=...)`` installs a session whose sink turns
-    span completions into the CLI's progress lines.
+    The seam streaming progress lines is built on: ``repro simulate``
+    installs a session whose sink turns span completions into the
+    CLI's progress lines.
     ``min_elapsed_s`` bounds the flood — only regions at least that
     long are forwarded (0.0 forwards everything).
     """

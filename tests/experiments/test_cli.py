@@ -1,7 +1,14 @@
 """Tests for the CLI entry point."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import EXPERIMENTS, main
 
 
@@ -36,3 +43,155 @@ def test_simulate_non_finite_horizon_is_usage_error(horizon, capsys):
     err = capsys.readouterr().err
     assert "horizon_s out of range" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# simulate / estimate / whatif / chaos / verify verbs
+# ---------------------------------------------------------------------------
+SMALL_DAY = ["--rm", "slurm", "--n-nodes", "32", "--n-jobs", "5",
+             "--horizon-s", "3600", "--seed", "1"]
+SMALL_WHATIF = ["whatif", "--n-nodes", "8", "--n-jobs", "2", "--horizon-s", "600", "--at-s", "10"]
+SMALL_ESTIMATE = ["estimate", "--n-history", "60", "--max-nodes", "16", "--seed", "2"]
+
+
+def run_cli(capsys, *argv):
+    """``(exit code, stdout, stderr)`` of one in-process CLI call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def run_json(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    return json.loads(out)
+
+
+class TestRunDigest:
+    def test_identical_invocations_identical_digest(self, capsys):
+        a = run_json(capsys, "simulate", *SMALL_DAY)["digest"]
+        b = run_json(capsys, "simulate", *SMALL_DAY)["digest"]
+        assert a == b
+
+    @pytest.mark.parametrize("flag", [
+        ["--rm", "eslurm"],
+        ["--n-nodes", "33"],
+        ["--placement", "topology"],
+        ["--malleable"],
+        ["--seed", "2"],
+        ["--failures"],
+        ["--n-jobs", "6"],
+    ], ids=lambda flag: flag[0])
+    def test_any_single_flag_change_changes_digest(self, flag, capsys):
+        base = run_json(capsys, "simulate", *SMALL_DAY)["digest"]
+        assert run_json(capsys, "simulate", *SMALL_DAY, *flag)["digest"] != base
+
+    def test_digests_distinct_across_verbs(self, capsys):
+        digests = {
+            run_json(capsys, "simulate", *SMALL_DAY, "--seed", "3")["digest"],
+            run_json(capsys, *SMALL_ESTIMATE, "--seed", "3")["digest"],
+            run_json(capsys, *SMALL_WHATIF, "--seed", "3")["digest"],
+        }
+        assert len(digests) == 3
+
+    def test_digest_stable_across_processes(self, capsys):
+        # Two fresh interpreters with different string-hash seeds print
+        # the digest this process computes for the same run.
+        digest = run_json(capsys, *SMALL_ESTIMATE)["digest"]
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+            out = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *SMALL_ESTIMATE, "--json"],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            assert json.loads(out.stdout)["digest"] == digest
+
+    def test_digests_pinned(self, capsys):
+        # A digest is a recorded identity: the kind names and params it
+        # hashes must not drift, or every digest printed so far breaks.
+        assert run_json(capsys, "simulate", *SMALL_DAY)["digest"] == (
+            "21589eda20acc0a589ba07594562bb2b34d187904c9390f9f84b97e439a79c9c"
+        )
+        assert run_json(capsys, *SMALL_ESTIMATE)["digest"] == (
+            "e7d8b8818e652c7d304bf2b1d49f561bfe88e4a8993565395fd2e3a2d2c23d1a"
+        )
+        whatif = run_json(capsys, *SMALL_WHATIF, "--perturb", "cancel-job")
+        assert whatif["digest"] == (
+            "f1cff0f958c2df70e8b989f8f0eab371be3f3f18ad3927987ce77c3d35dca8b5"
+        )
+        code, out, _ = run_cli(capsys, *SMALL_WHATIF)
+        assert code == 0
+        assert out.rstrip().endswith(
+            "digest=fde62eb70614c8b020b742d0c99b384aff807f6bd440dd3db74b1e7906fed7d9"
+        )
+
+
+class TestRunResults:
+    def test_simulate_json_carries_counters(self, capsys):
+        payload = run_json(capsys, "simulate", *SMALL_DAY)
+        assert set(payload) == {"kind", "digest", "ok", "result"}
+        assert payload["kind"] == "simulate" and payload["ok"] is True
+        assert payload["result"]["rm"] == "slurm"
+        assert payload["result"]["events"] > 0
+        assert payload["result"]["sim_time_s"] == 3600.0
+
+    def test_estimate_on_trained_history_answers_from_model(self, capsys):
+        result = run_json(capsys, *SMALL_ESTIMATE)["result"]
+        assert result["source"] == "model"
+        assert result["estimate_s"] is not None and result["estimate_s"] > 0
+        assert result["trainings"] >= 1
+
+    def test_verify_json_deterministic(self, capsys):
+        argv = ["verify", "--seed", "3", "--layer", "metamorphic",
+                "--relation", "relabel-invariance"]
+        a = run_json(capsys, *argv)
+        assert a == run_json(capsys, *argv)
+        assert a["ok"] is True and a["n_relations"] == 1
+
+
+def usage_case(id_, message, *argv):
+    return pytest.param(list(argv), message, id=id_)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, message", [
+        usage_case("whatif-nan-runtime", "submit-job: job_runtime_s must be finite",
+                   *SMALL_WHATIF, "--job-runtime-s", "nan"),
+        usage_case("whatif-inf-runtime", "submit-job: job_runtime_s must be finite",
+                   *SMALL_WHATIF, "--job-runtime-s", "inf"),
+        usage_case("whatif-nan-limit", "submit-job: job_limit_s must be finite",
+                   *SMALL_WHATIF, "--job-limit-s", "nan"),
+        usage_case("whatif-nan-duration", "fail-node: duration_s must not be NaN",
+                   *SMALL_WHATIF, "--perturb", "fail-node", "--duration-s", "nan"),
+        usage_case("estimate-n-history", "n_history must be in [50, 5000]",
+                   "estimate", "--n-history", "10"),
+        usage_case("estimate-job-nodes", "max_nodes/job_nodes must be >= 1",
+                   "estimate", "--job-nodes", "0"),
+        usage_case("estimate-k-clusters", "k_clusters must be >= 1",
+                   "estimate", "--k-clusters", "0"),
+        usage_case("estimate-negative-user", "user_estimate_s must be positive",
+                   "estimate", "--user-estimate-s", "-5"),
+        usage_case("estimate-nan-user", "user_estimate_s must be finite",
+                   "estimate", "--user-estimate-s", "nan"),
+        usage_case("estimate-inf-user", "user_estimate_s must be finite",
+                   "estimate", "--user-estimate-s", "inf"),
+        usage_case("simulate-unknown-rm", "unknown RM 'foo'", "simulate", "--rm", "foo"),
+        usage_case("chaos-unknown-scenario", "unknown chaos scenario 'nope'",
+                   "chaos", "run", "nope"),
+        usage_case("verify-unknown-relation", "unknown relations: ['nope']",
+                   "verify", "--relation", "nope"),
+        usage_case("verify-unknown-layer", "invalid choice: 'vibes'",
+                   "verify", "--layer", "vibes"),
+    ])
+    def test_usage_error_before_any_run(self, argv, message, capsys):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        # rejected while parsing: no progress line, so nothing ran
+        assert out == ""

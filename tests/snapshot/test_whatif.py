@@ -142,7 +142,22 @@ class TestPerturbationWire:
         ({"kind": "fail-node", "duration_s": 0.0}, "duration_s"),
         ({"kind": "cancel-job", "job_id": -2}, "job_id"),
         ("not-a-dict", "must be an object"),
+        pytest.param({"kind": "submit-job", "job_runtime_s": float("nan")},
+                     "job_runtime_s must be finite", id="nan-runtime"),
+        pytest.param({"kind": "submit-job", "job_runtime_s": float("inf")},
+                     "job_runtime_s must be finite", id="inf-runtime"),
+        pytest.param({"kind": "submit-job", "job_limit_s": float("nan")},
+                     "job_limit_s must be finite", id="nan-limit"),
+        pytest.param({"kind": "submit-job", "job_limit_s": float("inf")},
+                     "job_limit_s must be finite", id="inf-limit"),
+        pytest.param({"kind": "fail-node", "duration_s": float("nan")},
+                     "duration_s must not be NaN", id="nan-duration"),
     ])
     def test_malformed_rejected(self, wire, match):
         with pytest.raises(ConfigurationError, match=match):
             perturbation_from_wire(wire)
+
+    def test_endless_outage_is_legal(self):
+        # duration_s = inf is a node that never comes back
+        outcome = what_if(snapshot_at(), FailNode(node_id=5, duration_s=float("inf")))
+        assert outcome.probe["final_state"] == "DOWN"
