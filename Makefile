@@ -34,12 +34,13 @@ chaos-smoke:
 test-bench:
 	$(PYTHON) -m pytest -q tests/bench tests/telemetry
 
-## Smoke: the smoke scenario must produce a schema-valid bench file,
-## and the same seed twice must produce byte-identical files.
+## Smoke: a -j 1/-j 2 sweep of the 1K pair must produce schema-valid
+## payloads with byte-identical digests at both levels (the sweep exits
+## nonzero on any mismatch), and the same seed twice must produce
+## byte-identical payloads.
 bench-smoke:
 	$(PYTHON) -m pytest -q tests/bench tests/telemetry
-	$(PYTHON) -m repro.cli bench run slurm-1024 eslurm-1024 --seed 0 --out .bench-smoke -j 2
-	$(PYTHON) -m repro.cli bench validate .bench-smoke/BENCH_slurm_1024.json
+	$(PYTHON) -m repro.cli bench sweep slurm-1024 eslurm-1024 --jobs-levels 1,2 --out .bench-smoke/BENCH_sweep.json
 	$(PYTHON) -c "from repro.bench import run_bench; \
 	a = run_bench('slurm-1024', seed=0).to_json(); \
 	b = run_bench('slurm-1024', seed=0).to_json(); \
@@ -103,15 +104,14 @@ verify-smoke:
 	print('deterministic-digest check: OK')"
 
 ## Smoke: the sweep engine must be byte-deterministic — the same small
-## matrix at -j 1 and -j 2 must write byte-identical BENCH files, and a
-## poisoned cell must be contained (nonzero exit, healthy cells done).
+## matrix at -j 1 and -j 2 must hash to the same payload digest (the
+## sweep exits nonzero on a mismatch), and a poisoned cell must be
+## contained (nonzero exit, healthy cells done).
 sweep-smoke:
 	$(PYTHON) -m pytest -q tests/parallel
-	$(PYTHON) -m repro.cli bench run slurm-1024 eslurm-1024 --seed 0 --out .sweep-j1 -j 1
-	$(PYTHON) -m repro.cli bench run slurm-1024 eslurm-1024 --seed 0 --out .sweep-j2 -j 2
-	diff -r .sweep-j1 .sweep-j2
+	$(PYTHON) -m repro.cli bench sweep slurm-1024 eslurm-1024 --jobs-levels 1,2 --out .sweep-smoke/BENCH_sweep.json
 	@echo "sweep determinism check: OK (-j 1 == -j 2, byte for byte)"
-	rm -rf .sweep-j1 .sweep-j2
+	rm -rf .sweep-smoke
 
 ## Smoke: the elastic/placement layer end to end — the shrink-storm
 ## chaos scenario must run violation-free, and the two differential

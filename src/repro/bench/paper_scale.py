@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import json
 import typing as t
-from pathlib import Path
 
 from repro.bench.runner import BenchResult
-from repro.bench.scenarios import PAPER_SCALE
-from repro.errors import ConfigurationError
 
 BASELINE_SCHEMA = "repro-bench-paper-scale/1"
 
@@ -44,22 +41,3 @@ def build_baseline(results: t.Sequence[BenchResult]) -> dict[str, t.Any]:
 
 def dump_baseline(baseline: dict[str, t.Any]) -> str:
     return json.dumps(baseline, sort_keys=True, indent=2) + "\n"
-
-
-def load_baseline(path: str | Path) -> dict[str, t.Any]:
-    """Read + sanity-check an anchor file."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != BASELINE_SCHEMA:
-        raise ConfigurationError(
-            f"{path}: expected schema {BASELINE_SCHEMA!r}, got {payload.get('schema')!r}"
-        )
-    tiers = payload.get("tiers")
-    if not isinstance(tiers, dict) or not tiers:
-        raise ConfigurationError(f"{path}: baseline has no tiers")
-    for name, tier in tiers.items():
-        if name not in PAPER_SCALE:
-            raise ConfigurationError(f"{path}: tier {name!r} is not a paper-scale scenario")
-        for key in ("seed", "events", "peak_heap_depth"):
-            if key not in tier:
-                raise ConfigurationError(f"{path}: tier {name!r} missing {key!r}")
-    return payload

@@ -7,9 +7,9 @@ instrumented subsystem: the event loop, the broadcast fabric, satellite
 allocation, the scheduler, and (for ESLURM) the runtime estimator.
 
 Scenario runs are sized to finish in seconds each, not to reproduce the
-paper's absolute numbers: a bench file is a *regression anchor* — the
-same scenario at the same seed must produce the same JSON, and future
-perf PRs compare events/sec and per-subsystem counters against it.
+paper's absolute numbers: a bench payload is a *regression anchor* —
+the same scenario at the same seed must produce the same JSON, which
+``benchmarks/BENCH_sweep.json`` pins by digest.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ class BenchScenario:
 
     ``malleable_fraction`` / ``placement`` select the elastic-job
     protocol and the node-placement policy; both default to the rigid/
-    first-fit setting so every pre-existing ``BENCH_*.json`` anchor
-    stays byte-identical.
+    first-fit setting so every recorded payload stays byte-identical.
     """
 
     name: str
@@ -74,11 +73,6 @@ class BenchScenario:
             malleable=self.malleable_fraction > 0.0,
         )
 
-    @property
-    def file_stem(self) -> str:
-        """``BENCH_<name>`` with filesystem-friendly separators."""
-        return "BENCH_" + self.name.replace("-", "_")
-
 
 def _matrix() -> dict[str, BenchScenario]:
     scenarios = {}
@@ -103,9 +97,6 @@ def _matrix() -> dict[str, BenchScenario]:
 
 #: name -> scenario, insertion-ordered smallest-first per RM
 SCENARIOS: dict[str, BenchScenario] = _matrix()
-
-#: the scenario ``make bench-smoke`` runs (smallest, deterministic machine)
-SMOKE_SCENARIO = "slurm-1024"
 
 
 #: the paper-scale machine sizes: the Section VII trio plus the
@@ -143,7 +134,7 @@ def _paper_scale() -> dict[str, BenchScenario]:
     # Elastic and topology-aware variants of the smallest tier: same
     # machine and workload volume, but with half the jobs malleable
     # (resp. the topology-aware placement policy) so the malleability
-    # protocol and placement scoring have their own wall-time anchors.
+    # protocol and placement scoring have their own anchors.
     tiers["paper-1024-malleable"] = BenchScenario(
         name="paper-1024-malleable",
         rm="eslurm",

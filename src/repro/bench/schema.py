@@ -1,6 +1,6 @@
-"""The ``BENCH_*.json`` schema: layout, determinism rules, validation.
+"""The bench payload schema: layout, determinism rules, validation.
 
-A bench file is the deterministic slice of one scenario run:
+A bench payload is the deterministic slice of one scenario run:
 
 .. code-block:: json
 
@@ -22,11 +22,10 @@ A bench file is the deterministic slice of one scenario run:
       "schedule": {"n_jobs": 120, "utilization": 0.5}
     }
 
-Two same-seed runs must produce byte-identical files, so everything in
+Two same-seed runs must produce byte-identical payloads, so everything in
 the payload derives from *simulated* quantities.  Host-clock metrics
 (span wall times, wall-per-sim-second) are namespaced ``host.`` by the
-telemetry layer and filtered out here; they appear in run summaries on
-stdout instead.
+telemetry layer and filtered out here.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ REQUIRED_SCENARIO_FIELDS = ("rm", "n_nodes", "n_satellites", "failures", "n_jobs
 
 
 def is_deterministic_metric(name: str) -> bool:
-    """Whether a metric may appear in a bench file."""
+    """Whether a metric may appear in a bench payload."""
     return not name.startswith("host.")
 
 

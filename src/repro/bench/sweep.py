@@ -1,9 +1,9 @@
 """The sweep-determinism artifact (``benchmarks/BENCH_sweep.json``).
 
-The matrix bench files freeze per-scenario simulation payloads.  This
-module owns one file recording the *whole* scenario matrix at several
-``--jobs`` levels: a digest per level proving the merged payloads were
-byte-identical to the serial run, and the merged event total.  It holds
+A bench payload freezes one scenario's simulation facts.  This module
+owns one file recording the *whole* scenario matrix at several
+``--jobs`` levels: a digest per level proving the payloads were
+byte-identical to the serial run, and their event total.  It holds
 no wall times; host speed is measured by ``benchmarks/e2e`` alone.
 ``repro bench sweep`` records it.
 """
@@ -13,11 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import typing as t
-from pathlib import Path
 
 from repro.bench.runner import MatrixSweep, run_matrix_sweep
 from repro.bench.scenarios import SCENARIOS
 from repro.errors import ConfigurationError
+from repro.parallel.pool import resolve_jobs
 
 SWEEP_SCHEMA = "repro-bench-sweep/1"
 
@@ -30,7 +30,7 @@ DEFAULT_JOBS_LEVELS = (1, 2, 4)
 
 def sweep_digest(sweep: MatrixSweep) -> str:
     """SHA-256 over the concatenated canonical payload bytes, in matrix
-    order — equal digests mean byte-identical ``BENCH_*.json`` files."""
+    order — equal digests mean byte-identical payloads."""
     digest = hashlib.sha256()
     for result in sweep.results:
         digest.update(result.to_json().encode())
@@ -45,14 +45,12 @@ def run_sweep_baseline(
 ) -> dict[str, t.Any]:
     """Run the matrix at each jobs level; return the sweep payload.
 
-    The serial level (``jobs=1``) is always run first: each other
-    level's merged output is digest-checked against it, and a mismatch
-    is a determinism bug and raises.
+    Each level is resolved first (``0`` = cpu autodetect), so the serial
+    level (``jobs=1``) is always run first: each other level's merged
+    output is digest-checked against it, and a mismatch is a determinism
+    bug and raises.
     """
-    levels = list(dict.fromkeys(int(j) for j in jobs_levels))
-    if 1 not in levels:
-        levels.insert(0, 1)
-    levels.sort()
+    levels = sorted({1, *(resolve_jobs(int(j)) for j in jobs_levels)})
     chosen = list(SCENARIOS) if names is None else list(names)
     runs: dict[str, t.Any] = {}
     serial_digest: str | None = None
@@ -64,7 +62,6 @@ def run_sweep_baseline(
             failed = [f.task_id for f in sweep.failures]
             raise ConfigurationError(f"sweep at jobs={jobs} had failed cells: {failed}")
         digest = sweep_digest(sweep)
-        counters = sweep.merged_telemetry()["counters"]
         if jobs == 1:
             serial_digest = digest
         elif digest != serial_digest:
@@ -74,7 +71,7 @@ def run_sweep_baseline(
             )
         runs[str(jobs)] = {
             "digest": digest,
-            "events_total": int(counters.get("sim.events", 0)),
+            "events_total": sum(r.payload["events"] for r in sweep.results),
         }
     return {
         "schema": SWEEP_SCHEMA,
@@ -86,19 +83,6 @@ def run_sweep_baseline(
 
 def dump_sweep(payload: dict[str, t.Any]) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def load_sweep(path: str | Path) -> dict[str, t.Any]:
-    """Read + sanity-check a sweep file."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != SWEEP_SCHEMA:
-        raise ConfigurationError(
-            f"{path}: expected schema {SWEEP_SCHEMA!r}, got {payload.get('schema')!r}"
-        )
-    runs = payload.get("runs")
-    if not isinstance(runs, dict) or "1" not in runs:
-        raise ConfigurationError(f"{path}: sweep file has no serial (jobs=1) run")
-    return payload
 
 
 def render_sweep(payload: dict[str, t.Any]) -> str:

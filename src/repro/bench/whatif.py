@@ -1,31 +1,26 @@
 """The what-if cost artifact (``benchmarks/BENCH_whatif.json``).
 
 The snapshot layer's pitch is economic: answering *"what if X happened
-at time t?"* by delta-replay from a snapshot must be measurably cheaper
-than rerunning the whole day.  This module records that claim as a
+at time t?"* by delta-replay from a snapshot must do less work than
+rerunning the whole day.  This module records that claim as a
 checked-in file on the paper-scale 1024-node tier: one full-day run
-(the baseline every ``what-if`` would otherwise pay), then one
-warm delta-replay per snapshot cut.
+(the baseline every ``what-if`` would otherwise pay), then one warm
+delta-replay per snapshot cut.
 
-The payload splits into two sections, as the other bench artifacts do:
-
-* ``anchors`` — simulation-deterministic facts (event counts, golden
-  trace digest, canonical payload digest, per-cut replay fractions).
-  Byte-identical on every host; any drift is a determinism regression.
-* ``host`` — wall-clock measurements (full-run wall, per-cut what-if
-  wall, speedups).  Informative, not comparable across machines.
-
-``repro bench whatif`` records it.
+Every field is simulation-deterministic (event counts, golden trace
+digest, canonical payload digest, per-cut replay fractions), so the
+file is byte-identical on every host and any drift is a determinism
+regression.  The cost is counted in events, not wall time: the warm
+what-if replays only the ``events_resumed`` after its cut, and
+``whatif_cheaper_than_rerun`` holds when every cut replays fewer events
+than the full run.  ``repro bench whatif`` records it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import time
 import typing as t
-from pathlib import Path
 
 from repro.errors import ConfigurationError
 
@@ -59,12 +54,16 @@ def run_whatif_bench(
 
     For each cut ``f`` the base run is advanced to ``f * horizon_s``
     (the cost shared by every what-if against that base), snapshotted
-    warm, and one ``submit-job`` probe is delta-replayed to the horizon
-    under the wall clock.
+    warm, and one ``submit-job`` probe is delta-replayed to the horizon.
     """
     from repro.api import SimulationConfig
     from repro.snapshot import SimWorld, SubmitJob, capture, what_if
 
+    if not cuts:
+        raise ConfigurationError("at least one snapshot cut is required")
+    keys = [f"{f:g}" for f in cuts]
+    if len(set(keys)) != len(keys):
+        raise ConfigurationError(f"snapshot cuts must be distinct, got {','.join(keys)}")
     for f in cuts:
         if not 0.0 <= f < 1.0:
             raise ConfigurationError(f"cut fractions must lie in [0, 1), got {f}")
@@ -81,9 +80,7 @@ def run_whatif_bench(
         progress(f"whatif bench: full run ({rm}, {n_nodes} nodes, {n_jobs} jobs)")
     full_world = SimWorld(config)
     digest = full_world.attach_trace_digest()
-    start = time.perf_counter()
     full_world.run_to_horizon()
-    full_wall_s = time.perf_counter() - start
     events_full = full_world.sim.events_processed
     anchors: dict[str, t.Any] = {
         "events_full": events_full,
@@ -91,20 +88,11 @@ def run_whatif_bench(
         "payload_digest": _payload_digest(full_world.final_payload()),
         "cuts": {},
     }
-    host: dict[str, t.Any] = {
-        "cpus": os.cpu_count(),
-        "full_run_wall_s": round(full_wall_s, 4),
-        "cuts": {},
-    }
     probe = SubmitJob()
-    for f in cuts:
-        key = f"{f:g}"
+    for f, key in zip(cuts, keys):
         world = SimWorld(config)
         world.run_until(world.sim.now + f * horizon_s)
-        snapshot = capture(world)
-        start = time.perf_counter()
-        outcome = what_if(snapshot, probe)
-        wall_s = time.perf_counter() - start
+        outcome = what_if(capture(world), probe)
         anchors["cuts"][key] = {
             "events_at_snapshot": outcome.events_at_snapshot,
             "events_resumed": outcome.events_resumed,
@@ -112,19 +100,13 @@ def run_whatif_bench(
             "fraction_skipped": round(outcome.events_at_snapshot / outcome.events_total, 4),
             "probe_started": bool(outcome.probe.get("started")),
         }
-        host["cuts"][key] = {
-            "whatif_wall_s": round(wall_s, 4),
-            "speedup_vs_full": round(full_wall_s / wall_s, 2) if wall_s else 0.0,
-        }
         if progress is not None:
             progress(
                 f"whatif bench: cut {key} — replayed {outcome.events_resumed} of "
-                f"{outcome.events_total} events in {wall_s:.3f}s "
-                f"(full run {full_wall_s:.3f}s)"
+                f"{outcome.events_total} events (full run {events_full} events)"
             )
     cheaper = all(
-        entry["whatif_wall_s"] < host["full_run_wall_s"]
-        for entry in host["cuts"].values()
+        entry["events_resumed"] < events_full for entry in anchors["cuts"].values()
     )
     return {
         "schema": WHATIF_SCHEMA,
@@ -138,7 +120,6 @@ def run_whatif_bench(
             "perturbation": probe.to_wire(),
         },
         "anchors": anchors,
-        "host": host,
         "whatif_cheaper_than_rerun": cheaper,
     }
 
@@ -147,36 +128,19 @@ def dump_whatif(payload: dict[str, t.Any]) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def load_whatif(path: str | Path) -> dict[str, t.Any]:
-    """Read + sanity-check a what-if cost file."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != WHATIF_SCHEMA:
-        raise ConfigurationError(
-            f"{path}: expected schema {WHATIF_SCHEMA!r}, got {payload.get('schema')!r}"
-        )
-    anchors = payload.get("anchors")
-    if not isinstance(anchors, dict) or not anchors.get("cuts"):
-        raise ConfigurationError(f"{path}: what-if file has no snapshot cuts")
-    return payload
-
-
 def render_whatif(payload: dict[str, t.Any]) -> str:
-    """The cut/events/wall/speedup table (also the README table)."""
+    """The cut/skipped/replayed table (also the README table)."""
     config = payload["config"]
-    host = payload["host"]
     lines = [
         f"what-if delta-replay — {config['rm']}, {config['n_nodes']} nodes, "
         f"{config['n_jobs']} jobs, seed {payload['seed']}",
-        f"full run: {payload['anchors']['events_full']} events, "
-        f"{host['full_run_wall_s']:.3f}s wall",
-        f"{'cut':>6}  {'skipped':>8}  {'replayed':>9}  {'wall_s':>8}  {'speedup':>8}",
+        f"full run: {payload['anchors']['events_full']} events",
+        f"{'cut':>6}  {'skipped':>8}  {'replayed':>9}",
     ]
     for key in sorted(payload["anchors"]["cuts"], key=float):
         anchor = payload["anchors"]["cuts"][key]
-        wall = host["cuts"][key]
         lines.append(
             f"{key:>6}  {anchor['fraction_skipped']:>7.0%}  "
-            f"{anchor['events_resumed']:>9}  {wall['whatif_wall_s']:>8.3f}  "
-            f"{wall['speedup_vs_full']:>7.2f}x"
+            f"{anchor['events_resumed']:>9}"
         )
     return "\n".join(lines)

@@ -8,12 +8,9 @@ Installed as ``repro-eslurm`` (alias ``repro``)::
     repro all --quick -j 4          # experiment grid on 4 workers
 
     repro bench list                # perf-benchmark matrix + paper tiers
-    repro bench run --all --seed 0
-    repro bench run --all -j 4      # parallel sweep, byte-identical files
-    repro bench sweep               # record benchmarks/BENCH_sweep.json digests
-    repro bench report BENCH_*.json --markdown
-    repro bench validate BENCH_*.json
     repro bench baseline            # record benchmarks/BENCH_paper_scale.json anchors
+    repro bench sweep               # record benchmarks/BENCH_sweep.json digests
+    repro bench whatif              # record benchmarks/BENCH_whatif.json event counts
 
     repro chaos list                # invariant-checked failure campaigns
     repro chaos run failure-storm --seed 7 --json
@@ -23,7 +20,6 @@ Installed as ``repro-eslurm`` (alias ``repro``)::
     repro verify --seed 42 --seeds 5 -j 4
     repro verify run --update-golden
     repro verify list               # the relation catalogue
-    repro bench check BENCH_*.json  # judge bench files against the relations
 
     repro simulate --rm slurm --n-nodes 4096 --json
     repro estimate --n-history 300 --job-nodes 8
@@ -157,39 +153,6 @@ def _bench_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_run_configure(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("names", nargs="*", help="scenario names (see 'repro bench list')")
-    parser.add_argument("--all", action="store_true", help="run the whole matrix")
-
-
-def _bench_run(args: argparse.Namespace) -> int:
-    if args.all == bool(args.names):
-        args._parser.error("pass scenario names or --all (not both)")
-    from repro.bench import run_matrix_sweep
-
-    names = None if args.all else args.names
-    out_dir = args.out if args.out is not None else "."
-    try:
-        sweep = run_matrix_sweep(
-            names=names,
-            seed=args.seed,
-            out_dir=out_dir,
-            progress=None if args.json else print,
-            jobs=args.jobs,
-        )
-    except Exception as exc:
-        args._parser.error(str(exc))
-    if args.json:
-        print(json.dumps([r.payload for r in sweep.results], sort_keys=True, indent=2))
-    for failure in sweep.failures:
-        print(
-            f"bench cell {failure.task_id} FAILED after {failure.attempts} attempt(s): "
-            f"{(failure.error or 'unknown').splitlines()[-1]}",
-            file=sys.stderr,
-        )
-    return 0 if sweep.ok else 1
-
-
 def _bench_baseline_configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "names",
@@ -320,78 +283,8 @@ def _bench_whatif(args: argparse.Namespace) -> int:
     return 0 if payload["whatif_cheaper_than_rerun"] else 1
 
 
-def _bench_files_configure(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("files", nargs="+", help="BENCH_*.json files")
-
-
-def _bench_report_configure(parser: argparse.ArgumentParser) -> None:
-    _bench_files_configure(parser)
-    parser.add_argument("--markdown", action="store_true", help="render a markdown table")
-
-
-def _bench_report(args: argparse.Namespace) -> int:
-    from repro.bench import load_bench_file, render_markdown, render_text
-
-    try:
-        payloads = [load_bench_file(path) for path in args.files]
-    except Exception as exc:
-        args._parser.error(str(exc))
-    if args.json:
-        _emit(json.dumps(payloads, sort_keys=True, indent=2), args.out)
-    elif args.markdown:
-        _emit(render_markdown(payloads), args.out)
-    else:
-        _emit(render_text(payloads), args.out)
-    return 0
-
-
-def _bench_validate(args: argparse.Namespace) -> int:
-    from repro.bench import load_bench_file
-
-    status = 0
-    for path in args.files:
-        try:
-            load_bench_file(path)
-        except Exception as exc:
-            print(f"{path}: INVALID — {exc}")
-            status = 1
-        else:
-            print(f"{path}: ok")
-    return status
-
-
-def _bench_check(args: argparse.Namespace) -> int:
-    from repro.bench import load_bench_file
-    from repro.oracle.relations import check_bench_payloads
-
-    try:
-        payloads = [load_bench_file(path) for path in args.files]
-    except Exception as exc:
-        args._parser.error(str(exc))
-    results = check_bench_payloads(payloads)
-    for result in results:
-        print(result.line())
-    failed = sum(1 for r in results if not r.ok)
-    print(f"bench check: {'FAIL' if failed else 'OK'} — {len(results) - failed}/{len(results)} held")
-    return 1 if failed else 0
-
-
 BENCH_COMMANDS = (
     Subcommand("list", "enumerate the scenario matrix", lambda p: None, _bench_list),
-    Subcommand(
-        "run", "execute scenarios and write BENCH_*.json", _bench_run_configure,
-        _bench_run, common=True,
-        out_help="directory for BENCH_*.json files (default: cwd)", jobs=True,
-    ),
-    Subcommand(
-        "report", "render bench files as a table", _bench_report_configure,
-        _bench_report, common=True,
-    ),
-    Subcommand("validate", "schema-check bench files", _bench_files_configure, _bench_validate),
-    Subcommand(
-        "check", "judge bench files against the paper-shaped relations",
-        _bench_files_configure, _bench_check,
-    ),
     Subcommand(
         "baseline", "record the paper-scale anchor file (event counts, heap depth)",
         _bench_baseline_configure, _bench_baseline, common=True,
@@ -1012,7 +905,6 @@ FAMILIES: dict[str, tuple[str, tuple[Subcommand, ...]]] = {
 #: families where a bare ``repro <family> [flags]`` implies this verb
 DEFAULT_VERBS: dict[str, str] = {
     "verify": "run",
-    "bench": "run",
     "simulate": "run",
     "estimate": "run",
     "whatif": "run",

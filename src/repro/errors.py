@@ -48,10 +48,6 @@ class EstimationError(ReproError):
     was queried before any model was trained."""
 
 
-class TraceFormatError(ReproError):
-    """A workload trace file could not be parsed."""
-
-
 # ---------------------------------------------------------------------------
 # CLI exit codes
 # ---------------------------------------------------------------------------

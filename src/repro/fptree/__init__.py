@@ -30,7 +30,6 @@ __all__ = [
     "TreeNode",
     "build_tree",
     "leaf_positions",
-    "tree_depth",
     "rearrange",
     "FPTreeConstructor",
     "FPTreeBroadcast",
@@ -39,14 +38,12 @@ __all__ = [
     "NullPredictor",
     "OraclePredictor",
     "StaticSetPredictor",
-    "topology_aware_order",
 ]
 
 _LAZY: dict[str, str] = {
     "TreeNode": "repro.fptree.tree",
     "build_tree": "repro.fptree.tree",
     "leaf_positions": "repro.fptree.tree",
-    "tree_depth": "repro.fptree.tree",
     "rearrange": "repro.fptree.constructor",
     "FPTreeConstructor": "repro.fptree.constructor",
     "FPTreeBroadcast": "repro.fptree.constructor",
@@ -55,7 +52,6 @@ _LAZY: dict[str, str] = {
     "NullPredictor": "repro.fptree.predictor",
     "OraclePredictor": "repro.fptree.predictor",
     "StaticSetPredictor": "repro.fptree.predictor",
-    "topology_aware_order": "repro.fptree.topology_aware",
 }
 
 

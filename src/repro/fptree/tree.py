@@ -171,20 +171,6 @@ def leaf_positions(n: int, width: int) -> list[int]:
     return leaves
 
 
-def tree_depth(n: int, width: int) -> int:
-    """Depth (root = 0) of the tree built over ``n`` list entries."""
-    _check_width(width)
-    if n <= 0:
-        return 0
-
-    def rec(lo: int, hi: int) -> int:
-        if hi - lo == 1:
-            return 0
-        return 1 + max(rec(c_lo, c_hi) for c_lo, c_hi in _chunk_bounds(lo + 1, hi, width))
-
-    return rec(0, n)
-
-
 def children_bounds(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
     """Public alias of the grouping step for engines that walk the
     implicit tree over index ranges instead of building it."""

@@ -35,7 +35,6 @@ from repro.oracle.relations import (
     MASTER_LOAD_NODE_THRESHOLD,
     Relation,
     RelationResult,
-    check_bench_payloads,
     relations_table,
 )
 from repro.oracle.verify import (
@@ -61,7 +60,6 @@ __all__ = [
     "MASTER_LOAD_NODE_THRESHOLD",
     "Relation",
     "RelationResult",
-    "check_bench_payloads",
     "relations_table",
     "LAYERS",
     "SweepVerifyReport",

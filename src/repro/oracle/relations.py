@@ -5,17 +5,10 @@ A :class:`Relation` is one assertion the oracle can evaluate — a
 relation compares a run against a transformed re-run.  Each carries the
 paper section its claim comes from, so ``repro verify list`` and the
 DESIGN table render straight from the registry.
-
-This module also hosts the cross-file checks over ``BENCH_*.json``
-payloads (:func:`check_bench_payloads`): the bench harness records
-numbers without judging them, and these relations are the judgement —
-``repro bench check BENCH_*.json`` exits nonzero when the paper-shaped
-orderings between scenarios are violated.
 """
 
 from __future__ import annotations
 
-import typing as t
 from dataclasses import dataclass
 
 #: ESLURM's master-offload advantage is asserted only at or above this
@@ -31,7 +24,7 @@ class RelationResult:
     relation: str
     ok: bool
     detail: str
-    layer: str = "differential"  # differential | metamorphic | golden | bench
+    layer: str = "differential"  # differential | metamorphic | golden
 
     def line(self) -> str:
         status = "ok  " if self.ok else "FAIL"
@@ -67,66 +60,3 @@ def relations_table() -> list[Relation]:
     from repro.oracle.metamorphic import METAMORPHIC_RELATIONS
 
     return [*DIFFERENTIAL_RELATIONS, *METAMORPHIC_RELATIONS]
-
-
-# ---------------------------------------------------------------------------
-# relation checks over BENCH_*.json payloads
-# ---------------------------------------------------------------------------
-def _bench_key(payload: t.Mapping[str, t.Any]) -> tuple[int, int, bool]:
-    sc = payload["scenario"]
-    return (int(payload["seed"]), int(sc["n_nodes"]), bool(sc["failures"]))
-
-
-def check_bench_payloads(
-    payloads: t.Sequence[t.Mapping[str, t.Any]],
-) -> list[RelationResult]:
-    """Judge a set of bench payloads against the paper-shaped relations.
-
-    Per-file sanity first (events flowed, the clock advanced), then the
-    structural comparison: wherever the set contains a slurm/eslurm pair
-    at the same ``(seed, n_nodes, failures)`` cell with ``n_nodes`` at or
-    above :data:`MASTER_LOAD_NODE_THRESHOLD`, the ESLURM master must be
-    strictly cheaper on CPU time and socket peak (Section VII-B's whole
-    point), and strictly lower on sent messages when the counter is
-    present.
-    """
-    results: list[RelationResult] = []
-    for payload in payloads:
-        name = payload["name"]
-        ok = payload["events"] > 0 and payload["sim_time_s"] > 0
-        results.append(
-            RelationResult(
-                relation="bench-liveness",
-                ok=ok,
-                detail=f"{name}: {payload['events']} events over {payload['sim_time_s']:.0f}s",
-                layer="bench",
-            )
-        )
-    by_cell: dict[tuple[int, int, bool], dict[str, t.Mapping[str, t.Any]]] = {}
-    for payload in payloads:
-        by_cell.setdefault(_bench_key(payload), {})[payload["scenario"]["rm"]] = payload
-    for (seed, n_nodes, failures), arms in sorted(by_cell.items()):
-        if "slurm" not in arms or "eslurm" not in arms:
-            continue
-        if n_nodes < MASTER_LOAD_NODE_THRESHOLD:
-            continue
-        slurm, eslurm = arms["slurm"], arms["eslurm"]
-        cell = f"n={n_nodes} seed={seed}" + (" failures" if failures else "")
-        comparisons = [
-            ("cpu_time_min", slurm["master"]["cpu_time_min"], eslurm["master"]["cpu_time_min"]),
-            ("sockets_peak", slurm["master"]["sockets_peak"], eslurm["master"]["sockets_peak"]),
-        ]
-        s_msgs = slurm.get("counters", {}).get("rm.master.msgs")
-        e_msgs = eslurm.get("counters", {}).get("rm.master.msgs")
-        if s_msgs is not None and e_msgs is not None:
-            comparisons.append(("rm.master.msgs", s_msgs, e_msgs))
-        for metric, s_val, e_val in comparisons:
-            results.append(
-                RelationResult(
-                    relation=f"master-load/{metric}",
-                    ok=e_val < s_val,
-                    detail=f"{cell}: eslurm {e_val:.4g} vs slurm {s_val:.4g}",
-                    layer="bench",
-                )
-            )
-    return results

@@ -13,20 +13,14 @@ The three modules:
 * :mod:`repro.parallel.pool` — the engine: :func:`run_tasks` executes a
   task list inline (``jobs=1``, the serial path) or on a warm worker
   pool (``jobs>1``) with per-cell crash containment and retry-once.
-* :mod:`repro.parallel.tasks` — the kind registry mapping a task kind
+* :mod:`repro.parallel.tasks` — the fixed table mapping a task kind
   (``"bench"``, ``"chaos"``, ``"verify"``, ``"experiment"``) to the
   handler workers import and execute.
-* :mod:`repro.parallel.merge` — order-independent result ordering and
-  cross-process telemetry aggregation (counters add, histograms fold
-  element-wise, gauges fold in task order).
+* :mod:`repro.parallel.merge` — the order-free counter-map sum used to
+  aggregate per-cell counts.
 """
 
-from repro.parallel.merge import (
-    merge_counter_maps,
-    merge_gauge_sections,
-    merge_histogram_sections,
-    merge_snapshots,
-)
+from repro.parallel.merge import merge_counter_maps
 from repro.parallel.pool import (
     Task,
     TaskResult,
@@ -34,19 +28,14 @@ from repro.parallel.pool import (
     resolve_jobs,
     run_tasks,
 )
-from repro.parallel.tasks import register_kind, resolve_kind, task_kinds
+from repro.parallel.tasks import resolve_kind
 
 __all__ = [
     "SweepError",
     "Task",
     "TaskResult",
     "merge_counter_maps",
-    "merge_gauge_sections",
-    "merge_histogram_sections",
-    "merge_snapshots",
-    "register_kind",
     "resolve_jobs",
     "resolve_kind",
     "run_tasks",
-    "task_kinds",
 ]

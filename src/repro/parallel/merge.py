@@ -1,36 +1,17 @@
-"""Order-independent merging of sweep results and telemetry snapshots.
+"""Order-independent merging of per-cell counter maps.
 
-The determinism-by-merge argument: every cell is a fully seeded,
-self-contained run, so its result does not depend on *where* or *when*
-it executed — only completion order varies with worker count.  Merging
-therefore (a) keys results by task id and re-emits them in task order
-(:func:`ordered_values`), and (b) folds per-cell telemetry snapshot
-sections with operations that are either commutative (counter sums,
-histogram element-wise adds, min/max) or explicitly sequenced by task
-order (gauge last-write), so the merged output is a pure function of
-the task list — identical at ``-j 1`` and ``-j 64``.
-
-Telemetry sections here are the *snapshot dict* forms produced by
-:meth:`repro.telemetry.metrics.MetricsRegistry.snapshot` (what bench
-payloads embed), not live metric objects — these helpers aggregate
-across process boundaries where only JSON survives.
+Every sweep cell is a fully seeded, self-contained run, so its result
+does not depend on *where* or *when* it executed — only completion
+order varies with worker count.  :func:`~repro.parallel.pool.run_tasks` re-emits results in
+task order; what remains to merge is per-cell counts, and a sum is
+commutative, so the merged map is a pure function of the task list —
+identical at ``-j 1`` and ``-j 64``.  The chaos campaign sums its
+per-cell invariant hit-counts this way.
 """
 
 from __future__ import annotations
 
 import typing as t
-
-from repro.errors import ConfigurationError
-
-
-def ordered_values(
-    tasks: t.Sequence[t.Any], results_by_id: t.Mapping[str, t.Any]
-) -> list[t.Any]:
-    """Results re-sequenced into task order, keyed by ``task.id``."""
-    missing = [task.id for task in tasks if task.id not in results_by_id]
-    if missing:
-        raise ConfigurationError(f"merge is missing results for tasks: {missing}")
-    return [results_by_id[task.id] for task in tasks]
 
 
 def merge_counter_maps(
@@ -42,75 +23,3 @@ def merge_counter_maps(
         for name, value in section.items():
             merged[name] = merged.get(name, 0.0) + value
     return {name: merged[name] for name in sorted(merged)}
-
-
-def merge_gauge_sections(
-    sections: t.Iterable[t.Mapping[str, t.Mapping[str, float]]],
-) -> dict[str, dict[str, float]]:
-    """Fold gauge snapshots (``last``/``min``/``max``/``n``) in the given
-    order — the task order, which is what keeps last-write deterministic."""
-    merged: dict[str, dict[str, float]] = {}
-    for section in sections:
-        for name, snap in section.items():
-            if not snap.get("n"):
-                continue
-            into = merged.get(name)
-            if into is None:
-                merged[name] = dict(snap)
-            else:
-                into["last"] = snap["last"]
-                into["min"] = min(into["min"], snap["min"])
-                into["max"] = max(into["max"], snap["max"])
-                into["n"] += snap["n"]
-    return {name: merged[name] for name in sorted(merged)}
-
-
-def merge_histogram_sections(
-    sections: t.Iterable[t.Mapping[str, t.Mapping[str, t.Any]]],
-) -> dict[str, dict[str, t.Any]]:
-    """Element-wise fold of histogram snapshots (fixed buckets add)."""
-    merged: dict[str, dict[str, t.Any]] = {}
-    for section in sections:
-        for name, snap in section.items():
-            into = merged.get(name)
-            if into is None:
-                merged[name] = {
-                    "count": snap["count"],
-                    "sum": snap["sum"],
-                    "min": snap["min"],
-                    "max": snap["max"],
-                    "mean": snap["mean"],
-                    "buckets": dict(snap["buckets"]),
-                }
-                continue
-            if not snap["count"]:
-                continue
-            buckets = into["buckets"]
-            for bound, n in snap["buckets"].items():
-                buckets[bound] = buckets.get(bound, 0) + n
-            if into["count"]:
-                into["min"] = min(into["min"], snap["min"])
-                into["max"] = max(into["max"], snap["max"])
-            else:
-                into["min"], into["max"] = snap["min"], snap["max"]
-            into["count"] += snap["count"]
-            into["sum"] += snap["sum"]
-            into["mean"] = into["sum"] / into["count"] if into["count"] else 0.0
-    return {name: merged[name] for name in sorted(merged)}
-
-
-def merge_snapshots(
-    snapshots: t.Sequence[t.Mapping[str, t.Mapping[str, t.Any]]],
-) -> dict[str, dict[str, t.Any]]:
-    """Merge whole ``{"counters", "gauges", "histograms"}`` snapshots.
-
-    Pass the snapshots **in task order** — counters and histograms are
-    order-free, gauges fold last-write by position.
-    """
-    return {
-        "counters": merge_counter_maps(s.get("counters", {}) for s in snapshots),
-        "gauges": merge_gauge_sections(s.get("gauges", {}) for s in snapshots),
-        "histograms": merge_histogram_sections(
-            s.get("histograms", {}) for s in snapshots
-        ),
-    }

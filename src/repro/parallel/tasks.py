@@ -1,11 +1,9 @@
-"""The task-kind registry: what a sweep cell *does*.
+"""The task kinds: what a sweep cell *does*.
 
 A task cell carries ``(kind, spec)`` where ``spec`` is a plain dict of
 JSON types — the only thing that crosses the process boundary.  Workers
-resolve ``kind`` through this module (imported fresh in every spawned
-interpreter), so a handler must be registered at import time to be
-visible to the pool; handlers registered dynamically by a parent
-process would not exist in its workers.
+resolve ``kind`` through :func:`resolve_kind` against one fixed table,
+built when this module is imported fresh in every spawned interpreter.
 
 Every handler takes the spec dict and returns a plain JSON-able dict.
 Handlers run the *same* library entry points the serial paths use
@@ -31,29 +29,6 @@ from repro.errors import ConfigurationError
 #: a task handler: plain-dict spec in, plain JSON-able dict out
 Handler = t.Callable[[t.Dict[str, t.Any]], t.Dict[str, t.Any]]
 
-_KINDS: dict[str, Handler] = {}
-
-
-def register_kind(kind: str, handler: Handler) -> None:
-    """Register ``handler`` under ``kind`` (import-time only — see above)."""
-    if kind in _KINDS:
-        raise ConfigurationError(f"task kind {kind!r} already registered")
-    _KINDS[kind] = handler
-
-
-def resolve_kind(kind: str) -> Handler:
-    handler = _KINDS.get(kind)
-    if handler is None:
-        raise ConfigurationError(
-            f"unknown task kind {kind!r}; choose from {sorted(_KINDS)}"
-        )
-    return handler
-
-
-def task_kinds() -> tuple[str, ...]:
-    return tuple(sorted(_KINDS))
-
-
 # ---------------------------------------------------------------------------
 # built-in kinds (one per sweep surface)
 # ---------------------------------------------------------------------------
@@ -67,7 +42,6 @@ def _bench_cell(spec: dict[str, t.Any]) -> dict[str, t.Any]:
         "seed": result.seed,
         "payload": result.payload,
         "host_wall_s": result.host_wall_s,
-        "host_metrics": result.host_metrics,
     }
 
 
@@ -145,8 +119,20 @@ def _selftest_cell(spec: dict[str, t.Any]) -> dict[str, t.Any]:
     raise ConfigurationError(f"unknown selftest mode {mode!r}")
 
 
-register_kind("bench", _bench_cell)
-register_kind("chaos", _chaos_cell)
-register_kind("verify", _verify_cell)
-register_kind("experiment", _experiment_cell)
-register_kind("selftest", _selftest_cell)
+#: task kind -> handler, one per sweep surface (plus the pool self-test)
+_KINDS: dict[str, Handler] = {
+    "bench": _bench_cell,
+    "chaos": _chaos_cell,
+    "verify": _verify_cell,
+    "experiment": _experiment_cell,
+    "selftest": _selftest_cell,
+}
+
+
+def resolve_kind(kind: str) -> Handler:
+    handler = _KINDS.get(kind)
+    if handler is None:
+        raise ConfigurationError(
+            f"unknown task kind {kind!r}; choose from {sorted(_KINDS)}"
+        )
+    return handler

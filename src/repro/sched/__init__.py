@@ -23,7 +23,6 @@ from repro.sched.fcfs import FcfsScheduler
 from repro.sched.job import Job, JobState
 from repro.sched.metrics import ScheduleMetrics, bounded_slowdown
 from repro.sched.placement import (
-    FirstFitPlacement,
     PlacementPolicy,
     TopologyAwarePlacement,
     build_placement,
@@ -42,7 +41,6 @@ __all__ = [
     "ScheduleMetrics",
     "bounded_slowdown",
     "PlacementPolicy",
-    "FirstFitPlacement",
     "TopologyAwarePlacement",
     "build_placement",
     "placement_score",

@@ -18,7 +18,6 @@ Two guarantees the oracle layer pins:
 
 from __future__ import annotations
 
-import heapq
 import typing as t
 from dataclasses import dataclass
 
@@ -91,17 +90,6 @@ class PlacementPolicy:
     def select(self, free: t.AbstractSet[int], k: int) -> tuple[int, ...] | None:
         """``k`` chosen ids, or ``None`` when the free set is too small."""
         raise NotImplementedError
-
-
-class FirstFitPlacement(PlacementPolicy):
-    """The k smallest free ids — the baseline policy, made explicit."""
-
-    name = "first-fit"
-
-    def select(self, free: t.AbstractSet[int], k: int) -> tuple[int, ...] | None:
-        if len(free) < k:
-            return None
-        return tuple(heapq.nsmallest(k, free))
 
 
 class TopologyAwarePlacement(PlacementPolicy):

@@ -7,7 +7,7 @@ instrumented call site in the simulator, network fabric, RM layers,
 scheduler, and estimator reduces to a single ``is None`` check, so
 tier-1 performance is untouched.  ``repro bench`` installs a session
 per scenario and freezes the deterministic slice of the snapshot into
-``BENCH_*.json`` files.
+a bench payload, from which the checked-in anchor files are built.
 
 Usage::
 

@@ -14,8 +14,7 @@ statistic it reports:
 * a user resubmits a job from their last 24 h with ~89.2 % probability.
 
 :mod:`repro.workload.analysis` recomputes those statistics from any
-trace (ours or imported SWF), which is how ``bench_fig5`` closes the
-loop.
+trace, which is how ``bench_fig5`` closes the loop.
 """
 
 from repro.workload.analysis import (
@@ -24,14 +23,12 @@ from repro.workload.analysis import (
     job_correlation_by_interval,
 )
 from repro.workload.synthetic import WorkloadConfig, generate_trace
-from repro.workload.trace import JobTrace, read_swf, write_swf
+from repro.workload.trace import JobTrace
 
 __all__ = [
     "WorkloadConfig",
     "generate_trace",
     "JobTrace",
-    "read_swf",
-    "write_swf",
     "estimate_accuracy_values",
     "job_correlation_by_interval",
     "job_correlation_by_id_gap",

@@ -1,33 +1,13 @@
-"""Trace container and Standard Workload Format (SWF) I/O.
-
-SWF is the de-facto archive format for HPC scheduling logs
-(`18 whitespace-separated fields per job, ';' comments`).  We read and
-write the subset of fields the library uses and preserve the rest as
--1 ("unknown") exactly as the format prescribes, so traces round-trip
-through standard tooling.
-"""
+"""Trace container: an ordered job list with summary helpers."""
 
 from __future__ import annotations
 
 import typing as t
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from repro.errors import TraceFormatError
 from repro.sched.job import Job
-
-#: SWF field indices (0-based) used by this library.
-_F_JOB_ID = 0
-_F_SUBMIT = 1
-_F_WAIT = 2
-_F_RUNTIME = 3
-_F_PROCS = 4
-_F_REQ_PROCS = 7
-_F_REQ_TIME = 8
-_F_USER = 11
-_N_FIELDS = 18
 
 
 @dataclass
@@ -81,67 +61,3 @@ class JobTrace:
             "overestimate_frac": len(over) / len(with_est) if with_est else 0.0,
             "span_days": self.span_s / 86_400.0,
         }
-
-
-def write_swf(trace: JobTrace | t.Sequence[Job], path: str | Path, cores_per_node: int = 1) -> None:
-    """Write jobs to an SWF file (user names become dense integer ids)."""
-    jobs = list(trace)
-    users = {name: i + 1 for i, name in enumerate(sorted({j.user for j in jobs}))}
-    names = {name: i + 1 for i, name in enumerate(sorted({j.name for j in jobs}))}
-    lines = [
-        "; SWF trace written by repro (ESLURM reproduction)",
-        f"; jobs: {len(jobs)}",
-    ]
-    for j in jobs:
-        f = [-1] * _N_FIELDS
-        f[_F_JOB_ID] = j.job_id
-        f[_F_SUBMIT] = int(j.submit_time)
-        f[_F_WAIT] = int(j.wait_time) if j.start_time is not None else -1
-        f[_F_RUNTIME] = int(j.runtime_s)
-        f[_F_PROCS] = j.n_nodes * cores_per_node
-        f[_F_REQ_PROCS] = j.n_nodes * cores_per_node
-        f[_F_REQ_TIME] = int(j.user_estimate_s) if j.user_estimate_s is not None else -1
-        f[_F_USER] = users[j.user]
-        f[12] = names[j.name]  # executable (application) number
-        lines.append(" ".join(str(x) for x in f))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_swf(path: str | Path, cores_per_node: int = 1, name: str | None = None) -> JobTrace:
-    """Read an SWF file into a :class:`JobTrace`.
-
-    Jobs with non-positive runtimes (cancelled before start, per the SWF
-    convention) are skipped.
-    """
-    path = Path(path)
-    jobs: list[Job] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith(";"):
-            continue
-        parts = line.split()
-        if len(parts) < _N_FIELDS:
-            raise TraceFormatError(f"{path}:{lineno}: expected {_N_FIELDS} fields, got {len(parts)}")
-        try:
-            f = [float(x) for x in parts]
-        except ValueError as exc:
-            raise TraceFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from None
-        runtime = f[_F_RUNTIME]
-        if runtime <= 0:
-            continue
-        procs = int(f[_F_REQ_PROCS]) if f[_F_REQ_PROCS] > 0 else int(f[_F_PROCS])
-        n_nodes = max(1, procs // cores_per_node)
-        req_time = f[_F_REQ_TIME]
-        exe = int(f[12]) if f[12] > 0 else 0
-        jobs.append(
-            Job(
-                job_id=int(f[_F_JOB_ID]),
-                name=f"app{exe:04d}",
-                user=f"user{int(f[_F_USER]) if f[_F_USER] > 0 else 0:04d}",
-                n_nodes=n_nodes,
-                runtime_s=runtime,
-                user_estimate_s=req_time if req_time > 0 else None,
-                submit_time=f[_F_SUBMIT],
-            )
-        )
-    return JobTrace(jobs, name=name or path.stem)

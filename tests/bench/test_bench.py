@@ -1,24 +1,14 @@
-"""Bench harness: determinism golden files, schema validation, CLI."""
+"""Bench harness: payload determinism, schema validation, CLI."""
 
 import json
 
 import pytest
 
-from repro.bench import (
-    SCENARIOS,
-    SMOKE_SCENARIO,
-    get_scenario,
-    load_bench_file,
-    render_markdown,
-    render_text,
-    run_bench,
-    validate_payload,
-    write_bench_file,
-)
+from repro.bench import SCENARIOS, get_scenario, run_bench, validate_payload
 from repro.errors import ConfigurationError
 
 #: the one scenario unit tests execute (smallest machine, no failures)
-SMOKE = SMOKE_SCENARIO
+SMOKE = "slurm-1024"
 
 
 class TestScenarios:
@@ -38,15 +28,10 @@ class TestScenarios:
         with pytest.raises(ConfigurationError):
             get_scenario("nope")
 
-    def test_file_stem(self):
-        assert get_scenario("slurm-1024").file_stem == "BENCH_slurm_1024"
-
 
 class TestDeterminism:
-    def test_same_seed_byte_identical(self, tmp_path):
-        first = write_bench_file(run_bench(SMOKE, seed=0), tmp_path / "a")
-        second = write_bench_file(run_bench(SMOKE, seed=0), tmp_path / "b")
-        assert first.read_bytes() == second.read_bytes()
+    def test_same_seed_byte_identical(self):
+        assert run_bench(SMOKE, seed=0).to_json() == run_bench(SMOKE, seed=0).to_json()
 
     def test_different_seed_differs(self):
         a = run_bench(SMOKE, seed=0).payload
@@ -58,18 +43,16 @@ class TestDeterminism:
         result = run_bench(SMOKE, seed=0)
         for section in ("counters", "gauges", "histograms"):
             assert not any(k.startswith("host.") for k in result.payload[section])
-        # host-clock data still exists — it just stays out of the file
-        assert any(
-            k.startswith("host.") for k in result.host_metrics["histograms"]
-        ) or any(k.startswith("host.") for k in result.host_metrics["counters"])
 
 
 class TestPayload:
     def test_roundtrip_through_file(self, tmp_path):
         result = run_bench(SMOKE, seed=0)
-        path = write_bench_file(result, tmp_path)
-        assert path.name == "BENCH_slurm_1024.json"
-        assert load_bench_file(path) == result.payload
+        path = tmp_path / "payload.json"
+        path.write_text(result.to_json())
+        loaded = json.loads(path.read_text())
+        validate_payload(loaded)
+        assert loaded == result.payload
 
     def test_subsystem_counters_present(self):
         payload = run_bench(SMOKE, seed=0).payload
@@ -98,41 +81,7 @@ class TestPayload:
             validate_payload(payload)
 
 
-class TestReport:
-    def _payloads(self):
-        return [run_bench(SMOKE, seed=0).payload]
-
-    def test_text_report(self):
-        text = render_text(self._payloads())
-        assert "slurm-1024" in text
-        assert "events" in text
-
-    def test_markdown_report(self):
-        md = render_markdown(self._payloads())
-        assert md.splitlines()[2].startswith("| scenario |")
-        assert "| slurm-1024 |" in md
-
-
 class TestCli:
-    def test_bench_run_writes_valid_file(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(["bench", "run", SMOKE, "--seed", "0", "--out", str(tmp_path)]) == 0
-        path = tmp_path / "BENCH_slurm_1024.json"
-        assert path.exists()
-        load_bench_file(path)  # schema-valid
-        assert main(["bench", "validate", str(path)]) == 0
-        assert main(["bench", "report", str(path)]) == 0
-
-    def test_bench_run_json_output(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(
-            ["bench", "run", SMOKE, "--seed", "0", "--out", str(tmp_path), "--json"]
-        ) == 0
-        payloads = json.loads(capsys.readouterr().out)
-        assert payloads[0]["name"] == SMOKE
-
     def test_bench_list(self, capsys):
         from repro.cli import main
 
@@ -140,11 +89,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert all(name in out for name in SCENARIOS)
 
-    def test_bench_run_requires_selection(self):
+    def test_bare_bench_is_usage_error(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["bench", "run"])
+        for argv in (["bench"], ["bench", "run"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "{list,baseline,sweep,whatif}" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         from repro import __version__

@@ -4,17 +4,9 @@ import json
 
 import pytest
 
-from repro.bench import (
-    PAPER_SCALE,
-    build_baseline,
-    dump_baseline,
-    get_scenario,
-    load_baseline,
-    run_bench,
-)
+from repro.bench import PAPER_SCALE, build_baseline, dump_baseline, get_scenario, run_bench
 from repro.bench.paper_scale import BASELINE_PATH, BASELINE_SCHEMA
 from repro.bench.runner import BenchResult
-from repro.errors import ConfigurationError
 
 #: the seconds-long tiers; the full 65K/131K days are @slow below
 FAST_TIERS = (
@@ -30,14 +22,17 @@ FAST_TIERS = (
 def fake_result(name="paper-1024", seed=0, events=1000, peak=50, wall=2.0):
     spec = get_scenario(name)
     payload = {"events": events, "events_per_sim_s": 0.5, "peak_heap_depth": peak}
-    return BenchResult(
-        scenario=spec, seed=seed, payload=payload, host_wall_s=wall, host_metrics={}
-    )
+    return BenchResult(scenario=spec, seed=seed, payload=payload, host_wall_s=wall)
+
+
+def load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def assert_matches_anchors(name):
     """A fresh run of ``name`` reproduces its checked-in anchors."""
-    tier = load_baseline(BASELINE_PATH)["tiers"][name]
+    tier = load_json(BASELINE_PATH)["tiers"][name]
     result = run_bench(name, seed=tier["seed"])
     assert result.payload["events"] == tier["events"]
     assert result.payload["peak_heap_depth"] == tier["peak_heap_depth"]
@@ -75,31 +70,11 @@ class TestBaselineFile:
         assert baseline["schema"] == BASELINE_SCHEMA
         path = tmp_path / "BENCH_paper_scale.json"
         path.write_text(dump_baseline(baseline))
-        loaded = load_baseline(path)
-        assert loaded == baseline
-
-    def test_bad_schema_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "nope", "tiers": {"x": {}}}))
-        with pytest.raises(ConfigurationError):
-            load_baseline(path)
-
-    def test_missing_tiers_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": BASELINE_SCHEMA, "tiers": {}}))
-        with pytest.raises(ConfigurationError):
-            load_baseline(path)
-
-    def test_unknown_tier_rejected(self, tmp_path):
-        baseline = build_baseline([fake_result()])
-        baseline["tiers"]["paper-9999"] = baseline["tiers"]["paper-1024"]
-        path = tmp_path / "bad.json"
-        path.write_text(dump_baseline(baseline))
-        with pytest.raises(ConfigurationError, match="paper-9999"):
-            load_baseline(path)
+        assert load_json(path) == baseline
 
     def test_checked_in_baseline_is_valid(self):
-        baseline = load_baseline(BASELINE_PATH)
+        baseline = load_json(BASELINE_PATH)
+        assert baseline["schema"] == BASELINE_SCHEMA
         # Every paper-scale tier is recorded, and only its deterministic
         # anchors: speed is judged by benchmarks/e2e, not by this file.
         assert set(baseline["tiers"]) == set(PAPER_SCALE)
@@ -129,8 +104,7 @@ class TestCli:
 
         path = tmp_path / "baseline.json"
         assert main(["bench", "baseline", "paper-1024", "--out", str(path)]) == 0
-        loaded = load_baseline(path)
-        assert "paper-1024" in loaded["tiers"]
+        assert "paper-1024" in load_json(path)["tiers"]
 
     def test_baseline_verb_rejects_bad_name_before_any_run(
         self, tmp_path, monkeypatch, capsys

@@ -1,50 +1,15 @@
-"""Tests for topology-aware ordering and its FP-Tree fine-tuning
-(Section IV-E: build topology-aware first, then demote alert nodes)."""
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
+"""FP-Tree fine-tuning of a topology-aware base order (Section IV-E:
+build topology-aware first, then demote alert nodes)."""
 
 from repro.cluster.topology import Topology
-from repro.fptree import (
-    StaticSetPredictor,
-    FPTreeConstructor,
-    build_tree,
-    topology_aware_order,
-)
+from repro.fptree import StaticSetPredictor, FPTreeConstructor, build_tree
 
 TOPO = Topology(nodes_per_board=4, boards_per_chassis=4, chassis_per_rack=2)
 
 
-class TestTopologyAwareOrder:
-    def test_groups_racks_contiguously(self):
-        ids = list(range(100))
-        import random
-
-        shuffled = ids.copy()
-        random.Random(1).shuffle(shuffled)
-        ordered = topology_aware_order(shuffled, TOPO)
-        racks = [TOPO.rack_of(nid) for nid in ordered]
-        # racks appear as contiguous runs
-        seen = set()
-        prev = None
-        for r in racks:
-            if r != prev:
-                assert r not in seen
-                seen.add(r)
-                prev = r
-
-    def test_is_permutation(self):
-        ids = [5, 99, 3, 42, 17]
-        assert sorted(topology_aware_order(ids, TOPO)) == sorted(ids)
-
-    @given(st.lists(st.integers(0, 500), min_size=1, max_size=60, unique=True))
-    @settings(max_examples=40)
-    def test_deterministic_and_sorted_by_coordinates(self, ids):
-        a = topology_aware_order(ids, TOPO)
-        b = topology_aware_order(list(reversed(ids)), TOPO)
-        assert a == b  # input order irrelevant
-        coords = [TOPO.coordinates(n) for n in a]
-        assert coords == sorted(coords)
+def topology_order(node_ids):
+    """Nodes grouped by rack, then chassis, then board, then id."""
+    return sorted(node_ids, key=lambda nid: (*TOPO.coordinates(nid), nid))
 
 
 class TestFineTuning:
@@ -58,7 +23,7 @@ class TestFineTuning:
         topology-aware order — the paper's stated compatibility.  We
         measure rack-locality: the number of rack transitions along the
         list grows only by a bounded amount per predicted node."""
-        ids = topology_aware_order(list(range(128)), TOPO)
+        ids = topology_order(range(128))
         base = self.rack_transitions(ids)
         predicted = {7, 70}
         ctor = FPTreeConstructor(StaticSetPredictor(predicted), width=4)
@@ -67,7 +32,7 @@ class TestFineTuning:
         assert tuned <= base + 4 * len(predicted)
 
     def test_predicted_still_on_leaves_after_fine_tune(self):
-        ids = topology_aware_order(list(range(128)), TOPO)
+        ids = topology_order(range(128))
         predicted = {3, 64, 100}
         ctor = FPTreeConstructor(StaticSetPredictor(predicted), width=4)
         ordered = ctor.construct(root=1000, targets=ids)

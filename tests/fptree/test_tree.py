@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.fptree import build_tree, leaf_positions, tree_depth
+from repro.fptree import build_tree, leaf_positions
 from repro.fptree.tree import _chunk_bounds, children_bounds
 
 
@@ -98,27 +98,3 @@ class TestLeafPositions:
         # of positions are leaves (w=2 worst case); wide trees approach 1.
         leaves = leaf_positions(n, w)
         assert len(leaves) >= max(1, n // 4)
-
-
-class TestTreeDepth:
-    def test_depth_zero_for_tiny(self):
-        assert tree_depth(1, 4) == 0
-        assert tree_depth(0, 4) == 0
-
-    def test_depth_one_within_width(self):
-        assert tree_depth(4, 8) == 1  # root + 3 direct children
-
-    def test_depth_grows_logarithmically(self):
-        d_small = tree_depth(100, 4)
-        d_big = tree_depth(10_000, 4)
-        assert d_small < d_big <= d_small + 4
-
-    @given(st.integers(1, 2000), st.integers(2, 16))
-    @settings(max_examples=40)
-    def test_depth_consistent_with_tree(self, n, w):
-        tree = build_tree(list(range(n)), width=w)
-
-        def depth_of(node):
-            return 0 if node.is_leaf() else 1 + max(depth_of(c) for c in node.children)
-
-        assert tree_depth(n, w) == depth_of(tree)

@@ -1,26 +1,8 @@
-"""The relation framework, the registry, and the bench-payload judge."""
+"""The relation framework and the registry."""
 
 import pytest
 
-from repro.oracle.relations import (
-    MASTER_LOAD_NODE_THRESHOLD,
-    Relation,
-    RelationResult,
-    check_bench_payloads,
-    relations_table,
-)
-
-
-def _bench_payload(rm, seed=0, n_nodes=1024, cpu=10.0, sockets=100.0, msgs=1000.0, events=500):
-    return {
-        "name": f"{rm}-{n_nodes}",
-        "seed": seed,
-        "scenario": {"rm": rm, "n_nodes": n_nodes, "n_satellites": 2, "failures": False},
-        "events": events,
-        "sim_time_s": 14400.0,
-        "counters": {"rm.master.msgs": msgs},
-        "master": {"cpu_time_min": cpu, "sockets_peak": sockets},
-    }
+from repro.oracle.relations import Relation, RelationResult, relations_table
 
 
 class TestFramework:
@@ -53,51 +35,3 @@ class TestSharedInvariantRegistry:
         assert InvariantRegistry is oracle_inv.InvariantRegistry
         names = {type(i).__name__ for i in default_invariants()}
         assert "SatelliteLegality" in names and "NodeConservation" in names
-
-
-class TestBenchCheck:
-    def test_healthy_pair_passes(self):
-        results = check_bench_payloads(
-            [
-                _bench_payload("slurm", cpu=10.0, sockets=300.0, msgs=9000.0),
-                _bench_payload("eslurm", cpu=2.0, sockets=5.0, msgs=900.0),
-            ]
-        )
-        assert results and all(r.ok for r in results)
-        assert {r.layer for r in results} == {"bench"}
-
-    def test_tampered_eslurm_master_load_fails(self):
-        results = check_bench_payloads(
-            [
-                _bench_payload("slurm", cpu=10.0),
-                _bench_payload("eslurm", cpu=11.0),  # master got *more* expensive
-            ]
-        )
-        failing = [r for r in results if not r.ok]
-        assert any(r.relation == "master-load/cpu_time_min" for r in failing)
-
-    def test_dead_simulation_fails_liveness(self):
-        payload = _bench_payload("slurm", events=0)
-        results = check_bench_payloads([payload])
-        assert [r for r in results if r.relation == "bench-liveness"][0].ok is False
-
-    def test_below_threshold_pairs_are_not_judged(self):
-        results = check_bench_payloads(
-            [
-                _bench_payload("slurm", n_nodes=MASTER_LOAD_NODE_THRESHOLD // 2, cpu=1.0),
-                _bench_payload("eslurm", n_nodes=MASTER_LOAD_NODE_THRESHOLD // 2, cpu=9.0),
-            ]
-        )
-        assert all(r.relation == "bench-liveness" for r in results)
-
-    def test_unpaired_payloads_only_get_liveness(self):
-        results = check_bench_payloads([_bench_payload("eslurm")])
-        assert all(r.relation == "bench-liveness" for r in results)
-
-    def test_missing_msgs_counter_skips_that_comparison(self):
-        slurm = _bench_payload("slurm", cpu=10.0)
-        eslurm = _bench_payload("eslurm", cpu=2.0)
-        del slurm["counters"]["rm.master.msgs"]
-        relations = {r.relation for r in check_bench_payloads([slurm, eslurm])}
-        assert "master-load/cpu_time_min" in relations
-        assert "master-load/rm.master.msgs" not in relations

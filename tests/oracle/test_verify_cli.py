@@ -1,4 +1,4 @@
-"""``repro verify`` / ``repro bench check``: wiring and exit codes.
+"""``repro verify``: wiring and exit codes.
 
 Every checking verb must exit 0 on a healthy tree and nonzero the
 moment any relation fails — these tests drive the real CLI entry point
@@ -143,39 +143,3 @@ class TestVerifyExitCodes:
         rc = main(["verify", "--layer", "golden", "--golden-dir", str(tmp_path / "empty")])
         assert rc == 1
         assert "--update-golden" in capsys.readouterr().out
-
-
-class TestBenchCheckCli:
-    def _payload(self, rm, cpu, tmp_path):
-        # minimal schema-valid bench payload
-        payload = {
-            "schema": "repro-bench/1",
-            "name": f"{rm}-1024",
-            "seed": 0,
-            "scenario": {
-                "rm": rm, "n_nodes": 1024, "n_satellites": 2,
-                "failures": False, "n_jobs": 10, "horizon_s": 100.0,
-            },
-            "sim_time_s": 100.0,
-            "events": 50,
-            "events_per_sim_s": 0.5,
-            "peak_heap_depth": 4,
-            "counters": {"rm.master.msgs": 10.0 if rm == "eslurm" else 100.0},
-            "gauges": {},
-            "histograms": {},
-            "master": {"cpu_time_min": cpu, "sockets_peak": 5.0 if rm == "eslurm" else 50.0},
-            "schedule": {"n_jobs": 10},
-        }
-        path = tmp_path / f"BENCH_{rm}.json"
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_healthy_pair_exits_zero(self, tmp_path, capsys):
-        files = [self._payload("slurm", 8.0, tmp_path), self._payload("eslurm", 2.0, tmp_path)]
-        assert main(["bench", "check", *files]) == 0
-        assert "bench check: OK" in capsys.readouterr().out
-
-    def test_violated_relation_exits_nonzero(self, tmp_path, capsys):
-        files = [self._payload("slurm", 2.0, tmp_path), self._payload("eslurm", 8.0, tmp_path)]
-        assert main(["bench", "check", *files]) == 1
-        assert "bench check: FAIL" in capsys.readouterr().out

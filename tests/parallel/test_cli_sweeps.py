@@ -11,13 +11,11 @@ import json
 
 import pytest
 
-from repro.bench import load_sweep, run_matrix_sweep, sweep_digest
-from repro.bench.runner import run_matrix
+from repro.bench import SWEEP_PATH, run_matrix_sweep, run_sweep_baseline, sweep_digest
 from repro.bench.sweep import SWEEP_SCHEMA, render_sweep
 from repro.chaos import campaign_cell_id, run_campaign
 from repro.cli import main
-from repro.errors import ConfigurationError
-from repro.parallel import SweepError, Task, run_tasks
+from repro.parallel import Task, run_tasks
 
 
 def poison_bench(monkeypatch, bad="eslurm-1024"):
@@ -45,18 +43,19 @@ class TestBenchCrashContainment:
         assert failure.attempts == 2  # retried once before finalising
         assert "poisoned bench cell" in failure.error
 
-    def test_run_matrix_raises_with_cell_detail(self, monkeypatch):
-        poison_bench(monkeypatch)
-        with pytest.raises(SweepError, match="eslurm-1024.*poisoned bench cell"):
-            run_matrix(["slurm-1024", "eslurm-1024"], jobs=1)
-
     def test_cli_exit_code_and_stderr(self, monkeypatch, capsys, tmp_path):
         poison_bench(monkeypatch)
-        rc = main(["bench", "run", "slurm-1024", "eslurm-1024", "--out", str(tmp_path)])
-        assert rc == 1
+        path = tmp_path / "BENCH_sweep.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "sweep", "slurm-1024", "eslurm-1024",
+                  "--jobs-levels", "1", "--out", str(path)])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "slurm-1024" in captured.out  # the healthy cell still ran
-        assert "eslurm-1024" in captured.err and "FAILED after 2 attempt(s)" in captured.err
+        assert "eslurm-1024" in captured.out and "FAILED after 2 attempt(s)" in captured.out
+        assert "failed cells: ['eslurm-1024']" in captured.err
+        assert "Traceback" not in captured.err
+        assert not path.exists()
 
     def test_poisoned_spec_contained_in_real_workers(self):
         # Bypass run_matrix_sweep's fail-fast to poison an actual worker.
@@ -149,7 +148,7 @@ class TestSweepFile:
              "--jobs-levels", "1", "--out", str(path)]
         )
         assert rc == 0
-        payload = load_sweep(path)
+        payload = json.loads(path.read_text())
         assert payload["schema"] == SWEEP_SCHEMA
         assert payload["scenarios"] == ["slurm-1024", "eslurm-1024"]
         # deterministic fields only: no host wall time in the file
@@ -157,11 +156,15 @@ class TestSweepFile:
         assert payload["runs"]["1"]["events_total"] > 0
         assert "byte-identical" in render_sweep(payload)
 
-    def test_bad_schema_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "nope", "runs": {"1": {}}}))
-        with pytest.raises(ConfigurationError):
-            load_sweep(path)
+    def test_autodetect_level_resolves_before_the_serial_check(self, tmp_path, capsys):
+        # -j 0 means cpu autodetect, a level >= 1: it must not sort ahead
+        # of the serial run that every other level is checked against.
+        path = tmp_path / "BENCH_sweep.json"
+        rc = main(["bench", "sweep", "slurm-1024", "--jobs-levels", "0",
+                   "--out", str(path)])
+        assert rc == 0
+        runs = json.loads(path.read_text())["runs"]
+        assert "1" in runs and "0" not in runs
 
     def test_digest_tracks_payload_bytes(self):
         serial = run_matrix_sweep(["slurm-1024"], seed=0, jobs=1)
@@ -171,5 +174,15 @@ class TestSweepFile:
         assert sweep_digest(serial) != sweep_digest(other)
 
     def test_checked_in_sweep_file_is_valid(self):
-        payload = load_sweep("benchmarks/BENCH_sweep.json")
+        with open(SWEEP_PATH) as fh:
+            payload = json.load(fh)
+        assert payload["schema"] == SWEEP_SCHEMA
         assert "1" in payload["runs"]
+
+    def test_checked_in_sweep_file_reproduces(self):
+        """A fresh serial sweep of the whole matrix reproduces the file."""
+        with open(SWEEP_PATH) as fh:
+            recorded = json.load(fh)
+        fresh = run_sweep_baseline(jobs_levels=[1], seed=recorded["seed"])
+        assert fresh["scenarios"] == recorded["scenarios"]
+        assert fresh["runs"]["1"] == recorded["runs"]["1"]

@@ -1,7 +1,7 @@
 """Parallel-vs-serial byte-identity: the sweep engine's acceptance bar.
 
 Every surface must produce byte-identical output at ``-j 1`` and
-``-j 4`` — same ``BENCH_*.json`` text, same chaos report rendering and
+``-j 4`` — same bench payload bytes, same chaos report rendering and
 payload, same verify payloads — because each cell is a fully seeded,
 self-contained run and the merge is a pure function of the task list.
 """
@@ -22,15 +22,7 @@ class TestBenchDeterminism:
         assert serial.ok and pooled.ok
         assert [r.scenario.name for r in pooled.results] == list(BENCH_NAMES)
         for a, b in zip(serial.results, pooled.results):
-            assert a.to_json() == b.to_json()  # the BENCH_*.json bytes
-
-    def test_merged_telemetry_counters_identical(self):
-        serial = run_matrix_sweep(BENCH_NAMES, seed=0, jobs=1)
-        pooled = run_matrix_sweep(BENCH_NAMES, seed=0, jobs=2)
-        merged_serial = serial.merged_telemetry()
-        merged_pooled = pooled.merged_telemetry()
-        assert merged_serial == merged_pooled
-        assert merged_serial["counters"]  # non-trivial aggregation
+            assert a.to_json() == b.to_json()  # the payload bytes
 
 
 class TestChaosDeterminism:

@@ -1,27 +1,6 @@
-"""Order-independent merging: the determinism-by-merge building blocks."""
+"""Order-free counter merging: the determinism-by-merge building block."""
 
-import pytest
-
-from repro.errors import ConfigurationError
-from repro.parallel import (
-    Task,
-    merge_counter_maps,
-    merge_gauge_sections,
-    merge_histogram_sections,
-    merge_snapshots,
-)
-from repro.parallel.merge import ordered_values
-
-
-class TestOrderedValues:
-    def test_resequences_by_task_id(self):
-        tasks = [Task(id="a", kind="selftest"), Task(id="b", kind="selftest")]
-        assert ordered_values(tasks, {"b": 2, "a": 1}) == [1, 2]
-
-    def test_missing_result_rejected(self):
-        tasks = [Task(id="a", kind="selftest")]
-        with pytest.raises(ConfigurationError, match="missing results"):
-            ordered_values(tasks, {})
+from repro.parallel import merge_counter_maps
 
 
 class TestCounters:
@@ -35,68 +14,3 @@ class TestCounters:
 
     def test_keys_sorted(self):
         assert list(merge_counter_maps([{"z": 1.0, "a": 1.0}])) == ["a", "z"]
-
-
-class TestGauges:
-    def test_last_write_follows_given_order(self):
-        first = {"g": {"last": 1.0, "min": 1.0, "max": 1.0, "n": 2}}
-        second = {"g": {"last": 9.0, "min": 0.5, "max": 9.0, "n": 3}}
-        merged = merge_gauge_sections([first, second])
-        assert merged["g"] == {"last": 9.0, "min": 0.5, "max": 9.0, "n": 5}
-
-    def test_empty_gauges_skipped(self):
-        empty = {"g": {"last": 0.0, "min": 0.0, "max": 0.0, "n": 0}}
-        live = {"g": {"last": 4.0, "min": 2.0, "max": 4.0, "n": 1}}
-        # a trailing n==0 snapshot must not clobber the last-write
-        assert merge_gauge_sections([live, empty]) == {"g": live["g"]}
-        assert merge_gauge_sections([empty]) == {}
-
-
-class TestHistograms:
-    def snap(self, count, total, lo, hi, buckets):
-        return {
-            "count": count, "sum": total, "min": lo, "max": hi,
-            "mean": total / count if count else 0.0, "buckets": buckets,
-        }
-
-    def test_buckets_add_and_mean_recomputes(self):
-        a = {"h": self.snap(2, 6.0, 1.0, 5.0, {"10": 2})}
-        b = {"h": self.snap(1, 9.0, 9.0, 9.0, {"10": 1, "inf": 0})}
-        merged = merge_histogram_sections([a, b])["h"]
-        assert merged["count"] == 3 and merged["sum"] == 15.0
-        assert merged["min"] == 1.0 and merged["max"] == 9.0
-        assert merged["mean"] == pytest.approx(5.0)
-        assert merged["buckets"] == {"10": 3, "inf": 0}
-
-    def test_empty_snapshot_does_not_pollute_minmax(self):
-        live = {"h": self.snap(2, 6.0, 1.0, 5.0, {"10": 2})}
-        empty = {"h": self.snap(0, 0.0, 0.0, 0.0, {"10": 0})}
-        merged = merge_histogram_sections([live, empty])["h"]
-        assert merged["min"] == 1.0 and merged["max"] == 5.0 and merged["count"] == 2
-
-    def test_empty_first_then_live(self):
-        empty = {"h": self.snap(0, 0.0, 0.0, 0.0, {})}
-        live = {"h": self.snap(1, 3.0, 3.0, 3.0, {"10": 1})}
-        merged = merge_histogram_sections([empty, live])["h"]
-        assert merged["min"] == 3.0 and merged["max"] == 3.0 and merged["count"] == 1
-
-
-class TestSnapshots:
-    def test_merges_all_three_sections(self):
-        snapshots = [
-            {
-                "counters": {"c": 1.0},
-                "gauges": {"g": {"last": 1.0, "min": 1.0, "max": 1.0, "n": 1}},
-                "histograms": {},
-            },
-            {
-                "counters": {"c": 2.0},
-                "gauges": {"g": {"last": 5.0, "min": 5.0, "max": 5.0, "n": 1}},
-                "histograms": {},
-            },
-        ]
-        merged = merge_snapshots(snapshots)
-        assert merged["counters"] == {"c": 3.0}
-        assert merged["gauges"]["g"]["last"] == 5.0
-        assert merged["gauges"]["g"]["n"] == 2
-        assert merged["histograms"] == {}

@@ -10,15 +10,7 @@ import os
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.parallel import (
-    SweepError,
-    Task,
-    register_kind,
-    resolve_jobs,
-    resolve_kind,
-    run_tasks,
-    task_kinds,
-)
+from repro.parallel import SweepError, Task, resolve_jobs, resolve_kind, run_tasks
 
 
 def ok_cell(i):
@@ -27,15 +19,12 @@ def ok_cell(i):
 
 class TestRegistry:
     def test_builtin_kinds_cover_every_sweep_surface(self):
-        assert {"bench", "chaos", "verify", "experiment", "selftest"} <= set(task_kinds())
+        for kind in ("bench", "chaos", "verify", "experiment", "selftest"):
+            assert callable(resolve_kind(kind))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown task kind"):
             resolve_kind("nope")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_kind("selftest", lambda spec: spec)
 
 
 class TestResolveJobs:

@@ -1,4 +1,4 @@
-"""Placement policies: hop scoring, first-fit, topology-aware selection."""
+"""Placement policies: hop scoring, topology-aware selection."""
 
 import random
 
@@ -7,7 +7,6 @@ import pytest
 from repro.cluster.topology import Topology
 from repro.errors import ConfigurationError, SchedulingError
 from repro.sched import (
-    FirstFitPlacement,
     Job,
     NodePool,
     TopologyAwarePlacement,
@@ -51,14 +50,6 @@ class TestPlacementScore:
         ]
         expected = sum(int(h) for h in pairwise) / len(pairwise)
         assert placement_score(nodes, TINY) == pytest.approx(expected)
-
-
-class TestFirstFit:
-    def test_selects_k_smallest(self):
-        assert FirstFitPlacement().select({9, 3, 7, 1}, 2) == (1, 3)
-
-    def test_insufficient_free_returns_none(self):
-        assert FirstFitPlacement().select({1, 2}, 3) is None
 
 
 class TestTopologyAware:

@@ -1,10 +1,7 @@
-"""Tests for JobTrace and SWF round-tripping."""
+"""Tests for JobTrace."""
 
-import pytest
-
-from repro.errors import TraceFormatError
 from repro.sched.job import Job
-from repro.workload import JobTrace, WorkloadConfig, generate_trace, read_swf, write_swf
+from repro.workload import JobTrace, WorkloadConfig, generate_trace
 
 
 def small_trace(n=50, seed=0):
@@ -44,52 +41,3 @@ class TestJobTrace:
     def test_empty_stats(self):
         assert JobTrace([]).stats() == {"n_jobs": 0}
         assert JobTrace([]).span_s == 0.0
-
-
-class TestSwfRoundTrip:
-    def test_round_trip_preserves_fields(self, tmp_path):
-        tr = small_trace(40)
-        path = tmp_path / "trace.swf"
-        write_swf(tr, path)
-        back = read_swf(path)
-        assert len(back) == len(tr)
-        for orig, loaded in zip(tr, back):
-            assert loaded.job_id == orig.job_id
-            assert loaded.n_nodes == orig.n_nodes
-            assert loaded.runtime_s == pytest.approx(orig.runtime_s, abs=1.0)
-            if orig.user_estimate_s is not None:
-                assert loaded.user_estimate_s == pytest.approx(orig.user_estimate_s, abs=1.0)
-
-    def test_user_identity_consistent(self, tmp_path):
-        tr = small_trace(60)
-        path = tmp_path / "trace.swf"
-        write_swf(tr, path)
-        back = read_swf(path)
-        # same-user jobs stay same-user after the int mapping
-        orig_groups = {}
-        for j in tr:
-            orig_groups.setdefault(j.user, []).append(j.job_id)
-        new_groups = {}
-        for j in back:
-            new_groups.setdefault(j.user, []).append(j.job_id)
-        assert sorted(map(sorted, orig_groups.values())) == sorted(
-            map(sorted, new_groups.values())
-        )
-
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        path = tmp_path / "t.swf"
-        path.write_text("; header\n\n" + " ".join(["1"] + ["-1"] * 17).replace("-1", "5", 1) + "\n")
-        # runtime field (index 3) is -1 -> skipped entirely
-        assert len(read_swf(path)) == 0
-
-    def test_malformed_line_raises(self, tmp_path):
-        path = tmp_path / "bad.swf"
-        path.write_text("1 2 3\n")
-        with pytest.raises(TraceFormatError):
-            read_swf(path)
-
-    def test_non_numeric_raises(self, tmp_path):
-        path = tmp_path / "bad.swf"
-        path.write_text(" ".join(["x"] * 18) + "\n")
-        with pytest.raises(TraceFormatError):
-            read_swf(path)
