@@ -133,10 +133,17 @@ snapshot-smoke:
 
 ## Import every top-level package (and the CLI) first, each in a fresh
 ## interpreter: an import cycle only fails when its package loads first.
+## The simulation packages, the API and the CLI must also load without
+## scipy, which only a model fit imports.
 REPRO_MODULES := $(sort $(notdir $(patsubst %/__init__.py,%,$(wildcard src/repro/*/__init__.py)))) cli
+SCIPY_FREE := simkit cluster network fptree sched rm workload telemetry api cli
 
 lint-imports:
 	@for mod in $(REPRO_MODULES); do \
-		$(PYTHON) -c "import repro.$$mod" || { echo "import repro.$$mod failed"; exit 1; }; \
-		echo "import repro.$$mod: OK"; \
+		case " $(SCIPY_FREE) " in \
+			*" $$mod "*) check="; assert 'scipy' not in sys.modules, 'repro.$$mod loads scipy'"; note=" (scipy-free)" ;; \
+			*) check=""; note="" ;; \
+		esac; \
+		$(PYTHON) -c "import sys, repro.$$mod$$check" || { echo "import repro.$$mod failed"; exit 1; }; \
+		echo "import repro.$$mod: OK$$note"; \
 	done

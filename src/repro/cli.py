@@ -80,10 +80,21 @@ class Subcommand:
     jobs: bool = False
 
 
+def _seed(text: str) -> int:
+    """``--seed``'s type: a non-negative int, as numpy's seeding requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def common_parent(out_help: str | None = None) -> argparse.ArgumentParser:
     """The ``--seed/--json/--out`` flags as an argparse parent parser."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    parent.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
     parent.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parent.add_argument(
         "--out",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import typing as t
 
 import numpy as np
-from scipy.optimize._lbfgsb import setulb
 
 from repro.errors import EstimationError
 
@@ -58,6 +57,10 @@ def _solve_dual(
     """β = α - α* of the dual's minimiser over [0, C]²ⁿ, found by L-BFGS-B
     exactly as ``minimize(method="L-BFGS-B", options={"maxiter": max_iter})``
     finds it: same kernel, settings, evaluations and stopping rule."""
+    # imported here, not at module level, so that a run that fits no
+    # model never loads scipy
+    from scipy.optimize._lbfgsb import setulb
+
     n = len(y)
     m = 2 * n
     theta = np.zeros(m)  # (α, α*), updated in place by setulb

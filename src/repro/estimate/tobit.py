@@ -19,8 +19,6 @@ import typing as t
 from collections import deque
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import norm
 
 from repro.errors import EstimationError
 from repro.estimate.features import FeatureEncoder
@@ -39,6 +37,11 @@ class TobitRegressor:
     def fit(self, X: np.ndarray, y: np.ndarray, censored: np.ndarray | None = None) -> "TobitRegressor":
         """Fit on observations ``y`` with a boolean ``censored`` mask
         (``True`` where ``y`` is a lower bound on the latent value)."""
+        # imported here, not at module level, so that a run that fits no
+        # model never loads scipy
+        from scipy.optimize import minimize
+        from scipy.stats import norm
+
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:

@@ -19,7 +19,7 @@ import zlib
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 
 
 class RngRegistry:
@@ -28,6 +28,10 @@ class RngRegistry:
     def __init__(self, seed: int = 0) -> None:
         if not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an int, got {seed!r}")
+        if seed < 0:
+            # SeedSequence rejects negative entropy, but only when the
+            # first stream is drawn; fail here, where the seed is given
+            raise ConfigurationError(f"seed must be >= 0, got {seed}")
         self.seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
 

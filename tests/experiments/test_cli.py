@@ -187,6 +187,14 @@ class TestMalformedInput:
                    "verify", "--relation", "nope"),
         usage_case("verify-unknown-layer", "invalid choice: 'vibes'",
                    "verify", "--layer", "vibes"),
+        usage_case("simulate-negative-seed", "argument --seed: must be >= 0, got -1",
+                   "simulate", "run", "--seed", "-1"),
+        usage_case("whatif-negative-seed", "argument --seed: must be >= 0, got -1",
+                   *SMALL_WHATIF, "--seed", "-1"),
+        usage_case("chaos-negative-seed", "argument --seed: must be >= 0, got -1",
+                   "chaos", "run", "failure-storm", "--seed", "-1"),
+        usage_case("bench-sweep-negative-seed", "argument --seed: must be >= 0, got -1",
+                   "bench", "sweep", "slurm-1024", "--seed", "-1"),
     ])
     def test_usage_error_before_any_run(self, argv, message, capsys):
         code, out, err = run_cli(capsys, *argv)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.simkit.rng import RngRegistry
 
 
@@ -102,3 +102,9 @@ class TestAdopt:
         fresh = RngRegistry(seed=4)  # "est" would derive as PCG64 here
         with pytest.raises(SimulationError, match="re-adopt"):
             fresh.setstate(state)
+
+
+class TestSeed:
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+            RngRegistry(seed=-1)
