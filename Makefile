@@ -133,17 +133,12 @@ snapshot-smoke:
 
 ## Import every top-level package (and the CLI) first, each in a fresh
 ## interpreter: an import cycle only fails when its package loads first.
-## The simulation packages, the API and the CLI must also load without
-## scipy, which only a model fit imports.
+## None of them may load scipy at import: only a model fit imports it.
 REPRO_MODULES := $(sort $(notdir $(patsubst %/__init__.py,%,$(wildcard src/repro/*/__init__.py)))) cli
-SCIPY_FREE := simkit cluster network fptree sched rm workload telemetry api cli
 
 lint-imports:
 	@for mod in $(REPRO_MODULES); do \
-		case " $(SCIPY_FREE) " in \
-			*" $$mod "*) check="; assert 'scipy' not in sys.modules, 'repro.$$mod loads scipy'"; note=" (scipy-free)" ;; \
-			*) check=""; note="" ;; \
-		esac; \
-		$(PYTHON) -c "import sys, repro.$$mod$$check" || { echo "import repro.$$mod failed"; exit 1; }; \
-		echo "import repro.$$mod: OK$$note"; \
+		$(PYTHON) -c "import sys, repro.$$mod; assert 'scipy' not in sys.modules, 'repro.$$mod loads scipy'" \
+			|| { echo "import repro.$$mod failed"; exit 1; }; \
+		echo "import repro.$$mod: OK"; \
 	done

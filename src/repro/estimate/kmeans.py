@@ -78,6 +78,8 @@ class KMeans:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[0] == 0:
             raise EstimationError("fit needs a non-empty 2-D array")
+        if not np.isfinite(X).all():
+            raise EstimationError("fit needs finite X (found NaN or inf)")
         # Clamp K to the number of *distinct* rows, not just the number of
         # rows: with duplicates (common for short runtime-history windows
         # where many jobs share a wall time) K > n_distinct leaves clusters

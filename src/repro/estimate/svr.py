@@ -15,6 +15,13 @@ wrapping, which on the estimator's problems (2n ≤ 140 variables) cost
 more than the objective itself.  ``tests/estimate/test_svr_driver.py``
 holds the two equal.
 
+The kernel is loaded on its own, at a process's first fit: ``_setulb``
+imports the extension module from scipy's ``optimize`` directory
+without running that package's ``__init__``, which would load all of
+``scipy.optimize`` (about 50 MB of resident memory) to call one C
+function.  It registers the module under its canonical name, so a later
+``import scipy.optimize`` shares it.
+
 Predictions are ``f(x) = Σ (αᵢ-α*ᵢ) K̃(xᵢ, x)``.  RBF and linear
 kernels; per-cluster training sets in the paper's framework are a few
 hundred samples, well within dense-kernel territory.
@@ -22,6 +29,11 @@ hundred samples, well within dense-kernel territory.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import math
+import os
+import sys
 import typing as t
 
 import numpy as np
@@ -40,6 +52,27 @@ _MAXFUN = 15_000
 # stop (the reason in task[1])
 _FG, _NEW_X, _STOP = 3, 1, 5
 _STOP_MAXFUN, _STOP_MAXITER = 502, 504
+_LBFGSB = "scipy.optimize._lbfgsb"
+
+
+def _setulb() -> t.Callable[..., None]:
+    """L-BFGS-B's ``setulb``, from ``scipy.optimize._lbfgsb`` loaded alone:
+    the entry in ``sys.modules`` if there is one, else the extension
+    found in scipy's ``optimize`` directory, imported without its
+    package and registered under its canonical name."""
+    module = sys.modules.get(_LBFGSB)
+    if module is None:
+        import scipy
+
+        spec = importlib.machinery.PathFinder.find_spec(
+            _LBFGSB, [os.path.join(p, "optimize") for p in scipy.__path__]
+        )
+        if spec is None or spec.loader is None:
+            raise ImportError(f"{_LBFGSB} not found: the SVR needs scipy>=1.15")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_LBFGSB] = module
+    return module.setulb
 
 
 def _rbf(
@@ -57,10 +90,7 @@ def _solve_dual(
     """β = α - α* of the dual's minimiser over [0, C]²ⁿ, found by L-BFGS-B
     exactly as ``minimize(method="L-BFGS-B", options={"maxiter": max_iter})``
     finds it: same kernel, settings, evaluations and stopping rule."""
-    # imported here, not at module level, so that a run that fits no
-    # model never loads scipy
-    from scipy.optimize._lbfgsb import setulb
-
+    setulb = _setulb()
     n = len(y)
     m = 2 * n
     theta = np.zeros(m)  # (α, α*), updated in place by setulb
@@ -125,8 +155,15 @@ class SVR:
         bias_term: float = 1.0,
         max_iter: int = 300,
     ) -> None:
-        if C <= 0 or epsilon < 0:
-            raise EstimationError("C must be positive and epsilon non-negative")
+        # written so that NaN fails every check
+        if not 0 < C < math.inf:
+            raise EstimationError(f"C must be positive and finite, got {C!r}")
+        if not 0 <= epsilon < math.inf:
+            raise EstimationError(f"epsilon must be non-negative and finite, got {epsilon!r}")
+        if gamma is not None and not 0 < gamma < math.inf:
+            raise EstimationError(f"gamma must be None or positive and finite, got {gamma!r}")
+        if not math.isfinite(bias_term):
+            raise EstimationError(f"bias_term must be finite, got {bias_term!r}")
         if kernel not in ("rbf", "linear", "rbf+linear"):
             raise EstimationError(f"unknown kernel {kernel!r}")
         if max_iter < 1:
@@ -161,6 +198,8 @@ class SVR:
         y = np.asarray(y, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
             raise EstimationError("fit needs matching non-empty X, y")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise EstimationError("fit needs finite X, y (found NaN or inf)")
         if self.gamma is None:
             var = X.var()
             self._gamma_eff = 1.0 / (X.shape[1] * var) if var > 1e-12 else 1.0

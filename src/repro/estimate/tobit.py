@@ -29,6 +29,8 @@ class TobitRegressor:
     """Linear regression under right-censoring, fitted by MLE."""
 
     def __init__(self, max_iter: int = 200) -> None:
+        if max_iter < 1:
+            raise EstimationError("max_iter must be >= 1")
         self.max_iter = max_iter
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
@@ -37,20 +39,22 @@ class TobitRegressor:
     def fit(self, X: np.ndarray, y: np.ndarray, censored: np.ndarray | None = None) -> "TobitRegressor":
         """Fit on observations ``y`` with a boolean ``censored`` mask
         (``True`` where ``y`` is a lower bound on the latent value)."""
-        # imported here, not at module level, so that a run that fits no
-        # model never loads scipy
-        from scipy.optimize import minimize
-        from scipy.stats import norm
-
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
             raise EstimationError("fit needs matching non-empty X, y")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise EstimationError("fit needs finite X, y (found NaN or inf)")
         if censored is None:
             censored = np.zeros(len(y), dtype=bool)
         censored = np.asarray(censored, dtype=bool).ravel()
         if censored.shape != y.shape:
             raise EstimationError("censored mask must match y")
+        # imported here, not at module level, so that a run that fits no
+        # model never loads scipy
+        from scipy.optimize import minimize
+        from scipy.stats import norm
+
         n, d = X.shape
         # OLS warm start.
         Xb = np.column_stack([X, np.ones(n)])

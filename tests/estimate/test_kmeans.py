@@ -69,6 +69,13 @@ class TestKMeans:
         with pytest.raises(EstimationError):
             KMeans(2).predict(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        X, _ = blobs(seed=1)
+        X[7, 0] = bad
+        with pytest.raises(EstimationError, match="finite"):
+            KMeans(3).fit(X)
+
     def test_deterministic_given_rng(self):
         X, _ = blobs(seed=5)
         a = KMeans(3, rng=np.random.default_rng(9)).fit(X)

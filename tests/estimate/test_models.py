@@ -1,5 +1,7 @@
 """Tests for the from-scratch regressors: SVR, forest, ridge, Tobit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,13 @@ def linear_data(n=150, noise=0.05, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 4))
     y = 3.0 * X[:, 0] - 2.0 * X[:, 1] + 1.0 + noise * rng.normal(size=n)
+    return X, y
+
+
+def non_finite_data(where, bad):
+    """``linear_data`` with one ``bad`` value planted in X or y."""
+    X, y = linear_data(n=30)
+    (X[4] if where == "X" else y)[1] = bad
     return X, y
 
 
@@ -64,6 +73,23 @@ class TestSVR:
     def test_max_iter_below_one_rejected(self, max_iter):
         with pytest.raises(EstimationError):
             SVR(max_iter=max_iter)
+
+    @pytest.mark.parametrize("param, value", [
+        ("C", -1.0), ("C", math.nan), ("C", math.inf),
+        ("epsilon", -0.1), ("epsilon", math.nan), ("epsilon", math.inf),
+        ("gamma", 0.0), ("gamma", -1.0), ("gamma", math.nan), ("gamma", math.inf),
+        ("bias_term", math.nan), ("bias_term", math.inf), ("bias_term", -math.inf),
+    ])
+    def test_out_of_range_param_rejected(self, param, value):
+        with pytest.raises(EstimationError, match=param):
+            SVR(**{param: value})
+
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_data_rejected(self, where, bad):
+        X, y = non_finite_data(where, bad)
+        with pytest.raises(EstimationError, match="finite"):
+            SVR().fit(X, y)
 
 
 class TestRegressionTree:
@@ -161,3 +187,16 @@ class TestTobit:
     def test_unfitted_rejected(self):
         with pytest.raises(EstimationError):
             TobitRegressor().predict(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_data_rejected(self, where, bad, capfd):
+        X, y = non_finite_data(where, bad)
+        with pytest.raises(EstimationError, match="finite"):
+            TobitRegressor().fit(X, y)
+        assert capfd.readouterr().err == ""  # no LAPACK complaint
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(EstimationError):
+            TobitRegressor(max_iter=max_iter)

@@ -1,12 +1,16 @@
-"""scipy loads only when a model is fitted.
+"""scipy loads only when a model is fitted, and an SVR fit loads only
+L-BFGS-B's kernel.
 
-``repro.estimate.svr`` imports scipy's L-BFGS-B kernel inside
-``_solve_dual`` and ``repro.estimate.tobit`` imports ``minimize`` and
-``norm`` inside ``TobitRegressor.fit``, so importing the library and
-running a day without an estimator never loads scipy (about 70 MB of
-resident memory and over a second of start-up on a 2-CPU host).  Each
-case runs in a fresh interpreter: in this one, some other test may
-have loaded scipy already.
+``repro.estimate.svr._setulb`` loads the ``scipy.optimize._lbfgsb``
+extension at the first SVR fit, without the ``scipy.optimize``
+package, and ``repro.estimate.tobit`` imports ``minimize`` and ``norm``
+inside ``TobitRegressor.fit``.  So importing the library and running a
+day without an estimator never loads scipy, and an ESLURM day that
+trains loads ``import scipy`` plus one extension module, not
+``scipy.optimize`` (resident memory on a 2-CPU host: numpy alone
+≈27 MB, with the kernel ≈30 MB, with the whole package ≈76 MB).  Each case runs in a fresh
+interpreter: in this one, some other test may have loaded scipy
+already.
 """
 
 import json
@@ -19,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 import repro
-from repro.estimate import TobitRegressor
+from repro.estimate import SVR, TobitRegressor
+from tests.estimate.test_svr_driver import cluster_problem, minimize_result
 
 
 def run_fresh(code: str, stdin: str = "") -> dict:
@@ -49,7 +54,7 @@ def test_library_and_slurm_day_load_no_scipy():
     assert result["scipy"] == []
 
 
-def test_training_eslurm_day_loads_optimize_not_stats():
+def test_training_eslurm_day_loads_lbfgsb_kernel_only():
     result = run_fresh("""
         import json, sys
         from repro.api import run_simulation
@@ -58,20 +63,31 @@ def test_training_eslurm_day_loads_optimize_not_stats():
         run_simulation(rm="eslurm", n_nodes=32, n_jobs=100, estimator=estimator)
         print(json.dumps({
             "trainings": estimator.trainings,
+            "kernel": "scipy.optimize._lbfgsb" in sys.modules,
             "optimize": "scipy.optimize" in sys.modules,
             "stats": "scipy.stats" in sys.modules,
         }))
     """)
     assert result["trainings"] >= 1
-    assert result["optimize"] is True and result["stats"] is False
+    assert result["kernel"] is True
+    assert result["optimize"] is False and result["stats"] is False
 
 
-def test_tobit_fits_from_a_cold_start():
+def tobit_problem():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(80, 2))
     y = X @ np.array([2.0, -1.0]) + 5.0 + rng.normal(scale=0.5, size=80)
     censored = y > 7.0
-    y = np.minimum(y, 7.0)
+    return X, np.minimum(y, 7.0), censored
+
+
+def tobit_result(model: TobitRegressor) -> dict:
+    return {"coef": model.coef_.tolist(), "intercept": model.intercept_,
+            "sigma": model.sigma_}
+
+
+def test_tobit_fits_from_a_cold_start():
+    X, y, censored = tobit_problem()
     # JSON round-trips a float exactly, so both fits see the same bits
     problem = json.dumps([X.tolist(), y.tolist(), censored.tolist()])
     result = run_fresh("""
@@ -89,6 +105,39 @@ def test_tobit_fits_from_a_cold_start():
     """, stdin=problem)
     warm = TobitRegressor().fit(X, y, censored)
     assert result["before"] is False and result["stats"] is True
-    assert result["coef"] == warm.coef_.tolist()
-    assert result["intercept"] == warm.intercept_
-    assert result["sigma"] == warm.sigma_
+    assert {k: result[k] for k in ("coef", "intercept", "sigma")} == tobit_result(warm)
+
+
+def test_cold_svr_kernel_is_shared_with_scipy_optimize():
+    """A cold SVR fit, then ``import scipy.optimize``, then a Tobit fit,
+    all in one interpreter: the package adopts the kernel module the SVR
+    loaded, and both fits match the warm ones."""
+    svr_X, svr_y = cluster_problem(40, seed=7)
+    X, y, censored = tobit_problem()
+    problem = json.dumps([svr_X.tolist(), svr_y.tolist(),
+                          [X.tolist(), y.tolist(), censored.tolist()]])
+    result = run_fresh("""
+        import json, sys
+        from repro.estimate import SVR, TobitRegressor
+        svr_X, svr_y, tobit = json.load(sys.stdin)
+        svr = SVR(gamma=10.0 / 13).fit(svr_X, svr_y)
+        kernel = sys.modules["scipy.optimize._lbfgsb"]
+        optimize_after_fit = "scipy.optimize" in sys.modules
+        import scipy.optimize
+        shared = sys.modules["scipy.optimize._lbfgsb"] is kernel
+        model = TobitRegressor().fit(*tobit)
+        print(json.dumps({
+            "optimize_after_fit": optimize_after_fit,
+            "shared": shared,
+            "beta": svr._beta.tolist(),
+            "tobit": {"coef": model.coef_.tolist(), "intercept": model.intercept_,
+                      "sigma": model.sigma_},
+        }))
+    """, stdin=problem)
+    assert result["optimize_after_fit"] is False
+    assert result["shared"] is True
+    warm = SVR(gamma=10.0 / 13).fit(svr_X, svr_y)
+    res = minimize_result(warm, svr_X, svr_y)
+    n = len(svr_y)
+    assert result["beta"] == (res.x[:n] - res.x[n:]).tolist()
+    assert result["tobit"] == tobit_result(TobitRegressor().fit(X, y, censored))
