@@ -37,7 +37,11 @@ test-bench:
 ## Smoke: a -j 1/-j 2 sweep of the 1K pair must produce schema-valid
 ## payloads with byte-identical digests at both levels (the sweep exits
 ## nonzero on any mismatch), and the same seed twice must produce
-## byte-identical payloads.
+## byte-identical payloads.  Last, the pinned `repro simulate` day runs
+## in two fresh interpreters with different string-hash seeds and the
+## outputs must `cmp` equal: the verb users run had no cross-process
+## determinism check (only `estimate`'s digest test had one), and an
+## iteration over a set or dict of strings would show up here first.
 bench-smoke:
 	$(PYTHON) -m pytest -q tests/bench tests/telemetry
 	$(PYTHON) -m repro.cli bench sweep slurm-1024 eslurm-1024 --jobs-levels 1,2 --out .bench-smoke/BENCH_sweep.json
@@ -46,6 +50,9 @@ bench-smoke:
 	b = run_bench('slurm-1024', seed=0).to_json(); \
 	assert a == b, 'bench payload is not seed-deterministic'; \
 	print('deterministic-seed check: OK')"
+	PYTHONHASHSEED=1 $(PYTHON) -m repro.cli simulate run --json --n-nodes 256 --n-jobs 100 --horizon-s 1000.37 > .bench-smoke/simulate-1.json
+	PYTHONHASHSEED=2 $(PYTHON) -m repro.cli simulate run --json --n-nodes 256 --n-jobs 100 --horizon-s 1000.37 > .bench-smoke/simulate-2.json
+	cmp .bench-smoke/simulate-1.json .bench-smoke/simulate-2.json
 	rm -rf .bench-smoke
 
 ## The repo benchmark's own checks: BENCHMARK.json must be a valid

@@ -30,7 +30,6 @@ from repro.rm.eslurm import EslurmRM
 from repro.rm.profiles import RM_PROFILES
 from repro.simkit.core import Simulator
 from repro.telemetry import facade as telemetry
-from repro.telemetry.sinks import TelemetrySink
 from repro.workload.synthetic import WorkloadConfig, generate_trace
 
 DAY = 86_400.0
@@ -43,17 +42,16 @@ def canonical_json(obj: t.Any) -> str:
 
 @dataclass(frozen=True, kw_only=True)
 class TelemetryConfig:
-    """How a simulation is measured.
+    """Whether a simulation records its telemetry.
 
     Args:
-        enabled: install a telemetry session for the run.  Off by
-            default — the null-sink posture, in which every instrumented
-            hot path costs one pointer check.
-        sink: span sink for the session (default: in-memory).
+        enabled: scope a telemetry session to the run and return its
+            snapshot (simulated quantities only, so deterministic per
+            seed).  Off by default, in which every instrumented hot
+            path costs one pointer check.
     """
 
     enabled: bool = False
-    sink: TelemetrySink | None = None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -136,6 +134,11 @@ class SimulationResult:
 
     config: SimulationConfig
     report: RmReport
+    #: events the simulator processed
+    events: int
+    #: simulated seconds up to the last processed event
+    #: (:attr:`repro.simkit.core.Simulator.advanced_s`), not the horizon
+    sim_time_s: float
     #: deterministic metric snapshot (``None`` unless telemetry was on)
     telemetry: dict[str, dict[str, t.Any]] | None = None
 
@@ -293,7 +296,7 @@ def run_simulation(
     elif overrides:
         config = replace(config, **overrides)
     scope: t.ContextManager[t.Any] = (
-        telemetry.session(config.telemetry.sink)
+        telemetry.session()
         if config.telemetry.enabled
         else contextlib.nullcontext()
     )
@@ -317,5 +320,11 @@ def run_simulation(
             **rm_kwargs,
         )
         snapshot = tel.snapshot() if tel is not None else None
-    return SimulationResult(config=config, report=report, telemetry=snapshot)
+    return SimulationResult(
+        config=config,
+        report=report,
+        events=cluster.sim.events_processed,
+        sim_time_s=cluster.sim.advanced_s,
+        telemetry=snapshot,
+    )
 

@@ -27,7 +27,7 @@ from repro.bench.whatif import (
     run_whatif_bench,
 )
 from repro.bench.scenarios import PAPER_SCALE, SCENARIOS, BenchScenario, get_scenario
-from repro.bench.schema import SCHEMA, is_deterministic_metric, validate_payload
+from repro.bench.schema import SCHEMA, validate_payload
 
 __all__ = [
     "BASELINE_PATH",
@@ -46,7 +46,6 @@ __all__ = [
     "dump_sweep",
     "dump_whatif",
     "get_scenario",
-    "is_deterministic_metric",
     "render_sweep",
     "render_whatif",
     "run_bench",

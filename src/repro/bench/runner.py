@@ -1,10 +1,9 @@
 """Execute bench scenarios and freeze their deterministic results.
 
 ``run_bench`` runs one scenario under a telemetry session and keeps
-its *payload*: the simulation-deterministic facts, byte-stable at a
-seed.  Host facts (span timings) are dropped from it, because they
-would break the same-seed byte-identity the anchor files depend on;
-only the run's wall time is kept, for progress lines.
+its *payload*: the session's snapshot plus the run's report, all
+simulated quantities, so byte-stable at a seed.  The run's host wall
+time is kept beside the payload, never in it, for progress lines.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 from repro.api import run_simulation
 from repro.bench.scenarios import SCENARIOS, BenchScenario, get_scenario
-from repro.bench.schema import SCHEMA, is_deterministic_metric, validate_payload
+from repro.bench.schema import SCHEMA, validate_payload
 
 
 @dataclass(frozen=True)
@@ -34,11 +33,6 @@ class BenchResult:
         return json.dumps(self.payload, sort_keys=True, indent=2) + "\n"
 
 
-def _deterministic(snapshot: t.Mapping[str, dict[str, t.Any]]) -> dict[str, t.Any]:
-    """A telemetry snapshot section without its host-clock metrics."""
-    return {k: v for k, v in snapshot.items() if is_deterministic_metric(k)}
-
-
 def run_bench(scenario: str | BenchScenario, seed: int = 0) -> BenchResult:
     """Run one scenario; returns its validated result."""
     spec = scenario if isinstance(scenario, BenchScenario) else get_scenario(scenario)
@@ -50,9 +44,9 @@ def run_bench(scenario: str | BenchScenario, seed: int = 0) -> BenchResult:
     host_wall_s = time.perf_counter() - start
     snapshot = result.telemetry
     assert snapshot is not None  # telemetry is always on for bench runs
-    counters = _deterministic(snapshot["counters"])
-    gauges = _deterministic(snapshot["gauges"])
-    histograms = _deterministic(snapshot["histograms"])
+    counters = snapshot["counters"]
+    gauges = snapshot["gauges"]
+    histograms = snapshot["histograms"]
     events = int(counters.get("sim.events", 0))
     sim_time_s = float(counters.pop("sim.time_s", spec.horizon_s))
     peak_heap = int(gauges.get("sim.heap.peak", {}).get("max", 0))

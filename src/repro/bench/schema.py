@@ -1,4 +1,4 @@
-"""The bench payload schema: layout, determinism rules, validation.
+"""The bench payload schema: layout and validation.
 
 A bench payload is the deterministic slice of one scenario run:
 
@@ -23,9 +23,8 @@ A bench payload is the deterministic slice of one scenario run:
     }
 
 Two same-seed runs must produce byte-identical payloads, so everything in
-the payload derives from *simulated* quantities.  Host-clock metrics
-(span wall times, wall-per-sim-second) are namespaced ``host.`` by the
-telemetry layer and filtered out here.
+the payload derives from *simulated* quantities.  Telemetry records
+nothing else, so the metric sections are its snapshot as is.
 """
 
 from __future__ import annotations
@@ -56,11 +55,6 @@ REQUIRED_FIELDS: dict[str, type | tuple[type, ...]] = {
 REQUIRED_SCENARIO_FIELDS = ("rm", "n_nodes", "n_satellites", "failures", "n_jobs", "horizon_s")
 
 
-def is_deterministic_metric(name: str) -> bool:
-    """Whether a metric may appear in a bench payload."""
-    return not name.startswith("host.")
-
-
 def validate_payload(payload: t.Mapping[str, t.Any]) -> None:
     """Raise :class:`ConfigurationError` on any schema deviation."""
     problems: list[str] = []
@@ -75,11 +69,6 @@ def validate_payload(payload: t.Mapping[str, t.Any]) -> None:
         for key in REQUIRED_SCENARIO_FIELDS:
             if key not in payload["scenario"]:
                 problems.append(f"missing scenario field {key!r}")
-    if not problems:
-        for section in ("counters", "gauges", "histograms"):
-            for metric in payload[section]:
-                if not is_deterministic_metric(metric):
-                    problems.append(f"non-deterministic metric {metric!r} in {section}")
     if problems:
         raise ConfigurationError(
             "invalid bench payload: " + "; ".join(problems)

@@ -552,7 +552,7 @@ _DAY_PARAMS = (
 )
 
 
-def _day_config(args: argparse.Namespace, **extra: t.Any) -> "SimulationConfig":
+def _day_config(args: argparse.Namespace) -> "SimulationConfig":
     """The :class:`~repro.api.SimulationConfig` the base-day flags spell;
     a config it rejects is a usage error."""
     from repro.api import SimulationConfig
@@ -569,7 +569,6 @@ def _day_config(args: argparse.Namespace, **extra: t.Any) -> "SimulationConfig":
             horizon_s=args.horizon_s,
             placement=args.placement,
             malleable=args.malleable,
-            **extra,
         )
     except ConfigurationError as exc:
         args._parser.error(str(exc))
@@ -598,20 +597,10 @@ def _run_json(kind: str, digest: str, result: dict[str, t.Any]) -> str:
 
 
 def _simulate_run(args: argparse.Namespace) -> int:
-    from repro.api import TelemetryConfig, run_simulation
-    from repro.telemetry.sinks import CallbackSink
+    from repro.api import run_simulation
 
     verbose = not (args.json or args.out)
-    sink = None
-    if verbose:
-        # stream the telemetry span seam: every instrumented region
-        # >= 10 ms becomes one progress line
-        sink = CallbackSink(
-            lambda rec: print(f"[span] {rec.name} {rec.elapsed_s * 1e3:.0f}ms"),
-            min_elapsed_s=0.010,
-        )
-    # telemetry stays on: the events= count comes from its counters
-    config = _day_config(args, telemetry=TelemetryConfig(enabled=True, sink=sink))
+    config = _day_config(args)
     if verbose:
         print(
             f"simulate: rm={config.rm} nodes={config.n_nodes} "
@@ -619,11 +608,10 @@ def _simulate_run(args: argparse.Namespace) -> int:
         )
     simulation = run_simulation(config)
     report = simulation.report
-    counters = (simulation.telemetry or {}).get("counters", {})
-    events = int(counters.get("sim.events", 0))
+    events = simulation.events
     if verbose:
         print(f"simulate: done, {events} events")
-    sim_time_s = float(counters.get("sim.time_s", 0.0))
+    sim_time_s = simulation.sim_time_s
     digest = _digest("simulate", {name: getattr(config, name) for name in _DAY_PARAMS})
     if args.json:
         result = {

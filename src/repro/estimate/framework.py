@@ -155,12 +155,11 @@ class EslurmEstimator:
         encoder = FeatureEncoder().fit(jobs)
         X = encoder.transform(jobs)
         y = np.log1p([j.runtime_s for j in jobs])
-        with telemetry.span("estimate.kmeans_fit"):
-            if self.config.k_clusters is not None:
-                k = min(self.config.k_clusters, len(jobs))
-            else:
-                k = elbow_k(X, k_max=self.config.k_max, rng=self.rng)
-            kmeans = KMeans(k, rng=self.rng).fit(X)
+        if self.config.k_clusters is not None:
+            k = min(self.config.k_clusters, len(jobs))
+        else:
+            k = elbow_k(X, k_max=self.config.k_max, rng=self.rng)
+        kmeans = KMeans(k, rng=self.rng).fit(X)
         labels = kmeans.labels_
         models: list[_ClusterModel] = []
         # RBF width from the *global* standardised feature scale; deriving
@@ -169,22 +168,21 @@ class EslurmEstimator:
         # kernel enough to separate different job names that share a
         # cluster (their hash signatures differ in a few dimensions).
         gamma = 10.0 / X.shape[1]
-        with telemetry.span("estimate.svr_fit"):
-            for c in range(kmeans.n_clusters):
-                mask = labels == c
-                members = int(mask.sum())
-                fallback = float(np.expm1(y[mask].mean())) if members else 1.0
-                if members >= self.config.min_cluster_size:
-                    svr = SVR(gamma=gamma).fit(X[mask], y[mask])
-                    resid_std = float(np.std(y[mask] - svr.predict(X[mask])))
-                else:
-                    svr = None
-                    resid_std = float(np.std(y[mask])) if members > 1 else 0.0
-                y_lo = float(y[mask].min()) if members else 0.0
-                y_hi = float(y[mask].max()) if members else 50.0
-                models.append(
-                    _ClusterModel(svr, max(fallback, 1.0), resid_std, y_lo=y_lo, y_hi=y_hi)
-                )
+        for c in range(kmeans.n_clusters):
+            mask = labels == c
+            members = int(mask.sum())
+            fallback = float(np.expm1(y[mask].mean())) if members else 1.0
+            if members >= self.config.min_cluster_size:
+                svr = SVR(gamma=gamma).fit(X[mask], y[mask])
+                resid_std = float(np.std(y[mask] - svr.predict(X[mask])))
+            else:
+                svr = None
+                resid_std = float(np.std(y[mask])) if members > 1 else 0.0
+            y_lo = float(y[mask].min()) if members else 0.0
+            y_hi = float(y[mask].max()) if members else 50.0
+            models.append(
+                _ClusterModel(svr, max(fallback, 1.0), resid_std, y_lo=y_lo, y_hi=y_hi)
+            )
         # Cluster routing for known job names: the categorical part of
         # "match the closest cluster".  Each name seen in the window maps
         # to the cluster holding the majority of its training jobs; a
@@ -217,8 +215,7 @@ class EslurmEstimator:
         estimate; otherwise the gated choice between model and user.
         """
         if self._should_retrain(now):
-            with telemetry.span("estimate.retrain"):
-                self._retrain(now)
+            self._retrain(now)
         if self._kmeans is None or self._encoder is None:
             return job.user_estimate_s
         routed = self._name_route.get(job.name)

@@ -500,12 +500,11 @@ class LifecycleEquivalenceRelation(Relation):
     (``lifecycle="fsm"`` vs ``"generator"``).  Every *observable* —
     master accounting, schedule metrics, broadcast counts, and every
     domain telemetry counter and histogram — must be byte-identical
-    under canonical JSON.  The comparison strips exactly two groups of
-    keys: host-clock metrics (``host.*``, wall-time noise) and the
-    event-loop's own shape (``sim.events``, ``sim.heap.depth``) — the
-    flat timer lane exists precisely to dispatch fewer heap events, so
-    the event count is the mechanism under test, not an observable of
-    the modelled system.  That saving is pinned as an ordering instead:
+    under canonical JSON.  The comparison strips only the event loop's
+    own shape (``sim.events``, ``sim.heap.depth``) — the flat timer
+    lane exists precisely to dispatch fewer heap events, so the event
+    count is the mechanism under test, not an observable of the
+    modelled system.  That saving is pinned as an ordering instead:
     the FSM arm must not process more events than the generator arm.
     """
 
@@ -535,7 +534,7 @@ class LifecycleEquivalenceRelation(Relation):
             section: {
                 key: value
                 for key, value in metrics.items()
-                if not key.startswith("host.") and key not in self.EVENT_LOOP_KEYS
+                if key not in self.EVENT_LOOP_KEYS
             }
             for section, metrics in tel.items()
         }

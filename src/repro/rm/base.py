@@ -383,12 +383,10 @@ class ResourceManager:
             self.profile.sched_cpu_ms / 1e3 * max(1, min(len(self.queue), 100))
         )
         tel = telemetry.active()
-        if tel is None:
-            decisions = self.scheduler.plan(self.queue, self.pool, self.sim.now)
-        else:
+        if tel is not None:
             tel.observe("sched.queue_depth", len(self.queue))
-            with tel.span("sched.plan"):  # host-clock allocation latency
-                decisions = self.scheduler.plan(self.queue, self.pool, self.sim.now)
+        decisions = self.scheduler.plan(self.queue, self.pool, self.sim.now)
+        if tel is not None:
             tel.count("sched.passes")
             tel.count("sched.decisions", len(decisions))
         self._launch_decisions(decisions)
@@ -429,21 +427,18 @@ class ResourceManager:
 
         The pool side is already mutated (the scheduler allocates, same
         as ``plan``); this applies the job, accounting and
-        process-retiming side, with one telemetry span per decision.
+        process-retiming side.
         """
         tel = telemetry.active()
         shrank = False
         for dec in resizes:
+            self._apply_one_resize(dec)
             if tel is not None:
-                with tel.span("sched.resize"):
-                    self._apply_one_resize(dec)
                 tel.count("sched.resize.decisions")
                 if dec.added:
                     tel.count("sched.grow.nodes", len(dec.added))
                 if dec.removed:
                     tel.count("sched.shrink.nodes", len(dec.removed))
-            else:
-                self._apply_one_resize(dec)
             shrank = shrank or bool(dec.removed)
         return shrank
 

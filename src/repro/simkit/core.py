@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import sys
-import time
 import typing as t
 
 from repro.errors import SimulationError
@@ -51,6 +50,11 @@ class Simulator:
         self.rng = RngRegistry(seed)
         #: number of events processed so far (observability / debugging)
         self.events_processed = 0
+        #: simulated seconds :meth:`run` advanced the clock up to the
+        #: last event it processed, summed over calls (the final move
+        #: to a float deadline is not counted).  After one run from a
+        #: fresh simulator: the time of the last processed event.
+        self.advanced_s = 0.0
         #: zero-arg callables invoked after every processed event; the
         #: chaos harness hooks invariant checks here.  Probes observe —
         #: they must not schedule events or mutate simulation state.
@@ -139,6 +143,7 @@ class Simulator:
                     f"run(until={deadline}) is in the past (now={self._now})"
                 )
         tel = telemetry.active()
+        start_s = self._now
         try:
             if tel is None:
                 self._dispatch(deadline, _INFINITY)
@@ -146,6 +151,11 @@ class Simulator:
                 self._run_instrumented(deadline, tel)
         except _StopSimulation as stop:
             return stop.value
+        finally:
+            advance_s = self._now - start_s
+            self.advanced_s += advance_s
+            if tel is not None:
+                tel.count("sim.time_s", advance_s)
         # Value comparison, not identity: ``float(x)`` returns ``x``
         # itself for an exact float, so a caller-supplied
         # ``float("inf")`` is a *different object* from the module's
@@ -214,13 +224,10 @@ class Simulator:
         """:meth:`run` with event-loop telemetry measured around the loop.
 
         Only the heap-depth observer rides inside :meth:`_dispatch`;
-        with no telemetry session installed, :meth:`run` passes none.
-        The ``sim.events`` count, the per-run heap peak, the simulated
-        advance and the host wall-clock per simulated second are taken
-        around the call.
+        with no telemetry session active, :meth:`run` passes none.
+        The ``sim.events`` count and the per-run heap peak are taken
+        around the call; :meth:`run` counts the simulated advance.
         """
-        start_wall = time.perf_counter()
-        start_sim = self._now
         start_events = self.events_processed
         events = tel.registry.counter("sim.events")
         depth_hist = tel.registry.histogram("sim.heap.depth")
@@ -237,12 +244,6 @@ class Simulator:
         finally:
             events.inc(self.events_processed - start_events)
             tel.gauge("sim.heap.peak", peak)
-            sim_advance = self._now - start_sim
-            tel.count("sim.time_s", sim_advance)
-            wall = time.perf_counter() - start_wall
-            tel.count("host.sim.run_wall_s", wall)
-            if sim_advance > 0:
-                tel.observe("host.sim.wall_per_sim_s", wall / sim_advance)
 
     # -- snapshot seams ------------------------------------------------------
     def run_until_count(self, count: int, deadline: float = _INFINITY) -> int:

@@ -20,9 +20,10 @@ representation choices that differ between a live and a replayed world):
 * derived memo caches (backfill reservation walk, heartbeat makespan,
   broadcast memos) are excluded: they are recomputed, not state.
 
-Deliberate exclusions: telemetry sessions (host-clock metrics) and any
-``host.*`` fact.  Everything captured is a pure function of
-(config, event index).
+Deliberate exclusion: telemetry sessions.  A session's metrics
+registry is not captured, so snapshot worlds refuse one rather than
+restore with different counters.  Everything captured is a pure
+function of (config, event index).
 """
 
 from __future__ import annotations

@@ -30,15 +30,17 @@ class SimWorld:
 
     Construction is a pure function of the config — two worlds built
     from equal configs are in identical states before any event runs.
-    Telemetry sessions are refused: their wall-clock metrics are not
-    part of the deterministic state a snapshot can guarantee.
+    Telemetry sessions are refused: a session's metrics registry is
+    not part of the captured state, so a restored world would report
+    different counters than the world it was captured from.
     """
 
     def __init__(self, config: SimulationConfig) -> None:
         if config.telemetry.enabled:
             raise ConfigurationError(
-                "snapshot worlds run without telemetry sessions (host-clock "
-                "metrics cannot be captured deterministically)"
+                "snapshot worlds run without telemetry sessions (a session's "
+                "registry is not captured, so a restored world would report "
+                "different counters)"
             )
         self.config = config
         self.cluster = quick_cluster(

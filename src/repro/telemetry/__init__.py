@@ -1,13 +1,14 @@
-"""Tracing + metrics for every hot path, behind one zero-cost switch.
+"""Counters, gauges and histograms for every hot path, behind one switch.
 
-The measurement spine of the repository: spans (host-clock timers),
-counters/gauges/histograms (simulation-deterministic aggregates), and
-pluggable sinks.  With no session installed — the default — every
-instrumented call site in the simulator, network fabric, RM layers,
-scheduler, and estimator reduces to a single ``is None`` check, so
-tier-1 performance is untouched.  ``repro bench`` installs a session
-per scenario and freezes the deterministic slice of the snapshot into
-a bench payload, from which the checked-in anchor files are built.
+The behaviour record of a run: every metric is derived from simulated
+quantities (events, messages, queue depths, simulated seconds), so two
+same-seed runs produce identical snapshots by construction.  Host cost
+is not recorded here; the per-layer timer in ``benchmarks/e2e`` times
+it.  With no session active — the default — every instrumented call
+site in the simulator, network fabric, RM layers, scheduler and
+estimator reduces to a single ``is None`` check.  ``repro bench``
+scopes a session per scenario and freezes its snapshot into a bench
+payload, from which the checked-in anchor files are built.
 
 Usage::
 
@@ -18,17 +19,7 @@ Usage::
         print(tel.snapshot()["counters"]["sim.events"])
 """
 
-from repro.telemetry.facade import (
-    Telemetry,
-    active,
-    count,
-    gauge,
-    install,
-    observe,
-    session,
-    span,
-    uninstall,
-)
+from repro.telemetry.facade import Telemetry, active, count, gauge, observe, session
 from repro.telemetry.metrics import (
     DEFAULT_BOUNDS,
     Counter,
@@ -36,28 +27,17 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.sinks import InMemorySink, NullSink, TelemetrySink
-from repro.telemetry.spans import NOOP_SPAN, Span, SpanRecord
 
 __all__ = [
     "DEFAULT_BOUNDS",
-    "NOOP_SPAN",
     "Counter",
     "Gauge",
     "Histogram",
-    "InMemorySink",
     "MetricsRegistry",
-    "NullSink",
-    "Span",
-    "SpanRecord",
     "Telemetry",
-    "TelemetrySink",
     "active",
     "count",
     "gauge",
-    "install",
     "observe",
     "session",
-    "span",
-    "uninstall",
 ]

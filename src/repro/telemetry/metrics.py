@@ -1,13 +1,10 @@
 """Counters, gauges, and histograms with deterministic snapshots.
 
 Metric values are plain Python state: incrementing a counter is a float
-add, observing a histogram is a bisect into fixed buckets.  Everything
-a metric stores is derived from simulation-visible quantities, so two
-same-seed runs produce identical snapshots — the property the bench
-golden files assert.  Host-clock measurements (span wall times) are
-kept out of this module by convention: they live under the ``host.``
-name prefix and the bench writer drops them (see
-:func:`repro.bench.schema.is_deterministic_metric`).
+add, observing a histogram is a bisect into fixed buckets.  Every value
+recorded is a simulated quantity — nothing here reads a host clock — so
+two same-seed runs produce identical snapshots by construction, the
+property the bench anchor files assert.
 """
 
 from __future__ import annotations
@@ -37,10 +34,6 @@ class Counter:
             raise ConfigurationError(f"counter {self.name}: negative increment {value}")
         self.value += value
 
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter's total into this one."""
-        self.value += other.value
-
     def snapshot(self) -> float:
         return self.value
 
@@ -65,14 +58,6 @@ class Gauge:
             self.max = value
         self.n += 1
 
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in (its last write wins when newer)."""
-        if other.n:
-            self.value = other.value
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
-            self.n += other.n
-
     def snapshot(self) -> dict[str, float]:
         if not self.n:
             return {"last": 0.0, "min": 0.0, "max": 0.0, "n": 0}
@@ -84,9 +69,7 @@ class Histogram:
 
     Buckets are cumulative-free: ``buckets[i]`` counts observations
     ``<= bounds[i]`` and greater than ``bounds[i-1]``; one overflow
-    bucket catches the rest.  Fixed bounds make merging two histograms
-    an element-wise add, which is what lets per-worker registries fold
-    into one report.
+    bucket catches the rest.
     """
 
     __slots__ = ("name", "bounds", "buckets", "count", "total", "min", "max")
@@ -144,19 +127,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def merge(self, other: "Histogram") -> None:
-        """Element-wise fold; bounds must match."""
-        if other.bounds != self.bounds:
-            raise ConfigurationError(
-                f"histogram {self.name}: cannot merge mismatched bounds"
-            )
-        for i, n in enumerate(other.buckets):
-            self.buckets[i] += n
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     def snapshot(self) -> dict[str, t.Any]:
         return {
             "count": self.count,
@@ -195,21 +165,11 @@ class MetricsRegistry:
             g = self._gauges[name] = Gauge(name)
         return g
 
-    def histogram(self, name: str, bounds: t.Sequence[float] = DEFAULT_BOUNDS) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Histogram(name, bounds)
+            h = self._histograms[name] = Histogram(name)
         return h
-
-    # -- folding -----------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's metrics into this one, name by name."""
-        for name, c in other._counters.items():
-            self.counter(name).merge(c)
-        for name, g in other._gauges.items():
-            self.gauge(name).merge(g)
-        for name, h in other._histograms.items():
-            self.histogram(name, h.bounds).merge(h)
 
     # -- reporting ---------------------------------------------------------
     def snapshot(self) -> dict[str, dict[str, t.Any]]:

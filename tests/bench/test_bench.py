@@ -74,12 +74,6 @@ class TestPayload:
         with pytest.raises(ConfigurationError, match="schema"):
             validate_payload(payload)
 
-    def test_validate_rejects_host_metric(self):
-        payload = dict(run_bench(SMOKE, seed=0).payload)
-        payload["counters"] = {**payload["counters"], "host.sneaky": 1.0}
-        with pytest.raises(ConfigurationError, match="host.sneaky"):
-            validate_payload(payload)
-
 
 class TestCli:
     def test_bench_list(self, capsys):

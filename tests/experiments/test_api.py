@@ -73,6 +73,18 @@ class TestRunSimulation:
         assert result.telemetry is not None
         assert result.telemetry["counters"]["sim.events"] > 0
 
+    def test_events_and_sim_time_match_the_counters(self):
+        # The result fields are the simulator's own tallies: the same
+        # with telemetry off as the counters of a recorded run, and the
+        # time of the last processed event, not the horizon.
+        config = SimulationConfig(rm="eslurm", n_nodes=256, n_jobs=100, horizon_s=1000.37)
+        plain = run_simulation(config)
+        recorded = run_simulation(config, telemetry=TelemetryConfig(enabled=True))
+        counters = recorded.telemetry["counters"]
+        assert (plain.events, plain.sim_time_s) == (157, 990.0)
+        assert (recorded.events, recorded.sim_time_s) == (157, 990.0)
+        assert (counters["sim.events"], counters["sim.time_s"]) == (157, 990.0)
+
     def test_session_restored_after_run(self):
         from repro.telemetry import facade as telemetry
 

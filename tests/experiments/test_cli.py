@@ -1,5 +1,6 @@
 """Tests for the CLI entry point."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -129,6 +130,40 @@ class TestRunDigest:
         assert out.rstrip().endswith(
             "digest=fde62eb70614c8b020b742d0c99b384aff807f6bd440dd3db74b1e7906fed7d9"
         )
+
+
+#: a day whose last event (990 s) falls before its horizon
+PINNED_DAY = ["simulate", "run", "--n-nodes", "256", "--n-jobs", "100", "--horizon-s", "1000.37"]
+
+
+class TestSimulatePinned:
+    """``repro simulate`` stdout, pinned byte for byte."""
+
+    JSON_SHA256 = "dbb597a5cf91b177bcb8f2d1d22bb978d816fdbd7ccc7b350d8b0c0558349547"
+    TEXT_SHA256 = "8d628dec12d4073d0685c8f233c8eae3a61295a73a1da0d064fb8d1fb4b57c74"
+
+    @pytest.mark.parametrize("json_flag", [True, False], ids=["json", "text"])
+    def test_stdout_pinned_and_run_telemetry_off(self, json_flag, capsys, monkeypatch):
+        from repro.simkit.core import Simulator
+        from repro.telemetry import facade as telemetry
+
+        sessions = []
+        run = Simulator.run
+
+        def spy(sim, *args, **kwargs):
+            sessions.append(telemetry.active())
+            return run(sim, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", spy)
+        argv = PINNED_DAY + (["--json"] if json_flag else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert sessions and all(tel is None for tel in sessions)
+        expected = self.JSON_SHA256 if json_flag else self.TEXT_SHA256
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+        if json_flag:
+            result = json.loads(out)["result"]
+            assert (result["events"], result["sim_time_s"]) == (157, 990.0)
 
 
 class TestRunResults:

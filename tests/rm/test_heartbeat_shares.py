@@ -104,9 +104,7 @@ def run(rm_cls, steps, mode="plain"):
         with telemetry.session() as tel:
             out = rounds()
             snap = tel.snapshot()
-        # host wall time is the one thing two runs never share
-        counters = {k: v for k, v in snap["counters"].items() if not k.startswith("host.")}
-        return out, rm, (counters, snap["histograms"])
+        return out, rm, (snap["counters"], snap["histograms"])
     return rounds(), rm, audit
 
 

@@ -170,6 +170,30 @@ class TestRunUntilInfinity:
         assert sim.now == 7.5
 
 
+class TestAdvanced:
+    """``advanced_s``: simulated seconds ``run()`` moved the clock up to
+    its last processed event, summed over calls; the ``sim.time_s``
+    counter records the same advance per call."""
+
+    def test_deadline_jump_not_counted(self):
+        sim = Simulator()
+        sim.process(iter_timeouts(sim, [4.0, 6.0]))
+        with telemetry.session() as tel:
+            sim.run(until=100.0)
+            assert (sim.now, sim.advanced_s) == (100.0, 10.0)
+            sim.timeout(50.0)
+            sim.run(until=200.0)
+        assert (sim.now, sim.advanced_s) == (200.0, 60.0)
+        assert tel.snapshot()["counters"]["sim.time_s"] == 60.0
+
+    def test_counted_when_run_stops_on_an_event(self):
+        sim = Simulator()
+        stop = sim.timeout(3.0)
+        sim.timeout(9.0)
+        sim.run(until=stop)
+        assert (sim.now, sim.advanced_s) == (3.0, 3.0)
+
+
 class TestFailedEventAccounting:
     """A failed, undefused event *was* processed: the counter, the golden
     trace, and the probes must all record it before the failure raises."""
