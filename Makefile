@@ -68,15 +68,26 @@ bench-e2e-check:
 ## digest leaves expected.json.  The first mixes every layer (the
 ## estimator learns from the synthetic trace's repeats), the second
 ## drives the ESLURM heartbeat share record, the third the allocator
-## path, the fourth the malleable resize pass.  At seed 0 the 16K run
+## path, the fourth the malleable resize pass.  E2E_COUNTS then checks
+## the run's seed-0 decision counts on its last JSON line: the 16K run
 ## must report estimate.calls 9202 and estimate.trainings 7, the 1K
-## malleable run 9349 and 9: an estimator speed change that moves
-## either count changed a decision.
+## malleable run 9349 and 9, and the three ESLURM runs their
+## fptree.construct.calls and fptree.memo.lookups.  An estimator or
+## FP-Tree placement speed change that moves one of them changed a
+## decision.
+E2E_COUNTS = $(PYTHON) -c "import json, sys; out = sys.stdin.read(); print(out, end=''); \
+	r = json.loads(out.splitlines()[-1]); want = dict(a.split('=') for a in sys.argv[1:]); \
+	got = {k: r['metrics'][k]['value'] for k in want}; assert r['correct'], 'a repetition failed'; \
+	assert got == {k: float(v) for k, v in want.items()}, got"
+
 bench-e2e-smoke:
-	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-16k-day --seed 0 --seconds 1 --trace 1
-	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-131k-2h --seed 0 --seconds 1 --trace 1
+	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-16k-day --seed 0 --seconds 1 --trace 1 | $(E2E_COUNTS) \
+	estimate.calls=9202 estimate.trainings=7 fptree.construct.calls=3046 fptree.memo.lookups=233
+	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-131k-2h --seed 0 --seconds 1 --trace 1 | $(E2E_COUNTS) \
+	fptree.construct.calls=1361 fptree.memo.lookups=42
 	$(PYTHON) benchmarks/e2e/run.py --workload slurm-65k-day --seed 0 --seconds 1 --trace 1
-	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-1k-malleable --seed 0 --seconds 1 --trace 1
+	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-1k-malleable --seed 0 --seconds 1 --trace 1 | $(E2E_COUNTS) \
+	estimate.calls=9349 estimate.trainings=9 fptree.construct.calls=1164 fptree.memo.lookups=1
 
 ## The perf gate: one traced short run of all four workloads, judged
 ## by BENCHMARK.json's end-to-end bounds against recording 0 of

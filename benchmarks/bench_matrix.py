@@ -17,8 +17,6 @@ def test_bench_matrix(once):
     for name, payload in by_name.items():
         assert payload["events"] > 0, name
         assert payload["schedule"]["n_completed"] > 0, name
-        # no host-clock values may leak into the deterministic payload
-        assert not any(k.startswith("host.") for k in payload["counters"])
     # the hierarchical RM pushes satellite traffic the centralized one lacks
     assert by_name["eslurm-1024"]["histograms"]["rm.broadcast.satellite_tasks"]["count"] > 0
     assert "rm.broadcast.satellite_tasks" not in by_name["slurm-1024"]["histograms"]

@@ -11,6 +11,8 @@ The paper's construction has three O(n) components (Fig. 4):
 3. **Nodelist rearranging** — place predicted-failed nodes on leaf
    positions and healthy nodes on inner positions, preserving relative
    order within each class (:func:`repro.fptree.constructor.rearrange`).
+   The placement has a closed form: the Python work is O(predicted),
+   on top of C-level list copies and scans.
 
 :class:`~repro.fptree.constructor.FPTreeConstructor` wires the three
 together; :class:`~repro.fptree.constructor.FPTreeBroadcast` is the

@@ -3,12 +3,14 @@
 Workflow (paper Fig. 3/4): on every communication task the constructor
 
 1. computes which positions of the task's nodelist become leaves
-   (:func:`repro.fptree.tree.leaf_positions`);
+   (:func:`repro.fptree.tree.leaf_positions`, cached per list length);
 2. asks the predictor plugin which of the participating nodes are
    expected to fail;
 3. rearranges the nodelist so predicted-failed nodes occupy leaf
    positions and healthy nodes occupy inner positions, preserving the
-   original relative order within each class (:func:`rearrange`, O(n)).
+   original relative order within each class (:func:`rearrange`).  The
+   placement has a closed form, so the Python work is proportional to
+   the predicted nodes, not to the list.
 
 The rearranged list is then fed to the ordinary k-ary tree engine —
 the FP-Tree is *only* a list permutation, never a different topology.
@@ -17,13 +19,13 @@ the FP-Tree is *only* a list permutation, never a different topology.
 from __future__ import annotations
 
 import typing as t
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.fptree.predictor import FailurePredictor
 from repro.fptree.tree import leaf_positions
-from repro.network.broadcast import BroadcastResult, BroadcastStructure, MemoizedBroadcast
+from repro.network.broadcast import BroadcastResult, BroadcastStructure
 from repro.network.structures import TreeBroadcast
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,33 +34,62 @@ if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 def rearrange(
     nodelist: t.Sequence[int],
-    leaf_idx: t.Collection[int],
+    leaf_idx: t.Sequence[int],
     predicted_failed: t.Collection[int],
 ) -> list[int]:
     """Place predicted-failed nodes on leaf positions (paper Fig. 4c).
 
-    Walks positions in order; a leaf position preferentially takes the
-    next node from the predicted-failed pool, an inner position from the
-    healthy pool, falling back to the other pool when one runs dry.
-    Both pools preserve the input order, so when nothing is predicted
-    the output equals the input.  O(n).
+    ``leaf_idx`` must hold distinct positions of ``nodelist`` in
+    ascending order, as :func:`~repro.fptree.tree.leaf_positions`
+    returns them.  Healthy nodes keep their input order on the inner
+    positions; the predicted-failed nodes, also in input order, take
+    the first ``p`` leaf positions.  When ``p`` exceeds the leaf count
+    ``L`` they take every leaf position plus the last ``p - L`` inner
+    positions.  An id that occurs twice moves both copies.  With
+    nothing predicted the output equals the input.
+
+    The output is built by copying the list, deleting the ``p``
+    predicted copies and inserting them at their positions: O(p)
+    Python steps, each a C-level scan or move of the list.
     """
-    if not predicted_failed:
-        # Documented identity: with nothing predicted both pools drain
-        # in input order, so the output equals the input.
-        return list(nodelist)
-    predicted = set(predicted_failed)
-    leaves = set(leaf_idx)
-    failed_pool: deque[int] = deque(nid for nid in nodelist if nid in predicted)
-    healthy_pool: deque[int] = deque(nid for nid in nodelist if nid not in predicted)
-    out: list[int] = []
-    for pos in range(len(nodelist)):
-        if pos in leaves:
-            pool, alt = failed_pool, healthy_pool
-        else:
-            pool, alt = healthy_pool, failed_pool
-        out.append(pool.popleft() if pool else alt.popleft())
-    return out
+    return _place(nodelist, leaf_idx, predicted_failed)[0]
+
+
+def _place(
+    nodelist: t.Sequence[int],
+    leaf_idx: t.Sequence[int],
+    predicted_failed: t.Collection[int],
+) -> tuple[list[int], int]:
+    """:func:`rearrange`'s output and how many predicted copies it put
+    on leaf positions, ``min(p, L)``."""
+    out = list(nodelist)
+    hit = list(map(set(predicted_failed).__contains__, out))
+    at: list[int] = []
+    pos = -1
+    for _ in range(hit.count(True)):
+        pos = hit.index(True, pos + 1)
+        at.append(pos)
+    moved = [out[i] for i in at]
+    for i in reversed(at):
+        del out[i]
+    p, n_leaves = len(at), len(leaf_idx)
+    slots = list(leaf_idx[:p])
+    if p > n_leaves:
+        # Every leaf plus the last p - L inner positions: walking down
+        # from the end passes at most L leaves, so the walk is O(p).
+        pos, j = len(nodelist) - 1, n_leaves - 1
+        for _ in range(p - n_leaves):
+            while j >= 0 and leaf_idx[j] == pos:
+                j -= 1
+                pos -= 1
+            slots.append(pos)
+            pos -= 1
+        slots.sort()
+    # Ascending slots: every earlier position is final when a node is
+    # inserted, so each lands exactly at its slot.
+    for pos, nid in zip(slots, moved):
+        out.insert(pos, nid)
+    return out, min(p, n_leaves)
 
 
 @dataclass
@@ -107,7 +138,9 @@ class FPTreeConstructor:
         self.stats = ConstructionStats()
         #: rearrangement audit hooks (chaos invariants; empty otherwise)
         self.construct_observers: list[ConstructObserver] = []
-        self._memo: "OrderedDict[tuple, tuple[list[int], list[int], int]]" = OrderedDict()
+        self._memo: "OrderedDict[tuple, tuple[list[int], tuple[int, ...], int]]" = OrderedDict()
+        #: target count -> target-indexed leaf positions (width is fixed)
+        self._leaves: dict[int, tuple[int, ...]] = {}
         self.memo_hits = 0
         self.memo_misses = 0
 
@@ -141,13 +174,8 @@ class FPTreeConstructor:
                 observer(targets, ordered, leaf_idx, predicted)
             return list(ordered)
         self.memo_misses += 1
-        n = len(targets) + 1  # including the root position
-        # Leaf positions within the full nodelist; drop position 0 (root
-        # can only be a leaf for n == 1, excluded above) and shift to
-        # target-list indexing.
-        leaf_idx = [p - 1 for p in leaf_positions(n, self.width) if p > 0]
-        ordered = rearrange(list(targets), leaf_idx, predicted)
-        on_leaves = self._count_on_leaves(ordered, leaf_idx, predicted)
+        leaf_idx = self._target_leaves(len(targets))
+        ordered, on_leaves = _place(targets, leaf_idx, predicted)
         self._record(ordered, predicted, on_leaves)
         for observer in self.construct_observers:
             observer(targets, ordered, leaf_idx, predicted)
@@ -156,12 +184,20 @@ class FPTreeConstructor:
         self._memo[key] = (ordered, leaf_idx, on_leaves)
         return list(ordered)
 
-    @staticmethod
-    def _count_on_leaves(ordered: list[int], leaf_idx: list[int], predicted: set[int]) -> int:
-        if not predicted:
-            return 0
-        leaves = set(leaf_idx)
-        return sum(1 for pos, nid in enumerate(ordered) if nid in predicted and pos in leaves)
+    def _target_leaves(self, n_targets: int) -> tuple[int, ...]:
+        """Leaf positions of the tree over ``[root] + targets``, indexed
+        into ``targets`` (ascending), cached per target count.
+
+        Position 0 (the root) is dropped — it is a leaf only with no
+        targets, excluded by the caller — and the rest shift down by one.
+        """
+        cached = self._leaves.get(n_targets)
+        if cached is None:
+            cached = tuple(p - 1 for p in leaf_positions(n_targets + 1, self.width) if p > 0)
+            if len(self._leaves) >= self._MEMO_MAX:
+                self._leaves.clear()
+            self._leaves[n_targets] = cached
+        return cached
 
     def _record(
         self, ordered: t.Sequence[int], predicted: t.AbstractSet[int], on_leaves: int
@@ -189,15 +225,12 @@ class FPTreeBroadcast(BroadcastStructure):
         width: int = 32,
         per_target_root_s: float = 0.0,
     ) -> None:
-        """The inner tree engine is wrapped in a per-tree
-        :class:`~repro.network.broadcast.MemoizedBroadcast` keyed on the
-        *rearranged* nodelist: a recurring FP ordering whose own down
-        nodes are unchanged is not walked again."""
+        """The constructed orderings go straight to the tree engine: an
+        FP ordering is a fresh permutation whenever its predicted set
+        changes, so a per-tree result memo would only miss."""
         self.constructor = FPTreeConstructor(predictor, width)
-        #: the memoized tree engine that walks the constructed orderings
-        self.engine = MemoizedBroadcast(
-            TreeBroadcast(width, per_target_root_s=per_target_root_s)
-        )
+        #: the tree engine that walks the constructed orderings
+        self.engine = TreeBroadcast(width, per_target_root_s=per_target_root_s)
 
     @property
     def width(self) -> int:

@@ -106,6 +106,11 @@ class MemoizedBroadcast(BroadcastStructure):
     ``record_arrivals`` and an active telemetry session (whose metrics
     must be recorded) go straight to the inner engine and are neither
     looked up nor counted.
+
+    No engine of the simulator is wrapped in this cache: the FP-Tree
+    engine walks its orderings with the plain tree engine, because its
+    lookups all missed.  The class stays while the benchmark ledger
+    still reads its counters.
     """
 
     def __init__(self, inner: BroadcastStructure) -> None:

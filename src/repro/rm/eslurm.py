@@ -119,8 +119,7 @@ class EslurmRM(ResourceManager):
         else:
             self.predictor = NullPredictor()
         #: one shared engine so FP-Tree construction statistics (the
-        #: leaf-placement experiment of Section VII-A) accumulate; the
-        #: inner tree evaluation is memoized per satellite tree.
+        #: leaf-placement experiment of Section VII-A) accumulate
         self._fp_engine = FPTreeBroadcast(self.predictor, width=self.profile.tree_width)
         self._takeover_engine = TreeBroadcast(width=self.profile.tree_width)
         self._hb_cache_key: tuple[int, int, int] | None = None

@@ -18,7 +18,7 @@ representation choices that differ between a live and a replayed world):
 * the pool's free set is reported sorted, derived from its per-node
   state column;
 * derived memo caches (backfill reservation walk, heartbeat makespan,
-  broadcast memos) are excluded: they are recomputed, not state.
+  FP-construction memo) are excluded: they are recomputed, not state.
 
 Deliberate exclusion: telemetry sessions.  A session's metrics
 registry is not captured, so snapshot worlds refuse one rather than

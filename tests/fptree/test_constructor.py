@@ -1,5 +1,7 @@
 """Tests for the FP-Tree constructor: rearranging, stats, broadcast."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,88 @@ def build(n=256, seed=0):
     cluster = ClusterSpec(n_nodes=n).build(sim)
     fabric = NetworkFabric(sim, cluster, FabricConfig())
     return sim, cluster, fabric
+
+
+def pool_walk(nodelist, leaf_idx, predicted_failed):
+    """Reference placement: walk positions in order; a leaf position
+    takes the next predicted-failed node, an inner position the next
+    healthy one, each falling back to the other pool when its own runs
+    dry.  Returns the ordering and how many predicted copies landed on
+    leaves."""
+    predicted = set(predicted_failed)
+    leaves = set(leaf_idx)
+    failed_pool = deque(nid for nid in nodelist if nid in predicted)
+    healthy_pool = deque(nid for nid in nodelist if nid not in predicted)
+    out = []
+    for pos in range(len(nodelist)):
+        if pos in leaves:
+            pool, alt = failed_pool, healthy_pool
+        else:
+            pool, alt = healthy_pool, failed_pool
+        out.append(pool.popleft() if pool else alt.popleft())
+    on_leaves = sum(1 for pos, nid in enumerate(out) if nid in predicted and pos in leaves)
+    return out, on_leaves
+
+
+@st.composite
+def placements(draw):
+    """A nodelist (duplicates allowed), a width and a predicted set that
+    may include ids absent from the list."""
+    nodelist = draw(st.lists(st.integers(0, 400), min_size=1, max_size=300))
+    width = draw(st.integers(2, 64))
+    present = draw(st.sets(st.sampled_from(nodelist)))
+    absent = draw(st.sets(st.integers(401, 450), max_size=3))
+    return nodelist, width, present | absent
+
+
+class TestPlacementMatchesPoolWalk:
+    @given(placements())
+    @settings(max_examples=300, deadline=None)
+    def test_rearrange_equals_pool_walk(self, case):
+        nodelist, width, predicted = case
+        leaves = leaf_positions(len(nodelist), width)
+        assert rearrange(nodelist, leaves, predicted) == pool_walk(nodelist, leaves, predicted)[0]
+
+    @given(placements())
+    @settings(max_examples=300, deadline=None)
+    def test_construct_equals_pool_walk(self, case):
+        targets, width, predicted = case
+        ctor = FPTreeConstructor(StaticSetPredictor(predicted), width=width)
+        leaves = [p - 1 for p in leaf_positions(len(targets) + 1, width) if p > 0]
+        expected, on_leaves = pool_walk(targets, leaves, predicted & set(targets))
+        assert ctor.construct(0, targets) == expected
+        assert ctor.stats.predicted_on_leaves == on_leaves
+
+    @pytest.mark.parametrize("width", [2, 3, 8, 64])
+    def test_nothing_predicted(self, width):
+        nodes = list(range(100, 190))
+        leaves = leaf_positions(len(nodes), width)
+        assert rearrange(nodes, leaves, set()) == pool_walk(nodes, leaves, set())[0] == nodes
+
+    @pytest.mark.parametrize("width", [2, 3, 8, 64])
+    def test_more_predicted_than_leaves(self, width):
+        nodes = list(range(100, 190))
+        leaves = leaf_positions(len(nodes), width)
+        predicted = set(nodes[::3]) | set(nodes[-len(leaves) :])
+        assert len(predicted) > len(leaves)
+        out = rearrange(nodes, leaves, predicted)
+        assert out == pool_walk(nodes, leaves, predicted)[0]
+        assert {out[i] for i in leaves} <= predicted
+
+    def test_duplicated_predicted_target_moves_both_copies(self):
+        nodes = [7, 1, 2, 7, 3, 4, 5, 6, 8, 9]
+        leaves = leaf_positions(len(nodes), 3)
+        out = rearrange(nodes, leaves, {7})
+        assert out == pool_walk(nodes, leaves, {7})[0]
+        assert [out[i] for i in leaves[:2]] == [7, 7]
+
+    def test_construct_counts_placed_copies(self):
+        targets = [5, 1, 5, 2, 3, 4, 6]
+        ctor = FPTreeConstructor(StaticSetPredictor({5}), width=2)
+        leaves = [p - 1 for p in leaf_positions(len(targets) + 1, 2) if p > 0]
+        expected, on_leaves = pool_walk(targets, leaves, {5})
+        assert ctor.construct(0, targets) == expected
+        assert ctor.stats.predicted_on_leaves == on_leaves == 2
 
 
 class TestRearrange:

@@ -238,11 +238,10 @@ class TestPerTree:
 
 class TestEslurmDay:
     def test_small_day_with_failures_pins_lookups(self):
-        # The FP-Tree engine is the only memoized one.  Its lookups are
-        # the launch and terminate relays, whose node sets do not recur,
-        # plus the heartbeat shares a rebuild re-derives, whose inputs
-        # just changed: all misses.  The unchanged heartbeat shares
-        # never reach the memo; the RM's share record replays them.
+        # No RM engine is memoized: the FP-Tree orderings go straight to
+        # the tree engine.  The unchanged heartbeat shares never reach
+        # it; the RM's share record replays them, construction
+        # statistics included.
         sim = Simulator(seed=3)
         spec = ClusterSpec(n_nodes=512, n_satellites=8, failure_model=FailureModel())
         cluster = spec.build(sim)
@@ -253,10 +252,15 @@ class TestEslurmDay:
             for i in range(1, 11)
         ]
         rm.run_trace(jobs, until=24 * 3600.0)
-        memo = rm._fp_engine.engine
-        assert isinstance(memo, MemoizedBroadcast)
+        assert type(rm._fp_engine.engine) is TreeBroadcast
         assert not isinstance(rm._launch_engine, MemoizedBroadcast)
         assert not isinstance(rm._takeover_engine, MemoizedBroadcast)
         assert cluster.version == 3  # liveness changed mid-day
-        assert (memo.hits, memo.misses) == (0, 42)
+        stats = rm._fp_engine.stats
+        assert (
+            stats.trees_built,
+            stats.nodes_placed,
+            stats.predicted_total,
+            stats.predicted_on_leaves,
+        ) == (76, 3712, 5, 5)
         assert (rm.heartbeat_shares_reused, rm.heartbeat_shares_derived) == (34, 14)
