@@ -37,11 +37,12 @@ test-bench:
 ## Smoke: a -j 1/-j 2 sweep of the 1K pair must produce schema-valid
 ## payloads with byte-identical digests at both levels (the sweep exits
 ## nonzero on any mismatch), and the same seed twice must produce
-## byte-identical payloads.  Last, the pinned `repro simulate` day runs
-## in two fresh interpreters with different string-hash seeds and the
-## outputs must `cmp` equal: the verb users run had no cross-process
-## determinism check (only `estimate`'s digest test had one), and an
-## iteration over a set or dict of strings would show up here first.
+## byte-identical payloads.  Last, the pinned `repro simulate` day and a
+## 500-job `repro estimate` run each run in two fresh interpreters with
+## different string-hash seeds and the outputs must `cmp` equal: an
+## iteration over a set or dict of strings would show up here first
+## (the estimator hashes job names with zlib.crc32, and its name routes
+## come from dict and Counter order).
 bench-smoke:
 	$(PYTHON) -m pytest -q tests/bench tests/telemetry
 	$(PYTHON) -m repro.cli bench sweep slurm-1024 eslurm-1024 --jobs-levels 1,2 --out .bench-smoke/BENCH_sweep.json
@@ -53,6 +54,9 @@ bench-smoke:
 	PYTHONHASHSEED=1 $(PYTHON) -m repro.cli simulate run --json --n-nodes 256 --n-jobs 100 --horizon-s 1000.37 > .bench-smoke/simulate-1.json
 	PYTHONHASHSEED=2 $(PYTHON) -m repro.cli simulate run --json --n-nodes 256 --n-jobs 100 --horizon-s 1000.37 > .bench-smoke/simulate-2.json
 	cmp .bench-smoke/simulate-1.json .bench-smoke/simulate-2.json
+	PYTHONHASHSEED=1 $(PYTHON) -m repro.cli estimate run --json --n-history 500 > .bench-smoke/estimate-1.json
+	PYTHONHASHSEED=2 $(PYTHON) -m repro.cli estimate run --json --n-history 500 > .bench-smoke/estimate-2.json
+	cmp .bench-smoke/estimate-1.json .bench-smoke/estimate-2.json
 	rm -rf .bench-smoke
 
 ## The repo benchmark's own checks: BENCHMARK.json must be a valid

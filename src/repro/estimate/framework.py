@@ -7,7 +7,10 @@ Three cooperating modules, exactly as in the paper:
   last ``window`` jobs (default 700, from the job-ID-gap decay of
   Fig. 5c), clusters them with K-means++ (K by the elbow method, or a
   fixed K — the paper lands on 15), and trains one ε-SVR per cluster
-  in log-runtime space.
+  in log-runtime space.  A cluster's SVR is fitted when the first job
+  is routed to it: a generation's unqueried clusters are never fitted,
+  and the answers are the same as an eager fit's (the fit draws no
+  random numbers and its inputs are fixed at the refresh).
 * **Real-time estimation module** — event-driven: encodes a newly
   submitted job, matches the nearest cluster, predicts, multiplies by
   the slack α (Eq. 3, default 1.05) to penalise underestimation, and
@@ -98,7 +101,6 @@ class EstimatorConfig:
 
 @dataclass
 class _ClusterModel:
-    svr: SVR | None  # None when the cluster was too small to train
     fallback_s: float  # mean runtime of cluster members
     resid_std: float = 0.0  # log-space training residual std
     #: log-space envelope of the cluster's training runtimes; a cluster
@@ -106,6 +108,20 @@ class _ClusterModel:
     #: RBF kernels decay to a meaningless constant far from the data.
     y_lo: float = 0.0
     y_hi: float = 50.0
+    svr: SVR | None = None  # None until the first query, or if too small to train
+    #: a trainable cluster's (X, y, gamma) until its first query; None
+    #: once fitted, and for clusters too small to train
+    rows: tuple[np.ndarray, np.ndarray, float] | None = None
+
+    def fitted_svr(self) -> SVR | None:
+        """The cluster's SVR, fitted (and ``resid_std`` set) on first use;
+        None for a cluster too small to train."""
+        if self.rows is not None:
+            X, y, gamma = self.rows
+            self.svr = SVR(gamma=gamma).fit(X, y)
+            self.resid_std = float(np.std(y - self.svr.predict(X)))
+            self.rows = None
+        return self.svr
 
 
 class EslurmEstimator:
@@ -172,17 +188,18 @@ class EslurmEstimator:
             mask = labels == c
             members = int(mask.sum())
             fallback = float(np.expm1(y[mask].mean())) if members else 1.0
-            if members >= self.config.min_cluster_size:
-                svr = SVR(gamma=gamma).fit(X[mask], y[mask])
-                resid_std = float(np.std(y[mask] - svr.predict(X[mask])))
-            else:
-                svr = None
-                resid_std = float(np.std(y[mask])) if members > 1 else 0.0
-            y_lo = float(y[mask].min()) if members else 0.0
-            y_hi = float(y[mask].max()) if members else 50.0
-            models.append(
-                _ClusterModel(svr, max(fallback, 1.0), resid_std, y_lo=y_lo, y_hi=y_hi)
+            model = _ClusterModel(
+                max(fallback, 1.0),
+                y_lo=float(y[mask].min()) if members else 0.0,
+                y_hi=float(y[mask].max()) if members else 50.0,
             )
+            if members >= self.config.min_cluster_size:
+                # Fitted by the cluster's first query: most clusters of a
+                # generation are replaced before any job asks them.
+                model.rows = (X[mask], y[mask], gamma)
+            elif members > 1:
+                model.resid_std = float(np.std(y[mask]))
+            models.append(model)
         # Cluster routing for known job names: the categorical part of
         # "match the closest cluster".  Each name seen in the window maps
         # to the cluster holding the majority of its training jobs; a
@@ -249,17 +266,16 @@ class EslurmEstimator:
     def _model_answer(self, job: Job, routed: int) -> tuple[int, float]:
         """(cluster, pre-slack estimate) of a routed job under the current
         generation; a pure function of the job's ``feature_key``."""
-        x = self._encoder.transform_one(job)
-        cluster = routed if routed < len(self._models) else self._kmeans.predict_one(x)
-        model = self._models[cluster]
+        model = self._models[routed]
+        svr = model.fitted_svr()
         uplift = self.config.q_sigma * max(model.resid_std, self.config.resid_floor)
-        if model.svr is not None:
-            log_pred = model.svr.predict_one(x)
+        if svr is not None:
+            log_pred = svr.predict_one(self._encoder.transform_one(job))
             log_pred = min(max(log_pred, model.y_lo - 0.5), model.y_hi + 0.5)
             raw = float(np.expm1(log_pred + uplift))
         else:
             raw = model.fallback_s * float(np.exp(uplift))
-        return cluster, max(raw, 1.0)
+        return routed, max(raw, 1.0)
 
     # -- record module -----------------------------------------------------
     def observe(self, job: Job, now: float) -> None:

@@ -8,7 +8,8 @@ keys, vary only the hour or the size of a name, mix in names the model
 has not seen (with and without per-name EWMA memory) and move clusters'
 AEA across the gate, both must agree with ``==`` on every return value,
 ``model_estimate_s``, ``_pending``, the AEA record, ``trainings`` and the
-estimator's ``rng`` state.
+estimator's ``rng`` state.  The twin also fits every cluster at retrain,
+as the estimator did before its fits moved to each cluster's first query.
 """
 
 import itertools
@@ -31,7 +32,13 @@ SUBMIT_HOURS = (0, 13, 22)
 
 
 class MemoFreeEstimator(EslurmEstimator):
-    """The estimator with ``estimate``'s body as it was before the memo."""
+    """The estimator with ``estimate``'s body as it was before the memo,
+    and every cluster's SVR fitted as soon as its generation is built."""
+
+    def _retrain(self, now):
+        super()._retrain(now)
+        for model in self._models:
+            model.fitted_svr()
 
     def estimate(self, job, now):
         if self._should_retrain(now):

@@ -209,3 +209,94 @@ class TestEndToEnd:
             for _ in range(2)
         ]
         assert reps[0].aea == reps[1].aea
+
+
+class TestClusterFitsOnFirstQuery:
+    """A generation fits a cluster's SVR when the first job is routed to
+    it, once, and never for a cluster no job asks."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        from repro.estimate.svr import SVR
+
+        sizes = []
+        fit = SVR.fit
+
+        def counting(svr, X, y):
+            sizes.append(len(y))
+            return fit(svr, X, y)
+
+        monkeypatch.setattr(SVR, "fit", counting)
+        return sizes
+
+    N_NAMES = 6
+
+    def history(self, min_cluster_size=3):
+        est = EslurmEstimator(
+            EstimatorConfig(
+                window=100, min_history=20, refresh_jobs=1_000,
+                refresh_interval_s=float("inf"), k_clusters=3,
+                min_cluster_size=min_cluster_size,
+            ),
+            rng=np.random.default_rng(0),
+        )
+        for i in range(8 * self.N_NAMES):
+            name = i % self.N_NAMES
+            runtime = 100.0 * 4**name * (1 + 0.1 * (i % 5))
+            est.observe(job(i, f"app{name}.sh", runtime=runtime, submit=60.0 * i, nodes=1 + i % 3), 60.0 * i)
+        return est
+
+    def query(self, est, job_id, name, nodes=2):
+        return est.estimate(job(job_id, name, est=None, submit=3_000.0, nodes=nodes), 3_000.0)
+
+    def test_many_queries_of_one_cluster_fit_it_once(self, fits):
+        est = self.history()
+        self.query(est, 100, "app0.sh")
+        assert est.trainings == 1 and len(fits) == 1
+        model = est._models[est._name_route["app0.sh"]]
+        assert model.svr is not None and model.rows is None
+        # other hours and sizes of the name: new answers, the same model
+        for k, nodes in enumerate((1, 3, 5, 7, 9)):
+            self.query(est, 101 + k, "app0.sh", nodes=nodes)
+        assert len(est._answers) == 6 and len(fits) == 1
+        assert est._models[est._name_route["app0.sh"]] is model
+
+    def test_unqueried_clusters_are_never_fitted(self, fits):
+        est = self.history()
+        self.query(est, 100, "app0.sh")
+        asked = est._name_route["app0.sh"]
+        waiting = [c for c, m in enumerate(est._models) if m.rows is not None]
+        assert waiting and asked not in waiting
+        assert all(est._models[c].svr is None for c in waiting)
+        assert len(fits) == 1
+        # asking every name fits each trainable cluster once, no more
+        for k in range(self.N_NAMES):
+            self.query(est, 200 + k, f"app{k}.sh")
+        routed = {est._name_route[f"app{k}.sh"] for k in range(self.N_NAMES)}
+        trainable = {c for c in routed if est._models[c].svr is not None}
+        assert len(fits) == len(trainable) == len(waiting) + 1
+        assert all(est._models[c].rows is None for c in routed)
+
+    def test_small_clusters_never_fit_and_keep_their_spread(self, fits):
+        est = self.history(min_cluster_size=100)
+        for k in range(self.N_NAMES):
+            self.query(est, 100 + k, f"app{k}.sh")
+        assert fits == []
+        y = np.log1p([j.runtime_s for j in est._history])
+        labels = est._kmeans.labels_
+        for c, model in enumerate(est._models):
+            members = y[labels == c]
+            assert model.svr is None and model.rows is None
+            assert model.resid_std == (float(np.std(members)) if len(members) > 1 else 0.0)
+
+    def test_retrain_starts_a_fresh_generation(self, fits):
+        est = self.history()
+        self.query(est, 100, "app0.sh")
+        first = est._models
+        est._retrain(4_000.0)
+        assert est.trainings == 2 and len(fits) == 1
+        assert est._models is not first
+        assert all(m.svr is None for m in est._models)
+        self.query(est, 101, "app0.sh")
+        assert len(fits) == 2
+        assert est._models[est._name_route["app0.sh"]].svr is not None

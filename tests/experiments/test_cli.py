@@ -166,6 +166,25 @@ class TestSimulatePinned:
             assert (result["events"], result["sim_time_s"]) == (157, 990.0)
 
 
+class TestEstimatePinned:
+    """``repro estimate run`` stdout, pinned byte for byte: the estimate
+    itself, not only the parameter digest."""
+
+    JSON_SHA256 = "d496b1623717d32e24412e2362eace888df394061ad0fc1dd51ec480ee79ab00"
+    TEXT_SHA256 = "f8a2195f18e89eedc5263074ae14f1b3eca9e1d99bdc29d773b4f1fda50aceb9"
+
+    @pytest.mark.parametrize("json_flag", [True, False], ids=["json", "text"])
+    def test_stdout_pinned(self, json_flag, capsys):
+        argv = ["estimate", "run"] + (["--json"] if json_flag else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        expected = self.JSON_SHA256 if json_flag else self.TEXT_SHA256
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+        if json_flag:
+            result = json.loads(out)["result"]
+            assert (result["source"], result["trainings"]) == ("model", 6)
+
+
 class TestRunResults:
     def test_simulate_json_carries_counters(self, capsys):
         payload = run_json(capsys, "simulate", *SMALL_DAY)
