@@ -22,9 +22,18 @@ not pull in the whole library.
 
 from __future__ import annotations
 
+import os
 import typing as t
 
 from repro._version import __version__
+
+# One BLAS thread unless the user chose otherwise, set before anything
+# imports numpy: the SVR fit alternates numpy's and scipy's OpenBLAS,
+# whose two thread pools contend (the serial quick suite ran ~3x slower
+# threaded on a 2-CPU host).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 __all__ = [
     "__version__",

@@ -38,6 +38,7 @@ from repro.sched.queue import JobQueue
 from repro.simkit.core import Simulator
 from repro.simkit.monitor import Tally
 from repro.telemetry import facade as telemetry
+from repro.workload.draws import uniform
 
 
 # RESIZE_CAUSE (re-exported above from repro.rm.lifecycle): interrupt
@@ -332,7 +333,7 @@ class ResourceManager:
         if self.master_down or self._submit_rng.random() < self.submit_fail_prob:
             self.submit_failures += 1
             if self._submit_rng.random() < 0.75:  # most users retry later
-                backoff = float(self._submit_rng.uniform(600.0, 3600.0))
+                backoff = uniform(self._submit_rng, 600.0, 3600.0)
                 self.sim.call_at(self.sim.now + backoff, lambda: self.submit(job))
             else:
                 job.cancel(self.sim.now)  # user gives up

@@ -100,6 +100,9 @@ class NodePool:
         self.elastic_slack = 0
         #: memo for :meth:`believed_ends`, dropped whenever ``running`` changes
         self._ends_cache: list[tuple[float, int]] | None = None
+        #: bumped by every write a backfill pass reads (node states, owners,
+        #: believed ends), so an unchanged value means an unchanged pool
+        self.version = 0
         #: optional :class:`~repro.sched.placement.PlacementPolicy`;
         #: ``None`` keeps the native first-fit-by-id scan
         self.placement = placement
@@ -194,6 +197,7 @@ class NodePool:
         self._state[cols] = _BUSY
         self._owner[cols] = job_id
         self._n_free -= k
+        self.version += 1
         return chosen
 
     def _pop_smallest_free(self, k: int) -> np.ndarray:
@@ -235,6 +239,7 @@ class NodePool:
         up = cols[state[cols] != _DOWN]
         state[up] = _FREE
         self._n_free += len(up)
+        self.version += 1
 
     # -- malleability -----------------------------------------------------
     def grow_allocation(self, job_id: int, k: int) -> tuple[int, ...]:
@@ -284,6 +289,7 @@ class NodePool:
             raise SchedulingError(f"job {job_id}: not running") from None
         rec.believed_end = believed_end
         self._ends_cache = None
+        self.version += 1
 
     def release(self, job_id: int) -> tuple[int, ...]:
         """Free the nodes of a finished job; returns them."""
@@ -306,6 +312,7 @@ class NodePool:
         c = self._col_of(node_id)
         if c is None:
             raise SchedulingError(f"node {node_id} not in pool")
+        self.version += 1
         state = self._state
         prev = state[c]
         if prev != _DOWN:
@@ -321,6 +328,7 @@ class NodePool:
         c = self._col_of(node_id)
         if c is None:
             raise SchedulingError(f"node {node_id} not in pool")
+        self.version += 1
         if self._state[c] == _DOWN:
             self._n_down -= 1
             if self._owner[c] == _NO_OWNER:

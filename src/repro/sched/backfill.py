@@ -16,6 +16,13 @@ Because decisions in step 3 trust ``job.limit_s``, the whole benefit of
 accurate runtime estimation flows through here: overestimated limits
 make holes look too small (lost utilization), underestimates kill jobs
 at the wall limit.
+
+Every submit, tick and release runs a pass, and on an overloaded day
+almost all of them start nothing.  A pass that started nothing is
+remembered, and a repeat returns ``[]`` in O(1) while nothing it reads
+has changed (``NodePool.version``, ``JobQueue.removals``, the backfill
+window) and ``now`` has not gone back; :meth:`BackfillScheduler.plan`
+gives the argument that the skip decides exactly what the walk would.
 """
 
 from __future__ import annotations
@@ -62,9 +69,47 @@ class BackfillScheduler:
     def __init__(self, max_backfill_depth: int = 100, malleable: bool = False) -> None:
         self.max_backfill_depth = max_backfill_depth
         self.malleable = malleable
+        #: ``(queue, pool, now, pool.version, queue.removals, len(queue),
+        #: attempts)`` of the last pass that reached phase 2 with nothing
+        #: started; see :meth:`plan` (it assumes the two settings above
+        #: stay as constructed)
+        self._idle: tuple[t.Any, ...] | None = None
 
     def plan(self, queue: JobQueue, pool: NodePool, now: float) -> list[tuple[Job, tuple[int, ...]]]:
-        """One scheduling pass; returns ``(job, node_ids)`` start decisions."""
+        """One scheduling pass; returns ``(job, node_ids)`` start decisions.
+
+        **Idle passes.**  A pass that starts nothing is repeated by every
+        submit, tick and release until something changes, so it returns
+        ``[]`` at once when the previous pass on the same ``queue`` and
+        ``pool``, at a ``now`` no later than this one, started nothing
+        and nothing it reads has changed since: ``pool.version`` (bumped
+        by every node-state, owner and believed-end write) is the same,
+        and the window — the first ``max_backfill_depth + 1`` jobs — holds
+        the same jobs (no ``queue.removals``, and the length is unchanged
+        or the window was already full; ``submit`` only appends).  The
+        skip is exact.  With the pool and the window unchanged phase 1
+        fails on the same head; every candidate with ``n_nodes > free``
+        still has it; ``uses_spare_nodes`` compares against the same
+        ``extra_nodes``; and ``now + planned_s <= shadow`` can only turn
+        false as ``now`` grows, since the shadow is a believed end of the
+        unchanged pool, ``inf``, or ``now`` itself.  A skipped pass still
+        counts its window's ``sched.backfill.attempts``.  The record is
+        taken before phase 2, so a start there voids it through
+        ``pool.version``.
+        """
+        idle = self._idle
+        if idle is not None:
+            idle_queue, idle_pool, since, version, removals, length, attempts = idle
+            if (
+                idle_queue is queue
+                and idle_pool is pool
+                and since <= now
+                and version == pool.version
+                and removals == queue.removals
+                and (length == len(queue) or length > self.max_backfill_depth)
+            ):
+                telemetry.count("sched.backfill.attempts", attempts)
+                return []
         decisions: list[tuple[Job, tuple[int, ...]]] = []
         # Phase 1: plain FCFS while the head fits.  In malleable mode a
         # blocked elastic head may start *shrunk* (contracted under
@@ -102,6 +147,10 @@ class BackfillScheduler:
             # one bulk increment per pass, not one call per candidate —
             # this counter alone dominated pass cost at 16K nodes
             tel.count("sched.backfill.attempts", len(candidates))
+        if not decisions:
+            self._idle = (
+                queue, pool, now, pool.version, queue.removals, len(queue), len(candidates),
+            )
         if pool.n_free == 0 or not candidates:
             # No candidate can fit (``fits`` needs at least one free
             # node), so the reservation walk would decide nothing; the

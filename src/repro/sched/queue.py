@@ -19,6 +19,9 @@ class JobQueue:
         self._jobs: list[Job] = []
         self._ids: set[int] = set()
         self._demand = 0
+        #: how many jobs have left the queue; with ``len`` it tells a
+        #: backfill pass whether its window changed (``submit`` only appends)
+        self.removals = 0
 
     def __len__(self) -> int:
         return len(self._jobs)
@@ -63,6 +66,7 @@ class JobQueue:
                 break
         self._ids.discard(job_id)
         self._demand -= queued.n_nodes
+        self.removals += 1
 
     @property
     def demand_nodes(self) -> int:

@@ -27,13 +27,17 @@ from repro.estimate import SVR, TobitRegressor
 from tests.estimate.test_svr_driver import cluster_problem, minimize_result
 
 
-def run_fresh(code: str, stdin: str = "") -> dict:
-    """Run ``code`` in a fresh interpreter; return the JSON it prints."""
+def run_fresh(code: str, stdin: str = "", env: dict[str, str] | None = None) -> dict:
+    """Run ``code`` in a fresh interpreter; return the JSON it prints.
+
+    ``env`` replaces this process's environment (``PYTHONPATH`` aside).
+    """
+    env = os.environ if env is None else env
     src = str(Path(repro.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**env, "PYTHONPATH": path},
         input=stdin, capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout)
@@ -52,6 +56,28 @@ def test_library_and_slurm_day_load_no_scipy():
     """)
     assert result["completed"] > 0
     assert result["scipy"] == []
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_import_pins_one_blas_thread_before_numpy():
+    """``import repro`` sets one BLAS thread before numpy loads, so the
+    setting reaches numpy; a value the user set wins."""
+    code = f"""
+        import json, os, sys
+        import repro
+        print(json.dumps({{
+            "env": {{v: os.environ.get(v) for v in {BLAS_VARS!r}}},
+            "numpy": "numpy" in sys.modules,
+        }}))
+    """
+    # this interpreter imported repro already: start from an unpinned copy
+    unpinned = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    one = dict.fromkeys(BLAS_VARS, "1")
+    assert run_fresh(code, env=unpinned) == {"env": one, "numpy": False}
+    user = run_fresh(code, env={**unpinned, "OPENBLAS_NUM_THREADS": "4"})
+    assert user["env"] == {**one, "OPENBLAS_NUM_THREADS": "4"}
 
 
 def test_training_eslurm_day_loads_lbfgsb_kernel_only():

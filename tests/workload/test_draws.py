@@ -69,8 +69,8 @@ def test_uniform_matches_generator_uniform(low, width, seed):
 
 
 def test_uniform_pinned_ranges():
-    # the trace generator's own ranges
-    for low, high in ((1.0, 30.0), (0.0, 24.0), (18.0, 24.0), (0.55, 1.0)):
+    # the trace generator's own ranges, then the submit retry backoff
+    for low, high in ((1.0, 30.0), (0.0, 24.0), (18.0, 24.0), (0.55, 1.0), (600.0, 3600.0)):
         assert_twins(
             0,
             lambda rng: float(rng.uniform(low, high)),
