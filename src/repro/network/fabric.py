@@ -14,6 +14,7 @@ turns failed nodes into latency, which the FP-Tree then bounds.
 
 from __future__ import annotations
 
+import functools
 import typing as t
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from repro.telemetry import facade as telemetry
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.spec import Cluster
+    from repro.cluster.topology import Topology
     from repro.simkit.core import Simulator
 
 
@@ -83,6 +85,50 @@ class FabricConfig:
         return self.connect_timeout_s * (1 + self.retries)
 
 
+@functools.lru_cache(maxsize=4)
+def hop_layout(topology: Topology, n_nodes: int, n_ids: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(table, lows, far)`` for a machine of ``n_nodes`` compute nodes
+    in ``topology`` and ``n_ids`` ids: one integer *hop code* per id
+    (read-only), the lowest bit of each code field, and a code one
+    rack away from every node's.  Cached: a machine's fabrics (one per
+    simulated world) share one table.
+
+    A code packs a node's node-in-board, board-in-chassis,
+    chassis-in-rack and rack indices into bit fields, lowest first,
+    each ``(dim - 1).bit_length()`` bits wide.  The layout nests (a
+    board lies in one chassis, a chassis in one rack), so the highest
+    set bit of ``code[a] ^ code[b]`` lies in the coarsest field whose
+    index differs, and the pair's
+    :class:`~repro.cluster.topology.HopLevel` is the number of field
+    low bits at or below that XOR (0 when it is 0).  Ids past the
+    compute nodes (the master and satellites) get node 0's code, 0, as
+    :meth:`NetworkFabric.transfer_delay` maps them.
+    """
+    dims = (
+        topology.nodes_per_board,
+        topology.boards_per_chassis,
+        topology.chassis_per_rack,
+        topology.racks_for(n_nodes),
+    )
+    widths = [(dim - 1).bit_length() for dim in dims]
+    dtype = np.int32 if sum(widths) < 31 else np.int64  # room for the far code
+    table = np.zeros(n_ids, dtype=dtype)
+    rest = np.arange(n_nodes, dtype=dtype)
+    lows = []
+    shift = 0
+    for dim, width in zip(dims, widths):
+        lows.append(1 << shift)
+        table[:n_nodes] |= (rest % dim) << shift
+        rest //= dim
+        shift += width
+    table.flags.writeable = False
+    return table, np.array(lows, dtype=dtype), 1 << shift
+
+
+#: payload sizes whose per-HopLevel delays a fabric keeps
+_PER_HOP_CACHE_SIZE = 256
+
+
 class NetworkFabric:
     """Evaluates transfer delays against the live cluster state."""
 
@@ -94,6 +140,8 @@ class NetworkFabric:
         #: (cluster.version, frozenset of unresponsive ids) — see
         #: :meth:`unreachable_ids`
         self._unreachable_cache: tuple[int, frozenset[int]] | None = None
+        #: payload size -> delay per HopLevel, see :meth:`_per_hop`
+        self._per_hop_cache: dict[int, np.ndarray] = {}
 
     # -- scalar API --------------------------------------------------------
     def transfer_delay(self, src: int, dst: int, size_bytes: int) -> float:
@@ -142,15 +190,45 @@ class NetworkFabric:
         return self.config.dead_node_penalty_s, False
 
     # -- vectorized API (hot path for broadcast evaluation) --------------
+    @functools.cached_property
+    def _hop_layout(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """This fabric's :func:`hop_layout`."""
+        cluster = self.cluster
+        return hop_layout(cluster.topology, cluster.n_nodes, cluster.state.size)
+
+    @functools.cached_property
+    def position_scratch(self) -> np.ndarray:
+        """A writable ``int32`` column over every id, for callers that
+        index list positions by id (the tree sweep's repeat check);
+        it holds whatever the last caller wrote."""
+        return np.empty(self.cluster.state.size, dtype=np.int32)
+
+    def hop_codes(self, ids: np.ndarray) -> np.ndarray:
+        """Hop codes of the ``int64`` ids ``ids``.
+
+        An id past the table reads as node 0, like the master and
+        satellites (:meth:`transfer_delay` clamps them all alike); a
+        negative id, which the scalar path's floor division places
+        before rack 0, reads as one rack away from every node.
+        """
+        table, _, far = self._hop_layout
+        # viewed unsigned, a negative id is past the table too
+        if not ids.size or ids.view(np.uint64).max() < table.size:
+            return table.take(ids)
+        codes = table.take(ids, mode="clip")  # the last id is a satellite or the master
+        codes[ids < 0] = far
+        return codes
+
     def transfer_delays(self, src: int, dsts: np.ndarray, size_bytes: int) -> np.ndarray:
         """Vectorised :meth:`transfer_delay` for many destinations.
 
-        Hop levels are computed from topology coordinates without Python
-        loops; used by the star/tree engines at full machine scale.
+        Hop levels come from the per-id hop codes (:func:`hop_layout`)
+        without Python loops; used by the star/tree engines at full
+        machine scale.
         """
-        n = self.cluster.n_nodes
-        src_c = min(src, n - 1) if src < n else 0
-        return self._link_delays(src_c, self._clamped(np.asarray(dsts, dtype=np.int64)), size_bytes)
+        src_code = self.hop_codes(np.array([src], dtype=np.int64))[0]
+        dst_codes = self.hop_codes(np.asarray(dsts, dtype=np.int64))
+        return self.link_delays(src_code, dst_codes, size_bytes)
 
     def transfer_delays_pairwise(
         self, srcs: np.ndarray, dsts: np.ndarray, size_bytes: int
@@ -165,41 +243,42 @@ class NetworkFabric:
         With jitter enabled the draw order differs from per-pair scalar
         calls; callers needing scalar-identical jitter must stay scalar.
         """
-        srcs = self._clamped(np.asarray(srcs, dtype=np.int64))
-        return self._link_delays(srcs, self._clamped(np.asarray(dsts, dtype=np.int64)), size_bytes)
+        return self.link_delays(
+            self.hop_codes(np.asarray(srcs, dtype=np.int64)),
+            self.hop_codes(np.asarray(dsts, dtype=np.int64)),
+            size_bytes,
+        )
 
-    def _clamped(self, ids: np.ndarray) -> np.ndarray:
-        """``ids`` with every id past the compute nodes read as node 0,
-        as :meth:`transfer_delay` maps the master and satellites."""
-        n = self.cluster.n_nodes
-        return ids if not ids.size or ids.max() < n else np.where(ids < n, ids, 0)
-
-    def _link_delays(
-        self, src_c: int | np.ndarray, dst_c: np.ndarray, size_bytes: int
+    def link_delays(
+        self, src_codes: np.ndarray, dst_codes: np.ndarray, size_bytes: int
     ) -> np.ndarray:
-        """Delays of the links ``src_c -> dst_c`` (clamped compute ids)."""
-        cfg = self.config
-        topo = self.cluster.topology
+        """Delays of the links between hop codes (:meth:`hop_codes`):
+        one XOR, one search over the code fields' low bits and one
+        gather from the per-level delays."""
         tel = telemetry.active()
         if tel is not None:
-            tel.count("net.messages", len(dst_c))
-            tel.count("net.bytes", size_bytes * len(dst_c))
-        # The layout nests (a board lies in one chassis, a chassis in one
-        # rack), so the HopLevel value (SAME_NODE = 0 up to CROSS_RACK =
-        # 4) is the number of levels whose index differs.
-        hop = (dst_c != src_c).astype(np.intp)
-        src_i, dst_i = src_c // topo.nodes_per_board, dst_c // topo.nodes_per_board
-        hop += src_i != dst_i
-        src_i, dst_i = src_i // topo.boards_per_chassis, dst_i // topo.boards_per_chassis
-        hop += src_i != dst_i
-        hop += src_i // topo.chassis_per_rack != dst_i // topo.chassis_per_rack
-        # one delay per hop level, summed left to right like the scalar path
-        wire_s = size_bytes / cfg.bytes_per_second
-        per_hop = np.array([cfg.send_overhead_s + lat + wire_s for lat in cfg.hop_latency_s])
-        delays = per_hop.take(hop)
-        if cfg.jitter_frac:
-            delays = delays * (1.0 + cfg.jitter_frac * (2.0 * self._rng.random(delays.shape) - 1.0))
+            tel.count("net.messages", len(dst_codes))
+            tel.count("net.bytes", size_bytes * len(dst_codes))
+        hop = self._hop_layout[1].searchsorted(src_codes ^ dst_codes, side="right")
+        delays = self._per_hop(size_bytes).take(hop)
+        jitter = self.config.jitter_frac
+        if jitter:
+            delays = delays * (1.0 + jitter * (2.0 * self._rng.random(delays.shape) - 1.0))
         return delays
+
+    def _per_hop(self, size_bytes: int) -> np.ndarray:
+        """One delay per HopLevel for a ``size_bytes`` payload, summed
+        left to right like the scalar path; cached per size (the
+        simulated days send two)."""
+        per_hop = self._per_hop_cache.get(size_bytes)
+        if per_hop is None:
+            if len(self._per_hop_cache) >= _PER_HOP_CACHE_SIZE:
+                self._per_hop_cache.clear()
+            cfg = self.config
+            wire_s = size_bytes / cfg.bytes_per_second
+            per_hop = np.array([cfg.send_overhead_s + lat + wire_s for lat in cfg.hop_latency_s])
+            self._per_hop_cache[size_bytes] = per_hop
+        return per_hop
 
     def reachability(self, node_ids: t.Sequence[int]) -> np.ndarray:
         """Boolean liveness mask over ``node_ids``: one read of the

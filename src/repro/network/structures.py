@@ -244,26 +244,36 @@ class _TreeWalk:
 #: broadcasts over a few dozen distinct tree sizes
 _SHAPE_CACHE_SIZE = 64
 
-#: per depth, the ``(lo, rank)`` arrays of :func:`_tree_shape`
-_Shape = tuple[tuple[np.ndarray, np.ndarray], ...]
+
+class _Shape(t.NamedTuple):
+    """Level-order index shape of a tree (or a forest): every non-root
+    entry's position ``lo``, its 1-based ``rank`` among its siblings
+    and its ``parent``'s position, depth 1 first; depth ``d`` spans
+    ``[bounds[d - 1], bounds[d])``."""
+
+    lo: np.ndarray
+    rank: np.ndarray
+    parent: np.ndarray
+    bounds: tuple[int, ...]
+
+    def level(self, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, rank, parent)`` of depth ``depth`` (views)."""
+        a, b = self.bounds[depth - 1], self.bounds[depth]
+        return self.lo[a:b], self.rank[a:b], self.parent[a:b]
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _tree_shape(n: int, width: int) -> _Shape:
     """Level-order index shape of the k-ary tree over ``n`` list entries.
 
-    One ``(lo, rank)`` pair per depth 1, 2, ...: for every child at that
-    depth, its nodelist position and its 1-based rank among its
-    siblings (the ``j + 1`` of its dispatch time).  Entries run
-    parent-major with parents in position order (so ``lo`` ascends),
-    which is the order the sweep observes arrivals in; a child's parent
-    sits just before its first sibling, at ``lo[e + 1 - rank[e]] - 1``,
-    and :func:`_range_end` recovers where its range ends.
-    The shape depends only on ``(n, width)``, so the sweep reads it from
-    this cache instead of redoing the range arithmetic per call.  It
-    costs five bytes per entry (``int32`` positions, ranks in the
-    smallest unsigned type holding ``width``), and the arrays are
-    read-only.
+    Within a depth, entries run parent-major with parents in position
+    order (so ``lo`` ascends), which is the order the sweep observes
+    arrivals in; :func:`_range_end` recovers where a child's range
+    ends.  The shape depends only on ``(n, width)``, so the sweep reads
+    it from this cache instead of redoing the range arithmetic per
+    call.  It costs nine bytes per entry (``int32`` positions and
+    parents, ranks in the smallest unsigned type holding ``width``),
+    and the arrays are read-only.
     """
     rank_t = np.min_scalar_type(width)
     levels = []
@@ -274,7 +284,7 @@ def _tree_shape(n: int, width: int) -> _Shape:
         has = m > 0
         plo, phi, m = plo[has], phi[has], m[has]
         if not plo.size:
-            return tuple(levels)
+            break
         # Child ranges of every parent at this level, flattened; the
         # index arithmetic mirrors fptree._chunk_bounds.
         k = np.minimum(width, m)
@@ -283,12 +293,15 @@ def _tree_shape(n: int, width: int) -> _Shape:
         pidx = np.repeat(np.arange(k.size), k)
         j = np.arange(int(k.sum()), dtype=np.int64) - (np.cumsum(k) - k)[pidx]
         c_lo = plo[pidx] + 1 + j * base[pidx] + np.minimum(j, extra[pidx])
-        level = (c_lo.astype(np.int32), (j + 1).astype(rank_t))
-        for a in level:
-            a.flags.writeable = False
-        levels.append(level)
+        levels.append((c_lo.astype(np.int32), (j + 1).astype(rank_t), plo[pidx].astype(np.int32)))
         plo, phi = c_lo, c_lo + base[pidx] + (j < extra[pidx])
-
+    bounds = tuple(itertools.accumulate((lv[0].size for lv in levels), initial=0))
+    columns = []
+    for i, dtype in enumerate((np.int32, rank_t, np.int32)):
+        column = np.concatenate([lv[i] for lv in levels]) if levels else np.zeros(0, dtype)
+        column.flags.writeable = False
+        columns.append(column)
+    return _Shape(*columns, bounds)
 
 
 def _range_end(shape: _Shape, depth: int, pos: int, n: int) -> int:
@@ -296,31 +309,72 @@ def _range_end(shape: _Shape, depth: int, pos: int, n: int) -> int:
     ``pos`` in ``shape`` (over ``n`` entries): its next sibling's
     position, else its parent's end."""
     while depth:
-        lo, rank = shape[depth - 1]
+        lo, rank, parent = shape.level(depth)
         e = int(np.searchsorted(lo, pos))
         if e + 1 < lo.size and rank[e + 1] != 1:
             return int(lo[e + 1])
-        pos = int(lo[e + 1 - int(rank[e])]) - 1
+        pos = int(parent[e])
         depth -= 1
     return n
 
 
-def _forest_levels(
-    shapes: list[_Shape], offsets: np.ndarray
-) -> t.Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each depth's ``(lo, rank)`` over the whole forest: the trees'
-    cached levels concatenated tree-major, ``lo`` shifted to positions
-    in the concatenated nodelist."""
+def _forest_shape(shapes: list[_Shape], offsets: np.ndarray) -> _Shape:
+    """The trees' cached shapes merged depth by depth (tree-major
+    within a depth), positions shifted into the concatenated nodelist."""
     if len(shapes) == 1:
-        yield from shapes[0]
-        return
-    for depth in range(max(map(len, shapes))):
-        parts = [(off, shape[depth]) for off, shape in zip(offsets, shapes) if len(shape) > depth]
-        shift = np.repeat([off for off, _ in parts], [lv[0].size for _, lv in parts])
-        yield (
-            np.concatenate([lv[0] for _, lv in parts]) + shift,
-            np.concatenate([lv[1] for _, lv in parts]),
-        )
+        return shapes[0]
+    parts = [
+        (off, depth, shape.level(depth))
+        for depth in range(1, max(len(shape.bounds) for shape in shapes))
+        for off, shape in zip(offsets.tolist(), shapes)
+        if depth < len(shape.bounds)
+    ]
+    bounds = [0] * (parts[-1][1] + 1)
+    for _, depth, level in parts:
+        bounds[depth] += level[0].size
+    shift = np.repeat(
+        np.array([off for off, _, _ in parts], dtype=np.int32), [lv[0].size for _, _, lv in parts]
+    )
+    lo, rank, parent = (np.concatenate([lv[i] for _, _, lv in parts]) for i in range(3))
+    return _Shape(lo + shift, rank, parent + shift, tuple(itertools.accumulate(bounds)))
+
+
+def _check_targets(fabric: "NetworkFabric", arr: np.ndarray, offsets: np.ndarray) -> None:
+    """The scalar path's checks on the targets in ``arr`` (the forest's
+    concatenated nodelists, roots at ``offsets``): an unknown target
+    raises :class:`ClusterError` (the walk's ``is_reachable``; roots
+    are never asked) and a repeat within one tree
+    :class:`ConfigurationError` (``BroadcastStructure._validate``).
+
+    The repeat check is O(targets): every entry writes its position at
+    its id in the fabric's ``position_scratch`` and reads the slot back.
+    Of the entries sharing an id, one read matches (whichever write
+    landed) and every other misses, so the misses plus the positions
+    they read hold every entry of every shared id; only then are their
+    ``(tree, id)`` pairs compared.  The same id in two trees, or a root
+    among targets, is no repeat.
+    """
+    n_ids = fabric.cluster.state.size
+    # viewed unsigned, a negative id is past the ids too
+    if arr.view(np.uint64).max() >= n_ids:
+        targets = np.delete(arr, offsets)
+        bad = targets[(targets < 0) | (targets >= n_ids)]
+        if bad.size:
+            raise ClusterError(f"unknown node id {bad[0]}")
+    scratch = fabric.position_scratch
+    where = np.arange(arr.size, dtype=np.int32)
+    # clip: only a root can be unknown here, and roots are sorted out below
+    scratch.put(arr, where, mode="clip")
+    read = scratch.take(arr, mode="clip")
+    miss = read != where
+    if miss.any():
+        missed = np.flatnonzero(miss)
+        shared = np.union1d(missed, read[missed])
+        shared = shared[~np.isin(shared, offsets)]
+        tree = np.searchsorted(offsets, shared, side="right")
+        pairs = list(zip(tree.tolist(), arr[shared].tolist()))
+        if len(set(pairs)) != len(pairs):
+            raise ConfigurationError("broadcast target list contains duplicates")
 
 
 def _run_forest(walks: list[_TreeWalk], per_target_root_s: float) -> None:
@@ -330,16 +384,18 @@ def _run_forest(walks: list[_TreeWalk], per_target_root_s: float) -> None:
     shapes (:func:`_tree_shape`) of all trees at once; a single tree is
     simply a forest of one.  Times live in one array over the trees'
     concatenated nodelists, so per-tree makespans fall out of one
-    ``np.maximum.reduceat``.  Liveness is one read of the cluster's
-    ``state`` column per forest, carried down the fixed shape as a
-    path-alive mask.  A dead child of a live parent becomes a per-tree
-    *patch*: its subtree is left out of the sweep and replayed
-    afterwards through the scalar takeover path, in ascending position
-    order — which on these trees (contiguous nested ranges, ordered
-    siblings) is exactly the recursion's DFS preorder, so ``failed``
-    ordering matches too.  Before any delay is computed, an unknown
-    target raises :class:`ClusterError` and a repeated one
-    :class:`ConfigurationError`, as on the scalar path.
+    ``np.maximum.reduceat``.  Before any delay, :func:`_check_targets`
+    rejects what the scalar path rejects.  While no target is down,
+    every link's delay comes from one :meth:`NetworkFabric.link_delays`
+    call and a level is a gather, two adds and a scatter.  Otherwise
+    liveness is one read of the cluster's ``state`` column, carried
+    down the fixed shape as a path-alive mask, and only live links get
+    delays.  A dead child of a live parent becomes a per-tree *patch*:
+    its subtree is left out of the sweep and replayed afterwards
+    through the scalar takeover path, in ascending position order —
+    which on these trees (contiguous nested ranges, ordered siblings)
+    is exactly the recursion's DFS preorder, so ``failed`` ordering
+    matches too.
     """
     fabric = walks[0].fabric
     overhead = walks[0].overhead
@@ -351,57 +407,47 @@ def _run_forest(walks: list[_TreeWalk], per_target_root_s: float) -> None:
     arr = np.fromiter(
         itertools.chain.from_iterable(w.nodelist for w in walks), dtype=np.int64, count=sum(sizes)
     )
-    state = fabric.cluster.state
-    if arr.min() < 0 or arr.max() >= state.size:
-        # the scalar walk's is_reachable rejects unknown targets; roots
-        # are never asked
-        targets = np.delete(arr, offsets)
-        bad = targets[(targets < 0) | (targets >= state.size)]
-        if bad.size:
-            raise ClusterError(f"unknown node id {bad[0]}")
-    # BroadcastStructure._validate's duplicate check, without a set of
-    # Python ints per tree: a tree's targets must mark n - 1 ids
-    seen = np.zeros(state.size, dtype=bool)
-    for off, n in zip(offsets.tolist(), sizes):
-        ids = arr[off + 1 : off + n]
-        seen[ids] = True
-        if np.count_nonzero(seen) != n - 1:
-            raise ConfigurationError("broadcast target list contains duplicates")
-        seen[ids] = False
+    _check_targets(fabric, arr, offsets)
+    codes = fabric.hop_codes(arr)
     ready = np.full(arr.size, -np.inf)
     ready[offsets] = [per_target_root_s * (n - 1) for n in sizes]
     # Liveness: one read of the state column, skipped while nothing is
     # down; when every target answers the sweep never looks again.
-    reached = None
+    up = None
     if fabric.unreachable_ids():
         # clip: only a root can be unknown here, and its read is dropped
-        up = state.take(arr, mode="clip") == UP_CODE
+        up = fabric.cluster.state.take(arr, mode="clip") == UP_CODE
         up[offsets] = True  # a root's own liveness is never asked
-        if not up.all():
-            # per position: every node on the path from the root answers
-            reached = np.ones(arr.size, dtype=bool)
+        if up.all():
+            up = None
     shapes = [_tree_shape(n, width) for n in sizes]
+    forest = _forest_shape(shapes, offsets)
+    wait = forest.rank * overhead  # a child's dispatch offset after its parent is ready
+    if up is None:
+        delays = fabric.link_delays(codes.take(forest.parent), codes.take(forest.lo), size_bytes)
+    else:
+        reached = np.ones(arr.size, dtype=bool)  # every node on the path from the root answers
     patches: list[tuple[int, int, float, int]] = []
-    for level, (lo, rank) in enumerate(_forest_levels(shapes, offsets), 1):
-        parent = lo[np.arange(1, lo.size + 1) - rank] - 1
-        child = arr[lo]
-        parent_ids = arr[parent]
-        initiated = ready[parent] + rank * overhead
-        if reached is not None:
-            answers = up[lo]
-            on_path = reached[parent]
+    for level in range(1, len(forest.bounds)):
+        a, b = forest.bounds[level - 1], forest.bounds[level]
+        lo, parent = forest.lo[a:b], forest.parent[a:b]
+        arrival = ready.take(parent)
+        arrival += wait[a:b]  # the dispatch time, until the delay is added
+        if up is None:
+            arrival += delays[a:b]
+        else:
+            answers = up.take(lo)
+            on_path = reached.take(parent)
             live = on_path & answers
-            reached[lo] = live
-            lost = np.flatnonzero(on_path & ~answers)
-            for i in lost.tolist():
-                patches.append((int(lo[i]), int(parent_ids[i]), float(initiated[i]), level))
+            reached.put(lo, live)
+            for i in np.flatnonzero(on_path & ~answers).tolist():
+                patches.append((int(lo[i]), int(arr[parent[i]]), float(arrival[i]), level))
             if not live.all():
                 if not live.any():
                     break
-                lo, child = lo[live], child[live]
-                parent_ids, initiated = parent_ids[live], initiated[live]
-        arrival = initiated + fabric.transfer_delays_pairwise(parent_ids, child, size_bytes)
-        ready[lo] = arrival
+                lo, parent, arrival = lo[live], parent[live], arrival[live]
+            arrival += fabric.link_delays(codes.take(parent), codes.take(lo), size_bytes)
+        ready.put(lo, arrival)
         if tel is not None:
             tel.observe_many(f"net.tree.level{level}.arrival_s", arrival)
     ready[offsets] = -np.inf  # a root's ready time is not a delivery

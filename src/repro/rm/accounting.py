@@ -47,8 +47,6 @@ class DaemonAccounting:
         self.sockets = ConnectionTracker(sim, owner)
         self.cpu_util = TimeSeries(f"{owner}.cpu_util")
         self.cpu_series = TimeSeries(f"{owner}.cpu_time")
-        self.vmem_series = TimeSeries(f"{owner}.vmem_mb")
-        self.rss_series = TimeSeries(f"{owner}.rss_mb")
         self.socket_series = self.sockets.series
         self._sampler_started = False
         self._last_sample = sim.now
@@ -114,8 +112,6 @@ class DaemonAccounting:
         util = min(self._busy_in_window / window, 1.0)
         self.cpu_util.record(now, util)
         self.cpu_series.record(now, self.cpu_time_s)
-        self.vmem_series.record(now, self.vmem_mb())
-        self.rss_series.record(now, self.rss_mb())
         self._busy_in_window = 0.0
         self._last_sample = now
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
+from repro.cluster.topology import Topology
 from repro.errors import ClusterError, ConfigurationError
 from repro.network import FabricConfig, NetworkFabric
 from repro.simkit import Simulator
@@ -74,7 +77,35 @@ class TestVectorizedDelays:
         dsts = np.array([1, 7, 63, 200, 900])
         vec = fabric.transfer_delays(0, dsts, 500)
         scalar = [fabric.transfer_delay(0, int(d), 500) for d in dsts]
-        np.testing.assert_allclose(vec, scalar, rtol=1e-12)
+        assert vec.tolist() == scalar
+
+    @given(
+        dims=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+        n_nodes=st.integers(1, 3000),
+        n_satellites=st.integers(0, 3),
+        size_bytes=st.integers(1, 10**7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hop_codes_match_scalar(self, dims, n_nodes, n_satellites, size_bytes, seed):
+        # Any layout, powers of two or not; pairs drawn from the whole
+        # id space, master and satellites included: far apart, close
+        # by (same board, chassis or rack) and the same id twice.
+        sim = Simulator(seed=0)
+        spec = ClusterSpec(n_nodes=n_nodes, n_satellites=n_satellites, topology=Topology(*dims))
+        cluster = spec.build(sim)
+        fabric = NetworkFabric(sim, cluster)
+        rng = np.random.default_rng(seed)
+        n_ids = cluster.state.size
+        srcs = rng.integers(0, n_ids, 64)
+        near = np.clip(srcs[30:60] + rng.integers(-40, 41, 30), 0, n_ids - 1)
+        dsts = np.concatenate([rng.integers(0, n_ids, 30), near, srcs[60:]])
+        scalar = [fabric.transfer_delay(int(a), int(b), size_bytes) for a, b in zip(srcs, dsts)]
+        assert fabric.transfer_delays_pairwise(srcs, dsts, size_bytes).tolist() == scalar
+        for src in (int(srcs[0]), cluster.master_id, n_ids - 1):
+            assert fabric.transfer_delays(src, dsts, size_bytes).tolist() == [
+                fabric.transfer_delay(src, int(b), size_bytes) for b in dsts
+            ]
 
     def test_reachability_mask(self):
         _, cluster, fabric = build(n=10)

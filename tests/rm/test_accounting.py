@@ -87,15 +87,15 @@ class TestSampler:
         sim, acct = make()
         acct.start_sampler(interval_s=1.0)
         sim.run(until=10.0)
-        assert len(acct.vmem_series) == 10
         assert len(acct.cpu_util) == 10
+        assert len(acct.cpu_series) == 10
 
     def test_sampler_idempotent(self):
         sim, acct = make()
         acct.start_sampler(1.0)
         acct.start_sampler(1.0)
         sim.run(until=5.0)
-        assert len(acct.vmem_series) == 5
+        assert len(acct.cpu_util) == 5
 
     def test_summary_keys(self):
         _, acct = make()
