@@ -80,9 +80,12 @@ bench-e2e-check:
 ## must report sched.plan.calls 8262 and sched.plan.decisions 667, and
 ## the 16K and 1K malleable runs 423 and 502 decisions.  Every run also
 ## checks network.tree.calls, the number of tree broadcasts evaluated
-## (16K 1282, 131K 170, 65K 1184, 1K malleable 1944).  An estimator,
-## FP-Tree placement, scheduler or broadcast speed change that moves
-## one of them changed a decision or the work done.
+## (16K 1282, 131K 170, 65K 1184, 1K malleable 1944), and
+## rm.lifecycle.calls, the job launches and job timers run (16K 1578,
+## 131K 156, 65K 2439, 1K malleable 1950); the 1K malleable run also
+## checks sched.resize.calls 12702, its elastic passes.  An estimator,
+## FP-Tree placement, scheduler, allocation or broadcast speed change
+## that moves one of them changed a decision or the work done.
 E2E_COUNTS = $(PYTHON) -c "import json, sys; out = sys.stdin.read(); print(out, end=''); \
 	r = json.loads(out.splitlines()[-1]); want = dict(a.split('=') for a in sys.argv[1:]); \
 	got = {k: r['metrics'][k]['value'] for k in want}; assert r['correct'], 'a repetition failed'; \
@@ -91,14 +94,15 @@ E2E_COUNTS = $(PYTHON) -c "import json, sys; out = sys.stdin.read(); print(out, 
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-16k-day --seed 0 --seconds 1 --trace 1 | $(E2E_COUNTS) \
 	estimate.calls=9202 estimate.trainings=7 fptree.construct.calls=3046 fptree.memo.lookups=233 \
-	sched.plan.decisions=423 network.tree.calls=1282
+	sched.plan.decisions=423 network.tree.calls=1282 rm.lifecycle.calls=1578
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-131k-2h --seed 0 --seconds 1 --trace 1 | $(E2E_COUNTS) \
-	fptree.construct.calls=1361 fptree.memo.lookups=42 network.tree.calls=170
+	fptree.construct.calls=1361 fptree.memo.lookups=42 network.tree.calls=170 rm.lifecycle.calls=156
 	$(PYTHON) benchmarks/e2e/run.py --workload slurm-65k-day --seed 0 --seconds 1 --trace 1 | $(E2E_COUNTS) \
-	sched.plan.calls=8262 sched.plan.decisions=667 network.tree.calls=1184
+	sched.plan.calls=8262 sched.plan.decisions=667 network.tree.calls=1184 rm.lifecycle.calls=2439
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-1k-malleable --seed 0 --seconds 1 --trace 1 | $(E2E_COUNTS) \
 	estimate.calls=9349 estimate.trainings=9 fptree.construct.calls=1164 fptree.memo.lookups=1 \
-	sched.plan.decisions=502 network.tree.calls=1944
+	sched.plan.decisions=502 network.tree.calls=1944 rm.lifecycle.calls=1950 \
+	sched.resize.calls=12702
 
 ## The perf gate: one traced short run of all four workloads, judged
 ## by BENCHMARK.json's end-to-end bounds against recording 0 of

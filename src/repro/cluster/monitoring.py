@@ -24,6 +24,8 @@ from __future__ import annotations
 import typing as t
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -99,6 +101,9 @@ class HealthMonitor:
         self.alerts: list[Alert] = []
         #: node id -> alert expiry time
         self._alerted: dict[int, float] = {}
+        #: per-id alert flag, ``True`` exactly for the keys of ``_alerted``;
+        #: one slot past the last id stays ``False`` (see predicted_failed)
+        self._alert_col = np.zeros(cluster.state.size + 1, dtype=bool)
         self._rng = sim.rng.stream("monitoring")
         self._started = False
 
@@ -109,6 +114,7 @@ class HealthMonitor:
             indicator = INDICATOR_CATEGORIES[int(self._rng.integers(len(INDICATOR_CATEGORIES)))]
         self.alerts.append(Alert(self.sim.now, node_id, indicator, spurious))
         self._alerted[node_id] = self.sim.now + self.config.alert_ttl_hours * HOUR
+        self._alert_col[node_id] = True
 
     def on_failure_scheduled(self, node_ids: t.Sequence[int], at: float) -> None:
         """Hook called by the failure injector before a fault lands.
@@ -158,17 +164,23 @@ class HealthMonitor:
         """Currently-alerted node ids (optionally restricted to ``among``).
 
         Expired alerts are pruned lazily on read.  A set or a ``range``
-        (such as the dense compute ids) restricts in O(alerted); any
-        other iterable is walked whole.
+        (such as the dense compute ids) restricts in O(alerted); an id
+        array (a job's allocation, an FP-Tree relay part) is one read of
+        the alert column, in which an id past the last one reads the
+        spare ``False`` slot; any other iterable is walked whole.
         """
         now = self.sim.now
         expired = [nid for nid, exp in self._alerted.items() if exp <= now]
-        for nid in expired:
-            del self._alerted[nid]
+        if expired:
+            for nid in expired:
+                del self._alerted[nid]
+            self._alert_col[expired] = False
         if among is None:
             return set(self._alerted)
         if isinstance(among, range):
             return {nid for nid in self._alerted if nid in among}
+        if isinstance(among, np.ndarray):
+            return set(among[self._alert_col.take(among, mode="clip")].tolist())
         return self._alerted.keys() & among
 
     # -- statistics ----------------------------------------------------------

@@ -9,8 +9,8 @@ Workflow (paper Fig. 3/4): on every communication task the constructor
 3. rearranges the nodelist so predicted-failed nodes occupy leaf
    positions and healthy nodes occupy inner positions, preserving the
    original relative order within each class (:func:`rearrange`).  The
-   placement has a closed form, so the Python work is proportional to
-   the predicted nodes, not to the list.
+   placement has a closed form, a handful of numpy calls over the
+   task's id array.
 
 The rearranged list is then fed to the ordinary k-ary tree engine —
 the FP-Tree is *only* a list permutation, never a different topology.
@@ -22,6 +22,9 @@ import typing as t
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.cluster.node import id_mask, node_array
 from repro.errors import ConfigurationError
 from repro.fptree.predictor import FailurePredictor
 from repro.fptree.tree import leaf_positions
@@ -47,48 +50,35 @@ def rearrange(
     ``L`` they take every leaf position plus the last ``p - L`` inner
     positions.  An id that occurs twice moves both copies.  With
     nothing predicted the output equals the input.
-
-    The output is built by copying the list, deleting the ``p``
-    predicted copies and inserting them at their positions: O(p)
-    Python steps, each a C-level scan or move of the list.
     """
-    return _place(nodelist, leaf_idx, predicted_failed)[0]
+    order = np.asarray(leaf_idx, dtype=np.intp)
+    return _place(node_array(nodelist), order, predicted_failed)[0].tolist()
 
 
 def _place(
-    nodelist: t.Sequence[int],
-    leaf_idx: t.Sequence[int],
+    nodelist: np.ndarray,
+    leaf_idx: np.ndarray,
     predicted_failed: t.Collection[int],
-) -> tuple[list[int], int]:
-    """:func:`rearrange`'s output and how many predicted copies it put
-    on leaf positions, ``min(p, L)``."""
-    out = list(nodelist)
-    hit = list(map(set(predicted_failed).__contains__, out))
-    at: list[int] = []
-    pos = -1
-    for _ in range(hit.count(True)):
-        pos = hit.index(True, pos + 1)
-        at.append(pos)
-    moved = [out[i] for i in at]
-    for i in reversed(at):
-        del out[i]
-    p, n_leaves = len(at), len(leaf_idx)
-    slots = list(leaf_idx[:p])
+) -> tuple[np.ndarray, int]:
+    """:func:`rearrange` on an id array, as a read-only array, and how
+    many predicted copies it put on leaf positions, ``min(p, L)``.
+
+    Closed form: mark the predicted copies, mark their ``p`` slots, then
+    scatter the predicted copies to the slots and the healthy nodes, in
+    order, to the other positions.
+    """
+    predicted = np.fromiter(predicted_failed, dtype=np.int64, count=len(predicted_failed))
+    hit = id_mask(nodelist, predicted)
+    moved = nodelist[hit]
+    p, n_leaves = moved.size, leaf_idx.size
+    slot = np.zeros(nodelist.size, dtype=bool)
+    slot[leaf_idx[:p]] = True
     if p > n_leaves:
-        # Every leaf plus the last p - L inner positions: walking down
-        # from the end passes at most L leaves, so the walk is O(p).
-        pos, j = len(nodelist) - 1, n_leaves - 1
-        for _ in range(p - n_leaves):
-            while j >= 0 and leaf_idx[j] == pos:
-                j -= 1
-                pos -= 1
-            slots.append(pos)
-            pos -= 1
-        slots.sort()
-    # Ascending slots: every earlier position is final when a node is
-    # inserted, so each lands exactly at its slot.
-    for pos, nid in zip(slots, moved):
-        out.insert(pos, nid)
+        slot[np.flatnonzero(~slot)[n_leaves - p :]] = True  # the last p - L inner positions
+    out = np.empty_like(nodelist)
+    out[slot] = moved
+    out[~slot] = nodelist[~hit]
+    out.flags.writeable = False
     return out, min(p, n_leaves)
 
 
@@ -120,7 +110,8 @@ class FPTreeConstructor:
     """Builds FP-ordered nodelists for a given tree width.
 
     Construction is memoized on ``(targets, predicted-set)`` — the
-    (nodelist, width, alert-set) key, with width fixed per instance.
+    (nodelist, width, alert-set) key, with width fixed per instance;
+    the targets enter the key as their array's bytes.
     A recurring node set under an unchanged alert set (a heartbeat
     share re-derived because one of its nodes went down) skips the
     leaf-location and rearrangement passes entirely; hits still replay
@@ -138,20 +129,23 @@ class FPTreeConstructor:
         self.stats = ConstructionStats()
         #: rearrangement audit hooks (chaos invariants; empty otherwise)
         self.construct_observers: list[ConstructObserver] = []
-        self._memo: "OrderedDict[tuple, tuple[list[int], tuple[int, ...], int]]" = OrderedDict()
+        self._memo: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray, int]]" = OrderedDict()
         #: target count -> target-indexed leaf positions (width is fixed)
-        self._leaves: dict[int, tuple[int, ...]] = {}
+        self._leaves: dict[int, np.ndarray] = {}
         self.memo_hits = 0
         self.memo_misses = 0
 
-    def construct(self, root: int, targets: t.Sequence[int]) -> list[int]:
-        """Return the rearranged *target* list for ``[root] + targets``.
+    def construct(self, root: int, targets: t.Sequence[int]) -> np.ndarray:
+        """Return the rearranged *target* list for ``[root] + targets``,
+        as a read-only ``int64`` array (see
+        :func:`~repro.cluster.node.node_array`).
 
         The root (the satellite) always keeps position 0; only target
         positions 1..n are permuted.
         """
-        if not targets:
-            return []
+        targets = node_array(targets)
+        if not targets.size:
+            return targets
         predicted = self.predictor.predict(targets)
         if not predicted and not self.construct_observers:
             # Nothing to rearrange and nobody auditing: the output is
@@ -160,10 +154,9 @@ class FPTreeConstructor:
             # with no live alerts are the overwhelmingly common case,
             # and keeping them out of the memo leaves its 64 slots to
             # the orderings that were actually worth caching.
-            ordered = list(targets)
-            self._record(ordered, predicted, 0)
-            return ordered
-        key = (tuple(targets), frozenset(predicted))
+            self._record(targets, predicted, 0)
+            return targets
+        key = (targets.tobytes(), frozenset(predicted))
         entry = self._memo.get(key)
         if entry is not None:
             self._memo.move_to_end(key)
@@ -172,7 +165,7 @@ class FPTreeConstructor:
             self._record(ordered, predicted, on_leaves)
             for observer in self.construct_observers:
                 observer(targets, ordered, leaf_idx, predicted)
-            return list(ordered)
+            return ordered
         self.memo_misses += 1
         leaf_idx = self._target_leaves(len(targets))
         ordered, on_leaves = _place(targets, leaf_idx, predicted)
@@ -182,9 +175,9 @@ class FPTreeConstructor:
         if len(self._memo) >= self._MEMO_MAX:
             self._memo.popitem(last=False)
         self._memo[key] = (ordered, leaf_idx, on_leaves)
-        return list(ordered)
+        return ordered
 
-    def _target_leaves(self, n_targets: int) -> tuple[int, ...]:
+    def _target_leaves(self, n_targets: int) -> np.ndarray:
         """Leaf positions of the tree over ``[root] + targets``, indexed
         into ``targets`` (ascending), cached per target count.
 
@@ -193,7 +186,8 @@ class FPTreeConstructor:
         """
         cached = self._leaves.get(n_targets)
         if cached is None:
-            cached = tuple(p - 1 for p in leaf_positions(n_targets + 1, self.width) if p > 0)
+            cached = np.array(leaf_positions(n_targets + 1, self.width), dtype=np.intp) - 1
+            cached.flags.writeable = False
             if len(self._leaves) >= self._MEMO_MAX:
                 self._leaves.clear()
             self._leaves[n_targets] = cached

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import typing as t
 
+import numpy as np
+
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.spec import Cluster
 
@@ -35,6 +37,14 @@ class FailurePredictor(t.Protocol):
         across its satellite shares).
         """
         ...  # pragma: no cover - protocol body
+
+
+def _members(ids: set[int], candidates: t.Iterable[int]) -> set[int]:
+    """The members of ``ids`` among ``candidates``, as Python ints (an
+    id array is converted once)."""
+    if isinstance(candidates, np.ndarray):
+        candidates = candidates.tolist()
+    return ids.intersection(candidates)
 
 
 class MonitorAlertPredictor:
@@ -54,7 +64,7 @@ class OraclePredictor:
         self.cluster = cluster
 
     def predict(self, candidates: t.Sequence[int]) -> set[int]:
-        return self.cluster.down_ids().intersection(candidates)
+        return _members(self.cluster.down_ids(), candidates)
 
 
 class StaticSetPredictor:
@@ -64,7 +74,7 @@ class StaticSetPredictor:
         self.predicted = set(predicted)
 
     def predict(self, candidates: t.Sequence[int]) -> set[int]:
-        return self.predicted.intersection(candidates)
+        return _members(self.predicted, candidates)
 
 
 class NullPredictor:

@@ -26,7 +26,7 @@ import typing as t
 
 import numpy as np
 
-from repro.cluster.node import UP_CODE
+from repro.cluster.node import UP_CODE, node_array
 from repro.errors import ClusterError, ConfigurationError
 from repro.fptree.tree import children_bounds
 from repro.network.broadcast import BroadcastResult, BroadcastStructure
@@ -36,12 +36,19 @@ if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.fabric import NetworkFabric
 
 
+def _id_list(targets: t.Sequence[int]) -> t.Sequence[int]:
+    """``targets`` for a per-id Python walk: an id array converted once,
+    so ``failed`` and ``arrivals`` hold Python ints."""
+    return targets.tolist() if isinstance(targets, np.ndarray) else targets
+
+
 class RingBroadcast(BroadcastStructure):
     """Serial relay along the target list."""
 
     name = "ring"
 
     def simulate(self, root, targets, size_bytes, fabric, record_arrivals=False):
+        targets = _id_list(targets)
         self._validate(targets, size_bytes)
         result = BroadcastResult(self.name, 0.0, len(targets))
         now = 0.0
@@ -78,6 +85,7 @@ class StarBroadcast(BroadcastStructure):
         self.concurrency = concurrency
 
     def simulate(self, root, targets, size_bytes, fabric, record_arrivals=False):
+        targets = _id_list(targets)
         self._validate(targets, size_bytes)
         n = len(targets)
         result = BroadcastResult(self.name, 0.0, n)
@@ -120,6 +128,7 @@ class SharedMemoryBroadcast(BroadcastStructure):
         self.post_overhead_s = post_overhead_s
 
     def simulate(self, root, targets, size_bytes, fabric, record_arrivals=False):
+        targets = _id_list(targets)
         self._validate(targets, size_bytes)
         n = len(targets)
         result = BroadcastResult(self.name, 0.0, n)
@@ -168,7 +177,7 @@ class _TreeWalk:
     def __init__(
         self,
         width: int,
-        nodelist: list[int],
+        nodelist: t.Sequence[int],
         size_bytes: int,
         fabric: "NetworkFabric",
         arrivals: dict[int, float] | None,
@@ -377,14 +386,15 @@ def _check_targets(fabric: "NetworkFabric", arr: np.ndarray, offsets: np.ndarray
             raise ConfigurationError("broadcast target list contains duplicates")
 
 
-def _run_forest(walks: list[_TreeWalk], per_target_root_s: float) -> None:
+def _run_forest(walks: list[_TreeWalk], arr: np.ndarray, per_target_root_s: float) -> None:
     """Level-order evaluation of the all-alive portion of many trees.
 
-    Every level is processed as numpy arrays over the cached tree
-    shapes (:func:`_tree_shape`) of all trees at once; a single tree is
-    simply a forest of one.  Times live in one array over the trees'
-    concatenated nodelists, so per-tree makespans fall out of one
-    ``np.maximum.reduceat``.  Before any delay, :func:`_check_targets`
+    ``arr`` is the trees' nodelists concatenated, ``int64``, and each
+    walk's nodelist is its view of it.  Every level is processed as
+    numpy arrays over the cached tree shapes (:func:`_tree_shape`) of
+    all trees at once; a single tree is simply a forest of one.  Times
+    live in one array over ``arr``, so per-tree makespans fall out of
+    one ``np.maximum.reduceat``.  Before any delay, :func:`_check_targets`
     rejects what the scalar path rejects.  While no target is down,
     every link's delay comes from one :meth:`NetworkFabric.link_delays`
     call and a level is a gather, two adds and a scatter.  Otherwise
@@ -404,9 +414,6 @@ def _run_forest(walks: list[_TreeWalk], per_target_root_s: float) -> None:
     tel = walks[0].tel
     sizes = [len(w.nodelist) for w in walks]
     offsets = np.fromiter(itertools.accumulate(sizes[:-1], initial=0), np.int64, len(sizes))
-    arr = np.fromiter(
-        itertools.chain.from_iterable(w.nodelist for w in walks), dtype=np.int64, count=sum(sizes)
-    )
     _check_targets(fabric, arr, offsets)
     codes = fabric.hop_codes(arr)
     ready = np.full(arr.size, -np.inf)
@@ -461,6 +468,9 @@ def _run_forest(walks: list[_TreeWalk], per_target_root_s: float) -> None:
     for p_lo, parent_id, initiated_s, p_level in sorted(patches):
         t_i = int(np.searchsorted(offsets, p_lo, side="right")) - 1
         walk = walks[t_i]
+        if isinstance(walk.nodelist, np.ndarray):
+            # the scalar takeover walks Python ints, converted once per tree
+            walk.nodelist = walk.nodelist.tolist()
         p_lo -= int(offsets[t_i])
         p_hi = _range_end(shapes[t_i], p_level, p_lo, sizes[t_i])
         walk.timeouts += 1
@@ -504,6 +514,7 @@ class TreeBroadcast(BroadcastStructure):
         # configuration is safe to batch.
         if len(targets) >= self.FAST_PATH_MIN_TARGETS and fabric.config.jitter_frac == 0.0:
             return self._sweep([(root, targets)], size_bytes, fabric, record_arrivals)[0]
+        targets = _id_list(targets)
         self._validate(targets, size_bytes)
         result = BroadcastResult(self.name, 0.0, len(targets))
         if not targets:
@@ -537,18 +548,22 @@ class TreeBroadcast(BroadcastStructure):
         """One :func:`_run_forest` level sweep over every non-empty tree."""
         # the payload size only: _run_forest rejects duplicate targets
         self._validate((), size_bytes)
-        results: list[BroadcastResult] = []
-        walked: list[tuple[BroadcastResult, _TreeWalk]] = []
-        for root, targets in tasks:
-            result = BroadcastResult(self.name, 0.0, len(targets))
-            results.append(result)
-            if targets:
-                arrivals = result.arrivals if record_arrivals else None
-                walk = _TreeWalk(self.width, [root, *targets], size_bytes, fabric, arrivals)
-                walked.append((result, walk))
-        if walked:
-            _run_forest([walk for _, walk in walked], self.per_target_root_s)
-        for result, walk in walked:
+        results = [BroadcastResult(self.name, 0.0, len(targets)) for _, targets in tasks]
+        trees = [(r, root, targets) for r, (root, targets) in zip(results, tasks) if len(targets)]
+        if not trees:
+            return results
+        # one copy of every id, each tree's root first; the walks are views
+        parts = [part for _, root, targets in trees for part in ((root,), node_array(targets))]
+        arr = np.concatenate(parts, dtype=np.int64)
+        walks: list[_TreeWalk] = []
+        off = 0
+        for result, _, targets in trees:
+            nodelist = arr[off : off + 1 + len(targets)]
+            off += nodelist.size
+            arrivals = result.arrivals if record_arrivals else None
+            walks.append(_TreeWalk(self.width, nodelist, size_bytes, fabric, arrivals))
+        _run_forest(walks, arr, self.per_target_root_s)
+        for (result, _, _), walk in zip(trees, walks):
             result.makespan_s = walk.makespan
             result.failed = tuple(walk.failed)
             result.n_timeouts = walk.timeouts

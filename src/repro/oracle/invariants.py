@@ -165,7 +165,7 @@ class NodeConservation(Invariant):
             yield f"nodes both free and down: {sorted(overlap)[:8]}"
         owner: dict[int, int] = {}
         for job_id, rec in pool.running.items():
-            for nid in rec.node_ids:
+            for nid in rec.node_ids.tolist():
                 if nid in owner:
                     yield f"node {nid} allocated to jobs {owner[nid]} and {job_id}"
                 owner[nid] = job_id
@@ -349,10 +349,11 @@ class MalleableWidth(Invariant):
                     f"job {job_id} runs at width {width}, outside "
                     f"[{job.min_nodes}, {job.max_nodes}]"
                 )
-            if job.state is JobState.RUNNING and set(job.allocated_nodes) != set(rec.node_ids):
+            view, record = job.allocated_nodes.tolist(), rec.node_ids.tolist()
+            if job.state is JobState.RUNNING and set(view) != set(record):
                 yield (
-                    f"job {job_id} allocation view {sorted(job.allocated_nodes)[:8]} "
-                    f"disagrees with the pool record {sorted(rec.node_ids)[:8]}"
+                    f"job {job_id} allocation view {sorted(view)[:8]} "
+                    f"disagrees with the pool record {sorted(record)[:8]}"
                 )
         if pool.elastic_slack != slack:
             yield f"pool elastic slack {pool.elastic_slack} != {slack} recomputed from its records"

@@ -88,7 +88,8 @@ def specs_from_trace(jobs: t.Sequence[Job]) -> list[JobSpec]:
 class ReplayResult:
     """Deterministic outcome of one scheduler replay."""
 
-    #: ``(job_id, start_time, node_ids)`` in decision order
+    #: ``(job_id, start_time, node_ids)`` in decision order, the ids as
+    #: Python ints
     decisions: list[tuple[int, float, tuple[int, ...]]]
     #: per-job ``(start_time, end_time)``
     spans: dict[int, tuple[float, float]]
@@ -151,7 +152,7 @@ def replay(
             makespan = max(makespan, now)
         for started, node_ids in scheduler.plan(queue, pool, now):
             started.start(now, node_ids)
-            decisions.append((started.job_id, now, node_ids))
+            decisions.append((started.job_id, now, tuple(node_ids.tolist())))
             heap_entry = (now + started.effective_runtime_s, 1, seq)
             id_at[seq] = started.job_id
             seq += 1
@@ -412,7 +413,7 @@ class ShrinkGrowRoundTripRelation(Relation):
         problems: list[str] = []
         for step in range(1, self.ROUNDS + 1):
             give = int(rng.integers(1, self.WIDTH))
-            victims = tuple(sorted(elastic.allocated_nodes)[-give:])
+            victims = tuple(sorted(elastic.allocated_nodes.tolist())[-give:])
             at = float(step) * 100.0
             # A broken resize path may corrupt state enough that a later
             # round raises; surface that as a failed relation, not a crash.
@@ -424,11 +425,13 @@ class ShrinkGrowRoundTripRelation(Relation):
             except SchedulingError as exc:
                 problems.append(f"step {step}: resize raised: {exc}")
                 break
-            if set(regrown) != set(victims):
-                problems.append(f"step {step}: regrew {sorted(regrown)} != freed {sorted(victims)}")
-            if set(elastic.allocated_nodes) != set(original):
+            if set(regrown.tolist()) != set(victims):
+                problems.append(
+                    f"step {step}: regrew {sorted(regrown.tolist())} != freed {sorted(victims)}"
+                )
+            if set(elastic.allocated_nodes.tolist()) != set(original.tolist()):
                 problems.append(f"step {step}: allocation not restored")
-            if set(pool.running[elastic.job_id].node_ids) != set(original):
+            if set(pool.running[elastic.job_id].node_ids.tolist()) != set(original.tolist()):
                 problems.append(f"step {step}: pool record diverged")
             if pool.n_free != 0:
                 problems.append(f"step {step}: {pool.n_free} node(s) leaked")

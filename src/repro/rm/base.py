@@ -20,6 +20,8 @@ from __future__ import annotations
 import typing as t
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cluster.spec import Cluster
 from repro.errors import ConfigurationError, ProcessInterrupt, SchedulingError
 from repro.estimate.metrics import RuntimeEstimator
@@ -393,7 +395,7 @@ class ResourceManager:
         self._launch_decisions(decisions)
         self._elastic_pass()
 
-    def _launch_decisions(self, decisions: list[tuple[Job, tuple[int, ...]]]) -> None:
+    def _launch_decisions(self, decisions: list[tuple[Job, np.ndarray]]) -> None:
         if self.lifecycle_mode == "fsm":
             for job, nodes in decisions:
                 lc = JobLifecycle(self, job, nodes)
@@ -436,11 +438,11 @@ class ResourceManager:
             self._apply_one_resize(dec)
             if tel is not None:
                 tel.count("sched.resize.decisions")
-                if dec.added:
+                if len(dec.added):
                     tel.count("sched.grow.nodes", len(dec.added))
-                if dec.removed:
+                if len(dec.removed):
                     tel.count("sched.shrink.nodes", len(dec.removed))
-            shrank = shrank or bool(dec.removed)
+            shrank = shrank or len(dec.removed) > 0
         return shrank
 
     def _apply_one_resize(self, dec: ResizeDecision) -> None:
@@ -450,10 +452,10 @@ class ResourceManager:
         self.master_acct.charge_cpu(
             p.launch_cpu_per_node_us / 1e6 * (len(dec.added) + len(dec.removed))
         )
-        if dec.added:
+        if len(dec.added):
             job.grow(now, dec.added)
             self.resize_grows += 1
-        if dec.removed:
+        if len(dec.removed):
             job.shrink(now, dec.removed)
             self.resize_shrinks += 1
         self._retime(job)
@@ -502,7 +504,7 @@ class ResourceManager:
     # generator is kept selectable (lifecycle="generator") as the
     # readable reference the lifecycle-equivalence relation checks the
     # FSM against, phase for phase.
-    def _run_job(self, job: Job, nodes: tuple[int, ...]) -> t.Generator:
+    def _run_job(self, job: Job, nodes: np.ndarray) -> t.Generator:
         teardown = False
         try:
             p = self.profile
@@ -524,7 +526,7 @@ class ResourceManager:
                 yield self.sim.timeout(self._crashed_until - self.sim.now)
             end_state = JobState.TIMEOUT if job.will_timeout else JobState.COMPLETED
             # Resizes may have changed the allocation since launch.
-            term_targets = job.allocated_nodes or nodes
+            term_targets = job.allocated_nodes if len(job.allocated_nodes) else nodes
             term = self._broadcast(MessageKind.JOB_TERMINATE, term_targets)
             self._bcast_tally.record(term.makespan_s)
             yield self.sim.timeout(term.makespan_s)
@@ -585,7 +587,7 @@ class ResourceManager:
             raise ConfigurationError(
                 f"profile {p.name}: {p.launch_structure} needs a subclass override"
             )
-        result = self._launch_engine.simulate(root, list(targets), size, self.fabric)
+        result = self._launch_engine.simulate(root, targets, size, self.fabric)
         result.makespan_s += ack_wait
         concurrent = min(len(targets), p.star_concurrency)
         if result.makespan_s > 0:

@@ -166,7 +166,7 @@ class EslurmRM(ResourceManager):
         if s == 0:
             return BroadcastResult("eslurm", 0.0, 0)
         n = max(self.sat_pool.compute_n(s), 1)
-        parts = self.sat_pool.split(list(targets), n)
+        parts = self.sat_pool.split(targets, n)
         p = self.profile
         # Master work: one RPC per satellite task + the list split.
         self.master_acct.charge_cpu(p.rpc_cpu_us / 1e6 * len(parts))
@@ -179,7 +179,7 @@ class EslurmRM(ResourceManager):
         # their sequential event order — no sim time passes in between),
         # then every relay tree evaluates in one batched forest walk.
         results: list[BroadcastResult | None] = [None] * len(parts)
-        relays: list[tuple[int, SatelliteDaemon, list[int]]] = []
+        relays: list[tuple[int, SatelliteDaemon, t.Sequence[int]]] = []
         for i, part in enumerate(parts):
             sat = self.sat_pool.assign_task(len(part))
             if sat is None:
@@ -239,7 +239,7 @@ class EslurmRM(ResourceManager):
                 tel.count("rm.broadcast.undelivered", len(result.failed))
         return result
 
-    def _relay(self, sat: SatelliteDaemon, part: list[int], size: int) -> BroadcastResult:
+    def _relay(self, sat: SatelliteDaemon, part: t.Sequence[int], size: int) -> BroadcastResult:
         """One satellite relays ``part`` via its FP-Tree.
 
         Kept as the single-task form of the forest path in
@@ -312,7 +312,7 @@ class EslurmRM(ResourceManager):
         down = self._by_share(self.fabric.unreachable_ids())
         stats = constructor.stats
         changed: list[_HeartbeatShare] = []
-        tasks: list[tuple[int, list[int]]] = []
+        tasks: list[tuple[int, np.ndarray]] = []
         for i, share in enumerate(shares):
             share_predicted = frozenset(predicted.get(i, ()))
             share_down = frozenset(down.get(i, ()))

@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import typing as t
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.network.message import MessageKind
 from repro.sched.job import Job, JobState
@@ -91,7 +93,7 @@ class JobLifecycle:
         "end_state",
     )
 
-    def __init__(self, rm: "ResourceManager", job: Job, nodes: tuple[int, ...]) -> None:
+    def __init__(self, rm: "ResourceManager", job: Job, nodes: np.ndarray) -> None:
         self.rm = rm
         self.job = job
         self.nodes = nodes
@@ -215,7 +217,7 @@ class JobLifecycle:
         rm, job = self.rm, self.job
         self.end_state = JobState.TIMEOUT if job.will_timeout else JobState.COMPLETED
         # Resizes may have changed the allocation since launch.
-        term_targets = job.allocated_nodes or self.nodes
+        term_targets = job.allocated_nodes if len(job.allocated_nodes) else self.nodes
         term = rm._broadcast(MessageKind.JOB_TERMINATE, term_targets)
         rm._bcast_tally.record(term.makespan_s)
         self.phase = TERM
@@ -258,7 +260,7 @@ class JobLifecycle:
         timer = self.timer
         return {
             "phase": PHASE_NAMES[self.phase],
-            "nodes": list(self.nodes),
+            "nodes": self.nodes.tolist(),
             "work": self.work,
             "seg_start": self.seg_start,
             "seg_width": self.seg_width,

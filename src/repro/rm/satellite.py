@@ -224,11 +224,10 @@ class SatellitePool:
         return bounds
 
     @staticmethod
-    def split(targets: t.Sequence[int], n: int) -> list[list[int]]:
-        """Equal contiguous partition of the target list into ``n`` parts."""
-        return [
-            list(targets[lo:hi]) for lo, hi in SatellitePool.split_bounds(len(targets), n)
-        ]
+    def split(targets: t.Sequence[int], n: int) -> list[t.Sequence[int]]:
+        """Equal contiguous partition of the target list into ``n`` parts:
+        slices, so an id array splits into views without a copy."""
+        return [targets[lo:hi] for lo, hi in SatellitePool.split_bounds(len(targets), n)]
 
     # -- selection & failover ------------------------------------------------
     def heartbeat_all(self) -> None:

@@ -21,23 +21,27 @@ search of the sorted ids finds it.
 
 Allocation is *first-fit-by-id*: a k-node job receives the first k
 columns of ``flatnonzero(state == FREE)``, i.e. the k smallest free ids.
-The ids are handed out as slices of ``_ids``, one per run of
-consecutive columns, so a job's tuple holds the pool's own ``int``
-objects: fresh ints from ``.tolist()`` kept one object per allocated
-node alive in finished jobs' tuples (+20 % peak RSS on the 65K day).
-Binding or releasing a job's nodes is one fancy-indexed column update.
-Aggregate counters (``_n_free``, ``_n_down``, ``elastic_slack``) are
-maintained incrementally so capacity checks are O(1).
+An allocation is one read-only ``int64`` array of node ids, the form
+every layer down to the tree broadcast reads without a conversion.  A
+single run of consecutive columns is handed out as a view of the pool's
+read-only id column ``_id_col`` (no per-node bytes: the job keeps the
+column alive, which the pool does anyway); any other allocation is a
+``take`` of it (eight bytes per node).  On a dense pool (ids
+``0 .. n-1``, the RM's case) the id is the column, so binding or
+releasing a job's nodes is one fancy-indexed update with the
+allocation itself as the index.  Aggregate counters (``_n_free``,
+``_n_down``, ``elastic_slack``) are maintained incrementally so
+capacity checks are O(1).
 """
 
 from __future__ import annotations
 
 import typing as t
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster.node import id_mask, node_array
 from repro.errors import SchedulingError
 from repro.sched.job import Job
 
@@ -58,7 +62,8 @@ class RunningJob:
     """
 
     job: Job
-    node_ids: tuple[int, ...]
+    #: the allocation, a read-only ``int64`` array
+    node_ids: np.ndarray
     believed_end: float
 
 
@@ -72,22 +77,23 @@ class NodePool:
 
     Allocation order is *first-fit-by-id*: a k-node job always receives
     the k smallest free node ids, found by one vectorised scan of the
-    state column and handed out run by run as slices of ``_ids``.
+    state column and handed out as a slice or a ``take`` of ``_id_col``.
     """
 
-    def __init__(self, node_ids: t.Iterable[int], placement: t.Any = None) -> None:
-        ids = sorted(node_ids)
-        n = len(ids)
-        id_arr = np.fromiter(ids, dtype=np.int64, count=n)
-        if (id_arr[1:] == id_arr[:-1]).any():
+    def __init__(self, node_ids: t.Collection[int], placement: t.Any = None) -> None:
+        id_col = np.fromiter(node_ids, dtype=np.int64, count=len(node_ids))
+        if (id_col[1:] < id_col[:-1]).any():  # the RM's compute ids come sorted
+            id_col.sort()
+        if (id_col[1:] == id_col[:-1]).any():
             raise SchedulingError("duplicate node ids in pool")
-        #: column -> node id (ascending)
-        self._ids: list[int] = ids
-        #: column -> node id as an array; ``None`` when the column is the id
-        #: (sorted distinct ints from 0 to n-1 are exactly ``range(n)``)
-        self._id_arr: np.ndarray | None = (
-            None if not ids or (ids[0] == 0 and ids[-1] == n - 1) else id_arr
-        )
+        id_col.flags.writeable = False
+        n = id_col.size
+        #: column -> node id (ascending, read-only); allocations are its
+        #: slices and takes
+        self._id_col = id_col
+        #: whether the column is the id (sorted distinct ints from 0 to
+        #: n-1 are exactly ``range(n)``)
+        self._dense = n == 0 or bool(id_col[0] == 0 and id_col[-1] == n - 1)
         #: per-node state column (FREE / BUSY / DOWN)
         self._state = np.zeros(n, dtype=np.uint8)
         #: per-node owning job id (-1 when unbound)
@@ -110,7 +116,7 @@ class NodePool:
     # -- capacity ----------------------------------------------------------
     @property
     def n_total(self) -> int:
-        return len(self._ids)
+        return self._id_col.size
 
     @property
     def n_free(self) -> int:
@@ -122,7 +128,7 @@ class NodePool:
 
     @property
     def n_busy(self) -> int:
-        return len(self._ids) - self._n_free - self._n_down
+        return self._id_col.size - self._n_free - self._n_down
 
     def has_node(self, node_id: int) -> bool:
         """Whether the node belongs to this pool's universe."""
@@ -130,9 +136,9 @@ class NodePool:
 
     def _col_of(self, node_id: int) -> int | None:
         """Column of ``node_id``, or ``None`` outside the universe."""
-        ids = self._ids
-        col = node_id if self._id_arr is None else bisect_left(ids, node_id)
-        return col if 0 <= col < len(ids) and ids[col] == node_id else None
+        ids = self._id_col
+        col = node_id if self._dense else int(ids.searchsorted(node_id))
+        return col if 0 <= col < ids.size and ids[col] == node_id else None
 
     def free_ids(self) -> frozenset[int]:
         """Snapshot of the free set (invariant checking / debugging)."""
@@ -143,13 +149,12 @@ class NodePool:
         return self._ids_in_state(_DOWN)
 
     def _ids_in_state(self, state: int) -> frozenset[int]:
-        cols = np.flatnonzero(self._state == state).tolist()
-        return frozenset(map(self._ids.__getitem__, cols))
+        return frozenset(self._id_col[self._state == state].tolist())
 
-    def _cols(self, node_ids: t.Sequence[int]) -> np.ndarray:
-        """Columns of ``node_ids``, which must all belong to the pool."""
-        arr = np.fromiter(node_ids, dtype=np.int64, count=len(node_ids))
-        return arr if self._id_arr is None else np.searchsorted(self._id_arr, arr)
+    def _cols(self, node_ids: np.ndarray) -> np.ndarray:
+        """Columns of the ids in ``node_ids``, which must all belong to
+        the pool: the array itself on a dense pool."""
+        return node_ids if self._dense else self._id_col.searchsorted(node_ids)
 
     def fits(self, job: Job) -> bool:
         return job.n_nodes <= self._n_free
@@ -158,7 +163,7 @@ class NodePool:
         return width <= self._n_free
 
     # -- allocation -----------------------------------------------------------
-    def allocate(self, job: Job, now: float, width: int | None = None) -> tuple[int, ...]:
+    def allocate(self, job: Job, now: float, width: int | None = None) -> np.ndarray:
         """Allocate ``width`` (default ``job.n_nodes``) free nodes.
 
         First-fit-by-id unless a placement policy is attached; malleable
@@ -178,7 +183,7 @@ class NodePool:
         self._ends_cache = None
         return chosen
 
-    def _claim(self, k: int, job_id: int) -> tuple[int, ...]:
+    def _claim(self, k: int, job_id: int) -> np.ndarray:
         """Bind ``k`` free nodes to ``job_id``: first-fit or placement."""
         if self.placement is None:
             cols = self._pop_smallest_free(k)
@@ -193,6 +198,7 @@ class NodePool:
                 or not free.issuperset(chosen)
             ):
                 raise SchedulingError(f"placement returned {chosen!r} for k={k}")
+            chosen = node_array(chosen)
             cols = self._cols(chosen)
         self._state[cols] = _BUSY
         self._owner[cols] = job_id
@@ -209,28 +215,21 @@ class NodePool:
             )
         return cols
 
-    def _handout(self, cols: np.ndarray) -> tuple[int, ...]:
-        """The pool's own ids at ascending ``cols``, one slice per run.
+    def _handout(self, cols: np.ndarray) -> np.ndarray:
+        """The ids at ascending ``cols``, as a read-only array.
 
         First-fit allocations are nearly always one run of consecutive
-        columns or a few, so slicing ``_ids`` run by run beats a lookup
-        per id; a single run is recognised from its end columns alone.
+        columns, recognised from its end columns alone and handed out
+        as a view of ``_id_col`` (O(1), and the scan's column array is
+        not kept alive); anything else is a ``take``.
         """
-        ids = self._ids
         k = len(cols)
-        if k == 0:
-            return ()
-        lo = int(cols[0])
-        if int(cols[-1]) - lo == k - 1:
-            return tuple(ids[lo : lo + k])
-        gaps = np.flatnonzero(np.diff(cols) != 1)
-        starts = cols[gaps + 1].tolist()
-        ends = (cols[gaps] + 1).tolist()
-        ends.append(int(cols[-1]) + 1)
-        out = ids[lo : ends[0]]
-        for a, b in zip(starts, ends[1:]):
-            out += ids[a:b]
-        return tuple(out)
+        lo = int(cols[0]) if k else 0
+        if k == 0 or int(cols[-1]) - lo == k - 1:
+            return self._id_col[lo : lo + k]
+        ids = self._id_col.take(cols)
+        ids.flags.writeable = False
+        return ids
 
     def _unbind(self, cols: np.ndarray) -> None:
         """Unbind distinct columns; those not out of service become free."""
@@ -242,7 +241,7 @@ class NodePool:
         self.version += 1
 
     # -- malleability -----------------------------------------------------
-    def grow_allocation(self, job_id: int, k: int) -> tuple[int, ...]:
+    def grow_allocation(self, job_id: int, k: int) -> np.ndarray:
         """Hand ``k`` more free nodes to a running job; returns them."""
         try:
             rec = self.running[job_id]
@@ -252,12 +251,12 @@ class NodePool:
             raise SchedulingError(f"job {job_id}: grow wants {k} nodes, {self._n_free} free")
         chosen = self._claim(k, job_id)
         before = len(rec.node_ids)
-        rec.node_ids += chosen
+        rec.node_ids = node_array(np.concatenate((rec.node_ids, chosen)))
         self.elastic_slack += _slack(rec.job, before + k) - _slack(rec.job, before)
         self._ends_cache = None
         return chosen
 
-    def shrink_allocation(self, job_id: int, node_ids: t.Sequence[int]) -> tuple[int, ...]:
+    def shrink_allocation(self, job_id: int, node_ids: t.Sequence[int]) -> np.ndarray:
         """Take ``node_ids`` away from a running job; returns them.
 
         Nodes currently marked down (a failure-driven shrink) are
@@ -268,14 +267,14 @@ class NodePool:
             rec = self.running[job_id]
         except KeyError:
             raise SchedulingError(f"job {job_id}: not running") from None
-        removed = tuple(node_ids)
-        removed_set = set(removed)
-        if len(removed_set) != len(removed):
-            raise SchedulingError(f"job {job_id}: duplicate shrink nodes {removed!r}")
-        if not removed_set <= set(rec.node_ids):
+        removed = node_array(node_ids)
+        if len(set(removed.tolist())) != removed.size:
+            raise SchedulingError(f"job {job_id}: duplicate shrink nodes {removed.tolist()!r}")
+        gone = id_mask(rec.node_ids, removed)
+        if np.count_nonzero(gone) != removed.size:
             raise SchedulingError(f"job {job_id}: shrink nodes not held")
         before = len(rec.node_ids)
-        rec.node_ids = tuple(n for n in rec.node_ids if n not in removed_set)
+        rec.node_ids = node_array(rec.node_ids[~gone])
         self.elastic_slack += _slack(rec.job, len(rec.node_ids)) - _slack(rec.job, before)
         self._ends_cache = None
         self._unbind(self._cols(removed))
@@ -291,7 +290,7 @@ class NodePool:
         self._ends_cache = None
         self.version += 1
 
-    def release(self, job_id: int) -> tuple[int, ...]:
+    def release(self, job_id: int) -> np.ndarray:
         """Free the nodes of a finished job; returns them."""
         try:
             rec = self.running.pop(job_id)

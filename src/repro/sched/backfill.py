@@ -30,6 +30,8 @@ from __future__ import annotations
 import typing as t
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.sched.allocator import NodePool
 from repro.sched.job import Job, JobState
 from repro.sched.queue import JobQueue
@@ -46,8 +48,8 @@ class ResizeDecision:
     """
 
     job: Job
-    added: tuple[int, ...] = ()
-    removed: tuple[int, ...] = ()
+    added: t.Sequence[int] | np.ndarray = ()
+    removed: t.Sequence[int] | np.ndarray = ()
 
 
 class BackfillScheduler:
@@ -75,7 +77,7 @@ class BackfillScheduler:
         #: stay as constructed)
         self._idle: tuple[t.Any, ...] | None = None
 
-    def plan(self, queue: JobQueue, pool: NodePool, now: float) -> list[tuple[Job, tuple[int, ...]]]:
+    def plan(self, queue: JobQueue, pool: NodePool, now: float) -> list[tuple[Job, np.ndarray]]:
         """One scheduling pass; returns ``(job, node_ids)`` start decisions.
 
         **Idle passes.**  A pass that starts nothing is repeated by every
@@ -110,7 +112,7 @@ class BackfillScheduler:
             ):
                 telemetry.count("sched.backfill.attempts", attempts)
                 return []
-        decisions: list[tuple[Job, tuple[int, ...]]] = []
+        decisions: list[tuple[Job, np.ndarray]] = []
         # Phase 1: plain FCFS while the head fits.  In malleable mode a
         # blocked elastic head may start *shrunk* (contracted under
         # pressure) instead of waiting for its full reservation.
@@ -271,7 +273,7 @@ class BackfillScheduler:
                     if deficit <= 0:
                         break
                     give = min(len(rec.node_ids) - rec.job.min_nodes, deficit)
-                    victims = tuple(sorted(rec.node_ids)[-give:])
+                    victims = tuple(sorted(rec.node_ids.tolist())[-give:])
                     pool.shrink_allocation(rec.job.job_id, victims)
                     decisions.append(ResizeDecision(rec.job, removed=victims))
                     deficit -= give

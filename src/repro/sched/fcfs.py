@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import typing as t
 
+import numpy as np
+
 from repro.sched.allocator import NodePool
 from repro.sched.job import Job
 from repro.sched.queue import JobQueue
@@ -18,13 +20,13 @@ class FcfsScheduler:
 
     name = "fcfs"
 
-    def plan(self, queue: JobQueue, pool: NodePool, now: float) -> list[tuple[Job, tuple[int, ...]]]:
+    def plan(self, queue: JobQueue, pool: NodePool, now: float) -> list[tuple[Job, np.ndarray]]:
         """Pop and allocate every job that can start right now, in order.
 
         Returns ``(job, node_ids)`` decisions; jobs are started (their
         nodes held in the pool) but the caller owns the lifecycle calls.
         """
-        decisions: list[tuple[Job, tuple[int, ...]]] = []
+        decisions: list[tuple[Job, np.ndarray]] = []
         while True:
             head = queue.head()
             if head is None or not pool.fits(head):

@@ -16,6 +16,9 @@ import enum
 import typing as t
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.cluster.node import id_mask, node_array
 from repro.errors import SchedulingError
 
 
@@ -29,6 +32,10 @@ class JobState(enum.Enum):
 
 #: States a job can no longer leave.
 TERMINAL_STATES = frozenset({JobState.COMPLETED, JobState.TIMEOUT, JobState.CANCELLED, JobState.FAILED})
+
+
+#: the allocation of a job that has none
+_NO_NODES = node_array(())
 
 
 @dataclass
@@ -72,7 +79,12 @@ class Job:
     planned_s: float = field(default=0.0)
     start_time: float | None = None
     end_time: float | None = None
-    allocated_nodes: tuple[int, ...] = ()
+    #: the allocation, a read-only ``int64`` array (see
+    #: :func:`~repro.cluster.node.node_array`), empty until the job
+    #: starts.  Not a dataclass field (no annotation): an array default
+    #: would cost a factory call per job, and an array has no truth
+    #: value for the generated ``__eq__``.
+    allocated_nodes = _NO_NODES
     #: model estimate recorded for estimator bookkeeping (pre-slack)
     model_estimate_s: float | None = None
     #: how many grow/shrink transitions this job went through
@@ -122,7 +134,7 @@ class Job:
             )
         self.state = JobState.RUNNING
         self.start_time = now
-        self.allocated_nodes = tuple(nodes)
+        self.allocated_nodes = node_array(nodes)
         if self.malleable:
             self.last_resize_time = now
 
@@ -135,7 +147,7 @@ class Job:
     @property
     def width(self) -> int:
         """Current allocation width (``n_nodes`` before start)."""
-        return len(self.allocated_nodes) if self.allocated_nodes else self.n_nodes
+        return len(self.allocated_nodes) or self.n_nodes
 
     def _accumulate_segment(self, now: float) -> None:
         assert self.last_resize_time is not None
@@ -148,15 +160,15 @@ class Job:
             raise SchedulingError(f"job {self.job_id}: grow from state {self.state.value}")
         if not self.malleable:
             raise SchedulingError(f"job {self.job_id}: not malleable")
-        added = tuple(new_nodes)
-        if set(added) & set(self.allocated_nodes):
+        added = node_array(new_nodes)
+        if id_mask(added, self.allocated_nodes).any():
             raise SchedulingError(f"job {self.job_id}: grow nodes overlap allocation")
         if len(self.allocated_nodes) + len(added) > self.max_nodes:
             raise SchedulingError(
                 f"job {self.job_id}: grow past max_nodes={self.max_nodes}"
             )
         self._accumulate_segment(now)
-        self.allocated_nodes += added
+        self.allocated_nodes = node_array(np.concatenate((self.allocated_nodes, added)))
         self.resize_count += 1
 
     def shrink(self, now: float, removed_nodes: t.Sequence[int]) -> None:
@@ -165,15 +177,16 @@ class Job:
             raise SchedulingError(f"job {self.job_id}: shrink from state {self.state.value}")
         if not self.malleable:
             raise SchedulingError(f"job {self.job_id}: not malleable")
-        removed = set(removed_nodes)
-        if not removed <= set(self.allocated_nodes):
+        removed = np.unique(node_array(removed_nodes))
+        gone = id_mask(self.allocated_nodes, removed)
+        if np.count_nonzero(gone) != removed.size:
             raise SchedulingError(f"job {self.job_id}: shrink nodes not in allocation")
-        if len(self.allocated_nodes) - len(removed) < self.min_nodes:
+        if len(self.allocated_nodes) - removed.size < self.min_nodes:
             raise SchedulingError(
                 f"job {self.job_id}: shrink below min_nodes={self.min_nodes}"
             )
         self._accumulate_segment(now)
-        self.allocated_nodes = tuple(n for n in self.allocated_nodes if n not in removed)
+        self.allocated_nodes = node_array(self.allocated_nodes[~gone])
         self.resize_count += 1
 
     def finish(self, now: float, state: JobState = JobState.COMPLETED) -> None:

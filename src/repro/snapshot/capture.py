@@ -125,7 +125,7 @@ def _job_state(job: t.Any) -> list[t.Any]:
         job.planned_s,
         job.start_time,
         job.end_time,
-        list(job.allocated_nodes),
+        job.allocated_nodes.tolist(),
         job.model_estimate_s,
         job.resize_count,
         job.alloc_node_seconds,
@@ -139,7 +139,7 @@ def _pool_state(pool: t.Any) -> dict[str, t.Any]:
         "down": sorted(pool.down_ids()),
         "running": {
             str(job_id): {
-                "nodes": list(rec.node_ids),
+                "nodes": rec.node_ids.tolist(),
                 "believed_end": rec.believed_end,
             }
             for job_id, rec in pool.running.items()

@@ -6,6 +6,7 @@ violating state by hand and asserted to report it — and asserted to
 stay silent on the equivalent healthy state.
 """
 
+import numpy as np
 import pytest
 
 from repro.chaos import (
@@ -133,8 +134,9 @@ class TestNodeConservation:
         pool.allocate(b, now=0.0)
         # Hand one of a's nodes to b as well.
         rec = pool.running[2]
-        pool.running[2] = type(rec)(rec.job, (nodes_a[0],) + rec.node_ids[1:],
-                                    rec.believed_end)
+        # (concatenate: ``tuple + ndarray`` would add element-wise)
+        shared = np.concatenate((nodes_a[:1], rec.node_ids[1:]))
+        pool.running[2] = type(rec)(rec.job, shared, rec.believed_end)
         details = list(NodeConservation().check(ctx))
         assert any(f"node {nodes_a[0]} allocated to jobs 1 and 2" in d for d in details)
 

@@ -75,7 +75,7 @@ class TestPlacementMatchesPoolWalk:
         ctor = FPTreeConstructor(StaticSetPredictor(predicted), width=width)
         leaves = [p - 1 for p in leaf_positions(len(targets) + 1, width) if p > 0]
         expected, on_leaves = pool_walk(targets, leaves, predicted & set(targets))
-        assert ctor.construct(0, targets) == expected
+        assert ctor.construct(0, targets).tolist() == expected
         assert ctor.stats.predicted_on_leaves == on_leaves
 
     @pytest.mark.parametrize("width", [2, 3, 8, 64])
@@ -106,7 +106,7 @@ class TestPlacementMatchesPoolWalk:
         ctor = FPTreeConstructor(StaticSetPredictor({5}), width=2)
         leaves = [p - 1 for p in leaf_positions(len(targets) + 1, 2) if p > 0]
         expected, on_leaves = pool_walk(targets, leaves, {5})
-        assert ctor.construct(0, targets) == expected
+        assert ctor.construct(0, targets).tolist() == expected
         assert ctor.stats.predicted_on_leaves == on_leaves == 2
 
 
@@ -169,12 +169,12 @@ class TestConstructor:
 
     def test_empty_targets(self):
         ctor = FPTreeConstructor(NullPredictor(), width=4)
-        assert ctor.construct(0, []) == []
+        assert ctor.construct(0, []).tolist() == []
 
     def test_null_predictor_keeps_order(self):
         ctor = FPTreeConstructor(NullPredictor(), width=4)
         targets = [9, 4, 7, 2]
-        assert ctor.construct(0, targets) == targets
+        assert ctor.construct(0, targets).tolist() == targets
 
     def test_leaf_placement_ratio_no_predictions(self):
         ctor = FPTreeConstructor(NullPredictor(), width=4)
@@ -245,16 +245,17 @@ class TestConstructMemo:
         targets = list(range(1, 30))
         first = ctor.construct(0, targets)
         second = ctor.construct(0, targets)
-        assert second == first
+        assert second.tolist() == first.tolist()
         assert (ctor.memo_misses, ctor.memo_hits) == (1, 1)
 
-    def test_hit_returns_fresh_list(self):
+    def test_hit_cannot_be_poisoned_by_the_caller(self):
         ctor = FPTreeConstructor(StaticSetPredictor({3}), width=4)
         targets = list(range(1, 20))
         a = ctor.construct(0, targets)
-        a[0] = -1  # caller mutation must not poison the memo
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = -1  # caller mutation must not poison the memo
         b = ctor.construct(0, targets)
-        assert b[0] != -1
+        assert b is a and b[0] != -1
 
     def test_hit_replays_stats(self):
         ctor = FPTreeConstructor(StaticSetPredictor({1, 2}), width=4)

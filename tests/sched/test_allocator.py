@@ -1,5 +1,6 @@
 """Tests for the node pool."""
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -36,7 +37,7 @@ class TestBasics:
     def test_allocate_first_fit_by_id(self):
         pool = NodePool([5, 3, 9, 1])
         nodes = pool.allocate(make_job(n_nodes=2), now=0.0)
-        assert nodes == (1, 3)
+        assert nodes.tolist() == [1, 3]
         assert pool.n_free == 2
 
     def test_allocate_too_big_rejected(self):
@@ -50,7 +51,7 @@ class TestBasics:
         job = make_job(n_nodes=3)
         nodes = pool.allocate(job, now=0.0)
         released = pool.release(job.job_id)
-        assert released == nodes
+        assert released is nodes
         assert pool.n_free == 4
 
     def test_release_unknown_job(self):
@@ -128,7 +129,7 @@ class TestFirstFit:
                 next_id += 1
                 got = pool.allocate(job, now=0.0)
                 want = tuple(sorted(model_free)[:k])
-                assert got == want
+                assert tuple(got.tolist()) == want
                 model_free -= set(want)
                 model_running[job.job_id] = want
             elif op < 0.8 and model_running:
@@ -157,17 +158,17 @@ class TestFirstFit:
         pool = NodePool(range(8))
         a = make_job(job_id=1, n_nodes=4)
         b = make_job(job_id=2, n_nodes=2)
-        assert pool.allocate(a, 0.0) == (0, 1, 2, 3)
-        assert pool.allocate(b, 0.0) == (4, 5)
+        assert pool.allocate(a, 0.0).tolist() == [0, 1, 2, 3]
+        assert pool.allocate(b, 0.0).tolist() == [4, 5]
         pool.release(1)
         c = make_job(job_id=3, n_nodes=3)
-        assert pool.allocate(c, 0.0) == (0, 1, 2)
+        assert pool.allocate(c, 0.0).tolist() == [0, 1, 2]
 
     def test_down_node_is_skipped(self):
         pool = NodePool(range(4))
         pool.mark_down(0)
         job = make_job(job_id=1, n_nodes=2)
-        assert pool.allocate(job, 0.0) == (1, 2)
+        assert pool.allocate(job, 0.0).tolist() == [1, 2]
 
     def test_first_fit_and_counters_exact_under_churn(self):
         pool = NodePool(range(16))
@@ -176,23 +177,31 @@ class TestFirstFit:
         for i in range(200):
             width = 1 + i % 11
             job = make_job(job_id=i + 1, n_nodes=width)
-            assert pool.allocate(job, 0.0) == tuple(range(5, 5 + width))
+            assert pool.allocate(job, 0.0).tolist() == list(range(5, 5 + width))
             assert (pool.n_free, pool.n_busy, pool.n_down) == (11 - width, 4 + width, 1)
             pool.release(job.job_id)
             assert (pool.n_free, pool.n_busy, pool.n_down) == (11, 4, 1)
         assert pool.free_ids() == frozenset(range(5, 16))
         assert pool.down_ids() == frozenset({2})
-        assert pool.allocate(make_job(job_id=999, n_nodes=3), 0.0) == (5, 6, 7)
+        assert pool.allocate(make_job(job_id=999, n_nodes=3), 0.0).tolist() == [5, 6, 7]
 
-    def test_ids_are_the_pools_own_objects(self):
-        # Fresh ints per allocation would keep one object per node alive
-        # in every finished job's allocation tuple.
-        universe = list(range(1000))
-        pool = NodePool(universe)
+    def test_one_run_is_a_read_only_view_of_the_id_column(self):
+        # A view costs no bytes per node: the job keeps alive only the
+        # pool's own column.
+        pool = NodePool(range(1000))
         pool.allocate(make_job(job_id=1, n_nodes=500), 0.0)
         got = pool.allocate(make_job(job_id=2, n_nodes=300), 0.0)
-        assert got == tuple(range(500, 800))
-        assert all(nid is universe[nid] for nid in got)
+        assert got.tolist() == list(range(500, 800))
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.base is pool._id_col
+
+    def test_split_runs_are_a_read_only_copy(self):
+        pool = NodePool(range(10))
+        pool.mark_down(2)
+        got = pool.allocate(make_job(job_id=1, n_nodes=4), 0.0)
+        assert got.tolist() == [0, 1, 3, 4]
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.base is None
 
     def test_counter_drift_raises_scheduling_error(self):
         pool = NodePool(range(4))
@@ -208,17 +217,43 @@ class TestShrink:
         with pytest.raises(SchedulingError, match="duplicate"):
             pool.shrink_allocation(1, (2, 2))
         assert pool.n_free == 4 == len(pool.free_ids())
-        assert pool.running[1].node_ids == (0, 1, 2, 3)
-        assert pool.allocate(make_job(job_id=2, n_nodes=4), 0.0) == (4, 5, 6, 7)
+        assert pool.running[1].node_ids.tolist() == [0, 1, 2, 3]
+        assert pool.allocate(make_job(job_id=2, n_nodes=4), 0.0).tolist() == [4, 5, 6, 7]
 
     def test_shrink_frees_up_nodes_but_not_down_ones(self):
         pool = NodePool(range(8))
         pool.allocate(make_job(job_id=1, n_nodes=4), 0.0)
         pool.mark_down(3)
-        assert pool.shrink_allocation(1, (1, 3)) == (1, 3)
-        assert pool.running[1].node_ids == (0, 2)
+        assert pool.shrink_allocation(1, (1, 3)).tolist() == [1, 3]
+        assert pool.running[1].node_ids.tolist() == [0, 2]
         assert pool.free_ids() == frozenset({1, 4, 5, 6, 7})
         assert pool.down_ids() == frozenset({3})
+
+
+class TestGrowConcatenates:
+    """A grow appends ids.  ``tuple + ndarray`` adds element-wise without
+    an error, so an allocation extended with ``+`` would hold sums."""
+
+    def test_grow_allocation_appends_ids(self):
+        pool = NodePool(range(8))
+        pool.allocate(make_job(job_id=1, n_nodes=2, min_nodes=1, max_nodes=6), 0.0)
+        added = pool.grow_allocation(1, 3)
+        assert added.tolist() == [2, 3, 4]
+        held = pool.running[1].node_ids
+        assert held.tolist() == [0, 1, 2, 3, 4]
+        assert held.dtype == np.int64 and not held.flags.writeable
+        assert pool.free_ids() == frozenset({5, 6, 7})
+
+    def test_job_grow_and_shrink_keep_ids(self):
+        job = make_job(job_id=1, n_nodes=2, min_nodes=1, max_nodes=6)
+        job.start(0.0, (4, 5))
+        job.grow(1.0, (0, 1))
+        job.grow(2.0, np.array([7]))
+        assert job.allocated_nodes.tolist() == [4, 5, 0, 1, 7]
+        job.shrink(3.0, (5, 1))
+        assert job.allocated_nodes.tolist() == [4, 0, 7]
+        assert job.allocated_nodes.dtype == np.int64
+        assert not job.allocated_nodes.flags.writeable
 
 
 class TestBelievedEndsCache:
@@ -248,7 +283,6 @@ class PoolMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.pool = NodePool(self.universe)
-        self.own = {nid: nid for nid in self.universe}
         self.free = set(self.universe)
         self.down: set[int] = set()
         self.running: dict[int, tuple[int, ...]] = {}
@@ -262,8 +296,13 @@ class PoolMachine(RuleBasedStateMachine):
     def _first_fit(self, k):
         return tuple(sorted(self.free)[:k])
 
-    def _assert_own(self, ids):
-        assert all(nid is self.own[nid] for nid in ids)
+    def _handed_out(self, ids):
+        """``ids`` as a tuple, after checking the allocation contract: a
+        read-only ``int64`` array, a view of the pool's id column or a
+        copy of its own."""
+        assert ids.dtype == np.int64 and not ids.flags.writeable
+        assert ids.base is self.pool._id_col or ids.base is None
+        return tuple(ids.tolist())
 
     @rule(k=st.integers(1, 10), below=st.integers(0, 4), above=st.integers(0, 4))
     def allocate(self, k, below, above):
@@ -275,9 +314,8 @@ class PoolMachine(RuleBasedStateMachine):
             with pytest.raises(SchedulingError):
                 self.pool.allocate(job, 0.0)
             return
-        got = self.pool.allocate(job, 0.0)
+        got = self._handed_out(self.pool.allocate(job, 0.0))
         assert got == self._first_fit(k)
-        self._assert_own(got)
         self.free -= set(got)
         self.running[job.job_id] = got
         if job.malleable:
@@ -289,7 +327,7 @@ class PoolMachine(RuleBasedStateMachine):
         job_id = data.draw(st.sampled_from(sorted(self.running)))
         nodes = self.running.pop(job_id)
         self.floors.pop(job_id, None)
-        assert self.pool.release(job_id) == nodes
+        assert self._handed_out(self.pool.release(job_id)) == nodes
         self.free |= set(nodes) - self.down
 
     @precondition(lambda self: self.running)
@@ -300,11 +338,11 @@ class PoolMachine(RuleBasedStateMachine):
             with pytest.raises(SchedulingError):
                 self.pool.grow_allocation(job_id, k)
             return
-        got = self.pool.grow_allocation(job_id, k)
+        got = self._handed_out(self.pool.grow_allocation(job_id, k))
         assert got == self._first_fit(k)
-        self._assert_own(got)
         self.free -= set(got)
         self.running[job_id] += got
+        self._handed_out(self.pool.running[job_id].node_ids)
 
     @precondition(lambda self: self.running)
     @rule(data=st.data())
@@ -312,7 +350,7 @@ class PoolMachine(RuleBasedStateMachine):
         job_id = data.draw(st.sampled_from(sorted(self.running)))
         nodes = self.running[job_id]
         removed = tuple(data.draw(st.lists(st.sampled_from(nodes), unique=True))) if nodes else ()
-        assert self.pool.shrink_allocation(job_id, removed) == removed
+        assert self._handed_out(self.pool.shrink_allocation(job_id, removed)) == removed
         self.running[job_id] = tuple(n for n in nodes if n not in removed)
         self.free |= set(removed) - self.down
 
@@ -349,7 +387,7 @@ class PoolMachine(RuleBasedStateMachine):
         assert pool.n_busy == len(self._held() - self.down)
         assert pool.free_ids() == self.free
         assert pool.down_ids() == self.down
-        assert {j: rec.node_ids for j, rec in pool.running.items()} == self.running
+        assert {j: tuple(rec.node_ids.tolist()) for j, rec in pool.running.items()} == self.running
         # shrinks and grows here ignore the width range, so a record may
         # sit below its floor: it adds nothing to the slack then
         assert pool.elastic_slack == sum(
@@ -362,7 +400,7 @@ class DensePoolMachine(PoolMachine):
 
 
 class SparsePoolMachine(PoolMachine):
-    # Ids above the small-int cache, so the identity check means something.
+    # Ids with gaps, so a column is not its id.
     universe = list(range(1003, 1100, 4))
 
 

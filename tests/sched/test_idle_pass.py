@@ -57,7 +57,7 @@ class Arm:
             with telemetry.session() as tel:
                 decisions = self.sched.plan(queue, pool, self.now)
             return (
-                [(j.job_id, nodes) for j, nodes in decisions],
+                [(j.job_id, nodes.tolist()) for j, nodes in decisions],
                 tel.registry.snapshot(),
             )
         elif op == "remove":
@@ -98,7 +98,7 @@ class Arm:
             pool.free_ids(),
             pool.down_ids(),
             list(pool.believed_ends()),
-            sorted((i, r.node_ids) for i, r in pool.running.items()),
+            sorted((i, r.node_ids.tolist()) for i, r in pool.running.items()),
             [j.job_id for j in queue],
             queue.demand_nodes,
         )

@@ -3,9 +3,10 @@
 Two byte-identical speed-ups in one pass, each checked against the code
 it replaced:
 
-* ``NodePool._handout`` slices ``_ids`` once per run of consecutive
-  free columns; the reference maps every column to its id.  Both must
-  give equal tuples of the pool's own ``int`` objects.
+* ``NodePool._handout`` hands out one run of consecutive free columns
+  as a view of the id column and anything else as a ``take``; the
+  reference maps every column to its id.  Both must give equal ids, as
+  a read-only ``int64`` array.
 * ``BackfillScheduler.plan`` walks the head's reservation only at the
   first backfill candidate that fits; the reference walks it on every
   pass with a free node.  Decisions and pool and queue state must match.
@@ -30,7 +31,7 @@ state_runs = st.lists(
 
 
 def universe(n, sparse, gaps):
-    """``range(n)``, or ``n`` ascending ids above the small-int cache with gaps."""
+    """``range(n)``, or ``n`` ascending ids with gaps (a column is not its id)."""
     if not sparse:
         return range(n)
     ids, nid = [], 1000
@@ -54,26 +55,26 @@ class TestHandout:
     @settings(max_examples=120, deadline=None)
     def test_run_slices_equal_per_id_map(self, runs, sparse, gaps):
         pool = pool_with_states(runs, sparse, gaps)
-        ids = pool._ids
+        ids = pool._id_col.tolist()
         for k in range(pool.n_free + 1):
             cols = pool._pop_smallest_free(k)
             got = pool._handout(cols)
-            want = tuple(map(ids.__getitem__, cols.tolist()))
-            assert got == want
-            assert all(g is ids[c] for g, c in zip(got, cols.tolist()))
+            assert got.tolist() == list(map(ids.__getitem__, cols.tolist()))
+            assert got.dtype == np.int64 and not got.flags.writeable
 
     @given(state_runs, st.booleans(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_allocate_hands_out_pool_ints(self, runs, sparse, data):
+    def test_allocate_hands_out_read_only_int64(self, runs, sparse, data):
         pool = pool_with_states(runs, sparse, [3, 0, 1])
-        ids = pool._ids
+        ids = pool._id_col.tolist()
         k = data.draw(st.integers(0, pool.n_free))
         cols = np.flatnonzero(pool._state == _FREE)[:k].tolist()
         job = Job(1, "j", "u", max(k, 1), 10.0, 10.0, 0.0)
         chosen = pool.allocate(job, 0.0, width=k)
-        assert chosen == tuple(ids[c] for c in cols)
-        assert all(g is ids[c] for g, c in zip(chosen, cols))
-        assert not pool.free_ids() & set(chosen)
+        assert chosen.tolist() == [ids[c] for c in cols]
+        assert chosen.dtype == np.int64 and not chosen.flags.writeable
+        assert chosen.base is pool._id_col or chosen.base is None
+        assert not pool.free_ids() & set(chosen.tolist())
         assert pool.n_free == int((pool._state == _FREE).sum())
 
 
@@ -158,7 +159,8 @@ class Arm:
                 planned_s=limit * planned_frac,
             ))
         elif op == "pass":
-            return [(j.job_id, nodes) for j, nodes in self.sched.plan(self.queue, pool, self.now)]
+            decisions = self.sched.plan(self.queue, pool, self.now)
+            return [(j.job_id, nodes.tolist()) for j, nodes in decisions]
         elif op == "release":
             if pool.running:
                 running = sorted(pool.running)

@@ -10,6 +10,7 @@ that always runs the full pass.
 
 import typing as t
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +48,7 @@ class FullResizeScheduler(BackfillScheduler):
                     if deficit <= 0:
                         break
                     give = min(len(rec.node_ids) - rec.job.min_nodes, deficit)
-                    victims = tuple(sorted(rec.node_ids)[-give:])
+                    victims = tuple(sorted(rec.node_ids.tolist())[-give:])
                     pool.shrink_allocation(rec.job.job_id, victims)
                     decisions.append(ResizeDecision(rec.job, removed=victims))
                     deficit -= give
@@ -132,15 +133,18 @@ class Arm:
             resizes = self.sched.plan_resizes(self.queue, pool, self.now)
             for dec in resizes:
                 job = dec.job
-                if dec.added:
+                if len(dec.added):
                     job.grow(self.now, dec.added)
-                if dec.removed:
+                if len(dec.removed):
                     job.shrink(self.now, dec.removed)
                 width = len(job.allocated_nodes)
                 pool.retime(job.job_id, self.now + job.limit_s * job.n_nodes / width)
-            if any(dec.removed for dec in resizes):
+            if any(len(dec.removed) for dec in resizes):
                 self.sched.plan(self.queue, pool, self.now)
-            return [(d.job.job_id, d.added, d.removed) for d in resizes]
+            return [
+                (d.job.job_id, np.asarray(d.added).tolist(), np.asarray(d.removed).tolist())
+                for d in resizes
+            ]
         elif op == "start":
             launching = sorted(
                 j for j, rec in pool.running.items() if rec.job.state is JobState.PENDING
@@ -190,7 +194,7 @@ class Arm:
             pool.free_ids(),
             pool.down_ids(),
             pool.elastic_slack,
-            {j: (rec.node_ids, rec.believed_end) for j, rec in pool.running.items()},
+            {j: (rec.node_ids.tolist(), rec.believed_end) for j, rec in pool.running.items()},
             [job.job_id for job in self.queue],
         )
 
@@ -245,7 +249,7 @@ class TestSlackExit:
         pool, queue, sched, _ = self._blocked(5)
         assert sched.plan_resizes(queue, pool, 0.0) == []
         assert pool.free_ids() == frozenset()
-        assert pool.running[1].node_ids == tuple(range(8))
+        assert pool.running[1].node_ids.tolist() == list(range(8))
         assert pool.elastic_slack == 4
 
     def test_launching_record_counts_in_slack_but_donates_nothing(self):
@@ -253,5 +257,5 @@ class TestSlackExit:
             pool, queue, _, donor = self._blocked(4, start=False)
             assert donor.state is JobState.PENDING
             assert sched_cls(malleable=True).plan_resizes(queue, pool, 0.0) == []
-            assert pool.running[1].node_ids == tuple(range(8))
+            assert pool.running[1].node_ids.tolist() == list(range(8))
             assert pool.elastic_slack == 4
