@@ -34,11 +34,15 @@ chaos-smoke:
 test-bench:
 	$(PYTHON) -m pytest -q tests/bench tests/telemetry
 
+## The what-if question both smokes ask of the small snapshot-smoke day.
+WHATIF_DAY := --rm eslurm --n-nodes 32 --n-jobs 20 --seed 7 --at-s 43200 --perturb submit-job --job-nodes 4
+
 ## Smoke: a -j 1/-j 2 sweep of the 1K pair must produce schema-valid
 ## payloads with byte-identical digests at both levels (the sweep exits
 ## nonzero on any mismatch), and the same seed twice must produce
-## byte-identical payloads.  Last, the pinned `repro simulate` day and a
-## 500-job `repro estimate` run each run in two fresh interpreters with
+## byte-identical payloads.  Last, the pinned `repro simulate` day, a
+## 500-job `repro estimate` run and a `repro whatif` probe of the
+## snapshot-smoke day each run in two fresh interpreters with
 ## different string-hash seeds and the outputs must `cmp` equal: an
 ## iteration over a set or dict of strings would show up here first
 ## (the estimator hashes job names with zlib.crc32, and its name routes
@@ -57,6 +61,9 @@ bench-smoke:
 	PYTHONHASHSEED=1 $(PYTHON) -m repro.cli estimate run --json --n-history 500 > .bench-smoke/estimate-1.json
 	PYTHONHASHSEED=2 $(PYTHON) -m repro.cli estimate run --json --n-history 500 > .bench-smoke/estimate-2.json
 	cmp .bench-smoke/estimate-1.json .bench-smoke/estimate-2.json
+	PYTHONHASHSEED=1 $(PYTHON) -m repro.cli whatif run --json $(WHATIF_DAY) > .bench-smoke/whatif-1.json
+	PYTHONHASHSEED=2 $(PYTHON) -m repro.cli whatif run --json $(WHATIF_DAY) > .bench-smoke/whatif-2.json
+	cmp .bench-smoke/whatif-1.json .bench-smoke/whatif-2.json
 	rm -rf .bench-smoke
 
 ## The repo benchmark's own checks: BENCHMARK.json must be a valid
@@ -161,7 +168,7 @@ malleable-smoke:
 snapshot-smoke:
 	$(PYTHON) -m pytest -q tests/snapshot -m "not slow"
 	$(PYTHON) -m repro.cli verify --relation snapshot-equivalence --seeds 2 -j 2
-	$(PYTHON) -m repro.cli whatif run --rm eslurm --n-nodes 32 --n-jobs 20 --seed 7 --at-s 43200 --perturb submit-job --job-nodes 4
+	$(PYTHON) -m repro.cli whatif run $(WHATIF_DAY)
 	$(PYTHON) -m repro.cli whatif run --rm eslurm --n-nodes 32 --n-jobs 20 --seed 7 --at-s 43200 --perturb fail-node --node-id 0 --duration-s 3600
 
 ## Import every top-level package (and the CLI) first, each in a fresh

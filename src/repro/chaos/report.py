@@ -53,15 +53,6 @@ class ChaosReport:
         """The command that replays this exact run."""
         return f"repro chaos run {self.scenario} --seed {self.seed}"
 
-    def schedule_dump(self) -> str:
-        """The fault schedule, one line per fault (repro / shrink output)."""
-        lines = [
-            f"  t={fault.at:12.3f}  {fault.kind:<12} "
-            f"dur={fault.duration:10.3f}  nodes={list(fault.node_ids)}"
-            for fault in self.schedule
-        ]
-        return "\n".join(lines) if lines else "  (empty schedule)"
-
     def to_text(self) -> str:
         """Canonical, deterministic rendering of the whole report."""
         lines = [

@@ -92,9 +92,6 @@ def run_fig11a(
 class Fig11bResult:
     reports: dict[str, EstimatorReport] = field(default_factory=dict)
 
-    def best_by_aea(self) -> str:
-        return max(self.reports, key=lambda k: self.reports[k].aea)
-
 
 def run_fig11b(
     n_jobs: int = 3000, seed: int = 2, warmup: int = 200, fast: bool = False

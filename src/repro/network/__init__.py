@@ -13,7 +13,7 @@ takeover path.
 """
 
 from repro.network.broadcast import BroadcastResult
-from repro.network.fabric import FabricConfig, NetworkFabric
+from repro.network.fabric import NetworkFabric
 from repro.network.message import Message, MessageKind
 from repro.network.sockets import ConnectionTracker
 from repro.network.structures import (
@@ -26,7 +26,6 @@ from repro.network.structures import (
 __all__ = [
     "Message",
     "MessageKind",
-    "FabricConfig",
     "NetworkFabric",
     "ConnectionTracker",
     "BroadcastResult",

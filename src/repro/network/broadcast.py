@@ -93,19 +93,18 @@ class BroadcastStructure:
 class MemoizedBroadcast(BroadcastStructure):
     """Per-tree cache around a deterministic broadcast engine.
 
-    A jitter-free broadcast is a pure function of its root, its ordered
-    targets, its payload size and which of *those targets* are down —
-    liveness anywhere else in the machine cannot reach it.  The cache
-    therefore keeps one slot per ``(root, size_bytes)`` holding the
-    last target tuple, its node set, the down nodes among it and the
-    result, and a tree hits when its targets are equal and its own down
-    set is unchanged.
+    A broadcast is a pure function of its root, its ordered targets,
+    its payload size and which of *those targets* are down — liveness
+    anywhere else in the machine cannot reach it.  The cache therefore
+    keeps one slot per ``(root, size_bytes)`` holding the last target
+    tuple, its node set, the down nodes among it and the result, and a
+    tree hits when its targets are equal and its own down set is
+    unchanged.
 
     A hit skips input validation: an equal target tuple passed it when
-    the slot was stored.  Jitter (per-transfer RNG draws),
-    ``record_arrivals`` and an active telemetry session (whose metrics
-    must be recorded) go straight to the inner engine and are neither
-    looked up nor counted.
+    the slot was stored.  ``record_arrivals`` and an active telemetry
+    session (whose metrics must be recorded) go straight to the inner
+    engine and are neither looked up nor counted.
 
     No engine of the simulator is wrapped in this cache: the FP-Tree
     engine walks its orderings with the plain tree engine, because its
@@ -145,7 +144,7 @@ class MemoizedBroadcast(BroadcastStructure):
     ) -> list[BroadcastResult]:
         """Serve each tree from its slot; the missed trees share one
         inner forest call."""
-        if fabric.config.jitter_frac or telemetry.active() is not None:
+        if telemetry.active() is not None:
             return self.inner.simulate_forest(tasks, size_bytes, fabric)
         if fabric is not self._fabric:
             self._slots.clear()

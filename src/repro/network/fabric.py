@@ -10,17 +10,21 @@ A transfer to a dead node costs ``connect_timeout * (1 + retries)``
 before the sender gives up — the paper sets three connection retries in
 its structure comparison (Section VII-A), and this timeout term is what
 turns failed nodes into latency, which the FP-Tree then bounds.
+
+The interconnect is fixed: the parameters below are module constants,
+and every delay is a deterministic function of the two endpoints and
+the payload size.  The defaults follow the paper's hardware description
+(25 Gb/s serial lanes) with conservative software overheads typical of
+socket-based RM daemons.
 """
 
 from __future__ import annotations
 
 import functools
 import typing as t
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.telemetry import facade as telemetry
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -29,60 +33,22 @@ if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simkit.core import Simulator
 
 
-@dataclass(frozen=True)
-class FabricConfig:
-    """Interconnect parameters.
-
-    Defaults follow the paper's hardware description (25 Gb/s serial
-    lanes) with conservative software overheads typical of socket-based
-    RM daemons.
-
-    Args:
-        bandwidth_gbps: per-lane bandwidth.
-        send_overhead_s: sender-side CPU per connection (setup,
-            serialisation); this is the term that serialises fan-out.
-        hop_latency_s: propagation latency per hop level, indexed by
-            :class:`HopLevel` (5 entries).
-        connect_timeout_s: how long a connect to a dead node blocks.
-        retries: reconnect attempts before declaring the peer dead
-            (paper: 3).
-        jitter_frac: multiplicative latency jitter (uniform ±frac);
-            0 disables and keeps transfers fully deterministic.
-    """
-
-    bandwidth_gbps: float = 25.0
-    send_overhead_s: float = 0.0008
-    hop_latency_s: tuple[float, float, float, float, float] = (
-        0.0,      # same node
-        2e-6,     # same board
-        5e-6,     # same chassis
-        1.2e-5,   # same rack
-        2.5e-5,   # cross rack
-    )
-    connect_timeout_s: float = 1.0
-    retries: int = 3
-    jitter_frac: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_gbps <= 0:
-            raise ConfigurationError("bandwidth must be positive")
-        if self.send_overhead_s < 0 or self.connect_timeout_s <= 0:
-            raise ConfigurationError("invalid overhead/timeout")
-        if self.retries < 0:
-            raise ConfigurationError("retries cannot be negative")
-        if len(self.hop_latency_s) != 5:
-            raise ConfigurationError("hop_latency_s needs one entry per HopLevel")
-        if not 0.0 <= self.jitter_frac < 1.0:
-            raise ConfigurationError("jitter_frac must be in [0, 1)")
-
-    @property
-    def bytes_per_second(self) -> float:
-        return self.bandwidth_gbps * 1e9 / 8.0
-
-    @property
-    def dead_node_penalty_s(self) -> float:
-        """Time lost discovering that a peer is dead."""
-        return self.connect_timeout_s * (1 + self.retries)
+#: sender-side CPU per connection (setup, serialisation); the term
+#: that serialises fan-out
+SEND_OVERHEAD_S = 0.0008
+#: propagation latency per hop level, indexed by :class:`HopLevel`
+HOP_LATENCY_S = (
+    0.0,      # same node
+    2e-6,     # same board
+    5e-6,     # same chassis
+    1.2e-5,   # same rack
+    2.5e-5,   # cross rack
+)
+#: one 25 Gb/s serial lane
+BYTES_PER_SECOND = 25.0 * 1e9 / 8.0
+#: time lost discovering that a peer is dead: a 1 s connect timeout,
+#: then three retries (the paper's setting)
+DEAD_NODE_PENALTY_S = 1.0 * (1 + 3)
 
 
 @functools.lru_cache(maxsize=4)
@@ -132,11 +98,9 @@ _PER_HOP_CACHE_SIZE = 256
 class NetworkFabric:
     """Evaluates transfer delays against the live cluster state."""
 
-    def __init__(self, sim: "Simulator", cluster: "Cluster", config: FabricConfig | None = None) -> None:
+    def __init__(self, sim: "Simulator", cluster: "Cluster") -> None:
         self.sim = sim
         self.cluster = cluster
-        self.config = config or FabricConfig()
-        self._rng = sim.rng.stream("fabric")
         #: (cluster.version, frozenset of unresponsive ids) — see
         #: :meth:`unreachable_ids`
         self._unreachable_cache: tuple[int, frozenset[int]] | None = None
@@ -150,15 +114,11 @@ class NetworkFabric:
         if tel is not None:
             tel.count("net.messages")
             tel.count("net.bytes", size_bytes)
-        cfg = self.config
         hop = self.cluster.topology.hop_level(
             min(src, self.cluster.n_nodes - 1) if src < self.cluster.n_nodes else 0,
             min(dst, self.cluster.n_nodes - 1) if dst < self.cluster.n_nodes else 0,
         )
-        delay = cfg.send_overhead_s + cfg.hop_latency_s[hop] + size_bytes / cfg.bytes_per_second
-        if cfg.jitter_frac:
-            delay *= 1.0 + cfg.jitter_frac * (2.0 * self._rng.random() - 1.0)
-        return delay
+        return SEND_OVERHEAD_S + HOP_LATENCY_S[hop] + size_bytes / BYTES_PER_SECOND
 
     def is_reachable(self, node_id: int) -> bool:
         """Whether the target currently answers connections."""
@@ -181,13 +141,6 @@ class NetworkFabric:
         ids = self.cluster.unresponsive_ids()
         self._unreachable_cache = (ver, ids)
         return ids
-
-    def attempt_delay(self, src: int, dst: int, size_bytes: int) -> tuple[float, bool]:
-        """``(delay, delivered)`` for one attempt against live state."""
-        if self.is_reachable(dst):
-            return self.transfer_delay(src, dst, size_bytes), True
-        telemetry.count("net.timeouts")
-        return self.config.dead_node_penalty_s, False
 
     # -- vectorized API (hot path for broadcast evaluation) --------------
     @functools.cached_property
@@ -230,25 +183,6 @@ class NetworkFabric:
         dst_codes = self.hop_codes(np.asarray(dsts, dtype=np.int64))
         return self.link_delays(src_code, dst_codes, size_bytes)
 
-    def transfer_delays_pairwise(
-        self, srcs: np.ndarray, dsts: np.ndarray, size_bytes: int
-    ) -> np.ndarray:
-        """Vectorised :meth:`transfer_delay` for per-pair (src, dst) links.
-
-        The arithmetic mirrors the scalar path operation-for-operation
-        (``overhead + hop_latency + size/bandwidth``, left to right), so
-        with jitter disabled the results are bit-identical to calling
-        :meth:`transfer_delay` per pair — which is what lets the tree
-        engine's vectorised walk reproduce the recursive walk exactly.
-        With jitter enabled the draw order differs from per-pair scalar
-        calls; callers needing scalar-identical jitter must stay scalar.
-        """
-        return self.link_delays(
-            self.hop_codes(np.asarray(srcs, dtype=np.int64)),
-            self.hop_codes(np.asarray(dsts, dtype=np.int64)),
-            size_bytes,
-        )
-
     def link_delays(
         self, src_codes: np.ndarray, dst_codes: np.ndarray, size_bytes: int
     ) -> np.ndarray:
@@ -260,11 +194,7 @@ class NetworkFabric:
             tel.count("net.messages", len(dst_codes))
             tel.count("net.bytes", size_bytes * len(dst_codes))
         hop = self._hop_layout[1].searchsorted(src_codes ^ dst_codes, side="right")
-        delays = self._per_hop(size_bytes).take(hop)
-        jitter = self.config.jitter_frac
-        if jitter:
-            delays = delays * (1.0 + jitter * (2.0 * self._rng.random(delays.shape) - 1.0))
-        return delays
+        return self._per_hop(size_bytes).take(hop)
 
     def _per_hop(self, size_bytes: int) -> np.ndarray:
         """One delay per HopLevel for a ``size_bytes`` payload, summed
@@ -274,9 +204,8 @@ class NetworkFabric:
         if per_hop is None:
             if len(self._per_hop_cache) >= _PER_HOP_CACHE_SIZE:
                 self._per_hop_cache.clear()
-            cfg = self.config
-            wire_s = size_bytes / cfg.bytes_per_second
-            per_hop = np.array([cfg.send_overhead_s + lat + wire_s for lat in cfg.hop_latency_s])
+            wire_s = size_bytes / BYTES_PER_SECOND
+            per_hop = np.array([SEND_OVERHEAD_S + lat + wire_s for lat in HOP_LATENCY_S])
             self._per_hop_cache[size_bytes] = per_hop
         return per_hop
 

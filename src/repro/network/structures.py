@@ -30,10 +30,8 @@ from repro.cluster.node import UP_CODE, node_array
 from repro.errors import ClusterError, ConfigurationError
 from repro.fptree.tree import children_bounds
 from repro.network.broadcast import BroadcastResult, BroadcastStructure
+from repro.network.fabric import DEAD_NODE_PENALTY_S, SEND_OVERHEAD_S, NetworkFabric
 from repro.telemetry import facade as telemetry
-
-if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.network.fabric import NetworkFabric
 
 
 def _id_list(targets: t.Sequence[int]) -> t.Sequence[int]:
@@ -53,7 +51,6 @@ class RingBroadcast(BroadcastStructure):
         result = BroadcastResult(self.name, 0.0, len(targets))
         now = 0.0
         prev = root
-        penalty = fabric.config.dead_node_penalty_s
         for nid in targets:
             if fabric.is_reachable(nid):
                 now += fabric.transfer_delay(prev, nid, size_bytes)
@@ -61,7 +58,7 @@ class RingBroadcast(BroadcastStructure):
                     result.arrivals[nid] = now
                 prev = nid
             else:
-                now += penalty
+                now += DEAD_NODE_PENALTY_S
                 result.n_timeouts += 1
                 result.failed += (nid,)
         result.makespan_s = now
@@ -94,8 +91,7 @@ class StarBroadcast(BroadcastStructure):
         ids = np.asarray(targets, dtype=np.int64)
         alive = fabric.reachability(targets)
         delays = fabric.transfer_delays(root, ids, size_bytes)
-        penalty = fabric.config.dead_node_penalty_s
-        durations = np.where(alive, delays, penalty)
+        durations = np.where(alive, delays, DEAD_NODE_PENALTY_S)
         result.n_timeouts = int((~alive).sum())
         result.failed = tuple(int(i) for i in ids[~alive])
         total = float(durations.sum())
@@ -165,8 +161,6 @@ class _TreeWalk:
         "nodelist",
         "size_bytes",
         "fabric",
-        "overhead",
-        "penalty",
         "tel",
         "arrivals",
         "makespan",
@@ -186,8 +180,6 @@ class _TreeWalk:
         self.nodelist = nodelist
         self.size_bytes = size_bytes
         self.fabric = fabric
-        self.overhead = fabric.config.send_overhead_s
-        self.penalty = fabric.config.dead_node_penalty_s
         self.tel = telemetry.active()
         self.arrivals = arrivals
         self.makespan = 0.0
@@ -201,7 +193,7 @@ class _TreeWalk:
         tel = self.tel
         for i, (c_lo, c_hi) in enumerate(children_bounds(lo, hi, self.width)):
             child = nodelist[c_lo]
-            initiated = ready + (i + 1) * self.overhead
+            initiated = ready + (i + 1) * SEND_OVERHEAD_S
             if fabric.is_reachable(child):
                 arrival = initiated + fabric.transfer_delay(parent_id, child, self.size_bytes)
                 if arrival > self.makespan:
@@ -217,7 +209,7 @@ class _TreeWalk:
                 # Detection itself does not gate any delivery (makespan
                 # is the last *successful* delivery); the takeover of
                 # the orphaned grandchildren starts after the timeout.
-                detected = initiated + self.penalty
+                detected = initiated + DEAD_NODE_PENALTY_S
                 self.takeover(c_lo, c_hi, parent_id, detected, level)
 
     def takeover(self, lo: int, hi: int, parent_id: int, start: float, level: int) -> float:
@@ -233,7 +225,7 @@ class _TreeWalk:
         for g_lo, g_hi in children_bounds(lo, hi, self.width):
             grandchild = nodelist[g_lo]
             if fabric.is_reachable(grandchild):
-                now += self.overhead + fabric.transfer_delay(parent_id, grandchild, self.size_bytes)
+                now += SEND_OVERHEAD_S + fabric.transfer_delay(parent_id, grandchild, self.size_bytes)
                 if now > self.makespan:
                     self.makespan = now
                 if tel is not None:
@@ -244,7 +236,7 @@ class _TreeWalk:
             else:
                 self.timeouts += 1
                 self.failed.append(grandchild)
-                now += self.penalty  # serial: gates the remaining adoptions
+                now += DEAD_NODE_PENALTY_S  # serial: gates the remaining adoptions
                 now = self.takeover(g_lo, g_hi, parent_id, now, level + 1)
         return now
 
@@ -408,7 +400,6 @@ def _run_forest(walks: list[_TreeWalk], arr: np.ndarray, per_target_root_s: floa
     matches too.
     """
     fabric = walks[0].fabric
-    overhead = walks[0].overhead
     width = walks[0].width
     size_bytes = walks[0].size_bytes
     tel = walks[0].tel
@@ -429,7 +420,7 @@ def _run_forest(walks: list[_TreeWalk], arr: np.ndarray, per_target_root_s: floa
             up = None
     shapes = [_tree_shape(n, width) for n in sizes]
     forest = _forest_shape(shapes, offsets)
-    wait = forest.rank * overhead  # a child's dispatch offset after its parent is ready
+    wait = forest.rank * SEND_OVERHEAD_S  # a child's dispatch offset after its parent is ready
     if up is None:
         delays = fabric.link_delays(codes.take(forest.parent), codes.take(forest.lo), size_bytes)
     else:
@@ -475,7 +466,7 @@ def _run_forest(walks: list[_TreeWalk], arr: np.ndarray, per_target_root_s: floa
         p_hi = _range_end(shapes[t_i], p_level, p_lo, sizes[t_i])
         walk.timeouts += 1
         walk.failed.append(walk.nodelist[p_lo])
-        walk.takeover(p_lo, p_hi, parent_id, initiated_s + walk.penalty, p_level)
+        walk.takeover(p_lo, p_hi, parent_id, initiated_s + DEAD_NODE_PENALTY_S, p_level)
 
 
 class TreeBroadcast(BroadcastStructure):
@@ -483,10 +474,11 @@ class TreeBroadcast(BroadcastStructure):
 
     The tree shape is the implicit structure of
     :func:`repro.fptree.tree.build_tree` over ``[root] + targets``;
-    engines walk index ranges instead of materialising nodes.  Large
-    jitter-free broadcasts take a vectorised level-order walk whose
-    float arithmetic matches the recursion operation-for-operation
-    (same results, orders of magnitude faster at machine scale).
+    engines walk index ranges instead of materialising nodes.  A
+    broadcast to at least :attr:`FAST_PATH_MIN_TARGETS` targets takes a
+    vectorised level-order walk whose float arithmetic matches the
+    recursion operation-for-operation (same results, orders of
+    magnitude faster at machine scale).
     """
 
     name = "tree"
@@ -510,9 +502,7 @@ class TreeBroadcast(BroadcastStructure):
         self.per_target_root_s = per_target_root_s
 
     def simulate(self, root, targets, size_bytes, fabric, record_arrivals=False):
-        # Jitter draws RNG per scalar transfer, so only the jitter-free
-        # configuration is safe to batch.
-        if len(targets) >= self.FAST_PATH_MIN_TARGETS and fabric.config.jitter_frac == 0.0:
+        if len(targets) >= self.FAST_PATH_MIN_TARGETS:
             return self._sweep([(root, targets)], size_bytes, fabric, record_arrivals)[0]
         targets = _id_list(targets)
         self._validate(targets, size_bytes)
@@ -535,12 +525,12 @@ class TreeBroadcast(BroadcastStructure):
         Result list matches ``tasks`` (one :class:`BroadcastResult` per
         ``(root, targets)``) and every entry is bit-identical to a
         standalone :meth:`simulate` call; the trees only share the
-        per-level numpy dispatches.  Falls back to sequential scalar
-        evaluation under jitter (per-transfer RNG draws must keep their
-        order) or when the combined forest is too small to batch.
+        per-level numpy dispatches.  Falls back to sequential
+        :meth:`simulate` calls when the combined forest is too small to
+        batch.
         """
         total = sum(len(targets) for _, targets in tasks)
-        if fabric.config.jitter_frac != 0.0 or total < self.FAST_PATH_MIN_TARGETS:
+        if total < self.FAST_PATH_MIN_TARGETS:
             return [self.simulate(root, targets, size_bytes, fabric) for root, targets in tasks]
         return self._sweep(tasks, size_bytes, fabric)
 

@@ -29,7 +29,7 @@ from repro.cluster.topology import Topology
 from repro.estimate.framework import EslurmEstimator, EstimatorConfig
 from repro.fptree.constructor import FPTreeBroadcast
 from repro.fptree.predictor import OraclePredictor
-from repro.network.fabric import NetworkFabric
+from repro.network.fabric import DEAD_NODE_PENALTY_S, SEND_OVERHEAD_S, NetworkFabric
 from repro.network.structures import TreeBroadcast
 from repro.oracle.relations import MASTER_LOAD_NODE_THRESHOLD, Relation, RelationResult
 from repro.rm.eslurm import EslurmRM
@@ -158,8 +158,8 @@ class FPTreeFailureBoundRelation(Relation):
         fp = FPTreeBroadcast(OraclePredictor(cluster), width=self.width).simulate(
             root, targets, self.size_bytes, fabric
         )
-        penalty = fabric.config.dead_node_penalty_s
-        slack = self.width * fabric.config.send_overhead_s + 1e-9
+        penalty = DEAD_NODE_PENALTY_S
+        slack = self.width * SEND_OVERHEAD_S + 1e-9
         bounded = fp.makespan_s <= healthy.makespan_s + penalty + slack
         ordered = fp.makespan_s < plain.makespan_s
         delivered = len(fp.failed) == len(dead)

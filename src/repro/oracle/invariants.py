@@ -383,10 +383,6 @@ class InvariantRegistry:
         self.checks_run = 0
         self._sim: "Simulator | None" = None
 
-    def register(self, invariant: Invariant) -> None:
-        self.invariants.append(invariant)
-        self._counts.setdefault(invariant.name, 0)
-
     def attach(self, ctx: ChaosContext) -> None:
         """Install every invariant's observers and remember the clock."""
         self._sim = ctx.sim

@@ -26,7 +26,7 @@ from repro.cluster.spec import Cluster
 from repro.errors import ConfigurationError, ProcessInterrupt, SchedulingError
 from repro.estimate.metrics import RuntimeEstimator
 from repro.network.broadcast import BroadcastResult
-from repro.network.fabric import FabricConfig, NetworkFabric
+from repro.network.fabric import NetworkFabric
 from repro.network.message import DEFAULT_SIZES, MessageKind
 from repro.network.structures import StarBroadcast, TreeBroadcast
 from repro.rm.accounting import DaemonAccounting
@@ -113,7 +113,6 @@ class ResourceManager:
             setting for every RM).
         estimator: optional runtime estimator; when provided, submitted
             jobs get their wall limit from it (ESLURM's framework).
-        fabric_config: interconnect parameters.
         user_rpc_rate_per_s: background squeue/scancel traffic.
         sample_interval_s: accounting sample cadence (paper: 1 s).
         placement: optional :class:`~repro.sched.placement.PlacementPolicy`
@@ -135,7 +134,6 @@ class ResourceManager:
         profile: RMProfile,
         scheduler: t.Any = None,
         estimator: RuntimeEstimator | None = None,
-        fabric_config: FabricConfig | None = None,
         user_rpc_rate_per_s: float = 0.05,
         sample_interval_s: float = 60.0,
         placement: t.Any = None,
@@ -151,7 +149,7 @@ class ResourceManager:
         self.profile = profile
         self.scheduler = scheduler or BackfillScheduler()
         self.estimator = estimator
-        self.fabric = NetworkFabric(sim, cluster, fabric_config)
+        self.fabric = NetworkFabric(sim, cluster)
         self.user_rpc_rate = user_rpc_rate_per_s
         self.sample_interval_s = sample_interval_s
         self.rm_name = profile.name

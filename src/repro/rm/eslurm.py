@@ -239,20 +239,6 @@ class EslurmRM(ResourceManager):
                 tel.count("rm.broadcast.undelivered", len(result.failed))
         return result
 
-    def _relay(self, sat: SatelliteDaemon, part: t.Sequence[int], size: int) -> BroadcastResult:
-        """One satellite relays ``part`` via its FP-Tree.
-
-        Kept as the single-task form of the forest path in
-        :meth:`_broadcast` (chaos/failover tests drive it directly).
-        """
-        res = self._fp_engine.simulate(sat.node_id, part, size, self.fabric)
-        sat.acct.charge_cpu(self.profile.rpc_cpu_us / 1e6 * len(part))
-        sat.acct.sockets.pulse(
-            min(self.profile.tree_width, len(part)), max(res.makespan_s, 1e-3)
-        )
-        sat.handle(SatelliteEvent.BT_SUCCESS)
-        return res
-
     # -- heartbeats -----------------------------------------------------------------
     def _heartbeat_round(self) -> None:
         telemetry.count("rm.heartbeat_rounds")
@@ -283,10 +269,9 @@ class EslurmRM(ResourceManager):
 
         Only the shares whose own predicted or down ids changed are
         constructed and walked; the rest replay their construction
-        statistics and makespan.  Jitter (RNG per transfer), an active
-        telemetry session (every walk's metrics are recorded) and
-        construct observers (every construction is audited) re-derive
-        every share.
+        statistics and makespan.  An active telemetry session (every
+        walk's metrics are recorded) and construct observers (every
+        construction is audited) re-derive every share.
 
         Compute ids are dense (``0 .. n-1``), so a share's positions
         are its ids: one machine-wide predictor call and the down set,
@@ -303,11 +288,7 @@ class EslurmRM(ResourceManager):
             ]
         shares = self._hb_shares
         constructor = self._fp_engine.constructor
-        replay = not (
-            self.fabric.config.jitter_frac
-            or telemetry.active() is not None
-            or constructor.construct_observers
-        )
+        replay = telemetry.active() is None and not constructor.construct_observers
         predicted = self._by_share(self.predictor.predict(range(n)))
         down = self._by_share(self.fabric.unreachable_ids())
         stats = constructor.stats

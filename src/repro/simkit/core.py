@@ -314,10 +314,6 @@ class Simulator:
         """Run ``probe()`` after every processed event (in-line checking)."""
         self._probes.append(probe)
 
-    def remove_probe(self, probe: t.Callable[[], None]) -> None:
-        """Detach a probe previously added with :meth:`add_probe`."""
-        self._probes.remove(probe)
-
     def add_trace_hook(self, hook: t.Callable[[float, int, int], None]) -> None:
         """Observe every processed event as ``(time, priority, seq)``.
 

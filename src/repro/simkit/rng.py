@@ -7,7 +7,7 @@ another's draws — a prerequisite for meaningful A/B experiments
 
 Streams are derived from the master seed with ``numpy``'s
 :class:`~numpy.random.SeedSequence` ``spawn_key`` mechanism keyed by a
-stable hash of the stream name, so ``RngRegistry(7).stream("fabric")``
+stable hash of the stream name, so ``RngRegistry(7).stream("monitoring")``
 is identical across runs and machines.
 """
 

@@ -185,6 +185,36 @@ class TestEstimatePinned:
             assert (result["source"], result["trainings"]) == ("model", 6)
 
 
+#: the small ESLURM day ``make snapshot-smoke`` asks what-if questions of
+WHATIF_DAY = ["whatif", "run", "--json", "--rm", "eslurm", "--n-nodes", "32", "--n-jobs", "20",
+              "--seed", "7", "--at-s", "43200"]
+
+
+class TestWhatifPinned:
+    """``repro whatif run --json`` stdout, pinned byte for byte: the
+    answers and the snapshot digest over the captured state."""
+
+    @pytest.mark.parametrize(
+        ("perturb", "expected"),
+        [
+            pytest.param(
+                ["submit-job", "--job-nodes", "4"],
+                "55ce45dbf179fcd66280e5a7bbe41895e6adc00b565899e2225544b8bef001d5",
+                id="submit-job",
+            ),
+            pytest.param(
+                ["fail-node", "--node-id", "0", "--duration-s", "3600"],
+                "8724d1ea55bb72c9ec4fb67aa501c4b2e5259dd16163fc04cf2cd034f8142038",
+                id="fail-node",
+            ),
+        ],
+    )
+    def test_stdout_pinned(self, perturb, expected, capsys):
+        code, out, _ = run_cli(capsys, *WHATIF_DAY, "--perturb", *perturb)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 class TestRunResults:
     def test_simulate_json_carries_counters(self, capsys):
         payload = run_json(capsys, "simulate", *SMALL_DAY)

@@ -17,14 +17,14 @@ from repro.fptree import (
     leaf_positions,
     rearrange,
 )
-from repro.network import FabricConfig, NetworkFabric, TreeBroadcast
+from repro.network import NetworkFabric, TreeBroadcast
 from repro.simkit import Simulator
 
 
 def build(n=256, seed=0):
     sim = Simulator(seed=seed)
     cluster = ClusterSpec(n_nodes=n).build(sim)
-    fabric = NetworkFabric(sim, cluster, FabricConfig())
+    fabric = NetworkFabric(sim, cluster)
     return sim, cluster, fabric
 
 

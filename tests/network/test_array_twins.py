@@ -18,7 +18,6 @@ from repro.cluster.node import node_array
 from repro.fptree import FPTreeBroadcast, FPTreeConstructor, StaticSetPredictor
 from repro.fptree.predictor import MonitorAlertPredictor, OraclePredictor
 from repro.network import (
-    FabricConfig,
     NetworkFabric,
     RingBroadcast,
     SharedMemoryBroadcast,
@@ -41,7 +40,7 @@ def build(ttl_hours=6.0):
         failure_model=FailureModel.disabled(),
     )
     cluster = spec.build(sim)
-    return sim, cluster, NetworkFabric(sim, cluster, FabricConfig())
+    return sim, cluster, NetworkFabric(sim, cluster)
 
 
 def both_forms(ids):

@@ -5,28 +5,23 @@ one ``simulate_forest`` call; the tree engine then runs a single
 multi-root level sweep instead of one recursion per tree.  The whole
 contract is bit-identity: every forest entry must equal its standalone
 ``simulate`` result, including dead-node takeover patches, and the
-batching must fall back to the scalar path whenever its preconditions
-(no jitter, a big enough forest) do not hold.
+batching must fall back to the scalar path whenever the forest is too
+small to batch.
 """
 
 import pytest
 
 from repro.cluster import ClusterSpec
 from repro.fptree import FPTreeBroadcast, StaticSetPredictor
-from repro.network import (
-    FabricConfig,
-    NetworkFabric,
-    RingBroadcast,
-    TreeBroadcast,
-)
+from repro.network import NetworkFabric, RingBroadcast, TreeBroadcast
 from repro.network.broadcast import MemoizedBroadcast
 from repro.simkit import Simulator
 
 
-def build(n=256, seed=0, jitter=0.0):
+def build(n=256, seed=0):
     sim = Simulator(seed=seed)
     cluster = ClusterSpec(n_nodes=n).build(sim)
-    fabric = NetworkFabric(sim, cluster, FabricConfig(jitter_frac=jitter))
+    fabric = NetworkFabric(sim, cluster)
     return sim, cluster, fabric
 
 
@@ -66,19 +61,6 @@ class TestTreeForest:
         assert as_tuples(batched) == as_tuples(scalar)
         assert {n for r in batched for n in r.failed} == {2, 3, 70, 140, 200}
 
-    def test_jitter_falls_back_to_sequential_scalar(self):
-        # Jitter draws RNG per scalar transfer; batching would reorder
-        # the draws.  Two identically-seeded fabrics, one forest call
-        # vs. a hand-rolled sequential loop: same draw order, same
-        # makespans.
-        engine = TreeBroadcast(width=8)
-        tasks = forest_tasks()
-        _, _, fab_a = build(seed=11, jitter=0.2)
-        _, _, fab_b = build(seed=11, jitter=0.2)
-        batched = engine.simulate_forest(tasks, 2048, fab_a)
-        scalar = [engine.simulate(root, targets, 2048, fab_b) for root, targets in tasks]
-        assert as_tuples(batched) == as_tuples(scalar)
-
     def test_small_forest_falls_back(self):
         # Total targets below FAST_PATH_MIN_TARGETS: still correct.
         engine = TreeBroadcast(width=4)
@@ -88,6 +70,29 @@ class TestTreeForest:
         batched = engine.simulate_forest(tasks, 1024, fabric)
         scalar = [engine.simulate(root, targets, 1024, fabric) for root, targets in tasks]
         assert as_tuples(batched) == as_tuples(scalar)
+
+    @pytest.mark.parametrize("dead", [[], [3]], ids=["alive", "inner-dead"])
+    @pytest.mark.parametrize("total", [63, 64])
+    def test_forest_straddling_the_threshold(self, total, dead, monkeypatch):
+        # Two trees too small to sweep alone; the forest's total alone
+        # picks the sequential recursion (63) or one sweep (64), and
+        # every entry equals its standalone result either way.
+        swept = []
+        sweep = TreeBroadcast._sweep
+        monkeypatch.setattr(
+            TreeBroadcast, "_sweep", lambda self, *a, **kw: swept.append(1) or sweep(self, *a, **kw)
+        )
+        engine = TreeBroadcast(width=4)
+        _, cluster, fabric = build(n=128)
+        cluster.fail_nodes(dead)  # node 3 is inner in the first tree
+        tasks = [(1, list(range(2, 34))), (40, list(range(41, 41 + total - 32)))]
+        assert sum(len(t) for _, t in tasks) == total
+        batched = engine.simulate_forest(tasks, 1024, fabric)
+        assert len(swept) == (total >= TreeBroadcast.FAST_PATH_MIN_TARGETS)
+        scalar = [engine.simulate(root, targets, 1024, fabric) for root, targets in tasks]
+        assert len(swept) == (total >= TreeBroadcast.FAST_PATH_MIN_TARGETS)  # neither tree swept
+        assert as_tuples(batched) == as_tuples(scalar)
+        assert batched[0].failed == tuple(dead)
 
     def test_empty_targets_entry_is_a_zero_result(self):
         engine = TreeBroadcast(width=8)
@@ -167,14 +172,6 @@ class TestMemoizedForest:
         forest = memo.simulate_forest([(root, targets)], 2048, fabric)
         assert (memo.misses, memo.hits) == (1, 1)  # a scalar call is a forest of one
         assert forest[0].makespan_s == scalar.makespan_s
-
-    def test_jitter_bypasses_cache(self):
-        memo = MemoizedBroadcast(TreeBroadcast(width=8))
-        _, _, fabric = build(jitter=0.2)
-        tasks = forest_tasks()
-        memo.simulate_forest(tasks, 2048, fabric)
-        memo.simulate_forest(tasks, 2048, fabric)
-        assert memo.hits == 0 and memo.misses == 0
 
 
 class TestFPTreeForest:

@@ -1,6 +1,6 @@
 """Tests for the per-tree broadcast memo.
 
-A jitter-free tree result is a pure function of its root, its ordered
+A tree result is a pure function of its root, its ordered
 targets, its payload size and the down nodes among those targets; the
 memo keeps one slot per ``(root, size)`` and hits exactly when the
 targets and their own down set are unchanged.
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, FailureModel
 from repro.errors import ConfigurationError
-from repro.network import FabricConfig, NetworkFabric, StarBroadcast, TreeBroadcast
+from repro.network import NetworkFabric, StarBroadcast, TreeBroadcast
 from repro.network.broadcast import MemoizedBroadcast
 from repro.rm import EslurmRM
 from repro.sched.job import Job
@@ -22,10 +22,10 @@ from repro.simkit import Simulator
 from repro.telemetry import facade as telemetry
 
 
-def build(n=128, seed=0, jitter=0.0):
+def build(n=128, seed=0):
     sim = Simulator(seed=seed)
     cluster = ClusterSpec(n_nodes=n).build(sim)
-    fabric = NetworkFabric(sim, cluster, FabricConfig(jitter_frac=jitter))
+    fabric = NetworkFabric(sim, cluster)
     return sim, cluster, fabric
 
 
@@ -130,14 +130,6 @@ class TestCaching:
         memo.simulate(0, [1, 2], 1024, fabric_a)
         memo.simulate(0, [1, 2], 1024, fabric_b)
         assert memo.misses == 2
-
-    def test_jitter_bypasses_cache(self):
-        _, _, fabric = build(jitter=0.2)
-        memo = MemoizedBroadcast(TreeBroadcast(width=8))
-        targets = list(range(1, 128))
-        memo.simulate(0, targets, 1024, fabric)
-        memo.simulate(0, targets, 1024, fabric)
-        assert (memo.misses, memo.hits) == (0, 0)
 
     def test_record_arrivals_bypasses_cache(self):
         _, _, fabric = build()

@@ -5,20 +5,20 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.network import (
-    FabricConfig,
     NetworkFabric,
     RingBroadcast,
     SharedMemoryBroadcast,
     StarBroadcast,
     TreeBroadcast,
 )
+from repro.network.fabric import DEAD_NODE_PENALTY_S
 from repro.simkit import Simulator
 
 
 def build(n=256, seed=0):
     sim = Simulator(seed=seed)
     cluster = ClusterSpec(n_nodes=n).build(sim)
-    fabric = NetworkFabric(sim, cluster, FabricConfig())
+    fabric = NetworkFabric(sim, cluster)
     return sim, cluster, fabric
 
 
@@ -115,7 +115,7 @@ class TestRing:
         cluster.fail_nodes([8])
         withfail = RingBroadcast().simulate(0, list(range(1, 16)), 1024, fabric).makespan_s
         assert withfail == pytest.approx(
-            base - fabric.transfer_delay(7, 8, 1024) + fabric.config.dead_node_penalty_s,
+            base - fabric.transfer_delay(7, 8, 1024) + DEAD_NODE_PENALTY_S,
             rel=0.2,
         )
 
@@ -184,7 +184,7 @@ class TestTreeVectorizedEquivalence:
     """The numpy level-order walk must reproduce the recursion bit-for-bit."""
 
     @pytest.mark.parametrize("width", [2, 8, 32])
-    @pytest.mark.parametrize("n", [65, 256, 1000])
+    @pytest.mark.parametrize("n", [64, 65, 256, 1000])
     def test_all_alive(self, width, n):
         _, _, fabric = build(n=n)
         targets = list(range(1, n))
@@ -193,6 +193,25 @@ class TestTreeVectorizedEquivalence:
         assert fast.makespan_s == slow.makespan_s  # bit-identical, not approx
         assert fast.failed == slow.failed
         assert fast.n_timeouts == slow.n_timeouts
+
+    @pytest.mark.parametrize("width", [2, 8, 32])
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_inner_failure_at_threshold(self, width, n, monkeypatch):
+        # 63 and 64 targets: the target count alone picks the recursion
+        # or the sweep, and both land on the same result.
+        swept = []
+        sweep = TreeBroadcast._sweep
+        monkeypatch.setattr(
+            TreeBroadcast, "_sweep", lambda self, *a, **kw: swept.append(1) or sweep(self, *a, **kw)
+        )
+        _, cluster, fabric = build(n=n)
+        cluster.fail_nodes([1])  # position 1 is inner at every width
+        targets = list(range(1, n))
+        fast = TreeBroadcast(width=width).simulate(0, targets, 4096, fabric)
+        slow = scalar_tree(width=width).simulate(0, targets, 4096, fabric)
+        assert len(swept) == (len(targets) >= TreeBroadcast.FAST_PATH_MIN_TARGETS)
+        assert fast.makespan_s == slow.makespan_s
+        assert fast.failed == slow.failed == (1,)
 
     @pytest.mark.parametrize("width", [2, 8, 32])
     def test_with_leaf_and_inner_failures(self, width):
@@ -237,16 +256,3 @@ class TestTreeVectorizedEquivalence:
         res = engine.simulate(0, targets, 1024, fabric)
         ref = scalar_tree(width=8).simulate(0, targets, 1024, fabric)
         assert res.makespan_s == ref.makespan_s
-
-    def test_jitter_forces_scalar_path(self):
-        sim = Simulator(seed=7)
-        cluster = ClusterSpec(n_nodes=256).build(sim)
-        fabric = NetworkFabric(sim, cluster, FabricConfig(jitter_frac=0.1))
-        targets = list(range(1, 256))
-        # Same seeded RNG stream twice: scalar draw order both times.
-        a = TreeBroadcast(width=8).simulate(0, targets, 1024, fabric)
-        sim2 = Simulator(seed=7)
-        cluster2 = ClusterSpec(n_nodes=256).build(sim2)
-        fabric2 = NetworkFabric(sim2, cluster2, FabricConfig(jitter_frac=0.1))
-        b = scalar_tree(width=8).simulate(0, targets, 1024, fabric2)
-        assert a.makespan_s == b.makespan_s

@@ -18,7 +18,7 @@ from repro.cluster import ClusterSpec
 from repro.cluster.topology import Topology
 from repro.errors import ClusterError, ConfigurationError
 from repro.fptree.tree import children_bounds
-from repro.network import FabricConfig, NetworkFabric, TreeBroadcast
+from repro.network import NetworkFabric, TreeBroadcast
 from repro.network.structures import _SHAPE_CACHE_SIZE, _range_end, _tree_shape
 from repro.simkit import Simulator
 
@@ -28,7 +28,7 @@ N_NODES = 10_000
 def build(n=N_NODES, topology=None):
     sim = Simulator(seed=0)
     cluster = ClusterSpec(n_nodes=n, topology=topology or Topology()).build(sim)
-    return cluster, NetworkFabric(sim, cluster, FabricConfig())
+    return cluster, NetworkFabric(sim, cluster)
 
 
 def scalar_tree(width, per_target_root_s):

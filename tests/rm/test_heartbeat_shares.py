@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, FailureModel
 from repro.cluster.monitoring import MonitoringConfig
-from repro.network import FabricConfig
 from repro.network.message import DEFAULT_SIZES, MessageKind
 from repro.rm import EslurmRM
 from repro.rm.satellite import SatelliteEvent, SatellitePool
@@ -36,7 +35,7 @@ class FullSweepRM(EslurmRM):
         return max((r.makespan_s for r in sweep), default=0.0)
 
 
-def build(rm_cls, jitter=0.0):
+def build(rm_cls):
     sim = Simulator(seed=0)
     spec = ClusterSpec(
         n_nodes=N_NODES,
@@ -45,7 +44,7 @@ def build(rm_cls, jitter=0.0):
         monitoring=MonitoringConfig(alert_ttl_hours=TTL_HOURS),
     )
     cluster = spec.build(sim)
-    rm = rm_cls(sim, cluster, fabric_config=FabricConfig(jitter_frac=jitter))
+    rm = rm_cls(sim, cluster)
     return sim, cluster, rm
 
 
@@ -81,7 +80,7 @@ def apply(step, sim, cluster, rm):
 
 def run(rm_cls, steps, mode="plain"):
     """Observables after a first round and after each step's round."""
-    sim, cluster, rm = build(rm_cls, jitter=0.1 if mode == "jitter" else 0.0)
+    sim, cluster, rm = build(rm_cls)
     audit = []
     if mode == "observer":
         rm.fp_constructor.construct_observers.append(
@@ -128,7 +127,7 @@ class TestShareRecord:
         assert got == want
         assert twin.heartbeat_shares_reused == twin.heartbeat_shares_derived == 0
 
-    @given(st.sampled_from(["jitter", "telemetry", "observer"]), st.lists(step, max_size=12))
+    @given(st.sampled_from(["telemetry", "observer"]), st.lists(step, max_size=12))
     @settings(max_examples=30, deadline=None)
     def test_fallbacks_equal_full_rebuild(self, mode, steps):
         got, rm, extra = run(EslurmRM, steps, mode)
