@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-e2e-check bench-e2e-smoke bench-e2e-gate lifecycle-smoke verify-smoke sweep-smoke malleable-smoke lint-imports
+.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-e2e-check bench-e2e-smoke bench-e2e-gate lifecycle-smoke verify-smoke sweep-smoke malleable-smoke paper-orderings-smoke lint-imports
 
 ## Full tier-1 suite (the CI gate).
 test:
@@ -153,6 +153,12 @@ malleable-smoke:
 	$(PYTHON) -m pytest -q tests/sched/test_malleable.py tests/sched/test_placement.py tests/rm/test_malleable_engine.py
 	$(PYTHON) -m repro.cli chaos run malleable-shrink-storm topology-storm --seed 7 -j 2
 	$(PYTHON) -m repro.cli verify --relation malleable-throughput --relation topology-fragmentation --seeds 2 -j 2
+
+## Smoke: the paper's orderings of master and satellite CPU, memory
+## and sockets (Fig. 7, Fig. 9 and the motivation study), asserted by
+## the quick-mode bench files on the daemon accounting (~5 s).
+paper-orderings-smoke:
+	$(PYTHON) -m pytest -q benchmarks/bench_fig7.py benchmarks/bench_fig9.py benchmarks/bench_motivation.py --benchmark-disable
 
 ## Import every top-level package (and the CLI) first, each in a fresh
 ## interpreter: an import cycle only fails when its package loads first.

@@ -2,12 +2,18 @@
 
 Fig. 7e / 9c / 9f measure the *number of concurrent TCP sockets* held
 by the master (and satellite) daemons.  The tracker is a plain counter
-with a time series behind it so experiments can report instantaneous,
-mean, and peak connection counts exactly like the paper's once-a-second
-sampling.
+with a :class:`~repro.simkit.monitor.TimeSeries` behind it (two typed
+``array("d")`` buffers, eight bytes a sample) so experiments can report
+instantaneous, mean, and peak connection counts exactly like the
+paper's once-a-second sampling.
 
-Pulse closes are *lazy*: :meth:`pulse` does not schedule a simulator
-event per close (the RM's periodic traffic would otherwise put tens of
+:meth:`ConnectionTracker.pulse` is the per-RPC path (every user RPC,
+heartbeat and relay pulses once), so it does its own open: one check
+for a due close, two appends to the series buffers and one
+``heappush``, with no nested calls on the common path.
+
+Pulse closes are *lazy*: a pulse does not schedule a simulator event
+per close (the RM's periodic traffic would otherwise put tens of
 thousands of close events on the heap per simulated day).  Instead the
 close is pushed onto a min-heap of ``(close_time, seq, count)`` and
 applied — with its original timestamp, in close-time order — the next
@@ -53,14 +59,14 @@ class ConnectionTracker:
 
     def _drain(self, now: float) -> None:
         pending = self._pending
+        times, values = self.series._times, self.series._values
+        current = self._current
         while pending and pending[0][0] <= now:
             close_at, _, count = heapq.heappop(pending)
-            self._current -= count
-            self.series.record(close_at, self._current)
-
-    def sync(self) -> None:
-        """Apply every pulse close due by now."""
-        self._drain(self.sim.now)
+            current -= count
+            times.append(close_at)
+            values.append(current)
+        self._current = current
 
     def open(self, count: int = 1) -> None:
         """Open ``count`` connections."""
@@ -90,9 +96,22 @@ class ConnectionTracker:
         count spikes for the duration of the exchange.  The close costs
         no simulator event — see the module docstring.
         """
-        self.open(count)
+        if count < 0:
+            raise NetworkError("cannot open a negative number of connections")
+        if not hold_s >= 0:
+            raise NetworkError(f"cannot hold connections for {hold_s!r} s")
+        now = self.sim.now
+        pending = self._pending
+        if pending and pending[0][0] <= now:
+            self._drain(now)
+        current = self._current + count
+        self._current = current
+        self.total_opened += count
+        series = self.series
+        series._times.append(now)
+        series._values.append(current)
         self._pulse_seq += 1
-        heapq.heappush(self._pending, (self.sim.now + hold_s, self._pulse_seq, count))
+        heapq.heappush(pending, (now + hold_s, self._pulse_seq, count))
 
     # -- statistics ------------------------------------------------------
     def peak(self) -> float:

@@ -46,8 +46,6 @@ class DaemonAccounting:
         self.tracked_jobs = 0
         self.sockets = ConnectionTracker(sim, owner)
         self.cpu_util = TimeSeries(f"{owner}.cpu_util")
-        self.cpu_series = TimeSeries(f"{owner}.cpu_time")
-        self.socket_series = self.sockets.series
         self._sampler_started = False
         self._last_sample = sim.now
 
@@ -58,6 +56,16 @@ class DaemonAccounting:
             raise ValueError("cannot charge negative CPU time")
         self.cpu_time_s += seconds
         self._busy_in_window += seconds
+
+    @staticmethod
+    def charge_cpu_each(accts: t.Iterable["DaemonAccounting"], seconds: float) -> None:
+        """:meth:`charge_cpu` of ``seconds`` on every one of ``accts``,
+        validated once (a heartbeat round charges each satellite alike)."""
+        if seconds < 0:
+            raise ValueError("cannot charge negative CPU time")
+        for acct in accts:
+            acct.cpu_time_s += seconds
+            acct._busy_in_window += seconds
 
     def set_tracked(self, nodes: int | None = None, jobs: int | None = None) -> None:
         """Declare the daemon's current state size."""
@@ -106,12 +114,16 @@ class DaemonAccounting:
         timer.arm(interval_s)
 
     def sample(self) -> None:
-        """Record one sample of every series at the current time."""
+        """Record one CPU-utilisation sample at the current time.
+
+        Appends to the series buffers directly: the clock never runs
+        backwards, so the samples stay in time order."""
         now = self.sim.now
         window = max(now - self._last_sample, 1e-9)
         util = min(self._busy_in_window / window, 1.0)
-        self.cpu_util.record(now, util)
-        self.cpu_series.record(now, self.cpu_time_s)
+        series = self.cpu_util
+        series._times.append(now)
+        series._values.append(util)
         self._busy_in_window = 0.0
         self._last_sample = now
 

@@ -35,6 +35,7 @@ from repro.fptree.predictor import FailurePredictor, MonitorAlertPredictor, Null
 from repro.network.broadcast import BroadcastResult
 from repro.network.message import DEFAULT_SIZES, MessageKind
 from repro.network.structures import TreeBroadcast
+from repro.rm.accounting import DaemonAccounting
 from repro.rm.base import ResourceManager
 from repro.rm.profiles import ESLURM as ESLURM_PROFILE
 from repro.rm.profiles import RMProfile
@@ -247,12 +248,14 @@ class EslurmRM(ResourceManager):
         self.master_acct.charge_cpu(p.rpc_cpu_us / 1e6 * n_sats)
         telemetry.count("rm.master.msgs", n_sats)
         self.master_acct.sockets.pulse(n_sats, 1.0)
-        # Satellite side: each relays the sweep over its share of nodes.
-        n = self.cluster.n_nodes
-        share = n / n_sats
-        for d in running:
-            d.acct.charge_cpu(p.rpc_cpu_us / 1e6 * share)
-            d.acct.sockets.pulse(min(p.tree_width, int(share) or 1), 1.0)
+        # Satellite side: each relays the sweep over its share of nodes,
+        # the same charge and fan-out for every one.
+        share = self.cluster.n_nodes / n_sats
+        accts = [d.acct for d in running]
+        DaemonAccounting.charge_cpu_each(accts, p.rpc_cpu_us / 1e6 * share)
+        fan_out = min(p.tree_width, int(share) or 1)
+        for acct in accts:
+            acct.sockets.pulse(fan_out, 1.0)
         # FP-Tree makespan for the sweep: kept until liveness, alerts or
         # the satellite count change.
         key = (self.cluster.version, self.cluster.monitor.alert_count(), n_sats)

@@ -26,6 +26,9 @@ import enum
 import typing as t
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.cluster.node import UP_CODE
 from repro.cluster.spec import Cluster
 from repro.errors import ConfigurationError
 from repro.rm.accounting import DaemonAccounting
@@ -130,12 +133,13 @@ class SatelliteDaemon:
     def heartbeat(self) -> None:
         """Master-driven health check: emits HB events from liveness and
         escalates a long FAULT to DOWN (Table II's TIMEOUT)."""
+        self._beat(self.cluster.is_responsive(self.node_id))
+
+    def _beat(self, responsive: bool) -> None:
+        """:meth:`heartbeat`, given the node's liveness."""
         if self.state is SatelliteState.DOWN:
             return
-        if self.cluster.is_responsive(self.node_id):
-            self.handle(SatelliteEvent.HB_SUCCESS)
-        else:
-            self.handle(SatelliteEvent.HB_FAILURE)
+        self.handle(SatelliteEvent.HB_SUCCESS if responsive else SatelliteEvent.HB_FAILURE)
         if (
             self.state is SatelliteState.FAULT
             and self._fault_since is not None
@@ -175,6 +179,7 @@ class SatellitePool:
         self.daemons = [
             SatelliteDaemon(sim, cluster, nid, profile) for nid in cluster.satellite_ids
         ]
+        self._node_ids = np.array(cluster.satellite_ids, dtype=np.int64)
         # Satellites keep full cluster state for relaying (Table VI's
         # large satellite vmem): declare it for the memory model.
         for d in self.daemons:
@@ -231,8 +236,20 @@ class SatellitePool:
 
     # -- selection & failover ------------------------------------------------
     def heartbeat_all(self) -> None:
-        for d in self.daemons:
-            d.heartbeat()
+        """:meth:`SatelliteDaemon.heartbeat` on every satellite, from one
+        read of their liveness.
+
+        No heartbeat changes cluster liveness, so one gather per round
+        equals each daemon's own read.  HB_SUCCESS leaves a RUNNING
+        satellite as it was, so that step is skipped unless a
+        transition observer must see it.
+        """
+        responsive = (self.cluster.state[self._node_ids] == UP_CODE).tolist()
+        running = SatelliteState.RUNNING
+        for d, up in zip(self.daemons, responsive):
+            if up and d.state is running and not d.transition_observers:
+                continue
+            d._beat(up)
 
     def running(self) -> list[SatelliteDaemon]:
         return [d for d in self.daemons if d.state is SatelliteState.RUNNING]

@@ -10,17 +10,26 @@ from __future__ import annotations
 
 import math
 import typing as t
+from array import array
 
 import numpy as np
 
 
 class TimeSeries:
-    """An append-only ``(time, value)`` series with summary helpers."""
+    """An append-only ``(time, value)`` series with summary helpers.
+
+    Samples live in two typed ``array("d")`` buffers: eight bytes a
+    sample, no boxed float per entry.  The simulator's own recorders
+    (:class:`~repro.network.sockets.ConnectionTracker`,
+    :class:`~repro.rm.accounting.DaemonAccounting`) append to ``_times``
+    and ``_values`` directly on their per-call paths, in time order by
+    construction; everything else goes through :meth:`record`.
+    """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._times: list[float] = []
-        self._values: list[float] = []
+        self._times = array("d")
+        self._values = array("d")
 
     def record(self, time: float, value: float) -> None:
         """Append a sample; times must be non-decreasing."""
@@ -29,19 +38,21 @@ class TimeSeries:
                 f"time series {self.name!r} went backwards: "
                 f"{time} < {self._times[-1]}"
             )
-        self._times.append(float(time))
-        self._values.append(float(value))
+        self._times.append(time)
+        self._values.append(value)
 
     def __len__(self) -> int:
         return len(self._times)
 
     @property
     def times(self) -> np.ndarray:
-        return np.asarray(self._times, dtype=float)
+        """The sample times (a copy: the buffer keeps growing)."""
+        return np.array(self._times, dtype=float)
 
     @property
     def values(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=float)
+        """The sampled values (a copy: the buffer keeps growing)."""
+        return np.array(self._values, dtype=float)
 
     def last(self) -> float:
         """Most recent value (0.0 when empty)."""
@@ -63,8 +74,8 @@ class TimeSeries:
         """
         if not self._times:
             return 0.0
-        times = np.asarray(self._times)
-        values = np.asarray(self._values)
+        times = self.times
+        values = self.values
         end = float(until) if until is not None else times[-1]
         if end < times[-1]:
             raise ValueError("time_average until= precedes last sample")

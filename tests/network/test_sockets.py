@@ -1,10 +1,13 @@
 """Tests for connection tracking."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError
 from repro.network import ConnectionTracker
-from repro.simkit import Simulator
+from repro.simkit import Simulator, TimeSeries
 
 
 def test_open_close_counts():
@@ -97,14 +100,27 @@ class TestLazyPulseCloses:
         sim.run(until=10.0)
         assert tr.current == 2  # the eager close event would not have fired
 
-    def test_sync_drains_due_closes(self):
+    def test_next_touch_drains_due_closes(self):
         sim = Simulator()
         tr = ConnectionTracker(sim, "m")
         tr.pulse(2, 1.0)
+        tr.pulse(3, 10.0)
         sim.run(until=5.0)
-        tr.sync()
-        assert tr._current == 0  # drained without a read accessor
-        assert tr._pending == []
+        assert tr.series.values.tolist() == [2, 5]  # nothing touched it yet
+        assert tr.current == 3
+        assert tr.series.times.tolist() == [0.0, 0.0, 1.0]
+        assert tr.series.values.tolist() == [2, 5, 3]
+        tr.pulse(1, 1.0)  # the later close is not due: only the open lands
+        assert tr.series.times.tolist() == [0.0, 0.0, 1.0, 5.0]
+        assert tr.series.values.tolist() == [2, 5, 3, 4]
+
+    def test_negative_hold_rejected(self):
+        tr = ConnectionTracker(Simulator(), "m")
+        with pytest.raises(NetworkError):
+            tr.pulse(1, -1.0)
+        with pytest.raises(NetworkError):
+            tr.pulse(-1, 1.0)
+        assert len(tr.series) == 0
 
     def test_peak_and_mean_see_lazy_closes(self):
         sim = Simulator()
@@ -113,3 +129,169 @@ class TestLazyPulseCloses:
         sim.run(until=10.0)
         assert tr.peak() == 10
         assert tr.mean() < 10  # closes were applied at t=2, not t=10
+
+
+class ListSeries:
+    """The list-backed ``TimeSeries``: boxed floats, the same numpy
+    reductions over them."""
+
+    def __init__(self):
+        self.times, self.values = [], []
+
+    def record(self, time, value):
+        if self.times and time < self.times[-1]:
+            raise ValueError("went backwards")
+        self.times.append(float(time))
+        self.values.append(float(value))
+
+    def mean(self):
+        return float(np.mean(self.values)) if self.values else 0.0
+
+    def max(self):
+        return float(np.max(self.values)) if self.values else 0.0
+
+    def time_average(self, until=None):
+        if not self.times:
+            return 0.0
+        times, values = np.asarray(self.times), np.asarray(self.values)
+        end = float(until) if until is not None else times[-1]
+        widths = np.diff(np.append(times, end))
+        total = end - times[0]
+        if total <= 0:
+            return float(values[-1])
+        return float(np.dot(values, widths) / total)
+
+    def resample(self, step, until=None):
+        if not self.times:
+            return np.array([]), np.array([])
+        times, values = np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
+        end = float(until) if until is not None else times[-1]
+        grid = np.arange(times[0], end + step / 2, step)
+        idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(values) - 1)
+        return grid, values[idx]
+
+
+class EagerTracker:
+    """The tracker with one simulator event per pulse close."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.current = 0
+        self.series = ListSeries()
+
+    def open(self, count):
+        self.current += count
+        self.series.record(self.sim.now, self.current)
+
+    def close(self, count):
+        self.current -= count
+        self.series.record(self.sim.now, self.current)
+
+    def pulse(self, count, hold_s):
+        self.open(count)
+        self.sim.call_at(self.sim.now + hold_s, lambda: self.close(count))
+
+    def peak(self):
+        return self.series.max()
+
+    def mean(self):
+        return self.series.time_average(until=self.sim.now)
+
+
+#: one step of a run: advance the clock by ``dt`` (0 ties it to the
+#: last step), then act; holds of 0 and of several horizons included
+tracker_op = st.tuples(
+    st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]),
+    st.sampled_from(["open", "close", "pulse", "pulse", "read"]),
+    st.integers(0, 6),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, 100.0]),
+)
+
+
+def assert_same(lazy, eager):
+    assert lazy.current == eager.current
+    assert lazy.series.times.tolist() == eager.series.times
+    assert lazy.series.values.tolist() == eager.series.values
+    assert lazy.peak() == eager.peak()
+    assert lazy.mean() == eager.mean()
+
+
+class TestLazyEqualsEager:
+    """Every observable of the lazy tracker equals, bit for bit, a
+    tracker whose pulse closes are simulator events."""
+
+    @given(st.lists(tracker_op, max_size=60), st.sampled_from([0.0, 1.0, 4.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_runs(self, ops, tail):
+        lazy_sim, eager_sim = Simulator(), Simulator()
+        lazy, eager = ConnectionTracker(lazy_sim, "m"), EagerTracker(eager_sim)
+        now = 0.0
+        held = 0  # opened and not yet closed by ``close``: pulses close their own
+        for dt, op, count, hold in ops:
+            now += dt
+            lazy_sim.run(until=now)
+            eager_sim.run(until=now)
+            if op == "open":
+                held += count
+                lazy.open(count)
+                eager.open(count)
+            elif op == "close":
+                count = min(count, held)
+                held -= count
+                lazy.close(count)
+                eager.close(count)
+            elif op == "pulse":
+                lazy.pulse(count, hold)
+                eager.pulse(count, hold)
+            else:
+                assert_same(lazy, eager)
+        # the horizon: closes due after it never apply
+        lazy_sim.run(until=now + tail)
+        eager_sim.run(until=now + tail)
+        assert_same(lazy, eager)
+        assert lazy_sim.events_processed == 0
+
+
+class TestTimeSeriesEqualsLists:
+    """``TimeSeries`` answers exactly like the list-backed series."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]),
+                st.one_of(st.integers(-5, 50), st.floats(-1e3, 1e3)),
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([0.0, 0.5, 7.0]),
+        st.sampled_from([0.25, 1.0, 2.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_summaries(self, samples, extra, step):
+        ts, ref = TimeSeries("x"), ListSeries()
+        now = 0.0
+        for dt, value in samples:
+            now += dt
+            ts.record(now, value)
+            ref.record(now, value)
+        assert len(ts) == len(ref.times)
+        for arr, want in ((ts.times, ref.times), (ts.values, ref.values)):
+            assert arr.dtype == np.float64
+            assert arr.tolist() == want
+        assert ts.mean() == ref.mean()
+        assert ts.max() == ref.max()
+        assert ts.time_average() == ref.time_average()
+        assert ts.time_average(until=now + extra) == ref.time_average(until=now + extra)
+        grid, values = ts.resample(step, until=now + extra)
+        ref_grid, ref_values = ref.resample(step, until=now + extra)
+        assert grid.tolist() == ref_grid.tolist()
+        assert values.tolist() == ref_values.tolist()
+
+    def test_record_rejects_backwards_time_and_non_numbers(self):
+        ts = TimeSeries("x")
+        ts.record(5.0, 1.0)
+        with pytest.raises(ValueError):
+            ts.record(4.0, 1.0)
+        for bad in (None, "x", object()):
+            with pytest.raises((TypeError, ValueError)):
+                TimeSeries("y").record(0.0, bad)

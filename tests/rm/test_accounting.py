@@ -88,7 +88,7 @@ class TestSampler:
         acct.start_sampler(interval_s=1.0)
         sim.run(until=10.0)
         assert len(acct.cpu_util) == 10
-        assert len(acct.cpu_series) == 10
+        assert acct.cpu_util.times.tolist() == [float(k) for k in range(1, 11)]
 
     def test_sampler_idempotent(self):
         sim, acct = make()

@@ -18,6 +18,7 @@ from repro.rm.satellite import (
     _TRANSITIONS,
     SatelliteDaemon,
     SatelliteEvent,
+    SatellitePool,
     SatelliteState,
 )
 from repro.simkit import Simulator
@@ -121,3 +122,90 @@ class TestStateMachineProperties:
         sim.run(until=start + FAULT_TIMEOUT_S - 1.0)
         daemon.heartbeat()
         assert daemon.state is SatelliteState.FAULT
+
+
+def heartbeat_pool(n_sats=3, observed=()):
+    """A satellite pool plus the transitions its ``observed`` daemons report."""
+    sim = Simulator(seed=0)
+    cluster = ClusterSpec(n_nodes=16, n_satellites=n_sats).build(sim)
+    pool = SatellitePool(sim, cluster, SATELLITE_PROFILE, width=4)
+    seen = {i: [] for i in observed}
+    for i in observed:
+        pool.daemons[i].transition_observers.append(
+            lambda d, old, event, new, out=seen[i]: out.append((old, event, new))
+        )
+    return sim, cluster, pool, seen
+
+
+def pool_state(pool):
+    return [(d.state, d.fault_since) for d in pool.daemons]
+
+
+class TestHeartbeatRound:
+    """``SatellitePool.heartbeat_all`` against per-daemon heartbeats."""
+
+    def test_observer_sees_every_healthy_round(self):
+        sim, _, pool, seen = heartbeat_pool(observed=[0])
+        for k in range(6):
+            sim.run(until=30.0 * k)
+            pool.heartbeat_all()
+        running = SatelliteState.RUNNING
+        assert seen[0] == [(SatelliteState.UNKNOWN, SatelliteEvent.HB_SUCCESS, running)] + [
+            (running, SatelliteEvent.HB_SUCCESS, running)
+        ] * 5
+
+    def test_dead_satellite_walks_to_down_with_and_without_observer(self):
+        def timeline(observed):
+            sim, cluster, pool, _ = heartbeat_pool(observed=observed)
+            rows = []
+            for k in range(60):
+                sim.run(until=30.0 * k)
+                if k == 10:
+                    cluster.fail_nodes([pool.daemons[1].node_id])
+                pool.heartbeat_all()
+                rows.append(pool_state(pool))
+            return rows
+
+        plain, audited = timeline(()), timeline((1,))
+        assert plain == audited
+        dead = [row[1] for row in plain]
+        # FAULT from the failing round (t=300), DOWN once 20 min passed
+        first_down = 10 + int(FAULT_TIMEOUT_S // 30.0)
+        assert dead[:10] == [(SatelliteState.RUNNING, None)] * 10
+        assert dead[10:first_down] == [(SatelliteState.FAULT, 300.0)] * (first_down - 10)
+        assert dead[first_down:] == [(SatelliteState.DOWN, None)] * (60 - first_down)
+        assert all(row[0][0] is row[2][0] is SatelliteState.RUNNING for row in plain)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 900.0),
+                st.sets(st.integers(0, 3)),
+                st.sets(st.integers(0, 3)),
+                st.sampled_from([None, *SatelliteEvent]),
+            ),
+            max_size=30,
+        ),
+        st.sets(st.integers(0, 3)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_read_per_round_equals_per_daemon_reads(self, rounds, observed):
+        sim, cluster, pool, seen = heartbeat_pool(4, observed)
+        twin_sim, twin_cluster, twin, twin_seen = heartbeat_pool(4, observed)
+        now = 0.0
+        for dt, fail, recover, event in rounds:
+            now += dt
+            for s, c, p in ((sim, cluster, pool), (twin_sim, twin_cluster, twin)):
+                s.run(until=now)
+                c.fail_nodes([p.daemons[i].node_id for i in sorted(fail)])
+                c.recover_nodes([p.daemons[i].node_id for i in sorted(recover)])
+                if event is not None:
+                    p.daemons[0].handle(event)
+            assert cluster.responsive([d.node_id for d in pool.daemons]).tolist() == [
+                cluster.is_responsive(d.node_id) for d in pool.daemons
+            ]
+            pool.heartbeat_all()
+            for d in twin.daemons:
+                d.heartbeat()
+            assert pool_state(pool) == pool_state(twin)
+        assert seen == twin_seen
