@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-e2e-check bench-e2e-smoke bench-e2e-gate lifecycle-smoke verify-smoke sweep-smoke malleable-smoke paper-orderings-smoke lint-imports
+.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-e2e-check bench-e2e-smoke bench-e2e-gate verify-smoke sweep-smoke malleable-smoke paper-orderings-smoke lint-imports
 
 ## Full tier-1 suite (the CI gate).
 test:
@@ -115,14 +115,6 @@ bench-e2e-gate:
 	open('.e2e-gate-baseline.json', 'w').write(json.dumps(b['recordings'][0]))"
 	$(PYTHON) -m benchmarks.e2e compare .e2e-gate-baseline.json .e2e-gate.json
 	rm -f .e2e-gate.json .e2e-gate-baseline.json
-
-## Lifecycle-kernel smoke: the FSM fast path must be observably
-## indistinguishable from the generator reference — unit tests for the
-## timer lane and the FSM walk, the full equivalence scenario matrix,
-## then the oracle relation across a -j 2 seed sweep.
-lifecycle-smoke:
-	$(PYTHON) -m pytest -q tests/simkit/test_timer.py tests/rm/test_lifecycle.py tests/rm/test_lifecycle_equivalence.py
-	$(PYTHON) -m repro.cli verify --relation lifecycle-equivalence --seeds 2 -j 2
 
 ## Smoke: every oracle layer must hold on the current tree, and the
 ## golden digests must be reproducible byte-for-byte.

@@ -95,21 +95,11 @@ class SimulationConfig:
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     placement: str = "first-fit"
     malleable: bool = False
-    #: job-lifecycle engine: "fsm" (flat timer-lane fast path, default)
-    #: or "generator" (the reference Process implementation).  The CLI
-    #: has no flag for it: its runs always use the default.
-    lifecycle: str = "fsm"
 
     def __post_init__(self) -> None:
         if self.rm not in RM_PROFILES:
             raise ConfigurationError(
                 f"unknown RM {self.rm!r}; choose from {sorted(RM_PROFILES)}"
-            )
-        from repro.rm.base import LIFECYCLE_MODES
-
-        if self.lifecycle not in LIFECYCLE_MODES:
-            raise ConfigurationError(
-                f"unknown lifecycle {self.lifecycle!r}; choose from {LIFECYCLE_MODES}"
             )
         if self.n_nodes < 1 or not (
             math.isfinite(self.horizon_s) and self.horizon_s > 0
@@ -280,8 +270,6 @@ def rm_kwargs_for_config(
         rm_kwargs["placement"] = build_placement(
             config.placement, cluster.topology, alert_source=cluster.monitor
         )
-    if config.lifecycle != "fsm":
-        rm_kwargs["lifecycle"] = config.lifecycle
     return rm_kwargs
 
 

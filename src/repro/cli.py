@@ -79,21 +79,30 @@ class Subcommand:
     jobs: bool = False
 
 
-def _seed(text: str) -> int:
-    """``--seed``'s type: a non-negative int, as numpy's seeding requires."""
+def _nonneg_int(text: str) -> int:
+    """A non-negative int: ``--seed`` (numpy's seeding requires it) and
+    ``-j/--jobs`` (a worker count, 0 = cpu autodetect)."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _jobs_levels(text: str) -> list[int]:
+    """``--jobs-levels``' type: a comma-separated list of ``-j`` values."""
+    levels = [_nonneg_int(part) for part in text.split(",") if part.strip()]
+    if not levels:
+        raise argparse.ArgumentTypeError(f"no jobs level in {text!r}")
+    return levels
 
 
 def common_parent(out_help: str | None = None) -> argparse.ArgumentParser:
     """The ``--seed/--json/--out`` flags as an argparse parent parser."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--seed", type=_seed, default=0, help="master seed (default 0)")
+    parent.add_argument("--seed", type=_nonneg_int, default=0, help="master seed (default 0)")
     parent.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parent.add_argument(
         "--out",
@@ -109,7 +118,7 @@ def jobs_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "-j",
         "--jobs",
-        type=int,
+        type=_nonneg_int,
         default=1,
         help="worker processes for the sweep (default 1 = serial; 0 = cpu autodetect)",
     )
@@ -214,6 +223,7 @@ def _bench_sweep_configure(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs-levels",
+        type=_jobs_levels,
         default="1,2,4",
         help="comma-separated jobs levels to digest-check (default 1,2,4; "
         "the serial level 1 is always included as the baseline)",
@@ -226,9 +236,8 @@ def _bench_sweep(args: argparse.Namespace) -> int:
     from repro.bench import SWEEP_PATH, dump_sweep, render_sweep, run_sweep_baseline
 
     try:
-        levels = [int(part) for part in str(args.jobs_levels).split(",") if part.strip()]
         payload = run_sweep_baseline(
-            jobs_levels=levels,
+            jobs_levels=args.jobs_levels,
             names=args.names or None,
             seed=args.seed,
             progress=None if args.json else print,

@@ -15,7 +15,7 @@ Presets mirror the paper's two testbeds::
 from __future__ import annotations
 
 import typing as t
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,17 +90,9 @@ class ClusterSpec:
             name=f"ng-tianhe-{n_nodes}",
         )
 
-    def with_satellites(self, n_satellites: int) -> "ClusterSpec":
-        """Copy of this spec with a different satellite pool size."""
-        return replace(self, n_satellites=n_satellites)
-
     def build(self, sim: "Simulator") -> "Cluster":
         """Instantiate the cluster on a simulator."""
         return Cluster(sim, self)
-
-    @property
-    def total_cores(self) -> int:
-        return self.n_nodes * self.compute_hw.cores
 
 
 class Cluster:

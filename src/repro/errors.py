@@ -15,17 +15,6 @@ class SimulationError(ReproError):
     """The discrete-event kernel was driven into an invalid state."""
 
 
-class ProcessInterrupt(ReproError):
-    """Raised inside a simulation process that another process interrupted.
-
-    Carries the ``cause`` handed to :meth:`repro.simkit.process.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class ConfigurationError(ReproError):
     """A component was configured with inconsistent or invalid parameters."""
 

@@ -67,7 +67,3 @@ class Message:
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             self.size_bytes = DEFAULT_SIZES.get(self.kind, 1_024)
-
-    def reply(self, kind: MessageKind, payload: t.Any = None, size_bytes: int = 0) -> "Message":
-        """Construct the response message (dst/src swapped)."""
-        return Message(kind=kind, src=self.dst, dst=self.src, size_bytes=size_bytes, payload=payload)

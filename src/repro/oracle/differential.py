@@ -17,12 +17,7 @@ import typing as t
 
 import numpy as np
 
-from repro.api import (
-    SimulationConfig,
-    TelemetryConfig,
-    canonical_json,
-    run_simulation,
-)
+from repro.api import SimulationConfig, TelemetryConfig, run_simulation
 from repro.cluster.failures import FailureModel
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.topology import Topology
@@ -399,109 +394,6 @@ class TopologyPlacementRelation(Relation):
         return self._result(ok_frag and ok_clean, detail)
 
 
-class LifecycleEquivalenceRelation(Relation):
-    """Flat FSM lifecycle vs the generator reference, byte for byte.
-
-    Both arms replay the identical seeded trace on the identical
-    machine; the only difference is the job-lifecycle engine
-    (``lifecycle="fsm"`` vs ``"generator"``).  Every *observable* —
-    master accounting, schedule metrics, broadcast counts, and every
-    domain telemetry counter and histogram — must be byte-identical
-    under canonical JSON.  The comparison strips only the event loop's
-    own shape (``sim.events``, ``sim.heap.depth``) — the flat timer
-    lane exists precisely to dispatch fewer heap events, so the event
-    count is the mechanism under test, not an observable of the
-    modelled system.  That saving is pinned as an ordering instead:
-    the FSM arm must not process more events than the generator arm.
-    """
-
-    name = "lifecycle-equivalence"
-    layer = "differential"
-    section = "VI (simulation methodology)"
-    claim = "FSM lifecycle byte-identical to the generator reference on all observables"
-
-    #: telemetry keys describing the event loop itself, excluded from
-    #: the byte-compare (see class docstring)
-    EVENT_LOOP_KEYS = frozenset({"sim.events", "sim.heap.depth"})
-
-    def __init__(
-        self,
-        n_nodes: int = 256,
-        n_satellites: int = 2,
-        n_jobs: int = 60,
-        horizon_s: float = DAY,
-    ) -> None:
-        self.n_nodes = n_nodes
-        self.n_satellites = n_satellites
-        self.n_jobs = n_jobs
-        self.horizon_s = horizon_s
-
-    def _observable(self, tel: dict[str, dict[str, t.Any]]) -> dict[str, t.Any]:
-        return {
-            section: {
-                key: value
-                for key, value in metrics.items()
-                if key not in self.EVENT_LOOP_KEYS
-            }
-            for section, metrics in tel.items()
-        }
-
-    def _arm(
-        self, rm: str, lifecycle: str, seed: int, malleable: bool
-    ) -> tuple[str, float]:
-        from dataclasses import asdict
-
-        result = run_simulation(
-            SimulationConfig(
-                rm=rm,
-                n_nodes=self.n_nodes,
-                n_satellites=self.n_satellites,
-                seed=seed,
-                failures=True,
-                n_jobs=self.n_jobs,
-                horizon_s=self.horizon_s,
-                malleable=malleable,
-                telemetry=TelemetryConfig(enabled=True),
-                lifecycle=lifecycle,
-            )
-        )
-        rep = result.report
-        assert result.telemetry is not None
-        payload = canonical_json(
-            {
-                "master": dict(rep.master),
-                "schedule": asdict(rep.schedule) if rep.schedule is not None else None,
-                "n_broadcasts": rep.n_broadcasts,
-                "occupation_mean_s": rep.occupation_mean_s,
-                "telemetry": self._observable(result.telemetry),
-            }
-        )
-        events = float(result.telemetry["counters"].get("sim.events", 0.0))
-        return payload, events
-
-    def run(self, seed: int = 0) -> RelationResult:
-        breaches: list[str] = []
-        savings: list[str] = []
-        for rm, malleable in (("eslurm", True), ("slurm", False)):
-            fsm, fsm_events = self._arm(rm, "fsm", seed, malleable)
-            gen, gen_events = self._arm(rm, "generator", seed, malleable)
-            if fsm != gen:
-                breaches.append(f"{rm}: observables diverged between lifecycle engines")
-            if fsm_events > gen_events:
-                breaches.append(
-                    f"{rm}: fsm dispatched {fsm_events:.0f} events !<= "
-                    f"generator's {gen_events:.0f}"
-                )
-            savings.append(f"{rm} {fsm_events:.0f}/{gen_events:.0f} events")
-        detail = (
-            f"n={self.n_nodes} jobs={self.n_jobs} seed={seed}: "
-            f"fsm vs generator byte-identical ({', '.join(savings)})"
-        )
-        if breaches:
-            detail += " | " + "; ".join(breaches)
-        return self._result(not breaches, detail)
-
-
 #: the differential registry, in paper-section order
 DIFFERENTIAL_RELATIONS: tuple[Relation, ...] = (
     MasterOffloadRelation(),
@@ -509,5 +401,4 @@ DIFFERENTIAL_RELATIONS: tuple[Relation, ...] = (
     EstimatorGateRelation(),
     MalleableThroughputRelation(),
     TopologyPlacementRelation(),
-    LifecycleEquivalenceRelation(),
 )

@@ -98,9 +98,9 @@ class DaemonAccounting:
         """Arm the once-per-``interval`` sampler timer (idempotent).
 
         The paper samples once a second; benches on long horizons pass a
-        coarser interval to keep series sizes manageable.  One re-armed
-        :class:`~repro.simkit.events.Timer` replaces the historical
-        generator loop — same fire times, no per-sample Timeout.
+        coarser interval to keep series sizes manageable.  One
+        :class:`~repro.simkit.events.Timer`, re-armed from its own
+        firing, carries every sample.
         """
         if self._sampler_started:
             return

@@ -23,14 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.spec import Cluster
-from repro.errors import ConfigurationError, ProcessInterrupt, SchedulingError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.estimate.metrics import RuntimeEstimator
 from repro.network.broadcast import BroadcastResult
 from repro.network.fabric import NetworkFabric
 from repro.network.message import DEFAULT_SIZES, MessageKind
 from repro.network.structures import StarBroadcast, TreeBroadcast
 from repro.rm.accounting import DaemonAccounting
-from repro.rm.lifecycle import RESIZE_CAUSE, JobLifecycle
+from repro.rm.lifecycle import JobLifecycle
 from repro.rm.profiles import HeartbeatStyle, LaunchStructure, RMProfile
 from repro.sched.allocator import NodePool
 from repro.sched.backfill import BackfillScheduler, ResizeDecision
@@ -41,15 +41,6 @@ from repro.simkit.core import Simulator
 from repro.simkit.monitor import Tally
 from repro.telemetry import facade as telemetry
 from repro.workload.draws import uniform
-
-
-# RESIZE_CAUSE (re-exported above from repro.rm.lifecycle): interrupt
-# cause the engine uses to retime a malleable job's work loop after a
-# grow/shrink — anything else kills the job as before.
-
-#: selectable job-lifecycle engines: the flat FSM fast path (default)
-#: and the generator reference implementation it is proven against
-LIFECYCLE_MODES = ("fsm", "generator")
 
 
 def tree_depth_estimate(n: int, width: int) -> int:
@@ -106,7 +97,7 @@ class ResourceManager:
     """Discrete-event resource manager driven by an :class:`RMProfile`.
 
     Args:
-        sim: simulator owning all processes.
+        sim: simulator owning every timer and event.
         cluster: the machine (provides nodes, failures, monitoring).
         profile: cost/behaviour constants.
         scheduler: policy object (defaults to EASY backfill, the paper's
@@ -118,11 +109,6 @@ class ResourceManager:
         placement: optional :class:`~repro.sched.placement.PlacementPolicy`
             steering which free nodes allocations receive (``None`` keeps
             the byte-stable first-fit path).
-        lifecycle: job-lifecycle engine — ``"fsm"`` (the flat
-            table-driven fast path on the kernel's timer lane, the
-            default) or ``"generator"`` (the reference
-            :meth:`_run_job` process; the ``lifecycle-equivalence``
-            oracle relation holds the two identical).
     """
 
     rm_name = "generic"
@@ -137,13 +123,7 @@ class ResourceManager:
         user_rpc_rate_per_s: float = 0.05,
         sample_interval_s: float = 60.0,
         placement: t.Any = None,
-        lifecycle: str = "fsm",
     ) -> None:
-        if lifecycle not in LIFECYCLE_MODES:
-            raise ConfigurationError(
-                f"unknown lifecycle {lifecycle!r}; choose from {LIFECYCLE_MODES}"
-            )
-        self.lifecycle_mode = lifecycle
         self.sim = sim
         self.cluster = cluster
         self.profile = profile
@@ -157,10 +137,7 @@ class ResourceManager:
         self.pool = NodePool(cluster.compute_ids(), placement=placement)
         self.queue = JobQueue()
         self.jobs: list[Job] = []
-        self._job_procs: dict[int, t.Any] = {}
-        #: malleable jobs currently inside their interruptible work loop
-        #: — the only window where a resize retime may be delivered
-        self._resize_ok: set[int] = set()
+        self._job_procs: dict[int, JobLifecycle] = {}
         self.resize_grows = 0
         self.resize_shrinks = 0
         self._occupation = Tally("occupation")
@@ -193,7 +170,7 @@ class ResourceManager:
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
-        """Spawn background processes; call once before running."""
+        """Arm the periodic timers; call once before running."""
         if self._started:
             return
         self._started = True
@@ -202,30 +179,9 @@ class ResourceManager:
         if p.persistent_socket_frac > 0:
             self.master_acct.sockets.open(int(p.persistent_socket_frac * self.cluster.n_nodes))
         self.master_acct.start_sampler(self.sample_interval_s)
-        if self.lifecycle_mode == "fsm":
-            # Flat path: every periodic loop is a re-armed Timer — same
-            # fire times and same per-stream draw order as the generator
-            # loops below, minus the per-iteration Timeout + resume.
-            self._start_flat_loops()
-        else:
-            self.sim.process(self._heartbeat_loop(), name=f"{self.rm_name}.heartbeat")
-            if self.user_rpc_rate > 0:
-                self.sim.process(self._user_rpc_loop(), name=f"{self.rm_name}.user_rpc")
-            self.sim.process(self._scheduler_tick_loop(), name=f"{self.rm_name}.sched_tick")
-            if p.crash_node_hours != float("inf"):
-                self.sim.process(self._crash_loop(), name=f"{self.rm_name}.crashes")
-        self.cluster.failures.subscribe(self._on_failure_event)
-
-    def _start_flat_loops(self) -> None:
-        """Timer-lane twins of the background generator loops.
-
-        Each handler runs the loop body first and re-arms afterwards —
-        the exact resume order of the generators (body after the yield,
-        next Timeout created at the loop top) — so fire times, same-tick
-        arming order, and RNG stream draw order all match the reference
-        path.
-        """
-        p = self.profile
+        # Each periodic handler runs its body first and re-arms
+        # afterwards, so a body's draws and same-tick arming come before
+        # the next firing's.
         sim = self.sim
 
         def hb_fire() -> None:
@@ -254,9 +210,15 @@ class ResourceManager:
         tick.arm(p.scheduler_tick_s)
         if p.crash_node_hours != float("inf"):
             self._start_crash_timer()
+        self.cluster.failures.subscribe(self._on_failure_event)
 
     def _start_crash_timer(self) -> None:
-        """Two-phase timer twin of :meth:`_crash_loop` (crash → reboot)."""
+        """Two-phase master-crash timer: crash, then reboot.
+
+        A crash orphans a fraction of the running jobs (their processes
+        outlive the daemon but their bookkeeping does not); the reboot
+        works through the backlog.
+        """
         p = self.profile
         rng = self.sim.rng.stream(f"{self.rm_name}.crashes")
         mtbf_s = p.crash_node_hours / max(self.cluster.n_nodes, 1) * 3600.0
@@ -276,9 +238,9 @@ class ResourceManager:
                 if rng.random() < self.CRASH_ORPHAN_FRACTION
             ]
             for job_id in victims:
-                proc = self._job_procs.get(job_id)
-                if proc is not None and proc.is_alive:
-                    proc.interrupt(cause="master crash")
+                lc = self._job_procs.get(job_id)
+                if lc is not None:
+                    lc.kill()
             rebooting[0] = True
             timer.arm(p.reboot_minutes * 60.0)
 
@@ -293,28 +255,6 @@ class ResourceManager:
     #: fraction of running jobs a master crash orphans (state-file
     #: recovery saves the rest; the paper's production crashes lost work)
     CRASH_ORPHAN_FRACTION = 0.3
-
-    def _crash_loop(self) -> t.Generator:
-        p = self.profile
-        rng = self.sim.rng.stream(f"{self.rm_name}.crashes")
-        mtbf_s = p.crash_node_hours / max(self.cluster.n_nodes, 1) * 3600.0
-        while True:
-            yield self.sim.timeout(rng.exponential(mtbf_s))
-            self.crash_count += 1
-            self._crashed_until = self.sim.now + p.reboot_minutes * 60.0
-            # Orphan a fraction of running jobs: their processes outlive
-            # the daemon but their bookkeeping does not.
-            victims = [
-                job_id
-                for job_id in list(self.pool.running)
-                if rng.random() < self.CRASH_ORPHAN_FRACTION
-            ]
-            for job_id in victims:
-                proc = self._job_procs.get(job_id)
-                if proc is not None and proc.is_alive:
-                    proc.interrupt(cause="master crash")
-            yield self.sim.timeout(p.reboot_minutes * 60.0)
-            self._schedule_pass()  # reboot: work through the backlog
 
     # -- job submission ----------------------------------------------------
     def submit(self, job: Job) -> None:
@@ -372,11 +312,6 @@ class ResourceManager:
             self.sim.run(until=until)
 
     # -- scheduling -----------------------------------------------------------
-    def _scheduler_tick_loop(self) -> t.Generator:
-        while True:
-            yield self.sim.timeout(self.profile.scheduler_tick_s)
-            self._schedule_pass()
-
     def _schedule_pass(self) -> None:
         if self.master_down:
             return
@@ -394,19 +329,10 @@ class ResourceManager:
         self._elastic_pass()
 
     def _launch_decisions(self, decisions: list[tuple[Job, np.ndarray]]) -> None:
-        if self.lifecycle_mode == "fsm":
-            for job, nodes in decisions:
-                lc = JobLifecycle(self, job, nodes)
-                self._job_procs[job.job_id] = lc
-                # Synchronous begin: the generator path defers the same
-                # charges/broadcast to a same-tick bootstrap event; none
-                # of them read state a later decision in this batch
-                # mutates, so timings are identical.
-                lc.begin()
-            return
         for job, nodes in decisions:
-            proc = self.sim.process(self._run_job(job, nodes), name=f"job{job.job_id}")
-            self._job_procs[job.job_id] = proc
+            lc = JobLifecycle(self, job, nodes)
+            self._job_procs[job.job_id] = lc
+            lc.begin()
 
     # -- malleability --------------------------------------------------------
     def _elastic_pass(self) -> None:
@@ -428,7 +354,7 @@ class ResourceManager:
 
         The pool side is already mutated (the scheduler allocates, same
         as ``plan``); this applies the job, accounting and
-        process-retiming side.
+        lifecycle-retiming side.
         """
         tel = telemetry.active()
         shrank = False
@@ -469,84 +395,9 @@ class ResourceManager:
         width = max(len(job.allocated_nodes), 1)
         remaining_kill = max(job.limit_s * job.n_nodes - job.alloc_node_seconds, 0.0)
         self.pool.retime(job.job_id, self.sim.now + remaining_kill / width)
-        proc = self._job_procs.get(job.job_id)
-        if job.job_id in self._resize_ok and proc is not None and proc.is_alive:
-            proc.interrupt(cause=RESIZE_CAUSE)
-
-    def _malleable_work(self, job: Job) -> t.Generator:
-        """Interruptible work loop: a width-``w`` allocation burns ``w``
-        node-seconds per second of a fixed total (work conservation, the
-        DMR model) — growing shortens the remaining wall clock, shrinking
-        stretches it.  Resize interrupts retime; any other interrupt
-        propagates to the kill path.
-        """
-        work = float(job.n_nodes) * job.effective_runtime_s
-        self._resize_ok.add(job.job_id)
-        try:
-            while work > 1e-9:
-                width = max(len(job.allocated_nodes), 1)
-                seg_start = self.sim.now
-                try:
-                    yield self.sim.timeout(work / width)
-                except ProcessInterrupt as intr:
-                    if intr.cause != RESIZE_CAUSE:
-                        raise
-                    work -= (self.sim.now - seg_start) * width
-                else:
-                    work = 0.0
-        finally:
-            self._resize_ok.discard(job.job_id)
-
-    # -- the job lifecycle process (reference path) ---------------------------
-    # The flat FSM in repro.rm.lifecycle is the default engine; this
-    # generator is kept selectable (lifecycle="generator") as the
-    # readable reference the lifecycle-equivalence relation checks the
-    # FSM against, phase for phase.
-    def _run_job(self, job: Job, nodes: np.ndarray) -> t.Generator:
-        teardown = False
-        try:
-            p = self.profile
-            self.master_acct.charge_cpu(
-                p.launch_cpu_ms / 1e3 + p.launch_cpu_per_node_us / 1e6 * len(nodes)
-            )
-            launch = self._broadcast(MessageKind.JOB_LAUNCH, nodes)
-            self._bcast_tally.record(launch.makespan_s)
-            yield self.sim.timeout(launch.makespan_s)
-            job.start(self.sim.now, nodes)
-            self.master_acct.set_tracked(jobs=len(self.pool.running) + len(self.queue))
-            if job.malleable:
-                yield from self._malleable_work(job)
-            else:
-                yield self.sim.timeout(job.effective_runtime_s)
-            # A crashed master cannot process the completion: the job's
-            # resources stay occupied until the daemon is back.
-            if self.master_down:
-                yield self.sim.timeout(self._crashed_until - self.sim.now)
-            end_state = JobState.TIMEOUT if job.will_timeout else JobState.COMPLETED
-            # Resizes may have changed the allocation since launch.
-            term_targets = job.allocated_nodes if len(job.allocated_nodes) else nodes
-            term = self._broadcast(MessageKind.JOB_TERMINATE, term_targets)
-            self._bcast_tally.record(term.makespan_s)
-            yield self.sim.timeout(term.makespan_s)
-            job.finish(self.sim.now, end_state)
-        except ProcessInterrupt:
-            # Node failure killed the job mid-flight.
-            if job.state is JobState.RUNNING:
-                job.finish(self.sim.now, JobState.FAILED)
-            elif job.state is JobState.PENDING:
-                job.state = JobState.FAILED
-                job.end_time = self.sim.now
-        except GeneratorExit:
-            # Simulator teardown: the run ended with this job in flight
-            # and the generator is being closed (typically by GC long
-            # after the run).  No bookkeeping — the simulation is over,
-            # and a *later* run's telemetry session may be active, so a
-            # release here would count scheduler passes into it.
-            teardown = True
-            raise
-        finally:
-            if not teardown:
-                self._release(job)
+        lc = self._job_procs.get(job.job_id)
+        if lc is not None:
+            lc.retime()
 
     def _release(self, job: Job) -> None:
         self._job_procs.pop(job.job_id, None)
@@ -599,13 +450,6 @@ class ResourceManager:
         return result
 
     # -- heartbeats ------------------------------------------------------------
-    def _heartbeat_loop(self) -> t.Generator:
-        p = self.profile
-        while True:
-            yield self.sim.timeout(p.heartbeat_interval_s)
-            if not self.master_down:
-                self._heartbeat_round()
-
     def _heartbeat_round(self) -> None:
         """Cost of one health sweep; subclasses override the satellite path."""
         telemetry.count("rm.heartbeat_rounds")
@@ -628,13 +472,6 @@ class ResourceManager:
             self.master_acct.sockets.pulse(int(p.burst_socket_frac * n), 1.0)
 
     # -- background user traffic ------------------------------------------------
-    def _user_rpc_loop(self) -> t.Generator:
-        rng = self.sim.rng.stream(f"{self.rm_name}.user_rpc")
-        while True:
-            yield self.sim.timeout(rng.exponential(1.0 / self.user_rpc_rate))
-            self.master_acct.charge_cpu(self.profile.user_rpc_cpu_ms / 1e3)
-            self.master_acct.sockets.pulse(1, self.estimated_response_time())
-
     def estimated_response_time(self) -> float:
         """User-visible RPC latency under the current master load.
 
@@ -681,9 +518,9 @@ class ResourceManager:
             else:
                 killed.add(victim)
         for job_id in killed:
-            proc = self._job_procs.get(job_id)
-            if proc is not None and proc.is_alive:
-                proc.interrupt(cause=f"node failure at {when}")
+            lc = self._job_procs.get(job_id)
+            if lc is not None:
+                lc.kill()
 
     # -- reporting ----------------------------------------------------------------
     def report(self, horizon_s: float | None = None) -> RmReport:

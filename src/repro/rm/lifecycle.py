@@ -1,15 +1,7 @@
-"""Flat, table-driven FSM job lifecycle — the hot-path twin of
-:meth:`repro.rm.base.ResourceManager._run_job`.
+"""The job lifecycle: a flat, table-driven FSM on the kernel's timer lane.
 
-The generator lifecycle pays, per job, a bootstrap event, a ``Timeout``
-allocation + ``Process._resume`` round-trip per phase, a completion
-event, and (on kill/resize) an interrupt event carrying an exception.
-At paper scale — 10K jobs over a 16K-node day — that dispatch machinery
-*is* the remaining hot path (ROADMAP: "per-event Python dispatch in the
-process/generator layer").
-
-:class:`JobLifecycle` replaces all of it with one re-armable
-:class:`~repro.simkit.events.Timer` per job and a phase table of plain
+Each launched job gets one :class:`JobLifecycle`: one re-armable
+:class:`~repro.simkit.events.Timer` and a phase table of plain
 bound-method callbacks:
 
     LAUNCH --timer--> WORK --timer--> (HOLD --timer-->) TERM --timer--> DONE
@@ -18,31 +10,24 @@ bound-method callbacks:
   for the broadcast makespan; on fire the job starts.
 * **WORK**: rigid jobs arm one timer for ``effective_runtime_s``;
   malleable jobs arm per-segment timers over a work-conserving budget
-  (``n_nodes × effective_runtime_s`` node-seconds, the DMR model) and
-  resize retiming is an explicit cancel + re-arm instead of a
-  ``ProcessInterrupt`` thrown through the generator.
-* **HOLD**: a crashed master cannot process the completion — the job's
-  resources stay occupied until the daemon is back (same single-hold
-  semantics as the generator: the crash window is checked once, when
-  work completes).
+  (``n_nodes × effective_runtime_s`` node-seconds, the DMR model), and
+  a resize retimes the segment with an explicit cancel + re-arm.
+* **HOLD**: a crashed master cannot process the completion, so the
+  job's resources stay occupied until the daemon is back (the crash
+  window is checked once, when work completes).
 * **TERM**: end state decided, terminate broadcast computed, timer armed
   for its makespan; on fire the job finishes and releases.
 
 Kills (node failure, master-crash orphaning) arrive through
-:meth:`JobLifecycle.interrupt` — same entry point the generator path
-uses — and run synchronously: the pending timer is lazily cancelled and
-the job fails/releases immediately, which lands at the same simulated
-time as the generator's same-tick URGENT interrupt delivery.
-Interrupting a DONE lifecycle is a silent no-op, mirroring the
-``triggered`` guard that makes a late generator interrupt delivery
-no-op (see :meth:`repro.simkit.process.Process.interrupt`).
+:meth:`JobLifecycle.kill` and run synchronously: the pending timer is
+lazily cancelled and the job fails and releases at once.  Killing a
+DONE lifecycle is a silent no-op, so a second same-tick failure on the
+same job changes nothing.
 
-The generator path stays selectable (``lifecycle="generator"``) as the
-reference implementation; the ``lifecycle-equivalence`` oracle relation
-(:mod:`repro.oracle.differential`) proves the two produce identical
-per-job start/end times, end states, node assignments and schedule
-metrics on seeded workloads, including malleable + failure + crash
-scenarios.
+``tests/rm/test_lifecycle_equivalence.py`` pins per-job start/end
+times, end states, accounting and telemetry on seeded days (malleable,
+node-failure and master-crash included) against digests recorded from
+the generator implementation this FSM replaced.
 """
 
 from __future__ import annotations
@@ -59,27 +44,17 @@ from repro.simkit.events import Timer
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.rm.base import ResourceManager
 
-#: interrupt cause the engine uses to retime a malleable job's work
-#: loop after a grow/shrink — anything else kills the job
-RESIZE_CAUSE = "resize"
-
 # Phase indices — the FSM table in ``_TRANSITIONS`` is keyed on these.
 LAUNCH, WORK, HOLD, TERM, DONE = range(5)
 PHASE_NAMES = ("launch", "work", "hold", "term", "done")
 
 #: below this many node-seconds a malleable work budget counts as spent
-#: (same epsilon as the generator loop's ``while work > 1e-9``)
 _WORK_EPS = 1e-9
 
 
 class JobLifecycle:
-    """One job's flattened lifecycle on the kernel's timer lane.
-
-    API-compatible with the :class:`~repro.simkit.process.Process` the
-    engine used to store in ``_job_procs``: the failure/crash/resize
-    paths only touch :attr:`is_alive` and :meth:`interrupt`, so they
-    drive either implementation unchanged.
-    """
+    """One job's lifecycle on the kernel's timer lane; the engine keeps
+    it in ``ResourceManager._job_procs`` until the job releases."""
 
     __slots__ = (
         "rm",
@@ -105,30 +80,24 @@ class JobLifecycle:
         self.seg_width = 1
         self.end_state: JobState | None = None
 
-    # -- Process-compatible surface ------------------------------------
-    @property
-    def is_alive(self) -> bool:
-        """True until the job has finished/failed and released."""
-        return self.phase != DONE
-
+    # -- engine entry points -------------------------------------------
     @property
     def name(self) -> str:
         return f"job{self.job.job_id}"
 
-    def interrupt(self, cause: t.Any = None) -> None:
-        """Kill the job — or retime its work segment on a resize.
+    def kill(self) -> None:
+        """Fail the job now (node failure, master crash); no-op once DONE."""
+        if self.phase != DONE:
+            self._kill()
 
-        Synchronous, unlike the generator's deferred URGENT delivery;
-        both land at the same simulated time.  A DONE lifecycle ignores
-        the call (the generator's late delivery no-ops the same way via
-        the ``triggered`` guard).
+    def retime(self) -> None:
+        """Re-time a malleable job's work segment after a grow/shrink.
+
+        Only a malleable job in WORK has a segment to retime; in any
+        other phase the resize changes nothing here.
         """
-        if self.phase == DONE:
-            return
-        if cause == RESIZE_CAUSE and self.phase == WORK and self.job.malleable:
+        if self.phase == WORK and self.job.malleable:
             self._retime_work()
-            return
-        self._kill()
 
     # -- lifecycle entry -----------------------------------------------
     def begin(self) -> None:
@@ -164,7 +133,6 @@ class JobLifecycle:
         self.phase = WORK
         if job.malleable:
             self.work = float(job.n_nodes) * job.effective_runtime_s
-            rm._resize_ok.add(job.job_id)
             self._arm_work_segment()
         else:
             self._arm(job.effective_runtime_s)
@@ -179,8 +147,7 @@ class JobLifecycle:
 
     def _retime_work(self) -> None:
         """A grow/shrink landed mid-segment: deduct what the old width
-        burned, then restart the segment at the new width — the explicit
-        form of the generator's ``ProcessInterrupt(RESIZE_CAUSE)``."""
+        burned, then restart the segment at the new width."""
         rm = self.rm
         self.work -= (rm.sim.now - self.seg_start) * self.seg_width
         timer = self.timer
@@ -190,7 +157,7 @@ class JobLifecycle:
             self._arm_work_segment()
         else:
             # The old width finished the budget exactly at the resize
-            # instant — proceed as the generator loop's exit does.
+            # instant: the work phase ends now.
             self.work = 0.0
             self._end_work()
 
@@ -199,9 +166,7 @@ class JobLifecycle:
         self._end_work()
 
     def _end_work(self) -> None:
-        rm, job = self.rm, self.job
-        if job.malleable:
-            rm._resize_ok.discard(job.job_id)
+        rm = self.rm
         # A crashed master cannot process the completion: the job's
         # resources stay occupied until the daemon is back.
         if rm.master_down:
@@ -236,8 +201,6 @@ class JobLifecycle:
     def _kill(self) -> None:
         """Node failure / master crash killed the job mid-flight."""
         rm, job = self.rm, self.job
-        if self.phase == WORK and job.malleable:
-            rm._resize_ok.discard(job.job_id)
         timer = self.timer
         if timer is not None and timer.pending and not timer.cancelled:
             timer.cancel()

@@ -231,12 +231,6 @@ class Job:
         return self.start_time - self.submit_time
 
     @property
-    def response_time(self) -> float:
-        if self.end_time is None:
-            raise SchedulingError(f"job {self.job_id}: not finished")
-        return self.end_time - self.submit_time
-
-    @property
     def node_seconds(self) -> float:
         if self.start_time is None or self.end_time is None:
             return 0.0

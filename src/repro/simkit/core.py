@@ -12,8 +12,7 @@ import sys
 import typing as t
 
 from repro.errors import SimulationError
-from repro.simkit.events import PRIORITY_NORMAL, PRIORITY_URGENT, Event, Timeout, Timer
-from repro.simkit.process import Process
+from repro.simkit.events import PRIORITY_NORMAL, PRIORITY_URGENT, Event, Timer
 from repro.simkit.rng import RngRegistry
 from repro.telemetry import facade as telemetry
 
@@ -21,14 +20,6 @@ _INFINITY = float("inf")
 #: the latest time an event can run at: one scheduled at ``inf`` never
 #: fires, so a run with no deadline ends when only such events remain
 _LATEST = sys.float_info.max
-
-
-class _StopSimulation(Exception):
-    """Internal control-flow signal used by ``run(until=event)``."""
-
-    def __init__(self, value: t.Any) -> None:
-        super().__init__()
-        self.value = value
 
 
 class Simulator:
@@ -70,18 +61,6 @@ class Simulator:
         return self._now
 
     # -- event factories --------------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh untriggered event owned by this simulator."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: t.Any = None) -> Timeout:
-        """Create an event that fires ``delay`` units from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: t.Generator[Event, t.Any, t.Any], name: str = "") -> Process:
-        """Start running ``generator`` as a simulation process."""
-        return Process(self, generator, name=name)
-
     def timer(self, fn: t.Callable[[], None], label: str = "timer") -> Timer:
         """Create an idle re-armable :class:`Timer` on this simulator's
         timer lane (arm it with :meth:`Timer.arm`)."""
@@ -89,7 +68,7 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
     def schedule(self, event: Event, priority: int = PRIORITY_NORMAL, delay: float = 0.0) -> None:
-        """Queue a triggered event to fire ``delay`` units from now."""
+        """Queue ``event`` to run its callbacks ``delay`` units from now."""
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         seq = self._seq
@@ -108,7 +87,7 @@ class Simulator:
         return heap[0][0] if heap else _INFINITY
 
     def step(self) -> None:
-        """Process exactly one live event; raises if the heap is empty.
+        """Run exactly one live event; raises if the heap is empty.
 
         Cancelled entries surfacing at the top are dropped silently:
         they do not advance the clock, run callbacks, count toward
@@ -118,24 +97,16 @@ class Simulator:
             raise SimulationError("step() on an empty event heap")
 
     # -- run loop ------------------------------------------------------------
-    def run(self, until: float | Event | None = None) -> t.Any:
-        """Run until the heap drains, a deadline passes, or an event fires.
+    def run(self, until: float | None = None) -> None:
+        """Run until the heap drains or a deadline passes.
 
         Args:
             until: ``None`` runs to exhaustion; a number runs until the
                 clock reaches it (the clock is advanced to exactly that
-                value); an :class:`Event` runs until it fires and returns
-                its value.
+                value).
         """
         deadline = _INFINITY
-        if until is None:
-            pass
-        elif isinstance(until, Event):
-            if until.processed:
-                return until.value
-            assert until.callbacks is not None
-            until.callbacks.append(self._stop_on)
-        else:
+        if until is not None:
             deadline = float(until)
             if not deadline >= self._now:
                 raise SimulationError(
@@ -148,8 +119,6 @@ class Simulator:
                 self._dispatch(deadline, _INFINITY)
             else:
                 self._run_instrumented(deadline, tel)
-        except _StopSimulation as stop:
-            return stop.value
         finally:
             advance_s = self._now - start_s
             self.advanced_s += advance_s
@@ -162,9 +131,6 @@ class Simulator:
         # infinity here.
         if deadline != _INFINITY:
             self._now = deadline
-        if isinstance(until, Event) and not until.triggered:
-            raise SimulationError("run(until=event): event heap drained before event fired")
-        return None
 
     def _dispatch(
         self,
@@ -178,11 +144,10 @@ class Simulator:
         ``limit`` events have run, the heap drains, or the next live
         event lies past ``deadline`` (an event at ``inf`` never runs).
         Cancelled entries are discarded as they surface (lazy deletion).
-        Per event: clock, callbacks, count, trace hooks, probes — then
-        an undefused failure raises, with history already agreeing that
-        the event was processed.  ``depth``, when given, observes the
-        heap depth before each event exactly as :meth:`peek` leaves it:
-        cancelled entries on top pruned, the event about to run counted.
+        Per event: clock, callbacks, count, trace hooks, probes.
+        ``depth``, when given, observes the heap depth before each event
+        exactly as :meth:`peek` leaves it: cancelled entries on top
+        pruned, the event about to run counted.
         Returns the number of events processed.
         """
         if deadline > _LATEST:
@@ -207,16 +172,13 @@ class Simulator:
             callbacks, event.callbacks = event.callbacks, None
             assert callbacks is not None, "event processed twice"
             for callback in callbacks:
-                if callback is not None:  # skip dead slots left by detached waiters
-                    callback(event)
+                callback(event)
             self.events_processed += 1
             done += 1
             for hook in hooks:
                 hook(when, prio, seq)
             for probe in probes:
                 probe()
-            if not event.ok and not event.defused:
-                raise t.cast(BaseException, event.value)
         return done
 
     def _run_instrumented(self, deadline: float, tel: "telemetry.Telemetry") -> None:
@@ -244,13 +206,6 @@ class Simulator:
             events.inc(self.events_processed - start_events)
             tel.gauge("sim.heap.peak", peak)
 
-    @staticmethod
-    def _stop_on(event: Event) -> None:
-        if not event.ok:
-            event.defused = True
-            raise t.cast(BaseException, event.value)
-        raise _StopSimulation(event.value)
-
     # -- probes ---------------------------------------------------------------
     def add_probe(self, probe: t.Callable[[], None]) -> None:
         """Run ``probe()`` after every processed event (in-line checking)."""
@@ -265,20 +220,13 @@ class Simulator:
         """
         self._trace_hooks.append(hook)
 
-    def remove_trace_hook(self, hook: t.Callable[[float, int, int], None]) -> None:
-        """Detach a hook previously added with :meth:`add_trace_hook`."""
-        self._trace_hooks.remove(hook)
-
     # -- convenience ---------------------------------------------------------
     def call_at(self, when: float, func: t.Callable[[], None]) -> Event:
         """Invoke ``func()`` at absolute simulated time ``when``."""
         if not when >= self._now:
             raise SimulationError(f"call_at({when}) is in the past (now={self._now})")
-        ev = self.event()
-        ev._ok = True  # noqa: SLF001 - kernel-internal fast path
-        ev._value = None  # noqa: SLF001
-        assert ev.callbacks is not None
-        ev.callbacks.append(lambda _ev: func())
+        ev = Event(self)
+        ev.callbacks = [lambda _ev: func()]
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (when, PRIORITY_URGENT, seq, ev))

@@ -1,14 +1,11 @@
 """Primitive events for the discrete-event kernel.
 
-An :class:`Event` moves through three phases:
-
-* *pending* — created but not yet scheduled to fire;
-* *triggered* — given a value (or an exception) and queued on the
-  simulator heap;
-* *processed* — its callbacks have run.
-
-Processes wait on events by ``yield``-ing them; the kernel registers the
-process as a callback and resumes it with the event's value.
+An :class:`Event` is one heap entry carrying callbacks: it is *pending*
+until the kernel pops it and runs them, then *processed* (its
+``callbacks`` become ``None``).  :meth:`Simulator.schedule` queues an
+event, :meth:`Simulator.call_at` builds and queues one around a plain
+function, and :class:`Timer` is the re-armable form every periodic and
+job-lifecycle activity runs on.
 """
 
 from __future__ import annotations
@@ -23,9 +20,6 @@ if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # Heap priorities: lower fires first among events at the same time.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
-PRIORITY_LOW = 2
-
-_PENDING = object()
 
 
 class Event:
@@ -35,45 +29,20 @@ class Event:
         sim: owning simulator.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "defused", "cancelled")
+    __slots__ = ("sim", "callbacks", "cancelled")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.callbacks: list[t.Callable[[Event], None]] | None = []
-        self._value: t.Any = _PENDING
-        self._ok: bool | None = None
-        #: True once a failure's exception has been consumed by a waiter.
-        self.defused = False
         #: True once :meth:`cancel` marked the event dead; the heap entry
         #: is discarded lazily when it surfaces.
         self.cancelled = False
-
-    # -- state ---------------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """Whether the event has been given a value and scheduled."""
-        return self._value is not _PENDING
 
     @property
     def processed(self) -> bool:
         """Whether the event's callbacks have already run."""
         return self.callbacks is None
 
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded.  Only valid once triggered."""
-        if self._ok is None:
-            raise SimulationError("event value not yet available")
-        return self._ok
-
-    @property
-    def value(self) -> t.Any:
-        """The event's value (or the exception it failed with)."""
-        if self._value is _PENDING:
-            raise SimulationError("event value not yet available")
-        return self._value
-
-    # -- cancellation --------------------------------------------------
     def cancel(self) -> None:
         """Mark a scheduled event dead without removing it from the heap.
 
@@ -82,70 +51,26 @@ class Event:
         standard event-calendar technique).  A cancelled event never
         runs its callbacks, never counts as processed, and never appears
         in the golden event trace.  Cancelling an already-processed
-        event is an error; a cancelled event cannot be (re-)triggered.
+        event is an error.
         """
         if self.processed:
             raise SimulationError("cannot cancel a processed event")
         self.cancelled = True
 
-    # -- triggering ----------------------------------------------------
-    def succeed(self, value: t.Any = None, priority: int = PRIORITY_NORMAL) -> "Event":
-        """Schedule the event to fire successfully with ``value``."""
-        if self.cancelled:
-            raise SimulationError("event was cancelled")
-        if self.triggered:
-            raise SimulationError("event already triggered")
-        self._ok = True
-        self._value = value
-        self.sim.schedule(self, priority)
-        return self
-
-    def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
-        """Schedule the event to fire with an exception.
-
-        A failed event that nobody waits on re-raises at the end of the
-        run unless :attr:`defused` is set.
-        """
-        if self.cancelled:
-            raise SimulationError("event was cancelled")
-        if self.triggered:
-            raise SimulationError("event already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"fail() needs an exception, got {exception!r}")
-        self._ok = False
-        self._value = exception
-        self.sim.schedule(self, priority)
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
+        state = "processed" if self.processed else "pending"
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-
-class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: t.Any = None) -> None:
-        if not delay >= 0:
-            raise SimulationError(f"negative or NaN timeout delay: {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        sim.schedule(self, PRIORITY_NORMAL, delay)
 
 
 class Timer(Event):
     """A re-armable plain-callback timer: the kernel's flat *timer lane*.
 
-    A :class:`Timeout` + generator resume costs an event allocation, a
-    callbacks list, and a ``send()`` per phase.  A ``Timer`` instead
-    carries one zero-argument function and reuses a single event object
-    and a single cached callbacks list across many firings — each
-    :meth:`arm` pushes only the heap tuple.  The table-driven FSM job
-    lifecycle (:mod:`repro.rm.lifecycle`) runs entirely on this lane.
+    A one-shot event costs an allocation and a callbacks list per
+    firing.  A ``Timer`` instead carries one zero-argument function and
+    reuses a single event object and a single cached callbacks list
+    across many firings — each :meth:`arm` pushes only the heap tuple.
+    The table-driven FSM job lifecycle (:mod:`repro.rm.lifecycle`) runs
+    entirely on this lane.
 
     Re-arming rule (a consequence of lazy cancellation): a timer may be
     re-armed only once its previous heap entry has been *consumed* —
@@ -156,9 +81,8 @@ class Timer(Event):
     timers — abandon the object and make a fresh one (the kill/resize
     paths that cancel are rare, so pooling only the common path wins).
 
-    Not a general-purpose Event: ``run(until=timer)`` and waiting on a
-    timer from a process are unsupported (callbacks registered by
-    outsiders would persist across re-arms).
+    Only :attr:`fn` runs: a callback an outsider appended would persist
+    across re-arms.
     """
 
     __slots__ = ("fn", "label", "_pending", "_cbs")
@@ -167,10 +91,8 @@ class Timer(Event):
         super().__init__(sim)
         self.fn = fn
         self.label = label
-        self._ok = True
-        self._value = None
         self._pending = False
-        self._cbs: list[t.Callable[[Event], None] | None] = [self._run]
+        self._cbs: list[t.Callable[[Event], None]] = [self._run]
         self.callbacks = None  # idle until armed
 
     @property

@@ -25,15 +25,6 @@ class TestSpec:
         with pytest.raises(ConfigurationError):
             ClusterSpec(n_satellites=-1)
 
-    def test_with_satellites(self):
-        spec = ClusterSpec(n_nodes=10).with_satellites(7)
-        assert spec.n_satellites == 7
-        assert spec.n_nodes == 10
-
-    def test_total_cores(self):
-        spec = ClusterSpec.tianhe2a(n_nodes=100)
-        assert spec.total_cores == 100 * 12
-
 
 class TestCluster:
     def test_node_id_layout(self):

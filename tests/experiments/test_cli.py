@@ -1,6 +1,8 @@
 """Tests for the CLI entry point."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.cli import EXPERIMENTS, main
@@ -201,6 +205,20 @@ def usage_case(id_, message, *argv):
     return pytest.param(list(argv), message, id=id_)
 
 
+#: (verb argv, flag) for every numeric flag of the run verbs
+NUMERIC_FLAGS = [
+    *((("simulate", "run"), name) for name in (
+        "--seed", "--n-nodes", "--n-satellites", "--n-jobs", "--horizon-s")),
+    *((("estimate", "run"), name) for name in (
+        "--seed", "--n-history", "--max-nodes", "--job-nodes", "--user-estimate-s",
+        "--k-clusters")),
+    *((("chaos", "run", "failure-storm"), name) for name in ("--seed", "--seeds", "--jobs")),
+    *((("verify", "run", "--relation", "master-offload"), name)
+      for name in ("--seed", "--seeds", "--jobs")),
+    *((("bench", "sweep", "slurm-1024"), name) for name in ("--seed", "--jobs-levels")),
+]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("argv, message", [
         usage_case("estimate-n-history", "n_history must be in [50, 5000]",
@@ -232,6 +250,18 @@ class TestMalformedInput:
                    "chaos", "run", "failure-storm", "--seed", "-1"),
         usage_case("bench-sweep-negative-seed", "argument --seed: must be >= 0, got -1",
                    "bench", "sweep", "slurm-1024", "--seed", "-1"),
+        usage_case("verify-negative-jobs", "argument -j/--jobs: must be >= 0, got -5",
+                   "verify", "--relation", "master-offload", "-j", "-5"),
+        usage_case("chaos-campaign-negative-jobs", "argument -j/--jobs: must be >= 0, got -1",
+                   "chaos", "run", "failure-storm", "--seeds", "2", "-j", "-1"),
+        usage_case("chaos-one-cell-negative-jobs", "argument -j/--jobs: must be >= 0, got -1",
+                   "chaos", "run", "failure-storm", "-j", "-1"),
+        usage_case("all-negative-jobs", "argument -j/--jobs: must be >= 0, got -2",
+                   "all", "--quick", "-j", "-2"),
+        usage_case("bench-sweep-negative-level", "argument --jobs-levels: must be >= 0, got -3",
+                   "bench", "sweep", "slurm-1024", "--jobs-levels=-3"),
+        usage_case("bench-sweep-no-level", "argument --jobs-levels: no jobs level in ','",
+                   "bench", "sweep", "slurm-1024", "--jobs-levels", ","),
     ])
     def test_usage_error_before_any_run(self, argv, message, capsys):
         code, out, err = run_cli(capsys, *argv)
@@ -240,3 +270,25 @@ class TestMalformedInput:
         assert "Traceback" not in err
         # rejected while parsing: no progress line, so nothing ran
         assert out == ""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        flag=st.sampled_from(NUMERIC_FLAGS),
+        value=st.one_of(
+            st.integers(max_value=-1).map(str),
+            st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999", "many", ""]),
+        ),
+    )
+    def test_malformed_numeric_flag_is_a_clean_usage_error(self, flag, value):
+        verb, name = flag
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([*verb, f"{name}={value}"])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (2, 3), (verb, name, value, code)
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()
+

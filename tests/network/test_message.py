@@ -24,10 +24,3 @@ class TestMessage:
         a = Message(MessageKind.HEARTBEAT, 0, 1)
         b = Message(MessageKind.HEARTBEAT, 0, 1)
         assert b.msg_id > a.msg_id
-
-    def test_reply_swaps_endpoints(self):
-        req = Message(MessageKind.USER_REQUEST, src=7, dst=3, payload="squeue")
-        rep = req.reply(MessageKind.USER_REPLY, payload="queue-dump")
-        assert (rep.src, rep.dst) == (3, 7)
-        assert rep.kind is MessageKind.USER_REPLY
-        assert rep.size_bytes == DEFAULT_SIZES[MessageKind.USER_REPLY]

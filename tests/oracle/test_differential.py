@@ -13,7 +13,6 @@ from repro.oracle.differential import (
     DIFFERENTIAL_RELATIONS,
     EstimatorGateRelation,
     FPTreeFailureBoundRelation,
-    LifecycleEquivalenceRelation,
     MalleableThroughputRelation,
     MasterOffloadRelation,
     TopologyPlacementRelation,
@@ -41,28 +40,14 @@ class TestRelationsHold:
         result = TopologyPlacementRelation().run(seed=oracle_seed)
         assert result.ok, result.detail
 
-    def test_lifecycle_equivalence(self, oracle_seed):
-        result = LifecycleEquivalenceRelation(n_jobs=30).run(seed=oracle_seed)
-        assert result.ok, result.detail
-
-    def test_registry_is_the_six_relations(self):
+    def test_registry_is_the_five_relations(self):
         assert [type(r) for r in DIFFERENTIAL_RELATIONS] == [
             MasterOffloadRelation,
             FPTreeFailureBoundRelation,
             EstimatorGateRelation,
             MalleableThroughputRelation,
             TopologyPlacementRelation,
-                    LifecycleEquivalenceRelation,
         ]
-
-
-class _SkewedSeeds(LifecycleEquivalenceRelation):
-    """Feeds the generator arm a different trace — bytes must now differ."""
-
-    def _arm(self, rm, lifecycle, seed, malleable):
-        return super()._arm(
-            rm, lifecycle, seed + 1 if lifecycle == "generator" else seed, malleable
-        )
 
 
 class _SwappedArms(MasterOffloadRelation):
@@ -88,11 +73,6 @@ class TestPerturbationsAreCaught:
         )
         result = FPTreeFailureBoundRelation().run(seed=0)
         assert not result.ok
-
-    def test_skewed_trace_fails_lifecycle_equivalence(self):
-        result = _SkewedSeeds(n_jobs=30).run(seed=0)
-        assert not result.ok
-        assert "diverged" in result.detail
 
     def test_impossible_tolerance_fails_estimator_gate(self):
         # Demanding the gated error be ~0x of the user error is unsatisfiable;

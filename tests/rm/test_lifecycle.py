@@ -1,9 +1,8 @@
 """Unit tests for the flat FSM job lifecycle (``repro.rm.lifecycle``).
 
-The FSM is the default engine; the generator path stays selectable as
-the reference.  These tests pin the phase walk, the kill/no-op edges,
-malleable retiming, and the crashed-master hold — each against the
-generator where the comparison is meaningful.
+These tests pin the phase walk, the kill/no-op edges, malleable
+retiming, and the crashed-master hold; the retiming case also against
+the times the generator reference computed before it was removed.
 """
 
 import pytest
@@ -18,15 +17,13 @@ from repro.simkit import Simulator
 HOUR = 3600.0
 
 
-def build(n=8, seed=0, lifecycle="fsm", malleable=False):
+def build(n=8, seed=0, malleable=False):
     sim = Simulator(seed=seed)
     cluster = ClusterSpec(
         n_nodes=n, n_satellites=2, failure_model=FailureModel.disabled()
     ).build(sim)
     scheduler = BackfillScheduler(malleable=True) if malleable else None
-    rm = CentralizedRM.from_name(
-        "slurm", sim, cluster, scheduler=scheduler, lifecycle=lifecycle
-    )
+    rm = CentralizedRM.from_name("slurm", sim, cluster, scheduler=scheduler)
     return sim, cluster, rm
 
 
@@ -49,11 +46,10 @@ class TestPhaseWalk:
         lc = rm._job_procs[1]
         assert isinstance(lc, JobLifecycle)
         assert lc.phase == WORK
-        assert lc.is_alive
         assert j.state is JobState.RUNNING
         sim.run(until=HOUR)
         assert lc.phase == DONE
-        assert not lc.is_alive
+        assert 1 not in rm._job_procs
         assert j.state is JobState.COMPLETED
         assert rm.pool.n_free == 8
 
@@ -72,35 +68,31 @@ class TestKillPath:
         sim.call_at(1.0, lambda: rm.submit(j))
         sim.run(until=100.0)
         lc = rm._job_procs[1]
-        lc.interrupt(cause="node failure")
+        lc.kill()
         assert j.state is JobState.FAILED
         assert j.end_time == sim.now  # synchronous, same-tick
         assert lc.phase == DONE
         assert rm.pool.n_free == 8
 
     def test_interrupt_on_done_lifecycle_is_a_silent_noop(self):
-        # The FSM mirror of the generator's late-delivery guard: by the
-        # time a second same-tick kill lands, the job is gone.
+        # By the time a second same-tick kill lands, the job is gone.
         sim, _, rm = build()
         j = rigid(1, runtime=500.0)
         rm.start()
         sim.call_at(1.0, lambda: rm.submit(j))
         sim.run(until=100.0)
         lc = rm._job_procs[1]
-        lc.interrupt(cause="first failure")
+        lc.kill()
         end = j.end_time
-        lc.interrupt(cause="second failure")  # must not raise or re-release
+        lc.kill()  # must not raise or re-release
         assert j.end_time == end
         assert j.state is JobState.FAILED
         assert rm.pool.n_free == 8
 
-    @pytest.mark.parametrize("lifecycle", ["fsm", "generator"])
-    def test_same_tick_double_failure_kills_once(self, lifecycle):
-        """Two failure events at one instant hitting the same job: both
-        paths must fail the job exactly once at that time — the FSM via
-        its DONE no-op, the generator via the triggered-guard on the
-        second (deferred) interrupt delivery."""
-        sim, _, rm = build(lifecycle=lifecycle)
+    def test_same_tick_double_failure_kills_once(self):
+        """Two failure events at one instant hitting the same job fail it
+        exactly once at that time: the second finds it released."""
+        sim, _, rm = build()
         j = rigid(1, n_nodes=4, runtime=500.0)
         rm.start()
         sim.call_at(1.0, lambda: rm.submit(j))
@@ -119,9 +111,8 @@ class TestKillPath:
 
 
 class TestMalleableRetime:
-    @pytest.mark.parametrize("lifecycle", ["fsm", "generator"])
-    def test_shrink_stretches_wall_clock_work_conserving(self, lifecycle):
-        sim, _, rm = build(malleable=True, lifecycle=lifecycle)
+    def test_shrink_stretches_wall_clock_work_conserving(self):
+        sim, _, rm = build(malleable=True)
         hog = elastic(1, 8, 2, 8, runtime=1000.0, est=3000.0, submit=1.0)
         head = rigid(2, 4, runtime=3000.0, est=4000.0, submit=60.0)
         rm.run_trace([hog, head], until=6 * HOUR)
@@ -130,20 +121,19 @@ class TestMalleableRetime:
         assert hog.node_seconds == pytest.approx(8000.0, rel=0.1)
 
     def test_fsm_and_generator_retime_identically(self):
-        ends = {}
-        for lifecycle in ("fsm", "generator"):
-            sim, _, rm = build(malleable=True, lifecycle=lifecycle)
-            hog = elastic(1, 8, 2, 8, runtime=1000.0, est=3000.0, submit=1.0)
-            head = rigid(2, 4, runtime=3000.0, est=4000.0, submit=60.0)
-            rm.run_trace([hog, head], until=6 * HOUR)
-            ends[lifecycle] = (hog.start_time, hog.end_time, head.start_time, head.end_time)
-        assert ends["fsm"] == ends["generator"]
+        # (hog start, hog end, head start, head end) as the generator
+        # reference computed them for the same two jobs.
+        sim, _, rm = build(malleable=True)
+        hog = elastic(1, 8, 2, 8, runtime=1000.0, est=3000.0, submit=1.0)
+        head = rigid(2, 4, runtime=3000.0, est=4000.0, submit=60.0)
+        rm.run_trace([hog, head], until=6 * HOUR)
+        ends = (hog.start_time, hog.end_time, head.start_time, head.end_time)
+        assert ends == (1.02220724288, 1942.06341714112, 60.01900724288, 3060.03800989824)
 
 
 class TestMasterCrashHold:
-    @pytest.mark.parametrize("lifecycle", ["fsm", "generator"])
-    def test_completion_during_crash_holds_resources(self, lifecycle):
-        sim, _, rm = build(lifecycle=lifecycle)
+    def test_completion_during_crash_holds_resources(self):
+        sim, _, rm = build()
         j = rigid(1, runtime=100.0)
         rm.start()
         sim.call_at(1.0, lambda: rm.submit(j))
@@ -152,6 +142,7 @@ class TestMasterCrashHold:
         # Crash the master across the completion instant.
         rm._crashed_until = work_end + 300.0
         sim.run(until=work_end + 1.0)
+        assert rm._job_procs[1].phase == HOLD
         assert j.state is JobState.RUNNING  # completion held
         assert rm.pool.n_free == 8 - 4
         sim.run(until=HOUR)

@@ -48,7 +48,6 @@ class TestLifecycle:
         j.finish(110.0)
         assert j.state is JobState.COMPLETED
         assert j.wait_time == 10.0
-        assert j.response_time == 110.0
         assert j.node_seconds == 4 * 100.0
 
     def test_start_wrong_node_count(self):

@@ -3,8 +3,22 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simkit import Simulator
+from repro.simkit import Event, Simulator
 from repro.telemetry import facade as telemetry
+from tests.simkit import event_at
+
+
+def sleep_through(sim, delays):
+    """One timer re-armed through ``delays``, each from its own firing."""
+    pending = list(delays)
+
+    def fire():
+        if pending:
+            timer.arm(pending.pop(0))
+
+    timer = sim.timer(fire)
+    fire()
+    return timer
 
 
 def test_clock_starts_at_zero():
@@ -19,38 +33,18 @@ def test_clock_custom_start():
 
 def test_timeout_advances_clock():
     sim = Simulator()
-
-    def proc():
-        yield sim.timeout(5.0)
-        return sim.now
-
-    p = sim.process(proc())
+    seen = []
+    sim.timer(lambda: seen.append(sim.now)).arm(5.0)
     sim.run()
-    assert p.value == 5.0
+    assert seen == [5.0]
     assert sim.now == 5.0
 
 
 def test_run_until_number_advances_clock_exactly():
     sim = Simulator()
-    sim.process(iter_timeouts(sim, [1.0, 1.0, 1.0]))
+    sleep_through(sim, [1.0, 1.0, 1.0])
     sim.run(until=2.5)
     assert sim.now == 2.5
-
-
-def iter_timeouts(sim, delays):
-    for d in delays:
-        yield sim.timeout(d)
-
-
-def test_run_until_event_returns_value():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(3.0)
-        return "done"
-
-    p = sim.process(proc())
-    assert sim.run(until=p) == "done"
 
 
 def test_run_until_past_raises():
@@ -60,38 +54,26 @@ def test_run_until_past_raises():
             sim.run(until=until)
 
 
-def test_run_until_event_never_fires_raises():
-    sim = Simulator()
-    ev = sim.event()
-    with pytest.raises(SimulationError):
-        sim.run(until=ev)
-
-
 def test_negative_timeout_rejected():
     sim = Simulator()
     for delay in (-1.0, float("nan")):
         with pytest.raises(SimulationError):
-            sim.timeout(delay)
+            sim.timer(lambda: None).arm(delay)
 
 
 def test_schedule_into_the_past_rejected():
     sim = Simulator()
     for delay in (-1.0, float("nan")):
         with pytest.raises(SimulationError, match="into the past"):
-            sim.schedule(sim.event(), delay=delay)
+            sim.schedule(Event(sim), delay=delay)
     assert sim.peek() == float("inf")  # nothing reached the heap
 
 
 def test_events_fire_in_fifo_order_at_same_time():
     sim = Simulator()
     order = []
-
-    def proc(tag):
-        yield sim.timeout(1.0)
-        order.append(tag)
-
     for tag in range(10):
-        sim.process(proc(tag))
+        event_at(sim, 1.0).callbacks.append(lambda _ev, tag=tag: order.append(tag))
     sim.run()
     assert order == list(range(10))
 
@@ -124,23 +106,15 @@ def test_call_at_past_raises():
 
 def test_events_processed_counter_increases():
     sim = Simulator()
-    sim.process(iter_timeouts(sim, [1.0, 1.0]))
+    sleep_through(sim, [1.0, 1.0])
     sim.run()
-    assert sim.events_processed >= 2
+    assert sim.events_processed == 2
 
 
 def test_determinism_same_seed_same_draws():
     a = Simulator(seed=42).rng.stream("x").random(5)
     b = Simulator(seed=42).rng.stream("x").random(5)
     assert (a == b).all()
-
-
-def test_unhandled_failed_event_raises_at_step():
-    sim = Simulator()
-    ev = sim.event()
-    ev.fail(RuntimeError("boom"))
-    with pytest.raises(RuntimeError, match="boom"):
-        sim.run()
 
 
 class TestRunUntilInfinity:
@@ -155,7 +129,7 @@ class TestRunUntilInfinity:
 
     def test_caller_supplied_inf_leaves_clock_at_last_event(self):
         sim = Simulator()
-        sim.process(iter_timeouts(sim, [5.0]))
+        sleep_through(sim, [5.0])
         sim.run(until=float("inf"))
         assert sim.now == 5.0
 
@@ -177,65 +151,27 @@ class TestAdvanced:
 
     def test_deadline_jump_not_counted(self):
         sim = Simulator()
-        sim.process(iter_timeouts(sim, [4.0, 6.0]))
+        sleep_through(sim, [4.0, 6.0])
         with telemetry.session() as tel:
             sim.run(until=100.0)
             assert (sim.now, sim.advanced_s) == (100.0, 10.0)
-            sim.timeout(50.0)
+            event_at(sim, 50.0)
             sim.run(until=200.0)
         assert (sim.now, sim.advanced_s) == (200.0, 60.0)
         assert tel.snapshot()["counters"]["sim.time_s"] == 60.0
-
-    def test_counted_when_run_stops_on_an_event(self):
-        sim = Simulator()
-        stop = sim.timeout(3.0)
-        sim.timeout(9.0)
-        sim.run(until=stop)
-        assert (sim.now, sim.advanced_s) == (3.0, 3.0)
-
-
-class TestFailedEventAccounting:
-    """A failed, undefused event *was* processed: the counter, the golden
-    trace, and the probes must all record it before the failure raises."""
-
-    def _instrumented(self):
-        sim = Simulator()
-        trace, probed = [], []
-        sim.add_trace_hook(lambda when, prio, seq: trace.append((when, prio, seq)))
-        sim.add_probe(lambda: probed.append(sim.events_processed))
-        return sim, trace, probed
-
-    def test_run_counts_and_traces_the_failing_event(self):
-        sim, trace, probed = self._instrumented()
-        sim.event().fail(RuntimeError("boom"))
-        with pytest.raises(RuntimeError, match="boom"):
-            sim.run()
-        assert sim.events_processed == 1
-        assert len(trace) == 1
-        assert probed == [1]  # the probe saw the already-updated count
-
-    def test_step_counts_and_traces_the_failing_event(self):
-        sim, trace, probed = self._instrumented()
-        sim.event().fail(RuntimeError("boom"))
-        with pytest.raises(RuntimeError, match="boom"):
-            sim.step()
-        assert sim.events_processed == 1
-        assert len(trace) == 1
-        assert probed == [1]
 
 
 class TestSameTimestampOrdering:
     """Events sharing a timestamp (a *cohort*) run in strict
     ``(priority, seq)`` order, exactly as repeated ``step()`` would:
-    same-time urgent events scheduled mid-cohort cut in, cancellation
-    of a later member holds, and a stop or failure leaves the rest of
-    the cohort on the heap."""
+    same-time urgent events scheduled mid-cohort cut in, and
+    cancellation of a later member holds."""
 
     def test_same_time_urgent_preempts_rest_of_cohort(self):
         sim = Simulator()
         order = []
-        first = sim.timeout(1.0)
-        second = sim.timeout(1.0)
+        first = event_at(sim, 1.0)
+        second = event_at(sim, 1.0)
 
         def first_cb(_ev):
             order.append("first")
@@ -251,9 +187,9 @@ class TestSameTimestampOrdering:
     def test_callback_cancels_later_cohort_member(self):
         sim = Simulator()
         order = []
-        first = sim.timeout(1.0)
-        second = sim.timeout(1.0)
-        third = sim.timeout(1.0)
+        first = event_at(sim, 1.0)
+        second = event_at(sim, 1.0)
+        third = event_at(sim, 1.0)
         first.callbacks.append(lambda _ev: second.cancel())
         second.callbacks.append(lambda _ev: order.append("second"))
         third.callbacks.append(lambda _ev: order.append("third"))
@@ -261,40 +197,12 @@ class TestSameTimestampOrdering:
         assert order == ["third"]
         assert sim.events_processed == 2  # the cancelled one never counts
 
-    def test_until_event_mid_cohort_pushes_remainder_back(self):
-        sim = Simulator()
-        order = []
-        first = sim.timeout(1.0, value="stop-here")
-        second = sim.timeout(1.0)
-        second.callbacks.append(lambda _ev: order.append("second"))
-        assert sim.run(until=first) == "stop-here"
-        # The unprocessed cohort remainder is back on the heap, exactly
-        # as serial step() would have left it.
-        assert order == []
-        assert sim.peek() == 1.0
-        sim.run()
-        assert order == ["second"]
-
-    def test_undefused_failure_mid_cohort_preserves_remainder(self):
-        sim = Simulator()
-        seen = []
-        sim.event().fail(RuntimeError("boom"))
-        survivor = sim.timeout(0.0)
-        survivor.callbacks.append(lambda _ev: seen.append(sim.now))
-        with pytest.raises(RuntimeError, match="boom"):
-            sim.run()
-        assert sim.events_processed == 1
-        assert seen == []
-        sim.run()  # resumable: the survivor still fires
-        assert seen == [0.0]
-        assert sim.events_processed == 2
-
     def test_trace_matches_serial_step_on_colliding_timestamps(self):
         def build(seed):
             sim = Simulator(seed=seed)
             delays = sim.rng.stream("t").integers(0, 5, size=40)
             for d in delays:
-                sim.timeout(float(d))
+                event_at(sim, float(d))
             return sim
 
         serial, trace_serial = build(1), []
@@ -317,11 +225,11 @@ class TestHeapDepth:
 
     def test_depth_seen_by_each_event(self):
         sim = Simulator()
-        first = sim.timeout(1.0)
-        dead_top = sim.timeout(2.0)
-        sim.timeout(3.0)
-        dead_deep = sim.timeout(4.0)
-        sim.timeout(5.0)
+        first = event_at(sim, 1.0)
+        dead_top = event_at(sim, 2.0)
+        event_at(sim, 3.0)
+        dead_deep = event_at(sim, 4.0)
+        event_at(sim, 5.0)
         dead_deep.cancel()
         first.callbacks.append(lambda _ev: dead_top.cancel())
         with telemetry.session() as tel:

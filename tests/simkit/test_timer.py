@@ -11,6 +11,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.simkit import Simulator
 from repro.simkit.events import Timer
+from tests.simkit import event_at
 
 
 def test_timer_fires_fn_at_delay():
@@ -100,19 +101,14 @@ def test_negative_delay_is_rejected():
 def test_timer_interleaves_deterministically_with_timeouts():
     sim = Simulator()
     order = []
-
-    def waiter():
-        yield sim.timeout(1.0)
-        order.append("process")
-
-    sim.process(waiter())
     timer = sim.timer(lambda: order.append("timer"))
+    event_at(sim, 1.0).callbacks.append(lambda _ev: order.append("event"))
     timer.arm(1.0)
+    event_at(sim, 1.0).callbacks.append(lambda _ev: order.append("later event"))
     sim.run()
     # Same time, same NORMAL priority: heap insertion (seq) order
-    # decides.  The timer armed immediately; the process's Timeout is
-    # only created when its body first runs (bootstrap, inside run()).
-    assert order == ["timer", "process"]
+    # decides, whichever kind of entry each one is.
+    assert order == ["event", "timer", "later event"]
 
 
 def test_timer_factory_returns_timer_lane_object():
