@@ -7,7 +7,7 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Tier-1 minus the slow seed sweeps and golden re-runs (CI's quick lane).
+## Tier-1 minus the slow seed sweeps (CI's quick lane; the golden table runs).
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 
@@ -34,23 +34,14 @@ chaos-smoke:
 test-bench:
 	$(PYTHON) -m pytest -q tests/bench tests/telemetry
 
-## Smoke: a -j 1/-j 2 sweep of the 1K pair must produce schema-valid
-## payloads with byte-identical digests at both levels (the sweep exits
-## nonzero on any mismatch), and the same seed twice must produce
-## byte-identical payloads.  Last, the pinned `repro simulate` day and
-## a 500-job `repro estimate` run each run in two fresh interpreters
-## with different string-hash seeds and the outputs must `cmp` equal: an
-## iteration over a set or dict of strings would show up here first
-## (the estimator hashes job names with zlib.crc32, and its name routes
-## come from dict and Counter order).
+## Smoke: the pinned `repro simulate` day and a 500-job `repro
+## estimate` run each run in two fresh interpreters with different
+## string-hash seeds and the outputs must `cmp` equal: an iteration
+## over a set or dict of strings would show up here first (the
+## estimator hashes job names with zlib.crc32, and its name routes come
+## from dict and Counter order).
 bench-smoke:
-	$(PYTHON) -m pytest -q tests/bench tests/telemetry
-	$(PYTHON) -m repro.cli bench sweep slurm-1024 eslurm-1024 --jobs-levels 1,2 --out .bench-smoke/BENCH_sweep.json
-	$(PYTHON) -c "from repro.bench import run_bench; \
-	a = run_bench('slurm-1024', seed=0).to_json(); \
-	b = run_bench('slurm-1024', seed=0).to_json(); \
-	assert a == b, 'bench payload is not seed-deterministic'; \
-	print('deterministic-seed check: OK')"
+	mkdir -p .bench-smoke
 	PYTHONHASHSEED=1 $(PYTHON) -m repro.cli simulate run --json --n-nodes 256 --n-jobs 100 --horizon-s 1000.37 > .bench-smoke/simulate-1.json
 	PYTHONHASHSEED=2 $(PYTHON) -m repro.cli simulate run --json --n-nodes 256 --n-jobs 100 --horizon-s 1000.37 > .bench-smoke/simulate-2.json
 	cmp .bench-smoke/simulate-1.json .bench-smoke/simulate-2.json
@@ -121,20 +112,22 @@ bench-e2e-gate:
 verify-smoke:
 	$(PYTHON) -m pytest -q tests/oracle -m "not slow"
 	$(PYTHON) -m repro.cli verify --seed 42
-	$(PYTHON) -c "from repro.oracle import GOLDEN_SCENARIOS; \
-	from repro.oracle.golden import dump_canonical; \
-	sc = GOLDEN_SCENARIOS[0]; \
-	assert dump_canonical(sc.record()) == dump_canonical(sc.record()), \
+	$(PYTHON) -c "from repro.oracle.golden import GOLDEN_SCENARIOS, dump_canonical, record; \
+	cfg = GOLDEN_SCENARIOS['slurm-base']; \
+	assert dump_canonical(record('slurm-base', cfg)) == dump_canonical(record('slurm-base', cfg)), \
 	'golden payload is not seed-deterministic'; \
 	print('deterministic-digest check: OK')"
 
-## Smoke: the sweep engine must be byte-deterministic — the same small
-## matrix at -j 1 and -j 2 must hash to the same payload digest (the
-## sweep exits nonzero on a mismatch), and a poisoned cell must be
-## contained (nonzero exit, healthy cells done).
+## Smoke: the sweep engine must be byte-deterministic — the same chaos
+## campaign grid at -j 1 and -j 2 must print the same JSON report,
+## byte for byte — and the pool suite (crash containment, retry-once)
+## must pass.
 sweep-smoke:
 	$(PYTHON) -m pytest -q tests/parallel
-	$(PYTHON) -m repro.cli bench sweep slurm-1024 eslurm-1024 --jobs-levels 1,2 --out .sweep-smoke/BENCH_sweep.json
+	mkdir -p .sweep-smoke
+	$(PYTHON) -m repro.cli chaos run flapping-node --seeds 2 --json -j 1 > .sweep-smoke/campaign-j1.json
+	$(PYTHON) -m repro.cli chaos run flapping-node --seeds 2 --json -j 2 > .sweep-smoke/campaign-j2.json
+	cmp .sweep-smoke/campaign-j1.json .sweep-smoke/campaign-j2.json
 	@echo "sweep determinism check: OK (-j 1 == -j 2, byte for byte)"
 	rm -rf .sweep-smoke
 

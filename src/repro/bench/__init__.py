@@ -1,45 +1,13 @@
-"""Performance-benchmark harness: fixed scenario matrix over the RMs.
+"""The paper-scale tiers and the scenario shape of the e2e benchmark.
 
-:mod:`repro.bench.scenarios` holds the matrix and the paper-scale
-tiers; :func:`run_bench` runs one scenario into a deterministic payload
-(schema in :mod:`repro.bench.schema`).  Two checked-in anchor files
-come from it, each recorded by one ``repro bench`` verb and re-run by
-the tier-1 tests: ``baseline`` (``BENCH_paper_scale.json``) and
-``sweep`` (``BENCH_sweep.json``).  Speed is judged by
-``benchmarks/e2e`` alone.
+:data:`PAPER_SCALE` is the Section VII machine sizes (1K to 131K
+nodes, 10K jobs, plus a malleable and a topology-aware 1K variant);
+each tier is a golden scenario, so ``repro verify`` re-runs it against
+its frozen event-stream digest under ``tests/golden/``.
+:class:`BenchScenario` is also the shape of the ``benchmarks/e2e``
+workloads.  Speed is judged by ``benchmarks/e2e`` alone.
 """
 
-from repro.bench.paper_scale import BASELINE_PATH, build_baseline, dump_baseline
-from repro.bench.runner import BenchResult, MatrixSweep, run_bench, run_matrix_sweep
-from repro.bench.sweep import (
-    SWEEP_PATH,
-    SWEEP_SCHEMA,
-    dump_sweep,
-    render_sweep,
-    run_sweep_baseline,
-    sweep_digest,
-)
-from repro.bench.scenarios import PAPER_SCALE, SCENARIOS, BenchScenario, get_scenario
-from repro.bench.schema import SCHEMA, validate_payload
+from repro.bench.scenarios import PAPER_SCALE, BenchScenario
 
-__all__ = [
-    "BASELINE_PATH",
-    "PAPER_SCALE",
-    "SCENARIOS",
-    "SCHEMA",
-    "SWEEP_PATH",
-    "SWEEP_SCHEMA",
-    "BenchResult",
-    "BenchScenario",
-    "MatrixSweep",
-    "build_baseline",
-    "dump_baseline",
-    "dump_sweep",
-    "get_scenario",
-    "render_sweep",
-    "run_bench",
-    "run_matrix_sweep",
-    "run_sweep_baseline",
-    "sweep_digest",
-    "validate_payload",
-]
+__all__ = ["PAPER_SCALE", "BenchScenario"]

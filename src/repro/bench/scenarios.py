@@ -1,15 +1,10 @@
-"""The fixed bench scenario matrix.
+"""The paper-scale tiers and the scenario shape the e2e harness shares.
 
-The matrix crosses the paper's structural comparison (centralized Slurm
-vs ESLURM) with the machine sizes of Section VII (1K / 4K / 16K nodes)
-and the failure injector on/off — twelve scenarios that exercise every
-instrumented subsystem: the event loop, the broadcast fabric, satellite
-allocation, the scheduler, and (for ESLURM) the runtime estimator.
-
-Scenario runs are sized to finish in seconds each, not to reproduce the
-paper's absolute numbers: a bench payload is a *regression anchor* —
-the same scenario at the same seed must produce the same JSON, which
-``benchmarks/BENCH_sweep.json`` pins by digest.
+:data:`PAPER_SCALE` holds the Section VII machine sizes as
+:class:`BenchScenario` values; each tier's recording-seed config is a
+golden scenario (:data:`repro.oracle.golden.GOLDEN_SCENARIOS`), so its
+event stream is pinned by digest under ``tests/golden/``.  The
+``benchmarks/e2e`` workloads are :class:`BenchScenario` values too.
 """
 
 from __future__ import annotations
@@ -17,25 +12,23 @@ from __future__ import annotations
 import typing as t
 from dataclasses import dataclass
 
-from repro.api import SimulationConfig, TelemetryConfig
-from repro.errors import ConfigurationError
+from repro.api import SimulationConfig
 from repro.workload.synthetic import WorkloadConfig
 
 DAY = 86_400.0
 
-#: simulated horizon of every matrix scenario (4 h keeps the largest
-#: machine under a minute of host time while still crossing dozens of
-#: heartbeat and scheduler cycles)
+#: default simulated horizon (4 h crosses dozens of heartbeat and
+#: scheduler cycles)
 HORIZON_S = 4 * 3600.0
 
 
 @dataclass(frozen=True)
 class BenchScenario:
-    """One cell of the matrix.
+    """One machine-and-workload shape.
 
     ``malleable_fraction`` / ``placement`` select the elastic-job
     protocol and the node-placement policy; both default to the rigid/
-    first-fit setting so every recorded payload stays byte-identical.
+    first-fit setting.
     """
 
     name: str
@@ -68,35 +61,9 @@ class BenchScenario:
             horizon_s=self.horizon_s,
             workload=self.workload(),
             estimator="auto" if self.rm == "eslurm" else None,
-            telemetry=TelemetryConfig(enabled=True),
             placement=self.placement,
             malleable=self.malleable_fraction > 0.0,
         )
-
-
-def _matrix() -> dict[str, BenchScenario]:
-    scenarios = {}
-    for rm in ("slurm", "eslurm"):
-        for n_nodes in (1024, 4096, 16_384):
-            for failures in (False, True):
-                name = f"{rm}-{n_nodes}" + ("-failures" if failures else "")
-                scenarios[name] = BenchScenario(
-                    name=name,
-                    rm=rm,
-                    n_nodes=n_nodes,
-                    # ESLURM satellite pools grow with the machine (Eq. 1's m)
-                    n_satellites=max(2, n_nodes // 2048),
-                    failures=failures,
-                    # the generator spreads submissions diurnally over a
-                    # 24 h day, so roughly horizon/day of these land in
-                    # the window — 600 yields ~100 scheduled jobs
-                    n_jobs=600,
-                )
-    return scenarios
-
-
-#: name -> scenario, insertion-ordered smallest-first per RM
-SCENARIOS: dict[str, BenchScenario] = _matrix()
 
 
 #: the paper-scale machine sizes: the Section VII trio plus the
@@ -117,11 +84,10 @@ def _paper_scale() -> dict[str, BenchScenario]:
             n_jobs=10_000,
             horizon_s=DAY,
         )
-    # Small-step variant of the 65K tier, anchor-checked in tier-1:
-    # the full machine is built — so the array-backed node state and the
-    # event kernel are exercised at scale — but over the 4 h matrix
-    # horizon with a matching slice of the workload, keeping the smoke
-    # run seconds-long where the full tier is --slow territory.
+    # Small-step variant of the 65K tier: the full machine is built —
+    # so the array-backed node state and the event kernel are exercised
+    # at scale — but over a 4 h horizon with a matching slice of the
+    # workload.
     tiers["paper-65536-smoke"] = BenchScenario(
         name="paper-65536-smoke",
         rm="eslurm",
@@ -159,17 +125,7 @@ def _paper_scale() -> dict[str, BenchScenario]:
 
 
 #: The paper-scale tiers: ESLURM with failure injection driving 10K jobs
-#: over one simulated day at the Section VII machine sizes.  Unlike the
-#: matrix above these are sized like the paper's own workload; their
-#: deterministic anchors live in ``benchmarks/BENCH_paper_scale.json``.
+#: over one simulated day at the Section VII machine sizes, sized like
+#: the paper's own workload.
 PAPER_SCALE: dict[str, BenchScenario] = _paper_scale()
 
-
-def get_scenario(name: str) -> BenchScenario:
-    scenario = SCENARIOS.get(name) or PAPER_SCALE.get(name)
-    if scenario is None:
-        raise ConfigurationError(
-            f"unknown bench scenario {name!r}; choose from "
-            f"{sorted([*SCENARIOS, *PAPER_SCALE])}"
-        )
-    return scenario

@@ -1,4 +1,4 @@
-"""Command-line entry point: experiments, benchmarks, chaos campaigns.
+"""Command-line entry point: experiments, chaos campaigns, oracles, run verbs.
 
 Installed as ``repro-eslurm`` (alias ``repro``)::
 
@@ -6,10 +6,6 @@ Installed as ``repro-eslurm`` (alias ``repro``)::
     repro list                      # paper experiments
     repro fig7 --quick
     repro all --quick -j 4          # experiment grid on 4 workers
-
-    repro bench list                # perf-benchmark matrix + paper tiers
-    repro bench baseline            # record benchmarks/BENCH_paper_scale.json anchors
-    repro bench sweep               # record benchmarks/BENCH_sweep.json digests
 
     repro chaos list                # invariant-checked failure campaigns
     repro chaos run failure-storm --seed 7 --json
@@ -91,14 +87,6 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _jobs_levels(text: str) -> list[int]:
-    """``--jobs-levels``' type: a comma-separated list of ``-j`` values."""
-    levels = [_nonneg_int(part) for part in text.split(",") if part.strip()]
-    if not levels:
-        raise argparse.ArgumentTypeError(f"no jobs level in {text!r}")
-    return levels
-
-
 def common_parent(out_help: str | None = None) -> argparse.ArgumentParser:
     """The ``--seed/--json/--out`` flags as an argparse parent parser."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -154,121 +142,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-
-
-# ---------------------------------------------------------------------------
-# repro bench
-# ---------------------------------------------------------------------------
-def _bench_list(args: argparse.Namespace) -> int:
-    from repro.bench import PAPER_SCALE, SCENARIOS
-
-    for group in (SCENARIOS, PAPER_SCALE):
-        for scenario in group.values():
-            flags = "failures" if scenario.failures else "-"
-            print(
-                f"{scenario.name:<24} rm={scenario.rm:<7} nodes={scenario.n_nodes:<6} "
-                f"satellites={scenario.n_satellites:<3} jobs={scenario.n_jobs:<6} {flags}"
-            )
-    return 0
-
-
-def _bench_baseline_configure(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "names",
-        nargs="*",
-        help="paper-scale tiers to record (default: all eight, including the "
-        "minutes-long 65K/131K tiers)",
-    )
-
-
-def _bench_baseline(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench import (
-        BASELINE_PATH,
-        PAPER_SCALE,
-        build_baseline,
-        dump_baseline,
-        run_bench,
-    )
-
-    names = args.names or list(PAPER_SCALE)
-    for name in names:
-        if name not in PAPER_SCALE:
-            args._parser.error(f"{name!r} is not a paper-scale tier ({sorted(PAPER_SCALE)})")
-    results = []
-    for name in names:
-        result = run_bench(name, seed=args.seed)
-        print(
-            f"{name:<14} {result.payload['events']:>9} events  "
-            f"host {result.host_wall_s:7.2f}s"
-        )
-        results.append(result)
-    baseline = build_baseline(results)
-    text = dump_baseline(baseline)
-    if args.json:
-        print(text, end="")
-    path = Path(args.out if args.out is not None else BASELINE_PATH)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    print(f"baseline written -> {path}")
-    return 0
-
-
-def _bench_sweep_configure(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "names",
-        nargs="*",
-        help="scenario subset to sweep (default: the whole 12-scenario matrix)",
-    )
-    parser.add_argument(
-        "--jobs-levels",
-        type=_jobs_levels,
-        default="1,2,4",
-        help="comma-separated jobs levels to digest-check (default 1,2,4; "
-        "the serial level 1 is always included as the baseline)",
-    )
-
-
-def _bench_sweep(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench import SWEEP_PATH, dump_sweep, render_sweep, run_sweep_baseline
-
-    try:
-        payload = run_sweep_baseline(
-            jobs_levels=args.jobs_levels,
-            names=args.names or None,
-            seed=args.seed,
-            progress=None if args.json else print,
-        )
-    except Exception as exc:
-        args._parser.error(str(exc))
-    text = dump_sweep(payload)
-    if args.json:
-        print(text, end="")
-    else:
-        print(render_sweep(payload))
-    path = Path(args.out if args.out is not None else SWEEP_PATH)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    print(f"sweep file written -> {path}")
-    return 0
-
-
-BENCH_COMMANDS = (
-    Subcommand("list", "enumerate the scenario matrix", lambda p: None, _bench_list),
-    Subcommand(
-        "baseline", "record the paper-scale anchor file (event counts, heap depth)",
-        _bench_baseline_configure, _bench_baseline, common=True,
-        out_help="anchor file path (default: benchmarks/BENCH_paper_scale.json)",
-    ),
-    Subcommand(
-        "sweep", "record the matrix sweep file (jobs=1/2/4 digests + event totals)",
-        _bench_sweep_configure, _bench_sweep, common=True,
-        out_help="sweep file path (default: benchmarks/BENCH_sweep.json)",
-    ),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +239,10 @@ def _verify_list(args: argparse.Namespace) -> int:
     print(f"{'relation':<26} {'layer':<13} {'paper':<28} claim")
     for relation in relations_table():
         print(f"{relation.name:<26} {relation.layer:<13} {relation.section:<28} {relation.claim}")
-    for scenario in GOLDEN_SCENARIOS:
+    for name, config in GOLDEN_SCENARIOS.items():
         print(
-            f"{'golden/' + scenario.name:<26} {'golden':<13} {'VI':<28} "
-            f"frozen {scenario.rm} trace, seed {scenario.seed}"
+            f"{'golden/' + name:<26} {'golden':<13} {'VI':<28} "
+            f"frozen {config.rm} trace, seed {config.seed}"
         )
     return 0
 
@@ -448,8 +321,6 @@ def _verify_run(args: argparse.Namespace) -> int:
                 f"relations held over {args.seeds} seed(s)"
             )
         return 0 if sweep.ok else 1
-    from repro.errors import ConfigurationError
-
     try:
         report = run_verify(
             seed=args.seed,
@@ -459,7 +330,7 @@ def _verify_run(args: argparse.Namespace) -> int:
             progress=None if args.json or args.out else print,
             relations=args.relation,
         )
-    except (ValueError, ConfigurationError) as exc:
+    except ValueError as exc:
         args._parser.error(str(exc))
     if args.json:
         _emit(json.dumps(report.to_payload(), sort_keys=True, indent=2), args.out)
@@ -727,7 +598,6 @@ ESTIMATE_COMMANDS = (
 
 #: tool families reachable as ``repro <family> ...``
 FAMILIES: dict[str, tuple[str, tuple[Subcommand, ...]]] = {
-    "bench": ("Run the fixed perf-benchmark scenario matrix.", BENCH_COMMANDS),
     "chaos": ("Run a chaos campaign with simulation-wide invariant checking.", CHAOS_COMMANDS),
     "verify": ("Run the correctness oracles against the current tree.", VERIFY_COMMANDS),
     "simulate": ("Run one simulated RM day.", SIMULATE_COMMANDS),

@@ -35,9 +35,10 @@ class Fig5Result:
     p_cdf: dict[float, float]  # P threshold -> CDF value
     overestimate_frac: float
     interval_hours: tuple[float, ...] = INTERVAL_HOURS
-    interval_corr: list[float] = field(default_factory=list)
+    #: ``None`` for a bucket the trace has no pair in
+    interval_corr: list[float | None] = field(default_factory=list)
     id_gaps: tuple[int, ...] = ID_GAPS
-    id_gap_corr: list[float] = field(default_factory=list)
+    id_gap_corr: list[float | None] = field(default_factory=list)
 
 
 def run_fig5(n_jobs: int = 12_000, seed: int = 1) -> dict[str, Fig5Result]:

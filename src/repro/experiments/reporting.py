@@ -13,10 +13,13 @@ def render_table(
 ) -> str:
     """Render a fixed-width table.
 
-    Floats go through ``float_fmt``; everything else through ``str``.
+    Floats go through ``float_fmt``, ``None`` (no value) prints as
+    ``n/a``, everything else goes through ``str``.
     """
 
     def cell(x: t.Any) -> str:
+        if x is None:
+            return "n/a"
         if isinstance(x, float):
             return float_fmt.format(x)
         return str(x)
@@ -37,7 +40,7 @@ def render_table(
 def render_series(
     x_label: str,
     xs: t.Sequence[t.Any],
-    series: dict[str, t.Sequence[float]],
+    series: dict[str, t.Sequence[float | None]],
     title: str = "",
     float_fmt: str = "{:.3f}",
 ) -> str:

@@ -9,7 +9,8 @@ Three complementary layers, all runnable via ``repro verify``:
   transformations with known output relations (relabeling, jitter,
   scaling, capacity monotonicity, seed sensitivity);
 * **golden** (:mod:`repro.oracle.golden`) — frozen SHA-256 digests of
-  canonical event streams, regenerable only via
+  canonical event streams (four 64-node days and the paper-scale
+  tiers), the repository's only recorded anchors, regenerable only via
   ``repro verify --update-golden``.
 
 The simulation-state invariants shared with the chaos harness live in
@@ -18,7 +19,6 @@ The simulation-state invariants shared with the chaos harness live in
 
 from repro.oracle.golden import (
     GOLDEN_SCENARIOS,
-    GoldenScenario,
     TraceDigest,
     check_golden,
     load_golden,
@@ -47,7 +47,6 @@ from repro.oracle.verify import (
 
 __all__ = [
     "GOLDEN_SCENARIOS",
-    "GoldenScenario",
     "TraceDigest",
     "check_golden",
     "load_golden",

@@ -1,13 +1,16 @@
 """Golden traces: frozen event-stream digests for regression pinning.
 
 Differential and metamorphic relations catch *wrong* behaviour; golden
-traces catch *changed* behaviour.  Each scenario runs a short canonical
-simulation with a :class:`TraceDigest` attached to the simulator's
-trace-hook seam, folding every processed event's ``(time, priority,
-sequence)`` triple into one SHA-256.  The digest plus a summarized
-metric vector is frozen under ``tests/golden/GOLDEN_<scenario>.json``;
-any event inserted, dropped, re-ordered, or re-timed anywhere in the
-stack changes the hash.
+traces catch *changed* behaviour.  A scenario is a name and a
+:class:`~repro.api.SimulationConfig` (:data:`GOLDEN_SCENARIOS`: four
+64-node days and the paper-scale tiers).  Each runs with a
+:class:`TraceDigest` attached to the simulator's trace-hook seam,
+folding every processed event's ``(time, priority, sequence)`` triple
+into one SHA-256.  The digest, the event count and a summarized metric
+vector are frozen under ``tests/golden/GOLDEN_<scenario>.json``; any
+event inserted, dropped, re-ordered, or re-timed anywhere in the stack
+changes the hash.  These files are the repository's only recorded
+anchors.
 
 Two rules keep this honest:
 
@@ -28,12 +31,13 @@ import hashlib
 import json
 import struct
 import typing as t
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
-from repro.api import build_rm, quick_cluster
+from repro.api import SimulationConfig, prepare_rm_day, quick_cluster, rm_kwargs_for_config
+from repro.bench.scenarios import PAPER_SCALE
+from repro.errors import ConfigurationError
 from repro.oracle.relations import RelationResult
-from repro.workload.synthetic import WorkloadConfig, generate_trace
 
 SCHEMA = "repro-golden/1"
 
@@ -64,82 +68,87 @@ class TraceDigest:
         return self._sha.hexdigest()
 
 
-@dataclass(frozen=True)
-class GoldenScenario:
-    """One canonical frozen-trace scenario."""
-
-    name: str
-    rm: str
-    n_nodes: int
-    n_satellites: int
-    seed: int
-    failures: bool = False
-    estimator: t.Any = None
-    #: the generator spreads arrivals diurnally over a day, so golden
-    #: runs use a full-day horizon — enough completions to train the
-    #: estimator and enough contention for scheduling to matter
-    n_jobs: int = 300
-    horizon_s: float = 86_400.0
-
-    def record(self) -> dict[str, t.Any]:
-        """Run the scenario and return its golden payload."""
-        cluster = quick_cluster(
-            n_nodes=self.n_nodes,
-            n_satellites=self.n_satellites,
-            seed=self.seed,
-            failures=self.failures,
-        )
-        digest = TraceDigest()
-        cluster.sim.add_trace_hook(digest.hook)
-        manager = build_rm(self.rm, cluster, estimator=self.estimator)
-        workload = WorkloadConfig(
-            jobs_per_day=self.n_jobs * 86_400.0 / self.horizon_s,
-            max_nodes=max(1, self.n_nodes // 4),
-            name=f"golden-{self.name}",
-        )
-        jobs = generate_trace(workload, self.n_jobs, seed=self.seed, start_time=cluster.sim.now + 1.0)
-        jobs = [j for j in jobs if j.submit_time < cluster.sim.now + self.horizon_s * 0.95]
-        manager.run_trace(jobs, until=cluster.sim.now + self.horizon_s)
-        report = manager.report(horizon_s=self.horizon_s)
-        assert report.schedule is not None
-        return {
-            "schema": SCHEMA,
-            "scenario": self.name,
-            "config": {
-                "rm": self.rm,
-                "n_nodes": self.n_nodes,
-                "n_satellites": self.n_satellites,
-                "seed": self.seed,
-                "failures": self.failures,
-                "estimator": "auto" if self.estimator == "auto" else None,
-                "n_jobs": self.n_jobs,
-                "horizon_s": self.horizon_s,
-            },
-            "trace": {
-                "digest": f"sha256:{digest.hexdigest()}",
-                "events": digest.events,
-                "last_event_time_s": digest.last_time,
-            },
-            "metrics": {
-                "master": dict(report.master),
-                "schedule": asdict(report.schedule),
-            },
-        }
+def _small(rm: str, n_satellites: int, **kwargs: t.Any) -> SimulationConfig:
+    """A 64-node day of 300 jobs at seed 42 (the four original scenarios)."""
+    return SimulationConfig(
+        rm=rm, n_nodes=64, n_satellites=n_satellites, seed=42, n_jobs=300, **kwargs
+    )
 
 
-#: the canonical frozen scenarios — small enough to re-run on every
-#: ``repro verify``, together covering both RMs, failure injection, and
-#: the estimation framework
-GOLDEN_SCENARIOS: tuple[GoldenScenario, ...] = (
-    GoldenScenario(name="slurm-base", rm="slurm", n_nodes=64, n_satellites=1, seed=42),
-    GoldenScenario(name="eslurm-base", rm="eslurm", n_nodes=64, n_satellites=2, seed=42),
-    GoldenScenario(
-        name="eslurm-failures", rm="eslurm", n_nodes=64, n_satellites=2, seed=42, failures=True
-    ),
-    GoldenScenario(
-        name="eslurm-estimator", rm="eslurm", n_nodes=64, n_satellites=2, seed=42, estimator="auto"
-    ),
-)
+#: the canonical frozen scenarios, name -> config: four 64-node days
+#: covering both RMs, failure injection and the estimation framework,
+#: then the paper-scale tiers at seed 0 (1K to 131K nodes, 10K jobs,
+#: the malleable and topology-aware variants) — about 15 s together on
+#: a 2-CPU host
+GOLDEN_SCENARIOS: dict[str, SimulationConfig] = {
+    "slurm-base": _small("slurm", 1),
+    "eslurm-base": _small("eslurm", 2),
+    "eslurm-failures": _small("eslurm", 2, failures=True),
+    "eslurm-estimator": _small("eslurm", 2, estimator="auto"),
+    **{name: tier.simulation_config(0) for name, tier in PAPER_SCALE.items()},
+}
+
+
+def record(name: str, config: SimulationConfig) -> dict[str, t.Any]:
+    """Run one scenario and return its golden payload.
+
+    The day is built as :func:`repro.api.run_simulation` and the
+    ``benchmarks/e2e`` harness build it (``quick_cluster``, then
+    ``prepare_rm_day`` with :func:`repro.api.rm_kwargs_for_config`),
+    with the digest hooked in before anything is scheduled.
+    """
+    cluster = quick_cluster(
+        n_nodes=config.n_nodes,
+        n_satellites=config.n_satellites,
+        seed=config.seed,
+        failures=config.failures,
+        monitoring=config.monitoring,
+    )
+    digest = TraceDigest()
+    cluster.sim.add_trace_hook(digest.hook)
+    manager, jobs = prepare_rm_day(
+        config.rm,
+        cluster,
+        n_jobs=config.n_jobs,
+        seed=config.seed,
+        horizon_s=config.horizon_s,
+        workload=config.workload,
+        estimator=config.estimator,
+        **rm_kwargs_for_config(config, cluster),
+    )
+    manager.run_trace(jobs, until=cluster.sim.now + config.horizon_s)
+    report = manager.report(horizon_s=config.horizon_s)
+    assert report.schedule is not None
+    settings: dict[str, t.Any] = {
+        "rm": config.rm,
+        "n_nodes": config.n_nodes,
+        "n_satellites": config.n_satellites,
+        "seed": config.seed,
+        "failures": config.failures,
+        "estimator": "auto" if config.estimator == "auto" else None,
+        "n_jobs": config.n_jobs,
+        "horizon_s": config.horizon_s,
+    }
+    # Set only when not the default, so the files recorded before
+    # these knobs existed keep their bytes.
+    if config.malleable:
+        settings["malleable"] = True
+    if config.placement != "first-fit":
+        settings["placement"] = config.placement
+    return {
+        "schema": SCHEMA,
+        "scenario": name,
+        "config": settings,
+        "trace": {
+            "digest": f"sha256:{digest.hexdigest()}",
+            "events": digest.events,
+            "last_event_time_s": digest.last_time,
+        },
+        "metrics": {
+            "master": dict(report.master),
+            "schedule": asdict(report.schedule),
+        },
+    }
 
 
 def golden_path(golden_dir: Path, name: str) -> Path:
@@ -153,17 +162,44 @@ def dump_canonical(payload: t.Mapping[str, t.Any]) -> str:
 
 def write_golden(
     golden_dir: Path | None = None,
-    scenarios: t.Sequence[GoldenScenario] = GOLDEN_SCENARIOS,
+    scenarios: t.Mapping[str, SimulationConfig] | None = None,
 ) -> list[Path]:
-    """Re-run every scenario and freeze its payload (``--update-golden``)."""
+    """Re-run every scenario and freeze its payload (``--update-golden``).
+
+    ``scenarios`` defaults to :data:`GOLDEN_SCENARIOS` as it is when called.
+    """
     out_dir = Path(golden_dir) if golden_dir is not None else DEFAULT_GOLDEN_DIR
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for scenario in scenarios:
-        path = golden_path(out_dir, scenario.name)
-        path.write_text(dump_canonical(scenario.record()))
+    for name, config in (GOLDEN_SCENARIOS if scenarios is None else scenarios).items():
+        path = golden_path(out_dir, name)
+        path.write_text(dump_canonical(record(name, config)))
         paths.append(path)
     return paths
+
+
+def _load_file(path: Path) -> dict[str, t.Any]:
+    """One frozen payload; a file of another shape is a
+    :class:`ConfigurationError` naming it."""
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"golden file {path} is not JSON: {exc}") from None
+    shape = {"scenario": str, "trace": dict, "metrics": dict}
+    fields = payload if isinstance(payload, dict) else {}
+    missing = [key for key, kind in shape.items() if not isinstance(fields.get(key), kind)]
+    if not missing:
+        trace = payload["trace"]
+        missing = [
+            f"trace.{key}" for key, kind in (("digest", str), ("events", int))
+            if not isinstance(trace.get(key), kind)
+        ]
+    if missing:
+        raise ConfigurationError(
+            f"golden file {path} lacks {', '.join(missing)}; "
+            "re-record it with `repro verify --update-golden`"
+        )
+    return payload
 
 
 def load_golden(golden_dir: Path | None = None) -> dict[str, dict[str, t.Any]]:
@@ -171,7 +207,7 @@ def load_golden(golden_dir: Path | None = None) -> dict[str, dict[str, t.Any]]:
     src = Path(golden_dir) if golden_dir is not None else DEFAULT_GOLDEN_DIR
     loaded: dict[str, dict[str, t.Any]] = {}
     for path in sorted(src.glob("GOLDEN_*.json")):
-        payload = json.loads(path.read_text())
+        payload = _load_file(path)
         loaded[payload["scenario"]] = payload
     return loaded
 
@@ -209,21 +245,24 @@ def compare(current: t.Mapping[str, t.Any], frozen: t.Mapping[str, t.Any]) -> li
 
 def check_golden(
     golden_dir: Path | None = None,
-    scenarios: t.Sequence[GoldenScenario] = GOLDEN_SCENARIOS,
+    scenarios: t.Mapping[str, SimulationConfig] | None = None,
 ) -> list[RelationResult]:
-    """Re-run every scenario and compare against the frozen files."""
+    """Re-run every scenario and compare against the frozen files.
+
+    ``scenarios`` defaults to :data:`GOLDEN_SCENARIOS` as it is when called.
+    """
     frozen = load_golden(golden_dir)
     results: list[RelationResult] = []
-    for scenario in scenarios:
-        if scenario.name not in frozen:
+    for name, config in (GOLDEN_SCENARIOS if scenarios is None else scenarios).items():
+        if name not in frozen:
             results.append(
                 RelationResult(
-                    relation=f"golden-digest/{scenario.name}",
+                    relation=f"golden-digest/{name}",
                     ok=False,
                     detail="no frozen trace on disk — run `repro verify --update-golden`",
                     layer="golden",
                 )
             )
             continue
-        results.extend(compare(scenario.record(), frozen[scenario.name]))
+        results.extend(compare(record(name, config), frozen[name]))
     return results

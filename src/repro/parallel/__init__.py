@@ -1,7 +1,7 @@
 """Deterministic multiprocess fan-out for embarrassingly parallel sweeps.
 
-Every sweep surface in this repository — the bench matrix, chaos
-campaigns, ``repro verify`` seed sweeps, the experiment grids — is a
+Every sweep surface in this repository — chaos campaigns, ``repro
+verify`` seed sweeps, the experiment grids — is a
 list of fully independent seeded simulations.  This package turns such
 a list into *task cells* ``(kind, spec, seed)`` executed by warm
 spawn-based worker processes, then merges the results back **keyed by
@@ -14,7 +14,7 @@ The three modules:
   task list inline (``jobs=1``, the serial path) or on a warm worker
   pool (``jobs>1``) with per-cell crash containment and retry-once.
 * :mod:`repro.parallel.tasks` — the fixed table mapping a task kind
-  (``"bench"``, ``"chaos"``, ``"verify"``, ``"experiment"``) to the
+  (``"chaos"``, ``"verify"``, ``"experiment"``) to the
   handler workers import and execute.
 * :mod:`repro.parallel.merge` — the order-free counter-map sum used to
   aggregate per-cell counts.

@@ -7,11 +7,10 @@ built when this module is imported fresh in every spawned interpreter.
 
 Every handler takes the spec dict and returns a plain JSON-able dict.
 Handlers run the *same* library entry points the serial paths use
-(:func:`repro.bench.runner.run_bench`,
-:func:`repro.chaos.campaign.run_scenario`,
-:func:`repro.oracle.verify.run_verify`), which is what makes the
-``jobs=1`` inline executor literally the serial path and the merged
-``jobs>1`` output byte-identical to it.
+(:func:`repro.chaos.campaign.run_scenario`,
+:func:`repro.oracle.verify.run_verify`, the experiment drivers), which
+is what makes the ``jobs=1`` inline executor literally the serial path
+and the merged ``jobs>1`` output byte-identical to it.
 
 The ``selftest`` kind exists for the pool's own tests and smoke
 targets: it can succeed, raise, hard-exit the worker, or fail exactly
@@ -32,19 +31,6 @@ Handler = t.Callable[[t.Dict[str, t.Any]], t.Dict[str, t.Any]]
 # ---------------------------------------------------------------------------
 # built-in kinds (one per sweep surface)
 # ---------------------------------------------------------------------------
-def _bench_cell(spec: dict[str, t.Any]) -> dict[str, t.Any]:
-    """One bench scenario run: ``{"scenario": name, "seed": n}``."""
-    from repro.bench.runner import run_bench
-
-    result = run_bench(spec["scenario"], seed=int(spec.get("seed", 0)))
-    return {
-        "scenario": result.scenario.name,
-        "seed": result.seed,
-        "payload": result.payload,
-        "host_wall_s": result.host_wall_s,
-    }
-
-
 def _chaos_cell(spec: dict[str, t.Any]) -> dict[str, t.Any]:
     """One chaos campaign run: ``{"scenario": name, "seed": n}``."""
     from dataclasses import asdict
@@ -121,7 +107,6 @@ def _selftest_cell(spec: dict[str, t.Any]) -> dict[str, t.Any]:
 
 #: task kind -> handler, one per sweep surface (plus the pool self-test)
 _KINDS: dict[str, Handler] = {
-    "bench": _bench_cell,
     "chaos": _chaos_cell,
     "verify": _verify_cell,
     "experiment": _experiment_cell,

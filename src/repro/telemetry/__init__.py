@@ -6,9 +6,10 @@ same-seed runs produce identical snapshots by construction.  Host cost
 is not recorded here; the per-layer timer in ``benchmarks/e2e`` times
 it.  With no session active — the default — every instrumented call
 site in the simulator, network fabric, RM layers, scheduler and
-estimator reduces to a single ``is None`` check.  ``repro bench``
-scopes a session per scenario and freezes its snapshot into a bench
-payload, from which the checked-in anchor files are built.
+estimator reduces to a single ``is None`` check.
+``SimulationConfig(telemetry=TelemetryConfig(enabled=True))`` scopes
+a session to one run and returns its snapshot on the result; the
+differential oracle reads counters from it.
 
 Usage::
 

@@ -84,11 +84,12 @@ def job_correlation_by_interval(
     interval_hours: t.Sequence[float],
     max_pairs: int = 2000,
     seed: int = 0,
-) -> list[float]:
+) -> list[float | None]:
     """Correlation ratio per submission-interval bucket (Fig. 5b).
 
     Bucket ``h`` covers gaps in [h, h + bucket width) where the width is
-    the spacing of ``interval_hours``.
+    the spacing of ``interval_hours``.  A bucket no same-user pair
+    falls in (the trace spans less than its gap) is ``None``.
     """
     if not interval_hours:
         raise ConfigurationError("need at least one interval bucket")
@@ -104,10 +105,9 @@ def job_correlation_by_interval(
         pairs = list(
             _same_user_pairs_in_interval(by_user, h * 3600.0, (h + w) * 3600.0, max_pairs, rng)
         )
-        if not pairs:
-            ratios.append(0.0)
-            continue
-        ratios.append(sum(jobs_correlated(a, b) for a, b in pairs) / len(pairs))
+        ratios.append(
+            sum(jobs_correlated(a, b) for a, b in pairs) / len(pairs) if pairs else None
+        )
     return ratios
 
 
@@ -116,11 +116,12 @@ def job_correlation_by_id_gap(
     gaps: t.Sequence[int],
     max_pairs: int = 2000,
     seed: int = 0,
-) -> list[float]:
+) -> list[float | None]:
     """Correlation ratio per job-ID-gap bucket (Fig. 5c).
 
     Jobs are indexed in submission order; bucket ``g`` samples pairs
-    whose index distance is within ±25 % of ``g``.
+    whose index distance is within ±25 % of ``g``.  A bucket no pair
+    fits in (fewer jobs than its gap) is ``None``.
     """
     if not gaps:
         raise ConfigurationError("need at least one gap bucket")
@@ -141,8 +142,7 @@ def job_correlation_by_id_gap(
             if i + d >= n:
                 continue
             pairs.append((ordered[i], ordered[i + d]))
-        if not pairs:
-            ratios.append(0.0)
-            continue
-        ratios.append(sum(jobs_correlated(a, b) for a, b in pairs) / len(pairs))
+        ratios.append(
+            sum(jobs_correlated(a, b) for a, b in pairs) / len(pairs) if pairs else None
+        )
     return ratios

@@ -29,6 +29,13 @@ def test_unknown_experiment_rejected():
         main(["fig99"])
 
 
+def test_version_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert repro.__version__ in capsys.readouterr().out
+
+
 def test_quick_placement_runs(capsys):
     assert main(["placement", "--quick"]) == 0
     out = capsys.readouterr().out
@@ -215,7 +222,6 @@ NUMERIC_FLAGS = [
     *((("chaos", "run", "failure-storm"), name) for name in ("--seed", "--seeds", "--jobs")),
     *((("verify", "run", "--relation", "master-offload"), name)
       for name in ("--seed", "--seeds", "--jobs")),
-    *((("bench", "sweep", "slurm-1024"), name) for name in ("--seed", "--jobs-levels")),
 ]
 
 
@@ -248,8 +254,6 @@ class TestMalformedInput:
                    "simulate", "run", "--seed", "-1"),
         usage_case("chaos-negative-seed", "argument --seed: must be >= 0, got -1",
                    "chaos", "run", "failure-storm", "--seed", "-1"),
-        usage_case("bench-sweep-negative-seed", "argument --seed: must be >= 0, got -1",
-                   "bench", "sweep", "slurm-1024", "--seed", "-1"),
         usage_case("verify-negative-jobs", "argument -j/--jobs: must be >= 0, got -5",
                    "verify", "--relation", "master-offload", "-j", "-5"),
         usage_case("chaos-campaign-negative-jobs", "argument -j/--jobs: must be >= 0, got -1",
@@ -258,10 +262,8 @@ class TestMalformedInput:
                    "chaos", "run", "failure-storm", "-j", "-1"),
         usage_case("all-negative-jobs", "argument -j/--jobs: must be >= 0, got -2",
                    "all", "--quick", "-j", "-2"),
-        usage_case("bench-sweep-negative-level", "argument --jobs-levels: must be >= 0, got -3",
-                   "bench", "sweep", "slurm-1024", "--jobs-levels=-3"),
-        usage_case("bench-sweep-no-level", "argument --jobs-levels: no jobs level in ','",
-                   "bench", "sweep", "slurm-1024", "--jobs-levels", ","),
+        usage_case("bench-is-gone", "invalid choice: 'bench'", "bench"),
+        usage_case("bench-sweep-is-gone", "invalid choice: 'bench'", "bench", "sweep"),
     ])
     def test_usage_error_before_any_run(self, argv, message, capsys):
         code, out, err = run_cli(capsys, *argv)

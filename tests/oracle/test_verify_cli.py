@@ -11,9 +11,24 @@ import shutil
 import pytest
 
 from repro.cli import main
-from repro.oracle.golden import DEFAULT_GOLDEN_DIR, dump_canonical, golden_path
+from repro.oracle.golden import (
+    DEFAULT_GOLDEN_DIR,
+    GOLDEN_SCENARIOS,
+    dump_canonical,
+    golden_path,
+)
 from repro.oracle.verify import LAYERS, VerifyReport, run_verify
 from repro.oracle.relations import RelationResult
+
+
+@pytest.fixture()
+def base_golden_table(monkeypatch):
+    """Narrow the golden table to the four 64-node days (the paper
+    tiers are re-run once, in test_golden)."""
+    base = {name: GOLDEN_SCENARIOS[name] for name in (
+        "slurm-base", "eslurm-base", "eslurm-failures", "eslurm-estimator",
+    )}
+    monkeypatch.setattr("repro.oracle.golden.GOLDEN_SCENARIOS", base)
 
 
 def _ok(name="r", layer="differential"):
@@ -67,7 +82,7 @@ class TestVerifyCli:
         for needle in ("master-offload", "capacity-monotonicity", "golden/eslurm-base"):
             assert needle in out
 
-    def test_golden_layer_against_frozen_tree(self, capsys):
+    def test_golden_layer_against_frozen_tree(self, base_golden_table, capsys):
         assert main(["verify", "--layer", "golden"]) == 0
         assert "verify: OK" in capsys.readouterr().out
 
@@ -115,6 +130,7 @@ class TestRelationFilter:
         assert exc.value.code == 2
 
 
+@pytest.mark.usefixtures("base_golden_table")
 class TestVerifyExitCodes:
     @pytest.fixture()
     def tampered_golden(self, tmp_path):
@@ -143,3 +159,27 @@ class TestVerifyExitCodes:
         rc = main(["verify", "--layer", "golden", "--golden-dir", str(tmp_path / "empty")])
         assert rc == 1
         assert "--update-golden" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["trace", "scenario"])
+    def test_malformed_golden_file_is_a_config_error(self, tmp_path, capsys, key):
+        dst = tmp_path / "golden"
+        shutil.copytree(DEFAULT_GOLDEN_DIR, dst)
+        path = golden_path(dst, "eslurm-base")
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(dump_canonical(payload))
+        rc = main(["verify", "--layer", "golden", "--golden-dir", str(dst)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"GOLDEN_eslurm-base.json lacks {key}" in err
+        assert "Traceback" not in err
+
+    def test_invalid_json_golden_file_is_a_config_error(self, tmp_path, capsys):
+        dst = tmp_path / "golden"
+        dst.mkdir()
+        golden_path(dst, "slurm-base").write_text("{not json")
+        rc = main(["verify", "--layer", "golden", "--golden-dir", str(dst)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "GOLDEN_slurm-base.json is not JSON" in err
+        assert "Traceback" not in err

@@ -1,28 +1,15 @@
 """Parallel-vs-serial byte-identity: the sweep engine's acceptance bar.
 
 Every surface must produce byte-identical output at ``-j 1`` and
-``-j 4`` — same bench payload bytes, same chaos report rendering and
-payload, same verify payloads — because each cell is a fully seeded,
-self-contained run and the merge is a pure function of the task list.
+``-j 4`` — same chaos report rendering and payload, same verify
+payloads — because each cell is a fully seeded, self-contained run and
+the merge is a pure function of the task list.
 """
 
 import json
 
-from repro.bench import run_matrix_sweep
 from repro.chaos import run_campaign
 from repro.oracle import run_verify, run_verify_sweep
-
-BENCH_NAMES = ("slurm-1024", "eslurm-1024")
-
-
-class TestBenchDeterminism:
-    def test_bench_files_byte_identical_j1_vs_j4(self):
-        serial = run_matrix_sweep(BENCH_NAMES, seed=0, jobs=1)
-        pooled = run_matrix_sweep(BENCH_NAMES, seed=0, jobs=4)
-        assert serial.ok and pooled.ok
-        assert [r.scenario.name for r in pooled.results] == list(BENCH_NAMES)
-        for a, b in zip(serial.results, pooled.results):
-            assert a.to_json() == b.to_json()  # the payload bytes
 
 
 class TestChaosDeterminism:

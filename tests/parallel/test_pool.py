@@ -19,7 +19,7 @@ def ok_cell(i):
 
 class TestRegistry:
     def test_builtin_kinds_cover_every_sweep_surface(self):
-        for kind in ("bench", "chaos", "verify", "experiment", "selftest"):
+        for kind in ("chaos", "verify", "experiment", "selftest"):
             assert callable(resolve_kind(kind))
 
     def test_unknown_kind_rejected(self):

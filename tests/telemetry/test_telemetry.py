@@ -187,3 +187,23 @@ class TestInstrumentedSimulation:
         assert first["counters"]["estimate.trainings"] >= 1
         assert first["counters"]["rm.heartbeat_rounds"] >= 1
         assert canonical_json(first) == canonical_json(second)
+
+    @pytest.mark.parametrize("rm", ["slurm", "eslurm"])
+    def test_broadcast_metrics_per_rm(self, rm):
+        # One count and one makespan sample per broadcast; only the
+        # hierarchical RM hands satellites their share of a broadcast.
+        from repro.api import SimulationConfig, TelemetryConfig, run_simulation
+
+        snapshot = run_simulation(
+            SimulationConfig(
+                rm=rm, n_nodes=1024, seed=0, n_jobs=100, horizon_s=4 * 3600.0,
+                telemetry=TelemetryConfig(enabled=True),
+            )
+        ).telemetry
+        assert snapshot is not None
+        counters, histograms = snapshot["counters"], snapshot["histograms"]
+        for key in ("sim.events", "net.messages", "sched.passes", "rm.broadcasts"):
+            assert counters.get(key, 0) > 0, key
+        assert counters["rm.broadcasts"] == histograms["rm.broadcast.makespan_s"]["count"]
+        satellite_tasks = histograms.get("rm.broadcast.satellite_tasks", {"count": 0})
+        assert (satellite_tasks["count"] > 0) == (rm == "eslurm")

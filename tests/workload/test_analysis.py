@@ -89,6 +89,13 @@ class TestFig5Shapes:
         with pytest.raises(ConfigurationError):
             job_correlation_by_id_gap(t2a, [0])
 
+    def test_bucket_without_pairs_is_none(self, t2a):
+        # Nobody's two jobs lie 1,000 h apart in a 12K-job trace, and no
+        # pair of jobs is 100K ids apart: no value, not a 0.0 ratio.
+        assert job_correlation_by_interval(t2a, [0.5, 1000.0], seed=2)[1] is None
+        ratios = job_correlation_by_id_gap(t2a, [1, 100_000], seed=4)
+        assert ratios[0] is not None and ratios[1] is None
+
     def test_deterministic_given_seed(self, t2a):
         r1 = job_correlation_by_interval(t2a, [1.0, 10.0], seed=9)
         r2 = job_correlation_by_interval(t2a, [1.0, 10.0], seed=9)
