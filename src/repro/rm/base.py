@@ -17,6 +17,8 @@ Fig. 7f).
 
 from __future__ import annotations
 
+import math
+import operator
 import typing as t
 from dataclasses import dataclass, field
 
@@ -296,18 +298,32 @@ class ResourceManager:
         self._schedule_pass()
 
     def run_trace(self, jobs: t.Sequence[Job], until: float | None = None) -> None:
-        """Schedule trace submissions as future events and run.
+        """Schedule trace submissions as one arrival stream and run.
+
+        The submissions go on the heap as a single
+        :meth:`~repro.simkit.Simulator.call_each` stream in
+        ``submit_time`` order (ties in trace order).
 
         Args:
-            jobs: jobs with absolute ``submit_time`` values >= now.
+            jobs: jobs with finite absolute ``submit_time`` values >= now;
+                any other time raises :class:`SchedulingError` before
+                anything is scheduled.
             until: stop time (defaults to running the heap dry — note
                 the heartbeat loop never ends, so pass a horizon).
         """
+        now = self.sim.now
+        for job in jobs:
+            if not now <= job.submit_time < math.inf:
+                raise SchedulingError(
+                    f"job {job.job_id} submits at {job.submit_time}, "
+                    f"not a finite time >= now ({now})"
+                )
+        order = sorted(jobs, key=operator.attrgetter("submit_time"))
         self.start()
-        for job in sorted(jobs, key=lambda j: j.submit_time):
-            if job.submit_time < self.sim.now:
-                raise SchedulingError(f"job {job.job_id} submits in the past")
-            self.sim.call_at(job.submit_time, lambda j=job: self.submit(j))
+        arrivals = iter(order)
+        self.sim.call_each(
+            [job.submit_time for job in order], lambda: self.submit(next(arrivals))
+        )
         if until is not None:
             self.sim.run(until=until)
 

@@ -1,11 +1,12 @@
 """A small, deterministic discrete-event simulation kernel.
 
 Simulation activities are plain callbacks: re-armable timers (the flat
-*timer lane* the RM job lifecycle runs on) and one-shot
-:meth:`Simulator.call_at` calls.  Determinism is guaranteed by a total
-ordering on the event heap — ``(time, priority, sequence)`` — and by
-routing all randomness through named
-:class:`~repro.simkit.rng.RngRegistry` streams.
+*timer lane* the RM job lifecycle runs on), one-shot
+:meth:`Simulator.call_at` calls, and :meth:`Simulator.call_each`
+streams (a sorted run of calls on one heap entry: trace arrivals).
+Determinism is guaranteed by a total ordering on the event heap —
+``(time, priority, sequence)`` — and by routing all randomness through
+named :class:`~repro.simkit.rng.RngRegistry` streams.
 
 Public surface::
 

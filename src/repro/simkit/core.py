@@ -232,5 +232,48 @@ class Simulator:
         heapq.heappush(self._heap, (when, PRIORITY_URGENT, seq, ev))
         return ev
 
+    def call_each(self, when: t.Sequence[float], func: t.Callable[[], None]) -> None:
+        """Invoke ``func()`` once at each time in ``when`` (non-decreasing).
+
+        Processes exactly like ``for w in when: call_at(w, func)``: the
+        loop's block of sequence numbers is reserved now and firing
+        ``i`` runs under its ``(when[i], PRIORITY_URGENT, seq + i)`` key.
+        The heap holds one entry for the whole stream, not one per
+        time: the event :meth:`call_at` makes for ``when[0]`` is
+        re-pushed under the next reserved key each time it fires, before
+        ``func`` runs, so whatever wraps the callbacks handed to
+        :meth:`call_at` wraps ``func`` once for the whole stream.  That
+        is exact because the keys are in order: firing ``i + 1`` is on
+        the heap while firing ``i`` runs, so nothing keyed after it can
+        be popped first.  A caller with per-firing data draws it from an
+        iterator inside ``func``.  Nothing is scheduled when a time is
+        in the past, out of order or NaN (:class:`SimulationError`).
+        """
+        when = tuple(when)
+        n = len(when)
+        for i in range(1, n):
+            if not when[i - 1] <= when[i]:
+                raise SimulationError(
+                    f"call_each: when[{i}]={when[i]} does not follow when[{i - 1}]={when[i - 1]}"
+                )
+        if not n:
+            return
+        seq = self._seq
+        ev = self.call_at(when[0], func)
+        self._seq = seq + n
+        callbacks = ev.callbacks
+        assert callbacks is not None
+        heap = self._heap
+        k = 1
+
+        def push_next(_ev: Event) -> None:
+            nonlocal k
+            if k < n:
+                ev.callbacks = callbacks
+                heapq.heappush(heap, (when[k], PRIORITY_URGENT, seq + k, ev))
+                k += 1
+
+        callbacks.insert(0, push_next)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now:.6g} pending={len(self._heap)}>"

@@ -18,10 +18,11 @@ and ``--slow`` checks one digest per seed over its six cells for seeds
 0-63.  The last class pins the payload the former
 ``lifecycle-equivalence`` oracle relation compared: master accounting,
 schedule metrics, broadcasts and the domain telemetry of a 256-node day
-with failures on.
+with failures on, plus that day's event-heap peak on its own.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -163,16 +164,21 @@ SEED_DIGESTS = (
 )
 
 #: (rm, seed) -> SHA-256 of the former relation's canonical payload
+#: without EVENT_LOOP_KEYS, recorded from the last code whose whole
+#: payload still equalled the generator arm's
 RELATION_DIGESTS = {
-    ("eslurm", 0): "a251b3cb3684fe0b8acc2be1083d9372d88953f6053d75029585aba063fb6411",
-    ("slurm", 0): "72e58de1731f55b841fd66aa20afbe9b9145eebb13bf24fed20832fc75c94431",
-    ("eslurm", 42): "3a4e1264a7bec346df400c05c3542de2dc1bacf02f758c4a68e9a51e3cd37de1",
-    ("slurm", 42): "9d115f00b99cd78ba112d57ad77db15ad120b4088a0cea7412fa07da23c3f188",
+    ("eslurm", 0): "a7633d9a299ca2eb75e3e8cf49a6a19b15609f23aec26b99a4449de25874c7d3",
+    ("slurm", 0): "14c5b8d4a559caa19694189837c30a7a0236e9a57a610127682146a179e2ade7",
+    ("eslurm", 42): "f42a670d3a5ead5831bfcec350253b71c437a88bdce2f7b7514a6f8eab051030",
+    ("slurm", 42): "b2baae032cada93bc6978336764e532e367424b1f2d16823f5e5939f87de5bc1",
 }
 
-#: telemetry describing the event loop itself, which the relation left
-#: out: the FSM dispatches fewer events than the generator did
-EVENT_LOOP_KEYS = frozenset({"sim.events", "sim.heap.depth"})
+#: telemetry describing the event loop itself (events dispatched, heap
+#: occupancy), which the relation left out
+EVENT_LOOP_KEYS = frozenset({"sim.events", "sim.heap.depth", "sim.heap.peak"})
+
+#: (rm, seed) -> ``sim.heap.peak`` of the relation's day
+HEAP_PEAKS = {("eslurm", 0): 20, ("slurm", 0): 18, ("eslurm", 42): 30, ("slurm", 42): 28}
 
 
 def _digest(value) -> str:
@@ -269,27 +275,37 @@ class TestSeedSweep:
         assert diverged == []
 
 
+@functools.cache
+def _relation_day(rm: str, seed: int):
+    """The former relation's 256-node day with failures and telemetry on
+    (the ESLURM arm malleable)."""
+    return run_simulation(
+        SimulationConfig(
+            rm=rm,
+            n_nodes=256,
+            n_satellites=2,
+            seed=seed,
+            failures=True,
+            n_jobs=60,
+            horizon_s=DAY,
+            malleable=rm == "eslurm",
+            telemetry=TelemetryConfig(enabled=True),
+        )
+    )
+
+
+RELATION_ARMS = pytest.mark.parametrize(
+    "rm", ["eslurm", "slurm"], ids=["eslurm-malleable", "slurm"]
+)
+
+
 class TestRelationPayload:
     """The former ``lifecycle-equivalence`` relation's payload per arm."""
 
     @pytest.mark.parametrize("seed", [0, 42])
-    @pytest.mark.parametrize(
-        "rm, malleable", [("eslurm", True), ("slurm", False)], ids=["eslurm-malleable", "slurm"]
-    )
-    def test_payload_matches_generator(self, rm, malleable, seed):
-        result = run_simulation(
-            SimulationConfig(
-                rm=rm,
-                n_nodes=256,
-                n_satellites=2,
-                seed=seed,
-                failures=True,
-                n_jobs=60,
-                horizon_s=DAY,
-                malleable=malleable,
-                telemetry=TelemetryConfig(enabled=True),
-            )
-        )
+    @RELATION_ARMS
+    def test_payload_matches_generator(self, rm, seed):
+        result = _relation_day(rm, seed)
         rep = result.report
         assert result.telemetry is not None
         payload = canonical_json(
@@ -306,3 +322,9 @@ class TestRelationPayload:
         )
         digest = hashlib.sha256(payload.encode()).hexdigest()
         assert digest == RELATION_DIGESTS[(rm, seed)]
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    @RELATION_ARMS
+    def test_heap_peak_pinned(self, rm, seed):
+        peak = _relation_day(rm, seed).telemetry["gauges"]["sim.heap.peak"]["last"]
+        assert peak == HEAP_PEAKS[(rm, seed)]

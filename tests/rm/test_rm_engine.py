@@ -1,5 +1,7 @@
 """Integration tests for the RM engines (centralized + ESLURM)."""
 
+import re
+
 import pytest
 
 from repro.cluster import ClusterSpec, FailureModel
@@ -82,6 +84,25 @@ class TestLifecycle:
         sim.run(until=100.0)
         with pytest.raises(SchedulingError):
             rm.run_trace([job(1, submit=1.0)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 99.5])
+    def test_bad_submit_time_rejected_before_anything_is_scheduled(self, bad):
+        sim, _, rm = build()
+        sim.run(until=100.0)
+        heap = list(sim._heap)
+        jobs = [job(1, submit=300.0), job(2, submit=bad), job(3, submit=200.0)]
+        message = f"job 2 submits at {bad}, not a finite time >= now (100.0)"
+        with pytest.raises(SchedulingError, match=f"^{re.escape(message)}$"):
+            rm.run_trace(jobs)
+        assert sim._heap == heap
+
+    def test_trace_submissions_hold_one_heap_entry(self):
+        depths = set()
+        for n in (1, 10, 500):
+            sim, _, rm = build()
+            rm.run_trace([job(i, submit=float(i % 7)) for i in range(1, n + 1)])
+            depths.add(len(sim._heap))
+        assert len(depths) == 1
 
 
 class TestAccountingDuringRun:
