@@ -62,8 +62,10 @@ bench-e2e-check:
 ## 1K malleable day: exits nonzero when any repetition's RmReport
 ## digest leaves expected.json.  The first mixes every layer (the
 ## estimator learns from the synthetic trace's repeats), the second
-## drives the ESLURM heartbeat share record, the third the allocator
-## path, the fourth the malleable resize pass.  E2E_COUNTS then checks
+## drives satellite relays and per-daemon accounting (64 satellites:
+## heartbeats charge CPU and sockets, launches relay through the
+## FP-Tree), the third the allocator path, the fourth the malleable
+## resize pass.  E2E_COUNTS then checks
 ## the run's seed-0 decision counts on its last JSON line: the 16K run
 ## must report estimate.calls 9202 and estimate.trainings 7, the 1K
 ## malleable run 9349 and 9, and the three ESLURM runs their
@@ -71,7 +73,7 @@ bench-e2e-check:
 ## must report sched.plan.calls 8262 and sched.plan.decisions 667, and
 ## the 16K and 1K malleable runs 423 and 502 decisions.  Every run also
 ## checks network.tree.calls, the number of tree broadcasts evaluated
-## (16K 1282, 131K 170, 65K 1184, 1K malleable 1944), and
+## (16K 1210, 131K 130, 65K 1184, 1K malleable 1942), and
 ## rm.lifecycle.calls, the job launches and job timers run (16K 1578,
 ## 131K 156, 65K 2439, 1K malleable 1950); the 1K malleable run also
 ## checks sched.resize.calls 12702, its elastic passes.  An estimator,
@@ -84,15 +86,15 @@ E2E_COUNTS = $(PYTHON) -c "import json, sys; out = sys.stdin.read(); print(out, 
 
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-16k-day --seed 0 --seconds 1 --trace 1 | $(E2E_COUNTS) \
-	estimate.calls=9202 estimate.trainings=7 fptree.construct.calls=3046 fptree.memo.lookups=233 \
-	sched.plan.decisions=423 network.tree.calls=1282 rm.lifecycle.calls=1578
+	estimate.calls=9202 estimate.trainings=7 fptree.construct.calls=2941 fptree.memo.lookups=146 \
+	sched.plan.decisions=423 network.tree.calls=1210 rm.lifecycle.calls=1578
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-131k-2h --seed 0 --seconds 1 --trace 1 | $(E2E_COUNTS) \
-	fptree.construct.calls=1361 fptree.memo.lookups=42 network.tree.calls=170 rm.lifecycle.calls=156
+	fptree.construct.calls=1256 fptree.memo.lookups=4 network.tree.calls=130 rm.lifecycle.calls=156
 	$(PYTHON) benchmarks/e2e/run.py --workload slurm-65k-day --seed 0 --seconds 1 --trace 1 | $(E2E_COUNTS) \
 	sched.plan.calls=8262 sched.plan.decisions=667 network.tree.calls=1184 rm.lifecycle.calls=2439
 	$(PYTHON) benchmarks/e2e/run.py --workload eslurm-1k-malleable --seed 0 --seconds 1 --trace 1 | $(E2E_COUNTS) \
-	estimate.calls=9349 estimate.trainings=9 fptree.construct.calls=1164 fptree.memo.lookups=1 \
-	sched.plan.decisions=502 network.tree.calls=1944 rm.lifecycle.calls=1950 \
+	estimate.calls=9349 estimate.trainings=9 fptree.construct.calls=1161 fptree.memo.lookups=0 \
+	sched.plan.decisions=502 network.tree.calls=1942 rm.lifecycle.calls=1950 \
 	sched.resize.calls=12702
 
 ## The perf gate: one traced short run of all four workloads, judged

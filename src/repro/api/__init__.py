@@ -111,6 +111,10 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"n_satellites must be >= 0, got {self.n_satellites}"
             )
+        if self.n_satellites > self.n_nodes:
+            raise ConfigurationError(
+                f"n_satellites must be <= n_nodes, got {self.n_satellites} > {self.n_nodes}"
+            )
         from repro.sched.placement import PLACEMENT_NAMES
 
         if self.placement not in PLACEMENT_NAMES:

@@ -126,12 +126,10 @@ class Cluster:
         n_ids = n + 1 + spec.n_satellites
         self._state = bytearray(n_ids)  # all UP_CODE
         self.state = np.frombuffer(self._state, dtype=np.uint8)
-        # Heartbeat rounds ask for the compute ids every rebuild.
-        self._compute_ids = list(range(n))
         self.monitor = HealthMonitor(sim, self, spec.monitoring)
         self.failures = FailureInjector(sim, self, spec.failure_model)
         #: bumped on every liveness change; consumers cache liveness
-        #: views against it (the fabric's down set, heartbeat rounds).
+        #: views against it (the fabric's down set).
         self.version = 0
         # Ids of unresponsive nodes, kept in O(changed) by the writers.
         self._unresponsive: set[int] = set()
@@ -193,10 +191,9 @@ class Cluster:
             return f"cn{node_id:05d}"
         return "master" if node_id == n else f"sat{node_id - n - 1:02d}"
 
-    def compute_ids(self, lo: int = 0, hi: int | None = None) -> list[int]:
-        """Ids of the compute nodes, or of positions ``[lo, hi)`` of
-        them (a fresh list the caller may keep)."""
-        return self._compute_ids[lo:hi]
+    def compute_ids(self) -> list[int]:
+        """Ids of the compute nodes (a fresh list the caller may keep)."""
+        return list(range(self.n_nodes))
 
     # -- state queries -----------------------------------------------------
     def down_ids(self) -> set[int]:

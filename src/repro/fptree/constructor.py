@@ -112,8 +112,8 @@ class FPTreeConstructor:
     Construction is memoized on ``(targets, predicted-set)`` — the
     (nodelist, width, alert-set) key, with width fixed per instance;
     the targets enter the key as their array's bytes.
-    A recurring node set under an unchanged alert set (a heartbeat
-    share re-derived because one of its nodes went down) skips the
+    A recurring node set under an unchanged alert set (a job's
+    satellite share relayed at launch and again at terminate) skips the
     leaf-location and rearrangement passes entirely; hits still replay
     the construction statistics and audit observers so the Section
     VII-A bookkeeping is indistinguishable from a cache-free run.

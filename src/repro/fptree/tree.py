@@ -132,7 +132,7 @@ def build_tree(nodelist: t.Sequence[int], width: int) -> TreeNode:
 
 #: (n, width) -> leaf positions.  Trees are pure functions of list
 #: length and width, and the same handful of shapes recurs thousands of
-#: times (heartbeat shares, common job sizes), so this is the cheapest
+#: times (satellite shares of common job sizes), so this is the cheapest
 #: memo in the whole broadcast path.  Bypassed while a VisitCounter is
 #: installed so cost-claim tests still measure the real recursion.
 _leaf_memo: dict[tuple[int, int], tuple[int, ...]] = {}

@@ -9,13 +9,10 @@ Differences from the centralized engine, all per Section III–V:
 * **satellite failover**: a satellite dying mid-task moves the task to
   the next satellite (at most twice), then the master takes over with
   a plain fan-out tree;
-* **heartbeats** follow the same satellite path; the sweep is rebuilt
-  only when liveness, alerts or the satellite count changed.  A
-  rebuild keeps a per-share record across rounds (each satellite's
-  slice of the compute ids, the predicted and down ids inside it, and
-  what its FP-Tree relay produced) and re-derives only the shares whose
-  own predicted or down ids changed: failures and alerts are rare and
-  local, heartbeats are not;
+* **heartbeats** follow the same satellite path and cost CPU and
+  sockets only: the master pays one RPC per running satellite, each
+  satellite an equal share of the sweep.  No heartbeat builds an
+  FP-Tree; the FP-Tree acts on launch and terminate relays;
 * **job wall limits** come from the runtime-estimation framework when
   one is attached (``estimator="auto"`` builds the paper's default).
 """
@@ -23,8 +20,6 @@ Differences from the centralized engine, all per Section III–V:
 from __future__ import annotations
 
 import typing as t
-from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,25 +50,6 @@ SATELLITE_PROFILE = ESLURM_PROFILE.with_overrides(
     rss_per_node_kb=8.0,
     rss_per_job_kb=0.0,
 )
-
-
-@dataclass
-class _HeartbeatShare:
-    """One satellite's slice ``[lo, hi)`` of the compute ids in the sweep.
-
-    ``predicted`` and ``down`` are the ids inside the slice that its
-    last derivation saw (``None``: not derived yet); ``on_leaves`` and
-    ``makespan_s`` are what that FP-Tree relay produced.  The relay is
-    a pure function of these inputs, so an unchanged share replays them.
-    """
-
-    root: int
-    lo: int
-    hi: int
-    predicted: frozenset[int] | None = None
-    down: frozenset[int] = frozenset()
-    on_leaves: int = 0
-    makespan_s: float = 0.0
 
 
 class EslurmRM(ResourceManager):
@@ -120,15 +96,6 @@ class EslurmRM(ResourceManager):
         #: leaf-placement experiment of Section VII-A) accumulate
         self._fp_engine = FPTreeBroadcast(self.predictor, width=self.profile.tree_width)
         self._takeover_engine = TreeBroadcast(width=self.profile.tree_width)
-        self._hb_cache_key: tuple[int, int, int] | None = None
-        self._hb_cache_makespan = 0.0
-        #: the heartbeat share record: the running satellites it was
-        #: split for, and one entry per share
-        self._hb_roots: list[int] = []
-        self._hb_shares: list[_HeartbeatShare] = []
-        #: shares a sweep rebuild replayed from the record / derived anew
-        self.heartbeat_shares_reused = 0
-        self.heartbeat_shares_derived = 0
 
     @property
     def fptree_stats(self):
@@ -256,76 +223,6 @@ class EslurmRM(ResourceManager):
         fan_out = min(p.tree_width, int(share) or 1)
         for acct in accts:
             acct.sockets.pulse(fan_out, 1.0)
-        # FP-Tree makespan for the sweep: kept until liveness, alerts or
-        # the satellite count change.
-        key = (self.cluster.version, self.cluster.monitor.alert_count(), n_sats)
-        if key != self._hb_cache_key:
-            telemetry.count("rm.heartbeat.fptree_rebuilds")
-            self._hb_cache_makespan = self._sweep(running)
-            self._hb_cache_key = key
-
-    def _sweep(self, running: list[SatelliteDaemon]) -> float:
-        """FP-Tree makespan of the sweep, from the share record.
-
-        Only the shares whose own predicted or down ids changed are
-        constructed and walked; the rest replay their construction
-        statistics and makespan.  An active telemetry session (every
-        walk's metrics are recorded) and construct observers (every
-        construction is audited) re-derive every share.
-
-        Compute ids are dense (``0 .. n-1``), so a share's positions
-        are its ids: one machine-wide predictor call and the down set,
-        bucketed by share start, give every share's inputs in
-        O(alerted + down).
-        """
-        n = self.cluster.n_nodes
-        roots = [d.node_id for d in running]
-        if roots != self._hb_roots:
-            self._hb_roots = roots
-            self._hb_shares = [
-                _HeartbeatShare(root, lo, hi)
-                for root, (lo, hi) in zip(roots, SatellitePool.split_bounds(n, len(roots)))
-            ]
-        shares = self._hb_shares
-        constructor = self._fp_engine.constructor
-        replay = telemetry.active() is None and not constructor.construct_observers
-        predicted = self._by_share(self.predictor.predict(range(n)))
-        down = self._by_share(self.fabric.unreachable_ids())
-        stats = constructor.stats
-        changed: list[_HeartbeatShare] = []
-        tasks: list[tuple[int, np.ndarray]] = []
-        for i, share in enumerate(shares):
-            share_predicted = frozenset(predicted.get(i, ()))
-            share_down = frozenset(down.get(i, ()))
-            if replay and share_predicted == share.predicted and share_down == share.down:
-                constructor._record(range(share.lo, share.hi), share_predicted, share.on_leaves)
-                continue
-            on_leaves = stats.predicted_on_leaves
-            targets = self.cluster.compute_ids(share.lo, share.hi)
-            tasks.append((share.root, constructor.construct(share.root, targets)))
-            share.predicted, share.down = share_predicted, share_down
-            share.on_leaves = stats.predicted_on_leaves - on_leaves
-            changed.append(share)
-        if tasks:
-            walked = self._fp_engine.engine.simulate_forest(
-                tasks, DEFAULT_SIZES[MessageKind.HEARTBEAT], self.fabric
-            )
-            for share, res in zip(changed, walked):
-                share.makespan_s = res.makespan_s
-        self.heartbeat_shares_reused += len(shares) - len(changed)
-        self.heartbeat_shares_derived += len(changed)
-        return max((share.makespan_s for share in shares), default=0.0)
-
-    def _by_share(self, ids: t.Iterable[int]) -> dict[int, set[int]]:
-        """Bucket node ids by the share holding them (others dropped)."""
-        shares = self._hb_shares
-        starts = [share.lo for share in shares]
-        out: dict[int, set[int]] = {}
-        for nid in ids:
-            i = bisect_right(starts, nid) - 1
-            if i >= 0 and nid < shares[i].hi:
-                out.setdefault(i, set()).add(nid)
-        return out
 
     # -- reporting ---------------------------------------------------------------------
     def report(self, horizon_s: float | None = None):

@@ -26,6 +26,11 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError, match="horizon_s"):
             SimulationConfig(horizon_s=horizon)
 
+    def test_more_satellites_than_nodes_rejected(self):
+        SimulationConfig(n_nodes=64, n_satellites=64)
+        with pytest.raises(ConfigurationError, match="got 65 > 64"):
+            SimulationConfig(n_nodes=64, n_satellites=65)
+
     def test_frozen(self):
         cfg = SimulationConfig()
         with pytest.raises(AttributeError):

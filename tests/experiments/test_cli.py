@@ -244,6 +244,10 @@ class TestMalformedInput:
                    "simulate", "run", "--n-jobs", "0"),
         usage_case("simulate-negative-satellites", "n_satellites must be >= 0, got -1",
                    "simulate", "run", "--n-satellites", "-1"),
+        usage_case("simulate-satellites-over-nodes",
+                   "n_satellites must be <= n_nodes, got 100000 > 64",
+                   "simulate", "run", "--n-nodes", "64", "--n-satellites", "100000",
+                   "--n-jobs", "10"),
         usage_case("chaos-unknown-scenario", "unknown chaos scenario 'nope'",
                    "chaos", "run", "nope"),
         usage_case("verify-unknown-relation", "unknown relations: ['nope']",

@@ -18,7 +18,8 @@ and ``--slow`` checks one digest per seed over its six cells for seeds
 0-63.  The last class pins the payload the former
 ``lifecycle-equivalence`` oracle relation compared: master accounting,
 schedule metrics, broadcasts and the domain telemetry of a 256-node day
-with failures on, plus that day's event-heap peak on its own.
+with failures on, plus, each on its own, that day's event-heap peak and
+its network traffic telemetry.
 """
 
 import dataclasses
@@ -164,21 +165,42 @@ SEED_DIGESTS = (
 )
 
 #: (rm, seed) -> SHA-256 of the former relation's canonical payload
-#: without EVENT_LOOP_KEYS, recorded from the last code whose whole
-#: payload still equalled the generator arm's
+#: without EVENT_LOOP_KEYS and TRAFFIC_KEYS, recorded from code whose
+#: payload without EVENT_LOOP_KEYS still traced back to the generator arm
 RELATION_DIGESTS = {
-    ("eslurm", 0): "a7633d9a299ca2eb75e3e8cf49a6a19b15609f23aec26b99a4449de25874c7d3",
-    ("slurm", 0): "14c5b8d4a559caa19694189837c30a7a0236e9a57a610127682146a179e2ade7",
-    ("eslurm", 42): "f42a670d3a5ead5831bfcec350253b71c437a88bdce2f7b7514a6f8eab051030",
-    ("slurm", 42): "b2baae032cada93bc6978336764e532e367424b1f2d16823f5e5939f87de5bc1",
+    ("eslurm", 0): "ce470aecbaa24f7a6edeb8b72aa67f3a4e4e5a61a892365cb7f0ef39e8b9c490",
+    ("slurm", 0): "501b2c1f327a5fd8a73caa68b621c3b3cb6224662c7def25e9e53f57e71c86e5",
+    ("eslurm", 42): "f5ad792ac09979158209335da71803f1ab0cb1f5dddb75afecbf9bdac6ee2b90",
+    ("slurm", 42): "86391d1789fe7ca77d491dbb4b97bd765eba35b8214ef1f94fdcf4ea2b0ad122",
 }
 
 #: telemetry describing the event loop itself (events dispatched, heap
 #: occupancy), which the relation left out
 EVENT_LOOP_KEYS = frozenset({"sim.events", "sim.heap.depth", "sim.heap.peak"})
 
+#: telemetry counting tree walks rather than their outcome: messages,
+#: bytes and arrivals per tree level, which count every walk, and the
+#: count of heartbeat FP-Tree rebuilds (absent: heartbeats build none)
+TRAFFIC_KEYS = frozenset(
+    {
+        "net.bytes",
+        "net.messages",
+        "net.tree.level1.arrival_s",
+        "net.tree.level2.arrival_s",
+        "rm.heartbeat.fptree_rebuilds",
+    }
+)
+
 #: (rm, seed) -> ``sim.heap.peak`` of the relation's day
 HEAP_PEAKS = {("eslurm", 0): 20, ("slurm", 0): 18, ("eslurm", 42): 30, ("slurm", 42): 28}
+
+#: (rm, seed) -> SHA-256 of the day's TRAFFIC_KEYS telemetry
+TRAFFIC_DIGESTS = {
+    ("eslurm", 0): "cc369bf9690d887a645c36cddc44da72020f3ffa8807ccad71e986818fb580e5",
+    ("slurm", 0): "2a53bade5418fb04ee767716103f7266c7c242de0e304fe88293a328edfb199e",
+    ("eslurm", 42): "1e376f352279bd248ce880dbb267a586691268f5f41faea85455d8649d59547c",
+    ("slurm", 42): "d589e0b662030a5af49d8c201c7e707b5e268aad3d5531e709b033d378a59c44",
+}
 
 
 def _digest(value) -> str:
@@ -294,6 +316,14 @@ def _relation_day(rm: str, seed: int):
     )
 
 
+def _telemetry(result, keep) -> dict:
+    """The day's telemetry sections, restricted to the keys ``keep`` admits."""
+    return {
+        section: {k: v for k, v in metrics.items() if keep(k)}
+        for section, metrics in result.telemetry.items()
+    }
+
+
 RELATION_ARMS = pytest.mark.parametrize(
     "rm", ["eslurm", "slurm"], ids=["eslurm-malleable", "slurm"]
 )
@@ -314,10 +344,9 @@ class TestRelationPayload:
                 "schedule": dataclasses.asdict(rep.schedule),
                 "n_broadcasts": rep.n_broadcasts,
                 "occupation_mean_s": rep.occupation_mean_s,
-                "telemetry": {
-                    section: {k: v for k, v in metrics.items() if k not in EVENT_LOOP_KEYS}
-                    for section, metrics in result.telemetry.items()
-                },
+                "telemetry": _telemetry(
+                    result, lambda k: k not in EVENT_LOOP_KEYS and k not in TRAFFIC_KEYS
+                ),
             }
         )
         digest = hashlib.sha256(payload.encode()).hexdigest()
@@ -328,3 +357,9 @@ class TestRelationPayload:
     def test_heap_peak_pinned(self, rm, seed):
         peak = _relation_day(rm, seed).telemetry["gauges"]["sim.heap.peak"]["last"]
         assert peak == HEAP_PEAKS[(rm, seed)]
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    @RELATION_ARMS
+    def test_traffic_pinned(self, rm, seed):
+        traffic = canonical_json(_telemetry(_relation_day(rm, seed), TRAFFIC_KEYS.__contains__))
+        assert hashlib.sha256(traffic.encode()).hexdigest() == TRAFFIC_DIGESTS[(rm, seed)]

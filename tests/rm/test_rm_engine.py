@@ -1,5 +1,7 @@
 """Integration tests for the RM engines (centralized + ESLURM)."""
 
+import hashlib
+import json
 import re
 
 import pytest
@@ -212,16 +214,47 @@ class TestEslurm:
         rm.run_trace([job(1, n_nodes=32)], until=HOUR)
         assert rm.fptree_stats.predicted_total == 0
 
-    def test_heartbeat_cache_reused_until_liveness_changes(self):
-        sim, cluster, rm = build("eslurm", n=128, sats=2)
+    def test_idle_day_heartbeats_charge_without_fp_ordering(self):
+        # Heartbeats cost CPU and sockets only: a day of failures and
+        # alerts with no job builds no FP ordering, and every daemon's
+        # accounting equals the recorded digest of the same day.
+        sim = Simulator(seed=5)
+        cluster = ClusterSpec(
+            n_nodes=2048,
+            n_satellites=4,
+            failure_model=FailureModel(mtbf_node_hours=2000.0, burst_per_day=1.0),
+        ).build(sim)
+        cluster.failures.start()
+        cluster.monitor.start()
+        rm = EslurmRM(sim, cluster)
+        rm.run_trace([], until=24 * HOUR)
+        assert (cluster.version, cluster.monitor.alert_count()) == (43, 44)
+        assert rm.fptree_stats.trees_built == 0
+        summaries = [rm.master_acct.summary()] + [d.acct.summary() for d in rm.sat_pool.daemons]
+        digest = hashlib.sha256(json.dumps(summaries, sort_keys=True).encode()).hexdigest()
+        assert digest == "5ee6329ee08a198f3fe5eaccdd8920770c1af14e89fb39d41278a3149b7da13b"
+
+    def test_launch_relay_puts_alerted_node_on_leaf(self):
+        sim, cluster, rm = build("eslurm", n=256, sats=2)
+        audited = []
+
+        def audit(targets, ordered, leaf_idx, predicted):
+            if predicted:
+                audited.append((targets.tolist(), ordered.tolist(), leaf_idx.tolist()))
+
+        rm.fp_constructor.construct_observers.append(audit)
         rm.start()
-        sim.run(until=300.0)
-        key_before = rm._hb_cache_key
-        sim.run(until=600.0)
-        assert rm._hb_cache_key == key_before  # nothing changed
-        cluster.fail_nodes([5])
-        sim.run(until=700.0)
-        assert rm._hb_cache_key != key_before
+        cluster.monitor.raise_alert(0, indicator="voltage")
+        j = job(1, n_nodes=128, runtime=50.0)
+        sim.call_at(1.0, lambda: rm.submit(j))
+        sim.run(until=HOUR)
+        assert j.state is JobState.COMPLETED
+        assert audited  # the launch relay met the alert
+        for targets, ordered, leaf_idx in audited:
+            assert targets.index(0) not in leaf_idx  # an interior slot as given
+            assert ordered.index(0) in leaf_idx
+        stats = rm.fptree_stats
+        assert stats.predicted_on_leaves == stats.predicted_total == len(audited)
 
 
 class TestCentralizedFactory:
