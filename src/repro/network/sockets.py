@@ -8,34 +8,65 @@ instantaneous, mean, and peak connection counts exactly like the
 paper's once-a-second sampling.
 
 :meth:`ConnectionTracker.pulse` is the per-RPC path (every user RPC,
-heartbeat and relay pulses once), so it does its own open: one check
-for a due close, two appends to the series buffers and one
-``heappush``, with no nested calls on the common path.
+heartbeat and relay pulses once).  It does no accounting at all: it
+appends the pulse's time, count and close time to three typed buffers
+(``array("d")``, ``array("q")``, ``array("d")``, 24 bytes a pulse) and
+schedules no simulator event for the close.  Every read (``current``,
+``series``, :meth:`~ConnectionTracker.peak`,
+:meth:`~ConnectionTracker.mean`) and every :meth:`~ConnectionTracker.open`
+or :meth:`~ConnectionTracker.close` first *folds* the log into the
+series, and so does a pulse that fills the log to :data:`FOLD_SIZE`.
 
-Pulse closes are *lazy*: a pulse does not schedule a simulator event
-per close (the RM's periodic traffic would otherwise put tens of
-thousands of close events on the heap per simulated day).  Instead the
-close is pushed onto a min-heap of ``(close_time, seq, count)`` and
-applied — with its original timestamp, in close-time order — the next
-time the tracker is touched.  Every public read or write drains the
-heap up to the current simulated time first, so observable state is
-indistinguishable from eagerly-scheduled closes: series entries carry
-the true close instants, ties between closes apply in pulse order
-(exactly the event-sequence order the eager version used), and closes
-beyond the simulation horizon are never applied (their events would
-never have fired).
+The fold gives exactly the entries one simulator event per close would
+have recorded:
+
+* each pulse is an open ``(t, +n)``, in log order;
+* its close ``(t + hold, -n)`` lands immediately before the first
+  *later* pulse whose time is at or after the close time, or at the end
+  of the fold when there is none and the close is due by the fold's
+  time;
+* closes that land in the same place are ordered by close time, then
+  pulse order (the order their events would have fired in);
+* a close not yet due carries over to the next fold, ahead of that
+  fold's pulses, and a close at ``inf`` never comes due, so it is
+  dropped.
+
+Since the opens are in time order already, the fold sorts only the
+closes: one stable ``argsort`` (of a nearly sorted column) puts them in
+(close time, pulse) order, one ``searchsorted`` counts the opens ahead
+of each, the merge is a masked write per column and one ``cumsum``
+gives the running count: a few dozen numpy calls a fold, where a
+min-heap of closes cost a push, a pop and four series appends every
+pulse.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 import typing as t
+from array import array
+from operator import index
+
+import numpy as np
 
 from repro.errors import NetworkError
 from repro.simkit.monitor import TimeSeries
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simkit.core import Simulator
+
+#: pulses logged before a pulse folds the log into the series
+FOLD_SIZE = 1024
+
+_NO_CLOSES = np.empty(0)
+_NO_COUNTS = np.empty(0, dtype=np.int64)
+
+
+def _count(count: t.Any) -> int:
+    count = index(count)
+    if count < 0:
+        raise NetworkError(f"cannot use a negative number of connections ({count})")
+    return count
 
 
 class ConnectionTracker:
@@ -45,80 +76,127 @@ class ConnectionTracker:
         self.sim = sim
         self.owner = owner
         self._current = 0
-        self.series = TimeSeries(f"{owner}.sockets")
+        #: connections opened by :meth:`open` and not yet closed
+        self._held = 0
+        self._series = TimeSeries(f"{owner}.sockets")
         self.total_opened = 0
-        #: pending pulse closes: (close_time, pulse_seq, count)
-        self._pending: list[tuple[float, int, int]] = []
-        self._pulse_seq = 0
+        #: the pulse log: time, count and close time of each pulse
+        self._log_t = array("d")
+        self._log_n = array("q")
+        self._log_c = array("d")
+        #: closes an earlier fold found not yet due, in (close time,
+        #: pulse) order
+        self._carry_c = _NO_CLOSES
+        self._carry_n = _NO_COUNTS
 
     @property
     def current(self) -> int:
-        """Connections open *now* (applies any due pulse closes first)."""
-        self._drain(self.sim.now)
+        """Connections open *now*."""
+        self._fold(self.sim.now)
         return self._current
 
-    def _drain(self, now: float) -> None:
-        pending = self._pending
-        times, values = self.series._times, self.series._values
-        current = self._current
-        while pending and pending[0][0] <= now:
-            close_at, _, count = heapq.heappop(pending)
-            current -= count
-            times.append(close_at)
-            values.append(current)
-        self._current = current
+    @property
+    def series(self) -> TimeSeries:
+        """The connection-count series up to now."""
+        self._fold(self.sim.now)
+        return self._series
+
+    def _fold(self, now: float) -> None:
+        """Turn the logged pulses, and the carried closes due by ``now``,
+        into series entries (see the module docstring)."""
+        log_t = self._log_t
+        n = len(log_t)
+        carry_c = self._carry_c
+        if not n and not (len(carry_c) and carry_c[0] <= now):
+            return
+        opens = np.array(log_t)
+        counts = np.array(self._log_n)
+        closes = np.concatenate((carry_c, np.array(self._log_c)))
+        self._log_t, self._log_n, self._log_c = array("d"), array("q"), array("d")
+        # (close time, pulse order): the carry first, then the log, in
+        # one stable sort, nearly sorted already
+        order = np.argsort(closes, kind="stable")
+        closes = closes[order]
+        close_n = np.concatenate((self._carry_n, counts))[order]
+        due = int(np.searchsorted(closes, now, side="right"))
+        never = int(np.searchsorted(closes, math.inf))
+        # copies: a view would keep the whole fold's buffer alive
+        self._carry_c, self._carry_n = closes[due:never].copy(), close_n[due:never].copy()
+        closes, close_n = closes[:due], close_n[:due]
+        # opens before each close: those earlier than it, and at least
+        # its own pulse and every one before (a zero hold); the carry
+        # (order < len(carry_c)) has no pulse in this log
+        slot = np.searchsorted(opens, closes, side="left")
+        np.maximum(slot, order[:due] - (len(carry_c) - 1), out=slot)
+        is_close = np.zeros(n + due, dtype=bool)
+        is_close[slot + np.arange(due)] = True
+        is_open = ~is_close
+        times = np.empty(n + due)
+        times[is_close] = closes
+        times[is_open] = opens
+        values = np.empty(n + due, dtype=np.int64)
+        values[is_close] = -close_n
+        values[is_open] = counts
+        np.cumsum(values, out=values)
+        values += self._current
+        self._current = int(values[-1])
+        series = self._series
+        series._times.frombytes(memoryview(times).cast("B"))
+        series._values.frombytes(memoryview(values.astype(np.float64)).cast("B"))
 
     def open(self, count: int = 1) -> None:
         """Open ``count`` connections."""
-        if count < 0:
-            raise NetworkError("cannot open a negative number of connections")
-        self._drain(self.sim.now)
+        count = _count(count)
+        now = self.sim.now
+        self._fold(now)
         self._current += count
+        self._held += count
         self.total_opened += count
-        self.series.record(self.sim.now, self._current)
+        self._series.record(now, self._current)
 
     def close(self, count: int = 1) -> None:
-        """Close ``count`` connections."""
-        if count < 0:
-            raise NetworkError("cannot close a negative number of connections")
-        self._drain(self.sim.now)
-        if count > self._current:
+        """Close ``count`` connections opened by :meth:`open`.
+
+        A pulse closes its own connections, so they cannot be closed
+        here."""
+        count = _count(count)
+        if count > self._held:
             raise NetworkError(
-                f"{self.owner}: closing {count} connections but only {self._current} open"
+                f"{self.owner}: closing {count} connections but only "
+                f"{self._held} opened and not yet closed"
             )
+        now = self.sim.now
+        self._fold(now)
         self._current -= count
-        self.series.record(self.sim.now, self._current)
+        self._held -= count
+        self._series.record(now, self._current)
 
     def pulse(self, count: int, hold_s: float) -> None:
         """Open ``count`` connections now and close them after ``hold_s``.
 
         The common pattern for request/response traffic: the connection
-        count spikes for the duration of the exchange.  The close costs
-        no simulator event — see the module docstring.
+        count spikes for the duration of the exchange.  The pulse is only
+        logged; the series sees it at the next fold (module docstring).
         """
+        count = index(count)  # ``_count`` inlined: this is the per-RPC path
         if count < 0:
-            raise NetworkError("cannot open a negative number of connections")
+            raise NetworkError(f"cannot use a negative number of connections ({count})")
         if not hold_s >= 0:
             raise NetworkError(f"cannot hold connections for {hold_s!r} s")
         now = self.sim.now
-        pending = self._pending
-        if pending and pending[0][0] <= now:
-            self._drain(now)
-        current = self._current + count
-        self._current = current
+        log_t = self._log_t
+        log_t.append(now)
+        self._log_n.append(count)
+        self._log_c.append(now + hold_s)
         self.total_opened += count
-        series = self.series
-        series._times.append(now)
-        series._values.append(current)
-        self._pulse_seq += 1
-        heapq.heappush(pending, (now + hold_s, self._pulse_seq, count))
+        if len(log_t) >= FOLD_SIZE:
+            self._fold(now)
 
     # -- statistics ------------------------------------------------------
     def peak(self) -> float:
-        self._drain(self.sim.now)
         return self.series.max()
 
     def mean(self) -> float:
         """Time-weighted average concurrent connections."""
-        self._drain(self.sim.now)
-        return self.series.time_average(until=self.sim.now) if len(self.series) else 0.0
+        series = self.series
+        return series.time_average(until=self.sim.now) if len(series) else 0.0

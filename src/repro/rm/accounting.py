@@ -52,7 +52,7 @@ class DaemonAccounting:
     # -- charging ---------------------------------------------------------
     def charge_cpu(self, seconds: float) -> None:
         """Record daemon CPU work (does not advance simulated time)."""
-        if seconds < 0:
+        if not seconds >= 0:
             raise ValueError("cannot charge negative CPU time")
         self.cpu_time_s += seconds
         self._busy_in_window += seconds
@@ -61,7 +61,7 @@ class DaemonAccounting:
     def charge_cpu_each(accts: t.Iterable["DaemonAccounting"], seconds: float) -> None:
         """:meth:`charge_cpu` of ``seconds`` on every one of ``accts``,
         validated once (a heartbeat round charges each satellite alike)."""
-        if seconds < 0:
+        if not seconds >= 0:
             raise ValueError("cannot charge negative CPU time")
         for acct in accts:
             acct.cpu_time_s += seconds

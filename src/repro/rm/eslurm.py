@@ -31,7 +31,7 @@ from repro.network.broadcast import BroadcastResult
 from repro.network.message import DEFAULT_SIZES, MessageKind
 from repro.network.structures import TreeBroadcast
 from repro.rm.accounting import DaemonAccounting
-from repro.rm.base import ResourceManager
+from repro.rm.base import ResourceManager, tree_depth_estimate
 from repro.rm.profiles import ESLURM as ESLURM_PROFILE
 from repro.rm.profiles import RMProfile
 from repro.rm.satellite import SatelliteDaemon, SatelliteEvent, SatellitePool
@@ -183,8 +183,6 @@ class EslurmRM(ResourceManager):
         if makespans:
             self.master_acct.sockets.pulse(len(parts), max(max(makespans), 1e-3))
         # Per-level synchronous acks in the satellite relay trees.
-        from repro.rm.base import tree_depth_estimate
-
         ack_wait = p.launch_ack_s * max(
             tree_depth_estimate(max(len(part) for part in parts), p.tree_width), 1
         )

@@ -15,6 +15,7 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 import enum
+import math
 import typing as t
 from dataclasses import dataclass, replace
 
@@ -36,6 +37,19 @@ class LaunchStructure(enum.Enum):
     STAR = "star"  # bounded pool of concurrent direct RPCs
     TREE = "tree"  # k-ary fan-out tree from the master
     SATELLITE_FPTREE = "satellite-fptree"  # ESLURM: satellites + FP-Tree
+
+
+#: CPU, memory, socket-fraction and timing fields: finite and >= 0
+_NON_NEGATIVE = (
+    "rpc_cpu_us", "launch_cpu_ms", "launch_cpu_per_node_us", "sched_cpu_ms", "user_rpc_cpu_ms",
+    "base_vmem_mb", "vmem_per_node_kb", "vmem_per_job_kb", "vmem_growth_mb_per_day",
+    "base_rss_mb", "rss_per_node_kb", "rss_per_job_kb",
+    "persistent_socket_frac", "burst_socket_frac",
+    "heartbeat_interval_s", "launch_ack_s", "scheduler_tick_s", "reboot_minutes",
+    "submit_fail_per_10k_nodes",
+)
+#: timer periods and the crash MTBF, which may be ``inf`` ("never"): > 0
+_POSITIVE = ("heartbeat_interval_s", "scheduler_tick_s", "crash_node_hours")
 
 
 @dataclass(frozen=True)
@@ -90,9 +104,16 @@ class RMProfile:
     submit_fail_per_10k_nodes: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rpc_cpu_us < 0 or self.heartbeat_interval_s <= 0:
-            raise ConfigurationError(f"profile {self.name}: invalid CPU/heartbeat values")
-        if not 0.0 <= self.persistent_socket_frac <= 1.0:
+        for name in _NON_NEGATIVE:
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"profile {self.name}: {name} must be finite and >= 0, not {value!r}"
+                )
+        for name in _POSITIVE:
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"profile {self.name}: {name} must be > 0")
+        if not self.persistent_socket_frac <= 1.0:
             raise ConfigurationError(f"profile {self.name}: invalid socket fraction")
         if self.tree_width < 2 or self.star_concurrency < 1:
             raise ConfigurationError(f"profile {self.name}: invalid fan-out")

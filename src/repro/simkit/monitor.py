@@ -20,10 +20,11 @@ class TimeSeries:
 
     Samples live in two typed ``array("d")`` buffers: eight bytes a
     sample, no boxed float per entry.  The simulator's own recorders
-    (:class:`~repro.network.sockets.ConnectionTracker`,
-    :class:`~repro.rm.accounting.DaemonAccounting`) append to ``_times``
-    and ``_values`` directly on their per-call paths, in time order by
-    construction; everything else goes through :meth:`record`.
+    append to ``_times`` and ``_values`` directly, in time order by
+    construction: :class:`~repro.rm.accounting.DaemonAccounting` one
+    sample a call, :class:`~repro.network.sockets.ConnectionTracker` a
+    whole fold of its pulse log at once.  Everything else goes through
+    :meth:`record`.
     """
 
     def __init__(self, name: str = "") -> None:

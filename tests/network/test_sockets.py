@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetworkError
-from repro.network import ConnectionTracker
+from repro.network import ConnectionTracker, sockets
 from repro.simkit import Simulator, TimeSeries
 
 
@@ -35,6 +35,32 @@ def test_negative_counts_rejected():
         tr.close(-1)
 
 
+def test_counts_must_be_integers():
+    tr = ConnectionTracker(Simulator(), "x")
+    for bad in (float("nan"), 2.5, "3", None):
+        for call in (tr.open, tr.close, lambda n: tr.pulse(n, 1.0)):
+            with pytest.raises(TypeError):
+                call(bad)
+    tr.open(np.int64(2))
+    tr.pulse(True, 1.0)
+    assert tr.current == 3
+    assert len(tr.series) == 2
+
+
+def test_close_cannot_take_pulse_connections():
+    sim = Simulator()
+    tr = ConnectionTracker(sim, "x")
+    tr.open(1)
+    tr.pulse(4, 1.0)
+    with pytest.raises(NetworkError, match="closing 4 connections but only 1 opened"):
+        tr.close(4)
+    sim.run(until=2.0)
+    assert tr.current == 1  # the pulse closed its own four; never negative
+    assert tr.peak() == 5
+    tr.close(1)
+    assert tr.current == 0
+
+
 def test_pulse_closes_after_hold():
     sim = Simulator()
     tr = ConnectionTracker(sim, "master")
@@ -61,8 +87,9 @@ def test_empty_tracker_mean_zero():
 
 
 class TestLazyPulseCloses:
-    """Pulse closes ride a pending heap, not simulator events; every
-    observable must still match the eagerly-scheduled version."""
+    """Pulses are logged and folded into the series when read, not
+    simulator events; every observable must still match the
+    eagerly-scheduled version."""
 
     def test_no_simulator_events_scheduled(self):
         sim = Simulator()
@@ -101,18 +128,63 @@ class TestLazyPulseCloses:
         assert tr.current == 2  # the eager close event would not have fired
 
     def test_next_touch_drains_due_closes(self):
+        # every read folds first, ``series`` included
         sim = Simulator()
         tr = ConnectionTracker(sim, "m")
         tr.pulse(2, 1.0)
         tr.pulse(3, 10.0)
         sim.run(until=5.0)
-        assert tr.series.values.tolist() == [2, 5]  # nothing touched it yet
-        assert tr.current == 3
-        assert tr.series.times.tolist() == [0.0, 0.0, 1.0]
+        assert len(tr._series) == 0  # a pulse is only logged
+        assert tr.series.times.tolist() == [0.0, 0.0, 1.0]  # the read folds
         assert tr.series.values.tolist() == [2, 5, 3]
-        tr.pulse(1, 1.0)  # the later close is not due: only the open lands
+        assert tr.current == 3
+        tr.pulse(1, 1.0)
+        assert len(tr._series) == 3  # logged, not yet in the series
+        # the later close is not due: only the open lands
         assert tr.series.times.tolist() == [0.0, 0.0, 1.0, 5.0]
         assert tr.series.values.tolist() == [2, 5, 3, 4]
+
+    def test_full_log_folds(self, monkeypatch):
+        monkeypatch.setattr(sockets, "FOLD_SIZE", 3)
+        sim = Simulator()
+        tr = ConnectionTracker(sim, "m")
+        tr.pulse(1, 0.5)
+        sim.run(until=1.0)
+        tr.pulse(2, 0.5)
+        assert len(tr._series) == 0
+        tr.pulse(4, 5.0)  # the third pulse fills the log: fold at t=1
+        assert tr._series.times.tolist() == [0.0, 0.5, 1.0, 1.0]
+        assert tr._series.values.tolist() == [1, 0, 2, 6]
+        assert len(tr._log_t) == 0
+        assert tr._carry_c.tolist() == [1.5, 6.0]  # not yet due
+
+    def test_zero_hold_closes_after_its_own_open(self):
+        sim = Simulator()
+        tr = ConnectionTracker(sim, "m")
+        tr.pulse(3, 0.0)
+        tr.pulse(1, 0.0)
+        assert tr.series.values.tolist() == [3, 0, 1, 0]
+
+    def test_carried_closes_land_at_a_later_fold(self, monkeypatch):
+        monkeypatch.setattr(sockets, "FOLD_SIZE", 1)
+        sim = Simulator()
+        tr = ConnectionTracker(sim, "m")
+        tr.pulse(2, 3.0)  # folds at once; its close carries
+        tr.pulse(5, 3.0)
+        sim.run(until=3.0)
+        tr.pulse(1, 0.0)  # both carried closes land before this open
+        assert tr._series.times.tolist() == [0.0, 0.0, 3.0, 3.0, 3.0, 3.0]
+        assert tr._series.values.tolist() == [2, 7, 5, 0, 1, 0]
+
+    def test_log_stays_bounded(self):
+        sim = Simulator()
+        tr = ConnectionTracker(sim, "m")
+        for i in range(10 * sockets.FOLD_SIZE):
+            sim.run(until=i * 0.5)
+            tr.pulse(2, 1.0)
+        assert len(tr._log_t) < sockets.FOLD_SIZE
+        assert len(tr._carry_c) <= 2  # only the closes not yet due
+        assert tr.total_opened == 20 * sockets.FOLD_SIZE
 
     def test_negative_hold_rejected(self):
         tr = ConnectionTracker(Simulator(), "m")
@@ -199,12 +271,13 @@ class EagerTracker:
 
 
 #: one step of a run: advance the clock by ``dt`` (0 ties it to the
-#: last step), then act; holds of 0 and of several horizons included
+#: last step), then act; holds of 0, of several horizons and of ``inf``
+#: included
 tracker_op = st.tuples(
     st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]),
     st.sampled_from(["open", "close", "pulse", "pulse", "read"]),
     st.integers(0, 6),
-    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, 100.0]),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, 100.0, float("inf")]),
 )
 
 
@@ -218,11 +291,24 @@ def assert_same(lazy, eager):
 
 class TestLazyEqualsEager:
     """Every observable of the lazy tracker equals, bit for bit, a
-    tracker whose pulse closes are simulator events."""
+    tracker whose pulse closes are simulator events, with folds forced
+    mid-run (fold sizes 1, 2, 3) and at the default size."""
 
     @given(st.lists(tracker_op, max_size=60), st.sampled_from([0.0, 1.0, 4.0]))
     @settings(max_examples=200, deadline=None)
     def test_random_runs(self, ops, tail):
+        self.check_run(ops, tail)
+
+    @pytest.mark.parametrize("fold_size", [1, 2, 3])
+    @given(ops=st.lists(tracker_op, max_size=60), tail=st.sampled_from([0.0, 1.0, 4.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_runs_folding_mid_run(self, fold_size, ops, tail):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sockets, "FOLD_SIZE", fold_size)
+            self.check_run(ops, tail)
+
+    @staticmethod
+    def check_run(ops, tail):
         lazy_sim, eager_sim = Simulator(), Simulator()
         lazy, eager = ConnectionTracker(lazy_sim, "m"), EagerTracker(eager_sim)
         now = 0.0

@@ -27,6 +27,21 @@ class TestCpu:
         with pytest.raises(ValueError):
             acct.charge_cpu(-1.0)
 
+    def test_nan_rejected(self):
+        _, acct = make()
+        with pytest.raises(ValueError):
+            acct.charge_cpu(float("nan"))
+        assert acct.cpu_time_s == 0.0
+
+    def test_nan_rejected_for_each(self):
+        _, a = make()
+        _, b = make()
+        with pytest.raises(ValueError):
+            DaemonAccounting.charge_cpu_each([a, b], float("nan"))
+        with pytest.raises(ValueError):
+            DaemonAccounting.charge_cpu_each([a, b], -1.0)
+        assert a.cpu_time_s == b.cpu_time_s == 0.0
+
     def test_utilization_window(self):
         sim, acct = make()
         sim.run(until=10.0)

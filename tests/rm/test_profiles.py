@@ -63,6 +63,39 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             base.with_overrides(heartbeat_interval_s=0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "rpc_cpu_us",
+            "launch_cpu_ms",
+            "sched_cpu_ms",
+            "base_vmem_mb",
+            "rss_per_job_kb",
+            "burst_socket_frac",
+            "launch_ack_s",
+            "reboot_minutes",
+        ],
+    )
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_costs_must_be_finite_and_non_negative(self, field, bad):
+        with pytest.raises(ConfigurationError, match=field):
+            RM_PROFILES["eslurm"].with_overrides(**{field: bad})
+
+    @pytest.mark.parametrize(
+        "field", ["heartbeat_interval_s", "scheduler_tick_s", "crash_node_hours"]
+    )
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_periods_must_be_positive(self, field, bad):
+        # a scheduler tick of 0 would re-arm at the same instant forever
+        with pytest.raises(ConfigurationError, match=field):
+            RM_PROFILES["slurm"].with_overrides(**{field: bad})
+
+    def test_crash_node_hours_may_be_never(self):
+        never = RM_PROFILES["slurm"].with_overrides(crash_node_hours=float("inf"))
+        assert never.crash_node_hours == float("inf")
+        with pytest.raises(ConfigurationError, match="scheduler_tick_s"):
+            RM_PROFILES["slurm"].with_overrides(scheduler_tick_s=float("inf"))
+
     def test_with_overrides_copies(self):
         slurm = RM_PROFILES["slurm"]
         fast = slurm.with_overrides(rpc_cpu_us=1.0)
