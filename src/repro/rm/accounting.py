@@ -15,6 +15,13 @@ Memory model::
 
 The growth term models the heap/cache growth production Slurm exhibits
 (the paper watched slurmctld climb to 70 GB in a week on 20K nodes).
+
+Sampling: one re-armed timer samples a *group* of daemons
+(:meth:`DaemonAccounting.start_samplers`).  The RM gives its master a
+group of one and its whole satellite tier one group, sampled in pool
+order: the satellites' separate timers always fired back to back at one
+instant, so one firing per interval reads the same state with one heap
+push and one pop instead of one per satellite.
 """
 
 from __future__ import annotations
@@ -94,38 +101,51 @@ class DaemonAccounting:
         )
 
     # -- sampling ------------------------------------------------------------
-    def start_sampler(self, interval_s: float = 1.0) -> None:
-        """Arm the once-per-``interval`` sampler timer (idempotent).
+    @staticmethod
+    def start_samplers(
+        accts: t.Sequence["DaemonAccounting"], interval_s: float, label: str
+    ) -> None:
+        """Arm one once-per-``interval`` timer that samples every one of
+        ``accts``, in order (a daemon already started is skipped, so each
+        is sampled at most once per instant).
 
         The paper samples once a second; benches on long horizons pass a
         coarser interval to keep series sizes manageable.  One
         :class:`~repro.simkit.events.Timer`, re-armed from its own
-        firing, carries every sample.
+        firing, carries every sample of the group.
+
+        Grouping is exact for daemons whose separate timers would fire
+        back to back: armed in one loop that schedules nothing else,
+        they take consecutive sequence numbers, and each firing re-arms
+        only itself, so every later round's numbers are consecutive
+        again.  At one time and priority with no free sequence number
+        in between, nothing can run between two of those samples, so
+        sampling them all in one callback reads the state each separate
+        firing read, and the one timer keeps their place among the
+        other events.  The RM arms its satellite tier this way.  The
+        master keeps a timer of its own: it is armed before the
+        heartbeat and scheduler-tick timers, so when the sample interval
+        meets their period those run between its sample and the
+        satellites', and one group would move their charges across a
+        sample.
         """
-        if self._sampler_started:
+        group = [acct for acct in accts if not acct._sampler_started]
+        if not group:
             return
-        self._sampler_started = True
+        for acct in group:
+            acct._sampler_started = True
+        sim = group[0].sim
 
         def fire() -> None:
-            self.sample()
+            _sample_each(group, sim.now)
             timer.arm(interval_s)
 
-        timer = self.sim.timer(fire, label=f"{self.owner}.sampler")
+        timer = sim.timer(fire, label=label)
         timer.arm(interval_s)
 
     def sample(self) -> None:
-        """Record one CPU-utilisation sample at the current time.
-
-        Appends to the series buffers directly: the clock never runs
-        backwards, so the samples stay in time order."""
-        now = self.sim.now
-        window = max(now - self._last_sample, 1e-9)
-        util = min(self._busy_in_window / window, 1.0)
-        series = self.cpu_util
-        series._times.append(now)
-        series._values.append(util)
-        self._busy_in_window = 0.0
-        self._last_sample = now
+        """Record one CPU-utilisation sample at the current time."""
+        _sample_each((self,), self.sim.now)
 
     # -- summaries -------------------------------------------------------------
     def summary(self) -> dict[str, float]:
@@ -137,3 +157,17 @@ class DaemonAccounting:
             "sockets_mean": self.sockets.mean(),
             "sockets_peak": self.sockets.peak(),
         }
+
+
+def _sample_each(accts: t.Iterable[DaemonAccounting], now: float) -> None:
+    """One CPU-utilisation sample at ``now`` for each of ``accts``.
+
+    Appends to the series buffers directly: the clock never runs
+    backwards, so the samples stay in time order."""
+    for acct in accts:
+        window = max(now - acct._last_sample, 1e-9)
+        series = acct.cpu_util
+        series._times.append(now)
+        series._values.append(min(acct._busy_in_window / window, 1.0))
+        acct._busy_in_window = 0.0
+        acct._last_sample = now

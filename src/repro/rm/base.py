@@ -126,6 +126,14 @@ class ResourceManager:
         sample_interval_s: float = 60.0,
         placement: t.Any = None,
     ) -> None:
+        if not 0 < sample_interval_s < math.inf:
+            raise ConfigurationError(
+                f"sample_interval_s must be positive and finite, got {sample_interval_s!r}"
+            )
+        if not 0 <= user_rpc_rate_per_s < math.inf:
+            raise ConfigurationError(
+                f"user_rpc_rate_per_s must be >= 0 and finite, got {user_rpc_rate_per_s!r}"
+            )
         self.sim = sim
         self.cluster = cluster
         self.profile = profile
@@ -136,7 +144,9 @@ class ResourceManager:
         self.sample_interval_s = sample_interval_s
         self.rm_name = profile.name
         self.master_acct = DaemonAccounting(sim, profile, f"{profile.name}.master")
-        self.pool = NodePool(cluster.compute_ids(), placement=placement)
+        self.pool = NodePool(
+            np.arange(cluster.n_nodes, dtype=np.int64), placement=placement
+        )
         self.queue = JobQueue()
         self.jobs: list[Job] = []
         self._job_procs: dict[int, JobLifecycle] = {}
@@ -180,7 +190,9 @@ class ResourceManager:
         self.master_acct.set_tracked(nodes=self.cluster.n_nodes, jobs=0)
         if p.persistent_socket_frac > 0:
             self.master_acct.sockets.open(int(p.persistent_socket_frac * self.cluster.n_nodes))
-        self.master_acct.start_sampler(self.sample_interval_s)
+        DaemonAccounting.start_samplers(
+            (self.master_acct,), self.sample_interval_s, f"{self.master_acct.owner}.sampler"
+        )
         # Each periodic handler runs its body first and re-arms
         # afterwards, so a body's draws and same-tick arming come before
         # the next firing's.

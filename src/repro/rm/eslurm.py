@@ -119,8 +119,11 @@ class EslurmRM(ResourceManager):
             nodes=self.cluster.n_nodes
             + self.SATELLITE_NODE_EQUIV * len(self.sat_pool.daemons)
         )
-        for d in self.sat_pool.daemons:
-            d.acct.start_sampler(self.sample_interval_s)
+        DaemonAccounting.start_samplers(
+            [d.acct for d in self.sat_pool.daemons],
+            self.sample_interval_s,
+            f"{self.rm_name}.satellites.sampler",
+        )
         # First heartbeat discovers the satellites (UNKNOWN -> RUNNING).
         self.sat_pool.heartbeat_all()
 

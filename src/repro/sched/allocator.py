@@ -80,8 +80,8 @@ class NodePool:
     state column and handed out as a slice or a ``take`` of ``_id_col``.
     """
 
-    def __init__(self, node_ids: t.Collection[int], placement: t.Any = None) -> None:
-        id_col = np.fromiter(node_ids, dtype=np.int64, count=len(node_ids))
+    def __init__(self, node_ids: t.Sequence[int] | np.ndarray, placement: t.Any = None) -> None:
+        id_col = np.array(node_ids, dtype=np.int64)
         if (id_col[1:] < id_col[:-1]).any():  # the RM's compute ids come sorted
             id_col.sort()
         if (id_col[1:] == id_col[:-1]).any():

@@ -86,9 +86,9 @@ class TestRunSimulation:
         plain = run_simulation(config)
         recorded = run_simulation(config, telemetry=TelemetryConfig(enabled=True))
         counters = recorded.telemetry["counters"]
-        assert (plain.events, plain.sim_time_s) == (157, 990.0)
-        assert (recorded.events, recorded.sim_time_s) == (157, 990.0)
-        assert (counters["sim.events"], counters["sim.time_s"]) == (157, 990.0)
+        assert (plain.events, plain.sim_time_s) == (141, 990.0)
+        assert (recorded.events, recorded.sim_time_s) == (141, 990.0)
+        assert (counters["sim.events"], counters["sim.time_s"]) == (141, 990.0)
 
     def test_session_restored_after_run(self):
         from repro.telemetry import facade as telemetry

@@ -139,8 +139,8 @@ PINNED_DAY = ["simulate", "run", "--n-nodes", "256", "--n-jobs", "100", "--horiz
 class TestSimulatePinned:
     """``repro simulate`` stdout, pinned byte for byte."""
 
-    JSON_SHA256 = "dbb597a5cf91b177bcb8f2d1d22bb978d816fdbd7ccc7b350d8b0c0558349547"
-    TEXT_SHA256 = "8d628dec12d4073d0685c8f233c8eae3a61295a73a1da0d064fb8d1fb4b57c74"
+    JSON_SHA256 = "9194eaea0e439c0cc86db3f23f3b14636fe386d83071540067c9d6938e83918f"
+    TEXT_SHA256 = "976c441da66d42795cf143563e68cb3134f0849a805a8d917e0ae1bef4d3bf38"
 
     @pytest.mark.parametrize("json_flag", [True, False], ids=["json", "text"])
     def test_stdout_pinned_and_run_telemetry_off(self, json_flag, capsys, monkeypatch):
@@ -163,7 +163,7 @@ class TestSimulatePinned:
         assert hashlib.sha256(out.encode()).hexdigest() == expected
         if json_flag:
             result = json.loads(out)["result"]
-            assert (result["events"], result["sim_time_s"]) == (157, 990.0)
+            assert (result["events"], result["sim_time_s"]) == (141, 990.0)
 
 
 class TestEstimatePinned:

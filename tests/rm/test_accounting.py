@@ -100,15 +100,15 @@ class TestMemory:
 class TestSampler:
     def test_sampler_records_series(self):
         sim, acct = make()
-        acct.start_sampler(interval_s=1.0)
+        DaemonAccounting.start_samplers([acct], 1.0, "test.sampler")
         sim.run(until=10.0)
         assert len(acct.cpu_util) == 10
         assert acct.cpu_util.times.tolist() == [float(k) for k in range(1, 11)]
 
     def test_sampler_idempotent(self):
         sim, acct = make()
-        acct.start_sampler(1.0)
-        acct.start_sampler(1.0)
+        DaemonAccounting.start_samplers([acct], 1.0, "test.sampler")
+        DaemonAccounting.start_samplers([acct], 1.0, "test.sampler")
         sim.run(until=5.0)
         assert len(acct.cpu_util) == 5
 
@@ -116,3 +116,96 @@ class TestSampler:
         _, acct = make()
         s = acct.summary()
         assert {"cpu_time_min", "vmem_mb", "rss_mb", "sockets_mean", "sockets_peak"} <= set(s)
+
+
+def group(sim, n):
+    return [DaemonAccounting(sim, SLURM, f"test.sat{i}") for i in range(n)]
+
+
+def charger(sim, accts, label):
+    """A timer charging each daemon a distinct amount at every whole second."""
+    step = [0]
+
+    def fire():
+        step[0] += 1
+        for i, acct in enumerate(accts):
+            acct.charge_cpu(0.001 * (i + 1) * (step[0] % 7))
+        timer.arm(1.0)
+
+    timer = sim.timer(fire, label=label)
+    timer.arm(1.0)
+
+
+def separate_samplers(sim, accts, interval_s):
+    """The former per-daemon arming: one re-armed timer per daemon."""
+
+    def arm(acct):
+        def fire():
+            acct.sample()
+            timer.arm(interval_s)
+
+        timer = sim.timer(fire, label=f"{acct.owner}.sampler")
+        timer.arm(interval_s)
+
+    for acct in accts:
+        arm(acct)
+
+
+def series_of(accts):
+    return [(a.cpu_util.times.tolist(), a.cpu_util.values.tolist()) for a in accts]
+
+
+class TestGroupSampler:
+    """One timer samples a group of daemons: exactly what one timer per
+    daemon, armed back to back, recorded."""
+
+    def test_group_adds_one_heap_entry(self):
+        sim = Simulator()
+        accts = group(sim, 16)
+        before = len(sim._heap)
+        DaemonAccounting.start_samplers(accts, 1.0, "sats.sampler")
+        assert len(sim._heap) == before + 1
+        sim.run(until=3.0)
+        assert len(sim._heap) == before + 1
+        assert all(len(a.cpu_util) == 3 for a in accts)
+
+    @pytest.mark.parametrize("interval_s", [1.0, 2.0, 0.5])
+    def test_group_equals_separate_samplers(self, interval_s):
+        """Charges at sample instants from a timer armed before the
+        samplers land in that sample; those from one armed after land in
+        the next, in both arrangements."""
+        recorded = []
+        for grouped in (True, False):
+            sim = Simulator()
+            accts = group(sim, 5)
+            charger(sim, accts, "before")
+            if grouped:
+                DaemonAccounting.start_samplers(accts, interval_s, "sats.sampler")
+            else:
+                separate_samplers(sim, accts, interval_s)
+            charger(sim, accts[::-1], "after")
+            sim.run(until=20.0)
+            recorded.append((series_of(accts), sim.events_processed))
+        (grouped_series, grouped_events), (separate_series, separate_events) = recorded
+        assert grouped_series == separate_series
+        assert len(grouped_series[0][0]) == int(20.0 / interval_s)
+        # one sampler event per instant instead of one per daemon
+        assert separate_events - grouped_events == 4 * int(20.0 / interval_s)
+
+    def test_second_start_is_a_no_op_per_daemon(self):
+        sim = Simulator()
+        a, b, c = group(sim, 3)
+        DaemonAccounting.start_samplers([a], 1.0, "first.sampler")
+        before = len(sim._heap)
+        DaemonAccounting.start_samplers([a, b], 1.0, "second.sampler")
+        DaemonAccounting.start_samplers([a, b], 1.0, "third.sampler")
+        assert len(sim._heap) == before + 1  # b's group only; a kept its timer
+        DaemonAccounting.start_samplers([c], 2.0, "fourth.sampler")
+        sim.run(until=6.0)
+        assert [len(x.cpu_util) for x in (a, b, c)] == [6, 6, 3]
+        assert a.cpu_util.times.tolist() == b.cpu_util.times.tolist()
+
+    def test_empty_group_arms_nothing(self):
+        sim = Simulator()
+        DaemonAccounting.start_samplers([], 1.0, "none.sampler")
+        assert sim._heap == []

@@ -192,7 +192,7 @@ TRAFFIC_KEYS = frozenset(
 )
 
 #: (rm, seed) -> ``sim.heap.peak`` of the relation's day
-HEAP_PEAKS = {("eslurm", 0): 20, ("slurm", 0): 18, ("eslurm", 42): 30, ("slurm", 42): 28}
+HEAP_PEAKS = {("eslurm", 0): 19, ("slurm", 0): 18, ("eslurm", 42): 29, ("slurm", 42): 28}
 
 #: (rm, seed) -> SHA-256 of the day's TRAFFIC_KEYS telemetry
 TRAFFIC_DIGESTS = {

@@ -275,3 +275,30 @@ class TestCentralizedFactory:
             sim, _, rm = build(name, n=32)
             rm.run_trace([job(1, n_nodes=4, runtime=20.0)], until=HOUR)
             assert rm.jobs[0].state is JobState.COMPLETED
+
+
+class TestCadenceValidation:
+    """Cadences that would hang the run or silently drop traffic are
+    rejected at construction, not at ``start()`` or never."""
+
+    @pytest.mark.parametrize("rm_name", ["slurm", "eslurm"])
+    @pytest.mark.parametrize(
+        "interval", [0.0, -1.0, float("nan"), float("inf")], ids=["zero", "negative", "nan", "inf"]
+    )
+    def test_sample_interval_rejected(self, rm_name, interval):
+        with pytest.raises(ConfigurationError, match="sample_interval_s"):
+            build(rm_name, sample_interval_s=interval)
+
+    @pytest.mark.parametrize("rm_name", ["slurm", "eslurm"])
+    @pytest.mark.parametrize(
+        "rate", [float("inf"), float("nan"), -0.5], ids=["inf", "nan", "negative"]
+    )
+    def test_user_rpc_rate_rejected(self, rm_name, rate):
+        with pytest.raises(ConfigurationError, match="user_rpc_rate_per_s"):
+            build(rm_name, user_rpc_rate_per_s=rate)
+
+    def test_zero_rpc_rate_and_tiny_interval_run(self):
+        sim, _, rm = build("eslurm", user_rpc_rate_per_s=0.0, sample_interval_s=0.5)
+        rm.start()
+        sim.run(until=100.0)
+        assert len(rm.master_acct.cpu_util) == 200
