@@ -17,10 +17,16 @@ a leaf of the broadcast tree.
   (the over-prediction);
 * :meth:`predicted_failed` returns the set of currently-alerted nodes,
   which is what the FP-Tree constructor's predictor plugin reads.
+
+Expired alerts are pruned on read, but only when one is due: the
+monitor keeps an expiry watermark no later than any live alert's
+expiry, so a read before it (the FP-Tree reads once per relay part,
+many times per launch) skips the walk over outstanding alerts.
 """
 
 from __future__ import annotations
 
+import math
 import typing as t
 from dataclasses import dataclass
 
@@ -73,10 +79,10 @@ class MonitoringConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.recall <= 1.0:
             raise ConfigurationError("recall must be a probability")
-        if self.false_alarm_per_node_hour < 0:
-            raise ConfigurationError("false-alarm rate cannot be negative")
-        if self.alert_ttl_hours <= 0:
-            raise ConfigurationError("alert TTL must be positive")
+        if not 0.0 <= self.false_alarm_per_node_hour < math.inf:
+            raise ConfigurationError("false-alarm rate must be finite and non-negative")
+        if not 0.0 < self.alert_ttl_hours < math.inf:
+            raise ConfigurationError("alert TTL must be finite and positive")
         if not 0.0 < self.precursor_fraction <= 1.0:
             raise ConfigurationError("precursor_fraction must be in (0, 1]")
 
@@ -101,6 +107,8 @@ class HealthMonitor:
         self.alerts: list[Alert] = []
         #: node id -> alert expiry time
         self._alerted: dict[int, float] = {}
+        #: no later than any expiry in ``_alerted``: before it, no alert is due
+        self._next_expiry = math.inf
         #: per-id alert flag, ``True`` exactly for the keys of ``_alerted``;
         #: one slot past the last id stays ``False`` (see predicted_failed)
         self._alert_col = np.zeros(cluster.state.size + 1, dtype=bool)
@@ -113,8 +121,11 @@ class HealthMonitor:
         if indicator is None:
             indicator = INDICATOR_CATEGORIES[int(self._rng.integers(len(INDICATOR_CATEGORIES)))]
         self.alerts.append(Alert(self.sim.now, node_id, indicator, spurious))
-        self._alerted[node_id] = self.sim.now + self.config.alert_ttl_hours * HOUR
+        expiry = self.sim.now + self.config.alert_ttl_hours * HOUR
+        self._alerted[node_id] = expiry
         self._alert_col[node_id] = True
+        if expiry < self._next_expiry:
+            self._next_expiry = expiry
 
     def on_failure_scheduled(self, node_ids: t.Sequence[int], at: float) -> None:
         """Hook called by the failure injector before a fault lands.
@@ -163,18 +174,20 @@ class HealthMonitor:
     def predicted_failed(self, among: t.Iterable[int] | None = None) -> set[int]:
         """Currently-alerted node ids (optionally restricted to ``among``).
 
-        Expired alerts are pruned lazily on read.  A set or a ``range``
+        Expired alerts are pruned lazily on read, once the expiry
+        watermark says one is due.  A set or a ``range``
         (such as the dense compute ids) restricts in O(alerted); an id
         array (a job's allocation, an FP-Tree relay part) is one read of
         the alert column, in which an id past the last one reads the
         spare ``False`` slot; any other iterable is walked whole.
         """
         now = self.sim.now
-        expired = [nid for nid, exp in self._alerted.items() if exp <= now]
-        if expired:
+        if now >= self._next_expiry:
+            expired = [nid for nid, exp in self._alerted.items() if exp <= now]
             for nid in expired:
                 del self._alerted[nid]
             self._alert_col[expired] = False
+            self._next_expiry = min(self._alerted.values(), default=math.inf)
         if among is None:
             return set(self._alerted)
         if isinstance(among, range):

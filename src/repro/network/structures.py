@@ -245,6 +245,10 @@ class _TreeWalk:
 #: broadcasts over a few dozen distinct tree sizes
 _SHAPE_CACHE_SIZE = 64
 
+#: (sizes, width) merged shapes kept by :func:`_forest_shape`; a
+#: simulated day relays over fewer than twenty distinct forests
+_FOREST_CACHE_SIZE = 16
+
 
 class _Shape(t.NamedTuple):
     """Level-order index shape of a tree (or a forest): every non-root
@@ -319,15 +323,19 @@ def _range_end(shape: _Shape, depth: int, pos: int, n: int) -> int:
     return n
 
 
-def _forest_shape(shapes: list[_Shape], offsets: np.ndarray) -> _Shape:
-    """The trees' cached shapes merged depth by depth (tree-major
-    within a depth), positions shifted into the concatenated nodelist."""
-    if len(shapes) == 1:
-        return shapes[0]
+@functools.lru_cache(maxsize=_FOREST_CACHE_SIZE)
+def _forest_shape(sizes: tuple[int, ...], width: int) -> _Shape:
+    """The cached shapes of trees over ``sizes`` entries merged depth by
+    depth (tree-major within a depth), positions shifted into the
+    concatenated nodelist.  Like :func:`_tree_shape` the merge depends
+    only on its key, so a launch over a forest seen before reads it
+    from this cache; its columns are read-only."""
+    shapes = [_tree_shape(n, width) for n in sizes]
+    offsets = list(itertools.accumulate(sizes[:-1], initial=0))
     parts = [
         (off, depth, shape.level(depth))
         for depth in range(1, max(len(shape.bounds) for shape in shapes))
-        for off, shape in zip(offsets.tolist(), shapes)
+        for off, shape in zip(offsets, shapes)
         if depth < len(shape.bounds)
     ]
     bounds = [0] * (parts[-1][1] + 1)
@@ -337,7 +345,11 @@ def _forest_shape(shapes: list[_Shape], offsets: np.ndarray) -> _Shape:
         np.array([off for off, _, _ in parts], dtype=np.int32), [lv[0].size for _, _, lv in parts]
     )
     lo, rank, parent = (np.concatenate([lv[i] for _, _, lv in parts]) for i in range(3))
-    return _Shape(lo + shift, rank, parent + shift, tuple(itertools.accumulate(bounds)))
+    lo += shift
+    parent += shift
+    for column in (lo, rank, parent):
+        column.flags.writeable = False
+    return _Shape(lo, rank, parent, tuple(itertools.accumulate(bounds)))
 
 
 def _check_targets(fabric: "NetworkFabric", arr: np.ndarray, offsets: np.ndarray) -> None:
@@ -383,8 +395,9 @@ def _run_forest(walks: list[_TreeWalk], arr: np.ndarray, per_target_root_s: floa
 
     ``arr`` is the trees' nodelists concatenated, ``int64``, and each
     walk's nodelist is its view of it.  Every level is processed as
-    numpy arrays over the cached tree shapes (:func:`_tree_shape`) of
-    all trees at once; a single tree is simply a forest of one.  Times
+    numpy arrays over the cached merged shape (:func:`_forest_shape`)
+    of all trees at once; a single tree reads its own shape
+    (:func:`_tree_shape`).  Times
     live in one array over ``arr``, so per-tree makespans fall out of
     one ``np.maximum.reduceat``.  Before any delay, :func:`_check_targets`
     rejects what the scalar path rejects.  While no target is down,
@@ -418,8 +431,10 @@ def _run_forest(walks: list[_TreeWalk], arr: np.ndarray, per_target_root_s: floa
         up[offsets] = True  # a root's own liveness is never asked
         if up.all():
             up = None
-    shapes = [_tree_shape(n, width) for n in sizes]
-    forest = _forest_shape(shapes, offsets)
+    if len(sizes) == 1:
+        forest = _tree_shape(sizes[0], width)
+    else:
+        forest = _forest_shape(tuple(sizes), width)
     wait = forest.rank * SEND_OVERHEAD_S  # a child's dispatch offset after its parent is ready
     if up is None:
         delays = fabric.link_delays(codes.take(forest.parent), codes.take(forest.lo), size_bytes)
@@ -463,7 +478,7 @@ def _run_forest(walks: list[_TreeWalk], arr: np.ndarray, per_target_root_s: floa
             # the scalar takeover walks Python ints, converted once per tree
             walk.nodelist = walk.nodelist.tolist()
         p_lo -= int(offsets[t_i])
-        p_hi = _range_end(shapes[t_i], p_level, p_lo, sizes[t_i])
+        p_hi = _range_end(_tree_shape(sizes[t_i], width), p_level, p_lo, sizes[t_i])
         walk.timeouts += 1
         walk.failed.append(walk.nodelist[p_lo])
         walk.takeover(p_lo, p_hi, parent_id, initiated_s + DEAD_NODE_PENALTY_S, p_level)

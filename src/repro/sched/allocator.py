@@ -19,8 +19,13 @@ search of the sorted ids finds it.
   is released or shrunk away), which is what makes ``mark_down`` /
   ``mark_up`` O(1) instead of a scan over every running job's allocation.
 
-Allocation is *first-fit-by-id*: a k-node job receives the first k
-columns of ``flatnonzero(state == FREE)``, i.e. the k smallest free ids.
+Allocation is *first-fit-by-id*: a k-node job receives the k smallest
+free ids.  The pool keeps a free *floor* ``_floor``, a column below
+which nothing is FREE: a first-fit claim raises it past the columns it
+binds, and a column turning FREE (a release, a shrink, a repair) lowers
+it.  The scan reads the state column from the floor in doubling windows
+and stops once it holds k free columns, so a launch reads about as many
+columns as the job takes, not the machine.
 An allocation is one read-only ``int64`` array of node ids, the form
 every layer down to the tree broadcast reads without a conversion.  A
 single run of consecutive columns is handed out as a view of the pool's
@@ -76,9 +81,14 @@ class NodePool:
     """Columnar free/running bookkeeping over a fixed universe.
 
     Allocation order is *first-fit-by-id*: a k-node job always receives
-    the k smallest free node ids, found by one vectorised scan of the
-    state column and handed out as a slice or a ``take`` of ``_id_col``.
+    the k smallest free node ids, found by a windowed scan of the state
+    column from the free floor and handed out as a slice or a ``take``
+    of ``_id_col``.
     """
+
+    #: columns in the free scan's first window: a pool this small is one
+    #: scan from the floor, never more calls than a whole-column scan
+    SCAN_MIN_WINDOW = 1024
 
     def __init__(self, node_ids: t.Sequence[int] | np.ndarray, placement: t.Any = None) -> None:
         id_col = np.array(node_ids, dtype=np.int64)
@@ -100,6 +110,8 @@ class NodePool:
         self._owner = np.full(n, _NO_OWNER, dtype=np.int64)
         self._n_free = n
         self._n_down = 0
+        #: no column below it is FREE (a lower bound, not kept exact)
+        self._floor = 0
         self.running: dict[int, RunningJob] = {}
         #: Σ nodes held above ``min_nodes`` over malleable records, whatever
         #: the job's state: an upper bound on what contraction can free
@@ -185,9 +197,14 @@ class NodePool:
 
     def _claim(self, k: int, job_id: int) -> np.ndarray:
         """Bind ``k`` free nodes to ``job_id``: first-fit or placement."""
+        if k < 0:
+            raise SchedulingError(f"job {job_id}: negative width {k}")
         if self.placement is None:
             cols = self._pop_smallest_free(k)
             chosen = self._handout(cols)
+            if k:
+                # every free column below the last one taken was taken too
+                self._floor = int(cols[-1]) + 1
         else:
             free = self.free_ids()
             chosen = self.placement.select(free, k)
@@ -207,11 +224,23 @@ class NodePool:
         return chosen
 
     def _pop_smallest_free(self, k: int) -> np.ndarray:
-        """Columns of the k smallest free ids (ascending)."""
-        cols = np.flatnonzero(self._state == _FREE)[:k]
-        if len(cols) < k:
+        """Columns of the k smallest free ids (ascending).
+
+        Scans from the floor in windows that start at
+        ``max(k, SCAN_MIN_WINDOW)`` columns and double, stopping at the
+        window that completes k.
+        """
+        state = self._state
+        lo, window = self._floor, max(k, self.SCAN_MIN_WINDOW)
+        cols = np.flatnonzero(state[lo : lo + window] == _FREE)[:k] + lo
+        while cols.size < k and lo + window < state.size:
+            lo += window
+            window *= 2
+            more = np.flatnonzero(state[lo : lo + window] == _FREE)[: k - cols.size] + lo
+            cols = np.concatenate((cols, more))
+        if cols.size < k:
             raise SchedulingError(
-                f"free count drifted: wanted {k} nodes, {len(cols)} free in the state column"
+                f"free count drifted: wanted {k} nodes, {cols.size} free in the state column"
             )
         return cols
 
@@ -237,6 +266,8 @@ class NodePool:
         state = self._state
         up = cols[state[cols] != _DOWN]
         state[up] = _FREE
+        if up.size:
+            self._floor = min(self._floor, int(up.min()))
         self._n_free += len(up)
         self.version += 1
 
@@ -333,6 +364,7 @@ class NodePool:
             if self._owner[c] == _NO_OWNER:
                 self._state[c] = _FREE
                 self._n_free += 1
+                self._floor = min(self._floor, c)
             else:
                 # The job kept running on its surviving nodes; this one
                 # rejoins the allocation it never formally left.

@@ -32,6 +32,19 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             MonitoringConfig(precursor_fraction=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"false_alarm_per_node_hour": float("inf")}, id="rate-inf"),
+            pytest.param({"false_alarm_per_node_hour": float("nan")}, id="rate-nan"),
+            pytest.param({"alert_ttl_hours": float("inf")}, id="ttl-inf"),
+            pytest.param({"alert_ttl_hours": float("nan")}, id="ttl-nan"),
+        ],
+    )
+    def test_non_finite_settings_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError, match="finite"):
+            MonitoringConfig(**kwargs)
+
 
 class TestAlerts:
     def test_raise_alert_marks_predicted(self):

@@ -203,6 +203,22 @@ class TestFirstFit:
         assert got.dtype == np.int64 and not got.flags.writeable
         assert got.base is None
 
+    def test_negative_width_allocate_rejected_without_mutation(self):
+        pool = NodePool(range(16))
+        with pytest.raises(SchedulingError, match="negative width"):
+            pool.allocate(make_job(job_id=1, n_nodes=3), 0.0, width=-3)
+        assert pool.n_free == 16 == len(pool.free_ids())
+        assert not pool.running and pool._floor == 0
+        assert pool.allocate(make_job(job_id=2, n_nodes=1), 0.0, width=0).tolist() == []
+
+    def test_negative_grow_rejected_without_mutation(self):
+        pool = NodePool(range(16))
+        pool.allocate(make_job(job_id=1, n_nodes=4), 0.0)
+        with pytest.raises(SchedulingError, match="negative width"):
+            pool.grow_allocation(1, -2)
+        assert pool.n_free == 12 == len(pool.free_ids())
+        assert pool.running[1].node_ids.tolist() == [0, 1, 2, 3]
+
     def test_counter_drift_raises_scheduling_error(self):
         pool = NodePool(range(4))
         pool._n_free += 1  # corrupt the counter behind the columns' back
