@@ -84,6 +84,27 @@ def feature_key(job: Job) -> FeatureKey:
     return (job.name, job.user, job.n_nodes, job.cores_per_node, submission_hour(job))
 
 
+def _encode(key: FeatureKey) -> np.ndarray:
+    """The unstandardised feature vector (Table IV) of a ``feature_key``."""
+    name, user, n_nodes, cores_per_node, hour = key
+    angle = _TWO_PI * hour / 24.0
+    numeric = np.array(
+        [
+            math.log2(n_nodes + 1),
+            math.log2(n_nodes * cores_per_node + 1),
+            math.sin(angle),
+            math.cos(angle),
+        ]
+    )
+    return np.concatenate(
+        [
+            _signed_hash_vector(name, NAME_DIMS),
+            _signed_hash_vector(user, USER_DIMS),
+            numeric,
+        ]
+    )
+
+
 class FeatureEncoder:
     """Encodes jobs into fixed-length numeric vectors and standardises.
 
@@ -103,32 +124,21 @@ class FeatureEncoder:
     @staticmethod
     def raw(job: Job) -> np.ndarray:
         """Unstandardised feature vector for one job (Table IV)."""
-        hour = submission_hour(job)
-        angle = _TWO_PI * hour / 24.0
-        numeric = np.array(
-            [
-                math.log2(job.n_nodes + 1),
-                math.log2(job.n_nodes * job.cores_per_node + 1),
-                math.sin(angle),
-                math.cos(angle),
-            ]
-        )
-        return np.concatenate(
-            [
-                _signed_hash_vector(job.name, NAME_DIMS),
-                _signed_hash_vector(job.user, USER_DIMS),
-                numeric,
-            ]
-        )
+        return _encode(feature_key(job))
 
     @classmethod
     def raw_matrix(cls, jobs: t.Sequence[Job]) -> np.ndarray:
+        """``np.stack([raw(j) for j in jobs])``, encoding each distinct
+        ``feature_key`` once and gathering the rows."""
         if not jobs:
             return np.empty((0, N_FEATURES))
-        return np.stack([cls.raw(j) for j in jobs])
+        row_of: dict[FeatureKey, int] = {}
+        rows = [row_of.setdefault(feature_key(j), len(row_of)) for j in jobs]
+        return np.stack([_encode(key) for key in row_of])[rows]
 
     # -- standardisation --------------------------------------------------
-    def fit(self, jobs: t.Sequence[Job]) -> "FeatureEncoder":
+    def _fit_raw(self, jobs: t.Sequence[Job]) -> np.ndarray:
+        """Learn the standardisation from ``jobs``; their raw matrix."""
         if not jobs:
             raise EstimationError("cannot fit encoder on an empty job set")
         X = self.raw_matrix(jobs)
@@ -137,7 +147,15 @@ class FeatureEncoder:
         std[std < 1e-12] = 1.0  # constant dimensions pass through
         self._std = std
         self._one_cache = {}
+        return X
+
+    def fit(self, jobs: t.Sequence[Job]) -> "FeatureEncoder":
+        self._fit_raw(jobs)
         return self
+
+    def fit_transform(self, jobs: t.Sequence[Job]) -> np.ndarray:
+        """``fit(jobs).transform(jobs)`` from one raw matrix."""
+        return (self._fit_raw(jobs) - self._mean) / self._std * _WEIGHTS
 
     @property
     def fitted(self) -> bool:
@@ -148,14 +166,16 @@ class FeatureEncoder:
             raise EstimationError("encoder not fitted")
         return (self.raw_matrix(jobs) - self._mean) / self._std * _WEIGHTS
 
-    def transform_one(self, job: Job) -> np.ndarray:
-        """One job's encoded vector (read-only; shared by repeat jobs)."""
+    def transform_one(self, job: Job, key: FeatureKey | None = None) -> np.ndarray:
+        """One job's encoded vector (read-only; shared by repeat jobs);
+        ``key`` is the job's ``feature_key`` when the caller has it."""
         if self._mean is None or self._std is None:
             raise EstimationError("encoder not fitted")
-        key = feature_key(job)
+        if key is None:
+            key = feature_key(job)
         x = self._one_cache.get(key)
         if x is None:
-            x = (self.raw(job) - self._mean) / self._std * _WEIGHTS
+            x = (_encode(key) - self._mean) / self._std * _WEIGHTS
             x.setflags(write=False)
             self._one_cache[key] = x
         return x

@@ -42,6 +42,10 @@ from repro.telemetry import facade as telemetry
 HOUR = 3600.0
 
 
+#: ``EstimatorConfig`` fields that count jobs or clusters
+_INT_FIELDS = ("window", "min_history", "k_clusters", "k_max", "min_cluster_size", "refresh_jobs")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Tunables of the ESLURM estimation framework.
@@ -76,6 +80,16 @@ class EstimatorConfig:
     resid_floor: float = 0.1
 
     def __post_init__(self) -> None:
+        # a float or NaN count slips past the range checks below and
+        # fails later (deque(maxlen=...), KMeans) or turns a trigger off;
+        # a numpy integer is stored as the int it equals
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "k_clusters":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.window < self.min_history or self.min_history < 2:
             raise ConfigurationError("window must hold at least min_history >= 2 jobs")
         # NaN fails every comparison, so these checks are written to
@@ -119,7 +133,7 @@ class _ClusterModel:
         if self.rows is not None:
             X, y, gamma = self.rows
             self.svr = SVR(gamma=gamma).fit(X, y)
-            self.resid_std = float(np.std(y - self.svr.predict(X)))
+            self.resid_std = float(np.std(y - self.svr.train_pred_))
             self.rows = None
         return self.svr
 
@@ -168,8 +182,8 @@ class EslurmEstimator:
 
     def _retrain(self, now: float) -> None:
         jobs = list(self._history)
-        encoder = FeatureEncoder().fit(jobs)
-        X = encoder.transform(jobs)
+        encoder = FeatureEncoder()
+        X = encoder.fit_transform(jobs)
         y = np.log1p([j.runtime_s for j in jobs])
         if self.config.k_clusters is not None:
             k = min(self.config.k_clusters, len(jobs))
@@ -186,27 +200,28 @@ class EslurmEstimator:
         gamma = 10.0 / X.shape[1]
         for c in range(kmeans.n_clusters):
             mask = labels == c
-            members = int(mask.sum())
-            fallback = float(np.expm1(y[mask].mean())) if members else 1.0
+            y_c = y[mask]
+            members = len(y_c)
+            fallback = float(np.expm1(y_c.mean())) if members else 1.0
             model = _ClusterModel(
                 max(fallback, 1.0),
-                y_lo=float(y[mask].min()) if members else 0.0,
-                y_hi=float(y[mask].max()) if members else 50.0,
+                y_lo=float(y_c.min()) if members else 0.0,
+                y_hi=float(y_c.max()) if members else 50.0,
             )
             if members >= self.config.min_cluster_size:
                 # Fitted by the cluster's first query: most clusters of a
                 # generation are replaced before any job asks them.
-                model.rows = (X[mask], y[mask], gamma)
+                model.rows = (X[mask], y_c, gamma)
             elif members > 1:
-                model.resid_std = float(np.std(y[mask]))
+                model.resid_std = float(np.std(y_c))
             models.append(model)
         # Cluster routing for known job names: the categorical part of
         # "match the closest cluster".  Each name seen in the window maps
         # to the cluster holding the majority of its training jobs; a
         # name absent from the map is one the model has never seen.
         name_votes: dict[str, Counter] = {}
-        for job, label in zip(jobs, labels):
-            name_votes.setdefault(job.name, Counter())[int(label)] += 1
+        for job, label in zip(jobs, labels.tolist()):
+            name_votes.setdefault(job.name, Counter())[label] += 1
         name_route = {name: votes.most_common(1)[0][0] for name, votes in name_votes.items()}
         self._encoder = encoder
         self._kmeans = kmeans
@@ -254,7 +269,7 @@ class EslurmEstimator:
         key = feature_key(job)
         answer = self._answers.get(key)
         if answer is None:
-            answer = self._answers[key] = self._model_answer(job, routed)
+            answer = self._answers[key] = self._model_answer(job, key, routed)
         self._pending[job.job_id] = answer
         cluster, raw = answer
         job.model_estimate_s = raw
@@ -263,14 +278,15 @@ class EslurmEstimator:
             return slacked
         return slacked if self.cluster_aea(cluster) > self.config.aea_gate else job.user_estimate_s
 
-    def _model_answer(self, job: Job, routed: int) -> tuple[int, float]:
-        """(cluster, pre-slack estimate) of a routed job under the current
-        generation; a pure function of the job's ``feature_key``."""
+    def _model_answer(self, job: Job, key: FeatureKey, routed: int) -> tuple[int, float]:
+        """(cluster, pre-slack estimate) of a routed job, whose
+        ``feature_key`` is ``key``, under the current generation; a pure
+        function of that key."""
         model = self._models[routed]
         svr = model.fitted_svr()
         uplift = self.config.q_sigma * max(model.resid_std, self.config.resid_floor)
         if svr is not None:
-            log_pred = svr.predict_one(self._encoder.transform_one(job))
+            log_pred = svr.predict_one(self._encoder.transform_one(job, key))
             log_pred = min(max(log_pred, model.y_lo - 0.5), model.y_hi + 0.5)
             raw = float(np.expm1(log_pred + uplift))
         else:

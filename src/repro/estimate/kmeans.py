@@ -8,6 +8,8 @@ K (the knee of the inertia curve via maximum distance to the chord).
 
 from __future__ import annotations
 
+import math
+import operator
 import typing as t
 
 import numpy as np
@@ -15,15 +17,42 @@ import numpy as np
 from repro.errors import EstimationError
 
 
-def _pairwise_sq_dist(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances, shape (n_samples, n_centers)."""
+def _row_sq_norms(X: np.ndarray) -> np.ndarray:
+    """x.x of every row, as a column (the first term of
+    ``_pairwise_sq_dist``, which a fit computes once)."""
+    return (X * X).sum(axis=1)[:, None]
+
+
+def _pairwise_sq_dist(
+    X: np.ndarray, C: np.ndarray, x_sq: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared euclidean distances, shape (n_samples, n_centers);
+    ``x_sq`` is ``_row_sq_norms(X)`` when the caller has it."""
+    if x_sq is None:
+        x_sq = _row_sq_norms(X)
     # (x - c)^2 = x.x - 2 x.c + c.c ; clip the tiny negatives from fp error
-    d = (
-        (X * X).sum(axis=1)[:, None]
-        - 2.0 * X @ C.T
-        + (C * C).sum(axis=1)[None, :]
-    )
+    d = x_sq - 2.0 * X @ C.T + (C * C).sum(axis=1)[None, :]
     return np.maximum(d, 0.0)
+
+
+def _weighted_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """``rng.choice(len(probs), p=probs)``: the search ``choice`` itself
+    runs, one ``rng.random()`` draw into the normalised CDF, without its
+    argument checks."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _n_distinct_rows(X: np.ndarray) -> int:
+    """``np.unique(X, axis=0).shape[0]`` for a finite float X: each row
+    compared as one block of bytes, once ``+ 0.0`` has turned every -0.0
+    into 0.0 (the only equal floats with different bytes)."""
+    n, d = X.shape
+    if d == 0:
+        return min(n, 1)
+    rows = np.ascontiguousarray(X + 0.0).view(np.dtype((np.void, X.itemsize * d)))
+    return len(np.unique(rows))
 
 
 class KMeans:
@@ -43,8 +72,17 @@ class KMeans:
         tol: float = 1e-6,
         rng: np.random.Generator | None = None,
     ) -> None:
+        try:
+            n_clusters = operator.index(n_clusters)
+        except TypeError:
+            raise EstimationError(f"n_clusters must be an integer, got {n_clusters!r}") from None
         if n_clusters < 1:
             raise EstimationError("n_clusters must be >= 1")
+        if not 0 <= tol < math.inf:  # written so that NaN fails
+            raise EstimationError(f"tol must be non-negative and finite, got {tol!r}")
+        #: the requested K; every fit clamps from it
+        self._k = n_clusters
+        #: K: the requested one until a fit, then the one fitted
         self.n_clusters = n_clusters
         self.max_iter = max_iter
         self.tol = tol
@@ -55,22 +93,21 @@ class KMeans:
         self.n_iter_: int = 0
 
     # -- k-means++ seeding -------------------------------------------------
-    def _init_centers(self, X: np.ndarray) -> np.ndarray:
+    def _init_centers(self, X: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
         n = X.shape[0]
         k = self.n_clusters
         centers = np.empty((k, X.shape[1]))
         first = int(self.rng.integers(n))
         centers[0] = X[first]
-        closest = _pairwise_sq_dist(X, centers[:1]).ravel()
+        closest = _pairwise_sq_dist(X, centers[:1], x_sq).ravel()
         for i in range(1, k):
             total = closest.sum()
             if total <= 0:  # all points coincide with chosen centers
                 idx = int(self.rng.integers(n))
             else:
-                probs = closest / total
-                idx = int(self.rng.choice(n, p=probs))
+                idx = _weighted_index(closest / total, self.rng)
             centers[i] = X[idx]
-            closest = np.minimum(closest, _pairwise_sq_dist(X, centers[i : i + 1]).ravel())
+            closest = np.minimum(closest, _pairwise_sq_dist(X, centers[i : i + 1], x_sq).ravel())
         return centers
 
     # -- Lloyd ------------------------------------------------------------
@@ -85,12 +122,12 @@ class KMeans:
         # where many jobs share a wall time) K > n_distinct leaves clusters
         # that can never own a point, and the empty-cluster re-seed loop
         # thrashes without converging.
-        n_distinct = np.unique(X, axis=0).shape[0]
-        k = min(self.n_clusters, n_distinct)
+        k = min(self._k, _n_distinct_rows(X))
         self.n_clusters = k
-        centers = self._init_centers(X)
+        x_sq = _row_sq_norms(X)
+        centers = self._init_centers(X, x_sq)
         for it in range(self.max_iter):
-            d = _pairwise_sq_dist(X, centers)
+            d = _pairwise_sq_dist(X, centers, x_sq)
             labels = d.argmin(axis=1)
             new_centers = np.empty_like(centers)
             for j in range(k):
@@ -99,13 +136,15 @@ class KMeans:
                     # Re-seed an empty cluster at the worst-served point.
                     new_centers[j] = X[d.min(axis=1).argmax()]
                 else:
-                    new_centers[j] = members.mean(axis=0)
+                    # members.mean(axis=0): the same sum and division,
+                    # without mean's Python wrapper
+                    new_centers[j] = np.add.reduce(members, axis=0) / len(members)
             shift = np.linalg.norm(new_centers - centers)
             centers = new_centers
             self.n_iter_ = it + 1
             if shift <= self.tol * max(1.0, np.linalg.norm(centers)):
                 break
-        d = _pairwise_sq_dist(X, centers)
+        d = _pairwise_sq_dist(X, centers, x_sq)
         self.labels_ = d.argmin(axis=1)
         self.inertia_ = float(d.min(axis=1).sum())
         self.centers_ = centers
@@ -134,6 +173,8 @@ def elbow_k(
     inertia curve — the classical geometric knee.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise EstimationError("elbow_k needs a 2-D array")
     n = X.shape[0]
     if n == 0:
         raise EstimationError("elbow_k needs data")
@@ -141,7 +182,7 @@ def elbow_k(
     # of distinct rows overflows K relative to the data (every extra k
     # repeats the same zero-improvement inertia and can crown a bogus
     # elbow at the duplicated tail).
-    k_max = min(k_max, np.unique(X, axis=0).shape[0])
+    k_max = min(k_max, _n_distinct_rows(X))
     rng = rng or np.random.default_rng(0)
     ks = np.arange(1, k_max + 1)
     inertias = np.array([KMeans(int(k), rng=rng).fit(X).inertia_ for k in ks])

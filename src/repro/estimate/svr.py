@@ -12,8 +12,18 @@ the stopping rule of ``scipy.optimize.minimize(method="L-BFGS-B")``, so
 its dual coefficients are bit-for-bit the ones ``minimize`` returns.
 What it saves is ``minimize``'s per-call set-up and per-evaluation
 wrapping, which on the estimator's problems (2n ≤ 140 variables) cost
-more than the objective itself.  ``tests/estimate/test_svr_driver.py``
-holds the two equal.
+more than the objective itself.  The loop allocates its work vectors
+(β, Kβ, Kβ - y) once per fit and evaluates the objective into them
+with ``out=`` ufuncs and ``np.add.reduce``, each expression in
+``minimize``'s order.  ``tests/estimate/test_svr_driver.py`` holds the
+two equal.
+
+``fit`` keeps the training predictions ``K β + ȳ`` from the kernel the
+solver used (``train_pred_``): ``predict`` on the training rows would
+rebuild that same n×n kernel.  ``predict_one``, the estimator's submit
+path, builds its one kernel row inline with ``_kernel``'s operations
+in ``_kernel``'s order.  ``tests/estimate/test_svr_twin.py`` twins both
+against ``predict``.
 
 The kernel is loaded on its own, at a process's first fit: ``_setulb``
 imports the extension module from scipy's ``optimize`` directory
@@ -32,6 +42,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 import typing as t
@@ -79,7 +90,7 @@ def _rbf(
     X: np.ndarray, Y: np.ndarray, gamma: float, y_sq: np.ndarray | None = None
 ) -> np.ndarray:
     if y_sq is None:
-        y_sq = (Y * Y).sum(axis=1)[None, :]
+        y_sq = (Y * Y).sum(axis=1)
     d = (X * X).sum(axis=1)[:, None] - 2.0 * X @ Y.T + y_sq
     return np.exp(-gamma * np.maximum(d, 0.0))
 
@@ -107,6 +118,11 @@ def _solve_dual(
     lsave = np.zeros(4, dtype=np.int32)
     isave = np.zeros(44, dtype=np.int32)
     dsave = np.zeros(29)
+    # the objective's work buffers, written in place at every evaluation
+    beta = np.empty(n)
+    half_beta = np.empty(n)
+    Kb = np.empty(n)
+    r = np.empty(n)
     f = 0.0
     # minimize evaluates x0 once before the loop and answers setulb's
     # first request from that; its cap counts it once
@@ -117,10 +133,13 @@ def _solve_dual(
                task, lsave, isave, dsave, _MAXLS, ln_task)
         if task[0] == _FG:
             nfev += 1
-            beta = a - a_star
-            Kb = K @ beta
-            f = 0.5 * beta @ Kb - y @ beta + eps * (a.sum() + a_star.sum())
-            r = Kb - y
+            # f = 0.5 * beta @ Kb - y @ beta + eps * (a.sum() + a_star.sum()),
+            # the same operations in the same order, into the buffers
+            np.subtract(a, a_star, out=beta)
+            np.matmul(K, beta, out=Kb)
+            np.multiply(0.5, beta, out=half_beta)
+            f = half_beta @ Kb - y @ beta + eps * (np.add.reduce(a) + np.add.reduce(a_star))
+            np.subtract(Kb, y, out=r)
             np.add(r, eps, out=g_a)
             np.subtract(eps, r, out=g_star)
         elif task[0] == _NEW_X:
@@ -166,6 +185,10 @@ class SVR:
             raise EstimationError(f"bias_term must be finite, got {bias_term!r}")
         if kernel not in ("rbf", "linear", "rbf+linear"):
             raise EstimationError(f"unknown kernel {kernel!r}")
+        try:
+            max_iter = operator.index(max_iter)
+        except TypeError:
+            raise EstimationError(f"max_iter must be an integer, got {max_iter!r}") from None
         if max_iter < 1:
             raise EstimationError("max_iter must be >= 1")
         self.C = C
@@ -179,6 +202,8 @@ class SVR:
         self._beta: np.ndarray | None = None
         self._gamma_eff: float = 1.0
         self._y_mean: float = 0.0
+        #: ``predict`` of the training rows, from the kernel the fit solved
+        self.train_pred_: np.ndarray | None = None
 
     # -- kernels ---------------------------------------------------------
     def _kernel(
@@ -211,13 +236,15 @@ class SVR:
         # far from the data revert to the training mean instead.
         self._y_mean = float(y.mean())
         y = y - self._y_mean
-        self._beta = _solve_dual(
-            self._kernel(X, X), y, self.epsilon, float(self.C), self.max_iter
-        )
+        K = self._kernel(X, X)
+        self._beta = _solve_dual(K, y, self.epsilon, float(self.C), self.max_iter)
+        # predict(X)'s kernel is K itself (the same rows, norms and
+        # products), so the training predictions cost one product
+        self.train_pred_ = K @ self._beta + self._y_mean
         self._X = X
         # Support-vector row norms, reused by every prediction — the
         # submit-path predict_one is the estimator's hot loop.
-        self._X_sq = (X * X).sum(axis=1)[None, :]
+        self._X_sq = (X * X).sum(axis=1)
         return self
 
     @property
@@ -233,8 +260,16 @@ class SVR:
 
     def predict_one(self, x: np.ndarray) -> float:
         """``predict`` of one float feature vector (the estimator's submit
-        path), without ``predict``'s input coercion."""
+        path), without ``predict``'s input coercion: ``_kernel``'s
+        operations on one row, in its order, with no dispatch."""
         if self._beta is None:
             raise EstimationError("SVR not fitted")
-        K = self._kernel(x[None, :], self._X, self._X_sq)
-        return float((K @ self._beta)[0] + self._y_mean)
+        XT = self._X.T
+        if self.kernel == "linear":
+            k = x @ XT / max(x.shape[0], 1)
+        else:
+            d = np.add.reduce(x * x) - 2.0 * x @ XT + self._X_sq
+            k = np.exp(-self._gamma_eff * np.maximum(d, 0.0))
+            if self.kernel == "rbf+linear":
+                k = k + 0.3 * (x @ XT) / max(x.shape[0], 1)
+        return float((k + self.bias_term) @ self._beta + self._y_mean)

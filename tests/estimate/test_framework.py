@@ -80,6 +80,23 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             EstimatorConfig(**field)
 
+    # a NaN or fractional count passed the range checks: window=nan died
+    # in deque(maxlen=...), refresh_jobs=nan turned count retraining off
+    @pytest.mark.parametrize(
+        "field", ["window", "min_history", "k_clusters", "k_max", "min_cluster_size", "refresh_jobs"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 40.0, True, "40"])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            EstimatorConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = EstimatorConfig(window=np.int64(700), k_clusters=np.int32(15))
+        assert EslurmEstimator(cfg).config.window == 700
+
+    def test_elbow_k_clusters_none_accepted(self):
+        assert EstimatorConfig(k_clusters=None).k_clusters is None
+
     def test_infinite_refresh_interval_accepted(self):
         assert EstimatorConfig(refresh_interval_s=float("inf")).refresh_interval_s == float("inf")
 

@@ -69,6 +69,25 @@ class TestKMeans:
         with pytest.raises(EstimationError):
             KMeans(2).predict(np.ones((2, 2)))
 
+    def test_refit_clamps_from_the_requested_k(self):
+        few = np.repeat(np.eye(3), 4, axis=0)  # 3 distinct rows
+        X, _ = blobs(k=3, n_per=50, seed=6)
+        km = KMeans(15, rng=np.random.default_rng(0))
+        assert km.fit(few).n_clusters == 3
+        assert km.fit(X).n_clusters == 15
+        assert len(km.centers_) == 15
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, np.nan, "3"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(EstimationError, match="n_clusters"):
+            KMeans(k)
+
+    # a NaN tolerance failed every convergence check: max_iter rounds
+    @pytest.mark.parametrize("tol", [np.nan, -1e-6, np.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(EstimationError, match="tol"):
+            KMeans(3, tol=tol)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_rejected(self, bad):
         X, _ = blobs(seed=1)

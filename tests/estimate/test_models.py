@@ -74,6 +74,15 @@ class TestSVR:
         with pytest.raises(EstimationError):
             SVR(max_iter=max_iter)
 
+    # a NaN cap failed every check, so the fit ran to the evaluation cap
+    @pytest.mark.parametrize("max_iter", [math.nan, 2.5, 300.0, "300"])
+    def test_non_integer_max_iter_rejected(self, max_iter):
+        with pytest.raises(EstimationError, match="max_iter"):
+            SVR(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        assert SVR(max_iter=np.int64(7)).max_iter == 7
+
     @pytest.mark.parametrize("param, value", [
         ("C", -1.0), ("C", math.nan), ("C", math.inf),
         ("epsilon", -0.1), ("epsilon", math.nan), ("epsilon", math.inf),
