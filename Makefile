@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-e2e-check bench-e2e-smoke bench-e2e-gate verify-smoke sweep-smoke malleable-smoke paper-orderings-smoke lint-imports
+.PHONY: test test-fast test-slow test-chaos chaos-smoke test-bench bench-smoke bench-e2e-check bench-e2e-smoke bench-e2e-gate verify-smoke sweep-smoke malleable-smoke paper-orderings-smoke examples-smoke census lint-imports
 
 ## Full tier-1 suite (the CI gate).
 test:
@@ -146,6 +146,25 @@ malleable-smoke:
 ## the quick-mode bench files on the daemon accounting (~5 s).
 paper-orderings-smoke:
 	$(PYTHON) -m pytest -q benchmarks/bench_fig7.py benchmarks/bench_fig9.py benchmarks/bench_motivation.py --benchmark-disable
+
+## Smoke: run each of the five examples/ scripts (~16 s on a 2-CPU
+## host, 13 s of it runtime_estimation.py).  Some library paths are
+## reached only from them (the packages' lazy __getattr__,
+## EslurmRM.fptree_stats, ConstructionStats.leaf_placement_ratio).
+EXAMPLES := quickstart failure_storm fptree_broadcast runtime_estimation scaling_study
+
+examples-smoke:
+	@for ex in $(EXAMPLES); do \
+		$(PYTHON) examples/$$ex.py > /dev/null || { echo "examples/$$ex.py failed"; exit 1; }; \
+		echo "examples/$$ex.py: OK"; \
+	done
+
+## The consumer census: run every consumer (CLI verbs, oracles, chaos,
+## e2e workloads, examples) under a call hook and print the src/repro
+## functions none of them called, with line counts.  Not a CI step:
+## about 10 CPU-minutes on a 2-CPU host.
+census:
+	$(PYTHON) benchmarks/census.py
 
 ## Import every top-level package (and the CLI) first, each in a fresh
 ## interpreter: an import cycle only fails when its package loads first.

@@ -21,6 +21,8 @@ import math
 import typing as t
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.cluster.failures import FailureModel
 from repro.cluster.spec import Cluster, ClusterSpec
 from repro.errors import ConfigurationError
@@ -101,6 +103,35 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"unknown RM {self.rm!r}; choose from {sorted(RM_PROFILES)}"
             )
+        # a float count or seed, or a bool passing as 1, would fail deep
+        # in the run; a numpy integer is stored as the int it equals
+        for name in ("n_nodes", "n_satellites", "n_jobs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        for name in ("failures", "malleable", "monitoring"):
+            value = getattr(self, name)
+            if not isinstance(value, bool) and not (name == "monitoring" and value is None):
+                raise ConfigurationError(f"{name} must be a bool, got {value!r}")
+        if isinstance(self.estimator, str):
+            if self.estimator != "auto":
+                raise ConfigurationError(
+                    f"unknown estimator {self.estimator!r}; pass 'auto' or an estimator object"
+                )
+            if self.rm != "eslurm":
+                raise ConfigurationError(
+                    f"estimator 'auto' builds ESLURM's framework; rm {self.rm!r} "
+                    "needs an estimator object"
+                )
+        elif self.estimator is not None and not all(
+            callable(getattr(self.estimator, method, None)) for method in ("estimate", "observe")
+        ):
+            raise ConfigurationError(
+                f"estimator must have estimate() and observe(), got {self.estimator!r}"
+            )
         if self.n_nodes < 1 or not (
             math.isfinite(self.horizon_s) and self.horizon_s > 0
         ):
@@ -121,11 +152,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"unknown placement {self.placement!r}; choose from {list(PLACEMENT_NAMES)}"
             )
-
-    @property
-    def monitoring_effective(self) -> bool:
-        """The resolved monitoring flag (``None`` follows ``failures``)."""
-        return self.failures if self.monitoring is None else self.monitoring
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,6 @@ class ChaosReport:
     def ok(self) -> bool:
         return self.total_violations == 0
 
-    def repro_hint(self) -> str:
-        """The command that replays this exact run."""
-        return f"repro chaos run {self.scenario} --seed {self.seed}"
-
     def to_text(self) -> str:
         """Canonical, deterministic rendering of the whole report."""
         lines = [
@@ -79,5 +75,5 @@ class ChaosReport:
         if len(self.violations) > _MAX_RENDERED:
             lines.append(f"  ... {len(self.violations) - _MAX_RENDERED} more recorded")
         if not self.ok:
-            lines.append(f"  reproduce with: {self.repro_hint()}")
+            lines.append(f"  reproduce with: repro chaos run {self.scenario} --seed {self.seed}")
         return "\n".join(lines)

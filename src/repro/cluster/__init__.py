@@ -2,8 +2,8 @@
 
 This package models the physical machine the resource manager runs on:
 
-* :mod:`repro.cluster.node` — node roles, liveness states (UP/DOWN)
-  and their column codes, and per-node hardware;
+* :mod:`repro.cluster.node` — liveness states (UP/DOWN), their column
+  codes, and the read-only id arrays allocations travel as;
 * :mod:`repro.cluster.spec` — declarative cluster descriptions (with
   presets for the paper's Tianhe-2A and NG-Tianhe systems) and the
   instantiated :class:`~repro.cluster.spec.Cluster`, where a node is a
@@ -20,12 +20,11 @@ This package models the physical machine the resource manager runs on:
 
 from repro.cluster.failures import FailureEvent, FailureInjector, FailureModel
 from repro.cluster.monitoring import HealthMonitor
-from repro.cluster.node import NodeRole, NodeState
+from repro.cluster.node import NodeState
 from repro.cluster.spec import Cluster, ClusterSpec
 from repro.cluster.topology import Topology
 
 __all__ = [
-    "NodeRole",
     "NodeState",
     "Cluster",
     "ClusterSpec",

@@ -21,7 +21,7 @@ prediction relies on (Section IV-C of the paper).
 from __future__ import annotations
 
 import typing as t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.node import NodeState
 from repro.errors import ConfigurationError
@@ -239,10 +239,6 @@ class FailureInjector:
     ) -> None:
         """Operator-style mass removal (the paper's day-6 600-node event)."""
         self.schedule_fault("maintenance", at, node_ids, duration)
-
-    def maintenance_until(self, node_id: int) -> float:
-        """End of the node's latest maintenance window (0.0 if none)."""
-        return self._maint_until.get(node_id, 0.0)
 
     # -- statistics ----------------------------------------------------------
     def failures_injected(self) -> int:

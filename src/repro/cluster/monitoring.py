@@ -199,9 +199,3 @@ class HealthMonitor:
     # -- statistics ----------------------------------------------------------
     def alert_count(self) -> int:
         return len(self.alerts)
-
-    def spurious_fraction(self) -> float:
-        """Fraction of alerts that were false alarms (over-prediction)."""
-        if not self.alerts:
-            return 0.0
-        return sum(a.spurious for a in self.alerts) / len(self.alerts)

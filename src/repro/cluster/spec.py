@@ -1,7 +1,7 @@
 """Declarative cluster descriptions and the instantiated cluster.
 
-A :class:`ClusterSpec` is pure configuration — sizes, hardware, topology,
-failure parameters.  Calling :meth:`ClusterSpec.build` on a simulator
+A :class:`ClusterSpec` is pure configuration — sizes, topology, failure
+parameters.  Calling :meth:`ClusterSpec.build` on a simulator
 produces a :class:`Cluster`: the live object holding the node liveness
 column, the failure injector, and the health monitor.
 
@@ -21,17 +21,7 @@ import numpy as np
 
 from repro.cluster.failures import FailureInjector, FailureModel
 from repro.cluster.monitoring import HealthMonitor, MonitoringConfig
-from repro.cluster.node import (
-    DOWN_CODE,
-    MASTER_NODE,
-    NGTIANHE_NODE,
-    STATE_OF_CODE,
-    TIANHE2A_NODE,
-    UP_CODE,
-    HardwareSpec,
-    NodeRole,
-    NodeState,
-)
+from repro.cluster.node import DOWN_CODE, STATE_OF_CODE, UP_CODE, NodeState
 from repro.cluster.topology import Topology
 from repro.errors import ClusterError, ConfigurationError
 
@@ -47,7 +37,6 @@ class ClusterSpec:
         n_nodes: number of *compute* nodes (master/satellites are extra).
         n_satellites: satellite nodes provisioned for ESLURM (``m`` in
             Eq. 1 of the paper).  Centralized RMs simply ignore them.
-        compute_hw / master_hw: hardware of compute and master nodes.
         topology: physical layout.
         failure_model: stochastic failure behaviour.
         monitoring: monitoring/diagnostic subsystem parameters.
@@ -56,8 +45,6 @@ class ClusterSpec:
 
     n_nodes: int = 1024
     n_satellites: int = 2
-    compute_hw: HardwareSpec = TIANHE2A_NODE
-    master_hw: HardwareSpec = MASTER_NODE
     topology: Topology = field(default_factory=Topology)
     failure_model: FailureModel = field(default_factory=FailureModel)
     monitoring: MonitoringConfig = field(default_factory=MonitoringConfig)
@@ -76,7 +63,6 @@ class ClusterSpec:
         return cls(
             n_nodes=n_nodes,
             n_satellites=n_satellites,
-            compute_hw=TIANHE2A_NODE,
             name=f"tianhe2a-{n_nodes}",
         )
 
@@ -86,7 +72,6 @@ class ClusterSpec:
         return cls(
             n_nodes=n_nodes,
             n_satellites=n_satellites,
-            compute_hw=NGTIANHE_NODE,
             name=f"ng-tianhe-{n_nodes}",
         )
 
@@ -102,7 +87,7 @@ class Cluster:
     is ``n_nodes``; satellites are ``n_nodes+1 .. n_nodes+n_satellites``.
     A node is its id.  Its role follows from that layout, its name and
     rack/chassis/board are derived on demand (:meth:`name_of`,
-    :meth:`role_of`, ``topology.coordinates``), and its liveness is one
+    ``topology.coordinates``), and its liveness is one
     column over every id: ``state``, ``uint8`` ``UP_CODE``/``DOWN_CODE``
     codes, a numpy view of a ``bytearray`` so scalar reads are Python
     ints.  Which job holds a node is not recorded here: the RM's
@@ -176,13 +161,6 @@ class Cluster:
         self._check_id(node_id)
         return STATE_OF_CODE[self._state[node_id]]
 
-    def role_of(self, node_id: int) -> NodeRole:
-        self._check_id(node_id)
-        n = self.n_nodes
-        if node_id < n:
-            return NodeRole.COMPUTE
-        return NodeRole.MASTER if node_id == n else NodeRole.SATELLITE
-
     def name_of(self, node_id: int) -> str:
         """``cnNNNNN`` for compute nodes, ``master``, ``satNN`` for satellites."""
         self._check_id(node_id)
@@ -200,10 +178,6 @@ class Cluster:
         """Ids of compute nodes currently DOWN."""
         n = self.n_nodes
         return {nid for nid in self._unresponsive if nid < n}
-
-    def failed_fraction(self) -> float:
-        """Fraction of compute nodes currently unresponsive."""
-        return len(self.down_ids()) / self.n_nodes
 
     # -- liveness control (delegates used heavily by experiments) ----------
     def fail_nodes(self, node_ids: t.Iterable[int]) -> None:

@@ -89,14 +89,6 @@ class Topology:
     def rack_of(self, node_id: int) -> int:
         return self.coordinates(node_id)[0]
 
-    def nodes_in_rack(self, rack: int, total_nodes: int) -> range:
-        """Node ids located in ``rack`` (clipped to the cluster size)."""
-        start = rack * self.nodes_per_rack
-        stop = min(start + self.nodes_per_rack, total_nodes)
-        if start >= total_nodes:
-            return range(0)
-        return range(start, stop)
-
     def racks_for(self, total_nodes: int) -> int:
         """Number of (possibly partially filled) racks for a cluster size."""
         return -(-total_nodes // self.nodes_per_rack)

@@ -157,10 +157,6 @@ class FeatureEncoder:
         """``fit(jobs).transform(jobs)`` from one raw matrix."""
         return (self._fit_raw(jobs) - self._mean) / self._std * _WEIGHTS
 
-    @property
-    def fitted(self) -> bool:
-        return self._mean is not None
-
     def transform(self, jobs: t.Sequence[Job]) -> np.ndarray:
         if self._mean is None or self._std is None:
             raise EstimationError("encoder not fitted")

@@ -156,15 +156,8 @@ class RandomForestRegressor:
             self._trees.append(tree)
         return self
 
-    @property
-    def fitted(self) -> bool:
-        return bool(self._trees)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not self._trees:
             raise EstimationError("forest not fitted")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.mean([t.predict(X) for t in self._trees], axis=0)
-
-    def predict_one(self, x: np.ndarray) -> float:
-        return float(self.predict(x[None, :])[0])

@@ -59,12 +59,6 @@ class EstimatorReport:
     underestimate_rate: float
     mean_abs_error_s: float
 
-    def row(self) -> str:
-        return (
-            f"{self.name:<12} AEA={self.aea:5.1%}  UR={self.underestimate_rate:5.1%}  "
-            f"MAE={self.mean_abs_error_s:8.1f}s  ({self.n_estimated}/{self.n_jobs} estimated)"
-        )
-
 
 def evaluate_estimator(
     estimator: RuntimeEstimator,

@@ -63,15 +63,8 @@ class BayesianRidge:
         self.lambda_ = lam
         return self
 
-    @property
-    def fitted(self) -> bool:
-        return self.coef_ is not None
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.coef_ is None:
             raise EstimationError("BayesianRidge not fitted")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return X @ self.coef_ + self.intercept_
-
-    def predict_one(self, x: np.ndarray) -> float:
-        return float(self.predict(x[None, :])[0])

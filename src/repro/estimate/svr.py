@@ -247,10 +247,6 @@ class SVR:
         self._X_sq = (X * X).sum(axis=1)
         return self
 
-    @property
-    def fitted(self) -> bool:
-        return self._beta is not None
-
     # -- predict ------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._beta is None or self._X is None:

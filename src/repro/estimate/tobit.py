@@ -15,7 +15,6 @@ upper-tail survival.  Optimised with L-BFGS over (w, b, log σ).
 
 from __future__ import annotations
 
-import typing as t
 from collections import deque
 
 import numpy as np
@@ -81,10 +80,6 @@ class TobitRegressor:
         self.intercept_ = float(theta[d])
         self.sigma_ = float(np.exp(theta[d + 1]))
         return self
-
-    @property
-    def fitted(self) -> bool:
-        return self.coef_ is not None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.coef_ is None:

@@ -227,10 +227,6 @@ class FPTreeBroadcast(BroadcastStructure):
         self.engine = TreeBroadcast(width, per_target_root_s=per_target_root_s)
 
     @property
-    def width(self) -> int:
-        return self.constructor.width
-
-    @property
     def stats(self) -> ConstructionStats:
         return self.constructor.stats
 

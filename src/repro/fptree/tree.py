@@ -65,9 +65,6 @@ class TreeNode:
     node_id: int
     children: list["TreeNode"] = field(default_factory=list)
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def iter_nodes(self) -> t.Iterator["TreeNode"]:
         """Pre-order traversal."""
         stack = [self]
@@ -75,12 +72,6 @@ class TreeNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def leaf_ids(self) -> list[int]:
-        return [n.node_id for n in self.iter_nodes() if n.is_leaf()]
-
-    def size(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
 
 
 def _check_width(width: int) -> None:
@@ -142,8 +133,9 @@ _LEAF_MEMO_MAX = 512
 def leaf_positions(n: int, width: int) -> list[int]:
     """Indices of ``nodelist`` positions that become leaves of the tree.
 
-    Equivalent to ``build_tree(range(n), width).leaf_ids()`` but without
-    constructing nodes — the paper's O(n) "Leaf-nodes Location" pass.
+    The ids of the childless nodes of ``build_tree(range(n), width)``,
+    found without constructing nodes — the paper's O(n) "Leaf-nodes
+    Location" pass.
     """
     _check_width(width)
     if n < 0:

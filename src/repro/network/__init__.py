@@ -1,4 +1,4 @@
-"""Network substrate: messages, latency fabric, sockets, broadcast engines.
+"""Network substrate: message kinds, latency fabric, sockets, broadcast engines.
 
 The fabric models the Tianhe proprietary interconnect at the level the
 paper's experiments need: per-hop latency classes, 25 Gb/s links,
@@ -14,7 +14,7 @@ takeover path.
 
 from repro.network.broadcast import BroadcastResult
 from repro.network.fabric import NetworkFabric
-from repro.network.message import Message, MessageKind
+from repro.network.message import MessageKind
 from repro.network.sockets import ConnectionTracker
 from repro.network.structures import (
     RingBroadcast,
@@ -24,7 +24,6 @@ from repro.network.structures import (
 )
 
 __all__ = [
-    "Message",
     "MessageKind",
     "NetworkFabric",
     "ConnectionTracker",

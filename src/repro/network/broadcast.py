@@ -42,14 +42,6 @@ class BroadcastResult:
     n_timeouts: int = 0
     arrivals: dict[int, float] = field(default_factory=dict)
 
-    @property
-    def n_delivered(self) -> int:
-        return self.n_targets - len(self.failed)
-
-    @property
-    def delivery_ratio(self) -> float:
-        return self.n_delivered / self.n_targets if self.n_targets else 1.0
-
 
 class BroadcastStructure:
     """Base class for broadcast engines."""

@@ -8,9 +8,6 @@ heartbeats are a couple of hundred bytes.
 from __future__ import annotations
 
 import enum
-import itertools
-import typing as t
-from dataclasses import dataclass, field
 
 
 class MessageKind(enum.Enum):
@@ -41,29 +38,3 @@ DEFAULT_SIZES: dict[MessageKind, int] = {
     MessageKind.AGGREGATED_REPLY: 4_096,
     MessageKind.SHUTDOWN: 64,
 }
-
-_msg_counter = itertools.count()
-
-
-@dataclass
-class Message:
-    """One protocol message.
-
-    Attributes:
-        kind: protocol message type.
-        src / dst: node ids (dst may be a broadcast target list owner).
-        size_bytes: wire size; defaults from :data:`DEFAULT_SIZES`.
-        payload: arbitrary application data (not serialised).
-        msg_id: unique id for tracing.
-    """
-
-    kind: MessageKind
-    src: int
-    dst: int
-    size_bytes: int = 0
-    payload: t.Any = None
-    msg_id: int = field(default_factory=lambda: next(_msg_counter))
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            self.size_bytes = DEFAULT_SIZES.get(self.kind, 1_024)

@@ -11,10 +11,9 @@ paper's once-a-second sampling.
 heartbeat and relay pulses once).  It does no accounting at all: it
 appends the pulse's time, count and close time to three typed buffers
 (``array("d")``, ``array("q")``, ``array("d")``, 24 bytes a pulse) and
-schedules no simulator event for the close.  Every read (``current``,
-``series``, :meth:`~ConnectionTracker.peak`,
-:meth:`~ConnectionTracker.mean`) and every :meth:`~ConnectionTracker.open`
-or :meth:`~ConnectionTracker.close` first *folds* the log into the
+schedules no simulator event for the close.  Every read (``series``,
+:meth:`~ConnectionTracker.peak`, :meth:`~ConnectionTracker.mean`) and
+every :meth:`~ConnectionTracker.open` first *folds* the log into the
 series, and so does a pulse that fills the log to :data:`FOLD_SIZE`.
 
 The fold gives exactly the entries one simulator event per close would
@@ -76,8 +75,6 @@ class ConnectionTracker:
         self.sim = sim
         self.owner = owner
         self._current = 0
-        #: connections opened by :meth:`open` and not yet closed
-        self._held = 0
         self._series = TimeSeries(f"{owner}.sockets")
         self.total_opened = 0
         #: the pulse log: time, count and close time of each pulse
@@ -88,12 +85,6 @@ class ConnectionTracker:
         #: pulse) order
         self._carry_c = _NO_CLOSES
         self._carry_n = _NO_COUNTS
-
-    @property
-    def current(self) -> int:
-        """Connections open *now*."""
-        self._fold(self.sim.now)
-        return self._current
 
     @property
     def series(self) -> TimeSeries:
@@ -145,30 +136,13 @@ class ConnectionTracker:
         series._values.frombytes(memoryview(values.astype(np.float64)).cast("B"))
 
     def open(self, count: int = 1) -> None:
-        """Open ``count`` connections."""
+        """Open ``count`` connections held for the rest of the run (a
+        daemon's persistent links)."""
         count = _count(count)
         now = self.sim.now
         self._fold(now)
         self._current += count
-        self._held += count
         self.total_opened += count
-        self._series.record(now, self._current)
-
-    def close(self, count: int = 1) -> None:
-        """Close ``count`` connections opened by :meth:`open`.
-
-        A pulse closes its own connections, so they cannot be closed
-        here."""
-        count = _count(count)
-        if count > self._held:
-            raise NetworkError(
-                f"{self.owner}: closing {count} connections but only "
-                f"{self._held} opened and not yet closed"
-            )
-        now = self.sim.now
-        self._fold(now)
-        self._current -= count
-        self._held -= count
         self._series.record(now, self._current)
 
     def pulse(self, count: int, hold_s: float) -> None:

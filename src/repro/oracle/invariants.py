@@ -28,7 +28,7 @@ going and report everything it saw.
 from __future__ import annotations
 
 import typing as t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -412,7 +412,3 @@ class InvariantRegistry:
     def counts(self) -> tuple[tuple[str, int], ...]:
         """Per-invariant violation totals, in registration order."""
         return tuple(self._counts.items())
-
-    @property
-    def total_violations(self) -> int:
-        return sum(self._counts.values())

@@ -70,12 +70,6 @@ class TaskResult:
     worker: int | None = None  #: worker index, or ``None`` for inline
     wall_s: float = 0.0
 
-    def line(self) -> str:
-        status = "ok  " if self.ok else "FAIL"
-        where = "inline" if self.worker is None else f"worker {self.worker}"
-        detail = "" if self.ok else f" — {(self.error or '').splitlines()[-1]}"
-        return f"[{status}] {self.task_id:<28} {where}  {self.wall_s:6.2f}s{detail}"
-
 
 def resolve_jobs(jobs: int) -> int:
     """Normalise a ``--jobs`` value: ``0`` means cpu autodetect."""

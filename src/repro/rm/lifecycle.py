@@ -36,7 +36,6 @@ import typing as t
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.network.message import MessageKind
 from repro.sched.job import Job, JobState
 from repro.simkit.events import Timer
@@ -81,10 +80,6 @@ class JobLifecycle:
         self.end_state: JobState | None = None
 
     # -- engine entry points -------------------------------------------
-    @property
-    def name(self) -> str:
-        return f"job{self.job.job_id}"
-
     def kill(self) -> None:
         """Fail the job now (node failure, master crash); no-op once DONE."""
         if self.phase != DONE:
@@ -194,9 +189,6 @@ class JobLifecycle:
         self.phase = DONE
         rm._release(job)
 
-    def _on_done(self) -> None:  # pragma: no cover - table completeness
-        raise SimulationError(f"timer fired on finished lifecycle {self.name!r}")
-
     # -- kill path -----------------------------------------------------
     def _kill(self) -> None:
         """Node failure / master crash killed the job mid-flight."""
@@ -213,14 +205,14 @@ class JobLifecycle:
         rm._release(job)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<JobLifecycle {self.name!r} {PHASE_NAMES[self.phase]}>"
+        return f"<JobLifecycle job{self.job.job_id} {PHASE_NAMES[self.phase]}>"
 
 
-#: the FSM table: phase index -> transition run when the phase's timer fires
+#: the FSM table: phase index -> transition run when the phase's timer
+#: fires (DONE arms no timer, so it has no entry)
 _TRANSITIONS: tuple[t.Callable[[JobLifecycle], None], ...] = (
     JobLifecycle._on_launched,
     JobLifecycle._on_work_done,
     JobLifecycle._on_hold_done,
     JobLifecycle._on_term_done,
-    JobLifecycle._on_done,
 )

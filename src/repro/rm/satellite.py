@@ -190,9 +190,6 @@ class SatellitePool:
         #: Eq. 1 audit hooks, called ``(s, n, width, m)`` per evaluation
         self.eq1_observers: list[t.Callable[[int, int, int, int], None]] = []
 
-    def __len__(self) -> int:
-        return len(self.daemons)
-
     # -- Eq. 1 -------------------------------------------------------------
     def compute_n(self, s: int) -> int:
         """Number of satellites for a broadcast to ``s`` slave nodes."""

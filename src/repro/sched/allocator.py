@@ -11,7 +11,7 @@ sets.  Columns follow ascending node id: when the universe is
 search of the sorted ids finds it.
 
 * ``_state`` — one ``uint8`` per node: FREE / BUSY / DOWN.  DOWN wins
-  over BUSY for counting purposes (``n_down`` includes down nodes a job
+  over BUSY for counting purposes (``_n_down`` counts down nodes a job
   still holds), matching the historical set semantics where ``_down``
   membership and allocation-record membership were independent.
 * ``_owner`` — the ``int64`` job id bound to the node, or -1.  The
@@ -133,10 +133,6 @@ class NodePool:
     @property
     def n_free(self) -> int:
         return self._n_free
-
-    @property
-    def n_down(self) -> int:
-        return self._n_down
 
     @property
     def n_busy(self) -> int:

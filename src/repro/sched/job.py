@@ -144,11 +144,6 @@ class Job:
         """Whether the job accepts widths other than ``n_nodes``."""
         return self.min_nodes < self.max_nodes
 
-    @property
-    def width(self) -> int:
-        """Current allocation width (``n_nodes`` before start)."""
-        return len(self.allocated_nodes) or self.n_nodes
-
     def _accumulate_segment(self, now: float) -> None:
         assert self.last_resize_time is not None
         self.alloc_node_seconds += (now - self.last_resize_time) * len(self.allocated_nodes)

@@ -26,12 +26,6 @@ class JobQueue:
     def __len__(self) -> int:
         return len(self._jobs)
 
-    def __bool__(self) -> bool:
-        return bool(self._jobs)
-
-    def __contains__(self, job: Job) -> bool:
-        return job.job_id in self._ids
-
     def __iter__(self) -> t.Iterator[Job]:
         return iter(self._jobs)
 

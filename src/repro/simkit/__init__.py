@@ -14,12 +14,12 @@ Public surface::
     Event            -- a one-shot heap entry carrying callbacks
     Timer            -- re-armable callback timer (the flat FSM lane)
     RngRegistry      -- named, seeded numpy Generator streams
-    TimeSeries, Counter, Tally -- measurement utilities
+    TimeSeries, Tally -- measurement utilities
 """
 
 from repro.simkit.core import Simulator
 from repro.simkit.events import Event, Timer
-from repro.simkit.monitor import Counter, Tally, TimeSeries
+from repro.simkit.monitor import Tally, TimeSeries
 from repro.simkit.rng import RngRegistry
 
 __all__ = [
@@ -28,6 +28,5 @@ __all__ = [
     "Timer",
     "RngRegistry",
     "TimeSeries",
-    "Counter",
     "Tally",
 ]

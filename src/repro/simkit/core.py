@@ -79,22 +79,12 @@ class Simulator:
         """Time of the next *live* scheduled event, or ``inf`` if none.
 
         Lazily discards cancelled entries that surfaced at the top of
-        the heap (see :meth:`repro.simkit.events.Event.cancel`).
+        the heap (see :meth:`repro.simkit.events.Timer.cancel`).
         """
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
         return heap[0][0] if heap else _INFINITY
-
-    def step(self) -> None:
-        """Run exactly one live event; raises if the heap is empty.
-
-        Cancelled entries surfacing at the top are dropped silently:
-        they do not advance the clock, run callbacks, count toward
-        ``events_processed``, or reach trace hooks/probes.
-        """
-        if not self._dispatch(_INFINITY, 1):
-            raise SimulationError("step() on an empty event heap")
 
     # -- run loop ------------------------------------------------------------
     def run(self, until: float | None = None) -> None:

@@ -34,31 +34,12 @@ class Event:
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.callbacks: list[t.Callable[[Event], None]] | None = []
-        #: True once :meth:`cancel` marked the event dead; the heap entry
+        #: True once :meth:`Timer.cancel` marked the event dead; the heap entry
         #: is discarded lazily when it surfaces.
         self.cancelled = False
 
-    @property
-    def processed(self) -> bool:
-        """Whether the event's callbacks have already run."""
-        return self.callbacks is None
-
-    def cancel(self) -> None:
-        """Mark a scheduled event dead without removing it from the heap.
-
-        Heap removal would cost O(n) + re-heapify; instead the entry is
-        skipped when it reaches the top of the heap (lazy deletion, the
-        standard event-calendar technique).  A cancelled event never
-        runs its callbacks, never counts as processed, and never appears
-        in the golden event trace.  Cancelling an already-processed
-        event is an error.
-        """
-        if self.processed:
-            raise SimulationError("cannot cancel a processed event")
-        self.cancelled = True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "processed" if self.processed else "pending"
+        state = "processed" if self.callbacks is None else "pending"
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 

@@ -1,4 +1,4 @@
-"""Measurement utilities: time series, counters and tallies.
+"""Measurement utilities: time series and tallies.
 
 The paper's figures are mostly *resource-usage-over-time* curves sampled
 once per second (Fig. 7, Fig. 9) or summary statistics over a run
@@ -9,7 +9,6 @@ that produce them.
 from __future__ import annotations
 
 import math
-import typing as t
 from array import array
 
 import numpy as np
@@ -86,77 +85,25 @@ class TimeSeries:
             return float(values[-1])
         return float(np.dot(values, widths) / total)
 
-    def resample(self, step: float, until: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Step-hold resampling onto a regular grid (for plotting/benches)."""
-        if step <= 0:
-            raise ValueError("resample step must be positive")
-        if not self._times:
-            return np.array([]), np.array([])
-        times = self.times
-        values = self.values
-        end = float(until) if until is not None else times[-1]
-        grid = np.arange(times[0], end + step / 2, step)
-        idx = np.searchsorted(times, grid, side="right") - 1
-        idx = np.clip(idx, 0, len(values) - 1)
-        return grid, values[idx]
-
-
-class Counter:
-    """A monotonically increasing named counter."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase; use a Tally for signed data")
-        self.value += amount
-
-    def __int__(self) -> int:
-        return self.value
-
 
 class Tally:
-    """Streaming summary statistics (Welford) without storing samples."""
+    """Streaming mean and maximum without storing samples."""
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.n = 0
         self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
         self._max = -math.inf
 
     def record(self, value: float) -> None:
         value = float(value)
         self.n += 1
-        delta = value - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (value - self._mean)
-        self._min = min(self._min, value)
+        self._mean += (value - self._mean) / self.n
         self._max = max(self._max, value)
-
-    def extend(self, values: t.Iterable[float]) -> None:
-        for v in values:
-            self.record(v)
 
     @property
     def mean(self) -> float:
         return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1); 0.0 with fewer than two samples."""
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def min(self) -> float:
-        return self._min if self.n else 0.0
 
     @property
     def max(self) -> float:

@@ -43,14 +43,5 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def fork(self, name: str, index: int) -> np.random.Generator:
-        """An independent per-entity stream, e.g. one per node."""
-        key = zlib.crc32(name.encode("utf-8"))
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(key, int(index)))
-        return np.random.default_rng(seq)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RngRegistry seed={self.seed} streams={sorted(self._streams)}>"

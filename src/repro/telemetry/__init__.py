@@ -20,7 +20,7 @@ Usage::
         print(tel.snapshot()["counters"]["sim.events"])
 """
 
-from repro.telemetry.facade import Telemetry, active, count, gauge, observe, session
+from repro.telemetry.facade import Telemetry, active, count, session
 from repro.telemetry.metrics import (
     DEFAULT_BOUNDS,
     Counter,
@@ -38,7 +38,5 @@ __all__ = [
     "Telemetry",
     "active",
     "count",
-    "gauge",
-    "observe",
     "session",
 ]

@@ -9,8 +9,8 @@ module-level helpers::
     if tel is not None:
         tel.count("net.messages")
 
-or, for one-shot sites, the convenience wrappers ``count`` / ``gauge``
-/ ``observe``.  When no session is active (the default) these reduce
+or, for one-shot sites, the convenience wrapper ``count``.  When no
+session is active (the default) these reduce
 to a global load plus an ``is None`` test, so the hot paths of the
 simulator cost nothing measurable with telemetry off.  ``session()``
 scopes one to a ``with`` block and restores whatever was active
@@ -77,15 +77,3 @@ def count(name: str, value: float = 1.0) -> None:
     tel = _active
     if tel is not None:
         tel.count(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    tel = _active
-    if tel is not None:
-        tel.gauge(name, value)
-
-
-def observe(name: str, value: float) -> None:
-    tel = _active
-    if tel is not None:
-        tel.observe(name, value)

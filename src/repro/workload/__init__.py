@@ -23,12 +23,10 @@ from repro.workload.analysis import (
     job_correlation_by_interval,
 )
 from repro.workload.synthetic import WorkloadConfig, generate_trace
-from repro.workload.trace import JobTrace
 
 __all__ = [
     "WorkloadConfig",
     "generate_trace",
-    "JobTrace",
     "estimate_accuracy_values",
     "job_correlation_by_interval",
     "job_correlation_by_id_gap",

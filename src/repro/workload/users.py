@@ -11,7 +11,6 @@ long-interval correlation of Fig. 5b to zero on NG-Tianhe.
 
 from __future__ import annotations
 
-import typing as t
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,16 +114,11 @@ class AppPool:
             )
         ranks = np.arange(1, n_apps + 1, dtype=float)
         weights = ranks**-zipf_s
-        self._weights = weights / weights.sum()
-        self._cdf = choice_cdf(self._weights)
+        self._cdf = choice_cdf(weights / weights.sum())
 
     def sample(self, rng: np.random.Generator) -> AppSpec:
         """Popularity-weighted draw."""
         return self.apps[weighted_index(self._cdf, rng)]
-
-    def popularity_concentration(self) -> float:
-        """Σ share² — the chance two random draws hit the same app."""
-        return float((self._weights**2).sum())
 
 
 @dataclass

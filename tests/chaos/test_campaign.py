@@ -82,8 +82,14 @@ class TestCampaignRuns:
 
     def test_report_repro_hint_names_the_cli(self):
         report = run_scenario("flapping-node", seed=3)
-        assert report.repro_hint() == "repro chaos run flapping-node --seed 3"
         assert "violations: 0" in report.to_text()
+        assert "reproduce with" not in report.to_text()
+        tripped = run_scenario(
+            "flapping-node", seed=3, invariant_factory=lambda: [AnyFailureTripwire()]
+        )
+        assert not tripped.ok
+        hint = "  reproduce with: repro chaos run flapping-node --seed 3"
+        assert hint in tripped.to_text().splitlines()
 
 
 class TestMalleableScenarios:
@@ -163,6 +169,19 @@ class NodeThreeTripwire(Invariant):
         def listener(kind, node_ids, when):
             if kind != "recover" and 3 in node_ids:
                 report(f"node 3 failed at {when:.0f}")
+
+        ctx.cluster.failures.subscribe(listener)
+
+
+class AnyFailureTripwire(Invariant):
+    """Fires on every node failure: makes any faulty run a violating one."""
+
+    name = "any-failure-tripwire"
+
+    def attach(self, ctx, report):
+        def listener(kind, node_ids, when):
+            if kind != "recover":
+                report(f"nodes {node_ids} failed at {when:.0f}")
 
         ctx.cluster.failures.subscribe(listener)
 

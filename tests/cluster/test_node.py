@@ -8,7 +8,7 @@ the scheduler's :class:`~repro.sched.allocator.NodePool` alone.
 import pytest
 
 from repro.cluster import ClusterSpec
-from repro.cluster.node import HardwareSpec, NodeRole, NodeState
+from repro.cluster.node import NodeState
 from repro.errors import ClusterError, SchedulingError
 from repro.sched import Job, NodePool
 from repro.simkit import Simulator
@@ -37,19 +37,13 @@ class TestNodeValidation:
     def test_negative_id_rejected(self):
         cluster = make_cluster()
         for read in (
-            cluster.state_of, cluster.is_responsive,
-            cluster.name_of, cluster.role_of,
+            cluster.state_of, cluster.is_responsive, cluster.name_of,
         ):
             with pytest.raises(ClusterError):
                 read(-1)
 
-    def test_zero_cores_rejected(self):
-        with pytest.raises(ClusterError):
-            ClusterSpec(compute_hw=HardwareSpec(cores=0))
-
     def test_defaults(self):
         cluster = make_cluster()
-        assert cluster.role_of(0) is NodeRole.COMPUTE
         assert cluster.state_of(0) is NodeState.UP
         assert cluster.is_responsive(0)
 
@@ -88,14 +82,3 @@ class TestNodeTransitions:
         with pytest.raises(SchedulingError, match="placement returned"):
             pool.allocate(one_node_job(1), now=0.0)
         assert not pool.running
-
-
-class TestHardwareSpec:
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ClusterError):
-            HardwareSpec(cores=0)
-
-    def test_frozen(self):
-        hw = HardwareSpec()
-        with pytest.raises(AttributeError):
-            hw.cores = 5  # type: ignore[misc]

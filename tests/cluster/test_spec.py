@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSpec, NodeRole, NodeState
+from repro.cluster import Cluster, ClusterSpec, NodeState
 from repro.errors import ClusterError, ConfigurationError
 from repro.simkit import Simulator
 
@@ -33,12 +33,6 @@ class TestCluster:
         assert cluster.master_id == 64
         assert cluster.satellite_ids == [65, 66, 67]
 
-    def test_roles(self):
-        _, cluster = small_cluster()
-        assert cluster.role_of(cluster.master_id) is NodeRole.MASTER
-        assert all(cluster.role_of(s) is NodeRole.SATELLITE for s in cluster.satellite_ids)
-        assert all(cluster.role_of(n) is NodeRole.COMPUTE for n in cluster.compute_ids())
-
     def test_lookup(self):
         _, cluster = small_cluster()
         assert cluster.name_of(0) == "cn00000"
@@ -58,7 +52,6 @@ class TestCluster:
         assert sum(cluster.state_of(i) is NodeState.UP for i in cluster.compute_ids()) == 10
         cluster.fail_nodes([2, 5])
         assert cluster.down_ids() == {2, 5}
-        assert cluster.failed_fraction() == 0.2
         assert not cluster.is_responsive(2)
         cluster.recover_nodes([2])
         assert cluster.down_ids() == {5}
@@ -91,8 +84,7 @@ class TestIdValidation:
         # -1 would silently index the last column; n + 1 + m is one past it.
         _, cluster = small_cluster(n=64, sats=2)
         for read in (
-            cluster.state_of, cluster.is_responsive,
-            cluster.name_of, cluster.role_of,
+            cluster.state_of, cluster.is_responsive, cluster.name_of,
         ):
             with pytest.raises(ClusterError, match="unknown node id"):
                 read(bad)

@@ -54,17 +54,6 @@ class TestHopLevel:
 
 
 class TestHelpers:
-    def test_nodes_in_rack_full(self):
-        r = TOPO.nodes_in_rack(0, total_nodes=2048)
-        assert len(r) == NODES_PER_RACK
-
-    def test_nodes_in_rack_clipped(self):
-        r = TOPO.nodes_in_rack(0, total_nodes=100)
-        assert len(r) == 100
-
-    def test_nodes_in_rack_beyond_cluster(self):
-        assert len(TOPO.nodes_in_rack(9, total_nodes=100)) == 0
-
     def test_racks_for(self):
         assert TOPO.racks_for(1) == 1
         assert TOPO.racks_for(NODES_PER_RACK) == 1
@@ -114,22 +103,16 @@ class TestPropertySweep:
     def test_racks_partition_cluster(self, topo, total):
         # Every node lands in exactly one rack; the last rack may be
         # partial (total not divisible by the rack size) but never empty.
-        racks = topo.racks_for(total)
-        seen = []
-        for rack in range(racks):
-            ids = topo.nodes_in_rack(rack, total)
-            assert len(ids) >= 1
-            assert all(topo.rack_of(nid) == rack for nid in ids)
-            seen.extend(ids)
-        assert seen == list(range(total))
-        assert len(topo.nodes_in_rack(racks, total)) == 0
+        racks = [topo.rack_of(nid) for nid in range(total)]
+        assert racks == sorted(racks)
+        assert set(racks) == set(range(topo.racks_for(total)))
 
     @given(topologies, st.integers(1, 3000))
     def test_last_rack_size(self, topo, total):
-        racks = topo.racks_for(total)
-        last = topo.nodes_in_rack(racks - 1, total)
+        last = topo.racks_for(total) - 1
+        in_last = sum(topo.rack_of(nid) == last for nid in range(total))
         remainder = total % topo.nodes_per_rack
-        assert len(last) == (remainder if remainder else topo.nodes_per_rack)
+        assert in_last == (remainder if remainder else topo.nodes_per_rack)
 
     @given(st.integers(1, 512), st.integers(0, 511), st.integers(0, 511))
     def test_single_rack_cluster_never_crosses_racks(self, total, a, b):

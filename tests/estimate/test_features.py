@@ -64,7 +64,6 @@ class TestEncoder:
         enc = FeatureEncoder()
         X = enc.fit(jobs).transform(jobs)
         assert X.shape == (50, N_FEATURES)
-        assert enc.fitted
         # transform_one matches row-wise transform
         np.testing.assert_allclose(enc.transform_one(jobs[3]), X[3])
 

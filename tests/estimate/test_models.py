@@ -144,11 +144,6 @@ class TestRandomForest:
         with pytest.raises(EstimationError):
             RandomForestRegressor(n_estimators=0)
 
-    def test_predict_one(self):
-        X, y = linear_data(n=50)
-        m = RandomForestRegressor(5).fit(X, y)
-        assert m.predict_one(X[0]) == pytest.approx(m.predict(X[:1])[0])
-
 
 class TestBayesianRidge:
     def test_recovers_coefficients(self):

@@ -1,5 +1,6 @@
 """The repro.api facade: configs, run_simulation, quick_cluster."""
 
+import numpy as np
 import pytest
 
 from repro.api import SimulationConfig, TelemetryConfig, quick_cluster, run_simulation
@@ -15,12 +16,6 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError):
             SimulationConfig(rm="htcondor")
 
-    def test_monitoring_follows_failures_by_default(self):
-        assert SimulationConfig(failures=True).monitoring_effective is True
-        assert SimulationConfig(failures=False).monitoring_effective is False
-        assert SimulationConfig(failures=True, monitoring=False).monitoring_effective is False
-        assert SimulationConfig(failures=False, monitoring=True).monitoring_effective is True
-
     @pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan"), float("inf")])
     def test_horizon_must_be_finite_and_positive(self, horizon):
         with pytest.raises(ConfigurationError, match="horizon_s"):
@@ -30,6 +25,56 @@ class TestSimulationConfig:
         SimulationConfig(n_nodes=64, n_satellites=64)
         with pytest.raises(ConfigurationError, match="got 65 > 64"):
             SimulationConfig(n_nodes=64, n_satellites=65)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_nodes", 64.5),
+            ("n_nodes", True),
+            ("n_satellites", 1.5),
+            ("n_jobs", 5.5),
+            ("seed", -1),
+            ("seed", 2.0),
+            ("failures", 1),
+            ("malleable", "yes"),
+            ("monitoring", "yes"),
+        ],
+    )
+    def test_malformed_field_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            SimulationConfig(**{field: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        cfg = SimulationConfig(
+            n_nodes=np.int64(64), n_satellites=np.int32(2), n_jobs=np.uint16(8), seed=np.int8(3)
+        )
+        assert [(type(v), v) for v in (cfg.n_nodes, cfg.n_satellites, cfg.n_jobs, cfg.seed)] == [
+            (int, 64), (int, 2), (int, 8), (int, 3)
+        ]
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"estimator": "bogus"}, "unknown estimator 'bogus'"),
+            ({"rm": "slurm", "estimator": "auto"}, "rm 'slurm' needs an estimator object"),
+            ({"estimator": object()}, "must have estimate"),
+        ],
+        ids=["unknown-string", "auto-without-eslurm", "no-estimate-observe"],
+    )
+    def test_bad_estimator_rejected(self, kwargs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            SimulationConfig(**kwargs)
+
+    def test_estimator_object_and_auto_accepted(self):
+        class Fixed:
+            def estimate(self, job, now):
+                return 60.0
+
+            def observe(self, job, now):
+                pass
+
+        assert SimulationConfig(estimator="auto").estimator == "auto"
+        SimulationConfig(rm="slurm", estimator=Fixed())
 
     def test_frozen(self):
         cfg = SimulationConfig()

@@ -26,7 +26,7 @@ def assert_sound(targets, ordered, predicted, width):
     """The three structural guarantees of one rearrangement."""
     assert sorted(ordered) == sorted(targets)  # permutation: no node lost
     tree = build_tree([10_000] + list(ordered), width)
-    assert tree.size() == len(ordered) + 1
+    assert sum(1 for _ in tree.iter_nodes()) == len(ordered) + 1
     for vertex in tree.iter_nodes():
         assert len(vertex.children) <= width
     leaf_idx = {p - 1 for p in leaf_positions(len(targets) + 1, width) if p > 0}

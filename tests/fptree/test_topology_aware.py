@@ -37,4 +37,4 @@ class TestFineTuning:
         ctor = FPTreeConstructor(StaticSetPredictor(predicted), width=4)
         ordered = ctor.construct(root=1000, targets=ids)
         tree = build_tree([1000, *ordered], width=4)
-        assert predicted <= set(tree.leaf_ids())
+        assert predicted <= {n.node_id for n in tree.iter_nodes() if not n.children}

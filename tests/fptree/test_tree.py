@@ -36,14 +36,13 @@ class TestBuildTree:
     def test_single_node(self):
         tree = build_tree([42], width=4)
         assert tree.node_id == 42
-        assert tree.is_leaf()
-        assert tree.size() == 1
+        assert tree.children == []
 
     def test_small_tree_shape(self):
         tree = build_tree(list(range(5)), width=2)
         assert tree.node_id == 0
         assert len(tree.children) == 2
-        assert tree.size() == 5
+        assert sum(1 for _ in tree.iter_nodes()) == 5
 
     def test_all_ids_present_once(self):
         ids = list(range(100))
@@ -77,7 +76,8 @@ class TestLeafPositions:
     @given(st.integers(1, 800), st.integers(2, 20))
     @settings(max_examples=60)
     def test_matches_built_tree(self, n, w):
-        via_tree = sorted(build_tree(list(range(n)), width=w).leaf_ids())
+        tree = build_tree(list(range(n)), width=w)
+        via_tree = sorted(node.node_id for node in tree.iter_nodes() if not node.children)
         via_sim = sorted(leaf_positions(n, w))
         assert via_tree == via_sim
 

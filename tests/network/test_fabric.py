@@ -41,7 +41,7 @@ class TestFabricConfig:
         jobs = [Job(i, f"j{i}.sh", "u", 8, 600.0, 900.0, 60.0 * i) for i in range(1, 6)]
         rm.run_trace(jobs, until=86400.0)
         assert all(j.state is JobState.COMPLETED for j in jobs)
-        assert "fabric" not in sim.rng
+        assert "fabric" not in sim.rng._streams
 
 
 class TestTransferDelay:

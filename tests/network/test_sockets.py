@@ -14,17 +14,12 @@ def test_open_close_counts():
     sim = Simulator()
     tr = ConnectionTracker(sim, "master")
     tr.open(5)
-    assert tr.current == 5
-    tr.close(2)
-    assert tr.current == 3
-    assert tr.total_opened == 5
-
-
-def test_close_more_than_open_raises():
-    tr = ConnectionTracker(Simulator(), "x")
-    tr.open(1)
-    with pytest.raises(NetworkError):
-        tr.close(2)
+    assert tr.series.last() == 5
+    tr.pulse(2, 1.0)
+    assert tr.series.last() == 7
+    sim.run(until=2.0)
+    assert tr.series.last() == 5  # the pulse closed its own two
+    assert tr.total_opened == 7
 
 
 def test_negative_counts_rejected():
@@ -32,42 +27,28 @@ def test_negative_counts_rejected():
     with pytest.raises(NetworkError):
         tr.open(-1)
     with pytest.raises(NetworkError):
-        tr.close(-1)
+        tr.pulse(-1, 1.0)
 
 
 def test_counts_must_be_integers():
     tr = ConnectionTracker(Simulator(), "x")
     for bad in (float("nan"), 2.5, "3", None):
-        for call in (tr.open, tr.close, lambda n: tr.pulse(n, 1.0)):
+        for call in (tr.open, lambda n: tr.pulse(n, 1.0)):
             with pytest.raises(TypeError):
                 call(bad)
     tr.open(np.int64(2))
     tr.pulse(True, 1.0)
-    assert tr.current == 3
+    assert tr.series.last() == 3
     assert len(tr.series) == 2
-
-
-def test_close_cannot_take_pulse_connections():
-    sim = Simulator()
-    tr = ConnectionTracker(sim, "x")
-    tr.open(1)
-    tr.pulse(4, 1.0)
-    with pytest.raises(NetworkError, match="closing 4 connections but only 1 opened"):
-        tr.close(4)
-    sim.run(until=2.0)
-    assert tr.current == 1  # the pulse closed its own four; never negative
-    assert tr.peak() == 5
-    tr.close(1)
-    assert tr.current == 0
 
 
 def test_pulse_closes_after_hold():
     sim = Simulator()
     tr = ConnectionTracker(sim, "master")
     tr.pulse(10, hold_s=5.0)
-    assert tr.current == 10
+    assert tr.series.last() == 10
     sim.run(until=10.0)
-    assert tr.current == 0
+    assert tr.series.last() == 0
     assert tr.peak() == 10
 
 
@@ -76,7 +57,6 @@ def test_mean_is_time_weighted():
     tr = ConnectionTracker(sim, "m")
     tr.open(4)  # 4 connections held for the whole [0, 10] window
     sim.run(until=10.0)
-    tr.close(4)
     assert tr.mean() == pytest.approx(4.0)
 
 
@@ -105,7 +85,7 @@ class TestLazyPulseCloses:
         tr.pulse(2, 5.0)  # closes at t=5
         # Nothing touches the tracker until much later.
         sim.run(until=100.0)
-        assert tr.current == 0
+        assert tr.series.last() == 0
         assert 5.0 in tr.series.times  # backdated to the real close time
 
     def test_tied_closes_apply_in_pulse_order(self):
@@ -114,7 +94,7 @@ class TestLazyPulseCloses:
         tr.pulse(1, 10.0)
         tr.pulse(4, 10.0)  # same close instant, later pulse
         sim.run(until=20.0)
-        assert tr.current == 0
+        assert tr.series.last() == 0
         # Values step 5 -> 4 -> 0 at the close instant: the first
         # pulse's count came off first.
         closes = [v for t, v in zip(tr.series.times, tr.series.values) if t == 10.0]
@@ -125,7 +105,7 @@ class TestLazyPulseCloses:
         tr = ConnectionTracker(sim, "m")
         tr.pulse(2, 1e9)
         sim.run(until=10.0)
-        assert tr.current == 2  # the eager close event would not have fired
+        assert tr.series.last() == 2  # the eager close event would not have fired
 
     def test_next_touch_drains_due_closes(self):
         # every read folds first, ``series`` included
@@ -137,7 +117,7 @@ class TestLazyPulseCloses:
         assert len(tr._series) == 0  # a pulse is only logged
         assert tr.series.times.tolist() == [0.0, 0.0, 1.0]  # the read folds
         assert tr.series.values.tolist() == [2, 5, 3]
-        assert tr.current == 3
+        assert tr.series.last() == 3
         tr.pulse(1, 1.0)
         assert len(tr._series) == 3  # logged, not yet in the series
         # the later close is not due: only the open lands
@@ -233,15 +213,6 @@ class ListSeries:
             return float(values[-1])
         return float(np.dot(values, widths) / total)
 
-    def resample(self, step, until=None):
-        if not self.times:
-            return np.array([]), np.array([])
-        times, values = np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
-        end = float(until) if until is not None else times[-1]
-        grid = np.arange(times[0], end + step / 2, step)
-        idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(values) - 1)
-        return grid, values[idx]
-
 
 class EagerTracker:
     """The tracker with one simulator event per pulse close."""
@@ -275,14 +246,14 @@ class EagerTracker:
 #: included
 tracker_op = st.tuples(
     st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]),
-    st.sampled_from(["open", "close", "pulse", "pulse", "read"]),
+    st.sampled_from(["open", "pulse", "pulse", "read"]),
     st.integers(0, 6),
     st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5, 100.0, float("inf")]),
 )
 
 
 def assert_same(lazy, eager):
-    assert lazy.current == eager.current
+    assert lazy.series.last() == eager.current
     assert lazy.series.times.tolist() == eager.series.times
     assert lazy.series.values.tolist() == eager.series.values
     assert lazy.peak() == eager.peak()
@@ -312,20 +283,13 @@ class TestLazyEqualsEager:
         lazy_sim, eager_sim = Simulator(), Simulator()
         lazy, eager = ConnectionTracker(lazy_sim, "m"), EagerTracker(eager_sim)
         now = 0.0
-        held = 0  # opened and not yet closed by ``close``: pulses close their own
         for dt, op, count, hold in ops:
             now += dt
             lazy_sim.run(until=now)
             eager_sim.run(until=now)
             if op == "open":
-                held += count
                 lazy.open(count)
                 eager.open(count)
-            elif op == "close":
-                count = min(count, held)
-                held -= count
-                lazy.close(count)
-                eager.close(count)
             elif op == "pulse":
                 lazy.pulse(count, hold)
                 eager.pulse(count, hold)
@@ -350,10 +314,9 @@ class TestTimeSeriesEqualsLists:
             max_size=40,
         ),
         st.sampled_from([0.0, 0.5, 7.0]),
-        st.sampled_from([0.25, 1.0, 2.0]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_summaries(self, samples, extra, step):
+    def test_summaries(self, samples, extra):
         ts, ref = TimeSeries("x"), ListSeries()
         now = 0.0
         for dt, value in samples:
@@ -368,10 +331,6 @@ class TestTimeSeriesEqualsLists:
         assert ts.max() == ref.max()
         assert ts.time_average() == ref.time_average()
         assert ts.time_average(until=now + extra) == ref.time_average(until=now + extra)
-        grid, values = ts.resample(step, until=now + extra)
-        ref_grid, ref_values = ref.resample(step, until=now + extra)
-        assert grid.tolist() == ref_grid.tolist()
-        assert values.tolist() == ref_values.tolist()
 
     def test_record_rejects_backwards_time_and_non_numbers(self):
         ts = TimeSeries("x")

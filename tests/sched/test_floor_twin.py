@@ -110,9 +110,9 @@ class FloorTwinMachine(RuleBasedStateMachine):
         pool, ref = self.pool, self.ref
         assert np.array_equal(pool._state, ref._state)
         assert np.array_equal(pool._owner, ref._owner)
-        assert (pool.n_free, pool.n_down, pool.elastic_slack) == (
+        assert (pool.n_free, pool._n_down, pool.elastic_slack) == (
             ref.n_free,
-            ref.n_down,
+            ref._n_down,
             ref.elastic_slack,
         )
         assert {j: r.node_ids.tolist() for j, r in pool.running.items()} == {

@@ -42,7 +42,7 @@ class TestJobMalleability:
     def test_declared_range_resolves(self):
         j = elastic(1, 4, 2, 8)
         assert j.malleable
-        assert j.width == 4  # pre-start: the requested width
+        assert (j.n_nodes, len(j.allocated_nodes)) == (4, 0)  # pre-start: the requested width
 
     def test_invalid_range_rejected(self):
         with pytest.raises(SchedulingError):
@@ -53,7 +53,7 @@ class TestJobMalleability:
     def test_start_accepts_any_width_in_range(self):
         j = elastic(1, 4, 2, 8)
         j.start(0.0, (0, 1))
-        assert j.width == 2
+        assert len(j.allocated_nodes) == 2
 
     def test_start_outside_range_rejected(self):
         j = elastic(1, 4, 2, 8)
@@ -69,7 +69,7 @@ class TestJobMalleability:
         j = elastic(1, 4, 2, 8)
         j.start(0.0, (0, 1, 2, 3))
         j.grow(10.0, (4, 5))
-        assert j.width == 6
+        assert len(j.allocated_nodes) == 6
         j.shrink(20.0, (0, 5))
         assert set(j.allocated_nodes) == {1, 2, 3, 4}
         assert j.resize_count == 2

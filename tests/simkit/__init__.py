@@ -6,3 +6,9 @@ def event_at(sim, delay):
     ev = Event(sim)
     sim.schedule(ev, delay=delay)
     return ev
+
+
+def cancel(event):
+    """Mark a queued event dead, the flag ``Timer.cancel`` sets: the
+    kernel drops its heap entry when it surfaces."""
+    event.cancelled = True

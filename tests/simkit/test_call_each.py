@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.simkit import Event, Simulator
 from repro.simkit.events import PRIORITY_NORMAL, PRIORITY_URGENT
+from tests.simkit import cancel
 
 
 def each(sim, when, func, args):
@@ -65,7 +66,7 @@ def play(each, program):
             sim.schedule(ev, prio, when - sim.now)
             others.append(ev)
             if cancelled:
-                ev.cancel()
+                cancel(ev)
 
     def item(arg):
         log.append(arg)
@@ -82,8 +83,8 @@ def play(each, program):
             sim.schedule(ev, prio, delay)
         if victim is not None and victim < len(others):
             target = others[victim]
-            if not target.processed and not target.cancelled:
-                target.cancel()
+            if target.callbacks is not None and not target.cancelled:
+                cancel(target)
 
     def schedule_stream(k, times, offset):
         when = [offset + w for w in times]

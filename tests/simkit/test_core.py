@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.simkit import Event, Simulator
 from repro.telemetry import facade as telemetry
-from tests.simkit import event_at
+from tests.simkit import cancel, event_at
 
 
 def sleep_through(sim, delays):
@@ -76,12 +76,6 @@ def test_events_fire_in_fifo_order_at_same_time():
         event_at(sim, 1.0).callbacks.append(lambda _ev, tag=tag: order.append(tag))
     sim.run()
     assert order == list(range(10))
-
-
-def test_step_on_empty_heap_raises():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.step()
 
 
 def test_peek_empty_heap_is_inf():
@@ -163,9 +157,8 @@ class TestAdvanced:
 
 class TestSameTimestampOrdering:
     """Events sharing a timestamp (a *cohort*) run in strict
-    ``(priority, seq)`` order, exactly as repeated ``step()`` would:
-    same-time urgent events scheduled mid-cohort cut in, and
-    cancellation of a later member holds."""
+    ``(priority, seq)`` order: same-time urgent events scheduled
+    mid-cohort cut in, and cancellation of a later member holds."""
 
     def test_same_time_urgent_preempts_rest_of_cohort(self):
         sim = Simulator()
@@ -190,32 +183,12 @@ class TestSameTimestampOrdering:
         first = event_at(sim, 1.0)
         second = event_at(sim, 1.0)
         third = event_at(sim, 1.0)
-        first.callbacks.append(lambda _ev: second.cancel())
+        first.callbacks.append(lambda _ev: cancel(second))
         second.callbacks.append(lambda _ev: order.append("second"))
         third.callbacks.append(lambda _ev: order.append("third"))
         sim.run()
         assert order == ["third"]
         assert sim.events_processed == 2  # the cancelled one never counts
-
-    def test_trace_matches_serial_step_on_colliding_timestamps(self):
-        def build(seed):
-            sim = Simulator(seed=seed)
-            delays = sim.rng.stream("t").integers(0, 5, size=40)
-            for d in delays:
-                event_at(sim, float(d))
-            return sim
-
-        serial, trace_serial = build(1), []
-        serial.add_trace_hook(lambda *entry: trace_serial.append(entry))
-        while serial.peek() != float("inf"):
-            serial.step()
-
-        cohort, trace_cohort = build(1), []
-        cohort.add_trace_hook(lambda *entry: trace_cohort.append(entry))
-        cohort.run()
-
-        assert trace_serial == trace_cohort
-        assert serial.events_processed == cohort.events_processed
 
 
 class TestHeapDepth:
@@ -230,8 +203,8 @@ class TestHeapDepth:
         event_at(sim, 3.0)
         dead_deep = event_at(sim, 4.0)
         event_at(sim, 5.0)
-        dead_deep.cancel()
-        first.callbacks.append(lambda _ev: dead_top.cancel())
+        cancel(dead_deep)
+        first.callbacks.append(lambda _ev: cancel(dead_top))
         with telemetry.session() as tel:
             sim.run()
         hist = tel.snapshot()["histograms"]["sim.heap.depth"]

@@ -4,6 +4,8 @@ The calibration targets are the paper's reported trace statistics;
 each one is asserted here as an invariant of the generator.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -135,7 +137,9 @@ class TestAppPool:
     def test_zipf_concentration(self):
         rng = np.random.default_rng(0)
         pool = AppPool(40, max_nodes=1024, long_job_fraction=0.2, rng=rng)
-        conc = pool.popularity_concentration()
+        draws = Counter(pool.sample(rng).name for _ in range(5000))
+        # Σ share²: the chance two draws hit the same app
+        conc = sum((n / 5000) ** 2 for n in draws.values())
         assert 0.02 < conc < 0.3  # skewed but not degenerate
 
     def test_empty_pool_rejected(self):
